@@ -22,8 +22,8 @@ let mk_pkt () =
    live switch.  [metrics] optionally attaches a registry to the
    scheduler; with a disabled registry this measures the cost of the
    instrumentation branches alone. *)
-let make_event_dispatch ~name ?metrics ?backend () =
-  let sched = Eventsim.Scheduler.create ?backend () in
+let make_event_dispatch ~name ?metrics () =
+  let sched = Eventsim.Scheduler.create () in
   let config = Evcore.Event_switch.default_config Evcore.Arch.event_pisa_full in
   let count = ref 0 in
   let program _ctx =
@@ -158,8 +158,8 @@ let bench_shared_register =
    TM -> transmit) including enqueue/dequeue events. Packets come from
    an arena and are released at transmit, so steady state recycles one
    packet record instead of building a fresh header tree per run. *)
-let make_packet_path ~name ?backend () =
-  let sched = Eventsim.Scheduler.create ?backend () in
+let bench_packet_path =
+  let sched = Eventsim.Scheduler.create () in
   let config = Evcore.Event_switch.default_config Evcore.Arch.event_pisa_full in
   let spec, _ =
     Apps.Microburst.program ~threshold_bytes:1_000_000 ~out_port:(fun _ -> 1) ()
@@ -169,7 +169,7 @@ let make_packet_path ~name ?backend () =
   Evcore.Event_switch.set_port_tx sw ~port:1 (Netcore.Packet_arena.release arena);
   let src = Netcore.Ipv4_addr.of_string "10.0.0.1" in
   let dst = Netcore.Ipv4_addr.of_string "10.0.0.2" in
-  Test.make ~name
+  Test.make ~name:"fig4/packet-traversal"
     (Staged.stage (fun () ->
          let pkt =
            Netcore.Packet_arena.acquire_udp arena ~src ~dst ~src_port:1234 ~dst_port:80
@@ -178,38 +178,21 @@ let make_packet_path ~name ?backend () =
          Evcore.Event_switch.inject sw ~port:0 pkt;
          Eventsim.Scheduler.run sched))
 
-let bench_packet_path = make_packet_path ~name:"fig4/packet-traversal" ()
-
-let bench_packet_path_heap =
-  make_packet_path ~name:"fig4/packet-traversal-heap" ~backend:Eventsim.Sched_backend.Heap ()
-
 (* Substrate + application-experiment kernels.
 
    The scheduler kernel measures one schedule+dispatch cycle against a
    queue that also holds parked far-future work (512 background timers),
-   the shape every real experiment produces: the binary heap pays
-   O(log n) sift per hot event for that depth, the wheel keeps parked
-   timers in their overflow page untouched. *)
-let make_scheduler_event ~name ~backend =
-  let sched = Eventsim.Scheduler.create ~backend () in
+   the shape every real experiment produces: the parked timers sit in
+   the ladder's unsorted top tier, untouched by the hot event. *)
+let bench_scheduler =
+  let sched = Eventsim.Scheduler.create () in
   for i = 0 to 511 do
     Eventsim.Scheduler.post sched ~at:(Eventsim.Sim_time.ms 100 + i) (fun () -> ())
   done;
-  Test.make ~name
+  Test.make ~name:"substrate/scheduler-event-ladder"
     (Staged.stage (fun () ->
          Eventsim.Scheduler.post_after sched ~delay:10 (fun () -> ());
          ignore (Eventsim.Scheduler.step sched)))
-
-let bench_scheduler_heap =
-  make_scheduler_event ~name:"substrate/scheduler-event-heap" ~backend:Eventsim.Sched_backend.Heap
-
-let bench_scheduler_wheel =
-  make_scheduler_event ~name:"substrate/scheduler-event-wheel"
-    ~backend:Eventsim.Sched_backend.Wheel
-
-let bench_scheduler_ladder =
-  make_scheduler_event ~name:"substrate/scheduler-event-ladder"
-    ~backend:Eventsim.Sched_backend.Ladder
 
 let bench_pifo =
   let pifo = Tmgr.Pifo.create () in
@@ -252,7 +235,7 @@ let bench_meter =
    (alternating two ring policies so every table genuinely changes)
    and drives the event loop until the update commits. *)
 let bench_netupd_commit =
-  let sched = Eventsim.Scheduler.create ~backend:Eventsim.Sched_backend.Heap () in
+  let sched = Eventsim.Scheduler.create () in
   let agents =
     Array.init 8 (fun sw ->
         Some (Netupd.Agent.create ~switch:sw ~keys:8 ~edge_port:(fun p -> p = 0) ()))
@@ -318,10 +301,7 @@ let benchmarks =
       bench_resmodel;
       bench_shared_register;
       bench_packet_path;
-      bench_packet_path_heap;
-      bench_scheduler_heap;
-      bench_scheduler_wheel;
-      bench_scheduler_ladder;
+      bench_scheduler;
       bench_pifo;
       bench_lpm;
       bench_frame;
@@ -441,34 +421,6 @@ let run_quick () =
   assert (Float.is_finite bare && bare > 0.);
   assert (Float.is_finite faults_off && faults_off > 0.);
   assert (chaos_overhead < 0.5);
-  (* Backend smoke: heap, wheel and ladder run the same event-dispatch
-     kernel. The wheel is the default backend and the ladder the
-     adaptive alternative, so both must stay in the heap's ballpark —
-     trip if either drifts past 2x. (The bound was 1.5x when dispatch
-     itself dominated the kernel; the SoA/epoch-cache refactor halved
-     that shared term, so the same absolute backend gap now shows up as
-     a larger ratio — all three backends got faster in absolute ns.) *)
-  let heap =
-    estimate
-      (make_event_dispatch ~name:"event-dispatch-heap" ~backend:Eventsim.Sched_backend.Heap ())
-  in
-  let wheel =
-    estimate
-      (make_event_dispatch ~name:"event-dispatch-wheel" ~backend:Eventsim.Sched_backend.Wheel ())
-  in
-  let ladder =
-    estimate
-      (make_event_dispatch ~name:"event-dispatch-ladder" ~backend:Eventsim.Sched_backend.Ladder
-         ())
-  in
-  Printf.printf "event-dispatch, heap:        %10.1f ns/run\n" heap;
-  Printf.printf "event-dispatch, wheel:       %10.1f ns/run\n" wheel;
-  Printf.printf "event-dispatch, ladder:      %10.1f ns/run\n" ladder;
-  assert (Float.is_finite heap && heap > 0.);
-  assert (Float.is_finite wheel && wheel > 0.);
-  assert (Float.is_finite ladder && ladder > 0.);
-  assert (wheel <= 2.0 *. heap);
-  assert (ladder <= 2.0 *. heap);
   print_endline "bench --quick OK"
 
 let json_path () =

@@ -7,16 +7,6 @@ let list_cmd () =
         Printf.printf "%-18s %-4s %s\n" e.name e.experiment_id e.paper_artifact)
       all)
 
-let set_backend name =
-  match Eventsim.Sched_backend.of_string name with
-  | Some b ->
-      Eventsim.Sched_backend.default := b;
-      None
-  | None ->
-      Some
-        (Printf.sprintf "unknown scheduler backend %S; try: %s" name
-           (String.concat ", " Eventsim.Sched_backend.names))
-
 let set_resil_policy name =
   match Resil.Policy.of_string name with
   | Some p ->
@@ -34,13 +24,10 @@ let set_shed_watermark = function
       None
   | Some w -> Some (Printf.sprintf "--shed-watermark must be positive, got %d" w)
 
-let configure ~backend ~policy ~watermark =
-  match set_backend backend with
+let configure ~policy ~watermark =
+  match set_resil_policy policy with
   | Some _ as e -> e
-  | None -> (
-      match set_resil_policy policy with
-      | Some _ as e -> e
-      | None -> set_shed_watermark watermark)
+  | None -> set_shed_watermark watermark
 
 (* Convert stray exceptions from command bodies — notably a fail-fast
    supervisor abort — into a clean usage-style failure instead of
@@ -68,17 +55,12 @@ let guarded f =
 let set_shards = function
   | None -> None
   | Some n when n >= 0 ->
-      let counts = if n = 1 then [ 1 ] else [ 1; n ] in
-      Experiments.E23_scale.default_shard_counts := counts;
-      Experiments.E24_efsm.default_shard_counts := counts;
-      Experiments.E25_cep.default_shard_counts := counts;
-      Experiments.E26_netupd.default_shard_counts := counts;
-      Experiments.E27_dcscale.default_shard_counts := counts;
+      Experiments.Conformance.shard_counts := if n = 1 then [ 1 ] else [ 1; n ];
       None
   | Some n -> Some (Printf.sprintf "--shards must be non-negative, got %d" n)
 
-let run_cmd backend policy watermark shards name seed metrics_out =
-  match configure ~backend ~policy ~watermark with
+let run_cmd policy watermark shards name seed metrics_out =
+  match configure ~policy ~watermark with
   | Some err -> `Error (false, err)
   | None ->
   match set_shards shards with
@@ -116,8 +98,8 @@ let run_cmd backend policy watermark shards name seed metrics_out =
               Printf.sprintf "unknown experiment %S; try: %s" n
                 (String.concat ", " (Experiments.Registry.names ())) ))
 
-let chaos_cmd backend policy watermark shards seed profile metrics_out =
-  match configure ~backend ~policy ~watermark with
+let chaos_cmd policy watermark shards seed profile metrics_out =
+  match configure ~policy ~watermark with
   | Some err -> `Error (false, err)
   | None ->
   guarded @@ fun () ->
@@ -165,10 +147,7 @@ let chaos_cmd backend policy watermark shards seed profile metrics_out =
       in
       if ok then `Ok () else `Error (false, "chaos run failed a degradation check"))
 
-let p4_cmd backend file duration_us =
-  match set_backend backend with
-  | Some err -> `Error (false, err)
-  | None ->
+let p4_cmd file duration_us =
   let source =
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -240,18 +219,6 @@ let metrics_out =
           "Record simulator metrics (scheduler, event switch, traffic manager) \
            during the run and write a JSON snapshot to $(docv).")
 
-let sched_backend =
-  Arg.(
-    value
-    & opt string (Eventsim.Sched_backend.to_string !Eventsim.Sched_backend.default)
-    & info [ "sched-backend" ] ~docv:"BACKEND"
-        ~doc:
-          (Printf.sprintf
-             "Scheduler event-queue backend: %s. Both fire events in the same \
-              order, so outputs are byte-identical; the choice is a \
-              performance knob."
-             (String.concat ", " Eventsim.Sched_backend.names)))
-
 let resil_policy =
   Arg.(
     value
@@ -293,8 +260,8 @@ let shards_arg =
 let run_term =
   Term.(
     ret
-      (const run_cmd $ sched_backend $ resil_policy $ shed_watermark $ shards_arg $ name_arg
-     $ seed $ metrics_out))
+      (const run_cmd $ resil_policy $ shed_watermark $ shards_arg $ name_arg $ seed
+     $ metrics_out))
 
 let run_info =
   Cmd.info "run" ~doc:"Run one experiment (or all when no name is given)."
@@ -314,8 +281,8 @@ let chaos_profile =
 let chaos_term =
   Term.(
     ret
-      (const chaos_cmd $ sched_backend $ resil_policy $ shed_watermark $ shards_arg $ seed
-     $ chaos_profile $ metrics_out))
+      (const chaos_cmd $ resil_policy $ shed_watermark $ shards_arg $ seed $ chaos_profile
+     $ metrics_out))
 
 let chaos_info =
   Cmd.info "chaos"
@@ -330,7 +297,7 @@ let p4_file =
 let p4_duration =
   Arg.(value & opt int 1000 & info [ "duration-us" ] ~doc:"Traffic duration in microseconds.")
 
-let p4_term = Term.(ret (const p4_cmd $ sched_backend $ p4_file $ p4_duration))
+let p4_term = Term.(ret (const p4_cmd $ p4_file $ p4_duration))
 
 let p4_info =
   Cmd.info "p4" ~doc:"Load an event-driven P4 program and run it under generic traffic."

@@ -78,16 +78,6 @@ let ports t =
   List.iter (fun at -> claim (at.switch, at.port)) t.attachments;
   n
 
-let host_counts t =
-  let n = Array.make t.switches 0 in
-  List.iter (fun at -> n.(at.switch) <- n.(at.switch) + 1) t.attachments;
-  n
-
-let min_link_delay t =
-  match t.links with
-  | [] -> invalid_arg "Topology.min_link_delay: no switch-to-switch links"
-  | l :: rest -> List.fold_left (fun acc l -> min acc l.delay) l.delay rest
-
 (* Builders. Link [i] gets delay [base + i * skew] so no two links share
    a propagation delay: packets arriving at one switch over different
    paths then land on distinct timestamps, which pins the event order

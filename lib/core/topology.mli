@@ -50,14 +50,6 @@ val ports : t -> int array
     per switch when building a whole topology — the per-switch form is
     quadratic and shows at 1000+ switches. *)
 
-val host_counts : t -> int array
-(** Number of hosts attached to every switch, one pass. Feeds the
-    event-rate weights of [Parsim.default_weights]. *)
-
-val min_link_delay : t -> Eventsim.Sim_time.t
-(** Smallest switch-to-switch link delay — the global conservative
-    lookahead bound. Raises [Invalid_argument] if there are no links. *)
-
 (** {1 Builders} *)
 
 val ring :

@@ -134,15 +134,3 @@ let pop t =
 let take t =
   if t.len = 0 then invalid_arg "Event_heap.take: empty heap";
   (Obj.obj (pop_root t) : 'a)
-
-let drain_upto t ~limit f =
-  while t.len > 0 && Array.unsafe_get t.times 0 <= limit do
-    let time = Array.unsafe_get t.times 0 in
-    f ~time (Obj.obj (pop_root t) : 'a)
-  done
-
-let clear t =
-  t.len <- 0;
-  t.times <- [||];
-  t.seqs <- [||];
-  t.payloads <- [||]

@@ -1,4 +1,6 @@
-(** Binary min-heap keyed by (time, sequence number).
+(** Binary min-heap keyed by (time, sequence number): the reference
+    queue the tests check {!Ladder_queue} against. The scheduler itself
+    runs on the ladder.
 
     The sequence number makes the ordering total and FIFO among events
     scheduled for the same instant, which keeps simulations deterministic
@@ -17,7 +19,7 @@ val peek_time : 'a t -> int option
 
 val next_time : 'a t -> int
 (** Earliest queued time, or [-1] when empty — the allocation-free
-    {!peek_time} for the scheduler hot path (times are non-negative). *)
+    {!peek_time} (times are non-negative). *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest element with its time. *)
@@ -26,10 +28,3 @@ val take : 'a t -> 'a
 (** Remove and return the earliest payload alone (allocation-free apart
     from heap bookkeeping). Raises [Invalid_argument] when empty; pair
     with {!next_time}. *)
-
-val drain_upto : 'a t -> limit:int -> (time:int -> 'a -> unit) -> unit
-(** Fire every element with [time <= limit] through [f], in (time, seq)
-    order, re-checking the root after each callback so elements pushed
-    by [f] at already-reached times are included. *)
-
-val clear : 'a t -> unit

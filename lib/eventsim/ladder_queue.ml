@@ -27,7 +27,7 @@
    scratch array is retained and grown geometrically, so a steady-state
    push/pop cycle allocates nothing. Dead nodes never pin their old
    payload (cleared on release), mirroring the Event_heap null-entry
-   and Timing_wheel disciplines. *)
+   discipline. *)
 
 type 'a node = {
   mutable time : int;
@@ -38,8 +38,7 @@ type 'a node = {
 
 (* Shared inert node used as list terminator and free-list end. [node]
    is a mixed int/pointer record, so its representation is the same for
-   every ['a] and the cast is safe (same trick as Timing_wheel's
-   nil_node). Its fields are never mutated: append/release always check
+   every ['a] and the cast is safe. Its fields are never mutated: append/release always check
    for it first. *)
 let nil_node : Obj.t node =
   let rec n = { time = min_int; seq = 0; payload = Obj.repr (); next = n } in

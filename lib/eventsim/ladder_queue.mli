@@ -1,13 +1,13 @@
 (** Ladder queue (Tang, Goh & Thng 2005): the adaptive calendar-style
-    scheduler queue backend.
+    event queue {!Scheduler} runs on.
 
     Far-future events sit in an unsorted top bag; popping spreads them
     across bucket rungs of progressively finer width, and only the
     handful of imminent events are ever kept sorted (the bottom list).
-    Unlike {!Timing_wheel} there is no fixed resolution or horizon: the
-    bucket widths adapt to the actual event-time distribution, so both
-    dense same-instant bursts and sparse far-future parking stay
-    amortised O(1) per event.
+    There is no fixed resolution or horizon: the bucket widths adapt to
+    the actual event-time distribution, so both dense same-instant
+    bursts and sparse far-future parking stay amortised O(1) per
+    event.
 
     Firing order is identical to {!Event_heap}: non-decreasing time,
     FIFO among same-time events (every node carries a push sequence

@@ -26,11 +26,6 @@ let rec nil_cell =
     free_next = nil_cell;
   }
 
-type queue =
-  | QHeap of cell Event_heap.t
-  | QWheel of cell Timing_wheel.t
-  | QLadder of cell Ladder_queue.t
-
 type prof = {
   reg : Obs.Metrics.t;
   enabled : bool ref; (* the registry's own flag, cached: one load to
@@ -43,8 +38,7 @@ type prof = {
 }
 
 type t = {
-  queue : queue;
-  backend : Sched_backend.t;
+  queue : cell Ladder_queue.t;
   mutable clock : Sim_time.t;
   mutable executed : int;
   live : int ref;
@@ -58,7 +52,6 @@ type t = {
 }
 
 let now t = t.clock
-let backend t = t.backend
 
 (* {2 Cell pool}
 
@@ -99,10 +92,7 @@ let enqueue_cell t ~time cell =
   cell.queued <- true;
   incr t.live;
   if !(t.live) > t.depth_hwm then t.depth_hwm <- !(t.live);
-  (match t.queue with
-  | QHeap h -> Event_heap.push h ~time cell
-  | QWheel w -> Timing_wheel.push w ~time cell
-  | QLadder l -> Ladder_queue.push l ~time cell);
+  Ladder_queue.push t.queue ~time cell;
   match t.prof with
   | Some p when !(p.enabled) -> Obs.Metrics.Gauge.set p.depth !(t.live)
   | Some _ | None -> ()
@@ -205,20 +195,10 @@ let fire t cell =
   end
   else if cell.pooled then release_cell t cell
 
-let create ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> !Sched_backend.default
-  in
-  let queue =
-    match backend with
-    | Sched_backend.Heap -> QHeap (Event_heap.create ())
-    | Sched_backend.Wheel -> QWheel (Timing_wheel.create ())
-    | Sched_backend.Ladder -> QLadder (Ladder_queue.create ())
-  in
+let create () =
   let t =
     {
-      queue;
-      backend;
+      queue = Ladder_queue.create ();
       clock = 0;
       executed = 0;
       live = ref 0;
@@ -237,44 +217,20 @@ let create ?backend () =
 (* Allocation-free single step: peek the next time as a bare int, then
    take the payload alone — no [Some (time, cell)] tuple per event. *)
 let step t =
-  match t.queue with
-  | QHeap h ->
-      let time = Event_heap.next_time h in
-      if time < 0 then false
-      else begin
-        let cell = Event_heap.take h in
-        if time > t.clock then t.clock <- time;
-        fire t cell;
-        true
-      end
-  | QWheel w ->
-      let time = Timing_wheel.next_time w in
-      if time < 0 then false
-      else begin
-        let cell = Timing_wheel.take w ~time in
-        if time > t.clock then t.clock <- time;
-        fire t cell;
-        true
-      end
-  | QLadder l ->
-      let time = Ladder_queue.next_time l in
-      if time < 0 then false
-      else begin
-        let cell = Ladder_queue.take l in
-        if time > t.clock then t.clock <- time;
-        fire t cell;
-        true
-      end
+  let time = Ladder_queue.next_time t.queue in
+  if time < 0 then false
+  else begin
+    let cell = Ladder_queue.take t.queue in
+    if time > t.clock then t.clock <- time;
+    fire t cell;
+    true
+  end
 
 (* Earliest queued timestamp as a bare int, negative when the queue is
    empty. A cancelled cell still parks at its timestamp until popped, so
    the value is a conservative lower bound on the next live event — safe
    for horizon computations, which only ever need "no event before t". *)
-let next_time t =
-  match t.queue with
-  | QHeap h -> Event_heap.next_time h
-  | QWheel w -> Timing_wheel.next_time w
-  | QLadder l -> Ladder_queue.next_time l
+let next_time t = Ladder_queue.next_time t.queue
 
 let run ?until t =
   let wall0 =
@@ -284,11 +240,7 @@ let run ?until t =
   in
   let executed0 = t.executed in
   let limit = match until with Some l -> l | None -> max_int in
-  let dispatch = t.dispatch_cb in
-  (match t.queue with
-  | QHeap h -> Event_heap.drain_upto h ~limit dispatch
-  | QWheel w -> Timing_wheel.drain_upto w ~limit dispatch
-  | QLadder l -> Ladder_queue.drain_upto l ~limit dispatch);
+  Ladder_queue.drain_upto t.queue ~limit t.dispatch_cb;
   (match until with Some limit when limit > t.clock -> t.clock <- limit | Some _ | None -> ());
   match (t.prof, wall0) with
   | Some p, Some (w0, sim0) ->
@@ -306,11 +258,7 @@ let drain_until_horizon t ~horizon =
       (Printf.sprintf "Scheduler.drain_until_horizon: horizon=%d is before now=%d" horizon
          t.clock);
   let limit = horizon - 1 in
-  let dispatch = t.dispatch_cb in
-  (match t.queue with
-  | QHeap h -> Event_heap.drain_upto h ~limit dispatch
-  | QWheel w -> Timing_wheel.drain_upto w ~limit dispatch
-  | QLadder l -> Ladder_queue.drain_upto l ~limit dispatch);
+  Ladder_queue.drain_upto t.queue ~limit t.dispatch_cb;
   if horizon > t.clock then t.clock <- horizon
 
 let pending t = !(t.live)

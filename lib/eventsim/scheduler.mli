@@ -14,15 +14,10 @@
 type t
 type handle
 
-val create : ?backend:Sched_backend.t -> unit -> t
-(** [backend] selects the event-queue implementation (defaults to
-    [!Sched_backend.default]). Both backends fire callbacks in exactly
-    the same order; see {!Sched_backend}. *)
+val create : unit -> t
+(** A scheduler at time 0 with an empty {!Ladder_queue}. *)
 
 val now : t -> Sim_time.t
-
-val backend : t -> Sched_backend.t
-(** The backend this scheduler was created with. *)
 
 val schedule : ?cls:string -> t -> at:Sim_time.t -> (unit -> unit) -> handle
 (** Scheduling in the past raises [Invalid_argument]. [cls] defaults to
@@ -43,7 +38,7 @@ val post_after : ?cls:string -> t -> delay:Sim_time.t -> (unit -> unit) -> unit
 val cancel : handle -> unit
 (** Cancelling an already-run or cancelled handle is a no-op. For a
     periodic handle, cancellation stops all future firings. Cancelled
-    events leave {!pending} immediately (they still occupy a heap slot
+    events leave {!pending} immediately (they still occupy a queue slot
     until their time comes, but are never executed). *)
 
 val every : ?cls:string -> t -> ?start:Sim_time.t -> period:Sim_time.t -> (unit -> unit) -> handle
@@ -65,8 +60,8 @@ val drain_until_horizon : t -> horizon:Sim_time.t -> unit
     [horizon]. Events at [horizon] or later stay queued, and new work
     may still be scheduled at the horizon itself ([at = now] is legal),
     which is how a parallel shard injects cross-shard deliveries whose
-    timestamps open the next window. Honoured identically by both
-    backends. A horizon before [now] raises [Invalid_argument]. *)
+    timestamps open the next window. A horizon before [now] raises
+    [Invalid_argument]. *)
 
 val next_time : t -> Sim_time.t
 (** Timestamp of the earliest queued cell, or a negative value when the

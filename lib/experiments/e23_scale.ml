@@ -25,10 +25,6 @@ module Traffic = Workloads.Traffic
 let name = "scale"
 let k = 4
 let num_hosts = k * k * k / 4
-
-let default_shard_counts : int list ref = ref [ 1; 2; 4 ]
-(* The CLI's --shards flag narrows this to [1; N]. *)
-
 let topo () = Topology.fat_tree ~k ()
 
 (* Host h owns 10.0.(h lsr 8).(h land 0xff); the low 16 address bits
@@ -77,8 +73,8 @@ let install_traffic ~seed ~until (ctx : Parsim.shard_ctx) =
           : Traffic.t))
     ctx.Parsim.hosts
 
-let scenario ?(shards = 1) ?backend ?(record_trace = true) ?on_shard ~seed ~until () =
-  Parsim.config ~shards ?backend ~record_trace ~until
+let scenario ?(shards = 1) ?(record_trace = true) ?on_shard ~seed ~until () =
+  Parsim.config ~shards ~record_trace ~until
     ~switch_config:(switch_config ~seed)
     ~program:(fun _ -> routing_program)
     ~on_shard:(fun ctx ->
@@ -91,99 +87,49 @@ let scenario ?(shards = 1) ?backend ?(record_trace = true) ?on_shard ~seed ~unti
    100 us drain margin) that traffic flows. One definition shared by
    the generator and the conformance test so they cannot drift. *)
 let golden_until = Sim_time.us 150
-let golden_seeds = [ 42; 7 ]
 
-let golden_scenario ?(shards = 1) ?backend ~seed () =
-  scenario ~shards ?backend ~record_trace:true ~seed ~until:golden_until ()
+let golden_scenario ?(shards = 1) ~seed () =
+  scenario ~shards ~record_trace:true ~seed ~until:golden_until ()
 
-let golden_file seed = Printf.sprintf "e23_seed%d.digest" seed
-
-let digest_trace trace = Digest.to_hex (Digest.string (String.concat "\n" trace))
-
-(* The digest lines pinned by test/golden/e23_seedN.digest: the trace
-   and merged-metrics MD5s of the scenario — same fixture shape as
-   E24-E26, replacing the old ~4700-line committed trace files. *)
-let golden_digests ?backend ?(shards = 1) ~seed () =
-  let cfg = golden_scenario ~shards ?backend ~seed () in
-  let r = Parsim.run cfg (topo ()) in
-  [
-    ("trace", digest_trace r.Parsim.trace);
-    ("metrics", Digest.to_hex (Digest.string r.Parsim.metrics_json));
-  ]
+(* test/golden/e23_seedN.digest pins the trace and merged-metrics MD5s
+   of the golden scenario — same fixture shape as E24-E26. *)
+let golden =
+  {
+    Conformance.name = "e23";
+    seeds = [ 42; 7 ];
+    (* Uneven cuts (3, 5, 6, 7) beside the powers of two. *)
+    shards = [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+    topo;
+    legs = (fun ~shards ~seed -> [ (None, golden_scenario ~shards ~seed ()) ]);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Forwarding conformance + throughput                                 *)
 
-type variant = {
-  shards : int;
-  rounds : int;
-  events : int;
-  cross_sent : int;
-  received : int;
-  wall_s : float;
-  kev_per_s : float;
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;  (** digests equal the 1-shard run's *)
-}
-
 type result = {
   seed : int;
   until : Sim_time.t;
-  variants : variant list;
+  runs : unit Conformance.run list;
   all_conformant : bool;
 }
 
-let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
-    ?(until = Sim_time.ms 1) () =
-  let topo = topo () in
-  let raw =
-    List.map
-      (fun shards ->
-        let cfg = scenario ~shards ~seed ~until () in
-        (shards, Parsim.run cfg topo))
-      shard_counts
+let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.ms 1) () =
+  let runs =
+    Conformance.sweep ?shard_counts (topo ()) (fun ~shards ->
+        (scenario ~shards ~seed ~until (), ()))
   in
-  let ref_trace, ref_metrics =
-    match raw with
-    | (_, r) :: _ -> (digest_trace r.Parsim.trace, Digest.to_hex (Digest.string r.Parsim.metrics_json))
-    | [] -> invalid_arg "E23: empty shard_counts"
-  in
-  let variants =
-    List.map
-      (fun (shards, (r : Parsim.result)) ->
-        let trace_digest = digest_trace r.trace in
-        let metrics_digest = Digest.to_hex (Digest.string r.metrics_json) in
-        (match metrics with
-        | None -> ()
-        | Some reg ->
-            let labels = [ ("shards", string_of_int shards) ] in
-            Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e23.events") r.events;
-            Obs.Metrics.Counter.set
-              (Obs.Metrics.counter reg ~labels "e23.cross_messages")
-              r.cross_sent);
-        {
-          (* Report the resolved count: [--shards 0] (auto) runs with
-             the recommended domain count, not the literal 0. *)
-          shards = r.plan.Parsim.part.Parsim.shards;
-          rounds = r.rounds_executed;
-          events = r.events;
-          cross_sent = r.cross_sent;
-          received = Array.fold_left ( + ) 0 r.host_received;
-          wall_s = r.wall_s;
-          kev_per_s = float_of_int r.events /. r.wall_s /. 1e3;
-          trace_digest;
-          metrics_digest;
-          conformant = trace_digest = ref_trace && metrics_digest = ref_metrics;
-        })
-      raw
-  in
-  {
-    seed;
-    until;
-    variants;
-    all_conformant = List.for_all (fun v -> v.conformant) variants;
-  }
+  (match metrics with
+  | None -> ()
+  | Some reg ->
+      List.iter
+        (fun (v : unit Conformance.run) ->
+          let labels = [ ("shards", string_of_int v.shards) ] in
+          Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e23.events") v.result.events;
+          Obs.Metrics.Counter.set
+            (Obs.Metrics.counter reg ~labels "e23.cross_messages")
+            v.result.cross_sent)
+        runs);
+  { seed; until; runs; all_conformant = Conformance.all_conformant runs }
 
 let print r =
   Report.section "E23 / Sec 4 — sharded parallel execution of a k=4 fat tree";
@@ -195,19 +141,20 @@ let print r =
       [ "shards"; "rounds"; "events"; "cross msgs"; "rx"; "wall ms"; "kev/s"; "trace"; "conform" ]
     ~rows:
       (List.map
-         (fun v ->
+         (fun (v : unit Conformance.run) ->
+           let p = v.result in
            [
              string_of_int v.shards;
-             string_of_int v.rounds;
-             string_of_int v.events;
-             string_of_int v.cross_sent;
-             string_of_int v.received;
-             Printf.sprintf "%.1f" (v.wall_s *. 1e3);
-             Printf.sprintf "%.0f" v.kev_per_s;
-             String.sub v.trace_digest 0 12;
+             string_of_int p.rounds_executed;
+             string_of_int p.events;
+             string_of_int p.cross_sent;
+             string_of_int (Array.fold_left ( + ) 0 p.host_received);
+             Printf.sprintf "%.1f" (p.wall_s *. 1e3);
+             Printf.sprintf "%.0f" (float_of_int p.events /. p.wall_s /. 1e3);
+             Conformance.short "trace" v;
              (if v.conformant then "ok" else "DIVERGED");
            ])
-         r.variants);
+         r.runs);
   Report.blank ();
   Report.kv "merged trace and metrics identical across shard counts"
     (if r.all_conformant then "PASS" else "FAIL")

@@ -14,10 +14,6 @@ val name : string
 val k : int
 val num_hosts : int
 
-val default_shard_counts : int list ref
-(** Shard counts {!run} sweeps by default ([[1; 2; 4]]); the CLI's
-    [--shards N] flag rewrites it to [[1; N]]. *)
-
 val topo : unit -> Evcore.Topology.t
 val addr_of_host : int -> Netcore.Ipv4_addr.t
 
@@ -26,7 +22,6 @@ val switch_config : seed:int -> int -> Evcore.Event_switch.config
 
 val scenario :
   ?shards:int ->
-  ?backend:Eventsim.Sched_backend.t ->
   ?record_trace:bool ->
   ?on_shard:(Parsim.shard_ctx -> unit) ->
   seed:int ->
@@ -39,45 +34,23 @@ val scenario :
 
 (** {1 Golden-trace scenario}
 
-    The canonical conformance artefact: the {e sequential, heap
-    backend} trace of this scenario is recorded in [test/golden/] and
-    every other execution mode (wheel backend, sharded runs) must
-    reproduce it byte-for-byte. *)
+    The canonical conformance artefact: the digests of the {e
+    sequential} run of this scenario are recorded in [test/golden/] and
+    every sharded run must reproduce them byte-for-byte. *)
 
 val golden_until : Eventsim.Sim_time.t
-val golden_seeds : int list  (** the E6 and E21 seeds: [[42; 7]] *)
 
-val golden_scenario :
-  ?shards:int -> ?backend:Eventsim.Sched_backend.t -> seed:int -> unit -> Parsim.config
+val golden_scenario : ?shards:int -> seed:int -> unit -> Parsim.config
 (** {!scenario} pinned to {!golden_until} with the trace recorded. *)
 
-val golden_file : int -> string
-(** Digest filename for a seed, e.g. ["e23_seed42.digest"]. *)
-
-val golden_digests :
-  ?backend:Eventsim.Sched_backend.t -> ?shards:int -> seed:int -> unit -> (string * string) list
-(** [(label, md5-hex)] lines pinned by the golden digest files: the
-    merged trace and merged metrics of {!golden_scenario}. Every
-    backend x shard-count combination must reproduce the committed
-    sequential-heap values byte-for-byte. *)
-
-type variant = {
-  shards : int;
-  rounds : int;
-  events : int;
-  cross_sent : int;
-  received : int;
-  wall_s : float;
-  kev_per_s : float;
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;
-}
+val golden : Conformance.golden
+(** Seeds 42 and 7 (the E6 and E21 seeds); digest lines ["trace"] and
+    ["metrics"] of {!golden_scenario}. *)
 
 type result = {
   seed : int;
   until : Eventsim.Sim_time.t;
-  variants : variant list;
+  runs : unit Conformance.run list;
   all_conformant : bool;
 }
 

@@ -1,5 +1,5 @@
 (* E24 — per-flow EFSM externs: state-access contention under flow
-   skew, and cross-backend/sharded conformance of stateful programs.
+   skew, and sharded conformance of stateful programs.
 
    Part A reproduces the bottleneck OPP (Bianchi et al.) centres its
    design on: a per-flow state machine is a read-modify-write loop over
@@ -29,9 +29,6 @@ module Arch = Evcore.Arch
 module Efsm = Pisa.Efsm
 
 let name = "efsm"
-
-let default_shard_counts : int list ref = ref [ 1; 2; 4 ]
-(* The CLI's --shards flag narrows this to [1; N]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Part A — contention vs flow skew on a single switch                 *)
@@ -111,7 +108,7 @@ let contention ?metrics ~seed () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Part B — sharded/cross-backend conformance of both EFSM apps        *)
+(* Part B — sharded conformance of both EFSM apps                      *)
 
 type app = Fw | Rate
 
@@ -206,8 +203,8 @@ let rate_traffic ~seed ~until (ctx : Parsim.shard_ctx) =
       done)
     ctx.Parsim.hosts
 
-let scenario app ?(shards = 1) ?backend ?(record_trace = true) ~seed ~until () =
-  Parsim.config ~shards ?backend ~record_trace ~until
+let scenario app ?(shards = 1) ?(record_trace = true) ~seed ~until () =
+  Parsim.config ~shards ~record_trace ~until
     ~switch_config:(switch_config ~seed)
     ~program:(program app)
     ~on_shard:(fun ctx ->
@@ -217,98 +214,59 @@ let scenario app ?(shards = 1) ?backend ?(record_trace = true) ~seed ~until () =
     ()
 
 (* Shared by gen_golden.exe and the conformance suite so the golden
-   scenario cannot drift from the tested one. *)
+   scenario cannot drift from the tested one: one trace and one metrics
+   digest per app. *)
 let golden_until = Sim_time.us 400
-let golden_seeds = [ 42; 7 ]
-let golden_file seed = Printf.sprintf "e24_seed%d.digest" seed
 
-let digest_trace trace = Digest.to_hex (Digest.string (String.concat "\n" trace))
-
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* The digest lines pinned by test/golden/e24_seedN.digest: one trace
-   and one metrics digest per app, from the given execution mode. *)
-let golden_digests ?backend ?(shards = 1) ~seed () =
-  List.concat_map
-    (fun app ->
-      let cfg = scenario app ~shards ?backend ~seed ~until:golden_until () in
-      let r = Parsim.run cfg (topo ()) in
-      [
-        (app_label app ^ ".trace", digest_trace r.Parsim.trace);
-        (app_label app ^ ".metrics", Digest.to_hex (Digest.string r.Parsim.metrics_json));
-      ])
-    apps
+let golden =
+  {
+    Conformance.name = "e24";
+    seeds = [ 42; 7 ];
+    (* Every count the ring of 8 admits, up to one switch per shard. *)
+    shards = [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+    topo;
+    legs =
+      (fun ~shards ~seed ->
+        List.map
+          (fun app -> (Some (app_label app), scenario app ~shards ~seed ~until:golden_until ()))
+          apps);
+  }
 
 (* ------------------------------------------------------------------ *)
-
-type variant = {
-  v_app : string;
-  shards : int;
-  events : int;
-  received : int;
-  efsm_stalls_exported : bool;  (** pisa.efsm.* series present in merged metrics *)
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;  (** digests equal the 1-shard run's *)
-}
 
 type result = {
   seed : int;
   until : Sim_time.t;
   skew : skew_row list;
-  variants : variant list;
+  runs : (string * unit Conformance.run list) list;
   all_conformant : bool;
   uniform_stalls : int;
   zipf_stalls : int;
 }
 
-let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
-    ?(until = Sim_time.us 400) () =
+let efsm_series = [ "pisa.efsm.steps"; "pisa.efsm.state_hash" ]
+
+let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
   let skew = contention ?metrics ~seed () in
   let topo = topo () in
-  let variants =
-    List.concat_map
+  let runs =
+    List.map
       (fun app ->
-        let raw =
-          List.map
-            (fun shards ->
-              let cfg = scenario app ~shards ~seed ~until () in
-              (shards, Parsim.run cfg topo))
-            shard_counts
+        let runs =
+          Conformance.sweep ?shard_counts topo (fun ~shards ->
+              (scenario app ~shards ~seed ~until (), ()))
         in
-        let ref_trace, ref_metrics =
-          match raw with
-          | (_, r) :: _ ->
-              (digest_trace r.Parsim.trace, Digest.to_hex (Digest.string r.Parsim.metrics_json))
-          | [] -> invalid_arg "E24: empty shard_counts"
-        in
-        List.map
-          (fun (shards, (r : Parsim.result)) ->
-            let trace_digest = digest_trace r.trace in
-            let metrics_digest = Digest.to_hex (Digest.string r.metrics_json) in
-            (match metrics with
-            | None -> ()
-            | Some reg ->
-                let labels =
-                  [ ("app", app_label app); ("shards", string_of_int shards) ]
-                in
-                Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e24.events") r.events);
-            {
-              v_app = app_label app;
-              shards;
-              events = r.events;
-              received = Array.fold_left ( + ) 0 r.host_received;
-              efsm_stalls_exported =
-                contains_substring r.metrics_json "pisa.efsm.steps"
-                && contains_substring r.metrics_json "pisa.efsm.state_hash";
-              trace_digest;
-              metrics_digest;
-              conformant = trace_digest = ref_trace && metrics_digest = ref_metrics;
-            })
-          raw)
+        (match metrics with
+        | None -> ()
+        | Some reg ->
+            List.iter
+              (fun (v : unit Conformance.run) ->
+                let labels = [ ("app", app_label app); ("shards", string_of_int v.shards) ] in
+                Obs.Metrics.Counter.set
+                  (Obs.Metrics.counter reg ~labels "e24.events")
+                  v.result.events)
+              runs);
+        (app_label app, runs))
       apps
   in
   let stalls_of label =
@@ -320,8 +278,8 @@ let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
     seed;
     until;
     skew;
-    variants;
-    all_conformant = List.for_all (fun v -> v.conformant) variants;
+    runs;
+    all_conformant = List.for_all (fun (_, rs) -> Conformance.all_conformant rs) runs;
     uniform_stalls = stalls_of "uniform-1hit";
     zipf_stalls = stalls_of "zipf-1.3";
   }
@@ -352,18 +310,21 @@ let print r =
   Report.table
     ~headers:[ "app"; "shards"; "events"; "rx"; "efsm metrics"; "trace"; "conform" ]
     ~rows:
-      (List.map
-         (fun v ->
-           [
-             v.v_app;
-             string_of_int v.shards;
-             string_of_int v.events;
-             string_of_int v.received;
-             (if v.efsm_stalls_exported then "exported" else "MISSING");
-             String.sub v.trace_digest 0 12;
-             (if v.conformant then "ok" else "DIVERGED");
-           ])
-         r.variants);
+      (List.concat_map
+         (fun (app, runs) ->
+           List.map
+             (fun (v : unit Conformance.run) ->
+               [
+                 app;
+                 string_of_int v.shards;
+                 string_of_int v.result.events;
+                 string_of_int (Array.fold_left ( + ) 0 v.result.host_received);
+                 (if Conformance.exports v.result efsm_series then "exported" else "MISSING");
+                 Conformance.short "trace" v;
+                 (if v.conformant then "ok" else "DIVERGED");
+               ])
+             runs)
+         r.runs);
   Report.blank ();
   Report.kv "uniform single-hit stalls (must be 0)" (string_of_int r.uniform_stalls);
   Report.kv "zipf-1.3 stalls (must be > 0)" (string_of_int r.zipf_stalls);

@@ -14,9 +14,6 @@
 
 val name : string
 
-val default_shard_counts : int list ref
-(** Shard counts Part B exercises; the CLI's [--shards] narrows it. *)
-
 type skew_row = {
   workload : string;
   packets : int;
@@ -27,40 +24,23 @@ type skew_row = {
   occupancy : int;
 }
 
-type variant = {
-  v_app : string;
-  shards : int;
-  events : int;
-  received : int;
-  efsm_stalls_exported : bool;
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;
-}
-
 type result = {
   seed : int;
   until : Eventsim.Sim_time.t;
   skew : skew_row list;
-  variants : variant list;
+  runs : (string * unit Conformance.run list) list;  (** per app: ["fw"], ["rate"] *)
   all_conformant : bool;
   uniform_stalls : int;
   zipf_stalls : int;
 }
 
 val golden_until : Eventsim.Sim_time.t
-val golden_seeds : int list
 
-val golden_file : int -> string
-(** Digest file name under [test/golden/] for a seed. *)
-
-val golden_digests :
-  ?backend:Eventsim.Sched_backend.t -> ?shards:int -> seed:int -> unit -> (string * string) list
-(** [(label, md5-hex)] lines pinned by the golden digest files: one
-    trace and one metrics digest per app ("fw.trace", "fw.metrics",
-    "rate.trace", "rate.metrics"). The canon is the default
-    (sequential, heap) execution; other backends and shard counts must
-    reproduce it byte-for-byte. *)
+val golden : Conformance.golden
+(** Seeds 42 and 7; one trace and one metrics digest per app
+    (["fw.trace"], ["fw.metrics"], ["rate.trace"], ["rate.metrics"]).
+    The canon is the sequential run; every shard count must reproduce
+    it byte-for-byte. *)
 
 val run :
   ?metrics:Obs.Metrics.t ->

@@ -28,9 +28,6 @@ module Arch = Evcore.Arch
 
 let name = "cep"
 
-let default_shard_counts : int list ref = ref [ 1; 2; 4 ]
-(* The CLI's --shards flag narrows this to [1; N]. *)
-
 (* ------------------------------------------------------------------ *)
 (* Part A1 — SYN-flood detection quality on a single switch            *)
 
@@ -202,7 +199,7 @@ let burst_quality ?metrics ~seed () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Part B — sharded/cross-backend conformance, plus the chaos leg      *)
+(* Part B — sharded conformance, plus the chaos leg                    *)
 
 type app = Syn | Burst
 
@@ -356,9 +353,9 @@ let arm_chaos (ctx : Parsim.shard_ctx) =
         ~n:1)
     ctx.Parsim.switches
 
-let scenario ?alarms ?(chaos = false) app ?(shards = 1) ?backend ?(record_trace = true) ~seed
-    ~until () =
-  Parsim.config ~shards ?backend ~record_trace ~until
+let scenario ?alarms ?(chaos = false) app ?(shards = 1) ?(record_trace = true) ~seed ~until
+    () =
+  Parsim.config ~shards ~record_trace ~until
     ~switch_config:(switch_config ~chaos app ~seed)
     ~program:(program ?alarms app)
     ~on_shard:(fun ctx ->
@@ -369,110 +366,60 @@ let scenario ?alarms ?(chaos = false) app ?(shards = 1) ?backend ?(record_trace 
     ()
 
 (* Shared by gen_golden.exe and the conformance suite so the golden
-   scenario cannot drift from the tested one. *)
+   scenario cannot drift from the tested one: trace and metrics digests
+   for each detector app plus the chaos leg. *)
 let golden_until = Sim_time.us 400
-let golden_seeds = [ 42; 7 ]
-let golden_file seed = Printf.sprintf "e25_seed%d.digest" seed
 
-let digest_trace trace = Digest.to_hex (Digest.string (String.concat "\n" trace))
-
-(* The digest lines pinned by test/golden/e25_seedN.digest: trace and
-   metrics digests for each detector app plus the chaos leg. *)
-let golden_digests ?backend ?(shards = 1) ~seed () =
-  let leg label ~chaos app =
-    let cfg = scenario ~chaos app ~shards ?backend ~seed ~until:golden_until () in
-    let r = Parsim.run cfg (topo ()) in
-    [
-      (label ^ ".trace", digest_trace r.Parsim.trace);
-      (label ^ ".metrics", Digest.to_hex (Digest.string r.Parsim.metrics_json));
-    ]
-  in
-  leg "syn" ~chaos:false Syn @ leg "burst" ~chaos:false Burst @ leg "chaos" ~chaos:true Syn
+let golden =
+  {
+    Conformance.name = "e25";
+    seeds = [ 42; 7 ];
+    (* Every count the ring of 8 admits, up to one switch per shard. *)
+    shards = [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+    topo;
+    legs =
+      (fun ~shards ~seed ->
+        let leg label ~chaos app =
+          (Some label, scenario ~chaos app ~shards ~seed ~until:golden_until ())
+        in
+        [ leg "syn" ~chaos:false Syn; leg "burst" ~chaos:false Burst; leg "chaos" ~chaos:true Syn ]);
+  }
 
 (* ------------------------------------------------------------------ *)
-
-type variant = {
-  v_app : string;
-  shards : int;
-  events : int;
-  received : int;
-  efsm_exported : bool;  (** pisa.efsm.* series present in merged metrics *)
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;  (** digests equal the 1-shard run's *)
-}
 
 type result = {
   seed : int;
   until : Sim_time.t;
   flood : flood_quality;
   burst : burst_quality;
-  variants : variant list;
+  runs : (string * unit Conformance.run list) list;
   all_conformant : bool;
   chaos_alarms : int;  (** detector matches with crashes + shedding live *)
   chaos_conformant : bool;
 }
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let efsm_series = [ "pisa.efsm.steps"; "pisa.efsm.state_hash" ]
 
-let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
-    ?(until = Sim_time.us 400) () =
+let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
   let flood = flood_quality ?metrics ~seed () in
   let burst = burst_quality ?metrics ~seed () in
   let topo = topo () in
-  let variants =
-    List.concat_map
+  let runs =
+    List.map
       (fun app ->
-        let raw =
-          List.map
-            (fun shards ->
-              let cfg = scenario app ~shards ~seed ~until () in
-              (shards, Parsim.run cfg topo))
-            shard_counts
-        in
-        let ref_trace, ref_metrics =
-          match raw with
-          | (_, r) :: _ ->
-              (digest_trace r.Parsim.trace, Digest.to_hex (Digest.string r.Parsim.metrics_json))
-          | [] -> invalid_arg "E25: empty shard_counts"
-        in
-        List.map
-          (fun (shards, (r : Parsim.result)) ->
-            let trace_digest = digest_trace r.trace in
-            let metrics_digest = Digest.to_hex (Digest.string r.metrics_json) in
-            {
-              v_app = app_label app;
-              shards;
-              events = r.events;
-              received = Array.fold_left ( + ) 0 r.host_received;
-              efsm_exported =
-                contains_substring r.metrics_json "pisa.efsm.steps"
-                && contains_substring r.metrics_json "pisa.efsm.state_hash";
-              trace_digest;
-              metrics_digest;
-              conformant = trace_digest = ref_trace && metrics_digest = ref_metrics;
-            })
-          raw)
+        ( app_label app,
+          Conformance.sweep ?shard_counts topo (fun ~shards ->
+              (scenario app ~shards ~seed ~until (), ())) ))
       apps
   in
-  (* Chaos leg: sequential run observes detector liveness through the
-     alarm sink; the shard sweep pins determinism of the full
+  (* Chaos leg: the sequential run observes detector liveness through
+     the alarm sink; the sweep pins determinism of the full
      crash/quarantine/shed recovery path. *)
   let alarms = ref 0 in
-  let chaos_ref = Parsim.run (scenario ~alarms ~chaos:true Syn ~shards:1 ~seed ~until ()) topo in
-  let chaos_ref_digests =
-    (digest_trace chaos_ref.Parsim.trace, Digest.to_hex (Digest.string chaos_ref.Parsim.metrics_json))
-  in
-  let chaos_conformant =
-    List.for_all
-      (fun shards ->
-        let r = Parsim.run (scenario ~chaos:true Syn ~shards ~seed ~until ()) topo in
-        (digest_trace r.Parsim.trace, Digest.to_hex (Digest.string r.Parsim.metrics_json))
-        = chaos_ref_digests)
-      (List.filter (fun s -> s > 1) shard_counts)
+  let chaos =
+    Conformance.sweep ?shard_counts topo (fun ~shards ->
+        let alarms = if shards = 1 then Some alarms else None in
+        (scenario ?alarms ~chaos:true Syn ~shards ~seed ~until (), ()))
   in
   (match metrics with
   | None -> ()
@@ -485,10 +432,10 @@ let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
     until;
     flood;
     burst;
-    variants;
-    all_conformant = List.for_all (fun v -> v.conformant) variants;
+    runs;
+    all_conformant = List.for_all (fun (_, rs) -> Conformance.all_conformant rs) runs;
     chaos_alarms = !alarms;
-    chaos_conformant;
+    chaos_conformant = Conformance.all_conformant chaos;
   }
 
 let print r =
@@ -522,18 +469,21 @@ let print r =
   Report.table
     ~headers:[ "app"; "shards"; "events"; "rx"; "efsm metrics"; "trace"; "conform" ]
     ~rows:
-      (List.map
-         (fun v ->
-           [
-             v.v_app;
-             string_of_int v.shards;
-             string_of_int v.events;
-             string_of_int v.received;
-             (if v.efsm_exported then "exported" else "MISSING");
-             String.sub v.trace_digest 0 12;
-             (if v.conformant then "ok" else "DIVERGED");
-           ])
-         r.variants);
+      (List.concat_map
+         (fun (app, runs) ->
+           List.map
+             (fun (v : unit Conformance.run) ->
+               [
+                 app;
+                 string_of_int v.shards;
+                 string_of_int v.result.events;
+                 string_of_int (Array.fold_left ( + ) 0 v.result.host_received);
+                 (if Conformance.exports v.result efsm_series then "exported" else "MISSING");
+                 Conformance.short "trace" v;
+                 (if v.conformant then "ok" else "DIVERGED");
+               ])
+             runs)
+         r.runs);
   Report.blank ();
   Report.kv "chaos leg alarms (crashes + shedding live, must be > 0)"
     (string_of_int r.chaos_alarms);

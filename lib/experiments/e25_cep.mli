@@ -16,9 +16,6 @@
 
 val name : string
 
-val default_shard_counts : int list ref
-(** Shard counts Part B exercises; the CLI's [--shards] narrows it. *)
-
 type flood_quality = {
   attacks : int;
   detected : int;
@@ -45,7 +42,6 @@ val scenario :
   ?chaos:bool ->
   app ->
   ?shards:int ->
-  ?backend:Eventsim.Sched_backend.t ->
   ?record_trace:bool ->
   seed:int ->
   until:Eventsim.Sim_time.t ->
@@ -57,36 +53,19 @@ val scenario :
     enables quarantine + shedding. *)
 
 val golden_until : Eventsim.Sim_time.t
-val golden_seeds : int list
 
-val golden_file : int -> string
-(** Digest file name under [test/golden/] for a seed. *)
-
-val golden_digests :
-  ?backend:Eventsim.Sched_backend.t -> ?shards:int -> seed:int -> unit -> (string * string) list
-(** [(label, md5-hex)] lines pinned by the golden digest files: one
-    trace and one metrics digest per leg ("syn.*", "burst.*", plus the
-    chaos leg "chaos.*"). The canon is the default (sequential, heap)
-    execution; other backends and shard counts must reproduce it
+val golden : Conformance.golden
+(** Seeds 42 and 7; one trace and one metrics digest per leg
+    (["syn.*"], ["burst.*"], plus the chaos leg ["chaos.*"]). The canon
+    is the sequential run; every shard count must reproduce it
     byte-for-byte. *)
-
-type variant = {
-  v_app : string;
-  shards : int;
-  events : int;
-  received : int;
-  efsm_exported : bool;  (** pisa.efsm.* series present in merged metrics *)
-  trace_digest : string;
-  metrics_digest : string;
-  conformant : bool;  (** digests equal the 1-shard run's *)
-}
 
 type result = {
   seed : int;
   until : Eventsim.Sim_time.t;
   flood : flood_quality;
   burst : burst_quality;
-  variants : variant list;
+  runs : (string * unit Conformance.run list) list;  (** per app: ["syn"], ["burst"] *)
   all_conformant : bool;
   chaos_alarms : int;  (** detector matches with crashes + shedding live *)
   chaos_conformant : bool;

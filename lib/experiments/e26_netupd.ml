@@ -11,12 +11,12 @@
    (Faults.Churn arming crash injections that trip per-channel
    quarantines, so ops are also *dropped*, not just lost).
 
-   What must hold, and is pinned by golden digests at shards 1/2/4 ×
-   heap/wheel/ladder: the mixed-version forwarding counter is exactly
-   zero (no packet ever observes two policy versions), every proposed
-   update commits or cleanly rolls back (nothing left in flight), and
-   the control-op books balance: attempts = lost + quarantine-dropped
-   + acked (first + duplicate + late).
+   What must hold, and is pinned by golden digests at shards 1/2/4: the
+   mixed-version forwarding counter is exactly zero (no packet ever
+   observes two policy versions), every proposed update commits or
+   cleanly rolls back (nothing left in flight), and the control-op
+   books balance: attempts = lost + quarantine-dropped + acked (first
+   + duplicate + late).
 
    Determinism across shard counts comes from controller replication:
    every shard runs an identical controller replica driving shadow
@@ -43,9 +43,6 @@ module Commit = Netupd.Commit
 module Controller = Netupd.Controller
 
 let name = "netupd"
-
-let default_shard_counts : int list ref = ref [ 1; 2; 4 ]
-(* The CLI's --shards flag narrows this to [1; N]. *)
 
 let switches = 8
 let topo () = Topology.ring ~switches ()
@@ -280,7 +277,7 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
         ctx.Parsim.switches);
   traffic ~seed ~until ctx
 
-let scenario ?(leg = Clean) ?(shards = 1) ?backend ?(record_trace = true) ~seed ~until () =
+let scenario ?(leg = Clean) ?(shards = 1) ?(record_trace = true) ~seed ~until () =
   let agents =
     Array.init switches (fun sw ->
         Agent.create ~switch:sw ~keys:switches ~edge_port:(fun p -> p = 0) ())
@@ -295,7 +292,7 @@ let scenario ?(leg = Clean) ?(shards = 1) ?backend ?(record_trace = true) ~seed 
     }
   in
   let cfg =
-    Parsim.config ~shards ?backend ~record_trace ~until
+    Parsim.config ~shards ~record_trace ~until
       ~switch_config:(switch_config ~seed)
       ~program:(program agents)
       ~on_shard:(wire ~leg ~seed ~until h)
@@ -307,20 +304,22 @@ let scenario ?(leg = Clean) ?(shards = 1) ?backend ?(record_trace = true) ~seed 
 (* Golden digests (shared with gen_golden.exe and test_golden.ml)      *)
 
 let golden_until = horizon
-let golden_seeds = [ 42; 7 ]
-let golden_file seed = Printf.sprintf "e26_seed%d.digest" seed
-let digest_trace trace = Digest.to_hex (Digest.string (String.concat "\n" trace))
 
-let golden_digests ?backend ?(shards = 1) ~seed () =
-  List.concat_map
-    (fun leg ->
-      let cfg, _ = scenario ~leg ~shards ?backend ~seed ~until:golden_until () in
-      let r = Parsim.run cfg (topo ()) in
-      [
-        (leg_label leg ^ ".trace", digest_trace r.Parsim.trace);
-        (leg_label leg ^ ".metrics", Digest.to_hex (Digest.string r.Parsim.metrics_json));
-      ])
-    [ Clean; Chaos ]
+let golden =
+  {
+    Conformance.name = "e26";
+    seeds = [ 42; 7 ];
+    (* Only 1, 2 and 4: every other count cuts a flapped chaos-leg link
+       (sw0-sw1 at 6-8 shards, sw4-sw5 at 3, 5 and 8) across shards,
+       and cross-shard links cannot fail. *)
+    shards = [ 1; 2; 4 ];
+    topo;
+    legs =
+      (fun ~shards ~seed ->
+        List.map
+          (fun leg -> (Some (leg_label leg), fst (scenario ~leg ~shards ~seed ~until:golden_until ())))
+          [ Clean; Chaos ]);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -361,27 +360,18 @@ type leg_result = {
   schedule_digest : string;
 }
 
-type variant = {
-  v_leg : string;
-  v_shards : int;
-  v_received : int;
-  v_trace_digest : string;
-  v_metrics_digest : string;
-  v_conformant : bool;
-}
-
 type result = {
   seed : int;
   until : Sim_time.t;
   legs : leg_result list;
-  variants : variant list;
+  runs : (string * handles Conformance.run list) list;
   all_conformant : bool;
   safe : bool;  (** mixed = 0, books balance, nothing wedged, no violations *)
 }
 
-let leg_result ~leg ~seed ~until () =
-  let cfg, h = scenario ~leg ~shards:1 ~seed ~until () in
-  let r = Parsim.run cfg (topo ()) in
+(* Read from a sweep's first, sequential run: with one shard there is
+   one controller replica and one copy of every churn crash. *)
+let leg_result ~leg { Conformance.result = r; state = h; _ } =
   let ctrl = List.assoc 0 h.controllers in
   let st = Controller.stats ctrl in
   let sum f = Array.fold_left (fun acc a -> acc + f a) 0 h.agents in
@@ -426,41 +416,22 @@ let leg_result ~leg ~seed ~until () =
       List.fold_left (fun acc (_, inv) -> acc + Resil.Invariants.violations inv) 0 h.invariants;
     link_detections = Atomic.get h.detections;
     churn_crashes = Atomic.get h.churn_crashes;
-    host_received = Array.fold_left ( + ) 0 r.Parsim.host_received;
+    host_received = Array.fold_left ( + ) 0 r.host_received;
     schedule_digest = Controller.schedule_digest ctrl;
   }
 
-let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts) ?(until = horizon) () =
-  let legs = List.map (fun leg -> leg_result ~leg ~seed ~until ()) [ Clean; Chaos ] in
+let run ?metrics ?(seed = 42) ?shard_counts ?(until = horizon) () =
   let t = topo () in
-  let variants =
-    List.concat_map
+  let swept =
+    List.map
       (fun leg ->
-        let reference = ref None in
-        List.map
-          (fun shards ->
-            let cfg, _ = scenario ~leg ~shards ~seed ~until () in
-            let r = Parsim.run cfg t in
-            let td = digest_trace r.Parsim.trace in
-            let md = Digest.to_hex (Digest.string r.Parsim.metrics_json) in
-            let conformant =
-              match !reference with
-              | None ->
-                  reference := Some (td, md);
-                  true
-              | Some rf -> rf = (td, md)
-            in
-            {
-              v_leg = leg_label leg;
-              v_shards = shards;
-              v_received = Array.fold_left ( + ) 0 r.Parsim.host_received;
-              v_trace_digest = td;
-              v_metrics_digest = md;
-              v_conformant = conformant;
-            })
-          shard_counts)
+        ( leg,
+          Conformance.sweep ?shard_counts t (fun ~shards ->
+              scenario ~leg ~shards ~seed ~until ()) ))
       [ Clean; Chaos ]
   in
+  let legs = List.map (fun (leg, runs) -> leg_result ~leg (List.hd runs)) swept in
+  let runs = List.map (fun (leg, runs) -> (leg_label leg, runs)) swept in
   let safe =
     List.for_all
       (fun l ->
@@ -492,8 +463,8 @@ let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts) ?(until = 
     seed;
     until;
     legs;
-    variants;
-    all_conformant = List.for_all (fun v -> v.v_conformant) variants;
+    runs;
+    all_conformant = List.for_all (fun (_, rs) -> Conformance.all_conformant rs) runs;
     safe;
   }
 
@@ -539,16 +510,19 @@ let print r =
   Report.table
     ~headers:[ "leg"; "shards"; "rx"; "trace"; "conform" ]
     ~rows:
-      (List.map
-         (fun v ->
-           [
-             v.v_leg;
-             string_of_int v.v_shards;
-             string_of_int v.v_received;
-             String.sub v.v_trace_digest 0 12;
-             (if v.v_conformant then "ok" else "DIVERGED");
-           ])
-         r.variants);
+      (List.concat_map
+         (fun (leg, runs) ->
+           List.map
+             (fun (v : handles Conformance.run) ->
+               [
+                 leg;
+                 string_of_int v.shards;
+                 string_of_int (Array.fold_left ( + ) 0 v.result.host_received);
+                 Conformance.short "trace" v;
+                 (if v.conformant then "ok" else "DIVERGED");
+               ])
+             runs)
+         r.runs);
   Report.blank ();
   Report.kv "all variants conformant" (if r.all_conformant then "PASS" else "FAIL");
   Report.kv "update protocol safe (mixed=0, books balance, no wedge)"

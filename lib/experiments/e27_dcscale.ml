@@ -1,6 +1,6 @@
 (* E27 — datacenter scale: k=16 fat tree under a streaming Zipf flow
-   mix, plus adaptive-vs-static lookahead on sparse traffic and a
-   1000+-switch ring.
+   mix, plus the adaptive horizon on sparse traffic and a 1000+-switch
+   ring.
 
    Where E23 pins conformance on a k=4 pod with a handful of CBR
    flows, this experiment is the scale tentpole: 1024 hosts, hundreds
@@ -11,15 +11,15 @@
    [Parsim]'s O(1)-space order-independent arrival digest instead.
    Three legs:
 
-   - {e conformance + throughput}: the same seeded workload at shard
-     counts [1; 2; 4; 8]; every run must produce the sequential run's
+   - {e conformance + throughput}: the same seeded workload at every
+     shard count of the sweep; every run must produce the sequential run's
      arrival digest and merged metrics byte-for-byte, while we record
      the throughput curve and the peak number of concurrently live
      flows (sampled at fixed simulated instants by per-shard probes).
    - {e sparse}: a k=8 fat tree where 16 hosts send 6 packets each at
-     500 us spacing — the workload class where the static
-     min-link-delay horizon grinds through thousands of empty windows.
-     Adaptive lookahead must finish in measurably fewer rounds.
+     500 us spacing — the workload class where fixed windows of the
+     min cross-link delay would grind through thousands of empty
+     rounds. The adaptive horizon must finish in measurably fewer.
    - {e ring}: a 1024-switch ring (auto shard count) showing the
      partitioner and engine at 1000+ entities outside the fat-tree
      shape. *)
@@ -40,9 +40,6 @@ let name = "dcscale"
 let k = 16
 let num_hosts = k * k * k / 4 (* 1024 *)
 let hosts_per_pod = k * k / 4 (* 64 *)
-
-let default_shard_counts : int list ref = ref [ 1; 2; 4; 8 ]
-(* The CLI's --shards flag narrows this to [1; N]. *)
 
 let topo () = Topology.fat_tree ~k ()
 
@@ -165,13 +162,12 @@ let install_traffic ~knobs ~seed ~samples ~sources (ctx : Parsim.shard_ctx) =
             List.fold_left (fun acc s -> acc + s.Flowgen.live_flows) 0 shard_sources))
     (sample_times knobs)
 
-let scenario ?(shards = 1) ?backend ?horizon ?(record_digest = true) ?samples ?sources
-    ~seed ~knobs () =
+let scenario ?(shards = 1) ?(record_digest = true) ?samples ?sources ~seed ~knobs () =
   let samples =
     match samples with Some s -> s | None -> Array.make_matrix num_hosts num_samples 0
   in
   let sources = match sources with Some s -> s | None -> ref [] in
-  Parsim.config ~shards ?backend ?horizon ~record_digest ~until:knobs.until
+  Parsim.config ~shards ~record_digest ~until:knobs.until
     ~switch_config:(switch_config ~seed)
     ~program:(fun _ -> routing_program)
     ~on_shard:(install_traffic ~knobs ~seed ~samples ~sources)
@@ -193,43 +189,41 @@ let golden_knobs =
     concurrency_target = 0;
   }
 
-let golden_seeds = [ 42; 7 ]
-let golden_file seed = Printf.sprintf "e27_seed%d.digest" seed
-
-let golden_digests ?backend ?(shards = 1) ~seed () =
-  let cfg = scenario ~shards ?backend ~record_digest:true ~seed ~knobs:golden_knobs () in
-  let r = Parsim.run cfg (topo ()) in
-  [
-    ("arrivals", r.Parsim.arrival_digest);
-    ("metrics", Digest.to_hex (Digest.string r.Parsim.metrics_json));
-  ]
+let golden =
+  {
+    Conformance.name = "e27";
+    seeds = [ 42; 7 ];
+    (* Uneven cuts (3, 5, 6, 7) beside the powers of two. *)
+    shards = [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+    topo;
+    legs =
+      (fun ~shards ~seed ->
+        [ (None, scenario ~shards ~record_digest:true ~seed ~knobs:golden_knobs ()) ]);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Leg 1: conformance + throughput at datacenter size                  *)
 
-type variant = {
-  shards : int;
-  rounds : int;
-  events : int;
-  cross_sent : int;
-  flows : int;
-  packets : int;
-  received : int;
-  ties : int;
-  wall_s : float;
-  mev_per_s : float;
-  arrival_digest : string;
-  metrics_digest : string;
-  conformant : bool;  (** digests equal the first (sequential) run's *)
-}
+(* What [scenario] fills in during one run: per-shard live-flow counts
+   at the sample instants, and every host's source stats. *)
+type probes = { samples : int array array; sources : Flowgen.source_stats list ref }
+
+let peak_live p =
+  let peak = ref 0 in
+  for i = 0 to num_samples - 1 do
+    let total = Array.fold_left (fun acc row -> acc + row.(i)) 0 p.samples in
+    if total > !peak then peak := total
+  done;
+  !peak
+
+let flows p = List.fold_left (fun acc s -> acc + s.Flowgen.flows_started) 0 !(p.sources)
+let packets p = List.fold_left (fun acc s -> acc + s.Flowgen.packets_sent) 0 !(p.sources)
 
 type sparse = {
   sp_shards : int;
-  static_rounds : int;
-  adaptive_rounds : int;
-  static_wall : float;
-  adaptive_wall : float;
-  round_reduction : float;  (** static_rounds / adaptive_rounds *)
+  rounds : int;
+  windows : int;  (** ceil ((until + 1) / L), L = min cross-link delay *)
+  wall : float;
 }
 
 type ring_leg = {
@@ -244,30 +238,16 @@ type ring_leg = {
 type result = {
   seed : int;
   knobs : knobs;
-  variants : variant list;
+  runs : probes Conformance.run list;
   all_conformant : bool;
-  peak_live : int;  (** max over sample instants of fleet-wide live flows *)
+  peak_live : int;  (** max over runs and sample instants of fleet-wide live flows *)
   concurrency_ok : bool;
   sparse : sparse;
   ring : ring_leg;
 }
 
-let run_variant ~knobs ~seed ~shards topo =
-  let samples = Array.make_matrix num_hosts num_samples 0 in
-  let sources = ref [] in
-  let cfg = scenario ~shards ~samples ~sources ~seed ~knobs () in
-  let r = Parsim.run cfg topo in
-  let peak = ref 0 in
-  for i = 0 to num_samples - 1 do
-    let total = Array.fold_left (fun acc row -> acc + row.(i)) 0 samples in
-    if total > !peak then peak := total
-  done;
-  let flows = List.fold_left (fun acc s -> acc + s.Flowgen.flows_started) 0 !sources in
-  let packets = List.fold_left (fun acc s -> acc + s.Flowgen.packets_sent) 0 !sources in
-  (r, !peak, flows, packets)
-
 (* ------------------------------------------------------------------ *)
-(* Leg 2: sparse traffic, adaptive vs static lookahead                 *)
+(* Leg 2: sparse traffic under the adaptive horizon                    *)
 
 let sparse_k = 8
 let sparse_hosts = sparse_k * sparse_k * sparse_k / 4 (* 128 *)
@@ -286,9 +266,9 @@ let sparse_program : Program.spec =
     ()
 
 (* 16 active hosts, 6 packets each at 500 us spacing, cross-pod: the
-   event population is tiny and bursty, so the static horizon (one
-   min-link-delay window at a time) executes thousands of empty
-   barrier rounds that the adaptive bound skips over. *)
+   event population is tiny and bursty, so fixed windows of the min
+   cross-link delay would execute thousands of empty barrier rounds
+   that the adaptive bound skips over. *)
 let sparse_traffic ~seed:_ (ctx : Parsim.shard_ctx) =
   let gap = Sim_time.us 500 in
   List.iter
@@ -310,26 +290,26 @@ let sparse_traffic ~seed:_ (ctx : Parsim.shard_ctx) =
       end)
     ctx.Parsim.hosts
 
-let sparse_config ~horizon ~seed ~shards =
-  Parsim.config ~shards ~horizon ~until:sparse_until
-    ~switch_config:(switch_config ~seed)
-    ~program:(fun _ -> sparse_program)
-    ~on_shard:(sparse_traffic ~seed) ()
-
 let run_sparse ~seed ~shards =
-  let topo = Topology.fat_tree ~k:sparse_k () in
-  let st = Parsim.run (sparse_config ~horizon:Parsim.Static ~seed ~shards) topo in
-  let ad = Parsim.run (sparse_config ~horizon:Parsim.Adaptive ~seed ~shards) topo in
-  {
-    sp_shards = shards;
-    static_rounds = st.Parsim.rounds_executed;
-    adaptive_rounds = ad.Parsim.rounds_executed;
-    static_wall = st.Parsim.wall_s;
-    adaptive_wall = ad.Parsim.wall_s;
-    round_reduction =
-      float_of_int st.Parsim.rounds_executed
-      /. float_of_int (max 1 ad.Parsim.rounds_executed);
-  }
+  let cfg =
+    Parsim.config ~shards ~until:sparse_until
+      ~switch_config:(switch_config ~seed)
+      ~program:(fun _ -> sparse_program)
+      ~on_shard:(sparse_traffic ~seed) ()
+  in
+  let r = Parsim.run cfg (Topology.fat_tree ~k:sparse_k ()) in
+  (* Fixed windows of the min cross-link delay L would tile [0, until]
+     in ceil ((until + 1) / L) rounds; with nothing crossing, one. *)
+  let windows =
+    match r.plan.pair_delays with
+    | [] -> 1
+    | ds ->
+        let l = List.fold_left (fun acc (_, _, d) -> min acc d) max_int ds in
+        (sparse_until + l) / l
+  in
+  { sp_shards = shards; rounds = r.rounds_executed; windows; wall = r.wall_s }
+
+let sparse_passed s = s.rounds < s.windows
 
 (* ------------------------------------------------------------------ *)
 (* Leg 3: 1024-switch ring, auto shard count                           *)
@@ -388,57 +368,29 @@ let run_ring ~seed =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
-    ?(knobs = full_knobs) () =
-  let topo = topo () in
-  let raw =
-    List.map (fun shards -> run_variant ~knobs ~seed ~shards topo) shard_counts
+let run ?metrics ?(seed = 42) ?shard_counts ?(knobs = full_knobs) () =
+  let runs =
+    Conformance.sweep ?shard_counts (topo ()) (fun ~shards ->
+        let p = { samples = Array.make_matrix num_hosts num_samples 0; sources = ref [] } in
+        (scenario ~shards ~samples:p.samples ~sources:p.sources ~seed ~knobs (), p))
   in
-  let ref_digest, ref_metrics =
-    match raw with
-    | (r, _, _, _) :: _ ->
-        (r.Parsim.arrival_digest, Digest.to_hex (Digest.string r.Parsim.metrics_json))
-    | [] -> invalid_arg "E27: empty shard_counts"
-  in
-  let variants =
-    List.map
-      (fun ((r : Parsim.result), peak, flows, packets) ->
-        let arrival_digest = r.arrival_digest in
-        let metrics_digest = Digest.to_hex (Digest.string r.metrics_json) in
-        let shards = r.plan.Parsim.part.Parsim.shards in
-        (match metrics with
-        | None -> ()
-        | Some reg ->
-            let labels = [ ("shards", string_of_int shards) ] in
-            Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e27.events") r.events;
-            Obs.Metrics.Counter.set
-              (Obs.Metrics.counter reg ~labels "e27.peak_live_flows")
-              peak);
-        {
-          shards;
-          rounds = r.rounds_executed;
-          events = r.events;
-          cross_sent = r.cross_sent;
-          flows;
-          packets;
-          received = Array.fold_left ( + ) 0 r.host_received;
-          ties = r.tie_arrivals;
-          wall_s = r.wall_s;
-          mev_per_s = float_of_int r.events /. r.wall_s /. 1e6;
-          arrival_digest;
-          metrics_digest;
-          conformant = arrival_digest = ref_digest && metrics_digest = ref_metrics;
-        })
-      raw
-  in
-  let peak_live =
-    List.fold_left (fun acc (_, p, _, _) -> max acc p) 0 raw
-  in
+  (match metrics with
+  | None -> ()
+  | Some reg ->
+      List.iter
+        (fun (v : probes Conformance.run) ->
+          let labels = [ ("shards", string_of_int v.shards) ] in
+          Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e27.events") v.result.events;
+          Obs.Metrics.Counter.set
+            (Obs.Metrics.counter reg ~labels "e27.peak_live_flows")
+            (peak_live v.state))
+        runs);
+  let peak_live = List.fold_left (fun acc v -> max acc (peak_live v.Conformance.state)) 0 runs in
   {
     seed;
     knobs;
-    variants;
-    all_conformant = List.for_all (fun v -> v.conformant) variants;
+    runs;
+    all_conformant = Conformance.all_conformant runs;
     peak_live;
     concurrency_ok = peak_live >= knobs.concurrency_target;
     sparse = run_sparse ~seed ~shards:4;
@@ -458,22 +410,23 @@ let print r =
       [ "shards"; "rounds"; "events"; "cross msgs"; "flows"; "pkts"; "rx"; "ties"; "wall s"; "Mev/s"; "digest"; "conform" ]
     ~rows:
       (List.map
-         (fun v ->
+         (fun (v : probes Conformance.run) ->
+           let p = v.result in
            [
              string_of_int v.shards;
-             string_of_int v.rounds;
-             string_of_int v.events;
-             string_of_int v.cross_sent;
-             string_of_int v.flows;
-             string_of_int v.packets;
-             string_of_int v.received;
-             string_of_int v.ties;
-             Printf.sprintf "%.2f" v.wall_s;
-             Printf.sprintf "%.2f" v.mev_per_s;
-             String.sub v.arrival_digest 0 (min 12 (String.length v.arrival_digest));
+             string_of_int p.rounds_executed;
+             string_of_int p.events;
+             string_of_int p.cross_sent;
+             string_of_int (flows v.state);
+             string_of_int (packets v.state);
+             string_of_int (Array.fold_left ( + ) 0 p.host_received);
+             string_of_int p.tie_arrivals;
+             Printf.sprintf "%.2f" p.wall_s;
+             Printf.sprintf "%.2f" (float_of_int p.events /. p.wall_s /. 1e6);
+             Conformance.short "arrivals" v;
              (if v.conformant then "ok" else "DIVERGED");
            ])
-         r.variants);
+         r.runs);
   Report.blank ();
   Report.kv "arrival digest and metrics identical across shard counts"
     (if r.all_conformant then "PASS" else "FAIL");
@@ -484,25 +437,15 @@ let print r =
             (if r.concurrency_ok then "PASS" else "FAIL")
         else ""));
   Report.blank ();
-  Report.section "sparse leg — adaptive vs static lookahead (k=8, 16 sparse senders)";
-  Report.table
-    ~headers:[ "horizon"; "rounds"; "wall ms" ]
-    ~rows:
-      [
-        [
-          "static";
-          string_of_int r.sparse.static_rounds;
-          Printf.sprintf "%.1f" (r.sparse.static_wall *. 1e3);
-        ];
-        [
-          "adaptive";
-          string_of_int r.sparse.adaptive_rounds;
-          Printf.sprintf "%.1f" (r.sparse.adaptive_wall *. 1e3);
-        ];
-      ];
-  Report.kv "round reduction (static / adaptive)"
-    (Printf.sprintf "%.1fx %s" r.sparse.round_reduction
-       (if r.sparse.adaptive_rounds < r.sparse.static_rounds then "(PASS)" else "(FAIL)"));
+  Report.section "sparse leg — adaptive horizon (k=8, 16 sparse senders)";
+  Report.kv "shards" (string_of_int r.sparse.sp_shards);
+  Report.kv "rounds" (string_of_int r.sparse.rounds);
+  Report.kv "fixed windows of the min cross-link delay" (string_of_int r.sparse.windows);
+  Report.kv "wall ms" (Printf.sprintf "%.1f" (r.sparse.wall *. 1e3));
+  Report.kv "round reduction (windows / rounds)"
+    (Printf.sprintf "%.1fx %s"
+       (float_of_int r.sparse.windows /. float_of_int (max 1 r.sparse.rounds))
+       (if sparse_passed r.sparse then "(PASS)" else "(FAIL)"));
   Report.blank ();
   Report.section "ring leg — 1024 switches, auto shard count";
   Report.kv "shards (auto)" (string_of_int r.ring.rg_shards);

@@ -2,21 +2,18 @@
 
     Runs a k=16 fat tree (320 switches, 1024 hosts) under a streaming
     Zipf/Pareto/Poisson flow mix ({!Workloads.Flowgen.install}, O(live
-    flows) memory) at shard counts [1; 2; 4; 8] and checks conformance
-    on [Parsim]'s order-independent arrival digest — the trace itself
-    is too large to retain. Two further legs: adaptive-vs-static
-    lookahead on sparse traffic (k=8, 16 senders at 500 us spacing)
-    and a 1024-switch ring at the auto shard count. *)
+    flows) memory) at every count of the {!Conformance} sweep and checks
+    conformance on [Parsim]'s order-independent arrival digest — the
+    trace itself is too large to retain. Two further legs: the adaptive
+    horizon on sparse traffic (k=8, 16 senders at 500 us spacing),
+    checked against the fixed-window round count, and a 1024-switch
+    ring at the auto shard count. *)
 
 val name : string
 
 val k : int
 val num_hosts : int
 val hosts_per_pod : int
-
-val default_shard_counts : int list ref
-(** Shard counts {!run} sweeps by default ([[1; 2; 4; 8]]); the CLI's
-    [--shards N] flag rewrites it to [[1; N]]. *)
 
 val topo : unit -> Evcore.Topology.t
 val addr_of_host : int -> Netcore.Ipv4_addr.t
@@ -46,8 +43,6 @@ val full_knobs : knobs
 
 val scenario :
   ?shards:int ->
-  ?backend:Eventsim.Sched_backend.t ->
-  ?horizon:Parsim.horizon_mode ->
   ?record_digest:bool ->
   ?samples:int array array ->
   ?sources:Workloads.Flowgen.source_stats list ref ->
@@ -66,42 +61,32 @@ val num_samples : int
 
     A scaled-down (still ~15k-flow, 320-switch) version of the
     workload whose arrival digest and merged-metrics MD5 are pinned in
-    [test/golden/] — every backend x shard-count combination must
-    reproduce the sequential-heap values byte-for-byte. *)
+    [test/golden/] — every shard count must reproduce the sequential
+    values byte-for-byte. *)
 
 val golden_knobs : knobs
-val golden_seeds : int list  (** [[42; 7]] *)
 
-val golden_file : int -> string
-(** Digest filename for a seed, e.g. ["e27_seed42.digest"]. *)
+val golden : Conformance.golden
+(** Seeds 42 and 7; digest lines ["arrivals"] and ["metrics"]. *)
 
-val golden_digests :
-  ?backend:Eventsim.Sched_backend.t -> ?shards:int -> seed:int -> unit -> (string * string) list
-
-type variant = {
-  shards : int;
-  rounds : int;
-  events : int;
-  cross_sent : int;
-  flows : int;
-  packets : int;
-  received : int;
-  ties : int;  (** {!Parsim.result.tie_arrivals}; must be 0 for the guarantee *)
-  wall_s : float;
-  mev_per_s : float;
-  arrival_digest : string;
-  metrics_digest : string;
-  conformant : bool;
+(** What {!scenario} fills in during one run: the [samples] and
+    [sources] it was given. *)
+type probes = {
+  samples : int array array;
+  sources : Workloads.Flowgen.source_stats list ref;
 }
 
 type sparse = {
   sp_shards : int;
-  static_rounds : int;
-  adaptive_rounds : int;
-  static_wall : float;
-  adaptive_wall : float;
-  round_reduction : float;  (** static_rounds / adaptive_rounds *)
+  rounds : int;  (** lockstep rounds the adaptive horizon executed *)
+  windows : int;
+      (** [ceil ((until + 1) / L)] for the plan's min cross-link delay
+          [L]: the rounds fixed-width windows would take *)
+  wall : float;
 }
+
+val sparse_passed : sparse -> bool
+(** [rounds < windows]. *)
 
 type ring_leg = {
   rg_switches : int;
@@ -115,7 +100,7 @@ type ring_leg = {
 type result = {
   seed : int;
   knobs : knobs;
-  variants : variant list;
+  runs : probes Conformance.run list;
   all_conformant : bool;
   peak_live : int;
   concurrency_ok : bool;
@@ -124,7 +109,7 @@ type result = {
 }
 
 val run_sparse : seed:int -> shards:int -> sparse
-(** The sparse adaptive-vs-static leg alone (cheap; used by tests). *)
+(** The sparse leg alone (k=8 fat tree; cheap, used by tests). *)
 
 val run_ring : seed:int -> ring_leg
 (** The 1024-switch ring leg alone. *)

@@ -181,3 +181,6 @@ let all =
 
 let find name = List.find_opt (fun e -> e.name = name) all
 let names () = List.map (fun e -> e.name) all
+
+let goldens =
+  [ E23_scale.golden; E24_efsm.golden; E25_cep.golden; E26_netupd.golden; E27_dcscale.golden ]

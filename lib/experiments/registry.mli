@@ -15,3 +15,7 @@ type entry = {
 val all : entry list
 val find : string -> entry option
 val names : unit -> string list
+
+val goldens : Conformance.golden list
+(** The golden scenarios pinned under [test/golden/] (E23-E27), shared
+    by the generator and the golden suite. *)

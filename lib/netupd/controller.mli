@@ -67,8 +67,7 @@ val log_contents : t -> string
 
 val schedule_digest : t -> string
 (** MD5 of {!log_contents} plus the final committed version — the
-    value the determinism property compares across backends and shard
-    counts. *)
+    value the determinism property compares across shard counts. *)
 
 val register_invariants : ?wedge_bound:Eventsim.Sim_time.t -> t -> Resil.Invariants.t -> unit
 (** Install the runtime safety checks: [netupd.mixed] (no packet ever

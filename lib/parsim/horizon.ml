@@ -15,19 +15,3 @@ let adaptive_bound ~min_out_delays ~next_events ~until =
     end
   done;
   !bound
-
-let safe ~neighbor_horizons ~lookahead =
-  if lookahead <= 0 then invalid_arg "Horizon.safe: lookahead must be positive";
-  List.fold_left (fun acc h -> min acc (h + lookahead)) max_int neighbor_horizons
-
-let rounds ~until ~lookahead =
-  if lookahead <= 0 then invalid_arg "Horizon.rounds: lookahead must be positive";
-  if until < 0 then invalid_arg "Horizon.rounds: negative until";
-  (until + lookahead) / lookahead
-
-let window ~round ~lookahead ~until =
-  if lookahead <= 0 then invalid_arg "Horizon.window: lookahead must be positive";
-  if round < 0 then invalid_arg "Horizon.window: negative round";
-  let start = min (round * lookahead) (until + 1) in
-  let horizon = min ((round + 1) * lookahead) (until + 1) in
-  (start, horizon)

@@ -9,16 +9,9 @@
     earlier than departure + lookahead, so nothing can land in the
     executing shard's past.
 
-    The lockstep engine tiles simulated time into windows. In {e
-    static} mode the width is the global minimum cross-link delay
-    [lookahead]: round [r] covers [[r*L, min((r+1)*L, until+1))]. When
-    every shard has published horizon [r*L], the safe bound is
-    [r*L + L], which is exactly the next window's end — the whole fleet
-    advances one window per round.
-
-    In {e adaptive} mode each round starts with every shard publishing
-    the timestamp of its earliest queued event ([no_event] when its
-    queue is empty). Because cross-shard messages are staged and
+    The lockstep engine tiles simulated time into windows. Each round
+    starts with every shard publishing the timestamp of its earliest
+    queued event ([no_event] when its queue is empty). Because cross-shard messages are staged and
     released only at the window barrier, every packet shard [j] sends
     during the coming window departs at or after [j]'s published next
     event [n_j] and lands no earlier than [n_j + d] for the cheapest
@@ -44,19 +37,3 @@ val adaptive_bound : min_out_delays:int array -> next_events:int array -> until:
     [min_j next_events.(j) + 1] when some constraining edge exists, so
     a round always makes progress past the earliest published event.
     Raises [Invalid_argument] on array length mismatch. *)
-
-val safe : neighbor_horizons:int list -> lookahead:int -> int
-(** [min_j (h_j + lookahead)]; [max_int] with no neighbours (an
-    unpartitioned run has no one to wait for). Raises
-    [Invalid_argument] when [lookahead <= 0] — zero lookahead means no
-    shard could ever advance. *)
-
-val rounds : until:int -> lookahead:int -> int
-(** Number of windows tiling [[0, until]]: smallest [r] with
-    [r * lookahead > until]. *)
-
-val window : round:int -> lookahead:int -> until:int -> int * int
-(** [(start, horizon)] of a round: [start = min(round*L, until+1)] and
-    [horizon = min((round+1)*L, until+1)]. Consecutive windows tile
-    [[0, until+1)] exactly: window [r]'s horizon is window [r+1]'s
-    start. *)

@@ -98,14 +98,8 @@ type plan = {
   local_links : (int * Topology.link) list;
   cross : cross_link list;
   channels : (int * int) list;
-  lookahead : Eventsim.Sim_time.t;
   pair_delays : (int * int * int) list;
 }
-
-(* With nothing crossing there is no one to wait for: one window covers
-   the run ([Horizon.rounds] needs [until + lookahead] to not
-   overflow, hence not [max_int]). *)
-let infinite_lookahead = max_int / 4
 
 let plan ?weights (topo : Topology.t) ~shards =
   Topology.validate topo;
@@ -121,9 +115,6 @@ let plan ?weights (topo : Topology.t) ~shards =
     List.concat_map (fun c -> [ (c.shard_a, c.shard_b); (c.shard_b, c.shard_a) ]) cross
     |> List.sort_uniq compare
   in
-  let lookahead =
-    List.fold_left (fun acc c -> min acc c.link.delay) infinite_lookahead cross
-  in
   let pair_delays =
     let tbl = Hashtbl.create 16 in
     let note src dst d =
@@ -138,7 +129,7 @@ let plan ?weights (topo : Topology.t) ~shards =
       cross;
     Hashtbl.fold (fun (s, d) dl acc -> (s, d, dl) :: acc) tbl [] |> List.sort compare
   in
-  { part; local_links = local; cross; channels; lookahead; pair_delays }
+  { part; local_links = local; cross; channels; pair_delays }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -152,14 +143,10 @@ type shard_ctx = {
   links : (int * Link.t) list;
 }
 
-type horizon_mode = Adaptive | Static
-
 type config = {
   shards : int;
   until : Eventsim.Sim_time.t;
   channel_capacity : int;
-  backend : Eventsim.Sched_backend.t option;
-  horizon : horizon_mode;
   record_trace : bool;
   record_digest : bool;
   switch_config : int -> Event_switch.config;
@@ -167,15 +154,12 @@ type config = {
   on_shard : shard_ctx -> unit;
 }
 
-let config ?(shards = 1) ?(channel_capacity = 1024) ?backend ?(horizon = Adaptive)
-    ?(record_trace = false) ?(record_digest = false) ?(on_shard = fun _ -> ()) ~until
-    ~switch_config ~program () =
+let config ?(shards = 1) ?(channel_capacity = 1024) ?(record_trace = false)
+    ?(record_digest = false) ?(on_shard = fun _ -> ()) ~until ~switch_config ~program () =
   {
     shards;
     until;
     channel_capacity;
-    backend;
-    horizon;
     record_trace;
     record_digest;
     switch_config;
@@ -213,8 +197,6 @@ type shard_state = {
 type engine = {
   n : int;
   until : int;
-  adaptive : bool;
-  lookahead : int;  (* static bound: global min cross-link delay *)
   min_out : int array;  (* per shard, min delay of outgoing cross links *)
   states : shard_state array;
   chans : message Spsc.t option array array;
@@ -309,10 +291,9 @@ let wait_progress eng shard ~horizon =
    {- If even the earliest published event is past [until], every shard
       sees it and stops — this subsumes the old quiescence vote
       (a quiescent fleet publishes only [Horizon.no_event]s).}
-   {- Otherwise execute one window up to the shared horizon: adaptive
+   {- Otherwise execute one window up to the shared horizon
       ([Horizon.adaptive_bound] — safe because staged release means a
-      shard sends nothing before its published next event) or static
-      ([cur + min cross delay], the classic bound).}
+      shard sends nothing before its published next event).}
    {- Progress barrier, then pop and release staged messages exactly as
       before.}} *)
 let run_shard eng shard =
@@ -337,10 +318,8 @@ let run_shard eng shard =
     if earliest > eng.until then stop := true
     else begin
       let horizon =
-        if eng.adaptive then
-          Horizon.adaptive_bound ~min_out_delays:eng.min_out ~next_events:nexts
-            ~until:eng.until
-        else min (!cur + eng.lookahead) (eng.until + 1)
+        Horizon.adaptive_bound ~min_out_delays:eng.min_out ~next_events:nexts
+          ~until:eng.until
       in
       (* Progress is structural: the bound sits past the earliest
          published event, so every round retires at least one event
@@ -420,8 +399,7 @@ let run cfg (topo : Topology.t) =
     if cfg.shards = 0 then min (recommended_domains ()) topo.switches else cfg.shards
   in
   let pl = plan topo ~shards:n in
-  let backend = match cfg.backend with None -> !Eventsim.Sched_backend.default | Some b -> b in
-  let scheds = Array.init n (fun _ -> Scheduler.create ~backend ()) in
+  let scheds = Array.init n (fun _ -> Scheduler.create ()) in
   let sched_of_sw sw = scheds.(pl.part.shard_of_switch.(sw)) in
   let nports = Topology.ports topo in
   let switches =
@@ -485,8 +463,6 @@ let run cfg (topo : Topology.t) =
     {
       n;
       until = cfg.until;
-      adaptive = (cfg.horizon = Adaptive);
-      lookahead = pl.lookahead;
       min_out;
       states;
       chans;

@@ -6,21 +6,17 @@
     intra-shard links per OCaml domain — synchronized conservatively in
     lockstep windows. Each round every shard publishes the timestamp of
     its earliest queued event (or {!Horizon.no_event}); the fleet-wide
-    window horizon is then computed identically everywhere. Two modes
-    ({!horizon_mode}):
-
-    - {e Adaptive} (default): the horizon is
-      [min_j (next_event_j + min cross-link delay out of j)], clamped
-      to [until + 1] ({!Horizon.adaptive_bound}). Safe because
-      cross-shard sends are staged until the barrier: shard [j] sends
-      nothing timestamped before its published next event, and the
-      packet still rides a real link delay. Quiescent shards publish
-      {!Horizon.no_event} and stop constraining the fleet, so sparse
-      traffic advances in a handful of windows instead of serializing
-      at min-delay granularity.
-    - {e Static}: the classic bound [current + L] where the global
-      lookahead [L] is the minimum cross-shard link delay — one window
-      of width [L] per round regardless of queue contents.
+    window horizon is then computed identically everywhere as
+    [min_j (next_event_j + min cross-link delay out of j)], clamped to
+    [until + 1] ({!Horizon.adaptive_bound}). Safe because cross-shard
+    sends are staged until the barrier: shard [j] sends nothing
+    timestamped before its published next event, and the packet still
+    rides a real link delay. Quiescent shards publish
+    {!Horizon.no_event} and stop constraining the fleet, so sparse
+    traffic advances in a handful of windows instead of serializing at
+    min-delay granularity. Every round advances the horizon by at least
+    the minimum cross-link delay [L], so a run never takes more rounds
+    than the [ceil ((until + 1) / L)] fixed windows of width [L] would.
 
     A packet crossing shards departs inside some window at or after the
     sender's published next event and arrives at least its link delay
@@ -86,13 +82,10 @@ type plan = {
   channels : (int * int) list;
       (** directed (src, dst) shard pairs carrying at least one
           cross-link direction — each gets one SPSC channel *)
-  lookahead : Eventsim.Sim_time.t;
-      (** static bound: min cross-link delay; effectively infinite when
-          nothing crosses (a single window covers the whole run) *)
   pair_delays : (int * int * int) list;
       (** directed (src shard, dst shard, min link delay) for every
-          shard pair joined by at least one cross link — the adaptive
-          horizon's per-pair reachability data *)
+          shard pair joined by at least one cross link — the horizon's
+          per-pair reachability data; empty when nothing crosses *)
 }
 
 val plan : ?weights:int array -> Evcore.Topology.t -> shards:int -> plan
@@ -111,17 +104,10 @@ type shard_ctx = {
           lookahead contract); restrict chaos to these. *)
 }
 
-type horizon_mode =
-  | Adaptive  (** per-window bound from published next-event times *)
-  | Static  (** fixed windows of the global min cross-link delay *)
-
 type config = {
   shards : int;  (** [0] = auto: {!recommended_domains}, capped by switches *)
   until : Eventsim.Sim_time.t;  (** execute events with time <= until *)
   channel_capacity : int;
-  backend : Eventsim.Sched_backend.t option;
-      (** per-shard scheduler backend; [None] = [!Sched_backend.default] *)
-  horizon : horizon_mode;
   record_trace : bool;
       (** record every switch-port/host packet arrival; the merged
           trace is the conformance artefact (costs allocation — leave
@@ -145,8 +131,6 @@ type config = {
 val config :
   ?shards:int ->
   ?channel_capacity:int ->
-  ?backend:Eventsim.Sched_backend.t ->
-  ?horizon:horizon_mode ->
   ?record_trace:bool ->
   ?record_digest:bool ->
   ?on_shard:(shard_ctx -> unit) ->
@@ -155,15 +139,14 @@ val config :
   program:(int -> Evcore.Program.spec) ->
   unit ->
   config
-(** Defaults: 1 shard, capacity 1024, default backend, adaptive
-    horizon, no trace, no digest. *)
+(** Defaults: 1 shard, capacity 1024, no trace, no digest. *)
 
 type result = {
   plan : plan;
   rounds_executed : int;
       (** lockstep windows executed (identical on every shard); [1] on
-          the sequential path. Adaptive runs on sparse traffic execute
-          far fewer rounds than static runs of the same scenario. *)
+          the sequential path. Sparse traffic executes far fewer rounds
+          than the fixed-window count [ceil ((until + 1) / L)]. *)
   events : int;  (** callbacks executed, summed over shards *)
   cross_sent : int;
   cross_delivered : int;  (** < [cross_sent] when [until] cut arrivals off *)

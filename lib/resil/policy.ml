@@ -17,7 +17,7 @@ let of_string s =
 let names = List.map to_string all
 
 (* Process-wide default, consulted by [Supervisor.default_config] (and
-   hence [Event_switch.default_config]) at call time — the same pattern
-   as [Sched_backend.default], so [evsim --resil-policy] reaches every
-   switch an experiment creates internally. *)
+   hence [Event_switch.default_config]) at call time, so [evsim
+   --resil-policy] reaches every switch an experiment creates
+   internally. *)
 let default = ref Quarantine

@@ -1,94 +1,27 @@
-(* Regenerate the canonical golden traces in test/golden/.
+(* Regenerate the canonical golden digests in test/golden/.
 
    Usage: dune exec test/gen_golden.exe -- [output-dir]
 
-   The canon is defined as the SEQUENTIAL run under the HEAP backend —
-   the simplest execution mode, one scheduler, no channels — of the
-   E23 golden scenario for each golden seed. Every other mode (wheel
-   backend, sharded runs) is tested against these files byte-for-byte,
-   so regenerating them is only legitimate when the simulated behaviour
-   intentionally changed. *)
+   The canon is defined as the SEQUENTIAL run — one scheduler, no
+   channels — of each golden scenario (E23-E27, [Registry.goldens]) for
+   each of its seeds. Every sharded run is tested against these files
+   byte-for-byte, so regenerating them is only legitimate when the
+   simulated behaviour intentionally changed. *)
+
+module Conformance = Experiments.Conformance
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  (* E23: the k=4 fat-tree forwarding scenario — an MD5 of the merged
-     trace plus one of the merged metrics (replacing the old ~4700-line
-     committed trace files with the same pinning power). *)
   List.iter
-    (fun seed ->
-      let digests =
-        Experiments.E23_scale.golden_digests ~backend:Eventsim.Sched_backend.Heap ~shards:1
-          ~seed ()
-      in
-      let path = Filename.concat dir (Experiments.E23_scale.golden_file seed) in
-      let oc = open_out path in
-      List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
-      close_out oc;
-      Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
-    Experiments.E23_scale.golden_seeds;
-  (* E24: the stateful (EFSM) apps' golden digests — per app, one trace
-     digest and one metrics digest (which embeds pisa.efsm.state_hash,
-     so the whole flow-state evolution is pinned). Canon as above:
-     sequential under the heap backend. *)
-  List.iter
-    (fun seed ->
-      let digests =
-        Experiments.E24_efsm.golden_digests ~backend:Eventsim.Sched_backend.Heap ~shards:1
-          ~seed ()
-      in
-      let path = Filename.concat dir (Experiments.E24_efsm.golden_file seed) in
-      let oc = open_out path in
-      List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
-      close_out oc;
-      Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
-    Experiments.E24_efsm.golden_seeds;
-  (* E25: the CEP detector apps' golden digests — per leg (syn flood,
-     burst forensics, chaos) one trace digest and one metrics digest.
-     Canon as above: sequential under the heap backend. *)
-  List.iter
-    (fun seed ->
-      let digests =
-        Experiments.E25_cep.golden_digests ~backend:Eventsim.Sched_backend.Heap ~shards:1
-          ~seed ()
-      in
-      let path = Filename.concat dir (Experiments.E25_cep.golden_file seed) in
-      let oc = open_out path in
-      List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
-      close_out oc;
-      Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
-    Experiments.E25_cep.golden_seeds;
-  (* E26: the consistent-update protocol — per leg (clean storm, chaos)
-     one trace digest and one metrics digest; the metrics digest embeds
-     the netupd op ledger and the mixed-version counters, so a protocol
-     change that lets a packet observe two versions (or unbalances the
-     books) fails the pin. Canon as above: sequential under the heap
-     backend. *)
-  List.iter
-    (fun seed ->
-      let digests =
-        Experiments.E26_netupd.golden_digests ~backend:Eventsim.Sched_backend.Heap ~shards:1
-          ~seed ()
-      in
-      let path = Filename.concat dir (Experiments.E26_netupd.golden_file seed) in
-      let oc = open_out path in
-      List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
-      close_out oc;
-      Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
-    Experiments.E26_netupd.golden_seeds;
-  (* E27: datacenter scale — the k=16 streaming-mix scenario pinned by
-     its order-independent arrival digest plus the merged metrics MD5;
-     the raw trace (hundreds of thousands of arrivals) is never
-     materialized. Canon as above: sequential under the heap backend. *)
-  List.iter
-    (fun seed ->
-      let digests =
-        Experiments.E27_dcscale.golden_digests ~backend:Eventsim.Sched_backend.Heap ~shards:1
-          ~seed ()
-      in
-      let path = Filename.concat dir (Experiments.E27_dcscale.golden_file seed) in
-      let oc = open_out path in
-      List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
-      close_out oc;
-      Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
-    Experiments.E27_dcscale.golden_seeds
+    (fun (g : Conformance.golden) ->
+      List.iter
+        (fun seed ->
+          let digests = Conformance.golden_digests g ~shards:1 ~seed in
+          let path = Filename.concat dir (Conformance.golden_file g seed) in
+          let oc = open_out path in
+          List.iter (fun (label, hex) -> Printf.fprintf oc "%s %s\n" label hex) digests;
+          close_out oc;
+          Printf.printf "wrote %s (%d digests)\n" path (List.length digests))
+        g.seeds)
+    Experiments.Registry.goldens

@@ -20,8 +20,8 @@ let mk_pkt ~payload_len i =
 (* A seeded random workload through a live event switch: random
    injection times, sizes and input ports, with detections and
    transmissions recorded in the trace. *)
-let run_once ?backend ~seed () =
-  let sched = Scheduler.create ?backend () in
+let run_once ?(drive = fun sched -> Scheduler.run sched) ~seed () =
+  let sched = Scheduler.create () in
   let trace = Trace.create ~limit:50_000 () in
   Trace.enable trace;
   let reg = M.create () in
@@ -43,7 +43,7 @@ let run_once ?backend ~seed () =
     ignore
       (Scheduler.schedule sched ~at (fun () -> Event_switch.inject sw ~port pkt))
   done;
-  Scheduler.run sched;
+  drive sched;
   List.iter
     (fun (d : Apps.Microburst.detection) ->
       Trace.record trace ~time:d.Apps.Microburst.time
@@ -69,26 +69,26 @@ let test_seed_changes_behaviour () =
   let t1, _, _ = run_once ~seed:7 () and t2, _, _ = run_once ~seed:8 () in
   Alcotest.(check bool) "different seeds diverge" false (t1 = t2)
 
-(* The scheduler backends must be observationally identical: same seed,
-   different backend, byte-identical trace and metrics. *)
-let test_backends_identical () =
-  let th, jh, ch = run_once ~backend:Eventsim.Sched_backend.Heap ~seed:7 () in
-  let tw, jw, cw = run_once ~backend:Eventsim.Sched_backend.Wheel ~seed:7 () in
-  let tl, jl, cl = run_once ~backend:Eventsim.Sched_backend.Ladder ~seed:7 () in
-  Alcotest.(check (list (pair int string))) "heap/wheel identical trace" th tw;
-  Alcotest.(check string) "heap/wheel identical metrics JSON" jh jw;
-  Alcotest.(check string) "heap/wheel identical metrics CSV" ch cw;
-  Alcotest.(check (list (pair int string))) "heap/ladder identical trace" th tl;
-  Alcotest.(check string) "heap/ladder identical metrics JSON" jh jl;
-  Alcotest.(check string) "heap/ladder identical metrics CSV" ch cl
+(* The same workload driven in [run ~until] slices or in parsim-style
+   [drain_until_horizon] windows must not change a trace record or a
+   metric. *)
+let test_driven_identical drive () =
+  let t1, j1, _ = run_once ~seed:7 () and t2, j2, _ = run_once ~drive ~seed:7 () in
+  Alcotest.(check (list (pair int string))) "byte-identical trace" t1 t2;
+  Alcotest.(check string) "byte-identical metrics JSON" j1 j2
 
-(* Run [f] with the process-wide default backend forced to [backend] —
-   this is what [evsim --sched-backend] does, and it covers code that
-   creates schedulers internally (experiments, chaos). *)
-let with_default_backend backend f =
-  let saved = !Eventsim.Sched_backend.default in
-  Eventsim.Sched_backend.default := backend;
-  Fun.protect ~finally:(fun () -> Eventsim.Sched_backend.default := saved) f
+let drive_sliced sched =
+  for k = 1 to 60 do
+    Scheduler.run ~until:(Sim_time.ns (k * 997)) sched
+  done;
+  Scheduler.run sched
+
+let drive_windowed sched =
+  let h = ref 0 in
+  while Scheduler.next_time sched >= 0 do
+    h := !h + Sim_time.ns 1_009;
+    Scheduler.drain_until_horizon sched ~horizon:!h
+  done
 
 (* A full chaos run (E21) is the most adversarial determinism case:
    Poisson flap timelines, per-packet perturbation draws, overlapping
@@ -113,30 +113,6 @@ let test_chaos_identical () =
         (Experiments.E21_chaos.exercised r1))
     Faults.Profile.all
 
-let test_chaos_backends_identical () =
-  (* E21 chaos under heap vs wheel: the most adversarial parity check —
-     flap timelines, perturbation draws, churn, and (handler-faults)
-     quarantine/backoff timers — must not depend on the queue
-     implementation at all. *)
-  List.iter
-    (fun profile ->
-      let run backend =
-        with_default_backend backend (fun () -> chaos_once ~seed:42 ~profile)
-      in
-      let name = Faults.Profile.to_string profile in
-      let r1, j1 = run Eventsim.Sched_backend.Heap in
-      let r2, j2 = run Eventsim.Sched_backend.Wheel in
-      let r3, j3 = run Eventsim.Sched_backend.Ladder in
-      Alcotest.(check string) (name ^ ": heap/wheel identical chaos metrics") j1 j2;
-      Alcotest.(check int)
-        (name ^ ": heap/wheel identical receive count")
-        r1.Experiments.E21_chaos.received r2.Experiments.E21_chaos.received;
-      Alcotest.(check string) (name ^ ": heap/ladder identical chaos metrics") j1 j3;
-      Alcotest.(check int)
-        (name ^ ": heap/ladder identical receive count")
-        r1.Experiments.E21_chaos.received r3.Experiments.E21_chaos.received)
-    [ Faults.Profile.Burst_storm; Faults.Profile.Handler_faults ]
-
 let test_chaos_seed_diverges () =
   let _, j1 = chaos_once ~seed:42 ~profile:Faults.Profile.Flaky_links in
   let _, j2 = chaos_once ~seed:43 ~profile:Faults.Profile.Flaky_links in
@@ -144,15 +120,14 @@ let test_chaos_seed_diverges () =
 
 (* Parsim extension: on a random topology with a random seed, a
    sharded run's merged metrics snapshot, merged trace, arrival digest
-   and per-host counters must equal the sequential (1-shard) run's —
-   and the ADAPTIVE horizon must agree with STATIC windows on all of
-   them, since the two modes execute completely different round
-   schedules over the same event population. Topologies are drawn from
-   both builders up to k=4 fat trees (20 switches) and 10-switch
-   rings; the shard count ranges over everything the partitioner
-   accepts for that size, capped at 8. *)
+   and per-host counters must equal the sequential (1-shard) run's.
+   Topologies are drawn from both builders up to k=4 fat trees (20
+   switches) and 10-switch rings; the shard count ranges over
+   everything the partitioner accepts for that size, capped at 8. *)
 
-let parsim_run ?(horizon = Parsim.Adaptive) ~topo_kind ~size ~seed ~shards () =
+let parsim_until = Sim_time.us 180
+
+let parsim_run ~topo_kind ~size ~seed ~shards () =
   let module Topology = Evcore.Topology in
   let topo, route =
     match topo_kind with
@@ -174,9 +149,9 @@ let parsim_run ?(horizon = Parsim.Adaptive) ~topo_kind ~size ~seed ~shards () =
         | None -> Evcore.Program.Drop)
       ()
   in
-  let until = Sim_time.us 180 in
+  let until = parsim_until in
   let cfg =
-    Parsim.config ~shards ~horizon ~record_trace:true ~record_digest:true ~until
+    Parsim.config ~shards ~record_trace:true ~record_digest:true ~until
       ~switch_config:(fun sw ->
         let cfg = Event_switch.default_config Evcore.Arch.sume_event_switch in
         { cfg with Event_switch.seed = seed + (31 * sw) })
@@ -224,7 +199,7 @@ let qcheck_parsim_matches_sequential =
         return (kind, size, seed, shards))
   in
   QCheck.Test.make ~count:12
-    ~name:"random topology: sharded = sequential, adaptive = static" gen
+    ~name:"random topology: sharded = sequential" gen
     (fun (kind, size, seed, shards) ->
       let seq = parsim_run ~topo_kind:kind ~size ~seed ~shards:1 () in
       if Array.fold_left ( + ) 0 seq.Parsim.host_received = 0 then
@@ -236,24 +211,22 @@ let qcheck_parsim_matches_sequential =
          same instant and the merge order is then legitimately
          unspecified. Discard those draws instead of comparing. *)
       QCheck.assume (seq.Parsim.tie_arrivals = 0);
-      List.for_all
-        (fun (label, horizon) ->
-          let par = parsim_run ~horizon ~topo_kind:kind ~size ~seed ~shards () in
-          if seq.Parsim.metrics_json <> par.Parsim.metrics_json then
-            QCheck.Test.fail_reportf "%s: merged metrics snapshots diverge" label;
-          if seq.Parsim.trace <> par.Parsim.trace then
-            QCheck.Test.fail_reportf "%s: merged traces diverge" label;
-          if seq.Parsim.arrival_digest <> par.Parsim.arrival_digest then
-            QCheck.Test.fail_reportf "%s: arrival digests diverge" label;
-          seq.Parsim.host_received = par.Parsim.host_received
-          && seq.Parsim.host_sent = par.Parsim.host_sent)
-        [ ("adaptive", Parsim.Adaptive); ("static", Parsim.Static) ])
+      let par = parsim_run ~topo_kind:kind ~size ~seed ~shards () in
+      if seq.Parsim.metrics_json <> par.Parsim.metrics_json then
+        QCheck.Test.fail_report "merged metrics snapshots diverge";
+      if seq.Parsim.trace <> par.Parsim.trace then
+        QCheck.Test.fail_report "merged traces diverge";
+      if seq.Parsim.arrival_digest <> par.Parsim.arrival_digest then
+        QCheck.Test.fail_report "arrival digests diverge";
+      seq.Parsim.host_received = par.Parsim.host_received
+      && seq.Parsim.host_sent = par.Parsim.host_sent)
 
-(* The adaptive horizon's whole point: on sparse traffic it must not
-   execute MORE rounds than static windows, and on a concrete sparse
-   scenario it should execute strictly fewer (E27's sparse leg measures
-   the same thing at k=8; this pins the property at QCheck scale). *)
-let qcheck_adaptive_never_more_rounds =
+(* The adaptive horizon never executes more rounds than fixed windows
+   of the minimum cross-link delay L would: every round advances the
+   horizon by at least L, so the run fits in the ceil ((until + 1) / L)
+   windows that tile [0, until]. L is read from the plan; E27's sparse
+   leg measures how far below the bound sparse traffic lands. *)
+let qcheck_adaptive_within_fixed_windows =
   let gen =
     QCheck.make
       ~print:(fun (size, seed, shards) ->
@@ -264,24 +237,22 @@ let qcheck_adaptive_never_more_rounds =
         let* shards = int_range 2 (min 8 size) in
         return (size, seed, shards))
   in
-  QCheck.Test.make ~count:10 ~name:"adaptive horizon: never more rounds than static" gen
+  QCheck.Test.make ~count:10 ~name:"adaptive horizon: rounds within the fixed-window count" gen
     (fun (size, seed, shards) ->
-      let adaptive =
-        parsim_run ~horizon:Parsim.Adaptive ~topo_kind:`Ring ~size ~seed ~shards ()
+      let r = parsim_run ~topo_kind:`Ring ~size ~seed ~shards () in
+      let l =
+        List.fold_left (fun acc (_, _, d) -> min acc d) max_int r.Parsim.plan.Parsim.pair_delays
       in
-      let static =
-        parsim_run ~horizon:Parsim.Static ~topo_kind:`Ring ~size ~seed ~shards ()
-      in
-      QCheck.assume (adaptive.Parsim.tie_arrivals = 0);
-      if adaptive.Parsim.rounds_executed > static.Parsim.rounds_executed then
-        QCheck.Test.fail_reportf "adaptive executed %d rounds > static %d"
-          adaptive.Parsim.rounds_executed static.Parsim.rounds_executed;
-      adaptive.Parsim.arrival_digest = static.Parsim.arrival_digest)
+      let windows = (parsim_until + l) / l in
+      if r.Parsim.rounds_executed > windows then
+        QCheck.Test.fail_reportf "executed %d rounds > %d fixed windows of L=%d"
+          r.Parsim.rounds_executed windows l;
+      r.Parsim.rounds_executed > 1)
 
 (* EFSM extension: a RANDOM per-flow transition table — random guards,
    register updates and next-states, optionally with timeout sweeps —
    driven by a random packet interleaving on a sharded ring must evolve
-   identically under both queue backends and every shard count. The
+   identically at every shard count. The
    drop decision depends on the flow's post-transition state, so a
    divergence in any flow's state evolution surfaces in the merged
    trace, and the exporter puts [pisa.efsm.state_hash] in the merged
@@ -460,36 +431,22 @@ let qcheck_efsm_evolution_conforms =
         let* seed = int_range 0 10_000 in
         return (table, timeout_us, seed))
   in
-  QCheck.Test.make ~count:8 ~name:"random EFSM table: identical across backends and shards" gen
+  QCheck.Test.make ~count:8 ~name:"random EFSM table: identical across shard counts" gen
     (fun (table, timeout_us, seed) ->
-      let run ~backend ~shards =
-        with_default_backend backend (fun () -> efsm_parsim_run ~table ~timeout_us ~seed ~shards)
-      in
-      let canon = run ~backend:Eventsim.Sched_backend.Heap ~shards:1 in
+      let run shards = efsm_parsim_run ~table ~timeout_us ~seed ~shards in
+      let canon = run 1 in
       if not (String.length canon.Parsim.metrics_json > 2) then
         QCheck.Test.fail_report "empty metrics — vacuous comparison";
       List.for_all
-        (fun (backend, shards) ->
-          let r = run ~backend ~shards in
+        (fun shards ->
+          let r = run shards in
           if r.Parsim.trace <> canon.Parsim.trace then
-            QCheck.Test.fail_reportf "trace diverges at %s/%d-shard"
-              (Eventsim.Sched_backend.to_string backend)
-              shards;
+            QCheck.Test.fail_reportf "trace diverges at %d shards" shards;
           if r.Parsim.metrics_json <> canon.Parsim.metrics_json then
-            QCheck.Test.fail_reportf "metrics (incl. efsm state_hash) diverge at %s/%d-shard"
-              (Eventsim.Sched_backend.to_string backend)
+            QCheck.Test.fail_reportf "metrics (incl. efsm state_hash) diverge at %d shards"
               shards;
           r.Parsim.host_received = canon.Parsim.host_received)
-        [
-          (Eventsim.Sched_backend.Heap, 2);
-          (Eventsim.Sched_backend.Heap, 4);
-          (Eventsim.Sched_backend.Wheel, 1);
-          (Eventsim.Sched_backend.Wheel, 2);
-          (Eventsim.Sched_backend.Wheel, 4);
-          (Eventsim.Sched_backend.Ladder, 1);
-          (Eventsim.Sched_backend.Ladder, 2);
-          (Eventsim.Sched_backend.Ladder, 4);
-        ])
+        [ 2; 4 ])
 
 (* CEP extension: the detector's [pisa.efsm.*] series must be
    shard-count-independent line for line, not only as a whole-snapshot
@@ -534,13 +491,15 @@ let suite =
     Alcotest.test_case "same seed, identical trace" `Quick test_trace_identical;
     Alcotest.test_case "same seed, identical metrics" `Quick test_metrics_identical;
     Alcotest.test_case "different seed diverges" `Quick test_seed_changes_behaviour;
-    Alcotest.test_case "heap vs wheel, identical run" `Quick test_backends_identical;
-    Alcotest.test_case "heap vs wheel, identical chaos" `Quick test_chaos_backends_identical;
+    Alcotest.test_case "run in until-slices, identical trace" `Quick
+      (test_driven_identical drive_sliced);
+    Alcotest.test_case "windowed drain, identical trace" `Quick
+      (test_driven_identical drive_windowed);
     Alcotest.test_case "chaos run, identical metrics" `Quick test_chaos_identical;
     Alcotest.test_case "chaos run, seed diverges" `Quick test_chaos_seed_diverges;
     Alcotest.test_case "sharded efsm metrics conform" `Quick
       test_sharded_efsm_metrics_conform;
     QCheck_alcotest.to_alcotest qcheck_parsim_matches_sequential;
-    QCheck_alcotest.to_alcotest qcheck_adaptive_never_more_rounds;
+    QCheck_alcotest.to_alcotest qcheck_adaptive_within_fixed_windows;
     QCheck_alcotest.to_alcotest qcheck_efsm_evolution_conforms;
   ]

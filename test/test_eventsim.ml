@@ -3,9 +3,7 @@
 module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
 module Event_heap = Eventsim.Event_heap
-module Timing_wheel = Eventsim.Timing_wheel
 module Ladder_queue = Eventsim.Ladder_queue
-module Sched_backend = Eventsim.Sched_backend
 module Trace = Eventsim.Trace
 
 let test_time_units () =
@@ -86,105 +84,6 @@ let qcheck_heap_sorted =
       in
       drain min_int)
 
-let test_wheel_ordering () =
-  let w = Timing_wheel.create () in
-  Timing_wheel.push w ~time:30 "c";
-  Timing_wheel.push w ~time:10 "a";
-  Timing_wheel.push w ~time:20 "b";
-  Alcotest.(check (option int)) "peek" (Some 10) (Timing_wheel.peek_time w);
-  let order =
-    List.init 3 (fun _ -> match Timing_wheel.pop w with Some (_, x) -> x | None -> "?")
-  in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "empty" true (Timing_wheel.is_empty w)
-
-let test_wheel_fifo_ties () =
-  let w = Timing_wheel.create () in
-  List.iter (fun x -> Timing_wheel.push w ~time:5 x) [ 1; 2; 3; 4; 5 ];
-  let order =
-    List.init 5 (fun _ -> match Timing_wheel.pop w with Some (_, x) -> x | None -> -1)
-  in
-  Alcotest.(check (list int)) "fifo among equal times" [ 1; 2; 3; 4; 5 ] order
-
-let test_wheel_spans_levels () =
-  (* Times chosen to land on every wheel level and in the overflow heap
-     (beyond the 2^32 ps window), pushed out of order. *)
-  let times =
-    [ 3; 700; 100_000; 40_000_000; 4_000_000_000; (1 lsl 33) + 5; (1 lsl 45) + 1 ]
-  in
-  let w = Timing_wheel.create () in
-  List.iteri (fun i time -> Timing_wheel.push w ~time i) (List.rev times);
-  Alcotest.(check int) "length counts overflow" (List.length times) (Timing_wheel.length w);
-  let popped = ref [] in
-  let rec drain () =
-    match Timing_wheel.pop w with
-    | Some (time, _) ->
-        popped := time :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "global order across levels and overflow" times
-    (List.rev !popped)
-
-let test_wheel_overflow_fifo () =
-  (* Same-time events in the overflow must still fire in push order once
-     the wheel reaches their page. *)
-  let w = Timing_wheel.create () in
-  let far = (1 lsl 34) + 17 in
-  List.iter (fun x -> Timing_wheel.push w ~time:far x) [ 1; 2; 3 ];
-  Timing_wheel.push w ~time:5 0;
-  let order =
-    List.init 4 (fun _ -> match Timing_wheel.pop w with Some (_, x) -> x | None -> -1)
-  in
-  Alcotest.(check (list int)) "overflow keeps FIFO ties" [ 0; 1; 2; 3 ] order
-
-let test_wheel_past_push_raises () =
-  let w = Timing_wheel.create () in
-  Timing_wheel.push w ~time:100 ();
-  ignore (Timing_wheel.pop w);
-  Alcotest.(check int) "position advanced" 100 (Timing_wheel.position w);
-  Alcotest.check_raises "behind position"
-    (Invalid_argument "Timing_wheel.push: time=50 is before wheel position 100")
-    (fun () -> Timing_wheel.push w ~time:50 ())
-
-let test_wheel_releases_payloads () =
-  (* Recycled nodes must not pin the last payload that passed through
-     them — same discipline as the heap's null-entry regression. *)
-  let w = Timing_wheel.create () in
-  let weak = Weak.create 1 in
-  let tracked = Bytes.create 64 in
-  Weak.set weak 0 (Some tracked);
-  Timing_wheel.push w ~time:7 tracked;
-  Timing_wheel.push w ~time:(1 lsl 40) (Bytes.create 64);
-  ignore (Timing_wheel.pop w);
-  ignore (Timing_wheel.pop w);
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0)
-
-let test_wheel_drain_reentry () =
-  (* drain_upto runs same-instant pushes made by the callback in the
-     same batch, and leaves beyond-limit pushes queued. *)
-  let w = Timing_wheel.create () in
-  let log = ref [] in
-  Timing_wheel.push w ~time:10 `First;
-  Timing_wheel.push w ~time:10 `Second;
-  Timing_wheel.drain_upto w ~limit:50 (fun ~time x ->
-      match x with
-      | `First ->
-          log := (time, "first") :: !log;
-          Timing_wheel.push w ~time `Nested;
-          Timing_wheel.push w ~time:200 `Late
-      | `Second -> log := (time, "second") :: !log
-      | `Nested -> log := (time, "nested") :: !log
-      | `Late -> log := (time, "late") :: !log);
-  Alcotest.(check (list (pair int string)))
-    "same-instant reentry order"
-    [ (10, "first"); (10, "second"); (10, "nested") ]
-    (List.rev !log);
-  Alcotest.(check (option int)) "beyond-limit event kept" (Some 200)
-    (Timing_wheel.peek_time w)
-
 let test_ladder_ordering () =
   let l = Ladder_queue.create () in
   Ladder_queue.push l ~time:30 "c";
@@ -263,18 +162,127 @@ let test_ladder_drain_reentry () =
     (List.rev !log = [ (10, `First); (10, `Second); (10, `Nested) ]);
   Alcotest.(check (option int)) "late event still queued" (Some 200) (Ladder_queue.peek_time l)
 
+(* Replay one push/pop program on the ladder and on the reference heap
+   (payload = op index), checking every pop and the lengths, then drain
+   both. *)
+type queue_op = Push of int | Pop
+
+let pushes n f = List.init n (fun i -> Push (f i))
+let pops n = List.init n (fun _ -> Pop)
+
+let check_ladder_against_heap name ops =
+  let h = Event_heap.create () and l = Ladder_queue.create () in
+  let pop_both i =
+    Alcotest.(check (option (pair int int)))
+      (Printf.sprintf "%s: pop at op %d" name i)
+      (Event_heap.pop h) (Ladder_queue.pop l)
+  in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Push time ->
+          Event_heap.push h ~time i;
+          Ladder_queue.push l ~time i
+      | Pop -> pop_both i);
+      Alcotest.(check int) (name ^ ": length") (Event_heap.length h) (Ladder_queue.length l))
+    ops;
+  while not (Event_heap.is_empty h) do
+    pop_both (-1)
+  done;
+  Alcotest.(check bool) (name ^ ": ladder drained too") true (Ladder_queue.is_empty l)
+
+(* Same-time events parked far ahead keep push order behind a nearer
+   event pushed after them. *)
+let test_ladder_far_future_fifo () =
+  check_ladder_against_heap "far ties" (pushes 3 (fun _ -> (1 lsl 34) + 17) @ [ Push 5 ])
+
+(* A same-instant burst larger than a bucket cannot be subdivided: it is
+   sorted into bottom whole, and ties pushed mid-drain queue behind it. *)
+let test_ladder_same_instant_burst () =
+  check_ladder_against_heap "burst"
+    ((Push 0 :: pushes 500 (fun _ -> 1_000)) @ pops 101 @ pushes 50 (fun _ -> 1_000))
+
+(* Below rung 0's consumed edge, pushes go straight into the sorted
+   bottom list, which is respread as a new rung whenever it outgrows its
+   cap: 300 descending pushes do so three times. *)
+let test_ladder_bottom_spawn () =
+  check_ladder_against_heap "bottom spawn"
+    ([ Push 0; Push 1_000_000; Pop ]
+    @ pushes 300 (fun i -> 15_000 - (37 * i))
+    @ pops 50
+    @ pushes 100 (fun i -> 6_000 + (3 * i)))
+
+(* Enough descending pushes to fill the rung stack; from then on the
+   bottom list just grows. *)
+let test_ladder_rung_cap () =
+  check_ladder_against_heap "rung cap"
+    ([ Push 0; Push 1_000_000; Pop ] @ pushes 2_000 (fun i -> 15_000 - (7 * i)))
+
+(* A dense two-instant cluster under a far outlier nests rung after rung
+   of finer width until the width reaches one picosecond. *)
+let test_ladder_deep_rungs () =
+  check_ladder_against_heap "deep rungs"
+    ((Push (1 lsl 50) :: pushes 600 (fun i -> i mod 2))
+    @ [ Push (1 lsl 20); Pop; Push 1; Pop; Push 1 ]
+    @ pops 10
+    @ [ Push (1 lsl 20); Push (1 lsl 50) ])
+
+(* Emptying the ladder leaves its spent rung behind: the rung over
+   [b+50_000, b+99_000] consumed bucket 63 last, so its span ends at
+   b+99_024. Once a refill restarts the top bag at b+99_500, a push in
+   between must not land in the spent rung, behind its consumed
+   buckets. *)
+let test_ladder_restart_after_empty () =
+  let cycle c =
+    let b = c * 100_000 in
+    [ Push (b + 50_000); Push (b + 100); Push (b + 99_000); Pop; Push (b + 100); Push (b + 150) ]
+    @ pops 4
+    @ [ Push (b + 99_500); Push (b + 99_030); Push (b + 99_000) ]
+    @ pops 3
+  in
+  check_ladder_against_heap "restart" (List.concat (List.init 5 cycle))
+
+(* A bottom respread into a rung must cover up to the consumed edge it
+   took over (15_625), not just to its own latest time (10_000): these
+   97 pushes span exactly 1_024 ps, so a rung fitted to them would
+   consume 10_000 in its last bucket and strand a later push in
+   between. *)
+let test_ladder_spawned_rung_covers_gap () =
+  check_ladder_against_heap "spawned rung gap"
+    ([ Push 0; Push 1_000_000; Pop ]
+    @ pushes 96 (fun k -> 10_000 - (10 * k))
+    @ (Push 8_977 :: pops 97)
+    @ [ Push 12_000; Push 14_000 ])
+
+(* drain_upto fires exactly the events at or before [limit] and parks
+   the position at the last one fired, so a push between it and the
+   limit fires on the next drain. *)
+let test_ladder_drain_upto_limit () =
+  let l = Ladder_queue.create () in
+  List.iter (fun time -> Ladder_queue.push l ~time ()) [ 30; 10; 5; 20; 10 ];
+  let fired = ref [] in
+  let drain limit = Ladder_queue.drain_upto l ~limit (fun ~time () -> fired := time :: !fired) in
+  drain 4;
+  Alcotest.(check (list int)) "nothing before the first event" [] !fired;
+  drain 15;
+  Alcotest.(check (list int)) "events up to the limit" [ 10; 10; 5 ] !fired;
+  Alcotest.(check int) "position at the last fired" 10 (Ladder_queue.position l);
+  Ladder_queue.push l ~time:12 ();
+  drain 25;
+  Alcotest.(check (list int)) "late push in order" [ 20; 12; 10; 10; 5 ] !fired;
+  Alcotest.(check (option int)) "beyond the limit stays" (Some 30) (Ladder_queue.peek_time l)
+
 let test_next_time_take_agree () =
   (* next_time/take is the allocation-free peek/pop pair the scheduler
-     hot path uses; it must agree with peek_time/pop on all three
-     backends, report -1 on empty, and raise on an empty take. *)
-  let h = Event_heap.create () and w = Timing_wheel.create () and l = Ladder_queue.create () in
+     hot path uses; it must agree with peek_time/pop on the ladder and
+     the reference heap, report -1 on empty, and raise on an empty
+     take. *)
+  let h = Event_heap.create () and l = Ladder_queue.create () in
   Alcotest.(check int) "heap empty" (-1) (Event_heap.next_time h);
-  Alcotest.(check int) "wheel empty" (-1) (Timing_wheel.next_time w);
   Alcotest.(check int) "ladder empty" (-1) (Ladder_queue.next_time l);
   List.iter
     (fun (time, x) ->
       Event_heap.push h ~time x;
-      Timing_wheel.push w ~time x;
       Ladder_queue.push l ~time x)
     [ (20, "b"); (10, "a"); (10, "a2"); (30, "c") ];
   let drain name next take =
@@ -288,71 +296,17 @@ let test_next_time_take_agree () =
     Alcotest.(check int) (name ^ " drained") (-1) (next ())
   in
   drain "heap" (fun () -> Event_heap.next_time h) (fun _ -> Event_heap.take h);
-  drain "wheel"
-    (fun () -> Timing_wheel.next_time w)
-    (fun time -> Timing_wheel.take w ~time);
   drain "ladder" (fun () -> Ladder_queue.next_time l) (fun _ -> Ladder_queue.take l);
   Alcotest.check_raises "heap empty take"
     (Invalid_argument "Event_heap.take: empty heap") (fun () -> ignore (Event_heap.take h));
-  Alcotest.check_raises "wheel empty take"
-    (Invalid_argument "Timing_wheel.take: empty wheel") (fun () ->
-      ignore (Timing_wheel.take w ~time:(Timing_wheel.next_time w)));
   Alcotest.check_raises "ladder empty take"
     (Invalid_argument "Ladder_queue.take: empty queue") (fun () -> ignore (Ladder_queue.take l))
 
-(* Property: the wheel agrees with the heap (the reference) on every
-   pop under random interleavings of pushes and pops, including FIFO
-   order among time ties and times spread far enough to exercise all
-   levels and the overflow. *)
-let qcheck_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pops exactly match heap (order and ties)" ~count:300
-    QCheck.(pair small_int (int_bound 300))
-    (fun (seed, nops) ->
-      let rng = Stats.Rng.create ~seed in
-      let h = Event_heap.create () in
-      let w = Timing_wheel.create () in
-      let seq = ref 0 in
-      let floor = ref 0 in
-      let ok = ref true in
-      for _ = 1 to nops do
-        if Stats.Rng.int rng 3 < 2 then begin
-          (* Mix of near (dense, tie-heavy), mid (cascading) and far
-             (overflow) horizons, always >= the popped floor. *)
-          let delta =
-            match Stats.Rng.int rng 4 with
-            | 0 -> Stats.Rng.int rng 4
-            | 1 -> Stats.Rng.int rng 1000
-            | 2 -> Stats.Rng.int rng 100_000_000
-            | _ -> (1 lsl 33) + Stats.Rng.int rng 1000
-          in
-          let time = !floor + delta in
-          Event_heap.push h ~time !seq;
-          Timing_wheel.push w ~time !seq;
-          incr seq
-        end
-        else begin
-          (match (Event_heap.pop h, Timing_wheel.pop w) with
-          | Some (ht, hx), Some (wt, wx) ->
-              if ht <> wt || hx <> wx then ok := false;
-              floor := max !floor ht
-          | None, None -> ()
-          | _ -> ok := false);
-          if Event_heap.length h <> Timing_wheel.length w then ok := false
-        end
-      done;
-      (* Drain both to the end. *)
-      let continue = ref true in
-      while !ok && !continue do
-        match (Event_heap.pop h, Timing_wheel.pop w) with
-        | Some (ht, hx), Some (wt, wx) -> if ht <> wt || hx <> wx then ok := false
-        | None, None -> continue := false
-        | _ -> ok := false
-      done;
-      !ok)
-
-(* Same property against the ladder queue: its adaptive rung spreading
-   must reproduce the heap's exact (time, seq) pop sequence, ties
-   included. *)
+(* Property: the ladder agrees with the heap (the reference) on every
+   pop under random interleavings of pushes and pops: its adaptive rung
+   spreading must reproduce the heap's exact (time, seq) pop sequence,
+   ties included, with times spread from same-instant bursts to far
+   parking. *)
 let qcheck_ladder_matches_heap =
   QCheck.Test.make ~name:"ladder pops exactly match heap (order and ties)" ~count:300
     QCheck.(pair small_int (int_bound 300))
@@ -396,18 +350,112 @@ let qcheck_ladder_matches_heap =
       done;
       !ok)
 
-(* Satellite: backend parity at the scheduler level. A random program
-   of schedule / post / every / cancel, replayed against a Heap-backed
-   and a Wheel-backed scheduler, must fire the same (time, id) sequence
-   and agree on the pending/executed counters throughout. *)
-let qcheck_backend_parity =
-  QCheck.Test.make ~name:"scheduler backends fire identically (heap vs wheel vs ladder)"
+(* Property: the hold model, the scheduler's own steady state: each step
+   takes the earliest event and queues a successor a random increment
+   later. Through next_time/take the ladder must match the heap pop for
+   pop, whether increments are mostly ties, uniform, near/far bimodal or
+   log-uniform up to 2^40 ps. *)
+let qcheck_ladder_hold_model =
+  QCheck.Test.make ~name:"ladder matches heap under the hold model" ~count:200
+    QCheck.(triple small_int (int_range 1 400) (int_range 0 3))
+    (fun (seed, population, dist) ->
+      let rng = Stats.Rng.create ~seed in
+      let increment () =
+        match dist with
+        | 0 -> Stats.Rng.int rng 4
+        | 1 -> Stats.Rng.int rng 10_000
+        | 2 when Stats.Rng.int rng 10 = 0 -> (1 lsl 33) + Stats.Rng.int rng 1000
+        | 2 -> Stats.Rng.int rng 100
+        | _ -> 1 lsl Stats.Rng.int rng 40
+      in
+      let h = Event_heap.create () and l = Ladder_queue.create () in
+      let id = ref 0 in
+      let push time =
+        Event_heap.push h ~time !id;
+        Ladder_queue.push l ~time !id;
+        incr id
+      in
+      for _ = 1 to population do
+        push (increment ())
+      done;
+      let rec hold n =
+        n = 0
+        ||
+        let lt = Ladder_queue.next_time l in
+        match Event_heap.pop h with
+        | Some (ht, hx) when lt = ht && Ladder_queue.take l = hx ->
+            push (ht + increment ());
+            hold (n - 1)
+        | _ -> false
+      in
+      hold 2_000)
+
+(* Property: windowed draining with reentrant pushes, as in every
+   scheduler [run] and parsim window. drain_upto at rising limits, with
+   callbacks queueing follow-ups at the firing instant, later, or 2^33 ps
+   ahead (a function of the firing id, so both sides queue the same),
+   fires exactly what the heap pops up to each limit. *)
+let qcheck_ladder_drain_matches_heap =
+  QCheck.Test.make ~name:"ladder drain_upto matches heap (reentrant pushes)" ~count:200
+    QCheck.(pair small_int (int_range 1 100))
+    (fun (seed, n) ->
+      let rng = Stats.Rng.create ~seed in
+      let initial = List.init n (fun _ -> Stats.Rng.int rng 5_000) in
+      let limits =
+        List.sort compare (List.init 6 (fun _ -> Stats.Rng.int rng 20_000)) @ [ 1 lsl 35 ]
+      in
+      let children id =
+        match id mod 4 with
+        | _ when id >= 3 * n -> []
+        | 0 -> [ 0 ]
+        | 1 -> [ 1 + (id * 37 mod 500) ]
+        | 2 -> [ 0; 1 lsl 33 ]
+        | _ -> []
+      in
+      let replay push drain =
+        let next_id = ref 0 and fired = ref [] in
+        let push_next time =
+          push ~time !next_id;
+          incr next_id
+        in
+        List.iter push_next initial;
+        List.iter
+          (fun limit ->
+            drain limit (fun ~time id ->
+                fired := (time, id) :: !fired;
+                List.iter (fun d -> push_next (time + d)) (children id)))
+          limits;
+        !fired
+      in
+      let l = Ladder_queue.create () and h = Event_heap.create () in
+      let rec heap_drain limit f =
+        let time = Event_heap.next_time h in
+        if time >= 0 && time <= limit then begin
+          f ~time (Event_heap.take h);
+          heap_drain limit f
+        end
+      in
+      let ladder = replay (Ladder_queue.push l) (fun limit f -> Ladder_queue.drain_upto l ~limit f) in
+      ladder = replay (Event_heap.push h) heap_drain
+      && Ladder_queue.length l = Event_heap.length h)
+
+(* The scheduler-level firing contract, checked against a model that
+   shares no code with the scheduler: a random program of schedule /
+   post / every / cancel is replayed on a scheduler and on a sorted
+   list of (time, order) firings, where [order] counts enqueues —
+   live events fire by (time, schedule order), and an [every] re-enqueues
+   after each firing, behind everything already queued. Both must fire
+   the same (time, id) sequence and agree on the pending/executed
+   counters and the final clock. *)
+let qcheck_scheduler_matches_model =
+  QCheck.Test.make ~name:"scheduler fires like a sorted-list model (schedule/post/every/cancel)"
     ~count:150
     QCheck.(pair small_int (int_bound 80))
     (fun (seed, n) ->
-      let replay backend =
+      let until = 60 in
+      let replay_scheduler () =
         let rng = Stats.Rng.create ~seed in
-        let sched = Scheduler.create ~backend () in
+        let sched = Scheduler.create () in
         let fired = ref [] in
         let handles = ref [] in
         for i = 0 to n - 1 do
@@ -429,12 +477,51 @@ let qcheck_backend_parity =
           ignore (Stats.Rng.int rng 2)
         done;
         let pending_before = Scheduler.pending sched in
-        Scheduler.run ~until:60 sched;
-        List.iter Scheduler.cancel !handles;
+        Scheduler.run ~until sched;
         (List.rev !fired, pending_before, Scheduler.executed sched, Scheduler.now sched)
       in
-      let heap = replay Sched_backend.Heap in
-      heap = replay Sched_backend.Wheel && heap = replay Sched_backend.Ladder)
+      let replay_model () =
+        let rng = Stats.Rng.create ~seed in
+        (* Queued entries (time, order, id, period); a handle's
+           cancellation is keyed by its id. *)
+        let queue = ref [] and order = ref 0 and cancelled = ref [] and handles = ref [] in
+        let enqueue ~time ~id ~period =
+          queue := (time, !order, id, period) :: !queue;
+          incr order
+        in
+        for i = 0 to n - 1 do
+          (match Stats.Rng.int rng 4 with
+          | 0 ->
+              enqueue ~time:(Stats.Rng.int rng 12) ~id:i ~period:0;
+              handles := i :: !handles
+          | 1 -> enqueue ~time:(Stats.Rng.int rng 12) ~id:i ~period:0
+          | 2 ->
+              let period = 1 + Stats.Rng.int rng 5 in
+              enqueue ~time:period ~id:i ~period;
+              handles := i :: !handles
+          | _ ->
+              if !handles <> [] then begin
+                let victim = List.nth !handles (Stats.Rng.int rng (List.length !handles)) in
+                cancelled := victim :: !cancelled
+              end);
+          ignore (Stats.Rng.int rng 2)
+        done;
+        let live (_, _, id, _) = not (List.mem id !cancelled) in
+        let pending_before = List.length (List.filter live !queue) in
+        let fired = ref [] in
+        let rec loop () =
+          match List.sort compare (List.filter live !queue) with
+          | (time, _, id, period) :: _ when time <= until ->
+              queue := List.filter (fun (_, _, i, _) -> i <> id) !queue;
+              fired := (time, id) :: !fired;
+              if period > 0 then enqueue ~time:(time + period) ~id ~period;
+              loop ()
+          | _ -> ()
+        in
+        loop ();
+        (List.rev !fired, pending_before, List.length !fired, until)
+      in
+      replay_scheduler () = replay_model ())
 
 let test_post_pool_reuse () =
   (* post/post_after recycle their cells; a post made from inside a
@@ -458,40 +545,46 @@ let test_post_pool_reuse () =
     (Invalid_argument "Scheduler.post: at=1 is before now=30") (fun () ->
       Scheduler.post sched ~at:1 (fun () -> ()))
 
-(* Satellite: the event hot path — post into a warm scheduler, step it —
-   must be allocation-free on every backend. Cells come from the
-   scheduler pool, wheel/ladder nodes from their free lists, the heap
-   stores events in its parallel SoA arrays, and step peeks/takes
-   without building options or tuples, so a steady-state cycle touches
-   the minor heap not at all. *)
-let test_scheduler_zero_alloc backend () =
-  let sched = Scheduler.create ~backend () in
+(* The event hot path — post into a warm scheduler, step it — must be
+   allocation-free. Cells come from the scheduler pool, ladder nodes
+   from its free list, and step peeks/takes without building options or
+   tuples, so a steady-state cycle touches the minor heap not at all.
+   With [queued] events standing (the hold model), steady state also
+   consumes buckets, spawns rungs and sorts them into bottom, all on
+   recycled rung frames and sort scratch. *)
+let test_scheduler_zero_alloc ~queued () =
+  let sched = Scheduler.create () in
   let cb () = () in
+  let rng = Stats.Rng.create ~seed:3 in
+  let gaps = Array.init 4096 (fun _ -> if queued = 0 then 1 else 1 + Stats.Rng.int rng 5_000) in
+  Array.iteri (fun i gap -> if i < queued then Scheduler.post sched ~at:gap cb) gaps;
+  let k = ref 0 in
   let cycle n =
     for _ = 1 to n do
-      Scheduler.post sched ~at:(Scheduler.now sched + 1) cb;
+      Scheduler.post sched ~at:(Scheduler.now sched + Array.unsafe_get gaps (!k land 4095)) cb;
+      incr k;
       ignore (Scheduler.step sched : bool)
     done
   in
-  (* Warm the cell pool and the backend's node free list. *)
-  cycle 256;
-  let iters = 10_000 in
+  (* Warm the cell pool, the ladder's node free list and rung frames. *)
+  cycle 20_000;
+  let iters = 20_000 in
   let w0 = Gc.minor_words () in
   cycle iters;
   let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "population steady" queued (Scheduler.pending sched);
   (* The [Gc.minor_words] floats themselves cost a few boxed words;
      anything beyond that means a per-event allocation crept in. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %d post/step cycles allocated %.0f minor words"
-       (Sched_backend.to_string backend) iters delta)
+    (Printf.sprintf "%d post/step cycles allocated %.0f minor words" iters delta)
     true (delta < 64.)
 
-let test_wheel_run_until_then_schedule () =
-  (* Regression for the base/clock invariant: [run ~until] moves the
-     clock past the last event without moving the wheel position, so a
-     later schedule at [now] must still be accepted and fire — including
-     across the 2^32 ps overflow boundary. *)
-  let sched = Scheduler.create ~backend:Sched_backend.Wheel () in
+let test_run_until_then_schedule () =
+  (* Regression for the queue-position/clock invariant: [run ~until]
+     moves the clock past the last event without moving the queue's
+     position, so a later schedule at [now] must still be accepted and
+     fire — including across the 2^32 ps boundary. *)
+  let sched = Scheduler.create () in
   let log = ref [] in
   Scheduler.post sched ~at:10 (fun () -> log := 10 :: !log);
   Scheduler.run ~until:(5 * (1 lsl 32)) sched;
@@ -504,6 +597,99 @@ let test_wheel_run_until_then_schedule () =
     "events across the gap fire"
     [ 10; 5 * (1 lsl 32); (5 * (1 lsl 32)) + 7 ]
     (List.rev !log)
+
+(* [step] runs exactly the earliest event and moves the clock to it; on
+   an empty queue it reports false and leaves the clock alone. *)
+let test_step_runs_one_event () =
+  let sched = Scheduler.create () in
+  let log = ref [] in
+  List.iter (fun t -> Scheduler.post sched ~at:t (fun () -> log := t :: !log)) [ 30; 10; 20 ];
+  Alcotest.(check bool) "ran one" true (Scheduler.step sched);
+  Alcotest.(check (pair (list int) int)) "earliest, clock at it" ([ 10 ], 10)
+    (!log, Scheduler.now sched);
+  while Scheduler.step sched do
+    ()
+  done;
+  Alcotest.(check (list int)) "the rest in order" [ 30; 20; 10 ] !log;
+  Alcotest.(check bool) "empty" false (Scheduler.step sched);
+  Alcotest.(check int) "clock kept" 30 (Scheduler.now sched)
+
+(* next_time feeds the adaptive horizon: the earliest queued timestamp,
+   a cancelled cell included (a conservative lower bound on the next
+   live event), and -1 when empty. *)
+let test_next_time_lower_bound () =
+  let sched = Scheduler.create () in
+  Alcotest.(check int) "empty" (-1) (Scheduler.next_time sched);
+  let h = Scheduler.schedule sched ~at:40 (fun () -> ()) in
+  Scheduler.post sched ~at:70 (fun () -> ());
+  Scheduler.cancel h;
+  Alcotest.(check int) "cancelled cell still bounds" 40 (Scheduler.next_time sched);
+  Scheduler.drain_until_horizon sched ~horizon:50;
+  Alcotest.(check int) "next live event" 70 (Scheduler.next_time sched);
+  Alcotest.(check int) "nothing ran" 0 (Scheduler.executed sched);
+  Scheduler.run sched;
+  Alcotest.(check int) "drained" (-1) (Scheduler.next_time sched)
+
+(* Property: cutting a run into [run ~until] slices changes nothing.
+   Each slice parks the clock at its [until] without moving the queue;
+   callbacks that queue follow-ups (at the same instant or later) fire
+   as in one uninterrupted run. *)
+let qcheck_sliced_run =
+  QCheck.Test.make ~name:"run ~until in slices fires like one run" ~count:150
+    QCheck.(triple small_int (int_range 1 60) (int_range 1 25))
+    (fun (seed, n, slice) ->
+      let horizon = 100 in
+      let replay cuts =
+        let rng = Stats.Rng.create ~seed in
+        let sched = Scheduler.create () in
+        let fired = ref [] in
+        let rec record id depth () =
+          fired := (Scheduler.now sched, id, depth) :: !fired;
+          if depth < 2 then
+            Scheduler.post_after sched ~delay:(((id * 13) + depth) mod 7) (record id (depth + 1))
+        in
+        for i = 0 to n - 1 do
+          match Stats.Rng.int rng 3 with
+          | 0 -> Scheduler.post sched ~at:(Stats.Rng.int rng horizon) (record i 0)
+          | 1 -> ignore (Scheduler.schedule sched ~at:(Stats.Rng.int rng horizon) (record i 0))
+          | _ -> ignore (Scheduler.every sched ~period:(1 + Stats.Rng.int rng 30) (record i 2))
+        done;
+        List.iter (fun until -> Scheduler.run ~until sched) cuts;
+        (!fired, Scheduler.executed sched, Scheduler.pending sched, Scheduler.now sched)
+      in
+      replay [ horizon ]
+      = replay (List.init ((horizon / slice) + 1) (fun k -> min horizon ((k + 1) * slice))))
+
+(* Profiling counts executed callbacks per class (cancelled ones never
+   count) and gauges the live queue depth; the gauge's max and the
+   lifetime high-water mark both see the peak, which firing and
+   cancelling never lower. *)
+let test_set_metrics_counts_classes () =
+  let module M = Obs.Metrics in
+  let sched = Scheduler.create () in
+  let reg = M.create () in
+  let labels = [ ("shard", "0") ] in
+  Scheduler.set_metrics ~wall:false ~labels sched reg;
+  for i = 1 to 3 do
+    Scheduler.post ~cls:"tm.tx" sched ~at:i (fun () -> ())
+  done;
+  let h = Scheduler.schedule ~cls:"timer" sched ~at:5 (fun () -> ()) in
+  ignore (Scheduler.schedule ~cls:"timer" sched ~at:6 (fun () -> ()));
+  Scheduler.cancel h;
+  let p = Scheduler.every sched ~period:4 (fun () -> ()) in
+  Scheduler.post sched ~at:10 (fun () -> Scheduler.cancel p);
+  Scheduler.run sched;
+  let count cls =
+    match M.find_value reg ~labels:(("class", cls) :: labels) "scheduler.callbacks" with
+    | Some (M.Counter_v n) -> n
+    | _ -> -1
+  in
+  Alcotest.(check (list int)) "tm.tx, timer, periodic (t=4, 8), default class" [ 3; 1; 2; 1 ]
+    (List.map count [ "tm.tx"; "timer"; "periodic"; "callback" ]);
+  Alcotest.(check int) "high-water mark" 6 (Scheduler.queue_depth_hwm sched);
+  match M.find_value reg ~labels "scheduler.queue_depth" with
+  | Some (M.Gauge_v { max; _ }) -> Alcotest.(check int) "gauge max" 6 max
+  | _ -> Alcotest.fail "queue depth gauge not registered"
 
 let test_zero_event_run_records_no_wall () =
   (* Satellite: a [run ~until] that dispatches nothing must not observe
@@ -744,33 +930,38 @@ let suite =
     Alcotest.test_case "heap FIFO ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap releases payloads" `Quick test_heap_releases_payloads;
     Alcotest.test_case "heap grow pins nothing" `Quick test_heap_grow_no_pin;
-    Alcotest.test_case "wheel ordering" `Quick test_wheel_ordering;
-    Alcotest.test_case "wheel FIFO ties" `Quick test_wheel_fifo_ties;
-    Alcotest.test_case "wheel spans levels and overflow" `Quick test_wheel_spans_levels;
-    Alcotest.test_case "wheel overflow FIFO" `Quick test_wheel_overflow_fifo;
-    Alcotest.test_case "wheel rejects past pushes" `Quick test_wheel_past_push_raises;
-    Alcotest.test_case "wheel releases payloads" `Quick test_wheel_releases_payloads;
-    Alcotest.test_case "wheel drain reentry" `Quick test_wheel_drain_reentry;
     Alcotest.test_case "ladder ordering" `Quick test_ladder_ordering;
     Alcotest.test_case "ladder FIFO ties" `Quick test_ladder_fifo_ties;
     Alcotest.test_case "ladder spans rungs" `Quick test_ladder_spans_rungs;
     Alcotest.test_case "ladder rejects past pushes" `Quick test_ladder_past_push_raises;
     Alcotest.test_case "ladder releases payloads" `Quick test_ladder_releases_payloads;
     Alcotest.test_case "ladder drain reentry" `Quick test_ladder_drain_reentry;
-    Alcotest.test_case "next_time/take agree across backends" `Quick
-      test_next_time_take_agree;
-    QCheck_alcotest.to_alcotest qcheck_wheel_matches_heap;
+    Alcotest.test_case "ladder far-future FIFO ties" `Quick test_ladder_far_future_fifo;
+    Alcotest.test_case "ladder same-instant burst beyond a bucket" `Quick
+      test_ladder_same_instant_burst;
+    Alcotest.test_case "ladder oversized bottom becomes a rung" `Quick test_ladder_bottom_spawn;
+    Alcotest.test_case "ladder full rung stack keeps order" `Quick test_ladder_rung_cap;
+    Alcotest.test_case "ladder nests rungs under a dense cluster" `Quick test_ladder_deep_rungs;
+    Alcotest.test_case "ladder restarts cleanly after emptying" `Quick
+      test_ladder_restart_after_empty;
+    Alcotest.test_case "ladder spawned rung covers the consumed edge" `Quick
+      test_ladder_spawned_rung_covers_gap;
+    Alcotest.test_case "ladder drain_upto stops at the limit" `Quick test_ladder_drain_upto_limit;
+    Alcotest.test_case "next_time/take agree with peek/pop" `Quick test_next_time_take_agree;
     QCheck_alcotest.to_alcotest qcheck_ladder_matches_heap;
-    QCheck_alcotest.to_alcotest qcheck_backend_parity;
+    QCheck_alcotest.to_alcotest qcheck_ladder_hold_model;
+    QCheck_alcotest.to_alcotest qcheck_ladder_drain_matches_heap;
+    QCheck_alcotest.to_alcotest qcheck_scheduler_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_sliced_run;
     Alcotest.test_case "post pool reuse" `Quick test_post_pool_reuse;
-    Alcotest.test_case "zero-alloc post/step (heap)" `Quick
-      (test_scheduler_zero_alloc Sched_backend.Heap);
-    Alcotest.test_case "zero-alloc post/step (wheel)" `Quick
-      (test_scheduler_zero_alloc Sched_backend.Wheel);
-    Alcotest.test_case "zero-alloc post/step (ladder)" `Quick
-      (test_scheduler_zero_alloc Sched_backend.Ladder);
-    Alcotest.test_case "wheel run-until then schedule" `Quick
-      test_wheel_run_until_then_schedule;
+    Alcotest.test_case "zero-alloc post/step" `Quick (test_scheduler_zero_alloc ~queued:0);
+    Alcotest.test_case "zero-alloc post/step (1000 queued)" `Quick
+      (test_scheduler_zero_alloc ~queued:1000);
+    Alcotest.test_case "step runs one event" `Quick test_step_runs_one_event;
+    Alcotest.test_case "next_time is a lower bound" `Quick test_next_time_lower_bound;
+    Alcotest.test_case "set_metrics counts callbacks per class" `Quick
+      test_set_metrics_counts_classes;
+    Alcotest.test_case "run-until then schedule at now" `Quick test_run_until_then_schedule;
     Alcotest.test_case "zero-event run records no wall sample" `Quick
       test_zero_event_run_records_no_wall;
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;

@@ -1,10 +1,9 @@
-(* Golden conformance: the canonical sequential/heap digests of the
-   golden scenarios (seeds 42 and 7, recorded in test/golden/ by
-   gen_golden.ml) must be reproduced byte-for-byte by every other
-   backend and shard count — the tentpole guarantee pinned to files
-   under review, so a silent behaviour change in any layer (scheduler
-   backends, switch pipeline, parsim barrier, adaptive horizon) fails
-   loudly.
+(* Golden conformance: the canonical sequential digests of the golden
+   scenarios (seeds 42 and 7, recorded in test/golden/ by
+   gen_golden.ml) must be reproduced byte-for-byte by every shard
+   count — the tentpole guarantee pinned to files under review, so a
+   silent behaviour change in any layer (scheduler, switch pipeline,
+   parsim barrier, adaptive horizon) fails loudly.
 
    Every golden file holds "label hex" digest lines: E23 pins its
    merged trace and merged metrics (MD5), E24-E26 pin their app legs,
@@ -12,8 +11,8 @@
    fat-tree streaming run whose full trace would be unreasonable to
    commit. *)
 
+module Conformance = Experiments.Conformance
 module E23 = Experiments.E23_scale
-module Sched_backend = Eventsim.Sched_backend
 
 let read_digest_golden file =
   let path = Filename.concat "golden" file in
@@ -33,8 +32,8 @@ let read_digest_golden file =
   in
   go []
 
-let check_digests ~name ~seed ~count golden got =
-  Alcotest.(check int) "golden digest count" count (List.length golden);
+let check_digests ~name ~seed golden got =
+  Alcotest.(check int) "golden digest count" (List.length got) (List.length golden);
   List.iter
     (fun (label, want) ->
       match List.assoc_opt label got with
@@ -43,157 +42,65 @@ let check_digests ~name ~seed ~count golden got =
       | None -> Alcotest.failf "%s seed %d: digest %s missing" name seed label)
     golden
 
-let variants =
-  [
-    ("sequential-heap", Sched_backend.Heap, 1);
-    ("sequential-wheel", Sched_backend.Wheel, 1);
-    ("sequential-ladder", Sched_backend.Ladder, 1);
-    ("2-shard-heap", Sched_backend.Heap, 2);
-    ("2-shard-wheel", Sched_backend.Wheel, 2);
-    ("2-shard-ladder", Sched_backend.Ladder, 2);
-    ("4-shard-heap", Sched_backend.Heap, 4);
-    ("4-shard-wheel", Sched_backend.Wheel, 4);
-    ("4-shard-ladder", Sched_backend.Ladder, 4);
-  ]
+let variant_name shards = if shards = 1 then "sequential" else Printf.sprintf "%d-shard" shards
 
-let test_variant ~seed (name, backend, shards) () =
-  let golden = read_digest_golden (E23.golden_file seed) in
-  let got = E23.golden_digests ~backend ~shards ~seed () in
-  check_digests ~name ~seed ~count:2 golden got
+let test_variant (g : Conformance.golden) ~seed ~shards () =
+  let golden = read_digest_golden (Conformance.golden_file g seed) in
+  check_digests ~name:(g.name ^ " " ^ variant_name shards) ~seed golden
+    (Conformance.golden_digests g ~shards ~seed)
 
 (* The sharded runs must also agree on the merged metrics snapshot —
    the trace digest pins arrivals, this pins the counters. *)
 let test_metrics_conformance ~seed () =
-  let run ~backend ~shards = Parsim.run (E23.golden_scenario ~shards ~backend ~seed ()) (E23.topo ()) in
-  let seq = run ~backend:Sched_backend.Heap ~shards:1 in
+  let run ~shards = Parsim.run (E23.golden_scenario ~shards ~seed ()) (E23.topo ()) in
+  let seq = run ~shards:1 in
   List.iter
     (fun shards ->
-      let r = run ~backend:Sched_backend.Wheel ~shards in
+      let r = run ~shards in
       Alcotest.(check bool) "cross-shard messages flowed" true (r.Parsim.cross_sent > 0);
       Alcotest.(check string)
         (Printf.sprintf "metrics json, %d shards, seed %d" shards seed)
         seq.Parsim.metrics_json r.Parsim.metrics_json)
     [ 2; 4 ]
 
-(* E24: the stateful (EFSM) apps — one trace digest and one metrics
-   digest per app, the latter embedding each switch's
-   pisa.efsm.state_hash, so every variant must reproduce the
-   sequential/heap run's entire flow-state evolution. *)
-
-module E24 = Experiments.E24_efsm
-
-let test_e24_variant ~seed (name, backend, shards) () =
-  let golden = read_digest_golden (E24.golden_file seed) in
-  let got = E24.golden_digests ~backend ~shards ~seed () in
-  check_digests ~name ~seed ~count:4 golden got
-
-(* E25: the CEP detector apps — three legs per seed (syn flood, burst
-   forensics, chaos), so the compiled pattern automata, their window
-   ticks and their recovery path are all pinned. *)
-
-module E25 = Experiments.E25_cep
-
-let test_e25_variant ~seed (name, backend, shards) () =
-  let golden = read_digest_golden (E25.golden_file seed) in
-  let got = E25.golden_digests ~backend ~shards ~seed () in
-  check_digests ~name ~seed ~count:6 golden got
-
-(* E26: the consistent-update protocol — clean storm + chaos legs; the
-   metrics digest embeds the mixed-version counters (must stay zero)
-   and the control-op conservation books. *)
-
-module E26 = Experiments.E26_netupd
-
-let test_e26_variant ~seed (name, backend, shards) () =
-  let golden = read_digest_golden (E26.golden_file seed) in
-  let got = E26.golden_digests ~backend ~shards ~seed () in
-  check_digests ~name ~seed ~count:4 golden got
-
-(* E27: datacenter scale. The golden files pin the ORDER-INDEPENDENT
-   arrival digest (plus merged metrics) of a k=16 fat tree under a
-   ~15k-flow streaming Zipf mix — a population whose raw trace is too
-   large to commit. A reduced variant matrix (one backend per shard
-   count) keeps the suite's wall time in check; the cross-product of
-   backends is already covered by E23-E26 on the same engine. *)
-
-module E27 = Experiments.E27_dcscale
-
-let e27_variants =
-  [
-    ("sequential-heap", Sched_backend.Heap, 1);
-    ("2-shard-heap", Sched_backend.Heap, 2);
-    ("4-shard-wheel", Sched_backend.Wheel, 4);
-    ("8-shard-ladder", Sched_backend.Ladder, 8);
-  ]
-
-let test_e27_variant ~seed (name, backend, shards) () =
-  let golden = read_digest_golden (E27.golden_file seed) in
-  let got = E27.golden_digests ~backend ~shards ~seed () in
-  check_digests ~name ~seed ~count:2 golden got
-
-(* The digest guarantee rests on no entity seeing two arrivals on one
-   picosecond; assert the pinned scenarios actually run tie-free. *)
-let test_e27_tie_free ~seed () =
-  let r =
-    Parsim.run (E27.scenario ~shards:1 ~seed ~knobs:E27.golden_knobs ()) (E27.topo ())
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "same-instant arrivals, seed %d" seed)
-    0 r.Parsim.tie_arrivals
+(* The guarantee the goldens pin rests on no entity seeing two arrivals
+   on one picosecond; assert every leg of every pinned scenario actually
+   runs tie-free. *)
+let test_tie_free (g : Conformance.golden) ~seed () =
+  List.iter
+    (fun (leg, cfg) ->
+      let r = Parsim.run cfg (g.topo ()) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s same-instant arrivals, seed %d" (Option.value leg ~default:g.name) seed)
+        0 r.Parsim.tie_arrivals)
+    (g.legs ~shards:1 ~seed)
 
 let suite =
   List.concat_map
-    (fun seed ->
-      List.map
-        (fun ((name, _, _) as v) ->
-          Alcotest.test_case
-            (Printf.sprintf "%s reproduces golden (seed %d)" name seed)
-            `Quick (test_variant ~seed v))
-        variants
-      @ [
-          Alcotest.test_case
-            (Printf.sprintf "merged metrics conform (seed %d)" seed)
-            `Quick (test_metrics_conformance ~seed);
-        ])
-    E23.golden_seeds
-  @ List.concat_map
+    (fun (g : Conformance.golden) ->
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun shards ->
+              Alcotest.test_case
+                (Printf.sprintf "%s: %s reproduces golden (seed %d)" g.name
+                   (variant_name shards) seed)
+                `Quick (test_variant g ~seed ~shards))
+            g.shards)
+        g.seeds)
+    Experiments.Registry.goldens
+  @ List.map
       (fun seed ->
-        List.map
-          (fun ((name, _, _) as v) ->
-            Alcotest.test_case
-              (Printf.sprintf "efsm apps: %s reproduces golden (seed %d)" name seed)
-              `Quick (test_e24_variant ~seed v))
-          variants)
-      E24.golden_seeds
+        Alcotest.test_case
+          (Printf.sprintf "e23: merged metrics conform (seed %d)" seed)
+          `Quick (test_metrics_conformance ~seed))
+      E23.golden.seeds
   @ List.concat_map
-      (fun seed ->
+      (fun (g : Conformance.golden) ->
         List.map
-          (fun ((name, _, _) as v) ->
+          (fun seed ->
             Alcotest.test_case
-              (Printf.sprintf "cep apps: %s reproduces golden (seed %d)" name seed)
-              `Quick (test_e25_variant ~seed v))
-          variants)
-      E25.golden_seeds
-  @ List.concat_map
-      (fun seed ->
-        List.map
-          (fun ((name, _, _) as v) ->
-            Alcotest.test_case
-              (Printf.sprintf "netupd: %s reproduces golden (seed %d)" name seed)
-              `Quick (test_e26_variant ~seed v))
-          variants)
-      E26.golden_seeds
-  @ List.concat_map
-      (fun seed ->
-        List.map
-          (fun ((name, _, _) as v) ->
-            Alcotest.test_case
-              (Printf.sprintf "dcscale: %s reproduces golden (seed %d)" name seed)
-              `Quick (test_e27_variant ~seed v))
-          e27_variants
-        @ [
-            Alcotest.test_case
-              (Printf.sprintf "dcscale: golden scenario tie-free (seed %d)" seed)
-              `Quick (test_e27_tie_free ~seed);
-          ])
-      E27.golden_seeds
+              (Printf.sprintf "%s: golden scenario tie-free (seed %d)" g.name seed)
+              `Quick (test_tie_free g ~seed))
+          g.seeds)
+      Experiments.Registry.goldens

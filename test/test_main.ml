@@ -1,15 +1,3 @@
-(* CI runs the whole suite once per queue backend: EVPP_SCHED_BACKEND
-   steers the process-wide default, which every scheduler created
-   without an explicit [~backend] (experiments, chaos, parsim shards)
-   picks up. Tests that pin a backend explicitly are unaffected. *)
-let () =
-  match Sys.getenv_opt "EVPP_SCHED_BACKEND" with
-  | None -> ()
-  | Some s -> (
-      match Eventsim.Sched_backend.of_string s with
-      | Some b -> Eventsim.Sched_backend.default := b
-      | None -> invalid_arg ("unknown EVPP_SCHED_BACKEND: " ^ s))
-
 let () =
   Alcotest.run "evpp"
     [

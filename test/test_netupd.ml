@@ -3,13 +3,11 @@
    abort / rollback paths, and the controller on top. The QCheck
    property at the end is the E26 determinism claim in miniature: the
    same seed must yield byte-identical retry schedules and the same
-   final committed version across scheduler backends and shard
-   counts. *)
+   final committed version at every shard count. *)
 
 open Alcotest
 module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
-module Sched_backend = Eventsim.Sched_backend
 module Packet = Netcore.Packet
 module Ipv4_addr = Netcore.Ipv4_addr
 module Policy = Netupd.Policy
@@ -201,7 +199,7 @@ type harness = {
 }
 
 let mk_harness ?(lose = fun ~switch:_ ~action:_ ~attempt:_ -> false) () =
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let applies = ref [] in
   let log = Buffer.create 256 in
   let stats = Commit.fresh_stats () in
@@ -382,7 +380,7 @@ let mk_controller ?lost ~sched () =
   (ctrl, Array.map Option.get agents)
 
 let test_controller_commit () =
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let ctrl, agents = mk_controller ~sched () in
   check int "bootstrap version" 1 (Controller.version ctrl);
   Array.iter
@@ -407,7 +405,7 @@ let test_controller_supersede () =
   (* Three proposals in the same instant: the first starts, the second
      parks, the third replaces the parked one. Two updates commit, one
      is superseded, and the final policy is the last proposal's. *)
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let ctrl, _ = mk_controller ~sched () in
   Scheduler.post sched ~at:(Sim_time.us 10) (fun () ->
       Controller.propose ctrl (Policy.ring_threshold ~switches:n ~ccw_at:5 ~name:"a" ());
@@ -425,7 +423,7 @@ let test_controller_rollback_restores_old_policy () =
   (* Every op to switch 5 is lost: the install phase aborts and the
      network must end exactly where it started — v1 resident
      everywhere, ingresses at v1, v2's rules gone. *)
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let lost ~switch ~now:_ = switch = 5 in
   let ctrl, agents = mk_controller ~lost ~sched () in
   Scheduler.post sched ~at:(Sim_time.us 10) (fun () ->
@@ -444,7 +442,7 @@ let test_controller_rollback_restores_old_policy () =
 (* --- Control-plane metrics (satellites 1 and 2) ---------------------- *)
 
 let test_cp_metrics () =
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let cp =
     Evcore.Control_plane.create ~sched ~latency:(Sim_time.us 4) ~jitter:0
       ~op_rate_per_sec:1e6 ~rng:(Stats.Rng.create ~seed:1) ()
@@ -477,7 +475,7 @@ let test_cp_dropped_ops () =
   (* A quarantined control channel refuses ops: they are submitted,
      reach their execution time, and are counted dropped — never
      executed, never silently lost. *)
-  let sched = Scheduler.create ~backend:Sched_backend.Heap () in
+  let sched = Scheduler.create () in
   let sup =
     Resil.Supervisor.create ~sched
       ~config:
@@ -512,43 +510,35 @@ module E26 = Experiments.E26_netupd
 (* One chaos run of the E26 scenario, truncated to keep the property
    cheap: return every controller replica's schedule digest plus the
    final committed version. *)
-let run_digests ~backend ~shards ~seed =
+let run_digests ~shards ~seed =
   let until = Sim_time.us 300 in
-  let cfg, h = E26.scenario ~leg:E26.Chaos ~shards ~backend ~record_trace:false ~seed ~until () in
+  let cfg, h = E26.scenario ~leg:E26.Chaos ~shards ~record_trace:false ~seed ~until () in
   ignore (Parsim.run cfg (E26.topo ()) : Parsim.result);
   let ctrls = List.sort compare h.E26.controllers in
   ( List.map (fun (_, c) -> Controller.schedule_digest c) ctrls,
     List.map (fun (_, c) -> Controller.version c) ctrls )
 
 let qcheck_determinism =
-  QCheck.Test.make ~count:4 ~name:"retry schedules identical across backends and shards"
+  QCheck.Test.make ~count:4 ~name:"retry schedules identical across shard counts"
     QCheck.(int_range 0 9999)
     (fun seed ->
-      let canon_digests, canon_versions =
-        run_digests ~backend:Sched_backend.Heap ~shards:1 ~seed
-      in
+      let canon_digests, canon_versions = run_digests ~shards:1 ~seed in
       let canon = List.hd canon_digests and canon_v = List.hd canon_versions in
       List.iter
-        (fun (backend, shards) ->
-          let digests, versions = run_digests ~backend ~shards ~seed in
+        (fun shards ->
+          let digests, versions = run_digests ~shards ~seed in
           List.iteri
             (fun i d ->
               if d <> canon then
-                QCheck.Test.fail_reportf
-                  "seed %d: %s/%d-shard replica %d retry schedule diverges" seed
-                  (Sched_backend.to_string backend) shards i)
+                QCheck.Test.fail_reportf "seed %d: %d-shard replica %d retry schedule diverges"
+                  seed shards i)
             digests;
           List.iter
             (fun v ->
               if v <> canon_v then
                 QCheck.Test.fail_reportf "seed %d: final version %d <> %d" seed v canon_v)
             versions)
-        [
-          (Sched_backend.Wheel, 1);
-          (Sched_backend.Ladder, 1);
-          (Sched_backend.Heap, 2);
-          (Sched_backend.Wheel, 2);
-        ];
+        [ 2; 4 ];
       true)
 
 let suite =

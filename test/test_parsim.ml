@@ -1,11 +1,10 @@
-(* Sharded parallel backend: partitioning, horizon algebra, SPSC
+(* Sharded parallel simulation: partitioning, horizon algebra, SPSC
    channels, windowed draining, and sequential-vs-sharded conformance
    on a small ring. The full-size fat-tree conformance lives in the
    golden suite and E23. *)
 
 module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
-module Sched_backend = Eventsim.Sched_backend
 module Topology = Evcore.Topology
 module Event_switch = Evcore.Event_switch
 module Program = Evcore.Program
@@ -111,13 +110,14 @@ let test_plan_link_coverage () =
   Alcotest.(check int) "channels distinct"
     (List.length pl.Parsim.channels)
     (List.length (List.sort_uniq compare pl.Parsim.channels));
-  (* Lookahead is the minimum cross-link delay, and the safety bound:
-     no cross link is faster. *)
+  (* The horizon's per-pair delays bottom out at the minimum cross-link
+     delay — the safety bound: no cross link is faster. *)
   let min_cross =
     List.fold_left (fun acc (c : Parsim.cross_link) -> min acc c.link.delay) max_int
       pl.Parsim.cross
   in
-  Alcotest.(check int) "lookahead = min cross delay" min_cross pl.Parsim.lookahead
+  Alcotest.(check int) "min pair delay = min cross delay" min_cross
+    (List.fold_left (fun acc (_, _, d) -> min acc d) max_int pl.Parsim.pair_delays)
 
 let test_plan_single_shard () =
   let topo = Topology.ring ~switches:4 () in
@@ -126,69 +126,18 @@ let test_plan_single_shard () =
   Alcotest.(check (list (pair int int))) "no channels" [] pl.Parsim.channels;
   Alcotest.(check int) "all links local" (List.length topo.Topology.links)
     (List.length pl.Parsim.local_links);
-  (* With nothing crossing, one window must cover any realistic run. *)
-  Alcotest.(check bool) "lookahead effectively infinite" true
-    (pl.Parsim.lookahead > Sim_time.ms 1_000_000)
+  (* With nothing crossing, no shard pair constrains the horizon. *)
+  Alcotest.(check int) "no pair delays" 0 (List.length pl.Parsim.pair_delays)
 
 (* ------------------------------------------------------------------ *)
 (* Horizon algebra                                                     *)
-
-let test_horizon_safe () =
-  Alcotest.(check int) "no neighbours = unbounded" max_int
-    (Horizon.safe ~neighbor_horizons:[] ~lookahead:5);
-  Alcotest.(check int) "min over neighbours" 15
-    (Horizon.safe ~neighbor_horizons:[ 10; 40; 25 ] ~lookahead:5);
-  Alcotest.(check int) "laggard dominates" 7
-    (Horizon.safe ~neighbor_horizons:[ 0; 1000 ] ~lookahead:7);
-  List.iter
-    (fun lookahead ->
-      match Horizon.safe ~neighbor_horizons:[ 10 ] ~lookahead with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "lookahead %d accepted" lookahead)
-    [ 0; -3 ]
-
-let check_tiling ~until ~lookahead =
-  let rounds = Horizon.rounds ~until ~lookahead in
-  if rounds * lookahead <= until then
-    Alcotest.failf "rounds=%d too few for until=%d L=%d" rounds until lookahead;
-  if (rounds - 1) * lookahead > until then
-    Alcotest.failf "rounds=%d too many for until=%d L=%d" rounds until lookahead;
-  let start0, _ = Horizon.window ~round:0 ~lookahead ~until in
-  Alcotest.(check int) "first window starts at 0" 0 start0;
-  for r = 0 to rounds - 1 do
-    let start, horizon = Horizon.window ~round:r ~lookahead ~until in
-    Alcotest.(check bool) "window non-degenerate" true (start < horizon);
-    Alcotest.(check bool) "horizon clamped" true (horizon <= until + 1);
-    if r < rounds - 1 then
-      let start', _ = Horizon.window ~round:(r + 1) ~lookahead ~until in
-      Alcotest.(check int) "windows tile" horizon start'
-  done;
-  let _, last = Horizon.window ~round:(rounds - 1) ~lookahead ~until in
-  Alcotest.(check int) "last horizon covers until" (until + 1) last
-
-let test_horizon_tiling () =
-  List.iter
-    (fun (until, lookahead) -> check_tiling ~until ~lookahead)
-    [ (100, 7); (100, 100); (100, 1000); (0, 1); (0, 50); (99, 33); (1_000_000, 1_100_000) ]
-
-let qcheck_horizon_tiling =
-  QCheck.Test.make ~count:200 ~name:"horizon windows tile [0, until+1) exactly"
-    QCheck.(pair (int_range 0 100_000) (int_range 1 10_000))
-    (fun (until, lookahead) ->
-      check_tiling ~until ~lookahead;
-      (* The conservative rule itself: once every neighbour has
-         published round r's start, the safe bound reaches round r's
-         horizon. *)
-      let r = Horizon.rounds ~until ~lookahead - 1 in
-      let start, horizon = Horizon.window ~round:r ~lookahead ~until in
-      Horizon.safe ~neighbor_horizons:[ start; start ] ~lookahead >= horizon)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive horizon                                                    *)
 
 let test_adaptive_bound () =
   (* Two shards 5 apart: the bound tracks the earliest next event plus
-     the cheapest outgoing edge, never the static tiling. *)
+     the cheapest outgoing edge, not a fixed-width window. *)
   Alcotest.(check int) "bound follows earliest + delay" 105
     (Horizon.adaptive_bound ~min_out_delays:[| 5; 5 |] ~next_events:[| 100; 250 |]
        ~until:10_000);
@@ -213,11 +162,11 @@ let test_adaptive_bound () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted"
 
-(* The adaptive bound never exceeds the static bound's safety envelope:
-   with every next event at or after the fleet clock [cur], the bound
-   still satisfies the conservative contract — nothing any shard can
-   send lands before it — and it never falls at or below [cur] (every
-   round progresses). *)
+(* The adaptive bound stays inside the safety envelope: with every next
+   event at or after the fleet clock [cur], the bound still satisfies
+   the conservative contract — nothing any shard can send lands before
+   it — and it advances at least one fixed window of the minimum delay
+   past [cur] (every round progresses). *)
 let qcheck_adaptive_safety =
   QCheck.Test.make ~count:300 ~name:"adaptive bound stays in the safety envelope"
     QCheck.(
@@ -238,12 +187,13 @@ let qcheck_adaptive_safety =
         (fun j d -> safe_envelope := min !safe_envelope (next_events.(j) + d))
         min_out;
       bound <= !safe_envelope
-      (* Progress: static would give cur + min delay; adaptive gives at
-         least that (next events are at or after cur). *)
+      (* Progress: a fixed window would end at cur + min delay; the
+         adaptive bound reaches at least that (next events are at or
+         after cur). *)
       && bound > cur
       &&
-      let static = min (cur + Array.fold_left min max_int min_out) (until + 1) in
-      bound >= static)
+      let window_end = min (cur + Array.fold_left min max_int min_out) (until + 1) in
+      bound >= window_end)
 
 (* ------------------------------------------------------------------ *)
 (* Weighted partitioning                                               *)
@@ -349,8 +299,8 @@ let test_spsc_cross_domain () =
 (* ------------------------------------------------------------------ *)
 (* Windowed draining (the scheduler hook the engine relies on)         *)
 
-let test_drain_until_horizon backend () =
-  let sched = Scheduler.create ~backend () in
+let test_drain_until_horizon () =
+  let sched = Scheduler.create () in
   let fired = ref [] in
   List.iter
     (fun t -> Scheduler.post sched ~at:t (fun () -> fired := t :: !fired))
@@ -478,7 +428,7 @@ let test_ring_route_reaches () =
 let addr_of_host h = Ipv4_addr.of_octets 10 0 0 h
 let host_of_addr a = Ipv4_addr.to_int a land 0xff
 
-let ring_config ?backend ?(channel_capacity = 1024) ~shards ~switches ~until () =
+let ring_config ?(channel_capacity = 1024) ~shards ~switches ~until () =
   let program : Program.spec =
    fun _ ->
     Program.make ~name:"ring-route"
@@ -491,7 +441,7 @@ let ring_config ?backend ?(channel_capacity = 1024) ~shards ~switches ~until () 
         | None -> Program.Drop)
       ()
   in
-  Parsim.config ~shards ~channel_capacity ?backend ~record_trace:true ~until
+  Parsim.config ~shards ~channel_capacity ~record_trace:true ~until
     ~switch_config:(fun sw ->
       let cfg = Event_switch.default_config Arch.sume_event_switch in
       { cfg with Event_switch.seed = 42 + (31 * sw) })
@@ -512,10 +462,10 @@ let ring_config ?backend ?(channel_capacity = 1024) ~shards ~switches ~until () 
         ctx.Parsim.hosts)
     ()
 
-let run_ring ?backend ?channel_capacity ~shards () =
+let run_ring ?channel_capacity ~shards () =
   let switches = 4 and until = Sim_time.us 250 in
   let topo = Topology.ring ~switches () in
-  Parsim.run (ring_config ?backend ?channel_capacity ~shards ~switches ~until ()) topo
+  Parsim.run (ring_config ?channel_capacity ~shards ~switches ~until ()) topo
 
 let check_same_run (seq : Parsim.result) (par : Parsim.result) =
   Alcotest.(check (list string)) "merged traces identical" seq.Parsim.trace par.Parsim.trace;
@@ -546,11 +496,16 @@ let test_ring_backpressure_conformance () =
   Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
   check_same_run seq par
 
-let test_ring_backend_agnostic () =
-  (* Same sharded run under both queue backends: byte-identical. *)
-  let wheel = run_ring ~backend:Sched_backend.Wheel ~shards:2 () in
-  let heap = run_ring ~backend:Sched_backend.Heap ~shards:2 () in
-  check_same_run wheel heap
+let test_ring_auto_shards () =
+  (* shards = 0 lets the engine pick: the machine's recommended domain
+     count, capped by the switch count — and the pick conforms like any
+     explicit count. *)
+  let seq = run_ring ~shards:1 () in
+  let auto = run_ring ~shards:0 () in
+  Alcotest.(check int) "resolved shard count"
+    (min (Parsim.recommended_domains ()) 4)
+    auto.Parsim.plan.part.shards;
+  check_same_run seq auto
 
 let suite =
   [
@@ -561,18 +516,12 @@ let suite =
     Alcotest.test_case "partition: skewed weights never empty" `Quick
       test_partition_skewed_weights;
     QCheck_alcotest.to_alcotest qcheck_partition_never_empty;
-    Alcotest.test_case "horizon: safe bound" `Quick test_horizon_safe;
-    Alcotest.test_case "horizon: window tiling" `Quick test_horizon_tiling;
     Alcotest.test_case "horizon: adaptive bound" `Quick test_adaptive_bound;
-    QCheck_alcotest.to_alcotest qcheck_horizon_tiling;
     QCheck_alcotest.to_alcotest qcheck_adaptive_safety;
     Alcotest.test_case "spsc: fifo + backpressure" `Quick test_spsc_fifo_and_backpressure;
     Alcotest.test_case "spsc: capacity rounding" `Quick test_spsc_capacity_rounding;
     Alcotest.test_case "spsc: cross-domain stress" `Quick test_spsc_cross_domain;
-    Alcotest.test_case "drain_until_horizon (heap)" `Quick
-      (test_drain_until_horizon Sched_backend.Heap);
-    Alcotest.test_case "drain_until_horizon (wheel)" `Quick
-      (test_drain_until_horizon Sched_backend.Wheel);
+    Alcotest.test_case "drain_until_horizon" `Quick test_drain_until_horizon;
     Alcotest.test_case "topology: validate" `Quick test_topology_validate;
     Alcotest.test_case "topology: validate at scale (k=16/k=32/ring-1024)" `Quick
       test_topology_validate_at_scale;
@@ -580,5 +529,5 @@ let suite =
     Alcotest.test_case "ring routing reaches destination" `Quick test_ring_route_reaches;
     Alcotest.test_case "ring: sharded = sequential" `Quick test_ring_conformance;
     Alcotest.test_case "ring: backpressure conformance" `Quick test_ring_backpressure_conformance;
-    Alcotest.test_case "ring: backend agnostic" `Quick test_ring_backend_agnostic;
+    Alcotest.test_case "ring: auto shard count = sequential" `Quick test_ring_auto_shards;
   ]
