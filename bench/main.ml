@@ -367,7 +367,14 @@ let make_link_send ~name ~perturb () =
    with and without a disabled metrics registry attached, checks the
    disabled path really records nothing, and trips only on a gross
    overhead regression (the headline <5% number comes from the full
-   harness; short quotas are too noisy for a tight assert). *)
+   harness; short quotas are too noisy for a tight assert).
+
+   Each pair is timed interleaved — A, B, A, B, ... over [quick_rounds]
+   short runs — and compared best to best. A host slowdown lasting a
+   fraction of a second then costs both kernels a round each, instead
+   of inflating whichever kernel happened to be timed during it. *)
+let quick_rounds = 10
+
 let run_quick () =
   let reg = Obs.Metrics.create ~enabled:false () in
   let c = Obs.Metrics.counter reg "smoke.count" in
@@ -376,7 +383,7 @@ let run_quick () =
   let estimate test =
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
     let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
+    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.1) () in
     let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"quick" [ test ]) in
     let results = Analyze.all ols instance raw in
     let est = ref nan in
@@ -386,9 +393,17 @@ let run_quick () =
       results;
     !est
   in
-  let base = estimate (make_event_dispatch ~name:"event-dispatch" ()) in
-  let off =
-    estimate
+  let best_of_pair a b =
+    let best_a = ref infinity and best_b = ref infinity in
+    for _ = 1 to quick_rounds do
+      best_a := Float.min !best_a (estimate a);
+      best_b := Float.min !best_b (estimate b)
+    done;
+    (!best_a, !best_b)
+  in
+  let base, off =
+    best_of_pair
+      (make_event_dispatch ~name:"event-dispatch" ())
       (make_event_dispatch ~name:"event-dispatch-metrics-off"
          ~metrics:(Obs.Metrics.create ~enabled:false ()) ())
   in
@@ -406,8 +421,7 @@ let run_quick () =
   let off_test, off_link, off_delivered =
     make_link_send ~name:"link-send-faults-off" ~perturb:true ()
   in
-  let bare = estimate bare_test in
-  let faults_off = estimate off_test in
+  let bare, faults_off = best_of_pair bare_test off_test in
   assert (!off_delivered > 0);
   assert (!off_delivered = Tmgr.Link.delivered off_link);
   assert (Tmgr.Link.perturb_drops off_link = 0);

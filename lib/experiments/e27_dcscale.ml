@@ -397,6 +397,9 @@ let run ?metrics ?(seed = 42) ?shard_counts ?(knobs = full_knobs) () =
     ring = run_ring ~seed;
   }
 
+(* One cell for a per-shard ledger column: values joined by "/". *)
+let per_shard f a = String.concat "/" (Array.to_list (Array.map f a))
+
 let print r =
   Report.section
     (Printf.sprintf "E27 / Sec 4 — datacenter scale: k=%d fat tree (%d switches, %d hosts)"
@@ -407,7 +410,10 @@ let print r =
   Report.blank ();
   Report.table
     ~headers:
-      [ "shards"; "rounds"; "events"; "cross msgs"; "flows"; "pkts"; "rx"; "ties"; "wall s"; "Mev/s"; "digest"; "conform" ]
+      [
+        "shards"; "rounds"; "events"; "cross msgs"; "flows"; "pkts"; "rx"; "ties"; "wall s";
+        "busy s"; "wait s"; "release s"; "parks"; "Mev/s"; "digest"; "conform";
+      ]
     ~rows:
       (List.map
          (fun (v : probes Conformance.run) ->
@@ -422,6 +428,10 @@ let print r =
              string_of_int (Array.fold_left ( + ) 0 p.host_received);
              string_of_int p.tie_arrivals;
              Printf.sprintf "%.2f" p.wall_s;
+             per_shard (Printf.sprintf "%.2f") p.shard_busy_s;
+             per_shard (Printf.sprintf "%.2f") p.shard_wait_s;
+             per_shard (Printf.sprintf "%.3f") p.shard_release_s;
+             per_shard string_of_int p.shard_parks;
              Printf.sprintf "%.2f" (float_of_int p.events /. p.wall_s /. 1e6);
              Conformance.short "arrivals" v;
              (if v.conformant then "ok" else "DIVERGED");

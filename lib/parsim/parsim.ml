@@ -172,8 +172,9 @@ let config ?(shards = 1) ?(channel_capacity = 1024) ?(record_trace = false)
 
 (* A packet in flight between shards. [mkey] identifies the directed
    cross-link ([link_id * 2 + direction]); (mtime, mkey, mseq) is the
-   deterministic release order at the barrier. *)
-type message = { mtime : int; mkey : int; mseq : int; mpkt : Netcore.Packet.t }
+   deterministic release order at the barrier. [mgen] is the window
+   that sent it: a barrier releases only earlier windows' messages. *)
+type message = { mtime : int; mkey : int; mseq : int; mgen : int; mpkt : Netcore.Packet.t }
 
 (* One packet arrival, for the conformance trace. Entities live on one
    shard each, so per-entity streams are recorded in execution order;
@@ -192,6 +193,20 @@ type shard_state = {
   mutable ties : int;  (* same-instant arrivals at one entity observed *)
   mutable cross_sent : int;
   mutable cross_delivered : int;
+  mutable window : int;  (* index of the window being executed *)
+  sent_min : int array;  (* per dst shard, earliest arrival sent this window *)
+}
+
+type parked = Awake | At_barrier | On_push
+
+(* A shard's doorbell. [parked] says why its owner sleeps on [cond];
+   [rings] changes on every ring, so a ring that lands between the
+   owner's last check and its wait is not lost. *)
+type bell = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  parked : parked Atomic.t;
+  rings : int Atomic.t;
 }
 
 type engine = {
@@ -200,119 +215,192 @@ type engine = {
   min_out : int array;  (* per shard, min delay of outgoing cross links *)
   states : shard_state array;
   chans : message Spsc.t option array array;
-  progress : int Atomic.t array;  (* published horizon (null message), ps *)
-  next_ev : int Atomic.t array;  (* published next-event time, per round *)
-  next_tag : int Atomic.t array;  (* round number stamping [next_ev] *)
+  bells : bell array;
+  arrived : int Atomic.t;  (* barrier arrivals so far, all rounds *)
+  pub_next : int array array;  (* [parity].(shard): post-window next event *)
+  pub_sent : int array array;  (* [parity].(src * n + dst): earliest arrival sent *)
   xdeliver : (Netcore.Packet.t -> unit) array;  (* by mkey; receiver-owned *)
+  (* Per-shard round ledger, each slot written by its own shard. *)
+  busy_s : float array;
+  wait_s : float array;
+  release_s : float array;
+  parks : int array;
 }
 
-(* Spin briefly, then sleep. On a machine with a core per shard the
-   barrier resolves during the relax phase; with fewer cores than
-   shards (or one), spinning would burn the whole OS quantum while the
-   peer waits to run, so yield the processor instead. *)
-let backoff spins =
-  if spins < 200 then Domain.cpu_relax () else Unix.sleepf 0.0001
+let wake b =
+  Atomic.incr b.rings;
+  Mutex.lock b.lock;
+  Condition.signal b.cond;
+  Mutex.unlock b.lock
 
+let ring eng j =
+  let b = eng.bells.(j) in
+  if Atomic.get b.parked <> Awake then wake b
+
+let ring_for_room eng j =
+  let b = eng.bells.(j) in
+  if Atomic.get b.parked = On_push then wake b
+
+let rec pop_all st c popped =
+  match Spsc.try_pop c with
+  | None -> popped
+  | Some m ->
+      st.staging <- m :: st.staging;
+      pop_all st c true
+
+(* Popping frees room, so it rings a producer parked on a full push. *)
 let drain_inbound eng shard =
   let st = eng.states.(shard) in
   for j = 0 to eng.n - 1 do
     match eng.chans.(j).(shard) with
     | None -> ()
-    | Some c ->
-        let rec pop () =
-          match Spsc.try_pop c with
-          | None -> ()
-          | Some m ->
-              st.staging <- m :: st.staging;
-              pop ()
-        in
-        pop ()
+    | Some c -> if pop_all st c false then ring_for_room eng j
   done
 
-(* Producer-side send. On a full channel, drain our own inbound (the
-   peer may be blocked pushing to us) and retry — the barrier cannot
-   deadlock on mutual backpressure. *)
+(* One park attempt: announce [why], then check [ready] once more
+   before sleeping — a publisher that missed the announcement happened
+   before that check, one that saw it rings. Returns [ready]'s verdict;
+   [false] after a wake, so the caller re-checks under a fresh
+   announcement. *)
+let park eng shard ~why ready a b =
+  let bell = eng.bells.(shard) in
+  let ticket = Atomic.get bell.rings in
+  Atomic.set bell.parked why;
+  let ok = ready eng shard a b in
+  if not ok then begin
+    eng.parks.(shard) <- eng.parks.(shard) + 1;
+    Mutex.lock bell.lock;
+    while Atomic.get bell.rings = ticket do
+      Condition.wait bell.cond bell.lock
+    done;
+    Mutex.unlock bell.lock
+  end;
+  Atomic.set bell.parked Awake;
+  ok
+
+(* The one wait of the engine: spin 200 relaxes (a few microseconds),
+   then park on the shard's own doorbell until whoever publishes what
+   [ready] needs rings it. [ready] is a closed function and [a], [b]
+   its arguments, so waiting allocates nothing; it is called until it
+   returns [true], and never again after that. *)
+let await eng shard ~why ready a b =
+  let spins = ref 0 and ok = ref (ready eng shard a b) in
+  while not !ok do
+    if !spins < 200 then begin
+      incr spins;
+      Domain.cpu_relax ();
+      ok := ready eng shard a b
+    end
+    else ok := park eng shard ~why ready a b
+  done
+
+(* Drain while waiting: a peer may be blocked pushing to us. *)
+let push_ready eng src c m =
+  drain_inbound eng src;
+  Spsc.try_push c m
+
+(* Producer-side send. A full channel rings its consumer (which may be
+   parked at the barrier, not draining), then waits for room while
+   draining its own inbound — mutual backpressure cannot deadlock. *)
 let xsend eng ~src ~dst m =
   match eng.chans.(src).(dst) with
   | None -> assert false
   | Some c ->
-      let spins = ref 0 in
-      while not (Spsc.try_push c m) do
-        drain_inbound eng src;
-        backoff !spins;
-        incr spins
-      done
+      if not (Spsc.try_push c m) then begin
+        ring eng dst;
+        await eng src ~why:On_push push_ready c m
+      end
+
+let barrier_ready eng shard arrived target =
+  drain_inbound eng shard;
+  Atomic.get arrived >= target
+
+(* Publish this shard's half of round [k]'s data, then wait for every
+   shard's. The last arrival rings the parked. *)
+let arrive eng shard k =
+  let st = eng.states.(shard) and n = eng.n in
+  let p = k land 1 in
+  let mine = Scheduler.next_time st.ctx.sched in
+  eng.pub_next.(p).(shard) <- (if mine < 0 then Horizon.no_event else mine);
+  let sent = eng.pub_sent.(p) in
+  for d = 0 to n - 1 do
+    sent.((shard * n) + d) <- st.sent_min.(d);
+    st.sent_min.(d) <- Horizon.no_event
+  done;
+  let target = n * (k + 1) in
+  if Atomic.fetch_and_add eng.arrived 1 = target - 1 then
+    for j = 0 to n - 1 do
+      if j <> shard then ring eng j
+    done
+  else await eng shard ~why:At_barrier barrier_ready eng.arrived target
 
 let compare_message a b =
   match compare a.mtime b.mtime with
   | 0 -> ( match compare a.mkey b.mkey with 0 -> compare a.mseq b.mseq | c -> c)
   | c -> c
 
-let release_staged eng shard =
+(* Post every staged message sent before window [k]; a fast peer's
+   window-[k] sends stay staged for the next barrier, so the posted set
+   (hence same-picosecond order and queue depth) never depends on how
+   the shards interleave. *)
+let release_staged eng shard k =
   let st = eng.states.(shard) in
-  let msgs = List.sort compare_message st.staging in
-  st.staging <- [];
+  drain_inbound eng shard;
+  let due, later = List.partition (fun m -> m.mgen < k) st.staging in
+  st.staging <- later;
   List.iter
     (fun m ->
       if m.mtime <= eng.until then
         Scheduler.post ~cls:"xlink" st.ctx.sched ~at:m.mtime (fun () ->
             st.cross_delivered <- st.cross_delivered + 1;
             eng.xdeliver.(m.mkey) m.mpkt))
-    msgs
-
-let wait_progress eng shard ~horizon =
-  let again = ref true and spins = ref 0 in
-  while !again do
-    again := false;
-    for j = 0 to eng.n - 1 do
-      if Atomic.get eng.progress.(j) < horizon then again := true
-    done;
-    if !again then begin
-      drain_inbound eng shard;
-      backoff !spins;
-      incr spins
-    end
-  done
+    (List.sort compare_message due)
 
 (* The lockstep round loop of one shard. Returns the number of rounds
    (windows) it executed — identical on every shard, since every horizon
    and the stop verdict are computed from identically published data.
 
-   Round structure:
+   Round [k] has one barrier:
    {ol
-   {- Publish our earliest queued event time, then stamp it with the
-      round number. Value-before-tag ordering plus the progress barrier
-      below make torn reads impossible: a peer cannot publish round
-      [r+1] before it saw our round-[r] progress store, which happens
-      after we read its round-[r] publication.}
-   {- Rendezvous on the tags and read every peer's next-event time. No
-      peer can be blocked mid-send here — sends only happen inside a
-      window, after that shard already published its tag.}
-   {- If even the earliest published event is past [until], every shard
-      sees it and stops — this subsumes the old quiescence vote
-      (a quiescent fleet publishes only [Horizon.no_event]s).}
-   {- Otherwise execute one window up to the shared horizon
-      ([Horizon.adaptive_bound] — safe because staged release means a
-      shard sends nothing before its published next event).}
-   {- Progress barrier, then pop and release staged messages exactly as
-      before.}} *)
+   {- Arrive: publish the earliest event left in our queue after window
+      [k - 1] and, per destination shard, the earliest arrival time we
+      sent it during that window (both into plain arrays of parity
+      [k land 1], published by the arrival counter's increment), then
+      await every shard's arrival. Double buffering is enough: nobody
+      can publish round [k + 2] before everyone has arrived at round
+      [k + 1], i.e. finished reading round [k].}
+   {- Release the staged messages of windows before [k] in
+      (time, link, seq) order.}
+   {- Shard [j]'s next event is now [min (next_j, min_i sent_i->j)] —
+      exactly what its queue holds after its own release — so every
+      shard computes the same {!Horizon.adaptive_bound}, and the same
+      stop verdict when even the earliest is past [until].}
+   {- Execute window [k] up to the horizon, stamping outgoing messages
+      with [k].}}
+   The clock reads between these steps feed the shard's ledger: wait
+   (arrive), release, busy (horizon arithmetic and the window). *)
 let run_shard eng shard =
   let st = eng.states.(shard) in
   let sched = st.ctx.sched in
-  let nexts = Array.make eng.n 0 in
-  let r = ref 0 and cur = ref 0 and stop = ref false in
+  let n = eng.n in
+  let nexts = Array.make n 0 in
+  let k = ref 0 and cur = ref 0 and stop = ref false in
+  let t = ref (Unix.gettimeofday ()) in
   while not !stop do
-    let mine = Scheduler.next_time sched in
-    let mine = if mine < 0 then Horizon.no_event else mine in
-    Atomic.set eng.next_ev.(shard) mine;
-    Atomic.set eng.next_tag.(shard) (!r + 1);
-    for j = 0 to eng.n - 1 do
-      let spins = ref 0 in
-      while Atomic.get eng.next_tag.(j) < !r + 1 do
-        backoff !spins;
-        incr spins
+    arrive eng shard !k;
+    let t_wait = Unix.gettimeofday () in
+    eng.wait_s.(shard) <- eng.wait_s.(shard) +. (t_wait -. !t);
+    release_staged eng shard !k;
+    let t_release = Unix.gettimeofday () in
+    eng.release_s.(shard) <- eng.release_s.(shard) +. (t_release -. t_wait);
+    let p = !k land 1 in
+    let sent = eng.pub_sent.(p) in
+    for j = 0 to n - 1 do
+      let m = ref eng.pub_next.(p).(j) in
+      for i = 0 to n - 1 do
+        m := min !m sent.((i * n) + j)
       done;
-      nexts.(j) <- Atomic.get eng.next_ev.(j)
+      nexts.(j) <- !m
     done;
     let earliest = Array.fold_left min Horizon.no_event nexts in
     if earliest > eng.until then stop := true
@@ -325,19 +413,16 @@ let run_shard eng shard =
          published event, so every round retires at least one event
          fleet-wide (or closes the run). *)
       assert (horizon > !cur);
+      st.window <- !k;
       Scheduler.drain_until_horizon sched ~horizon;
-      Atomic.set eng.progress.(shard) horizon;
-      (* Barrier: everyone reaches [horizon]; all messages sent in this
-         round are then poppable (pushes happen-before the horizon
-         store). Drain while waiting to relieve backpressure. *)
-      wait_progress eng shard ~horizon;
-      drain_inbound eng shard;
-      release_staged eng shard;
       cur := horizon;
-      incr r
-    end
+      incr k
+    end;
+    let t_busy = Unix.gettimeofday () in
+    eng.busy_s.(shard) <- eng.busy_s.(shard) +. (t_busy -. t_release);
+    t := t_busy
   done;
-  !r
+  !k
 
 (* ------------------------------------------------------------------ *)
 (* Build + run                                                         *)
@@ -357,6 +442,10 @@ type result = {
   host_received : int array;
   host_received_bytes : int array;
   wall_s : float;
+  shard_busy_s : float array;
+  shard_wait_s : float array;
+  shard_release_s : float array;
+  shard_parks : int array;
   ctxs : shard_ctx array;
 }
 
@@ -448,6 +537,8 @@ let run cfg (topo : Topology.t) =
           ties = 0;
           cross_sent = 0;
           cross_delivered = 0;
+          window = 0;
+          sent_min = Array.make n Horizon.no_event;
         })
   in
   let chans = Array.make_matrix n n None in
@@ -466,11 +557,23 @@ let run cfg (topo : Topology.t) =
       min_out;
       states;
       chans;
-      progress = Array.init n (fun _ -> Atomic.make 0);
-      next_ev = Array.init n (fun _ -> Atomic.make 0);
-      next_tag = Array.init n (fun _ -> Atomic.make 0);
+      bells =
+        Array.init n (fun _ ->
+            {
+              lock = Mutex.create ();
+              cond = Condition.create ();
+              parked = Atomic.make Awake;
+              rings = Atomic.make 0;
+            });
+      arrived = Atomic.make 0;
+      pub_next = Array.init 2 (fun _ -> Array.make n Horizon.no_event);
+      pub_sent = Array.init 2 (fun _ -> Array.make (n * n) Horizon.no_event);
       xdeliver = Array.make (2 * n_links) (fun _ -> assert false);
-      }
+      busy_s = Array.make n 0.;
+      wait_s = Array.make n 0.;
+      release_s = Array.make n 0.;
+      parks = Array.make n 0;
+    }
   in
   (* Trace hooks: per-entity sequence numbers are global arrays, but
      each entity is touched by exactly one shard's domain. *)
@@ -579,8 +682,9 @@ let run cfg (topo : Topology.t) =
             st.cross_sent <- st.cross_sent + 1;
             let seq = xseq.(mkey) in
             xseq.(mkey) <- seq + 1;
-            xsend eng ~src ~dst
-              { mtime = Scheduler.now st.ctx.sched + l.delay; mkey; mseq = seq; mpkt = pkt })
+            let mtime = Scheduler.now st.ctx.sched + l.delay in
+            if mtime < st.sent_min.(dst) then st.sent_min.(dst) <- mtime;
+            xsend eng ~src ~dst { mtime; mkey; mseq = seq; mgen = st.window; mpkt = pkt })
       in
       wire ~src:c.shard_a ~dst:c.shard_b ~mkey:(2 * l.link_id) l.a l.b;
       wire ~src:c.shard_b ~dst:c.shard_a ~mkey:((2 * l.link_id) + 1) l.b l.a)
@@ -607,6 +711,7 @@ let run cfg (topo : Topology.t) =
     end
   in
   let wall_s = Unix.gettimeofday () -. t0 in
+  if n = 1 then eng.busy_s.(0) <- wall_s;
   Array.iter
     (fun st ->
       List.iter (fun (_, sw) -> Event_switch.export_metrics sw st.ctx.metrics) st.ctx.switches)
@@ -641,5 +746,9 @@ let run cfg (topo : Topology.t) =
     host_received = Array.map Host.received hosts;
     host_received_bytes = Array.map Host.received_bytes hosts;
     wall_s;
+    shard_busy_s = eng.busy_s;
+    shard_wait_s = eng.wait_s;
+    shard_release_s = eng.release_s;
+    shard_parks = eng.parks;
     ctxs = Array.map (fun st -> st.ctx) states;
   }

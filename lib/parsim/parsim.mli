@@ -4,9 +4,16 @@
     Partitions a declarative {!Evcore.Topology} into per-domain shards
     — one {!Eventsim.Scheduler} plus its switches, hosts and
     intra-shard links per OCaml domain — synchronized conservatively in
-    lockstep windows. Each round every shard publishes the timestamp of
-    its earliest queued event (or {!Horizon.no_event}); the fleet-wide
-    window horizon is then computed identically everywhere as
+    lockstep windows, with one barrier per round. Arriving at the
+    barrier after a window, a shard publishes the timestamp of the
+    earliest event left in its queue (or {!Horizon.no_event}) and, per
+    destination shard, the earliest arrival time it sent there during
+    the window. Both are plain arrays, double-buffered by round parity
+    and published by the increment of one shared arrival counter.
+    After the barrier every shard releases its inbound messages and
+    reads shard [j]'s next event as [min (next_j, min_i sent_i->j)] —
+    what [j]'s queue holds once released — so the fleet-wide window
+    horizon is computed identically everywhere as
     [min_j (next_event_j + min cross-link delay out of j)], clamped to
     [until + 1] ({!Horizon.adaptive_bound}). Safe because cross-shard
     sends are staged until the barrier: shard [j] sends nothing
@@ -23,13 +30,24 @@
     later, i.e. at or after the shared horizon — no shard ever receives
     an event in its past.
 
-    Cross-shard deliveries travel through bounded {!Spsc} channels, are
-    staged at the round barrier, sorted by (arrival time, link,
-    sequence) and released into the receiving scheduler. A shard that
-    finds an outbound channel full drains its own inbound channels
-    while retrying, so backpressure cannot deadlock the barrier. When
-    every published next event is past [until] the fleet stops — the
+    Cross-shard deliveries travel through bounded {!Spsc} channels,
+    stamped with the window that sent them, are staged at the round
+    barrier, sorted by (arrival time, link, sequence) and released into
+    the receiving scheduler. A barrier releases only messages from
+    earlier windows: a fast shard may already be sending from the next
+    window, and releasing those a round early would change
+    same-picosecond order and queue depth. A shard that finds an
+    outbound channel full drains its own inbound channels while
+    retrying, so backpressure cannot deadlock the barrier. When every
+    published next event is past [until] the fleet stops — the
     quiescence vote falls out of the same published data.
+
+    Every wait — the barrier and a full-channel send — spins 200
+    [Domain.cpu_relax] (a few microseconds), then parks on the waiting
+    shard's own mutex/condition doorbell. Whoever publishes what it
+    waits for rings it: the last barrier arrival, a send that finds the
+    channel full, a pop that frees room. A parked shard costs no CPU,
+    so more shards than cores stay cheap.
 
     [shards = 1] takes the true sequential path — one scheduler, plain
     {!Eventsim.Scheduler.run}, no channels — so a sharded run can be
@@ -177,6 +195,19 @@ type result = {
   host_received : int array;
   host_received_bytes : int array;
   wall_s : float;  (** wall-clock of the run phase only *)
+  shard_busy_s : float array;
+      (** per shard, seconds executing windows (full-channel sends and
+          horizon arithmetic included); [[| wall_s |]] on the
+          sequential path *)
+  shard_wait_s : float array;  (** per shard, seconds waiting at the barrier *)
+  shard_release_s : float array;
+      (** per shard, seconds draining, sorting and posting inbound
+          messages. Busy + wait + release of a shard never exceed
+          [wall_s]; the remainder is domain spawn and join. Zeros on
+          the sequential path. *)
+  shard_parks : int array;
+      (** per shard, times it slept on its doorbell (barrier or full
+          channel) after spinning in vain; zeros on the sequential path *)
   ctxs : shard_ctx array;
 }
 

@@ -462,9 +462,9 @@ let ring_config ?(channel_capacity = 1024) ~shards ~switches ~until () =
         ctx.Parsim.hosts)
     ()
 
-let run_ring ?channel_capacity ~shards () =
+let run_ring ?channel_capacity ?skew ?delay ~shards () =
   let switches = 4 and until = Sim_time.us 250 in
-  let topo = Topology.ring ~switches () in
+  let topo = Topology.ring ?skew ?delay ~switches () in
   Parsim.run (ring_config ?channel_capacity ~shards ~switches ~until ()) topo
 
 let check_same_run (seq : Parsim.result) (par : Parsim.result) =
@@ -490,11 +490,61 @@ let test_ring_conformance () =
 
 let test_ring_backpressure_conformance () =
   (* capacity 1 forces the full-channel retry + self-drain path on
-     essentially every cross-shard send; the result must not change. *)
+     essentially every cross-shard send; the result must not change.
+     4 shards on fewer cores park constantly, so sends also ring
+     consumers asleep at the barrier. *)
   let seq = run_ring ~shards:1 () in
-  let par = run_ring ~shards:2 ~channel_capacity:1 () in
-  Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
-  check_same_run seq par
+  List.iter
+    (fun shards ->
+      let par = run_ring ~shards ~channel_capacity:1 () in
+      Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
+      check_same_run seq par)
+    [ 2; 4 ]
+
+let test_ring_repeats_under_ties () =
+  (* With no link skew and a link delay that makes a forwarded packet
+     land on the picosecond of the next one from the local host, the
+     scheduler's tie order decides the trace. That order is each
+     shard's post order, which stays fixed only if every barrier
+     releases exactly the previous windows' messages — however the
+     shards happen to interleave. *)
+  let delay = Sim_time.ps 1_763_200 (* 2.048 us CBR gap - 284.8 ns switch transit *) in
+  let hwms (r : Parsim.result) =
+    Array.map (fun (c : Parsim.shard_ctx) -> Scheduler.queue_depth_hwm c.Parsim.sched) r.ctxs
+  in
+  List.iter
+    (fun shards ->
+      let first = run_ring ~skew:0 ~delay ~shards () in
+      Alcotest.(check bool) "ties are real" true (first.Parsim.tie_arrivals > 0);
+      for _ = 2 to 10 do
+        let again = run_ring ~skew:0 ~delay ~shards () in
+        Alcotest.(check (list string)) "trace repeats" first.Parsim.trace again.Parsim.trace;
+        Alcotest.(check string) "metrics repeat" first.Parsim.metrics_json
+          again.Parsim.metrics_json;
+        Alcotest.(check (array int)) "per-shard queue hwm repeats" (hwms first) (hwms again)
+      done)
+    [ 2; 4 ]
+
+let test_round_ledger () =
+  (* One slot per shard, and a shard's busy + wait + release time is a
+     disjoint part of the run's wall clock (rounding slack only). *)
+  List.iter
+    (fun shards ->
+      let r = run_ring ~shards () in
+      let len a = Array.length a in
+      Alcotest.(check (list int)) "ledger lengths" [ shards; shards; shards; shards ]
+        [ len r.Parsim.shard_busy_s; len r.shard_wait_s; len r.shard_release_s; len r.shard_parks ];
+      for s = 0 to shards - 1 do
+        let spent = r.shard_busy_s.(s) +. r.shard_wait_s.(s) +. r.shard_release_s.(s) in
+        if not (spent <= r.wall_s +. 1e-9) then
+          Alcotest.failf "shard %d: busy + wait + release %.6f s > wall %.6f s" s spent r.wall_s
+      done;
+      if shards = 1 then begin
+        Alcotest.(check (float 0.)) "sequential: busy = wall" r.wall_s r.shard_busy_s.(0);
+        Alcotest.(check (float 0.)) "sequential: no wait" 0. r.shard_wait_s.(0);
+        Alcotest.(check int) "sequential: no parks" 0 r.shard_parks.(0)
+      end)
+    [ 1; 2; 4 ]
 
 let test_ring_auto_shards () =
   (* shards = 0 lets the engine pick: the machine's recommended domain
@@ -529,5 +579,7 @@ let suite =
     Alcotest.test_case "ring routing reaches destination" `Quick test_ring_route_reaches;
     Alcotest.test_case "ring: sharded = sequential" `Quick test_ring_conformance;
     Alcotest.test_case "ring: backpressure conformance" `Quick test_ring_backpressure_conformance;
+    Alcotest.test_case "sharded run repeats itself under ties" `Quick test_ring_repeats_under_ties;
+    Alcotest.test_case "round ledger: one slot per shard, within wall" `Quick test_round_ledger;
     Alcotest.test_case "ring: auto shard count = sequential" `Quick test_ring_auto_shards;
   ]
