@@ -4,7 +4,6 @@ module Ethernet = Netcore.Ethernet
 module Mac_addr = Netcore.Mac_addr
 module Program = Evcore.Program
 module Event = Devents.Event
-module Topology = Workloads.Topology
 
 type Packet.payload += Hula_probe of { origin_leaf : int; mutable max_util : int }
 
@@ -284,11 +283,8 @@ let spine_program t spine_id : Program.spec =
   let transmitted _ctx ev = on_transmit ev in
   Program.make ~name:(Printf.sprintf "hula-spine%d" spine_id) ~ingress ~timer ~transmitted ()
 
-let program t role : Program.spec =
-  match role with
-  | Topology.Leaf l -> leaf_program t l
-  | Topology.Spine s -> spine_program t s
-  | Topology.Standalone i -> leaf_program t i
+let program t sw : Program.spec =
+  if sw < t.params.num_leaves then leaf_program t sw else spine_program t (sw - t.params.num_leaves)
 
 let probe_arrivals t ~at_leaf ~from_leaf =
   match Hashtbl.find_opt t.probe_arrivals (at_leaf, from_leaf) with

@@ -8,7 +8,7 @@ val create : sched:Eventsim.Scheduler.t -> id:int -> unit -> t
 val id : t -> int
 val set_receiver : t -> (t -> Netcore.Packet.t -> unit) -> unit
 val set_tx : t -> (Netcore.Packet.t -> unit) -> unit
-(** Wired by {!Network.connect_host}. *)
+(** Wired by [Parsim.run] to the host's {!Topology} link. *)
 
 val send : t -> Netcore.Packet.t -> unit
 val deliver : t -> Netcore.Packet.t -> unit

@@ -78,10 +78,38 @@ let ports t =
   List.iter (fun at -> claim (at.switch, at.port)) t.attachments;
   n
 
-(* Builders. Link [i] gets delay [base + i * skew] so no two links share
-   a propagation delay: packets arriving at one switch over different
-   paths then land on distinct timestamps, which pins the event order
-   regardless of how a partitioned run interleaves shards. *)
+(* One-off networks: every link 1 us with the link layer's default
+   failure detection, like an unparameterised link. *)
+
+let make ~switches ~links ~hosts =
+  {
+    switches;
+    hosts = List.length hosts;
+    links =
+      List.mapi
+        (fun link_id (a, b) -> { link_id; a; b; delay = Sim_time.us 1; detection_delay = None })
+        links;
+    attachments =
+      List.mapi
+        (fun host (switch, port) -> { host; switch; port; host_delay = Sim_time.us 1 })
+        hosts;
+  }
+
+let leaf_spine ~leaves ~spines ~hosts_per_leaf =
+  if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
+    invalid_arg "Topology.leaf_spine: sizes must be positive";
+  make ~switches:(leaves + spines)
+    ~links:
+      (List.concat_map
+         (fun l -> List.init spines (fun s -> ((l, hosts_per_leaf + s), (leaves + s, l))))
+         (List.init leaves Fun.id))
+    ~hosts:
+      (List.init (leaves * hosts_per_leaf) (fun h -> (h / hosts_per_leaf, h mod hosts_per_leaf)))
+
+(* Skewed builders. Link [i] gets delay [base + i * skew] so no two
+   links share a propagation delay: packets arriving at one switch over
+   different paths then land on distinct timestamps, which pins the
+   event order regardless of how a partitioned run interleaves shards. *)
 
 let ring ?(delay = Sim_time.us 1) ?(host_delay = Sim_time.us 1)
     ?(skew = Sim_time.ps 1) ~switches () =
@@ -182,43 +210,3 @@ let fat_tree_route ~k ~sw ~dst_host =
       if pod = dpod && e = de then dm else half + dm
     end
   end
-
-type built = {
-  network : Network.t;
-  switches : Event_switch.t array;
-  hosts : Host.t array;
-  switch_links : Tmgr.Link.t array;
-  host_links : Tmgr.Link.t array;
-}
-
-let build ~sched ~config ~program t =
-  validate t;
-  let nports = ports t in
-  let switches =
-    Array.init t.switches (fun sw ->
-        let cfg = config sw in
-        let cfg = { cfg with Event_switch.num_ports = max cfg.Event_switch.num_ports nports.(sw) } in
-        Event_switch.create ~sched ~id:sw ~config:cfg ~program:(program sw) ())
-  in
-  let hosts = Array.init t.hosts (fun h -> Host.create ~sched ~id:h ()) in
-  let network = Network.create ~sched in
-  let switch_links =
-    Array.of_list
-      (List.map
-         (fun l ->
-           Network.connect_switches network
-             ~a:(switches.(fst l.a), snd l.a)
-             ~b:(switches.(fst l.b), snd l.b)
-             ~delay:l.delay ?detection_delay:l.detection_delay ())
-         t.links)
-  in
-  let host_links =
-    Array.of_list
-      (List.map
-         (fun at ->
-           Network.connect_host network ~host:hosts.(at.host)
-             ~switch:(switches.(at.switch), at.port)
-             ~delay:at.host_delay ())
-         t.attachments)
-  in
-  { network; switches; hosts; switch_links; host_links }

@@ -1,19 +1,20 @@
-(** Declarative multi-switch topologies.
+(** Declarative multi-switch topologies: the one way to wire switches
+    to each other and to hosts.
 
     A {!t} is pure data — switch count, switch-to-switch links, host
-    attachments — that can be instantiated either sequentially
-    ({!build}, on one scheduler via {!Network}) or partitioned across
-    parallel shards (the [parsim] library). Builders exist for the
-    common experiment shapes so multi-switch experiments stop
-    hand-wiring ports.
+    attachments — that [Parsim.run] instantiates, on one scheduler or
+    partitioned across parallel shards. {!make} turns endpoint lists
+    into a one-off network; {!leaf_spine}, {!ring} and {!fat_tree}
+    build the common shapes.
 
-    Every link carries its own propagation delay. The builders give
-    link [i] a delay of [base + i * skew] (default skew 1 ps): distinct
-    per-link delays keep independently-routed packets from colliding on
-    the same picosecond at a switch, which makes event timestamps — and
-    therefore merged traces — insensitive to how a partitioned run
-    interleaves shards. The minimum link delay is also the conservative
-    lookahead a partitioned execution may run ahead by. *)
+    Every link carries its own propagation delay. {!ring} and
+    {!fat_tree} give link [i] a delay of [base + i * skew] (default
+    skew 1 ps): distinct per-link delays keep independently-routed
+    packets from colliding on the same picosecond at a switch, which
+    makes event timestamps — and therefore merged traces — insensitive
+    to how a partitioned run interleaves shards. The minimum link delay
+    is also the conservative lookahead a partitioned execution may run
+    ahead by. *)
 
 type link = {
   link_id : int;
@@ -52,6 +53,18 @@ val ports : t -> int array
 
 (** {1 Builders} *)
 
+val make : switches:int -> links:((int * int) * (int * int)) list -> hosts:(int * int) list -> t
+(** Switches [0 .. switches-1]; link [i] joins the [i]th pair of
+    (switch, port) endpoints and host [h] sits on the [h]th
+    (switch, port). Every link, host links included, has 1 us of delay
+    and the link layer's default 10 us failure detection. *)
+
+val leaf_spine : leaves:int -> spines:int -> hosts_per_leaf:int -> t
+(** Leaves [0 .. leaves-1], spines [leaves .. leaves+spines-1], every
+    link 1 us. On leaf [l], port [i < hosts_per_leaf] faces host
+    [l * hosts_per_leaf + i] and port [hosts_per_leaf + s] is the
+    uplink to spine [s]; a spine's port [l] faces leaf [l]. *)
+
 val ring :
   ?delay:Eventsim.Sim_time.t ->
   ?host_delay:Eventsim.Sim_time.t ->
@@ -88,23 +101,3 @@ val fat_tree_route : k:int -> sw:int -> dst_host:int -> int
     routing with the deterministic ECMP choice fixed by the
     destination's member index, so every (sw, dst) pair always takes
     the same path. *)
-
-(** {1 Sequential instantiation} *)
-
-type built = {
-  network : Network.t;
-  switches : Event_switch.t array;
-  hosts : Host.t array;
-  switch_links : Tmgr.Link.t array;  (** by [link_id] *)
-  host_links : Tmgr.Link.t array;  (** by host id *)
-}
-
-val build :
-  sched:Eventsim.Scheduler.t ->
-  config:(int -> Event_switch.config) ->
-  program:(int -> Program.spec) ->
-  t ->
-  built
-(** Instantiate on one scheduler: create every switch (its config's
-    [num_ports] is raised to cover the ports the topology uses) and
-    host, and wire every link through {!Network}. Validates first. *)

@@ -12,8 +12,6 @@ module Packet = Netcore.Packet
 module Event = Devents.Event
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
-module Topology = Workloads.Topology
 module Traffic = Workloads.Traffic
 
 type class_row = {
@@ -72,9 +70,20 @@ let drive_cbr ?(flows = 3) ?(rate_gbps = 2.) sched sw =
          ())
   done
 
+(* Runs [topo] sequentially on default event switches and returns
+   them in id order. *)
+let fabric_run ~until ~program ~on_shard topo =
+  let r =
+    Parsim.run
+      (Parsim.config ~until
+         ~switch_config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
+         ~program ~on_shard ())
+      topo
+  in
+  List.map snd r.ctxs.(0).switches
+
 (* Congestion-aware forwarding: HULA on a small fabric. *)
 let congestion_aware () =
-  let sched = Scheduler.create () in
   let hula =
     Apps.Hula.create
       {
@@ -87,30 +96,24 @@ let congestion_aware () =
       }
       Apps.Hula.Event_driven
   in
-  let topo =
-    Topology.leaf_spine ~sched ~num_leaves:2 ~num_spines:2 ~hosts_per_leaf:1
-      ~config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
-      ~program:(Apps.Hula.program hula) ()
-  in
-  ignore
-    (Traffic.cbr ~sched
-       ~flow:
-         (Netcore.Flow.make
-            ~src:(Netcore.Ipv4_addr.host ~subnet:0 0)
-            ~dst:(Netcore.Ipv4_addr.host ~subnet:1 0)
-            ~src_port:5000 ~dst_port:6000 ())
-       ~pkt_bytes:1000 ~rate_gbps:2. ~stop:(Sim_time.us 800)
-       ~send:(fun pkt -> Evcore.Host.send topo.Topology.hosts.(0).(0) pkt)
-       ());
-  Scheduler.run ~until:(Sim_time.ms 1) sched;
-  Array.to_list topo.Topology.leaves @ Array.to_list topo.Topology.spines
+  fabric_run ~until:(Sim_time.ms 1) ~program:(Apps.Hula.program hula)
+    ~on_shard:(fun ctx ->
+      ignore
+        (Traffic.cbr ~sched:ctx.sched
+           ~flow:
+             (Netcore.Flow.make
+                ~src:(Netcore.Ipv4_addr.host ~subnet:0 0)
+                ~dst:(Netcore.Ipv4_addr.host ~subnet:1 0)
+                ~src_port:5000 ~dst_port:6000 ())
+           ~pkt_bytes:1000 ~rate_gbps:2. ~stop:(Sim_time.us 800)
+           ~send:(fun pkt -> Evcore.Host.send (List.assoc 0 ctx.hosts) pkt)
+           ()
+          : Traffic.t))
+    (Evcore.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:1)
 
 (* Network management: fast re-route across a link failure plus
    liveness monitoring. *)
 let network_management () =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
-  let config = Event_switch.default_config Arch.event_pisa_full in
   let spec_frr, _ = Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 () in
   let spec_live, _ =
     Apps.Liveness.program
@@ -119,21 +122,25 @@ let network_management () =
            { probe_period = Sim_time.us 50; check_period = Sim_time.us 50 })
       ~timeout:(Sim_time.us 150) ~neighbor_port:3 ~out_port:(fun _ -> 0) ()
   in
-  let sw_a = Event_switch.create ~sched ~id:0 ~config ~program:spec_frr () in
-  let sw_b = Event_switch.create ~sched ~id:1 ~config ~program:spec_live () in
-  let link = Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  for p = 0 to 3 do
-    Event_switch.set_port_tx sw_b ~port:p (fun _ -> ())
-  done;
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_a ~port:2 (fun _ -> ());
-  ignore
-    (Traffic.cbr ~sched ~flow:(mk_flow 0) ~pkt_bytes:500 ~rate_gbps:1. ~stop:(Sim_time.us 800)
-       ~send:(fun pkt -> Event_switch.inject sw_a ~port:0 pkt)
-       ());
-  ignore (Scheduler.schedule sched ~at:(Sim_time.us 400) (fun () -> Tmgr.Link.fail link));
-  Scheduler.run ~until:(Sim_time.ms 1) sched;
-  [ sw_a; sw_b ]
+  fabric_run ~until:(Sim_time.ms 1)
+    ~program:(fun sw -> if sw = 0 then spec_frr else spec_live)
+    ~on_shard:(fun ctx ->
+      let sw_a = List.assoc 0 ctx.switches and sw_b = List.assoc 1 ctx.switches in
+      (* B swallows everything, its link port included. *)
+      for p = 0 to 3 do
+        Event_switch.set_port_tx sw_b ~port:p (fun _ -> ())
+      done;
+      Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
+      Event_switch.set_port_tx sw_a ~port:2 (fun _ -> ());
+      ignore
+        (Traffic.cbr ~sched:ctx.sched ~flow:(mk_flow 0) ~pkt_bytes:500 ~rate_gbps:1.
+           ~stop:(Sim_time.us 800)
+           ~send:(fun pkt -> Event_switch.inject sw_a ~port:0 pkt)
+           ()
+          : Traffic.t);
+      let link = List.assoc 0 ctx.links in
+      ignore (Scheduler.schedule ctx.sched ~at:(Sim_time.us 400) (fun () -> Tmgr.Link.fail link)))
+    (Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)) ] ~hosts:[])
 
 (* Network monitoring: microburst detection + CMS-with-reset +
    flow-rate measurement + aggregated INT. *)
@@ -213,41 +220,38 @@ let traffic_management () =
 
 (* In-network computing: NetCache with timer-driven decay. *)
 let in_network_computing ~seed =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
-  let config = Event_switch.default_config Arch.event_pisa_full in
   let spec, _ =
     Apps.Netcache.program ~with_timers:true ~server_port:3
       ~client_port:(fun _ -> 0) ()
   in
-  let sw = Event_switch.create ~sched ~config ~program:spec () in
-  let server = Evcore.Host.create ~sched ~id:9 () in
-  Evcore.Host.set_receiver server (fun h pkt ->
-      match pkt.Packet.payload with
-      | Apps.Netcache.Kv_get { key } ->
-          let reply =
-            Packet.udp_packet
-              ~src:(Netcore.Ipv4_addr.host ~subnet:9 1)
-              ~dst:(Netcore.Ipv4_addr.host ~subnet:3 0)
-              ~src_port:11_211 ~dst_port:10_000 ~payload_len:64 ()
-          in
-          reply.Packet.payload <- Apps.Netcache.Kv_reply { key; from_cache = false };
-          Evcore.Host.send h reply
-      | _ -> ());
-  ignore (Network.connect_host network ~host:server ~switch:(sw, 3) ());
-  Event_switch.set_port_tx sw ~port:0 (fun _ -> ());
-  let rng = Stats.Rng.create ~seed in
-  let zipf = Stats.Dist.zipf ~n:100 ~alpha:1.2 in
-  for i = 0 to 400 do
-    ignore
-      (Scheduler.schedule sched
-         ~at:(i * Sim_time.us 2)
-         (fun () ->
-           Event_switch.inject sw ~port:0
-             (Apps.Netcache.get_packet ~client:0 ~key:(Stats.Dist.zipf_draw rng zipf))))
-  done;
-  Scheduler.run ~until:(Sim_time.ms 2) sched;
-  [ sw ]
+  fabric_run ~until:(Sim_time.ms 2) ~program:(fun _ -> spec)
+    ~on_shard:(fun ctx ->
+      let sw = List.assoc 0 ctx.switches in
+      Evcore.Host.set_receiver (List.assoc 0 ctx.hosts) (fun h pkt ->
+          match pkt.Packet.payload with
+          | Apps.Netcache.Kv_get { key } ->
+              let reply =
+                Packet.udp_packet
+                  ~src:(Netcore.Ipv4_addr.host ~subnet:9 1)
+                  ~dst:(Netcore.Ipv4_addr.host ~subnet:3 0)
+                  ~src_port:11_211 ~dst_port:10_000 ~payload_len:64 ()
+              in
+              reply.Packet.payload <- Apps.Netcache.Kv_reply { key; from_cache = false };
+              Evcore.Host.send h reply
+          | _ -> ());
+      Event_switch.set_port_tx sw ~port:0 (fun _ -> ());
+      let rng = Stats.Rng.create ~seed in
+      let zipf = Stats.Dist.zipf ~n:100 ~alpha:1.2 in
+      for i = 0 to 400 do
+        ignore
+          (Scheduler.schedule ctx.sched
+             ~at:(i * Sim_time.us 2)
+             (fun () ->
+               Event_switch.inject sw ~port:0
+                 (Apps.Netcache.get_packet ~client:0 ~key:(Stats.Dist.zipf_draw rng zipf))))
+      done)
+    (* The key-value server is host 0, behind port 3. *)
+    (Evcore.Topology.make ~switches:1 ~links:[] ~hosts:[ (0, 3) ])
 
 let run ?(seed = 42) () =
   {

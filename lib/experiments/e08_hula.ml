@@ -15,7 +15,6 @@ module Sim_time = Eventsim.Sim_time
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
 module Host = Evcore.Host
-module Topology = Workloads.Topology
 module Control_plane = Evcore.Control_plane
 module Traffic = Workloads.Traffic
 
@@ -54,61 +53,73 @@ let params =
     util_period = Sim_time.us 50;
   }
 
-let run_variant ?flowlet_timeout ~seed:_ ~variant mk_mode () =
-  let sched = Scheduler.create () in
-  let mode, wire = mk_mode ~sched in
-  let hula = Apps.Hula.create { params with Apps.Hula.flowlet_timeout } mode in
-  let config role =
+let run_variant ?flowlet_timeout ~variant mk_mode () =
+  (* One HULA instance for the whole fabric, created with the first
+     switch: control-plane probes need the run's scheduler. *)
+  let hula = ref None in
+  let hula_of (ctx : Evcore.Program.ctx) =
+    match !hula with
+    | Some h -> h
+    | None ->
+        let mode, wire = mk_mode ~sched:ctx.sched in
+        let h = (Apps.Hula.create { params with Apps.Hula.flowlet_timeout } mode, wire) in
+        hula := Some h;
+        h
+  in
+  let switch_config sw =
     let base = Event_switch.default_config Arch.event_pisa_full in
-    match role with
-    | Topology.Spine s when s = degraded_spine ->
-        {
-          base with
-          Event_switch.tm_config =
-            { base.Event_switch.tm_config with Tmgr.Traffic_manager.port_rate_gbps = 1. };
-        }
-    | Topology.Spine _ | Topology.Leaf _ | Topology.Standalone _ -> base
+    if sw <> num_leaves + degraded_spine then base
+    else
+      {
+        base with
+        Event_switch.tm_config =
+          { base.Event_switch.tm_config with Tmgr.Traffic_manager.port_rate_gbps = 1. };
+      }
   in
-  let topo =
-    Topology.leaf_spine ~sched ~num_leaves ~num_spines ~hosts_per_leaf ~config
-      ~program:(Apps.Hula.program hula) ()
-  in
-  wire topo;
-  (* Reordering detector: packet uids are monotone per flow at the
-     sender, so a smaller uid after a larger one means reordering. *)
   let reordered = ref 0 in
-  let max_uid = Hashtbl.create 16 in
-  Array.iter
-    (fun host ->
-      Evcore.Host.set_receiver host (fun _ pkt ->
+  let sources = ref [] in
+  let on_shard (ctx : Parsim.shard_ctx) =
+    (snd (Option.get !hula)) ctx;
+    (* Reordering detector: packet uids are monotone per flow at the
+       sender, so a smaller uid after a larger one means reordering. *)
+    let max_uid = Hashtbl.create 16 in
+    for h = hosts_per_leaf to (2 * hosts_per_leaf) - 1 do
+      Host.set_receiver (List.assoc h ctx.hosts) (fun _ pkt ->
           match Netcore.Packet.flow pkt with
           | Some f ->
               let key = f.Netcore.Flow.src_port in
               let prev = Option.value (Hashtbl.find_opt max_uid key) ~default:0 in
               if pkt.Netcore.Packet.uid < prev then incr reordered
               else Hashtbl.replace max_uid key pkt.Netcore.Packet.uid
-          | None -> ()))
-    topo.Topology.hosts.(1);
-  (* 12 flows leaf0 -> leaf1 at 0.5 Gb/s each. *)
-  let sources =
-    List.init 12 (fun i ->
-        let src_host = i mod hosts_per_leaf in
-        let dst_host = i mod hosts_per_leaf in
-        let flow =
-          Netcore.Flow.make
-            ~src:(Netcore.Ipv4_addr.host ~subnet:0 src_host)
-            ~dst:(Netcore.Ipv4_addr.host ~subnet:1 dst_host)
-            ~src_port:(5000 + i) ~dst_port:(6000 + i) ()
-        in
-        Traffic.cbr ~sched ~flow ~pkt_bytes:1000 ~rate_gbps:0.5 ~stop:stop_at
-          ~send:(fun pkt -> Host.send topo.Topology.hosts.(0).(src_host) pkt)
-          ())
+          | None -> ())
+    done;
+    (* 12 flows leaf0 -> leaf1 at 0.5 Gb/s each. *)
+    sources :=
+      List.init 12 (fun i ->
+          let src_host = i mod hosts_per_leaf in
+          let dst_host = i mod hosts_per_leaf in
+          let flow =
+            Netcore.Flow.make
+              ~src:(Netcore.Ipv4_addr.host ~subnet:0 src_host)
+              ~dst:(Netcore.Ipv4_addr.host ~subnet:1 dst_host)
+              ~src_port:(5000 + i) ~dst_port:(6000 + i) ()
+          in
+          Traffic.cbr ~sched:ctx.sched ~flow ~pkt_bytes:1000 ~rate_gbps:0.5 ~stop:stop_at
+            ~send:(fun pkt -> Host.send (List.assoc src_host ctx.hosts) pkt)
+            ())
   in
-  Scheduler.run ~until:(stop_at + Sim_time.us 500) sched;
+  let r =
+    Parsim.run
+      (Parsim.config ~until:(stop_at + Sim_time.us 500) ~switch_config
+         ~program:(fun sw ctx -> Apps.Hula.program (fst (hula_of ctx)) sw ctx)
+         ~on_shard ())
+      (Evcore.Topology.leaf_spine ~leaves:num_leaves ~spines:num_spines ~hosts_per_leaf)
+  in
+  let hula, _ = Option.get !hula in
   let received_bytes =
-    Array.fold_left (fun acc h -> acc + Host.received_bytes h) 0 topo.Topology.hosts.(1)
+    Array.fold_left ( + ) 0 (Array.sub r.host_received_bytes hosts_per_leaf hosts_per_leaf)
   in
-  let offered_bytes = List.fold_left (fun acc s -> acc + Traffic.sent_bytes s) 0 sources in
+  let offered_bytes = List.fold_left (fun acc s -> acc + Traffic.sent_bytes s) 0 !sources in
   let seconds = Sim_time.to_sec stop_at in
   (* Probe origination period jitter at leaf1 (the probes leaf0 uses). *)
   let gaps = Apps.Hula.origination_gaps_us hula ~leaf:1 in
@@ -121,7 +132,8 @@ let run_variant ?flowlet_timeout ~seed:_ ~variant mk_mode () =
     probes_delivered = Apps.Hula.probes_delivered hula;
     hop_changes = Apps.Hula.hop_changes hula;
     degraded_spine_drops =
-      Tmgr.Traffic_manager.drops (Event_switch.tm topo.Topology.spines.(degraded_spine));
+      Tmgr.Traffic_manager.drops
+        (Event_switch.tm (List.assoc (num_leaves + degraded_spine) r.ctxs.(0).switches));
     reordered = !reordered;
   }
 
@@ -132,18 +144,17 @@ let run ?(seed = 42) () =
     let cp = Control_plane.create ~sched ~rng:(Stats.Rng.create ~seed) () in
     let inject = ref (fun _ _ -> ()) in
     ( Apps.Hula.Cp_probes { cp; inject },
-      fun (topo : Topology.leaf_spine) ->
+      fun (ctx : Parsim.shard_ctx) ->
         inject :=
-          fun leaf pkt ->
-            Event_switch.inject_from_control_plane topo.Topology.leaves.(leaf) pkt )
+          fun leaf pkt -> Event_switch.inject_from_control_plane (List.assoc leaf ctx.switches) pkt
+    )
   in
   {
-    ecmp = run_variant ~seed ~variant:"ecmp (no probes)" ecmp ();
-    event_driven = run_variant ~seed ~variant:"hula, data-plane probes" event ();
+    ecmp = run_variant ~variant:"ecmp (no probes)" ecmp ();
+    event_driven = run_variant ~variant:"hula, data-plane probes" event ();
     flowlet =
-      run_variant ~flowlet_timeout:(Sim_time.us 50) ~seed ~variant:"hula + flowlets (50us)"
-        event ();
-    cp_probes = run_variant ~seed ~variant:"hula, control-plane probes" cp ();
+      run_variant ~flowlet_timeout:(Sim_time.us 50) ~variant:"hula + flowlets (50us)" event ();
+    cp_probes = run_variant ~variant:"hula, control-plane probes" cp ();
   }
 
 let print r =

@@ -12,7 +12,6 @@ module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Control_plane = Evcore.Control_plane
 
 let fail_at = Sim_time.ms 5
@@ -28,25 +27,30 @@ type variant_result = {
 type result = { event_driven : variant_result; cp_driven : variant_result }
 
 let run_variant ~seed ~timeout mode_of arch variant =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
-  let mk id =
-    let mode, wire = mode_of ~sched ~seed:(seed + id) in
+  let app_a = ref None and wires = ref [] in
+  let program sw (ctx : Evcore.Program.ctx) =
+    let mode, wire = mode_of ~sched:ctx.sched ~seed:(seed + sw) in
     let spec, app =
       Apps.Liveness.program ~mode ~timeout ~neighbor_port:1 ~out_port:(fun _ -> 0) ()
     in
-    let config = Event_switch.default_config arch in
-    let sw = Event_switch.create ~sched ~id ~config ~program:spec () in
-    wire sw;
-    (sw, app)
+    if sw = 0 then app_a := Some app;
+    wires := (sw, wire) :: !wires;
+    spec ctx
   in
-  let sw_a, app_a = mk 0 in
-  let sw_b, _app_b = mk 1 in
-  let link = Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
-  ignore (Scheduler.schedule sched ~at:fail_at (fun () -> Tmgr.Link.fail link));
-  Scheduler.run ~until:(Sim_time.ms 30) sched;
+  let on_shard (ctx : Parsim.shard_ctx) =
+    List.iter (fun (sw, wire) -> wire (List.assoc sw ctx.switches)) !wires;
+    List.iter (fun (_, sw) -> Event_switch.set_port_tx sw ~port:0 (fun _ -> ())) ctx.switches;
+    let link = List.assoc 0 ctx.links in
+    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail link))
+  in
+  let r =
+    Parsim.run
+      (Parsim.config ~until:(Sim_time.ms 30)
+         ~switch_config:(fun _ -> Event_switch.default_config arch)
+         ~program ~on_shard ())
+      (Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)) ] ~hosts:[])
+  in
+  let app_a = Option.get !app_a in
   {
     variant;
     detection_latency_ns =
@@ -55,7 +59,7 @@ let run_variant ~seed ~timeout mode_of arch variant =
         (Apps.Liveness.declared_dead_at app_a);
     probes_sent = Apps.Liveness.probes_sent app_a;
     replies_heard = Apps.Liveness.replies_heard app_a;
-    notifications = Event_switch.notification_count sw_a;
+    notifications = Event_switch.notification_count (List.assoc 0 r.ctxs.(0).switches);
   }
 
 let run ?(seed = 42) () =

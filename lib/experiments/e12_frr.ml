@@ -11,7 +11,6 @@ module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Host = Evcore.Host
 module Control_plane = Evcore.Control_plane
 module Traffic = Workloads.Traffic
@@ -31,42 +30,52 @@ type variant_result = {
 
 type result = { event_driven : variant_result; cp_polling : variant_result }
 
+(* A's ports 1 (primary) and 2 (backup) face B's; src host 0 sits on
+   A's port 0, dst host 1 on B's. *)
+let topo =
+  Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)); ((0, 2), (1, 2)) ]
+    ~hosts:[ (0, 0); (1, 0) ]
+
 let run_variant ~seed mode_a arch variant =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
-  let mk id mode =
+  let app_a = ref None in
+  let program sw (ctx : Evcore.Program.ctx) =
+    let mode = if sw = 0 then mode_a ~sched:ctx.sched ~seed else Apps.Fast_reroute.Event_driven in
     let spec, app = Apps.Fast_reroute.program ~mode ~primary:1 ~backup:2 () in
-    let config = Event_switch.default_config arch in
-    (Event_switch.create ~sched ~id ~config ~program:spec (), app)
+    if sw = 0 then app_a := Some app;
+    spec ctx
   in
-  let mode_a = mode_a ~sched ~seed in
-  let sw_a, app_a = mk 0 mode_a in
-  let sw_b, _app_b = mk 1 Apps.Fast_reroute.Event_driven in
-  let primary = Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  ignore (Network.connect_switches network ~a:(sw_a, 2) ~b:(sw_b, 2) ());
-  let src = Host.create ~sched ~id:0 () and dst = Host.create ~sched ~id:1 () in
-  ignore (Network.connect_host network ~host:src ~switch:(sw_a, 0) ());
-  ignore (Network.connect_host network ~host:dst ~switch:(sw_b, 0) ());
-  let traffic =
-    Traffic.cbr ~sched
-      ~flow:
-        (Netcore.Flow.make
-           ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
-           ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
-           ~src_port:7 ~dst_port:7 ())
-      ~pkt_bytes:500 ~rate_gbps ~stop:stop_at
-      ~send:(fun pkt -> Host.send src pkt)
-      ()
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let src = List.assoc 0 ctx.hosts in
+    ignore
+      (Traffic.cbr ~sched:ctx.sched
+         ~flow:
+           (Netcore.Flow.make
+              ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
+              ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
+              ~src_port:7 ~dst_port:7 ())
+         ~pkt_bytes:500 ~rate_gbps ~stop:stop_at
+         ~send:(fun pkt -> Host.send src pkt)
+         ()
+        : Traffic.t);
+    let primary = List.assoc 0 ctx.links in
+    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary))
   in
-  ignore (Scheduler.schedule sched ~at:fail_at (fun () -> Tmgr.Link.fail primary));
-  Scheduler.run ~until:(stop_at + Sim_time.ms 1) sched;
+  let r =
+    Parsim.run
+      (Parsim.config ~until:(stop_at + Sim_time.ms 1)
+         ~switch_config:(fun _ -> Event_switch.default_config arch)
+         ~program ~on_shard ())
+      topo
+  in
+  let app_a = Option.get !app_a in
+  let sent = r.host_sent.(0) and received = r.host_received.(1) in
   {
     variant;
     failover_latency_ns =
       Option.map (fun t -> Sim_time.to_ns (t - fail_at)) (Apps.Fast_reroute.failover_time app_a);
-    sent = Traffic.sent traffic;
-    received = Host.received dst;
-    lost = Traffic.sent traffic - Host.received dst;
+    sent;
+    received;
+    lost = sent - received;
     via_backup = Apps.Fast_reroute.switched_packets app_a;
   }
 

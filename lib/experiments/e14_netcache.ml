@@ -16,7 +16,6 @@ module Packet = Netcore.Packet
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
 module Host = Evcore.Host
-module Network = Evcore.Network
 
 let key_space = 500
 let shift_at = Sim_time.ms 5
@@ -42,63 +41,67 @@ let client_port_of pkt =
   | None -> 0
 
 let run_variant ~seed ~with_timers variant =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
   let arch = if with_timers then Arch.event_pisa_full else Arch.baseline_psa in
-  let config = Event_switch.default_config arch in
   let spec, app =
     Apps.Netcache.program ~cache_size:32 ~promote_threshold:8
       ~decay_period:(Sim_time.ms 1) ~idle_windows:2 ~with_timers ~server_port
       ~client_port:client_port_of ()
   in
-  let sw = Event_switch.create ~sched ~config ~program:spec () in
-  (* Server host: answers every GET. *)
-  let server = Host.create ~sched ~id:99 () in
   let server_requests = ref 0 in
-  Host.set_receiver server (fun h pkt ->
-      match pkt.Packet.payload with
-      | Apps.Netcache.Kv_get { key } ->
-          incr server_requests;
-          let reply =
-            Packet.udp_packet
-              ~src:(Netcore.Ipv4_addr.host ~subnet:9 1)
-              ~dst:(match pkt.Packet.ip with
-                   | Some ip -> ip.Netcore.Ipv4.src
-                   | None -> Netcore.Ipv4_addr.host ~subnet:3 0)
-              ~src_port:11_211 ~dst_port:10_000 ~payload_len:64 ()
-          in
-          reply.Packet.payload <- Apps.Netcache.Kv_reply { key; from_cache = false };
-          Host.send h reply
-      | _ -> ());
-  ignore (Network.connect_host network ~host:server ~switch:(sw, server_port) ());
-  for p = 0 to 2 do
-    Event_switch.set_port_tx sw ~port:p (fun _ -> ())
-  done;
-  (* Zipf request stream; hot set shifts at [shift_at]. *)
-  let rng = Stats.Rng.create ~seed in
-  let zipf = Stats.Dist.zipf ~n:key_space ~alpha:1.05 in
-  let rec arrivals time acc =
-    if time >= stop_at then List.rev acc
-    else
-      let gap = max 1 (int_of_float (Stats.Dist.exponential rng ~rate:request_rate *. 1e12)) in
-      let time = time + gap in
-      let rank = Stats.Dist.zipf_draw rng zipf in
-      let key = if time < shift_at then rank else 1000 + rank in
-      let client = Stats.Rng.int rng 3 in
-      arrivals time ((time, client, key) :: acc)
-  in
-  List.iter
-    (fun (time, client, key) ->
-      ignore
-        (Scheduler.schedule sched ~at:time (fun () ->
-             Event_switch.inject sw ~port:client (Apps.Netcache.get_packet ~client ~key))))
-    (arrivals 0 []);
-  (* Sample counters at the phase boundary. *)
   let p1 = ref (0, 0, 0) in
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let sw = List.assoc 0 ctx.switches in
+    (* Server host: answers every GET. *)
+    Host.set_receiver (List.assoc 0 ctx.hosts) (fun h pkt ->
+        match pkt.Packet.payload with
+        | Apps.Netcache.Kv_get { key } ->
+            incr server_requests;
+            let reply =
+              Packet.udp_packet
+                ~src:(Netcore.Ipv4_addr.host ~subnet:9 1)
+                ~dst:(match pkt.Packet.ip with
+                     | Some ip -> ip.Netcore.Ipv4.src
+                     | None -> Netcore.Ipv4_addr.host ~subnet:3 0)
+                ~src_port:11_211 ~dst_port:10_000 ~payload_len:64 ()
+            in
+            reply.Packet.payload <- Apps.Netcache.Kv_reply { key; from_cache = false };
+            Host.send h reply
+        | _ -> ());
+    for p = 0 to 2 do
+      Event_switch.set_port_tx sw ~port:p (fun _ -> ())
+    done;
+    (* Zipf request stream; hot set shifts at [shift_at]. *)
+    let rng = Stats.Rng.create ~seed in
+    let zipf = Stats.Dist.zipf ~n:key_space ~alpha:1.05 in
+    let rec arrivals time acc =
+      if time >= stop_at then List.rev acc
+      else
+        let gap = max 1 (int_of_float (Stats.Dist.exponential rng ~rate:request_rate *. 1e12)) in
+        let time = time + gap in
+        let rank = Stats.Dist.zipf_draw rng zipf in
+        let key = if time < shift_at then rank else 1000 + rank in
+        let client = Stats.Rng.int rng 3 in
+        arrivals time ((time, client, key) :: acc)
+    in
+    List.iter
+      (fun (time, client, key) ->
+        ignore
+          (Scheduler.schedule ctx.sched ~at:time (fun () ->
+               Event_switch.inject sw ~port:client (Apps.Netcache.get_packet ~client ~key))))
+      (arrivals 0 []);
+    (* Sample counters at the phase boundary. *)
+    ignore
+      (Scheduler.schedule ctx.sched ~at:shift_at (fun () ->
+           p1 := (Apps.Netcache.cache_hits app, Apps.Netcache.cache_misses app, !server_requests)))
+  in
   ignore
-    (Scheduler.schedule sched ~at:shift_at (fun () ->
-         p1 := (Apps.Netcache.cache_hits app, Apps.Netcache.cache_misses app, !server_requests)));
-  Scheduler.run ~until:(stop_at + Sim_time.ms 1) sched;
+    (Parsim.run
+       (Parsim.config ~until:(stop_at + Sim_time.ms 1)
+          ~switch_config:(fun _ -> Event_switch.default_config arch)
+          ~program:(fun _ -> spec) ~on_shard ())
+       (* The key-value server is host 0. *)
+       (Evcore.Topology.make ~switches:1 ~links:[] ~hosts:[ (0, server_port) ])
+      : Parsim.result);
   let h1, m1, s1 = !p1 in
   let h2 = Apps.Netcache.cache_hits app - h1 in
   let m2 = Apps.Netcache.cache_misses app - m1 in

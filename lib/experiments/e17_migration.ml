@@ -17,7 +17,6 @@ module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Host = Evcore.Host
 module Control_plane = Evcore.Control_plane
 module Traffic = Workloads.Traffic
@@ -43,41 +42,45 @@ let flows =
         ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
         ~src_port:(3000 + i) ~dst_port:80 ())
 
-let run_variant ~seed:_ ~variant mk_mode =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
+(* A: port 0 = source host 0, port 1 = primary (to sink host 1),
+   port 2 = backup (to B). B: port 1 = from A, port 0 = to sink. *)
+let topo = Evcore.Topology.make ~switches:2 ~links:[ ((0, 2), (1, 1)) ] ~hosts:[ (0, 0); (0, 1) ]
+
+let run_variant ~variant mk_mode =
   let app = Apps.State_migration.create ~slots:64 () in
-  let config = Event_switch.default_config Arch.event_pisa_full in
-  let mode, cp_ops_of = mk_mode ~sched in
-  (* A: port 0 = source, port 1 = primary (to sink), port 2 = backup
-     (to B). B: port 1 = from A, port 0 = to sink. *)
-  let sw_a =
-    Event_switch.create ~sched ~id:0 ~config
-      ~program:(Apps.State_migration.active_program app ~mode ~primary:1 ~backup:2)
-      ()
+  let cp_ops_of = ref (fun () -> 0) in
+  let program sw (ctx : Evcore.Program.ctx) =
+    if sw = 0 then begin
+      let mode, ops = mk_mode ~sched:ctx.sched in
+      cp_ops_of := ops;
+      Apps.State_migration.active_program app ~mode ~primary:1 ~backup:2 ctx
+    end
+    else Apps.State_migration.standby_program app ~out_port:0 ctx
   in
-  let sw_b =
-    Event_switch.create ~sched ~id:1 ~config
-      ~program:(Apps.State_migration.standby_program app ~out_port:0)
-      ()
-  in
-  let src = Host.create ~sched ~id:0 () and sink = Host.create ~sched ~id:1 () in
-  ignore (Network.connect_host network ~host:src ~switch:(sw_a, 0) ());
-  let primary = Network.connect_host network ~host:sink ~switch:(sw_a, 1) () in
-  ignore (Network.connect_switches network ~a:(sw_a, 2) ~b:(sw_b, 1) ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
   let sent_per_flow = Array.make num_flows 0 in
-  List.iteri
-    (fun i flow ->
-      ignore
-        (Traffic.cbr ~sched ~flow ~pkt_bytes:500 ~rate_gbps:0.5 ~stop:stop_at
-           ~send:(fun pkt ->
-             sent_per_flow.(i) <- sent_per_flow.(i) + 1;
-             Host.send src pkt)
-           ()))
-    flows;
-  ignore (Scheduler.schedule sched ~at:fail_at (fun () -> Tmgr.Link.fail primary));
-  Scheduler.run ~until:(stop_at + Sim_time.ms 1) sched;
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let src = List.assoc 0 ctx.hosts in
+    Event_switch.set_port_tx (List.assoc 1 ctx.switches) ~port:0 (fun _ -> ());
+    List.iteri
+      (fun i flow ->
+        ignore
+          (Traffic.cbr ~sched:ctx.sched ~flow ~pkt_bytes:500 ~rate_gbps:0.5 ~stop:stop_at
+             ~send:(fun pkt ->
+               sent_per_flow.(i) <- sent_per_flow.(i) + 1;
+               Host.send src pkt)
+             ()))
+      flows;
+    (* Host links are numbered after the one switch link. *)
+    let primary = List.assoc 2 ctx.links in
+    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary))
+  in
+  ignore
+    (Parsim.run
+       (Parsim.config ~until:(stop_at + Sim_time.ms 1)
+          ~switch_config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
+          ~program ~on_shard ())
+       topo
+      : Parsim.result);
   (* Truth per register slot (flows may hash-collide into a slot):
      every packet the source sent must be accounted for in the
      standby's counters once migration completes. *)
@@ -107,7 +110,7 @@ let run_variant ~seed:_ ~variant mk_mode =
       | None -> None);
     chunks = Apps.State_migration.chunks_installed app;
     state_error_pkts = !error;
-    cp_ops = cp_ops_of ();
+    cp_ops = !cp_ops_of ();
   }
 
 let run ?(seed = 42) () =
@@ -119,8 +122,8 @@ let run ?(seed = 42) () =
     (Apps.State_migration.Cp_driven { cp; batch = 8 }, fun () -> Control_plane.ops cp)
   in
   {
-    event_driven = run_variant ~seed ~variant:"event-driven (generated chunks)" event;
-    cp_driven = run_variant ~seed ~variant:"control-plane read/write" cp;
+    event_driven = run_variant ~variant:"event-driven (generated chunks)" event;
+    cp_driven = run_variant ~variant:"control-plane read/write" cp;
   }
 
 let print r =

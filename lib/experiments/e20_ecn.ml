@@ -16,7 +16,6 @@ module Sim_time = Eventsim.Sim_time
 module Packet = Netcore.Packet
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Host = Evcore.Host
 module Traffic = Workloads.Traffic
 
@@ -50,73 +49,67 @@ let pearson xs ys =
     if !sxx = 0. || !syy = 0. then 0. else !sxy /. sqrt (!sxx *. !syy)
   end
 
+(* Chain: host0 - sw0 - sw1(bottleneck) - sw2 - host1. Ports: 0 =
+   host side, 1 = towards sw2/host1, 2 = towards sw0/host0. *)
+let topo =
+  Evcore.Topology.make ~switches:3
+    ~links:[ ((0, 1), (1, 2)); ((1, 1), (2, 2)) ]
+    ~hosts:[ (0, 0); (2, 0) ]
+
 let run_variant ~levels ~variant () =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
-  (* Chain: host0 - sw0 - sw1(bottleneck) - sw2 - host1. Ports: 0 =
-     host side, 1 = towards sw2/host1, 2 = towards sw0/host0. *)
-  let mk ~degraded i out_port =
-    let spec, app = Apps.Ecn_mark.program ~levels ~buffer_bytes ~out_port () in
+  let switch_config sw =
     let base = Event_switch.default_config Arch.event_pisa_full in
-    let config =
-      if degraded then
-        {
-          base with
-          Event_switch.tm_config =
-            {
-              base.Event_switch.tm_config with
-              Tmgr.Traffic_manager.port_rate_gbps = 1.;
-              buffer_bytes;
-            };
-        }
-      else
-        {
-          base with
-          Event_switch.tm_config =
-            { base.Event_switch.tm_config with Tmgr.Traffic_manager.buffer_bytes };
-        }
-    in
-    (Event_switch.create ~sched ~id:i ~config ~program:spec (), app)
+    let tm = base.Event_switch.tm_config in
+    {
+      base with
+      Event_switch.tm_config =
+        (if sw = 1 then { tm with Tmgr.Traffic_manager.port_rate_gbps = 1.; buffer_bytes }
+         else { tm with Tmgr.Traffic_manager.buffer_bytes });
+    }
   in
-  let sw0, _ = mk ~degraded:false 0 (fun _ -> 1) in
-  let sw1, bottleneck = mk ~degraded:true 1 (fun _ -> 1) in
-  let sw2, _ = mk ~degraded:false 2 (fun _ -> 0) in
-  ignore (Network.connect_switches network ~a:(sw0, 1) ~b:(sw1, 2) ());
-  ignore (Network.connect_switches network ~a:(sw1, 1) ~b:(sw2, 2) ());
-  let src = Host.create ~sched ~id:0 () and dst = Host.create ~sched ~id:1 () in
-  ignore (Network.connect_host network ~host:src ~switch:(sw0, 0) ());
-  ignore (Network.connect_host network ~host:dst ~switch:(sw2, 0) ());
+  let bottleneck = ref None in
+  let program sw ctx =
+    let out = if sw = 2 then 0 else 1 in
+    let spec, app = Apps.Ecn_mark.program ~levels ~buffer_bytes ~out_port:(fun _ -> out) () in
+    if sw = 1 then bottleneck := Some app;
+    spec ctx
+  in
   (* Receiver: pair each packet's mark with the bottleneck's true
      occupancy at arrival (the queueing delay means the mark reflects
      slightly older state — part of the measured signal quality). *)
   let samples = ref [] in
   let marks_before = ref 0 in
-  Host.set_receiver dst (fun _ pkt ->
-      let occ_frac =
-        float_of_int (Apps.Ecn_mark.occupancy_bytes bottleneck) /. float_of_int buffer_bytes
-      in
-      let signal = float_of_int pkt.Packet.meta.Packet.mark /. float_of_int (levels - 1) in
-      samples := (occ_frac, signal) :: !samples;
-      if Scheduler.now sched < congest_from && pkt.Packet.meta.Packet.mark > 0 then
-        incr marks_before);
-  (* 0.8 Gb/s baseline fits the 1 Gb/s bottleneck; from [congest_from]
-     a second flow pushes the total to 2 Gb/s and the queue climbs. *)
-  let flow i =
-    Netcore.Flow.make
-      ~src:(Netcore.Ipv4_addr.host ~subnet:1 i)
-      ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
-      ~src_port:(1000 + i) ~dst_port:80 ()
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let bottleneck = Option.get !bottleneck and src = List.assoc 0 ctx.hosts in
+    Host.set_receiver (List.assoc 1 ctx.hosts) (fun _ pkt ->
+        let occ_frac =
+          float_of_int (Apps.Ecn_mark.occupancy_bytes bottleneck) /. float_of_int buffer_bytes
+        in
+        let signal = float_of_int pkt.Packet.meta.Packet.mark /. float_of_int (levels - 1) in
+        samples := (occ_frac, signal) :: !samples;
+        if Scheduler.now ctx.sched < congest_from && pkt.Packet.meta.Packet.mark > 0 then
+          incr marks_before);
+    (* 0.8 Gb/s baseline fits the 1 Gb/s bottleneck; from [congest_from]
+       a second flow pushes the total to 2 Gb/s and the queue climbs. *)
+    let flow i =
+      Netcore.Flow.make
+        ~src:(Netcore.Ipv4_addr.host ~subnet:1 i)
+        ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
+        ~src_port:(1000 + i) ~dst_port:80 ()
+    in
+    ignore
+      (Traffic.cbr ~sched:ctx.sched ~flow:(flow 1) ~pkt_bytes:1000 ~rate_gbps:0.8 ~stop:stop_at
+         ~send:(fun pkt -> Host.send src pkt)
+         ());
+    ignore
+      (Traffic.cbr ~sched:ctx.sched ~flow:(flow 2) ~pkt_bytes:1000 ~rate_gbps:1.2
+         ~start:congest_from ~stop:stop_at
+         ~send:(fun pkt -> Host.send src pkt)
+         ())
   in
   ignore
-    (Traffic.cbr ~sched ~flow:(flow 1) ~pkt_bytes:1000 ~rate_gbps:0.8 ~stop:stop_at
-       ~send:(fun pkt -> Host.send src pkt)
-       ());
-  ignore
-    (Traffic.cbr ~sched ~flow:(flow 2) ~pkt_bytes:1000 ~rate_gbps:1.2 ~start:congest_from
-       ~stop:stop_at
-       ~send:(fun pkt -> Host.send src pkt)
-       ());
-  Scheduler.run ~until:stop_at sched;
+    (Parsim.run (Parsim.config ~until:stop_at ~switch_config ~program ~on_shard ()) topo
+      : Parsim.result);
   let samples = List.rev !samples in
   let xs = Array.of_list (List.map fst samples) in
   let ys = Array.of_list (List.map snd samples) in

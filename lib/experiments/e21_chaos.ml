@@ -31,7 +31,6 @@ module Packet = Netcore.Packet
 module Event = Devents.Event
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Host = Evcore.Host
 module Link = Tmgr.Link
 module Traffic = Workloads.Traffic
@@ -113,132 +112,150 @@ let switch_drops sw =
   + Devents.Event_merger.packet_drops merger
   + Devents.Event_merger.packets_shed merger
 
+(* E12's topology: A's ports 1 (primary) and 2 (backup) face B's; src
+   host 0 sits on A's port 0, dst host 1 on B's. *)
+let topo =
+  Evcore.Topology.make ~switches:2
+    ~links:[ ((0, primary_port), (1, primary_port)); ((0, backup_port), (1, backup_port)) ]
+    ~hosts:[ (0, 0); (1, 0) ]
+
+(* Every fault process stops at [stop_at]; the run drains long before
+   [until], which [run] checks. *)
+let until = stop_at + Sim_time.ms 2
+
 let run ?metrics ?(seed = 42) ?(profile = Faults.Profile.Flaky_links) () =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
   let obs_labels = [ ("variant", Faults.Profile.to_string profile) ] in
-  (match metrics with
-  | Some m -> Scheduler.set_metrics ~labels:obs_labels ~wall:false sched m
-  | None -> ());
   (* Switch A: fast re-route. *)
   let frr_spec, frr = Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven
       ~primary:primary_port ~backup:backup_port ()
   in
-  let sw_a =
-    Event_switch.create ~sched ~id:0
-      ~config:(Event_switch.default_config Arch.event_pisa_full)
-      ~program:frr_spec ()
-  in
   (* Switch B: microburst detector; host port at 2.5 Gb/s and a small
      shared buffer so storms actually queue and overflow. *)
   let det_spec, det = detector_program ~slots:256 ~threshold_bytes:15_000 () in
-  let config_b =
+  let switch_config sw =
     let base = Event_switch.default_config Arch.event_pisa_full in
-    {
-      base with
-      Event_switch.tm_config =
-        {
-          base.Event_switch.tm_config with
-          Tmgr.Traffic_manager.port_rate_gbps = 2.5;
-          buffer_bytes = 32_000;
-        };
-    }
+    if sw = 0 then base
+    else
+      {
+        base with
+        Event_switch.tm_config =
+          {
+            base.Event_switch.tm_config with
+            Tmgr.Traffic_manager.port_rate_gbps = 2.5;
+            buffer_bytes = 32_000;
+          };
+      }
   in
-  let sw_b = Event_switch.create ~sched ~id:1 ~config:config_b ~program:det_spec () in
-  let primary = Network.connect_switches network ~a:(sw_a, primary_port) ~b:(sw_b, primary_port) () in
-  let backup = Network.connect_switches network ~a:(sw_a, backup_port) ~b:(sw_b, backup_port) () in
-  let src = Host.create ~sched ~id:0 () and dst = Host.create ~sched ~id:1 () in
-  ignore (Network.connect_host network ~host:src ~switch:(sw_a, 0) ());
-  ignore (Network.connect_host network ~host:dst ~switch:(sw_b, 0) ());
-  (* Base traffic. *)
-  let traffic =
-    Traffic.cbr ~sched
-      ~flow:
-        (Netcore.Flow.make
-           ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
-           ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
-           ~src_port:7 ~dst_port:7 ())
-      ~pkt_bytes:500 ~rate_gbps ~stop:stop_at
-      ~send:(fun pkt -> Host.send src pkt)
-      ()
+  let engine = ref None in
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let sched = ctx.sched in
+    (match metrics with
+    | Some m -> Scheduler.set_metrics ~labels:obs_labels ~wall:false sched m
+    | None -> ());
+    let sw_a = List.assoc 0 ctx.switches and sw_b = List.assoc 1 ctx.switches in
+    let primary = List.assoc 0 ctx.links and backup = List.assoc 1 ctx.links in
+    let src = List.assoc 0 ctx.hosts in
+    (* Base traffic. *)
+    ignore
+      (Traffic.cbr ~sched
+         ~flow:
+           (Netcore.Flow.make
+              ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
+              ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
+              ~src_port:7 ~dst_port:7 ())
+         ~pkt_bytes:500 ~rate_gbps ~stop:stop_at
+         ~send:(fun pkt -> Host.send src pkt)
+         ()
+        : Traffic.t);
+    (* Fault processes per profile. *)
+    let eng = Faults.Engine.create ~sched ~seed ~stop:stop_at () in
+    engine := Some eng;
+    let cp_count = ref 0 in
+    match profile with
+    | Faults.Profile.Flaky_links ->
+        Faults.Engine.add_link_flaps eng ~name:"link-flap"
+          ~plan:(Faults.Schedule.Poisson { start = Sim_time.us 200; rate_per_sec = 2500. })
+          ~down_for:(Sim_time.us 80) ~down_jitter:(Sim_time.us 40) primary;
+        let perturb =
+          Faults.Perturb.lossy ~drop_p:0.02 ~dup_p:0.01 ~delay_p:0.03
+            ~max_extra_delay:(Sim_time.us 5) ()
+        in
+        Faults.Engine.add_perturbation eng ~name:"perturb" ~config:perturb primary;
+        Faults.Engine.add_perturbation eng ~name:"perturb" ~config:perturb backup
+    | Faults.Profile.Burst_storm ->
+        Faults.Engine.add_burst_storm eng ~name:"burst"
+          ~plan:
+            (Faults.Schedule.Periodic
+               { start = Sim_time.us 150; period = Sim_time.us 250; jitter = Sim_time.us 100 })
+          ~pkts_per_burst:60 ~pkt_bytes:1000 ~rate_gbps:10. ~template:burst_template
+          ~inject:(fun pkt -> Event_switch.inject sw_a ~port:burst_inject_port pkt)
+    | Faults.Profile.Churn ->
+        let op_rng = Stats.Rng.create ~seed:(seed lxor 0x5eed) in
+        let ops =
+          [|
+            ( "register-write",
+              fun () ->
+                Event_switch.control_event sw_b ~opcode:(Stats.Rng.int op_rng 64)
+                  ~arg:(Stats.Rng.int op_rng 1_000_000) );
+            ( "register-write-a",
+              fun () ->
+                Event_switch.control_event sw_a ~opcode:(Stats.Rng.int op_rng 64)
+                  ~arg:(Stats.Rng.int op_rng 1_000_000) );
+            ( "handler-rereg",
+              fun () ->
+                (* De-register the detector's dequeue handler, re-register
+                   shortly after: mid-flight handler churn. *)
+                Event_switch.set_subscribed sw_b Event.Buffer_dequeue false;
+                ignore
+                  (Scheduler.schedule_after ~cls:"fault" sched ~delay:(Sim_time.us 20)
+                     (fun () -> Event_switch.set_subscribed sw_b Event.Buffer_dequeue true)) );
+            ( "cp-inject",
+              fun () ->
+                incr cp_count;
+                Event_switch.inject_from_control_plane sw_a (cp_probe !cp_count) );
+          |]
+        in
+        Faults.Engine.add_churn eng ~name:"churn"
+          ~plan:
+            (Faults.Schedule.Periodic
+               { start = Sim_time.us 100; period = Sim_time.us 50; jitter = Sim_time.us 25 })
+          ~ops
+    | Faults.Profile.Handler_faults ->
+        (* Crash the detector's dequeue handler and slow its enqueue
+           handler past the watchdog budget; under the default Quarantine
+           policy both should trip, back off and recover repeatedly
+           within the 3 ms run. *)
+        Faults.Engine.add_handler_crash eng ~name:"handler-crash"
+          ~plan:
+            (Faults.Schedule.Periodic
+               { start = Sim_time.us 200; period = Sim_time.us 300; jitter = Sim_time.us 50 })
+          (Event_switch.handler_key sw_b Event.Buffer_dequeue);
+        Faults.Engine.add_handler_slowdown eng ~name:"handler-slow"
+          ~plan:
+            (Faults.Schedule.Periodic
+               { start = Sim_time.us 350; period = Sim_time.us 400; jitter = Sim_time.us 80 })
+          ~steps:1_000_000
+          (Event_switch.handler_key sw_b Event.Buffer_enqueue)
   in
-  (* Fault processes per profile. *)
-  let engine = Faults.Engine.create ~sched ~seed ~stop:stop_at () in
-  let cp_count = ref 0 in
-  (match profile with
-  | Faults.Profile.Flaky_links ->
-      Faults.Engine.add_link_flaps engine ~name:"link-flap"
-        ~plan:(Faults.Schedule.Poisson { start = Sim_time.us 200; rate_per_sec = 2500. })
-        ~down_for:(Sim_time.us 80) ~down_jitter:(Sim_time.us 40) primary;
-      let perturb =
-        Faults.Perturb.lossy ~drop_p:0.02 ~dup_p:0.01 ~delay_p:0.03
-          ~max_extra_delay:(Sim_time.us 5) ()
-      in
-      Faults.Engine.add_perturbation engine ~name:"perturb" ~config:perturb primary;
-      Faults.Engine.add_perturbation engine ~name:"perturb" ~config:perturb backup
-  | Faults.Profile.Burst_storm ->
-      Faults.Engine.add_burst_storm engine ~name:"burst"
-        ~plan:
-          (Faults.Schedule.Periodic
-             { start = Sim_time.us 150; period = Sim_time.us 250; jitter = Sim_time.us 100 })
-        ~pkts_per_burst:60 ~pkt_bytes:1000 ~rate_gbps:10. ~template:burst_template
-        ~inject:(fun pkt -> Event_switch.inject sw_a ~port:burst_inject_port pkt)
-  | Faults.Profile.Churn ->
-      let op_rng = Stats.Rng.create ~seed:(seed lxor 0x5eed) in
-      let ops =
-        [|
-          ( "register-write",
-            fun () ->
-              Event_switch.control_event sw_b ~opcode:(Stats.Rng.int op_rng 64)
-                ~arg:(Stats.Rng.int op_rng 1_000_000) );
-          ( "register-write-a",
-            fun () ->
-              Event_switch.control_event sw_a ~opcode:(Stats.Rng.int op_rng 64)
-                ~arg:(Stats.Rng.int op_rng 1_000_000) );
-          ( "handler-rereg",
-            fun () ->
-              (* De-register the detector's dequeue handler, re-register
-                 shortly after: mid-flight handler churn. *)
-              Event_switch.set_subscribed sw_b Event.Buffer_dequeue false;
-              ignore
-                (Scheduler.schedule_after ~cls:"fault" sched ~delay:(Sim_time.us 20)
-                   (fun () -> Event_switch.set_subscribed sw_b Event.Buffer_dequeue true)) );
-          ( "cp-inject",
-            fun () ->
-              incr cp_count;
-              Event_switch.inject_from_control_plane sw_a (cp_probe !cp_count) );
-        |]
-      in
-      Faults.Engine.add_churn engine ~name:"churn"
-        ~plan:
-          (Faults.Schedule.Periodic
-             { start = Sim_time.us 100; period = Sim_time.us 50; jitter = Sim_time.us 25 })
-        ~ops
-  | Faults.Profile.Handler_faults ->
-      (* Crash the detector's dequeue handler and slow its enqueue
-         handler past the watchdog budget; under the default Quarantine
-         policy both should trip, back off and recover repeatedly
-         within the 3 ms run. *)
-      Faults.Engine.add_handler_crash engine ~name:"handler-crash"
-        ~plan:
-          (Faults.Schedule.Periodic
-             { start = Sim_time.us 200; period = Sim_time.us 300; jitter = Sim_time.us 50 })
-        (Event_switch.handler_key sw_b Event.Buffer_dequeue);
-      Faults.Engine.add_handler_slowdown engine ~name:"handler-slow"
-        ~plan:
-          (Faults.Schedule.Periodic
-             { start = Sim_time.us 350; period = Sim_time.us 400; jitter = Sim_time.us 80 })
-        ~steps:1_000_000
-        (Event_switch.handler_key sw_b Event.Buffer_enqueue));
-  Scheduler.run sched;
+  let r =
+    Parsim.run
+      (Parsim.config ~until ~switch_config
+         ~program:(fun sw -> if sw = 0 then frr_spec else det_spec)
+         ~on_shard ())
+      topo
+  in
+  let ctx = r.ctxs.(0) and engine = Option.get !engine in
+  if Scheduler.next_time ctx.sched >= 0 then
+    failwith (Printf.sprintf "E21: events still queued at %d ps" (Scheduler.next_time ctx.sched));
+  let sw_a = List.assoc 0 ctx.switches and sw_b = List.assoc 1 ctx.switches in
   (match metrics with
   | Some m ->
-      Scheduler.export_metrics ~labels:obs_labels sched m;
+      Scheduler.export_metrics ~labels:obs_labels ctx.sched m;
       Event_switch.export_metrics ~labels:obs_labels sw_a m;
       Event_switch.export_metrics ~labels:obs_labels sw_b m;
       Faults.Engine.export_metrics ~labels:obs_labels engine m
   | None -> ());
-  let links = Network.links network in
+  let links = List.map snd ctx.links and primary = List.assoc 0 ctx.links in
   let link_lost = List.fold_left (fun acc l -> acc + Link.lost l) 0 links in
   let duplicated = List.fold_left (fun acc l -> acc + Link.perturb_dups l) 0 links in
   let stale = List.fold_left (fun acc l -> acc + Link.stale_notifications l) 0 links in
@@ -253,9 +270,9 @@ let run ?metrics ?(seed = 42) ?(profile = Faults.Profile.Flaky_links) () =
     | Some c -> c.Faults.Engine.injected
     | None -> 0
   in
-  let sent = Traffic.sent traffic in
+  let sent = r.host_sent.(0) in
   let cp_injected = Event_switch.cp_injections sw_a + Event_switch.cp_injections sw_b in
-  let received = Host.received dst + Host.received src in
+  let received = r.host_received.(0) + r.host_received.(1) in
   let switch_dropped = switch_drops sw_a + switch_drops sw_b in
   let balance =
     sent + burst_injected + cp_injected + duplicated

@@ -25,7 +25,6 @@ module Packet = Netcore.Packet
 module Event = Devents.Event
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch
-module Network = Evcore.Network
 module Host = Evcore.Host
 module Link = Tmgr.Link
 module Traffic = Workloads.Traffic
@@ -76,13 +75,15 @@ let switch_drops sw =
   + Devents.Event_merger.packet_drops merger
   + Devents.Event_merger.packets_shed merger
 
+(* One switch: dst host 1 on port 0, src host 0 on port 1. *)
+let topo = Evcore.Topology.make ~switches:1 ~links:[] ~hosts:[ (0, 1); (0, 0) ]
+
+(* Every fault process stops at [stop_at]; a completed leg drains long
+   before [until], which [run_leg] checks. *)
+let until = stop_at + Sim_time.ms 2
+
 let run_leg ?metrics ~seed ~label ~policy ~shed () =
-  let sched = Scheduler.create () in
-  let network = Network.create ~sched in
   let obs_labels = [ ("leg", label) ] in
-  (match metrics with
-  | Some m -> Scheduler.set_metrics ~labels:obs_labels ~wall:false sched m
-  | None -> ());
   let det_spec, det =
     Apps.Microburst.program ~slots:256 ~threshold_bytes:15_000 ~out_port:(fun _ -> 0) ()
   in
@@ -112,66 +113,81 @@ let run_leg ?metrics ~seed ~label ~policy ~shed () =
         };
     }
   in
-  let sw = Event_switch.create ~sched ~id:0 ~config ~program:det_spec () in
-  let src = Host.create ~sched ~id:0 () and dst = Host.create ~sched ~id:1 () in
-  ignore (Network.connect_host network ~host:dst ~switch:(sw, 0) ());
-  ignore (Network.connect_host network ~host:src ~switch:(sw, 1) ());
-  let traffic =
-    Traffic.cbr ~sched
-      ~flow:
-        (Netcore.Flow.make
-           ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
-           ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
-           ~src_port:7 ~dst_port:7 ())
-      ~pkt_bytes:500 ~rate_gbps:1. ~stop:stop_at
-      ~send:(fun pkt -> Host.send src pkt)
-      ()
+  (* Kept from [on_shard]: a fail-fast leg raises out of [Parsim.run]. *)
+  let setup = ref None in
+  let on_shard (ctx : Parsim.shard_ctx) =
+    let sched = ctx.sched in
+    (match metrics with
+    | Some m -> Scheduler.set_metrics ~labels:obs_labels ~wall:false sched m
+    | None -> ());
+    let sw = List.assoc 0 ctx.switches and src = List.assoc 0 ctx.hosts in
+    let traffic =
+      Traffic.cbr ~sched
+        ~flow:
+          (Netcore.Flow.make
+             ~src:(Netcore.Ipv4_addr.host ~subnet:1 1)
+             ~dst:(Netcore.Ipv4_addr.host ~subnet:2 1)
+             ~src_port:7 ~dst_port:7 ())
+        ~pkt_bytes:500 ~rate_gbps:1. ~stop:stop_at
+        ~send:(fun pkt -> Host.send src pkt)
+        ()
+    in
+    let engine = Faults.Engine.create ~sched ~seed ~stop:stop_at () in
+    Faults.Engine.add_burst_storm engine ~name:"burst"
+      ~plan:
+        (Faults.Schedule.Periodic
+           { start = Sim_time.us 150; period = Sim_time.us 250; jitter = Sim_time.us 100 })
+      ~pkts_per_burst:60 ~pkt_bytes:1000 ~rate_gbps:10. ~template:burst_template
+      ~inject:(fun pkt -> Event_switch.inject sw ~port:burst_inject_port pkt);
+    Faults.Engine.add_handler_crash engine ~name:"handler-crash"
+      ~plan:
+        (Faults.Schedule.Periodic
+           { start = Sim_time.us 200; period = Sim_time.us 300; jitter = Sim_time.us 50 })
+      (Event_switch.handler_key sw Event.Buffer_dequeue);
+    Faults.Engine.add_handler_slowdown engine ~name:"handler-slow"
+      ~plan:
+        (Faults.Schedule.Periodic
+           { start = Sim_time.us 350; period = Sim_time.us 400; jitter = Sim_time.us 80 })
+      ~steps:1_000_000
+      (Event_switch.handler_key sw Event.Buffer_enqueue);
+    let inv =
+      Resil.Invariants.create ~sched ~policy:Resil.Invariants.Record ~period:(Sim_time.us 50) ()
+    in
+    Event_switch.invariant_checks sw inv;
+    Resil.Invariants.start inv ~stop:stop_at;
+    setup := Some (ctx, traffic, engine, inv)
   in
-  let engine = Faults.Engine.create ~sched ~seed ~stop:stop_at () in
-  Faults.Engine.add_burst_storm engine ~name:"burst"
-    ~plan:
-      (Faults.Schedule.Periodic
-         { start = Sim_time.us 150; period = Sim_time.us 250; jitter = Sim_time.us 100 })
-    ~pkts_per_burst:60 ~pkt_bytes:1000 ~rate_gbps:10. ~template:burst_template
-    ~inject:(fun pkt -> Event_switch.inject sw ~port:burst_inject_port pkt);
-  Faults.Engine.add_handler_crash engine ~name:"handler-crash"
-    ~plan:
-      (Faults.Schedule.Periodic
-         { start = Sim_time.us 200; period = Sim_time.us 300; jitter = Sim_time.us 50 })
-    (Event_switch.handler_key sw Event.Buffer_dequeue);
-  Faults.Engine.add_handler_slowdown engine ~name:"handler-slow"
-    ~plan:
-      (Faults.Schedule.Periodic
-         { start = Sim_time.us 350; period = Sim_time.us 400; jitter = Sim_time.us 80 })
-    ~steps:1_000_000
-    (Event_switch.handler_key sw Event.Buffer_enqueue);
-  let inv =
-    Resil.Invariants.create ~sched ~policy:Resil.Invariants.Record ~period:(Sim_time.us 50) ()
-  in
-  Event_switch.invariant_checks sw inv;
-  Resil.Invariants.start inv ~stop:stop_at;
   let completed, failed_handler =
-    match Scheduler.run sched with
-    | () -> (true, None)
+    match
+      Parsim.run
+        (Parsim.config ~until ~switch_config:(fun _ -> config) ~program:(fun _ -> det_spec)
+           ~on_shard ())
+        topo
+    with
+    | _ -> (true, None)
     | exception Resil.Supervisor.Failed (name, _) -> (false, Some name)
   in
+  let ctx, traffic, engine, inv = Option.get !setup in
+  if completed && Scheduler.next_time ctx.sched >= 0 then
+    failwith (Printf.sprintf "E22: events still queued at %d ps" (Scheduler.next_time ctx.sched));
+  let sw = List.assoc 0 ctx.switches in
   (match metrics with
   | Some m ->
-      Scheduler.export_metrics ~labels:obs_labels sched m;
+      Scheduler.export_metrics ~labels:obs_labels ctx.sched m;
       Event_switch.export_metrics ~labels:obs_labels sw m;
       Faults.Engine.export_metrics ~labels:obs_labels engine m;
       Resil.Invariants.export_metrics ~labels:obs_labels inv m
   | None -> ());
   let sup = Event_switch.supervisor sw in
   let merger = Event_switch.merger sw in
-  let link_lost = List.fold_left (fun acc l -> acc + Link.lost l) 0 (Network.links network) in
+  let link_lost = List.fold_left (fun acc (_, l) -> acc + Link.lost l) 0 ctx.links in
   let burst_injected =
     match List.assoc_opt "burst" (Faults.Engine.stats engine) with
     | Some c -> c.Faults.Engine.injected
     | None -> 0
   in
   let sent = Traffic.sent traffic in
-  let received = Host.received dst + Host.received src in
+  let received = List.fold_left (fun acc (_, h) -> acc + Host.received h) 0 ctx.hosts in
   let switch_dropped = switch_drops sw in
   {
     label;

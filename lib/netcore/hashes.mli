@@ -1,5 +1,5 @@
 (** Hash functions used by data-plane externs (flow hashing, sketch
-    rows, Bloom filters). All are deterministic pure functions. *)
+    rows). All are deterministic pure functions. *)
 
 val crc32 : bytes -> int
 (** IEEE 802.3 CRC-32 over the whole buffer (the polynomial hardware
@@ -16,8 +16,8 @@ val mix64 : int -> int
     result. *)
 
 val salted : salt:int -> int -> int
-(** [salted ~salt key] is an independent-looking hash per salt; CMS and
-    Bloom rows use salts 0, 1, 2, ... *)
+(** [salted ~salt key] is an independent-looking hash per salt; CMS
+    rows use salts 0, 1, 2, ... *)
 
 val fold_range : int -> int -> int
 (** [fold_range h n] maps a hash onto [\[0, n)]. *)

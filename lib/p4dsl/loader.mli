@@ -50,9 +50,10 @@
 exception Load_error of string
 
 val load : ?name:string -> string -> Evcore.Program.spec
-(** Parse and bind source text. Parse errors raise
-    {!Parser.Parse_error}; binding errors raise {!Load_error};
-    handler-time errors raise {!Interp.Runtime_error}. *)
+(** Parse and bind source text. Lexical errors raise
+    {!Lexer.Lex_error}, parse errors {!Parser.Parse_error} and binding
+    errors {!Load_error}; handler-time errors raise
+    {!Interp.Runtime_error}. *)
 
 val load_ast : ?name:string -> Ast.program -> Evcore.Program.spec
 

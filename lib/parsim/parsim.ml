@@ -481,7 +481,11 @@ let render_entry e =
   Printf.sprintf "t=%d %s=%d seq=%d %s" e.et (if e.ekind = 0 then "sw" else "host") e.eid e.eseq
     e.edetail
 
-let run cfg (topo : Topology.t) =
+let run (cfg : config) (topo : Topology.t) =
+  (* The horizon clamps to [until + 1], which must stay a real
+     timestamp below [Horizon.no_event]. *)
+  if cfg.until < 0 || cfg.until >= Horizon.no_event then
+    invalid_arg (Printf.sprintf "Parsim.run: until %d outside [0, Horizon.no_event)" cfg.until);
   (* [shards = 0] means auto: one shard per recommended domain, capped
      by the switch count. *)
   let n =

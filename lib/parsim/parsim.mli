@@ -213,5 +213,6 @@ type result = {
 
 val run : config -> Evcore.Topology.t -> result
 (** Build, execute, merge. Validates the topology; raises
-    [Invalid_argument] on a bad shard count. [shards = 0] resolves to
+    [Invalid_argument] on a bad shard count or an [until] outside
+    [\[0, Horizon.no_event)], at every shard count. [shards = 0] resolves to
     [min (recommended_domains ()) switches] before planning. *)

@@ -30,6 +30,19 @@ let mk_switch ?(arch = Arch.event_pisa_full) ?tm_config ~sched spec =
   done;
   sw
 
+(* Runs [topo] on one scheduler, every switch on the full event
+   architecture; [on_shard] installs traffic, faults and sinks. *)
+let run_topo ~until ~program ~on_shard topo =
+  Parsim.run
+    (Parsim.config ~until
+       ~switch_config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
+       ~program ~on_shard ())
+    topo
+
+(* Two switches joined by port 1 (primary) and port 2 (backup). *)
+let frr_pair =
+  Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)); ((0, 2), (1, 2)) ] ~hosts:[]
+
 (* --- Microburst --- *)
 
 let test_microburst_detects_culprit () =
@@ -288,24 +301,26 @@ let test_policer_enforces_cir () =
 (* --- Fast reroute --- *)
 
 let test_frr_event_driven_switchover () =
-  let sched = Scheduler.create () in
-  let network = Evcore.Network.create ~sched in
-  let spec, app = Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 () in
-  let config = Event_switch.default_config Arch.event_pisa_full in
-  let sw_a = Event_switch.create ~sched ~id:0 ~config ~program:spec () in
-  let spec_b, _ = Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 () in
-  let sw_b = Event_switch.create ~sched ~id:1 ~config ~program:spec_b () in
-  let link = Evcore.Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  ignore (Evcore.Network.connect_switches network ~a:(sw_a, 2) ~b:(sw_b, 2) ());
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
-  ignore (Scheduler.schedule sched ~at:(Sim_time.us 100) (fun () -> Tmgr.Link.fail link));
+  let mk () =
+    Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 ()
+  in
+  let (spec, app), (spec_b, _) = (mk (), mk ()) in
   ignore
-    (Scheduler.schedule sched ~at:(Sim_time.us 200) (fun () ->
-         Event_switch.inject sw_a ~port:0
-           (Packet.udp_packet ~src:(Ipv4_addr.host ~subnet:1 1) ~dst:(Ipv4_addr.host ~subnet:2 1)
-              ~src_port:1 ~dst_port:2 ~payload_len:100 ())));
-  Scheduler.run sched;
+    (run_topo ~until:(Sim_time.ms 1)
+       ~program:(fun sw -> if sw = 0 then spec else spec_b)
+       ~on_shard:(fun ctx ->
+         List.iter (fun (_, sw) -> Event_switch.set_port_tx sw ~port:0 (fun _ -> ())) ctx.switches;
+         let link = List.assoc 0 ctx.links and sw_a = List.assoc 0 ctx.switches in
+         ignore
+           (Scheduler.schedule ctx.sched ~at:(Sim_time.us 100) (fun () -> Tmgr.Link.fail link));
+         ignore
+           (Scheduler.schedule ctx.sched ~at:(Sim_time.us 200) (fun () ->
+                Event_switch.inject sw_a ~port:0
+                  (Packet.udp_packet ~src:(Ipv4_addr.host ~subnet:1 1)
+                     ~dst:(Ipv4_addr.host ~subnet:2 1) ~src_port:1 ~dst_port:2
+                     ~payload_len:100 ()))))
+       frr_pair
+      : Parsim.result);
   Alcotest.(check bool) "switched to backup" true (Apps.Fast_reroute.using_backup app);
   (* PHY detection delay is 10us. *)
   Alcotest.(check (option int)) "failover at fail+10us"
@@ -314,18 +329,21 @@ let test_frr_event_driven_switchover () =
   Alcotest.(check int) "packet took backup" 1 (Apps.Fast_reroute.switched_packets app)
 
 let test_frr_failback () =
-  let sched = Scheduler.create () in
-  let network = Evcore.Network.create ~sched in
-  let mk () = Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 () in
-  let spec_a, app = mk () and spec_b, _ = mk () in
-  let config = Event_switch.default_config Arch.event_pisa_full in
-  let sw_a = Event_switch.create ~sched ~id:0 ~config ~program:spec_a () in
-  let sw_b = Event_switch.create ~sched ~id:1 ~config ~program:spec_b () in
-  let link = Evcore.Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  ignore (Evcore.Network.connect_switches network ~a:(sw_a, 2) ~b:(sw_b, 2) ());
-  ignore (Scheduler.schedule sched ~at:(Sim_time.us 100) (fun () -> Tmgr.Link.fail link));
-  ignore (Scheduler.schedule sched ~at:(Sim_time.us 300) (fun () -> Tmgr.Link.restore link));
-  Scheduler.run sched;
+  let mk () =
+    Apps.Fast_reroute.program ~mode:Apps.Fast_reroute.Event_driven ~primary:1 ~backup:2 ()
+  in
+  let (spec_a, app), (spec_b, _) = (mk (), mk ()) in
+  ignore
+    (run_topo ~until:(Sim_time.ms 1)
+       ~program:(fun sw -> if sw = 0 then spec_a else spec_b)
+       ~on_shard:(fun ctx ->
+         let link = List.assoc 0 ctx.links in
+         ignore
+           (Scheduler.schedule ctx.sched ~at:(Sim_time.us 100) (fun () -> Tmgr.Link.fail link));
+         ignore
+           (Scheduler.schedule ctx.sched ~at:(Sim_time.us 300) (fun () -> Tmgr.Link.restore link)))
+       frr_pair
+      : Parsim.result);
   Alcotest.(check bool) "back on primary" false (Apps.Fast_reroute.using_backup app);
   Alcotest.(check (option int)) "failback at restore+10us"
     (Some (Sim_time.us 310))
@@ -333,52 +351,42 @@ let test_frr_failback () =
 
 (* --- Liveness --- *)
 
-let test_liveness_stays_alive () =
-  let sched = Scheduler.create () in
-  let network = Evcore.Network.create ~sched in
-  let mk id =
-    let spec, app =
-      Apps.Liveness.program
-        ~mode:
-          (Apps.Liveness.Event_driven
-             { probe_period = Sim_time.us 50; check_period = Sim_time.us 50 })
-        ~timeout:(Sim_time.us 150) ~neighbor_port:1 ~out_port:(fun _ -> 0) ()
-    in
-    let config = Event_switch.default_config Arch.event_pisa_full in
-    (Event_switch.create ~sched ~id ~config ~program:spec (), app)
+(* Two echoing monitors on one link, failed and restored at the given
+   times when set. *)
+let run_liveness ~until ?fail_restore () =
+  let apps =
+    Array.init 2 (fun _ ->
+        Apps.Liveness.program
+          ~mode:
+            (Apps.Liveness.Event_driven
+               { probe_period = Sim_time.us 50; check_period = Sim_time.us 50 })
+          ~timeout:(Sim_time.us 150) ~neighbor_port:1 ~out_port:(fun _ -> 0) ())
   in
-  let sw_a, app_a = mk 0 in
-  let sw_b, app_b = mk 1 in
-  ignore (Evcore.Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) ());
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
-  Scheduler.run ~until:(Sim_time.ms 2) sched;
+  let r =
+    run_topo ~until
+      ~program:(fun sw -> fst apps.(sw))
+      ~on_shard:(fun ctx ->
+        List.iter (fun (_, sw) -> Event_switch.set_port_tx sw ~port:0 (fun _ -> ())) ctx.switches;
+        let link = List.assoc 0 ctx.links in
+        Option.iter
+          (fun (fail, restore) ->
+            ignore (Scheduler.schedule ctx.sched ~at:fail (fun () -> Tmgr.Link.fail link));
+            ignore (Scheduler.schedule ctx.sched ~at:restore (fun () -> Tmgr.Link.restore link)))
+          fail_restore)
+      (Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)) ] ~hosts:[])
+  in
+  (snd apps.(0), snd apps.(1), List.assoc 0 r.ctxs.(0).switches)
+
+let test_liveness_stays_alive () =
+  let app_a, app_b, _ = run_liveness ~until:(Sim_time.ms 2) () in
   Alcotest.(check (option int)) "a never declares dead" None (Apps.Liveness.declared_dead_at app_a);
   Alcotest.(check (option int)) "b never declares dead" None (Apps.Liveness.declared_dead_at app_b);
   Alcotest.(check bool) "replies flowed" true (Apps.Liveness.replies_heard app_a > 30)
 
 let test_liveness_detects_and_recovers () =
-  let sched = Scheduler.create () in
-  let network = Evcore.Network.create ~sched in
-  let mk id =
-    let spec, app =
-      Apps.Liveness.program
-        ~mode:
-          (Apps.Liveness.Event_driven
-             { probe_period = Sim_time.us 50; check_period = Sim_time.us 50 })
-        ~timeout:(Sim_time.us 150) ~neighbor_port:1 ~out_port:(fun _ -> 0) ()
-    in
-    let config = Event_switch.default_config Arch.event_pisa_full in
-    (Event_switch.create ~sched ~id ~config ~program:spec (), app)
+  let app_a, _, sw_a =
+    run_liveness ~until:(Sim_time.ms 3) ~fail_restore:(Sim_time.ms 1, Sim_time.ms 2) ()
   in
-  let sw_a, app_a = mk 0 in
-  let sw_b, _ = mk 1 in
-  let link = Evcore.Network.connect_switches network ~a:(sw_a, 1) ~b:(sw_b, 1) () in
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
-  ignore (Scheduler.schedule sched ~at:(Sim_time.ms 1) (fun () -> Tmgr.Link.fail link));
-  ignore (Scheduler.schedule sched ~at:(Sim_time.ms 2) (fun () -> Tmgr.Link.restore link));
-  Scheduler.run ~until:(Sim_time.ms 3) sched;
   (match Apps.Liveness.declared_dead_at app_a with
   | None -> Alcotest.fail "failure not detected"
   | Some t ->
@@ -501,9 +509,8 @@ let test_int_heartbeat_only_when_quiet () =
 
 (* --- HULA --- *)
 
-let test_hula_probes_populate_best_hops () =
-  let sched = Scheduler.create () in
-  let params =
+let hula_2x2 () =
+  Apps.Hula.create
     {
       Apps.Hula.default_params with
       Apps.Hula.num_leaves = 2;
@@ -512,15 +519,14 @@ let test_hula_probes_populate_best_hops () =
       probe_period = Sim_time.us 50;
       util_period = Sim_time.us 50;
     }
-  in
-  let hula = Apps.Hula.create params Apps.Hula.Event_driven in
-  let topo =
-    Workloads.Topology.leaf_spine ~sched ~num_leaves:2 ~num_spines:2 ~hosts_per_leaf:1
-      ~config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
-      ~program:(Apps.Hula.program hula) ()
-  in
-  ignore topo;
-  Scheduler.run ~until:(Sim_time.ms 1) sched;
+    Apps.Hula.Event_driven
+
+let test_hula_probes_populate_best_hops () =
+  let hula = hula_2x2 () in
+  ignore
+    (run_topo ~until:(Sim_time.ms 1) ~program:(Apps.Hula.program hula) ~on_shard:ignore
+       (Evcore.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:1)
+      : Parsim.result);
   Alcotest.(check bool) "leaf0 knows a hop to leaf1" true
     (Apps.Hula.best_hop hula ~leaf:0 ~dst_leaf:1 <> None);
   Alcotest.(check bool) "leaf1 knows a hop to leaf0" true
@@ -532,35 +538,24 @@ let test_hula_probes_populate_best_hops () =
   Array.iter (fun g -> Alcotest.(check (float 0.2)) "exact 50us period" 50. g) gaps
 
 let test_hula_delivery_end_to_end () =
-  let sched = Scheduler.create () in
-  let params =
-    {
-      Apps.Hula.default_params with
-      Apps.Hula.num_leaves = 2;
-      num_spines = 2;
-      hosts_per_leaf = 1;
-      probe_period = Sim_time.us 50;
-      util_period = Sim_time.us 50;
-    }
+  let hula = hula_2x2 () in
+  let r =
+    run_topo ~until:(Sim_time.ms 1 + Sim_time.us 100) ~program:(Apps.Hula.program hula)
+      ~on_shard:(fun ctx ->
+        ignore
+          (Traffic.cbr ~sched:ctx.sched
+             ~flow:
+               (Netcore.Flow.make
+                  ~src:(Ipv4_addr.host ~subnet:0 0)
+                  ~dst:(Ipv4_addr.host ~subnet:1 0)
+                  ~src_port:5000 ~dst_port:6000 ())
+             ~pkt_bytes:1000 ~rate_gbps:1. ~stop:(Sim_time.ms 1)
+             ~send:(Evcore.Host.send (List.assoc 0 ctx.hosts))
+             ()
+            : Traffic.t))
+      (Evcore.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:1)
   in
-  let hula = Apps.Hula.create params Apps.Hula.Event_driven in
-  let topo =
-    Workloads.Topology.leaf_spine ~sched ~num_leaves:2 ~num_spines:2 ~hosts_per_leaf:1
-      ~config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
-      ~program:(Apps.Hula.program hula) ()
-  in
-  ignore
-    (Traffic.cbr ~sched
-       ~flow:
-         (Netcore.Flow.make
-            ~src:(Ipv4_addr.host ~subnet:0 0)
-            ~dst:(Ipv4_addr.host ~subnet:1 0)
-            ~src_port:5000 ~dst_port:6000 ())
-       ~pkt_bytes:1000 ~rate_gbps:1. ~stop:(Sim_time.ms 1)
-       ~send:(fun pkt -> Evcore.Host.send topo.Workloads.Topology.hosts.(0).(0) pkt)
-       ());
-  Scheduler.run ~until:(Sim_time.ms 1 + Sim_time.us 100) sched;
-  let received = Evcore.Host.received topo.Workloads.Topology.hosts.(1).(0) in
+  let received = r.host_received.(1) in
   Alcotest.(check bool)
     (Printf.sprintf "most packets delivered (%d)" received)
     true (received > 100)
@@ -620,47 +615,43 @@ let test_pie_idle_probability_decays () =
 (* --- State migration --- *)
 
 let test_state_migration_event_driven () =
-  let sched = Scheduler.create () in
-  let network = Evcore.Network.create ~sched in
   let app = Apps.State_migration.create ~slots:16 () in
-  let config = Event_switch.default_config Arch.event_pisa_full in
-  let sw_a =
-    Event_switch.create ~sched ~id:0 ~config
-      ~program:
-        (Apps.State_migration.active_program app
-           ~mode:(Apps.State_migration.Event_driven { chunk_period = Sim_time.us 1 })
-           ~primary:1 ~backup:2)
-      ()
-  in
-  let sw_b =
-    Event_switch.create ~sched ~id:1 ~config
-      ~program:(Apps.State_migration.standby_program app ~out_port:0) ()
-  in
-  let sink = Evcore.Host.create ~sched ~id:1 () in
-  let primary = Evcore.Network.connect_host network ~host:sink ~switch:(sw_a, 1) () in
-  ignore (Evcore.Network.connect_switches network ~a:(sw_a, 2) ~b:(sw_b, 1) ());
-  Event_switch.set_port_tx sw_a ~port:0 (fun _ -> ());
-  Event_switch.set_port_tx sw_b ~port:0 (fun _ -> ());
   let flow = mk_flow 5 in
   let probe_pkt () =
     Packet.udp_packet ~src:flow.Flow.src ~dst:flow.Flow.dst ~src_port:flow.Flow.src_port
       ~dst_port:flow.Flow.dst_port ~payload_len:100 ()
   in
   let slot = Apps.State_migration.flow_slot app (probe_pkt ()) in
-  (* 10 packets before the failure, 5 after. *)
-  for i = 1 to 10 do
-    ignore
-      (Scheduler.schedule sched ~at:(i * Sim_time.us 2) (fun () ->
-           Event_switch.inject sw_a ~port:0 (probe_pkt ())))
-  done;
-  ignore (Scheduler.schedule sched ~at:(Sim_time.us 50) (fun () -> Tmgr.Link.fail primary));
-  for i = 1 to 5 do
-    ignore
-      (Scheduler.schedule sched
-         ~at:(Sim_time.us 100 + (i * Sim_time.us 2))
-         (fun () -> Event_switch.inject sw_a ~port:0 (probe_pkt ())))
-  done;
-  Scheduler.run sched;
+  ignore
+    (run_topo ~until:(Sim_time.ms 1)
+       ~program:(fun sw ->
+         if sw = 0 then
+           Apps.State_migration.active_program app
+             ~mode:(Apps.State_migration.Event_driven { chunk_period = Sim_time.us 1 })
+             ~primary:1 ~backup:2
+         else Apps.State_migration.standby_program app ~out_port:0)
+       ~on_shard:(fun ctx ->
+         let sw_a = List.assoc 0 ctx.switches in
+         List.iter (fun (_, sw) -> Event_switch.set_port_tx sw ~port:0 (fun _ -> ())) ctx.switches;
+         (* 10 packets before the failure of the sink's link, 5 after. *)
+         let inject_at at =
+           ignore
+             (Scheduler.schedule ctx.sched ~at (fun () ->
+                  Event_switch.inject sw_a ~port:0 (probe_pkt ())))
+         in
+         for i = 1 to 10 do
+           inject_at (i * Sim_time.us 2)
+         done;
+         let primary = List.assoc 1 ctx.links in
+         ignore
+           (Scheduler.schedule ctx.sched ~at:(Sim_time.us 50) (fun () -> Tmgr.Link.fail primary));
+         for i = 1 to 5 do
+           inject_at (Sim_time.us 100 + (i * Sim_time.us 2))
+         done)
+       (* A's port 2 is the backup to B's port 1; a sink host sits on A's
+          primary port 1. *)
+       (Evcore.Topology.make ~switches:2 ~links:[ ((0, 2), (1, 1)) ] ~hosts:[ (0, 1) ])
+      : Parsim.result);
   Alcotest.(check bool) "migration completed" true
     (Apps.State_migration.migration_completed_at app <> None);
   Alcotest.(check int) "all chunks installed" 16 (Apps.State_migration.chunks_installed app);

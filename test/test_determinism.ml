@@ -6,7 +6,6 @@
 
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
-module Trace = Eventsim.Trace
 module Event_switch = Evcore.Event_switch
 module M = Obs.Metrics
 
@@ -22,8 +21,8 @@ let mk_pkt ~payload_len i =
    transmissions recorded in the trace. *)
 let run_once ?(drive = fun sched -> Scheduler.run sched) ~seed () =
   let sched = Scheduler.create () in
-  let trace = Trace.create ~limit:50_000 () in
-  Trace.enable trace;
+  let trace = ref [] in
+  let record ~time msg = trace := (time, msg) :: !trace in
   let reg = M.create () in
   Scheduler.set_metrics ~wall:false sched reg;
   let config = Event_switch.default_config Evcore.Arch.event_pisa_full in
@@ -32,7 +31,7 @@ let run_once ?(drive = fun sched -> Scheduler.run sched) ~seed () =
   in
   let sw = Event_switch.create ~sched ~config ~program:spec () in
   Event_switch.set_port_tx sw ~port:1 (fun pkt ->
-      Trace.record trace ~time:(Scheduler.now sched)
+      record ~time:(Scheduler.now sched)
         (Printf.sprintf "tx len=%d" (Netcore.Packet.len pkt)));
   let rng = Stats.Rng.create ~seed in
   for i = 0 to 299 do
@@ -46,12 +45,12 @@ let run_once ?(drive = fun sched -> Scheduler.run sched) ~seed () =
   drive sched;
   List.iter
     (fun (d : Apps.Microburst.detection) ->
-      Trace.record trace ~time:d.Apps.Microburst.time
+      record ~time:d.Apps.Microburst.time
         (Printf.sprintf "detect slot=%d" d.Apps.Microburst.flow_id))
     (Apps.Microburst.detections detector);
   Scheduler.export_metrics sched reg;
   Event_switch.export_metrics sw reg;
-  (Trace.records trace, M.to_json reg, M.to_csv reg)
+  (List.rev !trace, M.to_json reg, M.to_csv reg)
 
 let test_trace_identical () =
   let t1, _, _ = run_once ~seed:7 () and t2, _, _ = run_once ~seed:7 () in

@@ -4,7 +4,6 @@ module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
 module Event_heap = Eventsim.Event_heap
 module Ladder_queue = Eventsim.Ladder_queue
-module Trace = Eventsim.Trace
 
 let test_time_units () =
   Alcotest.(check int) "ns" 1_000 (Sim_time.ns 1);
@@ -905,22 +904,6 @@ let test_executed_counter () =
   Scheduler.run sched;
   Alcotest.(check int) "executed" 5 (Scheduler.executed sched)
 
-let test_trace_bounds () =
-  let tr = Trace.create ~limit:3 () in
-  Trace.enable tr;
-  for i = 1 to 5 do
-    Trace.record tr ~time:i (Printf.sprintf "ev%d" i)
-  done;
-  Alcotest.(check int) "count includes dropped" 5 (Trace.count tr);
-  Alcotest.(check int) "kept only limit" 3 (List.length (Trace.records tr));
-  Alcotest.(check (option (pair int string)))
-    "find" (Some (4, "ev4")) (Trace.find tr ~pattern:"ev4")
-
-let test_trace_disabled () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1 "ignored";
-  Alcotest.(check int) "disabled records nothing" 0 (Trace.count tr)
-
 let suite =
   [
     Alcotest.test_case "time units" `Quick test_time_units;
@@ -977,6 +960,4 @@ let suite =
     Alcotest.test_case "periodic cancel" `Quick test_periodic_cancel_stops;
     Alcotest.test_case "periodic start offset" `Quick test_periodic_start;
     Alcotest.test_case "executed counter" `Quick test_executed_counter;
-    Alcotest.test_case "trace bounds" `Quick test_trace_bounds;
-    Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
   ]

@@ -6,7 +6,6 @@ module Match_table = Pisa.Match_table
 module Counter = Pisa.Counter
 module Meter = Pisa.Meter
 module Cms = Pisa.Cms
-module Bloom = Pisa.Bloom
 module Pipeline = Pisa.Pipeline
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
@@ -158,25 +157,6 @@ let test_cms_reset () =
   Cms.reset cms;
   Alcotest.(check int) "cleared" 0 (Cms.query cms ~key:5)
 
-let test_bloom () =
-  let alloc = Register_alloc.create () in
-  let b = Bloom.create ~alloc ~bits:1024 ~hashes:3 () in
-  for k = 0 to 49 do
-    Bloom.add b k
-  done;
-  (* No false negatives. *)
-  for k = 0 to 49 do
-    if not (Bloom.mem b k) then Alcotest.failf "false negative for %d" k
-  done;
-  (* Low false positive rate at this load. *)
-  let fp = ref 0 in
-  for k = 1000 to 1999 do
-    if Bloom.mem b k then incr fp
-  done;
-  Alcotest.(check bool) "few false positives" true (!fp < 20);
-  Bloom.reset b;
-  Alcotest.(check bool) "reset clears" false (Bloom.mem b 0)
-
 let test_pipeline_admission_serialisation () =
   let sched = Scheduler.create () in
   let p = Pipeline.create ~sched () in
@@ -219,7 +199,6 @@ let suite =
     Alcotest.test_case "cms never undercounts" `Quick test_cms_never_undercounts;
     QCheck_alcotest.to_alcotest qcheck_cms_overcount_bounded;
     Alcotest.test_case "cms reset" `Quick test_cms_reset;
-    Alcotest.test_case "bloom filter" `Quick test_bloom;
     Alcotest.test_case "pipeline admission" `Quick test_pipeline_admission_serialisation;
     Alcotest.test_case "pipeline idle accounting" `Quick test_pipeline_idle_accounting;
   ]

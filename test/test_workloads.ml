@@ -1,10 +1,9 @@
-(* Tests for traffic sources, flow generation and topology builders. *)
+(* Tests for traffic sources, flow generation and trace replay. *)
 
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Traffic = Workloads.Traffic
 module Flowgen = Workloads.Flowgen
-module Topology = Workloads.Topology
 module Flow = Netcore.Flow
 module Ipv4_addr = Netcore.Ipv4_addr
 
@@ -189,61 +188,6 @@ let test_flowgen_replay () =
   Scheduler.run ~until:(Sim_time.ms 50) sched;
   Alcotest.(check bool) "packets flowed" true (!got > 50)
 
-let fwd = Evcore.Program.forward_all ~name:"fwd" ~out_port:1
-
-let test_topology_single () =
-  let sched = Scheduler.create () in
-  let config = Evcore.Event_switch.default_config Evcore.Arch.event_pisa_full in
-  let topo = Topology.single ~sched ~num_hosts:6 ~config ~program:fwd () in
-  Alcotest.(check int) "hosts" 6 (Array.length topo.Topology.hosts);
-  Alcotest.(check int) "ports grown" 6 (Evcore.Event_switch.num_ports topo.Topology.switch);
-  (* Host 0 -> switch -> out port 1 -> host 1. *)
-  Evcore.Host.send topo.Topology.hosts.(0)
-    (Netcore.Packet.udp_packet ~src:(Ipv4_addr.host ~subnet:1 1)
-       ~dst:(Ipv4_addr.host ~subnet:1 2) ~src_port:1 ~dst_port:2 ~payload_len:10 ());
-  Scheduler.run sched;
-  Alcotest.(check int) "delivered to host 1" 1 (Evcore.Host.received topo.Topology.hosts.(1))
-
-let test_topology_chain () =
-  let sched = Scheduler.create () in
-  let config _ = Evcore.Event_switch.default_config Evcore.Arch.event_pisa_full in
-  (* Forward "up" the chain: host traffic (port 0) goes out port 1;
-     transit from previous switch (port 2) is delivered locally. *)
-  let program _role _ctx =
-    Evcore.Program.make ~name:"chain"
-      ~ingress:(fun _ctx pkt ->
-        if pkt.Netcore.Packet.meta.Netcore.Packet.ingress_port = 2 then Evcore.Program.Forward 0
-        else Evcore.Program.Forward 1)
-      ()
-  in
-  let topo = Topology.chain ~sched ~num_switches:3 ~config ~program ()  in
-  Alcotest.(check int) "links" 2 (Array.length topo.Topology.inter_links);
-  Evcore.Host.send topo.Topology.hosts.(0)
-    (Netcore.Packet.udp_packet ~src:(Ipv4_addr.host ~subnet:1 1)
-       ~dst:(Ipv4_addr.host ~subnet:1 2) ~src_port:1 ~dst_port:2 ~payload_len:10 ());
-  Scheduler.run sched;
-  Alcotest.(check int) "hop delivered to next host" 1
-    (Evcore.Host.received topo.Topology.hosts.(1))
-
-let test_topology_leaf_spine_wiring () =
-  let sched = Scheduler.create () in
-  let config _ = Evcore.Event_switch.default_config Evcore.Arch.event_pisa_full in
-  let seen_roles = ref [] in
-  let program role _ctx =
-    seen_roles := role :: !seen_roles;
-    Evcore.Program.make ~name:"nop" ~ingress:(fun _ctx _pkt -> Evcore.Program.Drop) ()
-  in
-  let topo =
-    Topology.leaf_spine ~sched ~num_leaves:2 ~num_spines:3 ~hosts_per_leaf:2 ~config ~program ()
-  in
-  Alcotest.(check int) "leaves" 2 (Array.length topo.Topology.leaves);
-  Alcotest.(check int) "spines" 3 (Array.length topo.Topology.spines);
-  Alcotest.(check int) "uplinks per leaf" 3 (Array.length topo.Topology.uplinks.(0));
-  Alcotest.(check int) "programs installed" 5 (List.length !seen_roles);
-  let leaves = List.length (List.filter (function Topology.Leaf _ -> true | _ -> false) !seen_roles) in
-  Alcotest.(check int) "leaf roles" 2 leaves;
-  Alcotest.(check int) "uplink port convention" 4 (Topology.uplink_port ~hosts_per_leaf:2 ~spine:2)
-
 (* --- Trace record/replay --- *)
 
 let test_trace_roundtrip () =
@@ -306,9 +250,6 @@ let suite =
     Alcotest.test_case "flowgen stream = generate" `Quick test_flowgen_stream_matches_generate;
     Alcotest.test_case "flowgen 1M flows, O(live) memory" `Quick test_flowgen_streaming_memory;
     Alcotest.test_case "flowgen replay" `Quick test_flowgen_replay;
-    Alcotest.test_case "topology single" `Quick test_topology_single;
-    Alcotest.test_case "topology chain" `Quick test_topology_chain;
-    Alcotest.test_case "topology leaf-spine" `Quick test_topology_leaf_spine_wiring;
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace time offset" `Quick test_trace_time_offset;
     Alcotest.test_case "trace ordering" `Quick test_trace_ordering_enforced;
