@@ -115,16 +115,33 @@ val cardinality : t -> int
 (** Number of registered series. *)
 
 val merged_snapshot : t list -> sample list
-(** Union of the registries' snapshots re-sorted by (name, labels) —
-    the deterministic merge of per-shard registries from a partitioned
-    simulation. The series sets must be disjoint (shards own disjoint
-    switches); a (name, labels) pair appearing in two registries raises
-    [Invalid_argument]. [merged_snapshot [r]] equals [snapshot r]. *)
+(** Union of the registries' snapshots in (name, labels) order — the
+    deterministic merge of per-shard registries from a partitioned
+    simulation, each registry's sorted series merged with the others'.
+    The series sets must be disjoint (shards own disjoint switches); a
+    (name, labels) pair appearing in two registries raises
+    [Invalid_argument] naming both the name and the labels.
+    [merged_snapshot [r]] equals [snapshot r]. *)
 
 val merged_json : t list -> string
 (** {!merged_snapshot} rendered exactly as {!to_json} renders a single
     registry, so a sequential run's snapshot and a sharded run's merged
-    snapshot are byte-comparable. *)
+    snapshot are byte-comparable. Equals [join (List.map render regs)]. *)
+
+type rendered
+(** One registry's series, sorted and each rendered as its line of the
+    JSON document: a shard's share of a merged document, assembled on
+    the shard's own domain. *)
+
+val render : t -> rendered
+(** Reads, sorts and renders every series of the registry as it stands
+    now; later updates do not show. *)
+
+val join : rendered list -> string
+(** The JSON document of the rendered registries' union: merges the
+    sorted series and concatenates their lines, rendering nothing
+    again. Raises [Invalid_argument] like {!merged_snapshot} on a
+    series present in two of them. [to_json t = join [ render t ]]. *)
 
 val find_value : t -> ?labels:labels -> string -> value option
 

@@ -225,7 +225,13 @@ type engine = {
   wait_s : float array;
   release_s : float array;
   parks : int array;
+  failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* the first exception a shard raised *)
 }
+
+(* Raised out of a wait once a peer shard has failed: the waiter gives
+   up its run, and [run] re-raises the peer's exception. *)
+exception Abandoned
 
 let wake b =
   Atomic.incr b.rings;
@@ -257,17 +263,17 @@ let drain_inbound eng shard =
     | Some c -> if pop_all st c false then ring_for_room eng j
   done
 
-(* One park attempt: announce [why], then check [ready] once more
-   before sleeping — a publisher that missed the announcement happened
-   before that check, one that saw it rings. Returns [ready]'s verdict;
-   [false] after a wake, so the caller re-checks under a fresh
-   announcement. *)
+(* One park attempt: announce [why], then check [ready] and the fleet's
+   failure once more before sleeping — a publisher that missed the
+   announcement happened before that check, one that saw it rings, and
+   so does a failing shard. Returns [ready]'s verdict; [false] after a
+   wake, so the caller re-checks under a fresh announcement. *)
 let park eng shard ~why ready a b =
   let bell = eng.bells.(shard) in
   let ticket = Atomic.get bell.rings in
   Atomic.set bell.parked why;
   let ok = ready eng shard a b in
-  if not ok then begin
+  if (not ok) && Option.is_none (Atomic.get eng.failure) then begin
     eng.parks.(shard) <- eng.parks.(shard) + 1;
     Mutex.lock bell.lock;
     while Atomic.get bell.rings = ticket do
@@ -282,10 +288,12 @@ let park eng shard ~why ready a b =
    then park on the shard's own doorbell until whoever publishes what
    [ready] needs rings it. [ready] is a closed function and [a], [b]
    its arguments, so waiting allocates nothing; it is called until it
-   returns [true], and never again after that. *)
+   returns [true], and never again after that. A failed peer ends the
+   wait with [Abandoned]. *)
 let await eng shard ~why ready a b =
   let spins = ref 0 and ok = ref (ready eng shard a b) in
   while not !ok do
+    if Option.is_some (Atomic.get eng.failure) then raise Abandoned;
     if !spins < 200 then begin
       incr spins;
       Domain.cpu_relax ();
@@ -310,6 +318,12 @@ let xsend eng ~src ~dst m =
         ring eng dst;
         await eng src ~why:On_push push_ready c m
       end
+
+(* Records the first failure and rings every doorbell, so that both
+   waits, at the barrier and on a full channel, see it. *)
+let fail eng e bt =
+  ignore (Atomic.compare_and_set eng.failure None (Some (e, bt)) : bool);
+  Array.iter wake eng.bells
 
 let barrier_ready eng shard arrived target =
   drain_inbound eng shard;
@@ -577,6 +591,7 @@ let run (cfg : config) (topo : Topology.t) =
       wait_s = Array.make n 0.;
       release_s = Array.make n 0.;
       parks = Array.make n 0;
+      failure = Atomic.make None;
     }
   in
   (* Trace hooks: per-entity sequence numbers are global arrays, but
@@ -700,26 +715,43 @@ let run (cfg : config) (topo : Topology.t) =
         { (st.ctx) with links = List.sort (fun (a, _) (b, _) -> compare a b) st.ctx.links })
     states;
   Array.iter (fun st -> cfg.on_shard st.ctx) states;
-  let t0 = Unix.gettimeofday () in
-  let rounds_executed =
-    if n = 1 then begin
-      (* True sequential path: no windows, no channels, no barriers. *)
-      Scheduler.run ~until:cfg.until scheds.(0);
-      1
-    end
-    else begin
-      let others = Array.init (n - 1) (fun i -> Domain.spawn (fun () -> run_shard eng (i + 1))) in
-      let r0 = run_shard eng 0 in
-      Array.iter (fun d -> ignore (Domain.join d : int)) others;
-      r0
-    end
+  (* A shard's whole part, on its own domain: its windows (the true
+     sequential path at one shard: no windows, no channels, no
+     barriers), then its share of the result — every switch's series
+     exported into its registry, sorted and rendered — so the join
+     below only merges. *)
+  let shard_part s =
+    let rounds =
+      if n = 1 then begin
+        Scheduler.run ~until:cfg.until scheds.(0);
+        1
+      end
+      else run_shard eng s
+    in
+    let ended = Unix.gettimeofday () in
+    let ctx = states.(s).ctx in
+    List.iter (fun (_, sw) -> Event_switch.export_metrics sw ctx.metrics) ctx.switches;
+    (rounds, ended, Obs.Metrics.render ctx.metrics)
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let guarded s =
+    try Some (shard_part s) with
+    | Abandoned -> None
+    | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        fail eng e bt;
+        None
+  in
+  let t0 = Unix.gettimeofday () in
+  let others = Array.init (n - 1) (fun i -> Domain.spawn (fun () -> guarded (i + 1))) in
+  let first = guarded 0 in
+  let parts = Array.append [| first |] (Array.map Domain.join others) in
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get eng.failure);
+  let parts = Array.map Option.get parts in
+  let rounds_executed, _, _ = parts.(0) in
+  (* Every shard stops after the same window; the last to stop ends
+     the run phase. *)
+  let wall_s = Array.fold_left (fun acc (_, ended, _) -> Float.max acc ended) t0 parts -. t0 in
   if n = 1 then eng.busy_s.(0) <- wall_s;
-  Array.iter
-    (fun st ->
-      List.iter (fun (_, sw) -> Event_switch.export_metrics sw st.ctx.metrics) st.ctx.switches)
-    states;
   let registries = Array.to_list (Array.map (fun st -> st.ctx.metrics) states) in
   let trace =
     if not cfg.record_trace then []
@@ -745,7 +777,7 @@ let run (cfg : config) (topo : Topology.t) =
     tie_arrivals =
       Array.fold_left (fun acc (st : shard_state) -> acc + st.ties) 0 states;
     registries;
-    metrics_json = Obs.Metrics.merged_json registries;
+    metrics_json = Obs.Metrics.join (Array.to_list (Array.map (fun (_, _, r) -> r) parts));
     host_sent = Array.map Host.sent hosts;
     host_received = Array.map Host.received hosts;
     host_received_bytes = Array.map Host.received_bytes hosts;

@@ -186,15 +186,23 @@ type result = {
           runs at different shard counts may still agree, but are no
           longer guaranteed to. Conformance scenarios should keep
           this at zero (source jitter, link skew). *)
-  registries : Obs.Metrics.t list;  (** per shard *)
+  registries : Obs.Metrics.t list;
+      (** per shard. After its last window each shard exports its own
+          switches' series into its registry, on its own domain. *)
   metrics_json : string;
-      (** {!Obs.Metrics.merged_json} of the per-shard registries:
-          per-switch series only (plus whatever [on_shard] added), so a
-          sequential and a sharded run are byte-comparable *)
+      (** {!Obs.Metrics.merged_json} of the per-shard registries as they
+          stood after that export: per-switch series only (plus whatever
+          [on_shard] added), so a sequential and a sharded run are
+          byte-comparable. Each shard sorts and renders its registry on
+          its own domain ({!Obs.Metrics.render}); the join after the
+          domains return only merges ({!Obs.Metrics.join}). *)
   host_sent : int array;  (** by host id *)
   host_received : int array;
   host_received_bytes : int array;
-  wall_s : float;  (** wall-clock of the run phase only *)
+  wall_s : float;
+      (** wall-clock of the run phase only: from the clock start to the
+          end of the last shard's last window. The export, rendering and
+          merge of the result come after it. *)
   shard_busy_s : float array;
       (** per shard, seconds executing windows (full-channel sends and
           horizon arithmetic included); [[| wall_s |]] on the
@@ -203,8 +211,8 @@ type result = {
   shard_release_s : float array;
       (** per shard, seconds draining, sorting and posting inbound
           messages. Busy + wait + release of a shard never exceed
-          [wall_s]; the remainder is domain spawn and join. Zeros on
-          the sequential path. *)
+          [wall_s]; the remainder is domain spawn and the gap to the
+          last shard's stop. Zeros on the sequential path. *)
   shard_parks : int array;
       (** per shard, times it slept on its doorbell (barrier or full
           channel) after spinning in vain; zeros on the sequential path *)
@@ -215,4 +223,10 @@ val run : config -> Evcore.Topology.t -> result
 (** Build, execute, merge. Validates the topology; raises
     [Invalid_argument] on a bad shard count or an [until] outside
     [\[0, Horizon.no_event)], at every shard count. [shards = 0] resolves to
-    [min (recommended_domains ()) switches] before planning. *)
+    [min (recommended_domains ()) switches] before planning.
+
+    An exception raised on a shard — by a handler, e.g. a fail-fast
+    {!Resil.Supervisor.Failed}, or by the shard's metrics export — ends
+    the run: the first one is recorded, every other shard leaves its
+    wait (barrier or full channel) and stops, every domain is joined,
+    and [run] re-raises that exception with its backtrace. *)

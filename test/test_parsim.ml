@@ -673,6 +673,74 @@ let test_run_leaves_events_past_until () =
         r.Parsim.ctxs)
     [ 1; 2 ]
 
+let test_failing_shard_raises () =
+  (* A handler that raises under fail-fast supervision ends the run with
+     its exception, whichever shard owns the switch: the other shards
+     stop waiting for it at the barrier or on a full channel, every
+     domain is joined, and [run] re-raises. A shard's metrics export,
+     which runs on the shard's domain, takes the same path when a
+     series it exports was registered with another kind. *)
+  let switches = 4 and until = Sim_time.us 100 in
+  let topo = Topology.ring ~switches () in
+  let run ~shards ~failing ~collide =
+    Parsim.run
+      (Parsim.config ~shards ~channel_capacity:1 ~until
+         ~switch_config:(fun _ ->
+           let cfg = Event_switch.default_config Arch.sume_event_switch in
+           {
+             cfg with
+             Event_switch.resil =
+               {
+                 (Resil.Supervisor.default_config ()) with
+                 Resil.Supervisor.policy = Resil.Policy.Fail_fast;
+               };
+           })
+         ~program:(fun sw ctx ->
+           if sw = failing && not collide then
+             Program.make ~name:"failing"
+               ~ingress:(fun _ _ -> failwith (Printf.sprintf "switch %d" failing))
+               ()
+           else ring_program ~switches ctx)
+         ~on_shard:(fun ctx ->
+           if collide && List.mem_assoc failing ctx.Parsim.switches then
+             ignore
+               (Obs.Metrics.gauge ctx.Parsim.metrics
+                  ~labels:[ ("switch", string_of_int failing) ]
+                  "tm.drops"
+                 : Obs.Metrics.Gauge.t);
+           List.iter
+             (fun (h, host) ->
+               let dst = (h + 1) mod switches in
+               let flow =
+                 Netcore.Flow.make ~src:(addr_of_host h) ~dst:(addr_of_host dst)
+                   ~proto:Netcore.Ipv4.proto_udp ~src_port:4000 ~dst_port:5000 ()
+               in
+               ignore
+                 (Workloads.Traffic.cbr ~sched:ctx.Parsim.sched ~flow ~pkt_bytes:256 ~rate_gbps:1.
+                    ~stop:until ~send:(Host.send host) ()
+                   : Workloads.Traffic.t))
+             ctx.Parsim.hosts)
+         ())
+      topo
+  in
+  List.iter
+    (fun shards ->
+      let part = Parsim.partition topo ~shards in
+      List.iter
+        (fun (failing, owner) ->
+          Alcotest.(check int) "failing switch's shard" owner part.shard_of_switch.(failing);
+          (match run ~shards ~failing ~collide:false with
+          | exception Resil.Supervisor.Failed (_, Failure msg) ->
+              Alcotest.(check string) "the handler's exception" (Printf.sprintf "switch %d" failing)
+                msg
+          | exception e -> Alcotest.failf "unexpected exception: %s" (Printexc.to_string e)
+          | _ -> Alcotest.failf "%d shards: switch %d's failure did not surface" shards failing);
+          Alcotest.check_raises "the export's kind collision"
+            (Invalid_argument "Metrics: \"tm.drops\" already registered as a gauge, not a counter")
+            (fun () -> ignore (run ~shards ~failing ~collide:true : Parsim.result)))
+        [ (0, 0); (switches - 1, shards - 1) ])
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "partition: every switch exactly once" `Quick test_partition_exactly_once;
@@ -701,4 +769,5 @@ let suite =
     Alcotest.test_case "ring: auto shard count = sequential" `Quick test_ring_auto_shards;
     Alcotest.test_case "run: largest until runs to quiescence" `Quick test_run_largest_until;
     Alcotest.test_case "run: events past until stay queued" `Quick test_run_leaves_events_past_until;
+    Alcotest.test_case "run: a failing shard's exception surfaces" `Quick test_failing_shard_raises;
   ]
