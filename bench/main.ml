@@ -1,14 +1,11 @@
-(* Benchmark harness.
+(* Benchmark harness: Bechamel microbenchmarks — one per reproduced
+   artifact — of the hot kernel each experiment leans on, so simulator
+   performance regressions are visible: event dispatch (Table 1), sketch
+   updates (Table 2 workloads), the aggregation drain (Figure 3),
+   pipeline admission (Figure 4 line rate), and the per-application
+   primitives. The experiments themselves run from [evsim run].
 
-   Part 1 regenerates every table and figure of the paper (the
-   experiment registry: Tables 1-3, Figures 3-4, and the per-section
-   application experiments E6-E15).
-
-   Part 2 runs Bechamel microbenchmarks — one per reproduced artifact —
-   of the hot kernel each experiment leans on, so simulator performance
-   regressions are visible: event dispatch (Table 1), sketch updates
-   (Table 2 workloads), the aggregation drain (Figure 3), pipeline
-   admission (Figure 4 line rate), and the per-application primitives. *)
+   Usage: main.exe [--quick | --json FILE] *)
 
 open Bechamel
 
@@ -449,18 +446,5 @@ let () =
   if Array.exists (( = ) "--quick") Sys.argv then run_quick ()
   else
     match json_path () with
-    | Some path ->
-        (* Baseline mode: microbenches only, estimates persisted. *)
-        write_json ~path (run_microbenches ())
-    | None ->
-        let seed =
-          match Sys.getenv_opt "EVPP_SEED" with Some s -> int_of_string s | None -> 42
-        in
-        Printf.printf "Event-Driven Packet Processing — paper reproduction harness (seed %d)\n"
-          seed;
-        List.iter
-          (fun (e : Experiments.Registry.entry) ->
-            e.Experiments.Registry.run_and_print ~metrics:None ~seed)
-          Experiments.Registry.all;
-        ignore (run_microbenches ());
-        print_newline ()
+    | Some path -> write_json ~path (run_microbenches ())
+    | None -> ignore (run_microbenches () : (string * float) list)

@@ -292,7 +292,7 @@ let chaos_info =
        check fails."
 
 let p4_file =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"P4 source file.")
+  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc:"P4 source file.")
 
 let p4_duration =
   Arg.(value & opt int 1000 & info [ "duration-us" ] ~doc:"Traffic duration in microseconds.")

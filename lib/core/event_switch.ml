@@ -567,6 +567,14 @@ let supervisor t = t.sup
 let handler_key t cls = t.sup_keys.(Event.cls_index cls)
 let supervised_drops t = t.supervised_drops
 
+(* An unsupported action is also a program drop, so it is not added
+   twice. *)
+let packets_dropped t =
+  let tm = get_tm t and merger = get_merger t in
+  t.program_drops + t.unrouted + t.supervised_drops
+  + Traffic_manager.drops tm + Traffic_manager.egress_drops tm
+  + Event_merger.packet_drops merger + Event_merger.packets_shed merger
+
 (* Register the switch's standard runtime invariants with a checker.
    Conservation is asserted as the monotone inequality (accounted ≤
    offered) because packets legitimately sit in flight between sweeps;

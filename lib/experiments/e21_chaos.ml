@@ -101,17 +101,6 @@ let cp_probe i =
     ~src_port:(5000 + (i mod 4))
     ~dst_port:7 ~payload_len:22 ()
 
-let switch_drops sw =
-  let tm = Event_switch.tm sw in
-  let merger = Event_switch.merger sw in
-  Event_switch.program_drops sw + Event_switch.unrouted sw
-  + Event_switch.unsupported_actions sw
-  + Event_switch.supervised_drops sw
-  + Tmgr.Traffic_manager.drops tm
-  + Tmgr.Traffic_manager.egress_drops tm
-  + Devents.Event_merger.packet_drops merger
-  + Devents.Event_merger.packets_shed merger
-
 (* E12's topology: A's ports 1 (primary) and 2 (backup) face B's; src
    host 0 sits on A's port 0, dst host 1 on B's. *)
 let topo =
@@ -273,7 +262,7 @@ let run ?metrics ?(seed = 42) ?(profile = Faults.Profile.Flaky_links) () =
   let sent = r.host_sent.(0) in
   let cp_injected = Event_switch.cp_injections sw_a + Event_switch.cp_injections sw_b in
   let received = r.host_received.(0) + r.host_received.(1) in
-  let switch_dropped = switch_drops sw_a + switch_drops sw_b in
+  let switch_dropped = Event_switch.packets_dropped sw_a + Event_switch.packets_dropped sw_b in
   let balance =
     sent + burst_injected + cp_injected + duplicated
     - (received + link_lost + switch_dropped)

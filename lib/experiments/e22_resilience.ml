@@ -64,17 +64,6 @@ let burst_template i =
     ~src_port:(4000 + (i mod 8))
     ~dst_port:80 ~payload_len:958 ()
 
-let switch_drops sw =
-  let tm = Event_switch.tm sw in
-  let merger = Event_switch.merger sw in
-  Event_switch.program_drops sw + Event_switch.unrouted sw
-  + Event_switch.unsupported_actions sw
-  + Event_switch.supervised_drops sw
-  + Tmgr.Traffic_manager.drops tm
-  + Tmgr.Traffic_manager.egress_drops tm
-  + Devents.Event_merger.packet_drops merger
-  + Devents.Event_merger.packets_shed merger
-
 (* One switch: dst host 1 on port 0, src host 0 on port 1. *)
 let topo = Evcore.Topology.make ~switches:1 ~links:[] ~hosts:[ (0, 1); (0, 0) ]
 
@@ -188,7 +177,7 @@ let run_leg ?metrics ~seed ~label ~policy ~shed () =
   in
   let sent = Traffic.sent traffic in
   let received = List.fold_left (fun acc (_, h) -> acc + Host.received h) 0 ctx.hosts in
-  let switch_dropped = switch_drops sw in
+  let switch_dropped = Event_switch.packets_dropped sw in
   {
     label;
     policy = Resil.Policy.to_string policy;

@@ -178,17 +178,6 @@ type chaos_result = {
   faults_fired : bool;
 }
 
-let switch_drops sw =
-  let tm = Event_switch.tm sw in
-  let merger = Event_switch.merger sw in
-  Event_switch.program_drops sw + Event_switch.unrouted sw
-  + Event_switch.unsupported_actions sw
-  + Event_switch.supervised_drops sw
-  + Tmgr.Traffic_manager.drops tm
-  + Tmgr.Traffic_manager.egress_drops tm
-  + Devents.Event_merger.packet_drops merger
-  + Devents.Event_merger.packets_shed merger
-
 (* Cross-shard links cannot be failed or perturbed (a status change
    cannot honour the lookahead contract), so chaos is confined to the
    intra-shard links each shard's engine owns — exactly the
@@ -233,7 +222,7 @@ let chaos ?(shards = 2) ?(seed = 7) ?(until = Sim_time.ms 1) () =
   let switch_dropped =
     Array.to_list r.ctxs
     |> List.concat_map (fun c -> c.Parsim.switches)
-    |> List.fold_left (fun acc (_, sw) -> acc + switch_drops sw) 0
+    |> List.fold_left (fun acc (_, sw) -> acc + Event_switch.packets_dropped sw) 0
   in
   let cross_lost = r.cross_sent - r.cross_delivered in
   (* Cross-link packets stay inside the switch-to-switch balance (sent

@@ -13,8 +13,8 @@
     starts with every shard knowing every shard's earliest pending
     event ([no_event] when there is none) — published at the previous
     barrier as the earliest queued event plus the earliest arrival
-    sent to that shard. Because cross-shard messages are staged and
-    released only at the window barrier, every packet shard [j] sends
+    sent to that shard. Because cross-shard messages wait in mailboxes
+    until the window barrier, every packet shard [j] sends
     during the coming window departs at or after [j]'s published next
     event [n_j] and lands no earlier than [n_j + d] for the cheapest
     cross link out of [j]. The fleet-wide bound

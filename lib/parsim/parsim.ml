@@ -1,4 +1,3 @@
-module Spsc = Spsc
 module Horizon = Horizon
 module Scheduler = Eventsim.Scheduler
 module Topology = Evcore.Topology
@@ -97,7 +96,6 @@ type plan = {
   part : partition;
   local_links : (int * Topology.link) list;
   cross : cross_link list;
-  channels : (int * int) list;
   pair_delays : (int * int * int) list;
 }
 
@@ -110,10 +108,6 @@ let plan ?weights (topo : Topology.t) ~shards =
         let sa = part.shard_of_switch.(fst l.a) and sb = part.shard_of_switch.(fst l.b) in
         if sa = sb then Left (sa, l) else Right { link = l; shard_a = sa; shard_b = sb })
       topo.links
-  in
-  let channels =
-    List.concat_map (fun c -> [ (c.shard_a, c.shard_b); (c.shard_b, c.shard_a) ]) cross
-    |> List.sort_uniq compare
   in
   let pair_delays =
     let tbl = Hashtbl.create 16 in
@@ -129,7 +123,7 @@ let plan ?weights (topo : Topology.t) ~shards =
       cross;
     Hashtbl.fold (fun (s, d) dl acc -> (s, d, dl) :: acc) tbl [] |> List.sort compare
   in
-  { part; local_links = local; cross; channels; pair_delays }
+  { part; local_links = local; cross; pair_delays }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -146,7 +140,6 @@ type shard_ctx = {
 type config = {
   shards : int;
   until : Eventsim.Sim_time.t;
-  channel_capacity : int;
   record_trace : bool;
   record_digest : bool;
   switch_config : int -> Event_switch.config;
@@ -154,12 +147,11 @@ type config = {
   on_shard : shard_ctx -> unit;
 }
 
-let config ?(shards = 1) ?(channel_capacity = 1024) ?(record_trace = false)
-    ?(record_digest = false) ?(on_shard = fun _ -> ()) ~until ~switch_config ~program () =
+let config ?(shards = 1) ?(record_trace = false) ?(record_digest = false)
+    ?(on_shard = fun _ -> ()) ~until ~switch_config ~program () =
   {
     shards;
     until;
-    channel_capacity;
     record_trace;
     record_digest;
     switch_config;
@@ -172,9 +164,30 @@ let config ?(shards = 1) ?(channel_capacity = 1024) ?(record_trace = false)
 
 (* A packet in flight between shards. [mkey] identifies the directed
    cross-link ([link_id * 2 + direction]); (mtime, mkey, mseq) is the
-   deterministic release order at the barrier. [mgen] is the window
-   that sent it: a barrier releases only earlier windows' messages. *)
-type message = { mtime : int; mkey : int; mseq : int; mgen : int; mpkt : Netcore.Packet.t }
+   deterministic release order at the barrier. *)
+type message = { mtime : int; mkey : int; mseq : int; mpkt : Netcore.Packet.t }
+
+(* Fills the free slots of a mailbox, so none pins a delivered packet. *)
+let no_message = { mtime = 0; mkey = 0; mseq = 0; mpkt = Netcore.Packet.nil }
+
+(* One window's messages from one shard to another: a growable array
+   appended to by the sender during window [k] and emptied by the
+   receiver after round [k + 1]'s barrier. Nothing writes it again
+   until window [k + 2], which starts only after every shard — the
+   receiver included, its release done — has arrived at round [k + 2].
+   The barrier's atomic arrival counter therefore orders writer and
+   reader both ways, and the mailbox needs no synchronization of its
+   own. *)
+type mailbox = { mutable msgs : message array; mutable len : int }
+
+let append b m =
+  if b.len = Array.length b.msgs then begin
+    let grown = Array.make (max 16 (2 * b.len)) no_message in
+    Array.blit b.msgs 0 grown 0 b.len;
+    b.msgs <- grown
+  end;
+  b.msgs.(b.len) <- m;
+  b.len <- b.len + 1
 
 (* One packet arrival, for the conformance trace. Entities live on one
    shard each, so per-entity streams are recorded in execution order;
@@ -187,25 +200,22 @@ type entry = { et : int; ekind : int; eid : int; eseq : int; edetail : string }
 
 type shard_state = {
   mutable ctx : shard_ctx;
-  mutable staging : message list;
   mutable trace : entry list;  (* reversed *)
   mutable digest : int;  (* commutative arrival-multiset accumulator *)
   mutable ties : int;  (* same-instant arrivals at one entity observed *)
   mutable cross_sent : int;
   mutable cross_delivered : int;
-  mutable window : int;  (* index of the window being executed *)
+  mutable window : int;  (* index of the window being executed; its parity picks the mailboxes *)
   sent_min : int array;  (* per dst shard, earliest arrival sent this window *)
 }
 
-type parked = Awake | At_barrier | On_push
-
-(* A shard's doorbell. [parked] says why its owner sleeps on [cond];
-   [rings] changes on every ring, so a ring that lands between the
-   owner's last check and its wait is not lost. *)
+(* A shard's doorbell. [parked] says its owner sleeps on [cond]; [rings]
+   changes on every ring, so a ring that lands between the owner's last
+   check and its wait is not lost. *)
 type bell = {
   lock : Mutex.t;
   cond : Condition.t;
-  parked : parked Atomic.t;
+  parked : bool Atomic.t;
   rings : int Atomic.t;
 }
 
@@ -214,7 +224,7 @@ type engine = {
   until : int;
   min_out : int array;  (* per shard, min delay of outgoing cross links *)
   states : shard_state array;
-  chans : message Spsc.t option array array;
+  boxes : mailbox array array;  (* [parity].(src * n + dst): one window's messages *)
   bells : bell array;
   arrived : int Atomic.t;  (* barrier arrivals so far, all rounds *)
   pub_next : int array array;  (* [parity].(shard): post-window next event *)
@@ -229,8 +239,8 @@ type engine = {
       (* the first exception a shard raised *)
 }
 
-(* Raised out of a wait once a peer shard has failed: the waiter gives
-   up its run, and [run] re-raises the peer's exception. *)
+(* Raised out of the barrier wait once a peer shard has failed: the
+   waiter gives up its run, and [run] re-raises the peer's exception. *)
 exception Abandoned
 
 let wake b =
@@ -241,39 +251,17 @@ let wake b =
 
 let ring eng j =
   let b = eng.bells.(j) in
-  if Atomic.get b.parked <> Awake then wake b
+  if Atomic.get b.parked then wake b
 
-let ring_for_room eng j =
-  let b = eng.bells.(j) in
-  if Atomic.get b.parked = On_push then wake b
-
-let rec pop_all st c popped =
-  match Spsc.try_pop c with
-  | None -> popped
-  | Some m ->
-      st.staging <- m :: st.staging;
-      pop_all st c true
-
-(* Popping frees room, so it rings a producer parked on a full push. *)
-let drain_inbound eng shard =
-  let st = eng.states.(shard) in
-  for j = 0 to eng.n - 1 do
-    match eng.chans.(j).(shard) with
-    | None -> ()
-    | Some c -> if pop_all st c false then ring_for_room eng j
-  done
-
-(* One park attempt: announce [why], then check [ready] and the fleet's
-   failure once more before sleeping — a publisher that missed the
-   announcement happened before that check, one that saw it rings, and
-   so does a failing shard. Returns [ready]'s verdict; [false] after a
-   wake, so the caller re-checks under a fresh announcement. *)
-let park eng shard ~why ready a b =
+(* One park attempt: announce it, then check the barrier count and the
+   fleet's failure once more before sleeping — a last arrival that
+   missed the announcement happened before that check, one that saw it
+   rings, and so does a failing shard. *)
+let park eng shard target =
   let bell = eng.bells.(shard) in
   let ticket = Atomic.get bell.rings in
-  Atomic.set bell.parked why;
-  let ok = ready eng shard a b in
-  if (not ok) && Option.is_none (Atomic.get eng.failure) then begin
+  Atomic.set bell.parked true;
+  if Atomic.get eng.arrived < target && Option.is_none (Atomic.get eng.failure) then begin
     eng.parks.(shard) <- eng.parks.(shard) + 1;
     Mutex.lock bell.lock;
     while Atomic.get bell.rings = ticket do
@@ -281,53 +269,28 @@ let park eng shard ~why ready a b =
     done;
     Mutex.unlock bell.lock
   end;
-  Atomic.set bell.parked Awake;
-  ok
+  Atomic.set bell.parked false
 
-(* The one wait of the engine: spin 200 relaxes (a few microseconds),
-   then park on the shard's own doorbell until whoever publishes what
-   [ready] needs rings it. [ready] is a closed function and [a], [b]
-   its arguments, so waiting allocates nothing; it is called until it
-   returns [true], and never again after that. A failed peer ends the
-   wait with [Abandoned]. *)
-let await eng shard ~why ready a b =
-  let spins = ref 0 and ok = ref (ready eng shard a b) in
-  while not !ok do
+(* The one wait of the engine: until [target] barrier arrivals, spin 200
+   relaxes (a few microseconds), then park on the shard's own doorbell
+   until the last arrival rings it. A failed peer ends the wait with
+   [Abandoned]. *)
+let await eng shard target =
+  let spins = ref 0 in
+  while Atomic.get eng.arrived < target do
     if Option.is_some (Atomic.get eng.failure) then raise Abandoned;
     if !spins < 200 then begin
       incr spins;
-      Domain.cpu_relax ();
-      ok := ready eng shard a b
+      Domain.cpu_relax ()
     end
-    else ok := park eng shard ~why ready a b
+    else park eng shard target
   done
 
-(* Drain while waiting: a peer may be blocked pushing to us. *)
-let push_ready eng src c m =
-  drain_inbound eng src;
-  Spsc.try_push c m
-
-(* Producer-side send. A full channel rings its consumer (which may be
-   parked at the barrier, not draining), then waits for room while
-   draining its own inbound — mutual backpressure cannot deadlock. *)
-let xsend eng ~src ~dst m =
-  match eng.chans.(src).(dst) with
-  | None -> assert false
-  | Some c ->
-      if not (Spsc.try_push c m) then begin
-        ring eng dst;
-        await eng src ~why:On_push push_ready c m
-      end
-
-(* Records the first failure and rings every doorbell, so that both
-   waits, at the barrier and on a full channel, see it. *)
+(* Records the first failure and rings every doorbell, so that no
+   barrier wait outlives it. *)
 let fail eng e bt =
   ignore (Atomic.compare_and_set eng.failure None (Some (e, bt)) : bool);
   Array.iter wake eng.bells
-
-let barrier_ready eng shard arrived target =
-  drain_inbound eng shard;
-  Atomic.get arrived >= target
 
 (* Publish this shard's half of round [k]'s data, then wait for every
    shard's. The last arrival rings the parked. *)
@@ -346,29 +309,36 @@ let arrive eng shard k =
     for j = 0 to n - 1 do
       if j <> shard then ring eng j
     done
-  else await eng shard ~why:At_barrier barrier_ready eng.arrived target
+  else await eng shard target
 
 let compare_message a b =
   match compare a.mtime b.mtime with
   | 0 -> ( match compare a.mkey b.mkey with 0 -> compare a.mseq b.mseq | c -> c)
   | c -> c
 
-(* Post every staged message sent before window [k]; a fast peer's
-   window-[k] sends stay staged for the next barrier, so the posted set
-   (hence same-picosecond order and queue depth) never depends on how
-   the shards interleave. *)
-let release_staged eng shard k =
-  let st = eng.states.(shard) in
-  drain_inbound eng shard;
-  let due, later = List.partition (fun m -> m.mgen < k) st.staging in
-  st.staging <- later;
+(* After round [k]'s barrier, empty window [k - 1]'s mailboxes into this
+   shard and post their messages in (time, link, seq) order across all
+   senders. Window [k]'s sends go to the other parity's mailboxes, so
+   the posted set (hence same-picosecond order and queue depth) never
+   depends on how the shards interleave. *)
+let release eng shard k =
+  let st = eng.states.(shard) and n = eng.n in
+  let due = ref [] in
+  for src = 0 to n - 1 do
+    let b = eng.boxes.((k + 1) land 1).((src * n) + shard) in
+    for i = 0 to b.len - 1 do
+      due := b.msgs.(i) :: !due;
+      b.msgs.(i) <- no_message
+    done;
+    b.len <- 0
+  done;
   List.iter
     (fun m ->
       if m.mtime <= eng.until then
         Scheduler.post ~cls:"xlink" st.ctx.sched ~at:m.mtime (fun () ->
             st.cross_delivered <- st.cross_delivered + 1;
             eng.xdeliver.(m.mkey) m.mpkt))
-    (List.sort compare_message due)
+    (List.sort compare_message !due)
 
 (* The lockstep round loop of one shard. Returns the number of rounds
    (windows) it executed — identical on every shard, since every horizon
@@ -383,14 +353,13 @@ let release_staged eng shard k =
       await every shard's arrival. Double buffering is enough: nobody
       can publish round [k + 2] before everyone has arrived at round
       [k + 1], i.e. finished reading round [k].}
-   {- Release the staged messages of windows before [k] in
-      (time, link, seq) order.}
+   {- Release window [k - 1]'s mailboxes in (time, link, seq) order.}
    {- Shard [j]'s next event is now [min (next_j, min_i sent_i->j)] —
       exactly what its queue holds after its own release — so every
       shard computes the same {!Horizon.adaptive_bound}, and the same
       stop verdict when even the earliest is past [until].}
-   {- Execute window [k] up to the horizon, stamping outgoing messages
-      with [k].}}
+   {- Execute window [k] up to the horizon, appending outgoing messages
+      to the mailboxes of parity [k land 1].}}
    The clock reads between these steps feed the shard's ledger: wait
    (arrive), release, busy (horizon arithmetic and the window). *)
 let run_shard eng shard =
@@ -404,7 +373,7 @@ let run_shard eng shard =
     arrive eng shard !k;
     let t_wait = Unix.gettimeofday () in
     eng.wait_s.(shard) <- eng.wait_s.(shard) +. (t_wait -. !t);
-    release_staged eng shard !k;
+    release eng shard !k;
     let t_release = Unix.gettimeofday () in
     eng.release_s.(shard) <- eng.release_s.(shard) +. (t_release -. t_wait);
     let p = !k land 1 in
@@ -549,7 +518,6 @@ let run (cfg : config) (topo : Topology.t) =
               hosts = List.rev shard_hosts.(s);
               links = [];
             };
-          staging = [];
           trace = [];
           digest = 0;
           ties = 0;
@@ -559,10 +527,6 @@ let run (cfg : config) (topo : Topology.t) =
           sent_min = Array.make n Horizon.no_event;
         })
   in
-  let chans = Array.make_matrix n n None in
-  List.iter
-    (fun (src, dst) -> chans.(src).(dst) <- Some (Spsc.create ~capacity:cfg.channel_capacity))
-    pl.channels;
   let n_links = List.length topo.links in
   let min_out = Array.make n Horizon.no_event in
   List.iter
@@ -574,13 +538,13 @@ let run (cfg : config) (topo : Topology.t) =
       until = cfg.until;
       min_out;
       states;
-      chans;
+      boxes = Array.init 2 (fun _ -> Array.init (n * n) (fun _ -> { msgs = [||]; len = 0 }));
       bells =
         Array.init n (fun _ ->
             {
               lock = Mutex.create ();
               cond = Condition.create ();
-              parked = Atomic.make Awake;
+              parked = Atomic.make false;
               rings = Atomic.make 0;
             });
       arrived = Atomic.make 0;
@@ -688,8 +652,9 @@ let run (cfg : config) (topo : Topology.t) =
     topo.attachments;
   (* Cross-shard links: each direction is a sender closure computing
      the arrival timestamp (now + delay — exactly [Link.send]'s fast
-     path) and a receiver-side delivery endpoint released at the
-     barrier. They cannot fail: no perturbation, no status change. *)
+     path) and appending it to the window's mailbox, and a
+     receiver-side delivery endpoint posted at the next barrier. They
+     cannot fail: no perturbation, no status change. *)
   let xseq = Array.make (2 * n_links) 0 in
   List.iter
     (fun c ->
@@ -703,7 +668,9 @@ let run (cfg : config) (topo : Topology.t) =
             xseq.(mkey) <- seq + 1;
             let mtime = Scheduler.now st.ctx.sched + l.delay in
             if mtime < st.sent_min.(dst) then st.sent_min.(dst) <- mtime;
-            xsend eng ~src ~dst { mtime; mkey; mseq = seq; mgen = st.window; mpkt = pkt })
+            append
+              eng.boxes.(st.window land 1).((src * n) + dst)
+              { mtime; mkey; mseq = seq; mpkt = pkt })
       in
       wire ~src:c.shard_a ~dst:c.shard_b ~mkey:(2 * l.link_id) l.a l.b;
       wire ~src:c.shard_b ~dst:c.shard_a ~mkey:((2 * l.link_id) + 1) l.b l.a)
@@ -716,7 +683,7 @@ let run (cfg : config) (topo : Topology.t) =
     states;
   Array.iter (fun st -> cfg.on_shard st.ctx) states;
   (* A shard's whole part, on its own domain: its windows (the true
-     sequential path at one shard: no windows, no channels, no
+     sequential path at one shard: no windows, no mailboxes, no
      barriers), then its share of the result — every switch's series
      exported into its registry, sorted and rendered — so the join
      below only merges. *)

@@ -16,7 +16,7 @@
     horizon is computed identically everywhere as
     [min_j (next_event_j + min cross-link delay out of j)], clamped to
     [until + 1] ({!Horizon.adaptive_bound}). Safe because cross-shard
-    sends are staged until the barrier: shard [j] sends nothing
+    sends wait in mailboxes until the barrier: shard [j] sends nothing
     timestamped before its published next event, and the packet still
     rides a real link delay. Quiescent shards publish
     {!Horizon.no_event} and stop constraining the fleet, so sparse
@@ -30,34 +30,31 @@
     later, i.e. at or after the shared horizon — no shard ever receives
     an event in its past.
 
-    Cross-shard deliveries travel through bounded {!Spsc} channels,
-    stamped with the window that sent them, are staged at the round
-    barrier, sorted by (arrival time, link, sequence) and released into
-    the receiving scheduler. A barrier releases only messages from
-    earlier windows: a fast shard may already be sending from the next
-    window, and releasing those a round early would change
-    same-picosecond order and queue depth. A shard that finds an
-    outbound channel full drains its own inbound channels while
-    retrying, so backpressure cannot deadlock the barrier. When every
+    Cross-shard deliveries ride mailboxes: one growable array per
+    (window parity, source shard, destination shard). The sender
+    appends to its window's mailbox; after the next barrier the
+    receiver sorts the messages of all its mailboxes of that window by
+    (arrival time, link, sequence), posts them into its scheduler and
+    empties the mailboxes. The barrier alone orders writer and reader:
+    a fast shard already sending from the next window writes the other
+    parity, and a mailbox is written again only two windows later,
+    after its receiver has arrived at the barrier that follows its
+    release. So the posted set, hence same-picosecond order and queue
+    depth, never depends on how the shards interleave. When every
     published next event is past [until] the fleet stops — the
     quiescence vote falls out of the same published data.
 
-    Every wait — the barrier and a full-channel send — spins 200
+    The barrier is the engine's one wait. It spins 200
     [Domain.cpu_relax] (a few microseconds), then parks on the waiting
-    shard's own mutex/condition doorbell. Whoever publishes what it
-    waits for rings it: the last barrier arrival, a send that finds the
-    channel full, a pop that frees room. A parked shard costs no CPU,
-    so more shards than cores stay cheap.
+    shard's own mutex/condition doorbell, which the last arrival rings.
+    A parked shard costs no CPU, so more shards than cores stay cheap.
 
     [shards = 1] takes the true sequential path — one scheduler, plain
-    {!Eventsim.Scheduler.run}, no channels — so a sharded run can be
+    {!Eventsim.Scheduler.run}, no mailboxes — so a sharded run can be
     conformance-checked against the sequential run of the same seed:
     with the topology builders' per-link delay skew keeping concurrent
     arrivals off the same picosecond, the merged event {!result.trace}
     and merged metrics are byte-identical across shard counts. *)
-
-module Spsc = Spsc
-(** Re-exported so the channel is testable/usable on its own. *)
 
 module Horizon = Horizon
 (** Re-exported: the pure synchronization-safety arithmetic. *)
@@ -97,9 +94,6 @@ type plan = {
   local_links : (int * Evcore.Topology.link) list;
       (** (owning shard, link); both endpoints on one shard *)
   cross : cross_link list;
-  channels : (int * int) list;
-      (** directed (src, dst) shard pairs carrying at least one
-          cross-link direction — each gets one SPSC channel *)
   pair_delays : (int * int * int) list;
       (** directed (src shard, dst shard, min link delay) for every
           shard pair joined by at least one cross link — the horizon's
@@ -117,7 +111,7 @@ type shard_ctx = {
   links : (int * Tmgr.Link.t) list;
       (** intra-shard links by [link_id]; host links are appended after
           switch links with ids [links + host] — valid fault-injection
-          targets. Cross-shard links are channel pairs, not [Link.t]s,
+          targets. Cross-shard links are mailbox messages, not [Link.t]s,
           and cannot be failed (a status change cannot honour the
           lookahead contract); restrict chaos to these. *)
 }
@@ -125,7 +119,6 @@ type shard_ctx = {
 type config = {
   shards : int;  (** [0] = auto: {!recommended_domains}, capped by switches *)
   until : Eventsim.Sim_time.t;  (** execute events with time <= until *)
-  channel_capacity : int;
   record_trace : bool;
       (** record every switch-port/host packet arrival; the merged
           trace is the conformance artefact (costs allocation — leave
@@ -148,7 +141,6 @@ type config = {
 
 val config :
   ?shards:int ->
-  ?channel_capacity:int ->
   ?record_trace:bool ->
   ?record_digest:bool ->
   ?on_shard:(shard_ctx -> unit) ->
@@ -157,7 +149,7 @@ val config :
   program:(int -> Evcore.Program.spec) ->
   unit ->
   config
-(** Defaults: 1 shard, capacity 1024, no trace, no digest. *)
+(** Defaults: 1 shard, no trace, no digest. *)
 
 type result = {
   plan : plan;
@@ -204,18 +196,18 @@ type result = {
           end of the last shard's last window. The export, rendering and
           merge of the result come after it. *)
   shard_busy_s : float array;
-      (** per shard, seconds executing windows (full-channel sends and
+      (** per shard, seconds executing windows (mailbox appends and
           horizon arithmetic included); [[| wall_s |]] on the
           sequential path *)
   shard_wait_s : float array;  (** per shard, seconds waiting at the barrier *)
   shard_release_s : float array;
-      (** per shard, seconds draining, sorting and posting inbound
-          messages. Busy + wait + release of a shard never exceed
+      (** per shard, seconds emptying, sorting and posting its inbound
+          mailboxes. Busy + wait + release of a shard never exceed
           [wall_s]; the remainder is domain spawn and the gap to the
           last shard's stop. Zeros on the sequential path. *)
   shard_parks : int array;
-      (** per shard, times it slept on its doorbell (barrier or full
-          channel) after spinning in vain; zeros on the sequential path *)
+      (** per shard, times it slept on its doorbell at the barrier
+          after spinning in vain; zeros on the sequential path *)
   ctxs : shard_ctx array;
 }
 
@@ -227,6 +219,6 @@ val run : config -> Evcore.Topology.t -> result
 
     An exception raised on a shard — by a handler, e.g. a fail-fast
     {!Resil.Supervisor.Failed}, or by the shard's metrics export — ends
-    the run: the first one is recorded, every other shard leaves its
-    wait (barrier or full channel) and stops, every domain is joined,
-    and [run] re-raises that exception with its backtrace. *)
+    the run: the first one is recorded, every other shard leaves the
+    barrier and stops, every domain is joined, and [run] re-raises that
+    exception with its backtrace. *)

@@ -498,6 +498,57 @@ let test_unrouted_ports_counted () =
      rejected at decision time: both count as unrouted. *)
   Alcotest.(check int) "both counted unrouted" 2 (Event_switch.unrouted sw)
 
+let test_packets_dropped_books_every_loss () =
+  (* [packets_dropped] is the switch's side of a conservation book:
+     every injected packet is either transmitted or counted there,
+     whichever stage lost it — program, routing, an action the
+     architecture lacks, the merger's input queue or the TM buffer. *)
+  let sched = Scheduler.create () in
+  let program _ctx =
+    Program.make ~name:"lossy"
+      ~ingress:(fun _ctx pkt ->
+        match pkt.Packet.uid mod 5 with
+        | 0 -> Program.Drop
+        | 1 -> Program.Forward 2 (* unwired *)
+        | 2 -> Program.Forward 99 (* out of range *)
+        | 3 -> Program.Recirculate (* unsupported on SUME *)
+        | _ -> Program.Forward 1)
+      ()
+  in
+  let tm_config =
+    { Tmgr.Traffic_manager.default_config with Tmgr.Traffic_manager.buffer_bytes = 2_000 }
+  in
+  let merger_config =
+    { Devents.Event_merger.default_config with Devents.Event_merger.packet_queue_capacity = 8 }
+  in
+  let sw = make_switch ~arch:Arch.sume_event_switch ~tm_config ~merger_config ~sched program in
+  let transmitted = ref 0 in
+  Event_switch.set_port_tx sw ~port:1 (fun _ -> incr transmitted);
+  (* Bursts of 12 every microsecond: the merger's 8-slot input queue
+     sheds part of each burst, and the forwarded fifth (800 ns each at
+     10G) outruns port 1 until its 2 KB of buffer overflows. *)
+  let bursts = 20 and burst = 12 in
+  for b = 0 to bursts - 1 do
+    ignore
+      (Scheduler.schedule sched ~at:(Sim_time.us b) (fun () ->
+           for _ = 1 to burst do
+             Event_switch.inject sw ~port:0 (mk_packet ~bytes:1000 ())
+           done))
+  done;
+  Scheduler.run sched;
+  let tm = Event_switch.tm sw and merger = Event_switch.merger sw in
+  List.iter
+    (fun (what, lost) -> if lost = 0 then Alcotest.failf "no packet lost to %s" what)
+    [
+      ("the program", Event_switch.program_drops sw);
+      ("routing", Event_switch.unrouted sw);
+      ("unsupported actions", Event_switch.unsupported_actions sw);
+      ("the merger", Devents.Event_merger.packet_drops merger);
+      ("the TM buffer", Tmgr.Traffic_manager.drops tm);
+    ];
+  Alcotest.(check int) "injected = transmitted + dropped" (bursts * burst)
+    (!transmitted + Event_switch.packets_dropped sw)
+
 let test_inject_bad_port_raises () =
   let sched = Scheduler.create () in
   let sw = make_switch ~sched (Program.forward_all ~name:"fwd" ~out_port:0) in
@@ -733,6 +784,8 @@ let suite =
     Alcotest.test_case "topology leaf-spine" `Quick test_topology_leaf_spine_wiring;
     Alcotest.test_case "empty carriers" `Quick test_empty_carriers_for_events;
     Alcotest.test_case "unrouted ports counted" `Quick test_unrouted_ports_counted;
+    Alcotest.test_case "packets dropped books every loss" `Quick
+      test_packets_dropped_books_every_loss;
     Alcotest.test_case "inject bad port raises" `Quick test_inject_bad_port_raises;
     Alcotest.test_case "merger packet overflow" `Quick test_merger_packet_queue_overflow;
     Alcotest.test_case "user events masked on SUME" `Quick test_user_events_masked_on_sume;

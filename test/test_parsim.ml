@@ -1,7 +1,6 @@
-(* Sharded parallel simulation: partitioning, horizon algebra, SPSC
-   channels, windowed draining, and sequential-vs-sharded conformance
-   on a small ring. The full-size fat-tree conformance lives in the
-   golden suite and E23. *)
+(* Sharded parallel simulation: partitioning, horizon algebra, windowed
+   draining, and sequential-vs-sharded conformance on a small ring. The
+   full-size fat-tree conformance lives in the golden suite and E23. *)
 
 module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
@@ -12,7 +11,6 @@ module Arch = Evcore.Arch
 module Host = Evcore.Host
 module Packet = Netcore.Packet
 module Ipv4_addr = Netcore.Ipv4_addr
-module Spsc = Parsim.Spsc
 module Horizon = Parsim.Horizon
 
 (* ------------------------------------------------------------------ *)
@@ -108,22 +106,22 @@ let test_plan_link_coverage () =
       Alcotest.(check int) "shard_b recorded" part.Parsim.shard_of_switch.(fst c.link.b)
         c.shard_b;
       Alcotest.(check bool) "cross link spans shards" true (c.shard_a <> c.shard_b);
-      (* Links are bidirectional: each cross link needs a channel
-         endpoint in both directions. *)
+      (* Links are bidirectional: each cross link constrains the
+         horizon in both directions. *)
       List.iter
-        (fun dir ->
-          Alcotest.(check bool) "channel exists for direction" true
-            (List.mem dir pl.Parsim.channels))
+        (fun (src, dst) ->
+          Alcotest.(check bool) "pair delay exists for direction" true
+            (List.exists (fun (s, d, _) -> s = src && d = dst) pl.Parsim.pair_delays))
         [ (c.shard_a, c.shard_b); (c.shard_b, c.shard_a) ])
     pl.Parsim.cross;
   Alcotest.(check int) "every link planned exactly once"
     (List.length topo.Topology.links)
     (Hashtbl.length seen);
   Alcotest.(check bool) "ring cut produces cross links" true (pl.Parsim.cross <> []);
-  (* Channel list is duplicate-free. *)
-  Alcotest.(check int) "channels distinct"
-    (List.length pl.Parsim.channels)
-    (List.length (List.sort_uniq compare pl.Parsim.channels));
+  (* One pair delay per directed shard pair. *)
+  let pairs = List.map (fun (s, d, _) -> (s, d)) pl.Parsim.pair_delays in
+  Alcotest.(check int) "pairs distinct" (List.length pairs)
+    (List.length (List.sort_uniq compare pairs));
   (* The horizon's per-pair delays bottom out at the minimum cross-link
      delay — the safety bound: no cross link is faster. *)
   let min_cross =
@@ -133,11 +131,43 @@ let test_plan_link_coverage () =
   Alcotest.(check int) "min pair delay = min cross delay" min_cross
     (List.fold_left (fun acc (_, _, d) -> min acc d) max_int pl.Parsim.pair_delays)
 
+let test_plan_pair_delays () =
+  (* Per directed shard pair joined by a cross link, the fastest such
+     link's delay; a local link, however fast, constrains nothing, and
+     shards no cross link joins get no entry. Shards: {0,1} {2,3} {4,5}. *)
+  let link link_id a b delay = { Topology.link_id; a; b; delay; detection_delay = None } in
+  let topo =
+    {
+      Topology.switches = 6;
+      hosts = 0;
+      links =
+        [
+          link 0 (0, 0) (1, 0) (Sim_time.ns 500);
+          link 1 (1, 1) (2, 0) (Sim_time.us 2);
+          link 2 (0, 1) (2, 1) (Sim_time.us 1);
+          link 3 (2, 2) (3, 0) (Sim_time.ns 100);
+          link 4 (3, 1) (4, 0) (Sim_time.us 4);
+          link 5 (4, 1) (5, 0) (Sim_time.us 1);
+        ];
+      attachments = [];
+    }
+  in
+  let pl = Parsim.plan ~weights:(Array.make 6 1) topo ~shards:3 in
+  Alcotest.(check (array int)) "shards" [| 0; 0; 1; 1; 2; 2 |] pl.Parsim.part.shard_of_switch;
+  Alcotest.(check (list (triple int int int)))
+    "fastest cross link per direction"
+    [
+      (0, 1, Sim_time.us 1);
+      (1, 0, Sim_time.us 1);
+      (1, 2, Sim_time.us 4);
+      (2, 1, Sim_time.us 4);
+    ]
+    pl.Parsim.pair_delays
+
 let test_plan_single_shard () =
   let topo = Topology.ring ~switches:4 () in
   let pl = Parsim.plan topo ~shards:1 in
   Alcotest.(check int) "no cross links" 0 (List.length pl.Parsim.cross);
-  Alcotest.(check (list (pair int int))) "no channels" [] pl.Parsim.channels;
   Alcotest.(check int) "all links local" (List.length topo.Topology.links)
     (List.length pl.Parsim.local_links);
   (* With nothing crossing, no shard pair constrains the horizon. *)
@@ -259,56 +289,6 @@ let qcheck_partition_never_empty =
       Array.iter (fun s -> counts.(s) <- counts.(s) + 1) p.Parsim.shard_of_switch;
       Array.for_all (fun c -> c >= 1) counts
       && Array.for_all (fun w -> w >= 0) p.Parsim.shard_weight)
-
-(* ------------------------------------------------------------------ *)
-(* SPSC channel                                                        *)
-
-let test_spsc_fifo_and_backpressure () =
-  let ch = Spsc.create ~capacity:4 in
-  Alcotest.(check int) "capacity" 4 (Spsc.capacity ch);
-  List.iter (fun i -> Alcotest.(check bool) "push accepted" true (Spsc.try_push ch i)) [ 1; 2; 3; 4 ];
-  Alcotest.(check bool) "full channel refuses" false (Spsc.try_push ch 5);
-  Alcotest.(check int) "length when full" 4 (Spsc.length ch);
-  Alcotest.(check (option int)) "fifo head" (Some 1) (Spsc.try_pop ch);
-  Alcotest.(check bool) "slot freed by pop" true (Spsc.try_push ch 5);
-  List.iter
-    (fun expect -> Alcotest.(check (option int)) "fifo order" (Some expect) (Spsc.try_pop ch))
-    [ 2; 3; 4; 5 ];
-  Alcotest.(check (option int)) "empty pops None" None (Spsc.try_pop ch);
-  Alcotest.(check int) "drained" 0 (Spsc.length ch)
-
-let test_spsc_capacity_rounding () =
-  List.iter
-    (fun (asked, got) -> Alcotest.(check int) "pow2 round-up" got (Spsc.capacity (Spsc.create ~capacity:asked)))
-    [ (1, 1); (2, 2); (3, 4); (5, 8); (1000, 1024) ]
-
-let test_spsc_cross_domain () =
-  (* One producer domain, consumer on the main domain: order and
-     content survive the domain boundary under backpressure (capacity 8
-     forces constant full-channel retries). *)
-  let n = 20_000 in
-  let ch = Spsc.create ~capacity:8 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Spsc.try_push ch i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let got = ref 0 in
-  let sum = ref 0 in
-  while !got < n do
-    match Spsc.try_pop ch with
-    | Some v ->
-        Alcotest.(check int) "in order across domains" !got v;
-        sum := !sum + v;
-        incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Alcotest.(check int) "nothing lost or duplicated" (n * (n - 1) / 2) !sum;
-  Alcotest.(check (option int)) "channel empty at the end" None (Spsc.try_pop ch)
 
 (* ------------------------------------------------------------------ *)
 (* Windowed draining (the scheduler hook the engine relies on)         *)
@@ -498,8 +478,8 @@ let ring_program ~switches : Program.spec =
       | None -> Program.Drop)
     ()
 
-let ring_config ?(channel_capacity = 1024) ~shards ~switches ~until () =
-  Parsim.config ~shards ~channel_capacity ~record_trace:true ~until
+let ring_config ~shards ~switches ~until () =
+  Parsim.config ~shards ~record_trace:true ~until
     ~switch_config:(fun sw ->
       let cfg = Event_switch.default_config Arch.sume_event_switch in
       { cfg with Event_switch.seed = 42 + (31 * sw) })
@@ -520,10 +500,10 @@ let ring_config ?(channel_capacity = 1024) ~shards ~switches ~until () =
         ctx.Parsim.hosts)
     ()
 
-let run_ring ?channel_capacity ?skew ?delay ~shards () =
+let run_ring ?skew ?delay ~shards () =
   let switches = 4 and until = Sim_time.us 250 in
   let topo = Topology.ring ?skew ?delay ~switches () in
-  Parsim.run (ring_config ?channel_capacity ~shards ~switches ~until ()) topo
+  Parsim.run (ring_config ~shards ~switches ~until ()) topo
 
 let check_same_run (seq : Parsim.result) (par : Parsim.result) =
   Alcotest.(check (list string)) "merged traces identical" seq.Parsim.trace par.Parsim.trace;
@@ -546,17 +526,47 @@ let test_ring_conformance () =
       check_same_run seq par)
     [ 2; 4 ]
 
-let test_ring_backpressure_conformance () =
-  (* capacity 1 forces the full-channel retry + self-drain path on
-     essentially every cross-shard send; the result must not change.
-     4 shards on fewer cores park constantly, so sends also ring
-     consumers asleep at the barrier. *)
-  let seq = run_ring ~shards:1 () in
+let test_ring_wide_windows () =
+  (* A 100 us link delay makes every window 100 us wide, so one window
+     carries dozens of messages per direction and a mailbox grows past
+     its first 16 slots (at 2 shards, more than 16 messages per window
+     and direction on average means some mailbox held more). The result
+     must not change. *)
+  let delay = Sim_time.us 100 in
+  let seq = run_ring ~delay ~shards:1 () in
   List.iter
     (fun shards ->
-      let par = run_ring ~shards ~channel_capacity:1 () in
-      Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
+      let par = run_ring ~delay ~shards () in
+      let directions = List.length par.Parsim.plan.pair_delays in
+      if shards = 2 && par.Parsim.cross_sent <= 16 * par.rounds_executed * directions then
+        Alcotest.failf "%d messages in %d windows over %d directions: no mailbox outgrew 16"
+          par.cross_sent par.rounds_executed directions;
       check_same_run seq par)
+    [ 2; 4 ]
+
+let test_cross_delivered_once () =
+  (* Every cross-shard message a window sends is released once, by the
+     next barrier: the sharded run delivers over its cross links exactly
+     what the sequential run's real links delivered over the same links
+     — nothing lost, nothing doubled. The 100 us delay leaves the
+     packets sent in the last 100 us before [until] in flight. *)
+  let delay = Sim_time.us 100 in
+  let seq = run_ring ~delay ~shards:1 () in
+  let seq_links = seq.Parsim.ctxs.(0).Parsim.links in
+  List.iter
+    (fun shards ->
+      let par = run_ring ~delay ~shards () in
+      let delivered =
+        List.fold_left
+          (fun acc (c : Parsim.cross_link) ->
+            acc + Tmgr.Link.delivered (List.assoc c.link.link_id seq_links))
+          0 par.Parsim.plan.cross
+      in
+      Alcotest.(check bool) "cross links carried traffic" true (delivered > 0);
+      Alcotest.(check int) "delivered = the sequential links' deliveries" delivered
+        par.Parsim.cross_delivered;
+      Alcotest.(check bool) "until cut arrivals off" true
+        (par.Parsim.cross_sent > par.Parsim.cross_delivered))
     [ 2; 4 ]
 
 let test_ring_repeats_under_ties () =
@@ -639,6 +649,8 @@ let test_run_largest_until () =
   let seq = run 1 and par = run 2 in
   Alcotest.(check (array int)) "every packet delivered" [| 1; 1; 1; 1 |] seq.Parsim.host_received;
   Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
+  Alcotest.(check int) "every cross-shard message delivered" par.Parsim.cross_sent
+    par.Parsim.cross_delivered;
   check_same_run seq par;
   Array.iter
     (fun (c : Parsim.shard_ctx) ->
@@ -676,15 +688,15 @@ let test_run_leaves_events_past_until () =
 let test_failing_shard_raises () =
   (* A handler that raises under fail-fast supervision ends the run with
      its exception, whichever shard owns the switch: the other shards
-     stop waiting for it at the barrier or on a full channel, every
-     domain is joined, and [run] re-raises. A shard's metrics export,
+     stop waiting for it at the barrier, every domain is joined, and
+     [run] re-raises. A shard's metrics export,
      which runs on the shard's domain, takes the same path when a
      series it exports was registered with another kind. *)
   let switches = 4 and until = Sim_time.us 100 in
   let topo = Topology.ring ~switches () in
   let run ~shards ~failing ~collide =
     Parsim.run
-      (Parsim.config ~shards ~channel_capacity:1 ~until
+      (Parsim.config ~shards ~until
          ~switch_config:(fun _ ->
            let cfg = Event_switch.default_config Arch.sume_event_switch in
            {
@@ -745,16 +757,14 @@ let suite =
   [
     Alcotest.test_case "partition: every switch exactly once" `Quick test_partition_exactly_once;
     Alcotest.test_case "partition: bad shard counts raise" `Quick test_partition_bad_counts;
-    Alcotest.test_case "plan: link coverage + channels" `Quick test_plan_link_coverage;
+    Alcotest.test_case "plan: link coverage + pair delays" `Quick test_plan_link_coverage;
+    Alcotest.test_case "plan: pair delays = fastest cross link" `Quick test_plan_pair_delays;
     Alcotest.test_case "plan: single shard" `Quick test_plan_single_shard;
     Alcotest.test_case "partition: skewed weights never empty" `Quick
       test_partition_skewed_weights;
     QCheck_alcotest.to_alcotest qcheck_partition_never_empty;
     Alcotest.test_case "horizon: adaptive bound" `Quick test_adaptive_bound;
     QCheck_alcotest.to_alcotest qcheck_adaptive_safety;
-    Alcotest.test_case "spsc: fifo + backpressure" `Quick test_spsc_fifo_and_backpressure;
-    Alcotest.test_case "spsc: capacity rounding" `Quick test_spsc_capacity_rounding;
-    Alcotest.test_case "spsc: cross-domain stress" `Quick test_spsc_cross_domain;
     Alcotest.test_case "drain_until_horizon" `Quick test_drain_until_horizon;
     Alcotest.test_case "topology: validate" `Quick test_topology_validate;
     Alcotest.test_case "topology: make" `Quick test_topology_make;
@@ -763,7 +773,9 @@ let suite =
     Alcotest.test_case "fat-tree routing reaches destination" `Quick test_fat_tree_route_reaches;
     Alcotest.test_case "ring routing reaches destination" `Quick test_ring_route_reaches;
     Alcotest.test_case "ring: sharded = sequential" `Quick test_ring_conformance;
-    Alcotest.test_case "ring: backpressure conformance" `Quick test_ring_backpressure_conformance;
+    Alcotest.test_case "ring: wide windows = sequential" `Quick test_ring_wide_windows;
+    Alcotest.test_case "ring: cross-shard messages delivered once" `Quick
+      test_cross_delivered_once;
     Alcotest.test_case "sharded run repeats itself under ties" `Quick test_ring_repeats_under_ties;
     Alcotest.test_case "round ledger: one slot per shard, within wall" `Quick test_round_ledger;
     Alcotest.test_case "ring: auto shard count = sequential" `Quick test_ring_auto_shards;
