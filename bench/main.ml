@@ -212,11 +212,6 @@ let bench_lpm =
          key := (!key + 0x01020304) land 0xffffffff;
          ignore (Pisa.Match_table.lookup table !key)))
 
-let bench_frame =
-  let pkt = mk_pkt () in
-  Test.make ~name:"substrate/frame-serialize-parse"
-    (Staged.stage (fun () -> ignore (Netcore.Frame.of_bytes (Netcore.Frame.to_bytes pkt))))
-
 let bench_meter =
   let meter = Pisa.Meter.create ~cir_bytes_per_sec:1e9 ~cbs:64_000 ~ebs:64_000 in
   let now = ref 0 in
@@ -301,7 +296,6 @@ let benchmarks =
       bench_scheduler;
       bench_pifo;
       bench_lpm;
-      bench_frame;
       bench_meter;
       bench_netupd_commit;
     ]

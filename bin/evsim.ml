@@ -44,6 +44,7 @@ let guarded f =
             name (Printexc.to_string exn) )
   | exception Sys_error msg -> `Error (false, msg)
   | exception Failure msg -> `Error (false, msg)
+  | exception Invalid_argument msg -> `Error (false, msg)
   | exception exn -> `Error (false, Printexc.to_string exn)
 
 (* --shards N narrows the sharded experiments' sweep (E23-E27) to
@@ -148,6 +149,9 @@ let chaos_cmd policy watermark shards seed profile metrics_out =
       if ok then `Ok () else `Error (false, "chaos run failed a degradation check"))
 
 let p4_cmd file duration_us =
+  if duration_us < 1 then
+    `Error (false, Printf.sprintf "--duration-us must be positive, got %d" duration_us)
+  else
   let source =
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -172,8 +176,7 @@ let p4_cmd file duration_us =
         Event_switch.set_port_tx sw ~port:p (fun _ -> ())
       done;
       Event_switch.on_notification sw (fun ~time msg ->
-          Printf.printf "[%.3fus] notify <- %s
-" (Sim_time.to_us time) msg);
+          Printf.printf "[%.3fus] notify <- %s\n" (Sim_time.to_us time) msg);
       (* A generic exercise workload: 3 CBR flows across the input
          ports. *)
       for i = 0 to 2 do
@@ -190,16 +193,13 @@ let p4_cmd file duration_us =
              ())
       done;
       Scheduler.run ~until:(Sim_time.us duration_us + Sim_time.us 100) sched;
-      Printf.printf "program:        %s
-" (Event_switch.program_name sw);
+      Printf.printf "program:        %s\n" (Event_switch.program_name sw);
       List.iter
         (fun cls ->
           let n = Event_switch.handled sw cls in
-          if n > 0 then Printf.printf "%-24s %d handled
-" (Devents.Event.cls_name cls) n)
+          if n > 0 then Printf.printf "%-24s %d handled\n" (Devents.Event.cls_name cls) n)
         Devents.Event.all_classes;
-      Printf.printf "state:          %d bits
-"
+      Printf.printf "state:          %d bits\n"
         (Pisa.Register_alloc.total_bits (Event_switch.alloc sw));
       `Ok ()
 

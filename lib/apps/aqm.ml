@@ -31,12 +31,8 @@ type t = {
 let early_drops t = t.early_drops
 let ecn_marks t = t.ecn_marks
 let active_flows t = t.active
-let avg_queue_bytes t = Stats.Ewma.value t.avg
 
 let drop_probability t = t.drop_p
-
-let flow_occupancy t ~flow_slot =
-  match t.reg with None -> 0 | Some r -> Shared_register.read r flow_slot
 
 let state_bits t = t.bits
 

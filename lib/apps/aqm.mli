@@ -39,8 +39,6 @@ val drop_probability : t -> float
 (** PIE's current drop probability (0 for other policies). *)
 
 val active_flows : t -> int
-val avg_queue_bytes : t -> float
-val flow_occupancy : t -> flow_slot:int -> int
 val state_bits : t -> int
 
 val program :

@@ -26,7 +26,7 @@ let resets t = t.resets
 let state_bits t = t.bits
 let reset_lag t = t.reset_lag
 
-let program ~mode ~window ~threshold_packets ?(cms_width = 1024) ?(cms_depth = 3) ~out_port () =
+let program ~mode ~window ~threshold_packets ~out_port () =
   let t =
     {
       reports = [];
@@ -38,8 +38,7 @@ let program ~mode ~window ~threshold_packets ?(cms_width = 1024) ?(cms_depth = 3
   in
   let spec ctx =
     let cms =
-      Cms.create ~alloc:ctx.Program.alloc ~name:"hh_cms" ~width:cms_width ~depth:cms_depth
-        ~counter_bits:32 ()
+      Cms.create ~alloc:ctx.Program.alloc ~name:"hh_cms" ~width:1024 ~depth:3 ~counter_bits:32 ()
     in
     t.bits <- Cms.bits cms;
     let window_index = ref 0 in

@@ -36,8 +36,7 @@ val program :
   mode:mode ->
   window:Eventsim.Sim_time.t ->
   threshold_packets:int ->
-  ?cms_width:int ->
-  ?cms_depth:int ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
   Evcore.Program.spec * t
+(** The sketch is 1024 wide and 3 deep. *)

@@ -9,9 +9,6 @@
 val tick : int
 (** The broadcast input word (1; packet lengths are always larger). *)
 
-val s_conform : int
-val s_throttled : int
-
 type t
 
 val efsm : t -> Pisa.Efsm.t

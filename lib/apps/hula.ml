@@ -48,10 +48,8 @@ type t = {
   params : params;
   mode : mode;
   mutable leaves : (int, leaf_state) Hashtbl.t;
-  probe_arrivals : (int * int, int list ref) Hashtbl.t;
   origin_times : (int, int list ref) Hashtbl.t; (* leaf -> origination instants *)
   mutable hop_changes : int;
-  mutable probes_originated : int;
   mutable probes_delivered : int;
 }
 
@@ -60,10 +58,8 @@ let create params mode =
     params;
     mode;
     leaves = Hashtbl.create 8;
-    probe_arrivals = Hashtbl.create 32;
     origin_times = Hashtbl.create 8;
     hop_changes = 0;
-    probes_originated = 0;
     probes_delivered = 0;
   }
 
@@ -74,15 +70,6 @@ let probe_packet ~origin_leaf =
       ~ethertype:Ethernet.ethertype_event
   in
   Packet.create ~eth ~payload:(Hula_probe { origin_leaf; max_util = 0 }) ~payload_len:16 ()
-
-let data_packet ~src_leaf ~src_host ~dst_leaf ~dst_host ~bytes =
-  let payload_len =
-    max 0 (bytes - Netcore.Ethernet.size - Netcore.Ipv4.size - Netcore.Udp.size)
-  in
-  Packet.udp_packet
-    ~src:(Ipv4_addr.host ~subnet:src_leaf src_host)
-    ~dst:(Ipv4_addr.host ~subnet:dst_leaf dst_host)
-    ~src_port:(5000 + src_host) ~dst_port:(6000 + dst_host) ~payload_len ()
 
 let dst_leaf_of pkt =
   match pkt.Packet.ip with
@@ -154,7 +141,6 @@ let leaf_program t leaf_id : Program.spec =
   Hashtbl.replace t.leaves leaf_id { best_hop_reg; best_util_reg; util };
   ignore (ctx.Program.add_timer ~period:p.util_period);
   let record_origination () =
-    t.probes_originated <- t.probes_originated + 1;
     let cell =
       match Hashtbl.find_opt t.origin_times leaf_id with
       | Some c -> c
@@ -187,16 +173,6 @@ let leaf_program t leaf_id : Program.spec =
       Program.Multicast uplinks
     else begin
       t.probes_delivered <- t.probes_delivered + 1;
-      let key = (leaf_id, origin_leaf) in
-      let cell =
-        match Hashtbl.find_opt t.probe_arrivals key with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Hashtbl.replace t.probe_arrivals key c;
-            c
-      in
-      cell := ctx.Program.now () :: !cell;
       let link_util = per_mille util.(port) in
       let path_util = max probe_util link_util in
       let best = Pisa.Register_array.read best_util_reg origin_leaf in
@@ -286,11 +262,6 @@ let spine_program t spine_id : Program.spec =
 let program t sw : Program.spec =
   if sw < t.params.num_leaves then leaf_program t sw else spine_program t (sw - t.params.num_leaves)
 
-let probe_arrivals t ~at_leaf ~from_leaf =
-  match Hashtbl.find_opt t.probe_arrivals (at_leaf, from_leaf) with
-  | Some c -> List.rev !c
-  | None -> []
-
 let origination_gaps_us t ~leaf =
   match Hashtbl.find_opt t.origin_times leaf with
   | None -> [||]
@@ -310,7 +281,6 @@ let best_hop t ~leaf ~dst_leaf =
       if v = 0xff then None else Some v
 
 let hop_changes t = t.hop_changes
-let probes_originated t = t.probes_originated
 let probes_delivered t = t.probes_delivered
 
 let util_estimate t ~leaf ~port =

@@ -16,16 +16,16 @@ let detections t = List.rev t.detections
 let detection_count t = t.count
 let state_bits t = t.bits
 
-let program ?(num_snapshots = 8) ?(cms_width = 512) ?(cms_depth = 2) ?(slots = 1024)
-    ?(buffer_bytes = 512 * 1024) ~threshold_bytes ~out_port () =
-  if num_snapshots < 2 then invalid_arg "Snappy.program: need at least 2 snapshots";
+let num_snapshots = 8
+
+let program ?(slots = 1024) ?(buffer_bytes = 512 * 1024) ~threshold_bytes ~out_port () =
   let t = { detections = []; count = 0; bits = 0; over = Array.make slots false } in
   let spec ctx =
     let snapshots =
       Array.init num_snapshots (fun i ->
           Cms.create ~alloc:ctx.Program.alloc
             ~name:(Printf.sprintf "snappy_snap%d" i)
-            ~width:cms_width ~depth:cms_depth ~counter_bits:32 ())
+            ~width:512 ~depth:2 ~counter_bits:32 ())
     in
     (* Ring bookkeeping registers (window index, per-window byte
        volume), also real data-plane state. *)

@@ -4,10 +4,11 @@
 
     Without enqueue/dequeue events, per-flow buffer occupancy must be
     {e approximated} from packet events alone: Snappy keeps a ring of
-    [k] count-min-sketch snapshots of recently arrived bytes and
-    estimates a flow's occupancy by summing the flow's counts over the
-    snapshots that plausibly cover the bytes still buffered (inferred
-    from the queue depth seen at egress). The cost of not having
+    [k] = 8 count-min-sketch snapshots (512x2 each, the Snappy paper's
+    small configuration) of recently arrived bytes and estimates a
+    flow's occupancy by summing the flow's counts over the snapshots
+    that plausibly cover the bytes still buffered (inferred from the
+    queue depth seen at egress). The cost of not having
     events, which E6 quantifies:
 
     - state: [k] sketches instead of one register array (the paper's
@@ -26,15 +27,11 @@ val detection_count : t -> int
 val state_bits : t -> int
 
 val program :
-  ?num_snapshots:int ->
-  ?cms_width:int ->
-  ?cms_depth:int ->
   ?slots:int ->
   ?buffer_bytes:int ->
   threshold_bytes:int ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
   Evcore.Program.spec * t
-(** Defaults follow the Snappy paper's small configuration: 8
-    snapshots of a 512x2 sketch. [slots] must match the event-driven
-    detector's hash size so flow ids are comparable (default 1024). *)
+(** [slots] must match the event-driven detector's hash size so flow
+    ids are comparable (default 1024). *)

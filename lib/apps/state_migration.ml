@@ -17,7 +17,6 @@ type t = {
   mutable standby_reg : Pisa.Register_array.t option;
   mutable started_at : int option;
   mutable completed_at : int option;
-  mutable chunks_sent : int;
   mutable chunks_installed : int;
 }
 
@@ -28,13 +27,10 @@ let create ?(slots = 64) () =
     standby_reg = None;
     started_at = None;
     completed_at = None;
-    chunks_sent = 0;
     chunks_installed = 0;
   }
 
-let migration_started_at t = t.started_at
 let migration_completed_at t = t.completed_at
-let chunks_sent t = t.chunks_sent
 let chunks_installed t = t.chunks_installed
 
 let counter t ~role ~slot =
@@ -74,7 +70,6 @@ let active_program t ~mode ~primary ~backup : Program.spec =
              generated handler routes them over the backup port. *)
           ctx.Program.configure_pktgen ~period:chunk_period ~count:t.slots
             ~template:(fun i ->
-              t.chunks_sent <- t.chunks_sent + 1;
               if i = t.slots - 1 then t.completed_at <- Some (ctx.Program.now ());
               chunk_packet ~slot:i ~value:(Pisa.Register_array.read counters i))
             ()
@@ -86,7 +81,6 @@ let active_program t ~mode ~primary ~backup : Program.spec =
           for b = 0 to batches - 1 do
             Evcore.Control_plane.submit cp (fun () ->
                 for i = b * batch to min ((b + 1) * batch) t.slots - 1 do
-                  t.chunks_sent <- t.chunks_sent + 1;
                   let value = Pisa.Register_array.read counters i in
                   match t.standby_reg with
                   | Some standby ->

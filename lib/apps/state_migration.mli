@@ -31,9 +31,7 @@ type mode =
 
 type t
 
-val migration_started_at : t -> int option
 val migration_completed_at : t -> int option
-val chunks_sent : t -> int
 val chunks_installed : t -> int
 val counter : t -> role:[ `Active | `Standby ] -> slot:int -> int
 val state_bits : t -> int

@@ -9,7 +9,7 @@
 
     Guards are driven by the {e parsed TCP header}: {!input_of}
     classifies each packet's real SYN/ACK/FIN/RST flag bits into one
-    of the input words below. Packets without a TCP header classify as
+    of five input words (data 0, SYN 1, FIN 2, RST 3, non-TCP 4). Packets without a TCP header classify as
     {!input_non_tcp}, which matches no transition — the [meta.mark]
     side channel plays no role, so a mark-spoofed packet cannot fake
     an established session. *)
@@ -20,14 +20,9 @@ val input_data : int
 
 val input_syn : int  (** 1 — SYN set (and not RST). *)
 
-val input_fin : int  (** 2 — FIN set (and not SYN/RST). *)
-
-val input_rst : int  (** 3 — RST set; aborts the session. *)
-
 val input_non_tcp : int
 (** 4 — no TCP header; matches no transition, always blocked. *)
 
-val s_new : int
 val s_syn : int
 val s_est : int
 val s_closed : int

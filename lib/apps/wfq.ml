@@ -6,7 +6,6 @@ module Event = Devents.Event
 type t = { mutable bits : int; mutable vt : int }
 
 let state_bits t = t.bits
-let virtual_time t = t.vt
 
 let program ?(slots = 64) ~weight_of ~out_port () =
   let t = { bits = 0; vt = 0 } in

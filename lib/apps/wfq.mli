@@ -24,7 +24,6 @@
 type t
 
 val state_bits : t -> int
-val virtual_time : t -> int
 
 val program :
   ?slots:int ->

@@ -39,10 +39,8 @@ type t = {
 
 val compile : ?tick_period:Eventsim.Sim_time.t -> Pattern.t -> t
 (** Default tick period: 1 µs. Raises [Invalid_argument] if the
-    configuration space exceeds {!max_states} (deeply nested
+    configuration space exceeds 512 states (deeply nested
     conjunctions of counts). *)
-
-val max_states : int
 
 val efsm :
   ?alloc:Pisa.Register_alloc.t ->

@@ -7,17 +7,15 @@ type t = {
   c : Compile.t;
   mutable efsm : Efsm.t option;
   mutable matches : int;
-  mutable events_fed : int;
   mutable log : (int * int) list;  (* (key, time), newest first *)
 }
 
 let efsm t = Option.get t.efsm
 let compiled t = t.c
 let matches t = t.matches
-let events_fed t = t.events_fed
 let match_log t = List.rev t.log
 
-let default_meta_attr = function
+let meta_attr = function
   | Event.Enqueue ev | Event.Dequeue ev | Event.Overflow ev -> ev.Event.occupancy_pkts
   | Event.Underflow _ -> 0
   | Event.Transmitted ev -> ev.Event.pkt_len
@@ -26,7 +24,7 @@ let default_meta_attr = function
   | Event.Control ev -> ev.Event.opcode
   | Event.User ev -> ev.Event.data
 
-let default_meta_key = function
+let meta_key = function
   | Event.Enqueue ev | Event.Dequeue ev | Event.Overflow ev -> ev.Event.port
   | Event.Underflow ev -> ev.Event.port
   | Event.Transmitted ev -> ev.Event.port
@@ -35,17 +33,15 @@ let default_meta_key = function
   | Event.Control ev -> ev.Event.opcode
   | Event.User ev -> ev.Event.tag
 
-let program ?(slots = 1024) ?timeout ?sweep_period ?pkt_attr ?pkt_key ?meta_attr ?meta_key
-    ?forward ?on_match ~name ~compiled:c () =
+let program ?(slots = 1024) ?timeout ?sweep_period ?pkt_attr ?pkt_key ?forward ?on_match ~name
+    ~compiled:c () =
   let pkt_attr = Option.value pkt_attr ~default:Packet.len in
-  let meta_attr = Option.value meta_attr ~default:default_meta_attr in
-  let meta_key = Option.value meta_key ~default:default_meta_key in
   let forward =
     Option.value forward
       ~default:(fun _ctx (pkt : Packet.t) -> Program.Forward pkt.Packet.meta.Packet.ingress_port)
   in
   let sweep_period = match sweep_period with Some p -> Some p | None -> timeout in
-  let t = { c; efsm = None; matches = 0; events_fed = 0; log = [] } in
+  let t = { c; efsm = None; matches = 0; log = [] } in
   let used = Pattern.classes c.Compile.pattern in
   let uses cls = List.exists (Event.cls_equal cls) used in
   let spec ctx =
@@ -55,7 +51,6 @@ let program ?(slots = 1024) ?timeout ?sweep_period ?pkt_attr ?pkt_key ?meta_attr
     t.efsm <- Some det;
     let feed ctx ~key ~cls ~attr =
       ctx.Program.consume_budget 1;
-      t.events_fed <- t.events_fed + 1;
       let key = key land max_int in
       let input = Pattern.encode { Pattern.cls; attr } in
       let o = Efsm.step det ~now:(ctx.Program.now ()) ~key ~input in

@@ -12,15 +12,14 @@
     shed-safe timer machinery as every other EFSM program.
 
     Correlation ([correlate ~key] in CEP terms) is the key extractor:
-    by default metadata events correlate by port ([Control_plane] by
-    opcode, [User_event] by tag, [Timer_expiration] by timer id) and
-    packet events by ingress port ([Egress_packet] by egress port);
-    [pkt_key] / [meta_key] substitute e.g. a flow or destination-host
-    selector. [pkt_attr] / [meta_attr] override the attribute
-    extractors the same way (defaults: queue occupancy for buffer
-    events, packet length for packet and transmit events, 1/0 for link
-    up/down, opcode / data / timer id for control / user / timer
-    events). *)
+    metadata events correlate by port ([Control_plane] by opcode,
+    [User_event] by tag, [Timer_expiration] by timer id) and packet
+    events by default by ingress port ([Egress_packet] by egress port);
+    [pkt_key] substitutes e.g. a flow or destination-host selector.
+    The attribute is queue occupancy for buffer events, packet length
+    for packet and transmit events ([pkt_attr] overrides it for
+    packets), 1/0 for link up/down, and opcode / data / timer id for
+    control / user / timer events. *)
 
 type t
 
@@ -30,8 +29,6 @@ val program :
   ?sweep_period:Eventsim.Sim_time.t ->
   ?pkt_attr:(Netcore.Packet.t -> int) ->
   ?pkt_key:(Netcore.Packet.t -> int) ->
-  ?meta_attr:(Devents.Event.t -> int) ->
-  ?meta_key:(Devents.Event.t -> int) ->
   ?forward:(Evcore.Program.ctx -> Netcore.Packet.t -> Evcore.Program.decision) ->
   ?on_match:(key:int -> time:int -> unit) ->
   name:string ->
@@ -52,7 +49,6 @@ val efsm : t -> Pisa.Efsm.t
 
 val compiled : t -> Compile.t
 val matches : t -> int
-val events_fed : t -> int
 
 val match_log : t -> (int * int) list
 (** [(key, time)] per match, oldest first. *)

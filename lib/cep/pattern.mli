@@ -64,8 +64,6 @@ val attr_base : int
 (** Attributes are clamped to [0 .. attr_base - 1] (2^20); the EFSM
     input word is [cls_index * attr_base + attr]. *)
 
-val clamp_attr : int -> int
-
 val encode : view -> int
 (** The EFSM input word for a view. *)
 

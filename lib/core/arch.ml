@@ -8,15 +8,6 @@ type t = {
   has_recirculation : bool;
 }
 
-let baseline_pisa =
-  {
-    name = "baseline-pisa";
-    events = [ Event.Ingress_packet; Event.Recirculated_packet ];
-    has_timers = false;
-    has_packet_generator = false;
-    has_recirculation = true;
-  }
-
 let baseline_psa =
   {
     name = "baseline-psa";

@@ -15,10 +15,6 @@ type t = {
   has_recirculation : bool;
 }
 
-val baseline_pisa : t
-(** The simple single-pipeline PISA of Bosshart et al.: ingress packet
-    events and recirculation only. *)
-
 val baseline_psa : t
 (** The Portable Switch Architecture (Figure 1): ingress and egress
     packet events, recirculation; no other events. *)

@@ -69,7 +69,6 @@ let dropped_ops t = t.dropped_ops
 let notifications t = t.notifications
 let pending t = t.pending
 let queue_depth_hwm t = t.queue_depth_hwm
-let ops_per_sec_limit t = 1e12 /. float_of_int t.min_gap
 let latency t = t.latency
 
 let export_metrics ?(labels = []) t reg =

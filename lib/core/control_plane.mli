@@ -55,7 +55,6 @@ val pending : t -> int
 val queue_depth_hwm : t -> int
 (** High-water mark of {!pending} — the deepest the submit queue got. *)
 
-val ops_per_sec_limit : t -> float
 val latency : t -> Eventsim.Sim_time.t
 
 val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit

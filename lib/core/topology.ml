@@ -111,8 +111,7 @@ let leaf_spine ~leaves ~spines ~hosts_per_leaf =
    different paths then land on distinct timestamps, which pins the
    event order regardless of how a partitioned run interleaves shards. *)
 
-let ring ?(delay = Sim_time.us 1) ?(host_delay = Sim_time.us 1)
-    ?(skew = Sim_time.ps 1) ~switches () =
+let ring ?(delay = Sim_time.us 1) ?(skew = Sim_time.ps 1) ~switches () =
   if switches < 2 then invalid_arg "Topology.ring: need at least 2 switches";
   let links =
     List.init switches (fun i ->
@@ -125,7 +124,7 @@ let ring ?(delay = Sim_time.us 1) ?(host_delay = Sim_time.us 1)
         })
   in
   let attachments =
-    List.init switches (fun h -> { host = h; switch = h; port = 0; host_delay })
+    List.init switches (fun h -> { host = h; switch = h; port = 0; host_delay = Sim_time.us 1 })
   in
   { switches; hosts = switches; links; attachments }
 
@@ -151,8 +150,7 @@ let ft_host_loc ~k h =
   let m = h mod half in
   (pod, e, m)
 
-let fat_tree ?(host_delay = Sim_time.us 1) ?(edge_delay = Sim_time.us 1)
-    ?(core_delay = Sim_time.us 2) ?(skew = Sim_time.ps 1) ~k () =
+let fat_tree ?(skew = Sim_time.ps 1) ~k () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even and >= 2";
   let half = ft_half k in
   let switches = ft_cores k + (k * k) in
@@ -170,7 +168,7 @@ let fat_tree ?(host_delay = Sim_time.us 1) ?(edge_delay = Sim_time.us 1)
   for p = 0 to k - 1 do
     for i = 0 to half - 1 do
       for j = 0 to half - 1 do
-        add ~base:core_delay ((i * half) + j, p) (ft_agg ~k ~pod:p i, half + j)
+        add ~base:(Sim_time.us 2) ((i * half) + j, p) (ft_agg ~k ~pod:p i, half + j)
       done
     done
   done;
@@ -178,14 +176,14 @@ let fat_tree ?(host_delay = Sim_time.us 1) ?(edge_delay = Sim_time.us 1)
   for p = 0 to k - 1 do
     for i = 0 to half - 1 do
       for e = 0 to half - 1 do
-        add ~base:edge_delay (ft_agg ~k ~pod:p i, e) (ft_edge ~k ~pod:p e, half + i)
+        add ~base:(Sim_time.us 1) (ft_agg ~k ~pod:p i, e) (ft_edge ~k ~pod:p e, half + i)
       done
     done
   done;
   let attachments =
     List.init hosts (fun h ->
         let pod, e, m = ft_host_loc ~k h in
-        { host = h; switch = ft_edge ~k ~pod e; port = m; host_delay })
+        { host = h; switch = ft_edge ~k ~pod e; port = m; host_delay = Sim_time.us 1 })
   in
   { switches; hosts; links = List.rev !links; attachments }
 

@@ -65,36 +65,24 @@ val leaf_spine : leaves:int -> spines:int -> hosts_per_leaf:int -> t
     [l * hosts_per_leaf + i] and port [hosts_per_leaf + s] is the
     uplink to spine [s]; a spine's port [l] faces leaf [l]. *)
 
-val ring :
-  ?delay:Eventsim.Sim_time.t ->
-  ?host_delay:Eventsim.Sim_time.t ->
-  ?skew:Eventsim.Sim_time.t ->
-  switches:int ->
-  unit ->
-  t
+val ring : ?delay:Eventsim.Sim_time.t -> ?skew:Eventsim.Sim_time.t -> switches:int -> unit -> t
 (** [switches >= 2] switches in a cycle, one host each. Port 0 of each
     switch faces its host; port 1 is the clockwise uplink to the next
-    switch's port 2. Defaults: 1 us link delay, 1 us host delay,
+    switch's port 2. Host links take 1 us. Defaults: 1 us link delay,
     1 ps skew. *)
 
 val ring_route : switches:int -> sw:int -> dst_host:int -> int
 (** Egress port on [sw] toward [dst_host] under clockwise routing:
     port 0 when the host is local, else port 1. *)
 
-val fat_tree :
-  ?host_delay:Eventsim.Sim_time.t ->
-  ?edge_delay:Eventsim.Sim_time.t ->
-  ?core_delay:Eventsim.Sim_time.t ->
-  ?skew:Eventsim.Sim_time.t ->
-  k:int ->
-  unit ->
-  t
+val fat_tree : ?skew:Eventsim.Sim_time.t -> k:int -> unit -> t
 (** A k-ary fat tree (k even, >= 2): [(k/2)^2] core switches, [k] pods
     of [k/2] aggregation plus [k/2] edge switches, [k^3/4] hosts.
     Switch ids: cores first, then pod [p]'s aggregations
     [(k/2)^2 + p*k ..] followed by its edges. Host
     [p*(k/2)^2 + e*(k/2) + m] sits on port [m] of edge [e] in pod [p].
-    Edge/aggregation uplinks use ports [k/2 ..]. *)
+    Edge/aggregation uplinks use ports [k/2 ..]. Core links take 2 us,
+    edge links and host links 1 us; [skew] defaults to 1 ps. *)
 
 val fat_tree_route : k:int -> sw:int -> dst_host:int -> int
 (** Egress port on [sw] toward [dst_host]: standard two-level fat-tree

@@ -142,8 +142,6 @@ let time_of = function
   | Control c -> c.time
   | User u -> u.time
 
-let pp_cls ppf c = Format.pp_print_string ppf (cls_name c)
-
 let pp ppf t =
   match t with
   | Enqueue b ->

@@ -91,5 +91,4 @@ val cls_ix_of : t -> int
 (** [cls_ix_of ev = cls_index (cls_of ev)], in one match. *)
 
 val time_of : t -> int
-val pp_cls : Format.formatter -> cls -> unit
 val pp : Format.formatter -> t -> unit

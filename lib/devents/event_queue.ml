@@ -7,8 +7,7 @@
 
    The slot array is created with an inert immediate placeholder
    ([Obj.magic 0]); it is written before ever being read as ['a], and
-   popped slots are reset to it so the queue never pins a dead element
-   (same discipline as Event_heap's null entries). *)
+   popped slots are reset to it so the queue never pins a dead element. *)
 
 type 'a t = {
   slots : 'a array;

@@ -49,10 +49,6 @@ val push_buffer :
 
 val push_underflow : t -> port:int -> qid:int -> time:int -> bool
 val push_transmitted : t -> port:int -> pkt_len:int -> flow_id:int -> time:int -> bool
-val push_timer : t -> id:int -> period:int -> scheduled:int -> fired:int -> count:int -> bool
-val push_control : t -> opcode:int -> arg:int -> time:int -> bool
-val push_link : t -> port:int -> up:bool -> time:int -> bool
-val push_user : t -> tag:int -> data:int -> time:int -> bool
 
 val push : t -> Event.t -> bool
 (** Boxed fallback: encode an already-constructed event (field values

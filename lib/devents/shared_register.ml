@@ -189,8 +189,6 @@ let event_add t side i delta =
         side_q_push s i (Pipeline.current_cycle t.pipeline)
       end
 
-let event_read t i = read t i
-
 let true_value t i =
   let base = Register_array.read t.main i in
   match t.mode with

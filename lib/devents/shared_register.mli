@@ -67,9 +67,6 @@ val event_add : t -> side -> int -> int -> unit
     [Aggregated] mode the delta coalesces into the side's aggregation
     array; in [Multiport] mode it applies immediately. *)
 
-val event_read : t -> int -> int
-(** Event-thread read; sees the same (possibly stale) main array. *)
-
 val true_value : t -> int -> int
 (** Main value plus all pending aggregated deltas — the value an
     oracle (or a multiported memory) would see. *)

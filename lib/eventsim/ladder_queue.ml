@@ -20,14 +20,12 @@
    Determinism: every node carries a push sequence number, and the only
    ordered structure is bottom, sorted by (time, seq). Bucket and top
    lists are unordered (LIFO appends), so firing order is exactly
-   (time, seq) — identical to {!Event_heap} — regardless of how events
-   migrated through the tiers.
+   (time, seq) regardless of how events migrated through the tiers.
 
    Nodes are recycled through a free list and the bucket-sorting
    scratch array is retained and grown geometrically, so a steady-state
    push/pop cycle allocates nothing. Dead nodes never pin their old
-   payload (cleared on release), mirroring the Event_heap null-entry
-   discipline. *)
+   payload (cleared on release). *)
 
 type 'a node = {
   mutable time : int;

@@ -9,9 +9,9 @@
     bursts and sparse far-future parking stay amortised O(1) per
     event.
 
-    Firing order is identical to {!Event_heap}: non-decreasing time,
-    FIFO among same-time events (every node carries a push sequence
-    number and the bottom list is sorted by (time, seq)).
+    Firing order is total: non-decreasing time, FIFO among same-time
+    events (every node carries a push sequence number and the bottom
+    list is sorted by (time, seq)).
 
     Internal nodes are free-listed and the sort scratch is reused, so a
     steady-state push/pop cycle allocates nothing. Not thread-safe.

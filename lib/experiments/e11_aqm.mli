@@ -12,9 +12,6 @@ type policy_result = {
 
 type result = { policies : policy_result list }
 
-val maxmin : capacity:float -> float list -> float array
-(** Max-min fair allocation (exposed for tests). *)
-
 val run : ?seed:int -> unit -> result
 val print : result -> unit
 val name : string

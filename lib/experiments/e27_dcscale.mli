@@ -21,10 +21,6 @@ val addr_of_host : int -> Netcore.Ipv4_addr.t
 val routing_program : Evcore.Program.spec
 val switch_config : seed:int -> int -> Evcore.Event_switch.config
 
-val dst_of : h:int -> int -> int
-(** Rank -> destination host for sender [h]: ranks <= 100 stay in the
-    sender's pod, the Zipf tail crosses pods. Shard-count independent. *)
-
 (** Workload sizing (simulated time + rates). [until] leaves room for
     every flow started before [arrival_stop] to finish and drain. *)
 type knobs = {
@@ -37,10 +33,6 @@ type knobs = {
   concurrency_target : int;  (** min peak live flows expected; 0 = unchecked *)
 }
 
-val full_knobs : knobs
-(** The headline configuration: ~233k flows, ~115k concurrently live
-    at steady state, ~0.7M packets. *)
-
 val scenario :
   ?shards:int ->
   ?record_digest:bool ->
@@ -51,11 +43,9 @@ val scenario :
   unit ->
   Parsim.config
 (** The full streaming scenario as a [Parsim] config. [samples] (one
-    row per shard, {!num_samples} columns) receives the per-shard live
+    row per shard, 4 columns) receives the per-shard live
     flow counts probed at fixed simulated instants; [sources]
     accumulates every host's {!Workloads.Flowgen.source_stats}. *)
-
-val num_samples : int
 
 (** {1 Golden digests}
 

@@ -11,28 +11,5 @@ let set t ~dst ~src ~ethertype =
   t.src <- src;
   t.ethertype <- ethertype land 0xffff
 
-let write_mac w (m : Mac_addr.t) =
-  let v = Mac_addr.to_int m in
-  Cursor.u16 w (v lsr 32);
-  Cursor.u32 w (v land 0xffffffff)
-
-let read_mac r =
-  let hi = Cursor.read_u16 r in
-  let lo = Cursor.read_u32 r in
-  Mac_addr.of_int ((hi lsl 32) lor lo)
-
-let write w t =
-  write_mac w t.dst;
-  write_mac w t.src;
-  Cursor.u16 w t.ethertype
-
-let read r =
-  let dst = read_mac r in
-  let src = read_mac r in
-  let ethertype = Cursor.read_u16 r in
-  { dst; src; ethertype }
-
-let equal a b = Mac_addr.equal a.dst b.dst && Mac_addr.equal a.src b.src && a.ethertype = b.ethertype
-
 let pp ppf t =
   Format.fprintf ppf "eth %a -> %a type=0x%04x" Mac_addr.pp t.src Mac_addr.pp t.dst t.ethertype

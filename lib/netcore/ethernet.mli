@@ -18,7 +18,4 @@ val make : dst:Mac_addr.t -> src:Mac_addr.t -> ethertype:int -> t
 val set : t -> dst:Mac_addr.t -> src:Mac_addr.t -> ethertype:int -> unit
 (** Refill every field in place, as {!make} would — allocation-free. *)
 
-val write : Cursor.writer -> t -> unit
-val read : Cursor.reader -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

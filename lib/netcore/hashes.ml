@@ -1,33 +1,3 @@
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xedb88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
-
-let crc32 buf =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  for i = 0 to Bytes.length buf - 1 do
-    c := table.((!c lxor Bytes.get_uint8 buf i) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xffffffff
-
-let crc32_int v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.of_int v);
-  crc32 b
-
-let fnv1a64 buf =
-  let prime = 0x100000001b3L and offset = 0xcbf29ce484222325L in
-  let h = ref offset in
-  for i = 0 to Bytes.length buf - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 buf i))) prime
-  done;
-  Int64.to_int (Int64.shift_right_logical !h 2)
-
 let mix64 v =
   let z = Int64.add (Int64.of_int v) 0x9E3779B97F4A7C15L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

@@ -1,16 +1,6 @@
 (** Hash functions used by data-plane externs (flow hashing, sketch
     rows). All are deterministic pure functions. *)
 
-val crc32 : bytes -> int
-(** IEEE 802.3 CRC-32 over the whole buffer (the polynomial hardware
-    hash units typically expose). *)
-
-val crc32_int : int -> int
-(** CRC-32 of an int's 8 bytes, for hashing packed header fields. *)
-
-val fnv1a64 : bytes -> int
-(** 64-bit FNV-1a folded to 62 bits (non-negative). *)
-
 val mix64 : int -> int
 (** A strong finalizing mixer (splitmix64 finalizer), non-negative
     result. *)

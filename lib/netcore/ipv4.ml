@@ -1,8 +1,5 @@
 type t = {
-  mutable dscp : int;
-  mutable ecn : int;
   mutable total_len : int;
-  mutable ident : int;
   mutable ttl : int;
   mutable proto : int;
   mutable src : Ipv4_addr.t;
@@ -13,12 +10,9 @@ let size = 20
 let proto_tcp = 6
 let proto_udp = 17
 
-let make ?(dscp = 0) ?(ecn = 0) ?(ident = 0) ?(ttl = 64) ~proto ~src ~dst ~payload_len () =
+let make ?(ttl = 64) ~proto ~src ~dst ~payload_len () =
   {
-    dscp = dscp land 0x3f;
-    ecn = ecn land 0x3;
     total_len = size + payload_len;
-    ident = ident land 0xffff;
     ttl = ttl land 0xff;
     proto = proto land 0xff;
     src;
@@ -27,73 +21,14 @@ let make ?(dscp = 0) ?(ecn = 0) ?(ident = 0) ?(ttl = 64) ~proto ~src ~dst ~paylo
 
 (* In-place refill for arena-recycled packets: same masking as [make],
    zero allocation. *)
-let set ?(dscp = 0) ?(ecn = 0) ?(ident = 0) ?(ttl = 64) t ~proto ~src ~dst ~payload_len =
-  t.dscp <- dscp land 0x3f;
-  t.ecn <- ecn land 0x3;
+let set t ~proto ~src ~dst ~payload_len =
   t.total_len <- size + payload_len;
-  t.ident <- ident land 0xffff;
-  t.ttl <- ttl land 0xff;
+  t.ttl <- 64;
   t.proto <- proto land 0xff;
   t.src <- src;
   t.dst <- dst
 
-let checksum buf ~off ~len =
-  let sum = ref 0 in
-  let i = ref off in
-  let stop = off + len in
-  while !i + 1 < stop do
-    sum := !sum + Bytes.get_uint16_be buf !i;
-    i := !i + 2
-  done;
-  if !i < stop then sum := !sum + (Bytes.get_uint8 buf !i lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xffff
-
-let write w t =
-  let start = Cursor.pos_w w in
-  Cursor.u8 w ((4 lsl 4) lor 5);
-  Cursor.u8 w ((t.dscp lsl 2) lor t.ecn);
-  Cursor.u16 w t.total_len;
-  Cursor.u16 w t.ident;
-  Cursor.u16 w 0x4000 (* don't fragment *);
-  Cursor.u8 w t.ttl;
-  Cursor.u8 w t.proto;
-  Cursor.u16 w 0 (* checksum placeholder *);
-  Cursor.u32 w (Ipv4_addr.to_int t.src);
-  Cursor.u32 w (Ipv4_addr.to_int t.dst);
-  let csum = checksum (Cursor.contents w) ~off:start ~len:size in
-  Bytes.set_uint16_be (Cursor.contents w) (start + 10) csum
-
-let read r =
-  let start = Cursor.pos_r r in
-  let vihl = Cursor.read_u8 r in
-  if vihl lsr 4 <> 4 then failwith "Ipv4.read: not IPv4";
-  let ihl = (vihl land 0xf) * 4 in
-  if ihl <> size then failwith "Ipv4.read: options unsupported";
-  let tos = Cursor.read_u8 r in
-  let total_len = Cursor.read_u16 r in
-  let ident = Cursor.read_u16 r in
-  let _flags = Cursor.read_u16 r in
-  let ttl = Cursor.read_u8 r in
-  let proto = Cursor.read_u8 r in
-  let _csum = Cursor.read_u16 r in
-  let src = Ipv4_addr.of_int (Cursor.read_u32 r) in
-  let dst = Ipv4_addr.of_int (Cursor.read_u32 r) in
-  (* Summing the header including the stored checksum must give zero
-     (i.e. the one's-complement of the sum-without-checksum). *)
-  if checksum (Cursor.buffer r) ~off:start ~len:size <> 0 then
-    failwith "Ipv4.read: bad checksum";
-  { dscp = tos lsr 2; ecn = tos land 3; total_len; ident; ttl; proto; src; dst }
-
 let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
-let with_ecn t ecn = { t with ecn = ecn land 3 }
-
-let equal a b =
-  a.dscp = b.dscp && a.ecn = b.ecn && a.total_len = b.total_len && a.ident = b.ident
-  && a.ttl = b.ttl && a.proto = b.proto && Ipv4_addr.equal a.src b.src
-  && Ipv4_addr.equal a.dst b.dst
 
 let pp ppf t =
   Format.fprintf ppf "ipv4 %a -> %a proto=%d len=%d ttl=%d" Ipv4_addr.pp t.src Ipv4_addr.pp

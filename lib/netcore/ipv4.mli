@@ -4,10 +4,7 @@
     {!Packet_arena}-recycled packets; treat received headers as
     read-only. *)
 type t = {
-  mutable dscp : int; (* 6 bits *)
-  mutable ecn : int; (* 2 bits *)
   mutable total_len : int; (* header + payload, bytes *)
-  mutable ident : int;
   mutable ttl : int;
   mutable proto : int;
   mutable src : Ipv4_addr.t;
@@ -21,26 +18,13 @@ val proto_tcp : int
 val proto_udp : int
 
 val make :
-  ?dscp:int -> ?ecn:int -> ?ident:int -> ?ttl:int -> proto:int ->
-  src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit -> t
+  ?ttl:int -> proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit -> t
 
-val set :
-  ?dscp:int -> ?ecn:int -> ?ident:int -> ?ttl:int -> t -> proto:int ->
-  src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit
-(** Refill every field in place, as {!make} would — allocation-free. *)
-
-val checksum : bytes -> off:int -> len:int -> int
-(** Internet checksum over [len] bytes at [off]. *)
-
-val write : Cursor.writer -> t -> unit
-(** Writes the header including a correct checksum. *)
-
-val read : Cursor.reader -> t
-(** Raises [Failure] if the checksum does not verify. *)
+val set : t -> proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit
+(** Refill every field in place, as {!make} with its default [ttl]
+    would — allocation-free. *)
 
 val decrement_ttl : t -> t option
 (** [None] when the TTL would reach zero (packet must be dropped). *)
 
-val with_ecn : t -> int -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

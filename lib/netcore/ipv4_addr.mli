@@ -2,7 +2,6 @@
 
 type t = private int
 
-val of_int : int -> t
 val to_int : t -> int
 val of_string : string -> t
 (** Dotted quad; raises [Invalid_argument] on bad syntax. *)

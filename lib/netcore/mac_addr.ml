@@ -2,7 +2,6 @@ type t = int
 
 let mask = (1 lsl 48) - 1
 let of_int v = v land mask
-let to_int t = t
 let broadcast = mask
 let zero = 0
 

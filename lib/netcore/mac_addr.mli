@@ -2,10 +2,6 @@
 
 type t = private int
 
-val of_int : int -> t
-(** Masks to 48 bits. *)
-
-val to_int : t -> int
 val broadcast : t
 val zero : t
 

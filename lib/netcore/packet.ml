@@ -79,9 +79,9 @@ let udp_packet ?(created_at = 0) ?(payload = Opaque) ~src ~dst ~src_port ~dst_po
   in
   create ~ip ~l4:(Udp udp) ~payload ~payload_len ~created_at ~eth ()
 
-let tcp_packet ?(created_at = 0) ?(payload = Opaque) ?(flags = 0) ?(seq = 0) ?(ack = 0) ~src ~dst
-    ~src_port ~dst_port ~payload_len () =
-  let tcp = Tcp.make ~src_port ~dst_port ~seq ~ack ~flags () in
+let tcp_packet ?(created_at = 0) ?(payload = Opaque) ?(flags = 0) ?(seq = 0) ~src ~dst ~src_port
+    ~dst_port ~payload_len () =
+  let tcp = Tcp.make ~src_port ~dst_port ~seq ~flags () in
   let ip =
     Ipv4.make ~proto:Ipv4.proto_tcp ~src ~dst ~payload_len:(Tcp.size + payload_len) ()
   in

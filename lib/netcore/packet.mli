@@ -1,17 +1,16 @@
 (** The simulator's packet representation.
 
-    Headers are structured records (serializable byte-for-byte via
-    {!Frame}); application payloads are an extensible variant so that
-    each application can define its own in-network message types
-    (probes, echoes, cache requests) without [netcore] knowing about
-    them. [payload_len] is authoritative for wire length regardless of
-    the payload constructor. *)
+    Headers are structured records; application payloads are an
+    extensible variant so that each application can define its own
+    in-network message types (probes, echoes, cache requests) without
+    [netcore] knowing about them. [payload_len] is authoritative for
+    wire length regardless of the payload constructor. *)
 
 type l4 = Udp of Udp.t | Tcp of Tcp.t | No_l4
 
 type payload = ..
 type payload += Opaque
-(** Uninterpreted payload bytes (all zeros when serialized). *)
+(** Uninterpreted payload bytes: only [payload_len] counts. *)
 
 (** Per-packet metadata bus. [enq_meta] and [deq_meta] are the slots the
     paper's ingress logic fills so that enqueue/dequeue event handlers
@@ -72,7 +71,7 @@ val udp_packet :
     derived from the addresses. *)
 
 val tcp_packet :
-  ?created_at:int -> ?payload:payload -> ?flags:int -> ?seq:int -> ?ack:int ->
+  ?created_at:int -> ?payload:payload -> ?flags:int -> ?seq:int ->
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> src_port:int -> dst_port:int ->
   payload_len:int -> unit -> t
 (** Like {!udp_packet} but with a TCP header carrying real [flags]
@@ -92,10 +91,6 @@ val flow_key : t -> int
     [Hashes.mix64 (flow_key t)] equals [Flow.hash_addresses f] for the
     packet's flow [f] — computed without allocating the flow record.
     [-1] when the packet has no IP header. *)
-
-val with_meta_of : t -> t -> unit
-(** [with_meta_of dst src] copies the metadata bus of [src] into [dst]
-    (used when rewriting headers while forwarding). *)
 
 val clone_for_forward : ?eth:Ethernet.t -> ?ip:Ipv4.t -> t -> t
 (** A copy with a fresh uid sharing payload, for multicast fan-out. *)

@@ -2,9 +2,7 @@ type t = {
   src_port : int;
   dst_port : int;
   seq : int;
-  ack : int;
   flags : int;
-  window : int;
 }
 
 let size = 20
@@ -13,42 +11,13 @@ let flag_syn = 0x002
 let flag_rst = 0x004
 let flag_ack = 0x010
 
-let make ~src_port ~dst_port ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 65535) () =
+let make ~src_port ~dst_port ?(seq = 0) ?(flags = 0) () =
   {
     src_port = src_port land 0xffff;
     dst_port = dst_port land 0xffff;
     seq = seq land 0xffffffff;
-    ack = ack land 0xffffffff;
     flags = flags land 0x1ff;
-    window = window land 0xffff;
   }
-
-let write w t =
-  Cursor.u16 w t.src_port;
-  Cursor.u16 w t.dst_port;
-  Cursor.u32 w t.seq;
-  Cursor.u32 w t.ack;
-  (* data offset = 5 words, then flags *)
-  Cursor.u16 w ((5 lsl 12) lor t.flags);
-  Cursor.u16 w t.window;
-  Cursor.u16 w 0 (* checksum *);
-  Cursor.u16 w 0 (* urgent pointer *)
-
-let read r =
-  let src_port = Cursor.read_u16 r in
-  let dst_port = Cursor.read_u16 r in
-  let seq = Cursor.read_u32 r in
-  let ack = Cursor.read_u32 r in
-  let off_flags = Cursor.read_u16 r in
-  if off_flags lsr 12 <> 5 then failwith "Tcp.read: options unsupported";
-  let window = Cursor.read_u16 r in
-  let _csum = Cursor.read_u16 r in
-  let _urg = Cursor.read_u16 r in
-  { src_port; dst_port; seq; ack; flags = off_flags land 0x1ff; window }
-
-let equal a b =
-  a.src_port = b.src_port && a.dst_port = b.dst_port && a.seq = b.seq && a.ack = b.ack
-  && a.flags = b.flags && a.window = b.window
 
 let pp ppf t =
   Format.fprintf ppf "tcp %d -> %d seq=%d flags=0x%x" t.src_port t.dst_port t.seq t.flags

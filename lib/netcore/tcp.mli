@@ -1,14 +1,12 @@
-(** TCP header (no options; the simulator does not run a TCP stack, but
-    workloads can mark flows as TCP so five-tuple handling and parsing
-    are exercised end to end). *)
+(** TCP header (no options). The simulator runs no TCP stack; workloads
+    mark flows as TCP so that five-tuple handling and flag-driven
+    programs see real flags. *)
 
 type t = {
   src_port : int;
   dst_port : int;
   seq : int;
-  ack : int;
   flags : int; (* low 9 bits: NS CWR ECE URG ACK PSH RST SYN FIN *)
-  window : int;
 }
 
 val size : int
@@ -17,10 +15,6 @@ val flag_ack : int
 val flag_fin : int
 val flag_rst : int
 
-val make :
-  src_port:int -> dst_port:int -> ?seq:int -> ?ack:int -> ?flags:int -> ?window:int -> unit -> t
+val make : src_port:int -> dst_port:int -> ?seq:int -> ?flags:int -> unit -> t
 
-val write : Cursor.writer -> t -> unit
-val read : Cursor.reader -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

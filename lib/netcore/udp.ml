@@ -12,18 +12,4 @@ let set t ~src_port ~dst_port ~payload_len =
   t.dst_port <- dst_port land 0xffff;
   t.length <- size + payload_len
 
-let write w t =
-  Cursor.u16 w t.src_port;
-  Cursor.u16 w t.dst_port;
-  Cursor.u16 w t.length;
-  Cursor.u16 w 0
-
-let read r =
-  let src_port = Cursor.read_u16 r in
-  let dst_port = Cursor.read_u16 r in
-  let length = Cursor.read_u16 r in
-  let _csum = Cursor.read_u16 r in
-  { src_port; dst_port; length }
-
-let equal a b = a.src_port = b.src_port && a.dst_port = b.dst_port && a.length = b.length
 let pp ppf t = Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port t.length

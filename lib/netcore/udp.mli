@@ -1,5 +1,4 @@
-(** UDP header (checksum left zero: legal for IPv4 and what most
-    switch-centric simulations do). *)
+(** UDP header. *)
 
 (** Fields are mutable only for in-place reuse by
     {!Packet_arena}-recycled packets; treat received headers as
@@ -12,7 +11,4 @@ val make : src_port:int -> dst_port:int -> payload_len:int -> t
 val set : t -> src_port:int -> dst_port:int -> payload_len:int -> unit
 (** Refill every field in place, as {!make} would — allocation-free. *)
 
-val write : Cursor.writer -> t -> unit
-val read : Cursor.reader -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

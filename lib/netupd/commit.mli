@@ -29,8 +29,6 @@
 
 type action = Install | Flip | Unflip | Gc_old | Gc_new
 
-val action_name : action -> string
-
 type phase = Installing | Flipping | Draining | Gc | Unflipping | Rb_draining | Rb_gc | Finished
 
 val phase_name : phase -> string

@@ -33,9 +33,8 @@ let bootstrap_agent t p =
           Agent.set_ingress_version a (Policy.version p))
     t.agents
 
-let create ~sched ~switches ~agents ~initial ?(cp_latency = Sim_time.us 4)
-    ?(cp_jitter = Sim_time.ns 500) ?(cp_rate = 1_000_000.) ?sup
-    ?(commit = Commit.default_config ()) ?lost ~seed () =
+let create ~sched ~switches ~agents ~initial ?sup ?(commit = Commit.default_config ()) ?lost
+    ~seed () =
   if Array.length agents <> switches then invalid_arg "Controller.create: agents/switches mismatch";
   if Policy.switches initial <> switches then invalid_arg "Controller.create: policy size mismatch";
   let cps =
@@ -45,8 +44,8 @@ let create ~sched ~switches ~agents ~initial ?(cp_latency = Sim_time.us 4)
            makes replicated (sharded) runs byte-identical. *)
         let rng = Stats.Rng.create ~seed:(seed + (31 * (sw + 1))) in
         let sup = match sup with None -> None | Some f -> f sw in
-        Control_plane.create ~sched ~latency:cp_latency ~op_rate_per_sec:cp_rate
-          ~jitter:cp_jitter ?sup ~rng ())
+        Control_plane.create ~sched ~latency:(Sim_time.us 4) ~op_rate_per_sec:1_000_000.
+          ~jitter:(Sim_time.ns 500) ?sup ~rng ())
   in
   let t =
     {
@@ -152,7 +151,6 @@ let rolled_back t = t.rolled_back
 let superseded t = t.superseded
 let cp t sw = t.cps.(sw)
 let cps t = t.cps
-let log_contents t = Buffer.contents t.log
 
 let schedule_digest t =
   Digest.to_hex (Digest.string (Buffer.contents t.log ^ Printf.sprintf "|final=%d" (version t)))

@@ -24,9 +24,6 @@ val create :
   switches:int ->
   agents:Agent.t option array ->
   initial:Policy.t ->
-  ?cp_latency:Eventsim.Sim_time.t ->
-  ?cp_jitter:Eventsim.Sim_time.t ->
-  ?cp_rate:float ->
   ?sup:(int -> Resil.Supervisor.t option) ->
   ?commit:Commit.config ->
   ?lost:(switch:int -> now:Eventsim.Sim_time.t -> bool) ->
@@ -39,8 +36,8 @@ val create :
     [Policy.version initial + 1]. [sup sw] supplies an optional
     supervisor guarding switch [sw]'s control channel (quarantined
     channels drop ops — counted by [cp.dropped_ops]). [lost] is the
-    op-loss oracle (default: lossless); CP defaults: 4 us latency,
-    500 ns jitter, 1M ops/s. *)
+    op-loss oracle (default: lossless). Each switch's control plane
+    has 4 us latency, 500 ns jitter and 1M ops/s. *)
 
 val propose : t -> Policy.t -> unit
 (** Stamp the next version onto [p] and start (or park) its update. *)
@@ -59,11 +56,6 @@ val cp : t -> int -> Evcore.Control_plane.t
 val cps : t -> Evcore.Control_plane.t array
 val mixed : t -> int
 (** Sum of {!Agent.mixed} over owned agents. *)
-
-val log_contents : t -> string
-(** The deterministic protocol log (proposals, phase transitions,
-    every submission attempt with its seq / try count / loss verdict,
-    outcomes). *)
 
 val schedule_digest : t -> string
 (** MD5 of {!log_contents} plus the final committed version — the

@@ -62,7 +62,6 @@ type t = {
 
 let create ?(enabled = true) () = { on = ref enabled; tbl = Hashtbl.create 64; order = [] }
 let enable t = t.on := true
-let disable t = t.on := false
 let is_enabled t = !(t.on)
 let on_ref t = t.on
 

@@ -28,7 +28,6 @@ val create : ?enabled:bool -> unit -> t
 (** A fresh registry, enabled by default. *)
 
 val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 
 val on_ref : t -> bool ref

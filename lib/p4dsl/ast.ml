@@ -75,10 +75,6 @@ type decl =
 
 type program = decl list
 
-let pp_typ ppf = function
-  | Bit n -> Format.fprintf ppf "bit<%d>" n
-  | Bool -> Format.pp_print_string ppf "bool"
-
 let control_names program =
   List.filter_map
     (function Control_decl { name; _ } -> Some name | _ -> None)

@@ -114,5 +114,4 @@ type decl =
 
 type program = decl list
 
-val pp_typ : Format.formatter -> typ -> unit
 val control_names : program -> string list

@@ -37,7 +37,6 @@ and arg = Num of int | Str of string | Dest of Ast.lvalue
     (** [Dest]: an out-parameter, e.g. the second argument of
         [hash(data, dst)]. *)
 
-val mask_of_typ : Ast.typ -> int
 val eval_expr : env -> Ast.expr -> int
 val exec_block : env -> Ast.stmt list -> unit
 val assign : env -> Ast.lvalue -> int -> Ast.position -> unit

@@ -55,7 +55,5 @@ val load : ?name:string -> string -> Evcore.Program.spec
     errors {!Load_error}; handler-time errors raise
     {!Interp.Runtime_error}. *)
 
-val load_ast : ?name:string -> Ast.program -> Evcore.Program.spec
-
 val microburst_p4 : string
 (** The paper's §2 program, as accepted by this DSL. *)

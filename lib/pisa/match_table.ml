@@ -109,9 +109,3 @@ let clear t =
   | Exact_entries h -> Hashtbl.reset h
   | Lpm_entries l -> l.rules <- []
   | Ternary_entries l -> l.rules <- []
-
-let iter_exact t f =
-  match t.entries with
-  | Exact_entries h -> Hashtbl.iter f h
-  | Lpm_entries _ | Ternary_entries _ ->
-      invalid_arg ("Match_table.iter_exact on non-exact table " ^ t.name)

@@ -36,6 +36,3 @@ val lookups : 'a t -> int
 val hits : 'a t -> int
 val clear : 'a t -> unit
 (** Remove all entries (keeps the default). *)
-
-val iter_exact : 'a t -> (int -> 'a -> unit) -> unit
-(** Iterate exact entries (raises [Invalid_argument] on other kinds). *)

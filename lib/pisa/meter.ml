@@ -53,4 +53,3 @@ let tokens t ~now_ps =
   (t.tc, t.te)
 
 let color_to_string = function Green -> "green" | Yellow -> "yellow" | Red -> "red"
-let pp_color ppf c = Format.pp_print_string ppf (color_to_string c)

@@ -21,4 +21,3 @@ val tokens : t -> now_ps:int -> float * float
 (** Current (committed, excess) token levels after lazy refill. *)
 
 val color_to_string : color -> string
-val pp_color : Format.formatter -> color -> unit

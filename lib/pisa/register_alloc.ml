@@ -18,9 +18,6 @@ let array t ~name ~entries ~width =
 let registers t = List.rev t.regs
 let total_bits t = List.fold_left (fun acc r -> acc + Register_array.bits r) 0 t.regs
 
-let total_conflicts t =
-  List.fold_left (fun acc r -> acc + Register_array.conflicts r) 0 t.regs
-
 let clock t = t.clock
 let register_stats t ~name fn = t.stats <- (name, fn) :: t.stats
 let stats_exporters t = List.rev t.stats

@@ -12,7 +12,6 @@ val registers : t -> Register_array.t list
 (** In allocation order. *)
 
 val total_bits : t -> int
-val total_conflicts : t -> int
 val report : t -> (string * int * int) list
 (** [(name, entries, bits)] per register. *)
 

@@ -72,5 +72,4 @@ let clear_entry t i =
 let reads t = t.reads
 let writes t = t.writes
 let conflicts t = t.conflicts
-let nonzero_entries t = Array.fold_left (fun acc v -> if v <> 0 then acc + 1 else acc) 0 t.data
 let to_array t = Array.copy t.data

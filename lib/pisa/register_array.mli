@@ -38,6 +38,5 @@ val writes : t -> int
 val conflicts : t -> int
 (** Same-cycle multi-access count (0 when no clock was supplied). *)
 
-val nonzero_entries : t -> int
 val to_array : t -> int array
 (** Snapshot copy, for tests and reports. *)

@@ -33,7 +33,6 @@ type key = {
   mutable active_ : bool;
   mutable permanent : bool;
   mutable trip_count : int;
-  mutable calls : int;
   mutable crashes : int;
   mutable watchdog : int;
   mutable dropped : int;
@@ -59,7 +58,6 @@ let no_key =
     active_ = false;
     permanent = true;
     trip_count = 0;
-    calls = 0;
     crashes = 0;
     watchdog = 0;
     dropped = 0;
@@ -108,8 +106,7 @@ let register t ~name ?policy ?(on_disable = noop) ?(on_enable = noop) () =
       active_ = true;
       permanent = false;
       trip_count = 0;
-      calls = 0;
-      crashes = 0;
+        crashes = 0;
       watchdog = 0;
       dropped = 0;
       recovered = 0;
@@ -125,11 +122,7 @@ let register t ~name ?policy ?(on_disable = noop) ?(on_enable = noop) () =
 let key_name k = k.k_name
 let active k = k.active_
 let permanently_failed k = k.permanent
-let key_trips k = k.trip_count
 let key_crashes k = k.crashes
-let key_dropped k = k.dropped
-let key_recoveries k = k.recovered
-let key_calls k = k.calls
 
 (* Exponential backoff for the [n]th trip (1-based), capped, plus a
    deterministic jitter drawn from the key's own split RNG — so backoff
@@ -186,7 +179,6 @@ let consume t n =
    arms injected faults and resets the watchdog fuel. Raises (into the
    caller's [trap]) when an injected crash or slowdown fires. *)
 let enter t key =
-  key.calls <- key.calls + 1;
   key.fuel <- t.config.budget;
   t.current <- key;
   if key.pending_crash > 0 then begin

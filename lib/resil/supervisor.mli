@@ -101,11 +101,7 @@ val active : key -> bool
 (** [false] while quarantined or permanently failed. *)
 
 val permanently_failed : key -> bool
-val key_trips : key -> int
 val key_crashes : key -> int
-val key_dropped : key -> int
-val key_recoveries : key -> int
-val key_calls : key -> int
 
 val trips : t -> int
 val recoveries : t -> int

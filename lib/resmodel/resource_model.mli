@@ -37,10 +37,6 @@ val event_components : component list
 val utilisation : device -> cost -> float * float * float
 (** (LUT, FF, BRAM) fractions of the device. *)
 
-val pct_increase : device -> extra:cost -> float * float * float
-(** The paper's Table 3 metric: the extra cost as a percentage of the
-    total device capacity. *)
-
 val table3 : unit -> (string * float) list
 (** [("Lookup Tables", 0.5); ("Flip Flops", 0.4); ("Block RAM", 2.0)]
     computed from the model (values rounded to one decimal). *)

@@ -4,12 +4,6 @@ let create ~alpha =
   if alpha <= 0. || alpha > 1. then invalid_arg "Ewma.create: alpha must be in (0,1]";
   { alpha; value = 0.; primed = false }
 
-let create_init ~alpha ~init =
-  let t = create ~alpha in
-  t.value <- init;
-  t.primed <- true;
-  t
-
 let update t x =
   if t.primed then t.value <- t.value +. (t.alpha *. (x -. t.value))
   else begin

@@ -6,7 +6,6 @@ type t
 val create : alpha:float -> t
 (** [alpha] in (0, 1]; larger alpha weights recent samples more. *)
 
-val create_init : alpha:float -> init:float -> t
 val update : t -> float -> float
 (** Feed a sample, return the new average. *)
 

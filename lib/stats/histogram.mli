@@ -15,7 +15,6 @@ val log2 : max_exponent:int -> t
     Negative samples land in the underflow bin. *)
 
 val add : t -> float -> unit
-val add_n : t -> float -> int -> unit
 val count : t -> int
 val underflow : t -> int
 val overflow : t -> int

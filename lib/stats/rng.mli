@@ -20,9 +20,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state (the copies then evolve
     independently but identically). *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val bits : t -> int
 (** 62 uniformly distributed non-negative bits (fits in an OCaml [int]). *)
 
@@ -36,6 +33,3 @@ val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
 
 val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -28,7 +28,6 @@ let nth t i =
   if i < 0 || i >= t.len then invalid_arg "Time_series.nth";
   (t.times.(i), t.values.(i))
 
-let to_arrays t = (Array.sub t.times 0 t.len, Array.sub t.values 0 t.len)
 let values t = Array.sub t.values 0 t.len
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
@@ -40,6 +39,3 @@ let fold t ~init ~f =
   !acc
 
 let max_value t = fold t ~init:neg_infinity ~f:(fun acc _ v -> Float.max acc v)
-
-let mean_value t =
-  if t.len = 0 then 0. else fold t ~init:0. ~f:(fun acc _ v -> acc +. v) /. float_of_int t.len

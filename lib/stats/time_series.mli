@@ -8,7 +8,6 @@ val create : ?capacity:int -> unit -> t
 val add : t -> time:float -> value:float -> unit
 val length : t -> int
 val nth : t -> int -> float * float
-val to_arrays : t -> float array * float array
 val values : t -> float array
 val last : t -> (float * float) option
 
@@ -17,5 +16,3 @@ val fold : t -> init:'a -> f:('a -> float -> float -> 'a) -> 'a
 
 val max_value : t -> float
 (** [neg_infinity] when empty. *)
-
-val mean_value : t -> float

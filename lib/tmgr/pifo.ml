@@ -22,7 +22,7 @@ let before a b = a.rank < b.rank || (a.rank = b.rank && a.seq < b.seq)
    shared inert entry instead; its value is never read because the API
    only exposes slots below [len].  [entry] is a mixed int/pointer
    record, so the representation is the same for every ['a] and the
-   cast is safe — same discipline as [Event_heap.null_entry]. *)
+   cast is safe. *)
 let null_entry : Obj.t entry = { rank = min_int; seq = min_int; value = Obj.repr () }
 let null () : 'a entry = Obj.magic null_entry
 

@@ -262,18 +262,12 @@ let enqueue t ~port pkt =
 let occupancy_bytes t ~port = t.ports.(port).occupancy_bytes
 let occupancy_pkts t ~port = t.ports.(port).occupancy_pkts
 
-let queue_occupancy_bytes t ~port ~qid =
-  match t.ports.(port).queues with
-  | Fifos queues -> Fifo_queue.occupancy_bytes queues.(qid)
-  | Pifo_q _ -> t.ports.(port).occupancy_bytes
-
 let total_occupancy_bytes t =
   Array.fold_left (fun acc p -> acc + p.occupancy_bytes) 0 t.ports
 
 let enqueues t = t.enqueues
 let dequeues t = t.dequeues
 let transmitted t = t.transmitted
-let transmitted_bytes t = t.transmitted_bytes
 let drops t = t.drops
 let egress_drops t = t.egress_drops
 let config t = t.config

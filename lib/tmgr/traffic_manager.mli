@@ -52,12 +52,10 @@ val enqueue : t -> port:int -> Netcore.Packet.t -> bool
 
 val occupancy_bytes : t -> port:int -> int
 val occupancy_pkts : t -> port:int -> int
-val queue_occupancy_bytes : t -> port:int -> qid:int -> int
 val total_occupancy_bytes : t -> int
 val enqueues : t -> int
 val dequeues : t -> int
 val transmitted : t -> int
-val transmitted_bytes : t -> int
 val drops : t -> int
 (** Overflow drops. *)
 

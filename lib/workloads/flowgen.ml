@@ -94,10 +94,7 @@ type source_stats = {
   mutable peak_live_flows : int;
   mutable packets_sent : int;
   mutable bytes_sent : int;
-  mutable stopped : bool;
 }
-
-let halt st = st.stopped <- true
 
 let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival_stop
     ~rate_pps_per_flow ?(on_flow = fun _ -> ()) ?(on_flow_end = fun _ -> ()) spec ~send
@@ -113,7 +110,6 @@ let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival
       peak_live_flows = 0;
       packets_sent = 0;
       bytes_sent = 0;
-      stopped = false;
     }
   in
   let emission_gap = max 1 (int_of_float (1e12 /. rate_pps_per_flow)) in
@@ -139,18 +135,15 @@ let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival
     if st.live_flows > st.peak_live_flows then st.peak_live_flows <- st.live_flows;
     on_flow fd;
     let rec emit_one i =
-      if st.stopped then finish fd
-      else begin
-        let pkt = Traffic.make_packet ~sched ~flow:fd.flow ~pkt_bytes:fd.pkt_bytes in
-        st.packets_sent <- st.packets_sent + 1;
-        st.bytes_sent <- st.bytes_sent + Netcore.Packet.len pkt;
-        send pkt;
-        if i + 1 < fd.packets then
-          Scheduler.post_after ~cls:"workload" sched
-            ~delay:(emission_gap + gap_jitter fd i)
-            (fun () -> emit_one (i + 1))
-        else finish fd
-      end
+      let pkt = Traffic.make_packet ~sched ~flow:fd.flow ~pkt_bytes:fd.pkt_bytes in
+      st.packets_sent <- st.packets_sent + 1;
+      st.bytes_sent <- st.bytes_sent + Netcore.Packet.len pkt;
+      send pkt;
+      if i + 1 < fd.packets then
+        Scheduler.post_after ~cls:"workload" sched
+          ~delay:(emission_gap + gap_jitter fd i)
+          (fun () -> emit_one (i + 1))
+      else finish fd
     in
     emit_one 0
   in
@@ -160,17 +153,15 @@ let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival
      times never decrease, so once one arrival passes [arrival_stop]
      all later ones would too — the chain just ends. *)
   let rec next_arrival remaining =
-    if remaining > 0 && not st.stopped then begin
+    if remaining > 0 then begin
       let fd = draw () in
       let at = start + fd.start in
       match arrival_stop with
       | Some s when at >= s -> ()
       | _ ->
           Scheduler.post ~cls:"workload" sched ~at (fun () ->
-              if not st.stopped then begin
-                begin_flow fd;
-                next_arrival (remaining - 1)
-              end)
+              begin_flow fd;
+              next_arrival (remaining - 1))
     end
   in
   next_arrival spec.num_flows;

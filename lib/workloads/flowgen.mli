@@ -67,12 +67,7 @@ type source_stats = {
   mutable peak_live_flows : int;
   mutable packets_sent : int;
   mutable bytes_sent : int;
-  mutable stopped : bool;
 }
-
-val halt : source_stats -> unit
-(** Stop the source: no further arrivals; each live flow ends at its
-    next emission slot (counted as finished). *)
 
 val install :
   sched:Eventsim.Scheduler.t ->

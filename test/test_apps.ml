@@ -104,6 +104,14 @@ let test_snappy_state_exceeds_event_driven () =
   Alcotest.(check bool) "at least 4x the single array" true
     (Apps.Snappy.state_bits det >= 4 * 1024 * 32)
 
+let test_snappy_state_layout () =
+  (* 8 snapshot sketches of 2 x 512 32-bit counters, plus one 32-bit
+     byte count per snapshot. *)
+  let sched = Scheduler.create () in
+  let spec, det = Apps.Snappy.program ~threshold_bytes:10_000 ~out_port:(fun _ -> 3) () in
+  ignore (mk_switch ~arch:Arch.baseline_psa ~sched spec);
+  Alcotest.(check int) "state bits" ((8 * 2 * 512 * 32) + (8 * 32)) (Apps.Snappy.state_bits det)
+
 let test_snappy_detects_big_burst () =
   let sched = Scheduler.create () in
   let spec, det = Apps.Snappy.program ~threshold_bytes:20_000 ~out_port:(fun _ -> 3) () in
@@ -148,6 +156,16 @@ let test_cms_timer_reset_reports_windows () =
         true
         (List.length r.Apps.Cms_reset.heavy_hitters >= 1))
     (List.filteri (fun i _ -> i < 4) reports)
+
+let test_cms_state_layout () =
+  (* One heavy-hitter sketch: 3 rows of 1024 32-bit counters. *)
+  let sched = Scheduler.create () in
+  let spec, app =
+    Apps.Cms_reset.program ~mode:Apps.Cms_reset.Timer_reset ~window:(Sim_time.us 200)
+      ~threshold_packets:50 ~out_port:(fun _ -> 3) ()
+  in
+  ignore (mk_switch ~sched spec);
+  Alcotest.(check int) "state bits" (3 * 1024 * 32) (Apps.Cms_reset.state_bits app)
 
 let test_cms_cp_reset_lags () =
   let sched = Scheduler.create () in
@@ -764,8 +782,10 @@ let suite =
     Alcotest.test_case "microburst no false positive" `Quick test_microburst_no_false_positive;
     Alcotest.test_case "microburst state modes" `Quick test_microburst_state_modes;
     Alcotest.test_case "snappy state cost" `Quick test_snappy_state_exceeds_event_driven;
+    Alcotest.test_case "snappy state layout" `Quick test_snappy_state_layout;
     Alcotest.test_case "snappy detects burst" `Quick test_snappy_detects_big_burst;
     Alcotest.test_case "cms timer reset windows" `Quick test_cms_timer_reset_reports_windows;
+    Alcotest.test_case "cms state layout" `Quick test_cms_state_layout;
     Alcotest.test_case "cms cp reset lags" `Quick test_cms_cp_reset_lags;
     Alcotest.test_case "flow rate estimate" `Quick test_flow_rate_estimate;
     Alcotest.test_case "aqm taildrop" `Quick test_aqm_taildrop_overflow_only;

@@ -3,7 +3,7 @@
    model — the checkable form of §4's "temporarily imprecise but
    well-defined behavior". *)
 
-module C = Devents.Consistency
+module C = Consistency
 module Scheduler = Eventsim.Scheduler
 module Pipeline = Pisa.Pipeline
 module Shared_register = Devents.Shared_register

@@ -461,6 +461,53 @@ let test_topology_leaf_spine_wiring () =
     (Invalid_argument "Topology.leaf_spine: sizes must be positive") (fun () ->
       ignore (Topology.leaf_spine ~leaves:2 ~spines:0 ~hosts_per_leaf:2 : Topology.t))
 
+(* The skewed builders' fixed wiring: link [i] takes its base delay plus
+   [i] skews and every host link 1 us. Benchmark and golden networks
+   are built from these figures. *)
+let link_delays (t : Topology.t) = List.map (fun (l : Topology.link) -> l.delay) t.links
+
+let host_delays (t : Topology.t) =
+  List.map (fun (h : Topology.attachment) -> h.host_delay) t.attachments
+
+let us_each n us = List.init n (fun _ -> Sim_time.us us)
+
+let test_topology_ring_wiring () =
+  let topo = Topology.ring ~switches:4 () in
+  Topology.validate topo;
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "port 1 feeds the next switch's port 2"
+    [ ((0, 1), (1, 2)); ((1, 1), (2, 2)); ((2, 1), (3, 2)); ((3, 1), (0, 2)) ]
+    (List.map (fun (l : Topology.link) -> (l.a, l.b)) topo.links);
+  Alcotest.(check (list int)) "1 us + i ps" (List.init 4 (fun i -> Sim_time.us 1 + i))
+    (link_delays topo);
+  Alcotest.(check (list (pair int int))) "host h on port 0 of switch h"
+    [ (0, 0); (1, 0); (2, 0); (3, 0) ]
+    (List.map (fun (h : Topology.attachment) -> (h.switch, h.port)) topo.attachments);
+  Alcotest.(check (list int)) "host links 1 us" (us_each 4 1) (host_delays topo);
+  let custom = Topology.ring ~delay:(Sim_time.us 5) ~skew:(Sim_time.ns 1) ~switches:3 () in
+  Alcotest.(check (list int)) "custom delay and skew"
+    (List.init 3 (fun i -> Sim_time.us 5 + Sim_time.ns i))
+    (link_delays custom);
+  Alcotest.(check (list int)) "host links stay 1 us" (us_each 3 1) (host_delays custom);
+  Alcotest.check_raises "one switch" (Invalid_argument "Topology.ring: need at least 2 switches")
+    (fun () -> ignore (Topology.ring ~switches:1 () : Topology.t))
+
+let test_topology_fat_tree_wiring () =
+  (* k = 4: cores 0..3, then per pod two aggregations and two edges;
+     16 core-aggregation links first, then 16 aggregation-edge links. *)
+  let topo = Topology.fat_tree ~k:4 () in
+  Topology.validate topo;
+  Alcotest.(check (pair int int)) "switches, hosts" (20, 16) (topo.switches, topo.hosts);
+  Alcotest.(check (list int)) "core links 2 us, the rest 1 us, + i ps"
+    (List.init 32 (fun i -> Sim_time.us (if i < 16 then 2 else 1) + i))
+    (link_delays topo);
+  Alcotest.(check bool) "core links first" true
+    (List.for_all (fun (l : Topology.link) -> (fst l.a < 4) = (l.link_id < 16)) topo.links);
+  Alcotest.(check (list int)) "host links 1 us" (us_each 16 1) (host_delays topo);
+  Alcotest.(check (array int)) "4 ports everywhere" (Array.make 20 4) (Topology.ports topo);
+  Alcotest.check_raises "odd k" (Invalid_argument "Topology.fat_tree: k must be even and >= 2")
+    (fun () -> ignore (Topology.fat_tree ~k:3 () : Topology.t))
+
 let test_empty_carriers_for_events () =
   (* Timer events with no traffic ride empty carriers. *)
   let sched = Scheduler.create () in
@@ -782,6 +829,8 @@ let suite =
     Alcotest.test_case "topology single" `Quick test_topology_single;
     Alcotest.test_case "topology chain" `Quick test_topology_chain;
     Alcotest.test_case "topology leaf-spine" `Quick test_topology_leaf_spine_wiring;
+    Alcotest.test_case "topology ring wiring" `Quick test_topology_ring_wiring;
+    Alcotest.test_case "topology fat-tree wiring" `Quick test_topology_fat_tree_wiring;
     Alcotest.test_case "empty carriers" `Quick test_empty_carriers_for_events;
     Alcotest.test_case "unrouted ports counted" `Quick test_unrouted_ports_counted;
     Alcotest.test_case "packets dropped books every loss" `Quick

@@ -2,7 +2,6 @@
 
 module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
-module Event_heap = Eventsim.Event_heap
 module Ladder_queue = Eventsim.Ladder_queue
 
 let test_time_units () =
@@ -20,68 +19,6 @@ let test_tx_time () =
 
 let test_cycles () =
   Alcotest.(check int) "cycles" 3 (Sim_time.cycles (Sim_time.ns 16) ~cycle:(Sim_time.ns 5))
-
-let test_heap_ordering () =
-  let h = Event_heap.create () in
-  Event_heap.push h ~time:30 "c";
-  Event_heap.push h ~time:10 "a";
-  Event_heap.push h ~time:20 "b";
-  Alcotest.(check (option int)) "peek" (Some 10) (Event_heap.peek_time h);
-  let order = List.init 3 (fun _ -> match Event_heap.pop h with Some (_, x) -> x | None -> "?") in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Event_heap.create () in
-  List.iter (fun x -> Event_heap.push h ~time:5 x) [ 1; 2; 3; 4; 5 ];
-  let order = List.init 5 (fun _ -> match Event_heap.pop h with Some (_, x) -> x | None -> -1) in
-  Alcotest.(check (list int)) "fifo among equal times" [ 1; 2; 3; 4; 5 ] order
-
-let test_heap_releases_payloads () =
-  (* Regression: popped slots (and grow-spare slots) used to keep the
-     old entry, pinning payloads until overwritten. A popped payload
-     with no outside reference must be collectable immediately. *)
-  let h = Event_heap.create () in
-  let weak = Weak.create 1 in
-  (* Push enough to force at least one grow, interleaved with pops so
-     vacated slots exist above [len]. *)
-  for i = 0 to 40 do
-    Event_heap.push h ~time:i (Bytes.create 64)
-  done;
-  let tracked = Bytes.create 64 in
-  Weak.set weak 0 (Some tracked);
-  Event_heap.push h ~time:1000 tracked;
-  while not (Event_heap.is_empty h) do
-    ignore (Event_heap.pop h)
-  done;
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0)
-
-let test_heap_grow_no_pin () =
-  (* The slots grow leaves above [len] must not all alias the pushed
-     entry: push one element into a fresh heap (capacity jumps to 16),
-     pop it, and check the payload is collectable. *)
-  let h = Event_heap.create () in
-  let weak = Weak.create 1 in
-  let payload = Bytes.create 64 in
-  Weak.set weak 0 (Some payload);
-  Event_heap.push h ~time:1 payload;
-  ignore (Event_heap.pop h);
-  Gc.full_major ();
-  Alcotest.(check bool) "grow spare slots hold no payload" false (Weak.check weak 0)
-
-let qcheck_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
-    QCheck.(list (int_bound 10_000))
-    (fun times ->
-      let h = Event_heap.create () in
-      List.iter (fun time -> Event_heap.push h ~time ()) times;
-      let rec drain last =
-        match Event_heap.pop h with
-        | None -> true
-        | Some (time, ()) -> time >= last && drain time
-      in
-      drain min_int)
 
 let test_ladder_ordering () =
   let l = Ladder_queue.create () in
@@ -140,7 +77,38 @@ let test_ladder_releases_payloads () =
   ignore (Ladder_queue.pop l);
   ignore (Ladder_queue.pop l);
   Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0)
+  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0);
+  (* Using the ladder after the collection keeps it reachable through
+     it; a dead ladder would free its free list and hide a pin. *)
+  Alcotest.(check bool) "ladder empty" true (Ladder_queue.is_empty l)
+
+(* The scheduler's two exits, [take] and [drain_upto], must not pin
+   payloads either, once events have passed through rungs, the sort
+   scratch and the bottom list: 300 payloads, a dense cluster under a
+   far outlier, all collectable once drained. *)
+let check_drained_payloads_collected name drain =
+  let l = Ladder_queue.create () in
+  let weak = Weak.create 300 in
+  for i = 0 to 299 do
+    let payload = Bytes.create 64 in
+    Weak.set weak i (Some payload);
+    Ladder_queue.push l ~time:(if i = 0 then 1 lsl 40 else i mod 7) payload
+  done;
+  drain l;
+  Gc.full_major ();
+  Alcotest.(check (list int)) (name ^ ": payloads still pinned") []
+    (List.filter (Weak.check weak) (List.init 300 Fun.id));
+  Alcotest.(check bool) (name ^ " drained") true (Ladder_queue.is_empty l)
+
+let test_ladder_take_releases_payloads () =
+  check_drained_payloads_collected "take" (fun l ->
+      while Ladder_queue.next_time l >= 0 do
+        ignore (Ladder_queue.take l : Bytes.t)
+      done)
+
+let test_ladder_drain_releases_payloads () =
+  check_drained_payloads_collected "drain_upto" (fun l ->
+      Ladder_queue.drain_upto l ~limit:max_int (fun ~time:_ _ -> ()))
 
 let test_ladder_drain_reentry () =
   (* Same-instant events pushed from inside the drain callback fire in
@@ -161,7 +129,38 @@ let test_ladder_drain_reentry () =
     (List.rev !log = [ (10, `First); (10, `Second); (10, `Nested) ]);
   Alcotest.(check (option int)) "late event still queued" (Some 200) (Ladder_queue.peek_time l)
 
-(* Replay one push/pop program on the ladder and on the reference heap
+(* The reference the ladder is checked against: a stdlib [Map] keyed by
+   (time, push order), the order the ladder promises. It shares no code
+   with the ladder. *)
+module Reference = struct
+  module M = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type 'a t = { mutable map : 'a M.t; mutable pushed : int }
+
+  let create () = { map = M.empty; pushed = 0 }
+  let length r = M.cardinal r.map
+  let is_empty r = M.is_empty r.map
+
+  let push r ~time x =
+    r.map <- M.add (time, r.pushed) x r.map;
+    r.pushed <- r.pushed + 1
+
+  let pop r =
+    match M.min_binding_opt r.map with
+    | None -> None
+    | Some (((time, _) as key), x) ->
+        r.map <- M.remove key r.map;
+        Some (time, x)
+
+  let next_time r = match M.min_binding_opt r.map with Some ((time, _), _) -> time | None -> -1
+  let take r = match pop r with Some (_, x) -> x | None -> invalid_arg "Reference.take: empty"
+end
+
+(* Replay one push/pop program on the ladder and on the reference
    (payload = op index), checking every pop and the lengths, then drain
    both. *)
 type queue_op = Push of int | Pop
@@ -169,23 +168,23 @@ type queue_op = Push of int | Pop
 let pushes n f = List.init n (fun i -> Push (f i))
 let pops n = List.init n (fun _ -> Pop)
 
-let check_ladder_against_heap name ops =
-  let h = Event_heap.create () and l = Ladder_queue.create () in
+let check_ladder_against_reference name ops =
+  let r = Reference.create () and l = Ladder_queue.create () in
   let pop_both i =
     Alcotest.(check (option (pair int int)))
       (Printf.sprintf "%s: pop at op %d" name i)
-      (Event_heap.pop h) (Ladder_queue.pop l)
+      (Reference.pop r) (Ladder_queue.pop l)
   in
   List.iteri
     (fun i op ->
       (match op with
       | Push time ->
-          Event_heap.push h ~time i;
+          Reference.push r ~time i;
           Ladder_queue.push l ~time i
       | Pop -> pop_both i);
-      Alcotest.(check int) (name ^ ": length") (Event_heap.length h) (Ladder_queue.length l))
+      Alcotest.(check int) (name ^ ": length") (Reference.length r) (Ladder_queue.length l))
     ops;
-  while not (Event_heap.is_empty h) do
+  while not (Reference.is_empty r) do
     pop_both (-1)
   done;
   Alcotest.(check bool) (name ^ ": ladder drained too") true (Ladder_queue.is_empty l)
@@ -193,19 +192,19 @@ let check_ladder_against_heap name ops =
 (* Same-time events parked far ahead keep push order behind a nearer
    event pushed after them. *)
 let test_ladder_far_future_fifo () =
-  check_ladder_against_heap "far ties" (pushes 3 (fun _ -> (1 lsl 34) + 17) @ [ Push 5 ])
+  check_ladder_against_reference "far ties" (pushes 3 (fun _ -> (1 lsl 34) + 17) @ [ Push 5 ])
 
 (* A same-instant burst larger than a bucket cannot be subdivided: it is
    sorted into bottom whole, and ties pushed mid-drain queue behind it. *)
 let test_ladder_same_instant_burst () =
-  check_ladder_against_heap "burst"
+  check_ladder_against_reference "burst"
     ((Push 0 :: pushes 500 (fun _ -> 1_000)) @ pops 101 @ pushes 50 (fun _ -> 1_000))
 
 (* Below rung 0's consumed edge, pushes go straight into the sorted
    bottom list, which is respread as a new rung whenever it outgrows its
    cap: 300 descending pushes do so three times. *)
 let test_ladder_bottom_spawn () =
-  check_ladder_against_heap "bottom spawn"
+  check_ladder_against_reference "bottom spawn"
     ([ Push 0; Push 1_000_000; Pop ]
     @ pushes 300 (fun i -> 15_000 - (37 * i))
     @ pops 50
@@ -214,13 +213,13 @@ let test_ladder_bottom_spawn () =
 (* Enough descending pushes to fill the rung stack; from then on the
    bottom list just grows. *)
 let test_ladder_rung_cap () =
-  check_ladder_against_heap "rung cap"
+  check_ladder_against_reference "rung cap"
     ([ Push 0; Push 1_000_000; Pop ] @ pushes 2_000 (fun i -> 15_000 - (7 * i)))
 
 (* A dense two-instant cluster under a far outlier nests rung after rung
    of finer width until the width reaches one picosecond. *)
 let test_ladder_deep_rungs () =
-  check_ladder_against_heap "deep rungs"
+  check_ladder_against_reference "deep rungs"
     ((Push (1 lsl 50) :: pushes 600 (fun i -> i mod 2))
     @ [ Push (1 lsl 20); Pop; Push 1; Pop; Push 1 ]
     @ pops 10
@@ -239,7 +238,7 @@ let test_ladder_restart_after_empty () =
     @ [ Push (b + 99_500); Push (b + 99_030); Push (b + 99_000) ]
     @ pops 3
   in
-  check_ladder_against_heap "restart" (List.concat (List.init 5 cycle))
+  check_ladder_against_reference "restart" (List.concat (List.init 5 cycle))
 
 (* A bottom respread into a rung must cover up to the consumed edge it
    took over (15_625), not just to its own latest time (10_000): these
@@ -247,7 +246,7 @@ let test_ladder_restart_after_empty () =
    consume 10_000 in its last bucket and strand a later push in
    between. *)
 let test_ladder_spawned_rung_covers_gap () =
-  check_ladder_against_heap "spawned rung gap"
+  check_ladder_against_reference "spawned rung gap"
     ([ Push 0; Push 1_000_000; Pop ]
     @ pushes 96 (fun k -> 10_000 - (10 * k))
     @ (Push 8_977 :: pops 97)
@@ -273,15 +272,14 @@ let test_ladder_drain_upto_limit () =
 
 let test_next_time_take_agree () =
   (* next_time/take is the allocation-free peek/pop pair the scheduler
-     hot path uses; it must agree with peek_time/pop on the ladder and
-     the reference heap, report -1 on empty, and raise on an empty
-     take. *)
-  let h = Event_heap.create () and l = Ladder_queue.create () in
-  Alcotest.(check int) "heap empty" (-1) (Event_heap.next_time h);
+     hot path uses; on the ladder it must agree with the reference,
+     report -1 on empty, and raise on an empty take. *)
+  let r = Reference.create () and l = Ladder_queue.create () in
+  Alcotest.(check int) "reference empty" (-1) (Reference.next_time r);
   Alcotest.(check int) "ladder empty" (-1) (Ladder_queue.next_time l);
   List.iter
     (fun (time, x) ->
-      Event_heap.push h ~time x;
+      Reference.push r ~time x;
       Ladder_queue.push l ~time x)
     [ (20, "b"); (10, "a"); (10, "a2"); (30, "c") ];
   let drain name next take =
@@ -294,24 +292,22 @@ let test_next_time_take_agree () =
     Alcotest.(check (list string)) (name ^ " take order") [ "a"; "a2"; "b"; "c" ] order;
     Alcotest.(check int) (name ^ " drained") (-1) (next ())
   in
-  drain "heap" (fun () -> Event_heap.next_time h) (fun _ -> Event_heap.take h);
+  drain "reference" (fun () -> Reference.next_time r) (fun _ -> Reference.take r);
   drain "ladder" (fun () -> Ladder_queue.next_time l) (fun _ -> Ladder_queue.take l);
-  Alcotest.check_raises "heap empty take"
-    (Invalid_argument "Event_heap.take: empty heap") (fun () -> ignore (Event_heap.take h));
   Alcotest.check_raises "ladder empty take"
     (Invalid_argument "Ladder_queue.take: empty queue") (fun () -> ignore (Ladder_queue.take l))
 
-(* Property: the ladder agrees with the heap (the reference) on every
-   pop under random interleavings of pushes and pops: its adaptive rung
-   spreading must reproduce the heap's exact (time, seq) pop sequence,
-   ties included, with times spread from same-instant bursts to far
+(* Property: the ladder agrees with the reference on every pop under
+   random interleavings of pushes and pops: its adaptive rung spreading
+   must reproduce the exact (time, push order) pop sequence, ties
+   included, with times spread from same-instant bursts to far
    parking. *)
-let qcheck_ladder_matches_heap =
-  QCheck.Test.make ~name:"ladder pops exactly match heap (order and ties)" ~count:300
+let qcheck_ladder_matches_reference =
+  QCheck.Test.make ~name:"ladder pops exactly match reference (order and ties)" ~count:300
     QCheck.(pair small_int (int_bound 300))
     (fun (seed, nops) ->
       let rng = Stats.Rng.create ~seed in
-      let h = Event_heap.create () in
+      let r = Reference.create () in
       let l = Ladder_queue.create () in
       let seq = ref 0 in
       let floor = ref 0 in
@@ -326,24 +322,24 @@ let qcheck_ladder_matches_heap =
             | _ -> (1 lsl 33) + Stats.Rng.int rng 1000
           in
           let time = !floor + delta in
-          Event_heap.push h ~time !seq;
+          Reference.push r ~time !seq;
           Ladder_queue.push l ~time !seq;
           incr seq
         end
         else begin
-          (match (Event_heap.pop h, Ladder_queue.pop l) with
-          | Some (ht, hx), Some (lt, lx) ->
-              if ht <> lt || hx <> lx then ok := false;
-              floor := max !floor ht
+          (match (Reference.pop r, Ladder_queue.pop l) with
+          | Some (rt, rx), Some (lt, lx) ->
+              if rt <> lt || rx <> lx then ok := false;
+              floor := max !floor rt
           | None, None -> ()
           | _ -> ok := false);
-          if Event_heap.length h <> Ladder_queue.length l then ok := false
+          if Reference.length r <> Ladder_queue.length l then ok := false
         end
       done;
       let continue = ref true in
       while !ok && !continue do
-        match (Event_heap.pop h, Ladder_queue.pop l) with
-        | Some (ht, hx), Some (lt, lx) -> if ht <> lt || hx <> lx then ok := false
+        match (Reference.pop r, Ladder_queue.pop l) with
+        | Some (rt, rx), Some (lt, lx) -> if rt <> lt || rx <> lx then ok := false
         | None, None -> continue := false
         | _ -> ok := false
       done;
@@ -351,11 +347,11 @@ let qcheck_ladder_matches_heap =
 
 (* Property: the hold model, the scheduler's own steady state: each step
    takes the earliest event and queues a successor a random increment
-   later. Through next_time/take the ladder must match the heap pop for
-   pop, whether increments are mostly ties, uniform, near/far bimodal or
+   later. Through next_time/take the ladder must match the reference pop
+   for pop, whether increments are mostly ties, uniform, near/far bimodal or
    log-uniform up to 2^40 ps. *)
 let qcheck_ladder_hold_model =
-  QCheck.Test.make ~name:"ladder matches heap under the hold model" ~count:200
+  QCheck.Test.make ~name:"ladder matches reference under the hold model" ~count:200
     QCheck.(triple small_int (int_range 1 400) (int_range 0 3))
     (fun (seed, population, dist) ->
       let rng = Stats.Rng.create ~seed in
@@ -367,10 +363,10 @@ let qcheck_ladder_hold_model =
         | 2 -> Stats.Rng.int rng 100
         | _ -> 1 lsl Stats.Rng.int rng 40
       in
-      let h = Event_heap.create () and l = Ladder_queue.create () in
+      let r = Reference.create () and l = Ladder_queue.create () in
       let id = ref 0 in
       let push time =
-        Event_heap.push h ~time !id;
+        Reference.push r ~time !id;
         Ladder_queue.push l ~time !id;
         incr id
       in
@@ -381,9 +377,9 @@ let qcheck_ladder_hold_model =
         n = 0
         ||
         let lt = Ladder_queue.next_time l in
-        match Event_heap.pop h with
-        | Some (ht, hx) when lt = ht && Ladder_queue.take l = hx ->
-            push (ht + increment ());
+        match Reference.pop r with
+        | Some (rt, rx) when lt = rt && Ladder_queue.take l = rx ->
+            push (rt + increment ());
             hold (n - 1)
         | _ -> false
       in
@@ -393,9 +389,9 @@ let qcheck_ladder_hold_model =
    scheduler [run] and parsim window. drain_upto at rising limits, with
    callbacks queueing follow-ups at the firing instant, later, or 2^33 ps
    ahead (a function of the firing id, so both sides queue the same),
-   fires exactly what the heap pops up to each limit. *)
-let qcheck_ladder_drain_matches_heap =
-  QCheck.Test.make ~name:"ladder drain_upto matches heap (reentrant pushes)" ~count:200
+   fires exactly what the reference pops up to each limit. *)
+let qcheck_ladder_drain_matches_reference =
+  QCheck.Test.make ~name:"ladder drain_upto matches reference (reentrant pushes)" ~count:200
     QCheck.(pair small_int (int_range 1 100))
     (fun (seed, n) ->
       let rng = Stats.Rng.create ~seed in
@@ -426,17 +422,17 @@ let qcheck_ladder_drain_matches_heap =
           limits;
         !fired
       in
-      let l = Ladder_queue.create () and h = Event_heap.create () in
-      let rec heap_drain limit f =
-        let time = Event_heap.next_time h in
+      let l = Ladder_queue.create () and r = Reference.create () in
+      let rec reference_drain limit f =
+        let time = Reference.next_time r in
         if time >= 0 && time <= limit then begin
-          f ~time (Event_heap.take h);
-          heap_drain limit f
+          f ~time (Reference.take r);
+          reference_drain limit f
         end
       in
       let ladder = replay (Ladder_queue.push l) (fun limit f -> Ladder_queue.drain_upto l ~limit f) in
-      ladder = replay (Event_heap.push h) heap_drain
-      && Ladder_queue.length l = Event_heap.length h)
+      ladder = replay (Reference.push r) reference_drain
+      && Ladder_queue.length l = Reference.length r)
 
 (* The scheduler-level firing contract, checked against a model that
    shares no code with the scheduler: a random program of schedule /
@@ -711,16 +707,17 @@ let test_zero_event_run_records_no_wall () =
   | _ -> Alcotest.fail "wall summary not registered"
 
 (* Property: under any random interleaving of pushes and pops, every
-   pop returns exactly what a reference model says — the minimum-time
-   element of the current contents, breaking time ties by insertion
-   (schedule) order.  The interleaving is driven by a seeded Stats.Rng
-   so failures replay exactly. *)
-let qcheck_heap_interleaved =
-  QCheck.Test.make ~name:"heap interleaved push/pop: min-time, FIFO on ties" ~count:300
+   ladder pop returns exactly what a reference model says — the
+   minimum-time element of the current contents, breaking time ties by
+   insertion (schedule) order. The model is a plain list, independent
+   of [Reference]. The interleaving is driven by a seeded Stats.Rng so
+   failures replay exactly. *)
+let qcheck_ladder_interleaved =
+  QCheck.Test.make ~name:"ladder interleaved push/pop: min-time, FIFO on ties" ~count:300
     QCheck.(pair small_int (int_bound 200))
     (fun (seed, nops) ->
       let rng = Stats.Rng.create ~seed in
-      let h = Event_heap.create () in
+      let l = Ladder_queue.create () in
       let seq = ref 0 in
       (* Reference model: the multiset of live (time, seq) pairs. *)
       let model = ref [] in
@@ -729,31 +726,29 @@ let qcheck_heap_interleaved =
         let expected =
           match List.sort compare !model with [] -> None | min :: _ -> Some min
         in
-        let got = Event_heap.pop h in
+        let got = Ladder_queue.pop l in
         (match (got, expected) with
         | Some (t, s), Some (et, es) when t = et && s = es ->
             model := List.filter (( <> ) (et, es)) !model
         | None, None -> ()
         | _ -> ok := false);
-        (match got with
-        | Some (t, _) ->
-            if Event_heap.peek_time h <> None
-               && Option.get (Event_heap.peek_time h) < t
-            then ok := false
-        | None -> ())
+        match (got, Ladder_queue.peek_time l) with
+        | Some (t, _), Some next when next < t -> ok := false
+        | _ -> ()
       in
       for _ = 1 to nops do
         if Stats.Rng.int rng 3 < 2 then begin
-          (* Few distinct times so ties are common. *)
-          let time = Stats.Rng.int rng 8 in
-          Event_heap.push h ~time !seq;
+          (* Few distinct times ahead of the position so ties are
+             common. *)
+          let time = Ladder_queue.position l + Stats.Rng.int rng 8 in
+          Ladder_queue.push l ~time !seq;
           model := (time, !seq) :: !model;
           incr seq
         end
         else check_pop ()
       done;
       (* Drain the rest: the model must agree to the end. *)
-      while !ok && (not (Event_heap.is_empty h) || !model <> []) do
+      while !ok && (not (Ladder_queue.is_empty l) || !model <> []) do
         check_pop ()
       done;
       !ok)
@@ -909,15 +904,14 @@ let suite =
     Alcotest.test_case "time units" `Quick test_time_units;
     Alcotest.test_case "tx_time" `Quick test_tx_time;
     Alcotest.test_case "cycles" `Quick test_cycles;
-    Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap FIFO ties" `Quick test_heap_fifo_ties;
-    Alcotest.test_case "heap releases payloads" `Quick test_heap_releases_payloads;
-    Alcotest.test_case "heap grow pins nothing" `Quick test_heap_grow_no_pin;
     Alcotest.test_case "ladder ordering" `Quick test_ladder_ordering;
     Alcotest.test_case "ladder FIFO ties" `Quick test_ladder_fifo_ties;
     Alcotest.test_case "ladder spans rungs" `Quick test_ladder_spans_rungs;
     Alcotest.test_case "ladder rejects past pushes" `Quick test_ladder_past_push_raises;
     Alcotest.test_case "ladder releases payloads" `Quick test_ladder_releases_payloads;
+    Alcotest.test_case "ladder take releases payloads" `Quick test_ladder_take_releases_payloads;
+    Alcotest.test_case "ladder drain_upto releases payloads" `Quick
+      test_ladder_drain_releases_payloads;
     Alcotest.test_case "ladder drain reentry" `Quick test_ladder_drain_reentry;
     Alcotest.test_case "ladder far-future FIFO ties" `Quick test_ladder_far_future_fifo;
     Alcotest.test_case "ladder same-instant burst beyond a bucket" `Quick
@@ -931,9 +925,10 @@ let suite =
       test_ladder_spawned_rung_covers_gap;
     Alcotest.test_case "ladder drain_upto stops at the limit" `Quick test_ladder_drain_upto_limit;
     Alcotest.test_case "next_time/take agree with peek/pop" `Quick test_next_time_take_agree;
-    QCheck_alcotest.to_alcotest qcheck_ladder_matches_heap;
+    QCheck_alcotest.to_alcotest qcheck_ladder_interleaved;
+    QCheck_alcotest.to_alcotest qcheck_ladder_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_ladder_hold_model;
-    QCheck_alcotest.to_alcotest qcheck_ladder_drain_matches_heap;
+    QCheck_alcotest.to_alcotest qcheck_ladder_drain_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_scheduler_matches_model;
     QCheck_alcotest.to_alcotest qcheck_sliced_run;
     Alcotest.test_case "post pool reuse" `Quick test_post_pool_reuse;
@@ -947,8 +942,6 @@ let suite =
     Alcotest.test_case "run-until then schedule at now" `Quick test_run_until_then_schedule;
     Alcotest.test_case "zero-event run records no wall sample" `Quick
       test_zero_event_run_records_no_wall;
-    QCheck_alcotest.to_alcotest qcheck_heap_sorted;
-    QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
     QCheck_alcotest.to_alcotest qcheck_scheduler_interleaved;
     Alcotest.test_case "pending excludes cancelled" `Quick test_pending_excludes_cancelled;
     Alcotest.test_case "scheduler order" `Quick test_scheduler_order;

@@ -401,6 +401,26 @@ let test_controller_commit () =
     agents;
   check int "mixed stays zero" 0 (Controller.mixed ctrl)
 
+let test_controller_channel () =
+  (* Every switch's control channel: 4 us latency plus under 500 ns of
+     jitter, and at most one op a microsecond. *)
+  let sched = Scheduler.create () in
+  let ctrl, _ = mk_controller ~sched () in
+  let cp = Controller.cp ctrl 0 in
+  check int "latency" (Sim_time.us 4) (Evcore.Control_plane.latency cp);
+  let ran = ref [] in
+  let op () = ran := Scheduler.now sched :: !ran in
+  Scheduler.post sched ~at:(Sim_time.us 10) (fun () ->
+      Evcore.Control_plane.submit cp op;
+      Evcore.Control_plane.submit cp op);
+  Scheduler.run sched;
+  match List.rev !ran with
+  | [ first; second ] ->
+      check bool "first op within [14 us, 14.5 us)" true
+        (first >= Sim_time.us 14 && first < Sim_time.us 14 + Sim_time.ns 500);
+      check int "second op one op gap later" (first + Sim_time.us 1) second
+  | ops -> Alcotest.failf "%d ops ran, expected 2" (List.length ops)
+
 let test_controller_supersede () =
   (* Three proposals in the same instant: the first starts, the second
      parks, the third replaces the parked one. Two updates commit, one
@@ -558,6 +578,8 @@ let suite =
     test_case "commit: abandoned unflip skips the gc (stays safe)" `Quick test_commit_unflip_abandon_skips_gc;
     test_case "commit: conservation books balance under noise" `Quick test_commit_books_balance_under_noise;
     test_case "controller: two-phase commit end to end" `Quick test_controller_commit;
+    test_case "controller: control channel latency, jitter and op rate" `Quick
+      test_controller_channel;
     test_case "controller: storm parks and supersedes" `Quick test_controller_supersede;
     test_case "controller: rollback restores the old policy" `Quick test_controller_rollback_restores_old_policy;
     test_case "control plane: ops/notifications/queue HWM metrics" `Quick test_cp_metrics;

@@ -490,7 +490,6 @@ let test_pattern_load_errors () =
 
 (* --- printer round-trip --- *)
 
-module Printer = P4dsl.Printer
 
 (* Structural equality ignoring source positions. *)
 let zero_pos = { Ast.line = 0; col = 0 }
