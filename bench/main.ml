@@ -229,8 +229,7 @@ let bench_meter =
 let bench_netupd_commit =
   let sched = Eventsim.Scheduler.create () in
   let agents =
-    Array.init 8 (fun sw ->
-        Some (Netupd.Agent.create ~switch:sw ~keys:8 ~edge_port:(fun p -> p = 0) ()))
+    Array.init 8 (fun _ -> Some (Netupd.Agent.create ~keys:8 ~edge_port:(fun p -> p = 0) ()))
   in
   let ctrl =
     Netupd.Controller.create ~sched ~switches:8 ~agents

@@ -18,11 +18,8 @@ type policy =
 type t = {
   mutable early_drops : int;
   mutable ecn_marks : int;
-  mutable reg : Shared_register.t option;
-  mutable flow_count_reg : Shared_register.t option;
   avg : Stats.Ewma.t;
   mutable active : int;
-  mutable bits : int;
   mutable drop_p : float; (* PIE *)
   mutable old_delay_sec : float;
   mutable deq_bytes_window : int;
@@ -34,19 +31,16 @@ let active_flows t = t.active
 
 let drop_probability t = t.drop_p
 
-let state_bits t = t.bits
+let slots = 256
 
-let program ?(slots = 256) ?(mark_instead_of_drop = false) ~policy ~buffer_bytes ~out_port () =
+let program ?(mark_instead_of_drop = false) ~policy ~buffer_bytes ~out_port () =
   let weight = match policy with Red r -> r.weight | Taildrop | Fred _ | Pie _ -> 0.2 in
   let t =
     {
       early_drops = 0;
       ecn_marks = 0;
-      reg = None;
-      flow_count_reg = None;
       avg = Stats.Ewma.create ~alpha:weight;
       active = 0;
-      bits = 0;
       drop_p = 0.;
       old_delay_sec = 0.;
       deq_bytes_window = 0;
@@ -59,11 +53,6 @@ let program ?(slots = 256) ?(mark_instead_of_drop = false) ~policy ~buffer_bytes
     let flow_occ = Program.shared_register ctx ~name:"aqm_flow_occ" ~entries:slots ~width:32 in
     let flow_pkts = Program.shared_register ctx ~name:"aqm_flow_pkts" ~entries:slots ~width:32 in
     let total_occ = Program.shared_register ctx ~name:"aqm_total_occ" ~entries:1 ~width:32 in
-    t.reg <- Some flow_occ;
-    t.flow_count_reg <- Some flow_pkts;
-    t.bits <-
-      Shared_register.total_bits flow_occ + Shared_register.total_bits flow_pkts
-      + Shared_register.total_bits total_occ;
     let flow_slot pkt =
       match Packet.flow pkt with
       | Some flow -> Netcore.Hashes.fold_range (Flow.hash flow) slots

@@ -15,7 +15,7 @@ let pattern ~ramp ~depth ~window =
          P.atom ~label:"overflow" Event.Buffer_overflow;
        ])
 
-let program ?slots ?timeout ?(ramp = 8) ?(depth = 16) ?(window = Sim_time.us 50)
+let program ?slots ?(ramp = 8) ?(depth = 16) ?(window = Sim_time.us 50)
     ?(tick_period = Sim_time.us 10) ?on_match ~out_port () =
   let c = Cep.Compile.compile ~tick_period (pattern ~ramp ~depth ~window) in
   let forward ctx pkt =
@@ -23,11 +23,10 @@ let program ?slots ?timeout ?(ramp = 8) ?(depth = 16) ?(window = Sim_time.us 50)
     Program.Forward (out_port pkt)
   in
   let spec, det =
-    Cep.Detector.program ?slots ?timeout ~forward ?on_match ~name:"burst-forensics"
+    Cep.Detector.program ?slots ~forward ?on_match ~name:"burst-forensics"
       ~compiled:c ()
   in
   (spec, { det })
 
-let detector t = t.det
 let bursts t = Cep.Detector.matches t.det
 let culprit_ports t = List.map fst (Cep.Detector.match_log t.det)

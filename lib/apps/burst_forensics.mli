@@ -11,7 +11,6 @@ type t
 
 val program :
   ?slots:int ->
-  ?timeout:Eventsim.Sim_time.t ->
   ?ramp:int ->
   ?depth:int ->
   ?window:Eventsim.Sim_time.t ->
@@ -21,11 +20,9 @@ val program :
   unit ->
   Evcore.Program.spec * t
 (** Defaults: 8 enqueues at occupancy >= 16 pkts followed by an
-    overflow inside 50 µs, 10 µs detector tick. [on_match]'s [key] is
-    the port. *)
+    overflow inside 50 µs, 10 µs detector tick; idle detector instances
+    are never swept. [on_match]'s [key] is the port. *)
 
-val pattern : ramp:int -> depth:int -> window:Eventsim.Sim_time.t -> Cep.Pattern.t
-val detector : t -> Cep.Detector.t
 val bursts : t -> int
 val culprit_ports : t -> int list
 (** One entry per detected burst, oldest first. *)

@@ -6,18 +6,6 @@ let tick = 1
 let s_conform = 0
 let s_throttled = 1
 
-type t = {
-  mutable efsm : Efsm.t option;
-  mutable forwarded : int;
-  mutable dropped : int;
-  mutable windows : int;
-}
-
-let efsm t = Option.get t.efsm
-let forwarded t = t.forwarded
-let dropped t = t.dropped
-let windows t = t.windows
-
 (* r0 accumulates bytes within the window, r1 counts throttled drops,
    r2 counts throttle episodes. The timer broadcasts [tick] to every
    flow (Efsm.step_all), resetting the window; data packets present
@@ -58,13 +46,11 @@ let transitions ~limit_bytes =
 
 let program ?(slots = 1024) ?(window = Eventsim.Sim_time.us 100) ~limit_bytes ~out_port () =
   if limit_bytes <= tick then invalid_arg "Flow_enforcer.program: limit_bytes must exceed 1";
-  let t = { efsm = None; forwarded = 0; dropped = 0; windows = 0 } in
-  let spec ctx =
+  fun ctx ->
     let enf =
       Efsm.create ~alloc:ctx.Program.alloc ~name:"enforcer" ~entries:slots ~nregs:3
         ~transitions:(transitions ~limit_bytes) ()
     in
-    t.efsm <- Some enf;
     let window_timer = ctx.Program.add_timer ~period:window in
     let ingress ctx pkt =
       ctx.Program.consume_budget 1;
@@ -72,21 +58,9 @@ let program ?(slots = 1024) ?(window = Eventsim.Sim_time.us 100) ~limit_bytes ~o
         Efsm.step enf ~now:(ctx.Program.now ()) ~key:(Stateful_fw.key_of pkt)
           ~input:(Packet.len pkt)
       in
-      if o.Efsm.state = s_throttled then begin
-        t.dropped <- t.dropped + 1;
-        Program.Drop
-      end
-      else begin
-        t.forwarded <- t.forwarded + 1;
-        Program.Forward (out_port pkt)
-      end
+      if o.Efsm.state = s_throttled then Program.Drop else Program.Forward (out_port pkt)
     in
     let timer _ctx (ev : Devents.Event.timer_event) =
-      if ev.Devents.Event.id = window_timer then begin
-        t.windows <- t.windows + 1;
-        Efsm.step_all enf ~input:tick
-      end
+      if ev.Devents.Event.id = window_timer then Efsm.step_all enf ~input:tick
     in
     Program.make ~name:"flow-enforcer" ~ingress ~timer ()
-  in
-  (spec, t)

@@ -3,44 +3,21 @@ module Flow = Netcore.Flow
 module Program = Evcore.Program
 module Sliding_window = Stats.Sliding_window
 
-type t = {
-  mutable windows : Sliding_window.t array;
-  mutable sample_log : (int * (float * float)) list; (* slot, (t_sec, bps) *)
-  mutable rotations : int;
-  mutable bits : int;
-  slots : int;
-}
+type t = { mutable windows : Sliding_window.t array; mutable rotations : int }
 
 let estimate_bps t ~flow_slot = Sliding_window.completed_rate t.windows.(flow_slot)
 
-let samples t ~flow_slot =
-  List.rev
-    (List.filter_map
-       (fun (slot, s) -> if slot = flow_slot then Some s else None)
-       t.sample_log)
-
 let rotations t = t.rotations
-let state_bits t = t.bits
 
 let program ?(slots = 256) ?(window_slices = 8) ~slice ~out_port () =
   let slice_sec = Eventsim.Sim_time.to_sec slice in
-  let t =
-    {
-      windows = [||];
-      sample_log = [];
-      rotations = 0;
-      bits = 0;
-      slots;
-    }
-  in
+  let t = { windows = [||]; rotations = 0 } in
   let spec ctx =
     (* The shift register: [slots] flows x [window_slices] slices of a
        32-bit byte counter. Charged as real register state. *)
-    let backing =
-      Pisa.Register_alloc.array ctx.Program.alloc ~name:"rate_shift_reg"
-        ~entries:(slots * window_slices) ~width:32
-    in
-    t.bits <- Pisa.Register_array.bits backing;
+    ignore
+      (Pisa.Register_alloc.array ctx.Program.alloc ~name:"rate_shift_reg"
+         ~entries:(slots * window_slices) ~width:32);
     t.windows <-
       Array.init slots (fun _ -> Sliding_window.create ~slots:window_slices ~slot_width:slice_sec);
     ignore (ctx.Program.add_timer ~period:slice);
@@ -53,15 +30,9 @@ let program ?(slots = 256) ?(window_slices = 8) ~slice ~out_port () =
       Sliding_window.add t.windows.(slot) (float_of_int (Packet.len pkt));
       Program.Forward (out_port pkt)
     in
-    let timer ctx (_ev : Devents.Event.timer_event) =
+    let timer _ctx (_ev : Devents.Event.timer_event) =
       t.rotations <- t.rotations + 1;
-      let now_sec = Eventsim.Sim_time.to_sec (ctx.Program.now ()) in
-      Array.iteri
-        (fun slot w ->
-          if Sliding_window.sum w > 0. then
-            t.sample_log <- (slot, (now_sec, Sliding_window.completed_rate w)) :: t.sample_log;
-          Sliding_window.rotate w)
-        t.windows
+      Array.iter Sliding_window.rotate t.windows
     in
     Program.make ~name:"flow-rate" ~ingress ~timer ()
   in

@@ -8,12 +8,7 @@ type t
 val estimate_bps : t -> flow_slot:int -> float
 (** Current windowed estimate in bytes/sec for a flow slot. *)
 
-val samples : t -> flow_slot:int -> (float * float) list
-(** (time_sec, estimate_bps) samples recorded at each rotation for the
-    given slot, oldest first. *)
-
 val rotations : t -> int
-val state_bits : t -> int
 
 val program :
   ?slots:int ->

@@ -40,7 +40,6 @@ type mode =
 
 type leaf_state = {
   best_hop_reg : Pisa.Register_array.t; (* per dst leaf: uplink port *)
-  best_util_reg : Pisa.Register_array.t; (* per dst leaf: per-mille util *)
   util : Stats.Ewma.t array; (* per port *)
 }
 
@@ -138,7 +137,7 @@ let leaf_program t leaf_id : Program.spec =
   in
   Pisa.Register_array.fill flowlet_hop 0xff;
   let util, sample_util, on_transmit = make_util_tracker t ctx ~num_ports in
-  Hashtbl.replace t.leaves leaf_id { best_hop_reg; best_util_reg; util };
+  Hashtbl.replace t.leaves leaf_id { best_hop_reg; util };
   ignore (ctx.Program.add_timer ~period:p.util_period);
   let record_origination () =
     let cell =

@@ -48,5 +48,3 @@ val program :
 (** The program both monitors its neighbor over [neighbor_port] and
     answers the neighbor's echoes; non-echo traffic is forwarded via
     [out_port]. *)
-
-val probe_packet : origin:int -> seq:int -> Netcore.Packet.t

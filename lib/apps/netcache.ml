@@ -15,7 +15,6 @@ type t = {
   mutable cache_misses : int;
   mutable promotions : int;
   mutable evictions : int;
-  mutable bits : int;
   cache : (int, entry) Hashtbl.t;
 }
 
@@ -29,7 +28,6 @@ let hit_ratio t =
 let cached_keys t = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.cache [])
 let promotions t = t.promotions
 let evictions t = t.evictions
-let state_bits t = t.bits
 
 let get_packet ~client ~key =
   let pkt =
@@ -49,7 +47,6 @@ let program ?(cache_size = 64) ?(promote_threshold = 8) ?(decay_period = Eventsi
       cache_misses = 0;
       promotions = 0;
       evictions = 0;
-      bits = 0;
       cache = Hashtbl.create 64;
     }
   in
@@ -58,10 +55,8 @@ let program ?(cache_size = 64) ?(promote_threshold = 8) ?(decay_period = Eventsi
       Cms.create ~alloc:ctx.Program.alloc ~name:"netcache_pop" ~width:512 ~depth:2
         ~counter_bits:16 ()
     in
-    (* Cache membership is an exact-match table plus per-entry aging
-       state (64 bits/entry charged as register state). *)
+    (* Cache membership is an exact-match table plus per-entry aging state. *)
     let membership = Pisa.Match_table.exact ~name:"netcache_cache" in
-    t.bits <- Cms.bits popularity + (cache_size * 64);
     let window = ref 0 in
     let evict_lru () =
       let victim =

@@ -27,7 +27,6 @@ val hit_ratio : t -> float
 val cached_keys : t -> int list
 val promotions : t -> int
 val evictions : t -> int
-val state_bits : t -> int
 
 val program :
   ?cache_size:int ->

@@ -4,46 +4,26 @@ module Program = Evcore.Program
 
 type mode = Timer_bucket of { refill_period : Eventsim.Sim_time.t } | Extern_meter
 
-type t = {
-  mutable accepted : int array;
-  mutable dropped : int array;
-  mutable total_accepted : int;
-  mutable bits : int;
-  slots : int;
-}
+type t = { mutable total_accepted : int; mutable bits : int }
 
-let accepted t ~flow_slot = t.accepted.(flow_slot)
-let dropped t ~flow_slot = t.dropped.(flow_slot)
 let total_accepted_bytes t = t.total_accepted
 let state_bits t = t.bits
 
 let program ?(slots = 64) ~mode ~cir_bytes_per_sec ~burst_bytes ~out_port () =
   if cir_bytes_per_sec <= 0. || burst_bytes <= 0 then invalid_arg "Policer.program";
-  let t =
-    {
-      accepted = Array.make slots 0;
-      dropped = Array.make slots 0;
-      total_accepted = 0;
-      bits = 0;
-      slots;
-    }
-  in
+  let t = { total_accepted = 0; bits = 0 } in
   let spec ctx =
     let flow_slot pkt =
       match Packet.flow pkt with
       | Some flow -> Netcore.Hashes.fold_range (Flow.hash flow) slots
       | None -> 0
     in
-    let admit pkt fid ok =
+    let admit pkt ok =
       if ok then begin
-        t.accepted.(fid) <- t.accepted.(fid) + Packet.len pkt;
         t.total_accepted <- t.total_accepted + Packet.len pkt;
         Program.Forward (out_port pkt)
       end
-      else begin
-        t.dropped.(fid) <- t.dropped.(fid) + Packet.len pkt;
-        Program.Drop
-      end
+      else Program.Drop
     in
     match mode with
     | Timer_bucket { refill_period } ->
@@ -70,9 +50,9 @@ let program ?(slots = 64) ~mode ~cir_bytes_per_sec ~burst_bytes ~out_port () =
           let v = Pisa.Register_array.read tokens fid in
           if v >= len then begin
             Pisa.Register_array.write tokens fid (v - len);
-            admit pkt fid true
+            admit pkt true
           end
-          else admit pkt fid false
+          else admit pkt false
         in
         Program.make ~name:"policer-timer" ~ingress ~timer ()
     | Extern_meter ->
@@ -90,8 +70,8 @@ let program ?(slots = 64) ~mode ~cir_bytes_per_sec ~burst_bytes ~out_port () =
             Pisa.Meter.mark meters.(fid) ~now_ps:(ctx.Program.now ())
               ~bytes:(Packet.len pkt)
           with
-          | Pisa.Meter.Green -> admit pkt fid true
-          | Pisa.Meter.Yellow | Pisa.Meter.Red -> admit pkt fid false
+          | Pisa.Meter.Green -> admit pkt true
+          | Pisa.Meter.Yellow | Pisa.Meter.Red -> admit pkt false
         in
         Program.make ~name:"policer-extern" ~ingress ()
   in

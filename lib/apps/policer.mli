@@ -16,10 +16,6 @@ type mode = Timer_bucket of { refill_period : Eventsim.Sim_time.t } | Extern_met
 
 type t
 
-val accepted : t -> flow_slot:int -> int
-(** Accepted bytes per flow slot. *)
-
-val dropped : t -> flow_slot:int -> int
 val total_accepted_bytes : t -> int
 val state_bits : t -> int
 

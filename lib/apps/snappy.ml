@@ -18,7 +18,10 @@ let state_bits t = t.bits
 
 let num_snapshots = 8
 
-let program ?(slots = 1024) ?(buffer_bytes = 512 * 1024) ~threshold_bytes ~out_port () =
+(* The switch buffer the snapshots rotate across, in bytes. *)
+let buffer_bytes = 512 * 1024
+
+let program ?(slots = 1024) ~threshold_bytes ~out_port () =
   let t = { detections = []; count = 0; bits = 0; over = Array.make slots false } in
   let spec ctx =
     let snapshots =

@@ -28,10 +28,10 @@ val state_bits : t -> int
 
 val program :
   ?slots:int ->
-  ?buffer_bytes:int ->
   threshold_bytes:int ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
   Evcore.Program.spec * t
 (** [slots] must match the event-driven detector's hash size so flow
-    ids are comparable (default 1024). *)
+    ids are comparable (default 1024). The snapshots rotate each time
+    1/8 of a 512 KiB buffer's worth of bytes has passed. *)

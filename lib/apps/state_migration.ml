@@ -37,10 +37,6 @@ let counter t ~role ~slot =
   let reg = match role with `Active -> t.active_reg | `Standby -> t.standby_reg in
   match reg with None -> 0 | Some r -> Pisa.Register_array.read r slot
 
-let state_bits t =
-  let bits = function None -> 0 | Some r -> Pisa.Register_array.bits r in
-  bits t.active_reg + bits t.standby_reg
-
 let flow_slot t pkt =
   match Packet.flow pkt with
   | Some flow -> Netcore.Hashes.fold_range (Flow.hash_addresses flow) t.slots

@@ -34,7 +34,6 @@ type t
 val migration_completed_at : t -> int option
 val chunks_installed : t -> int
 val counter : t -> role:[ `Active | `Standby ] -> slot:int -> int
-val state_bits : t -> int
 
 val active_program :
   t -> mode:mode -> primary:int -> backup:int -> Evcore.Program.spec

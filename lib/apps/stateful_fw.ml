@@ -98,9 +98,8 @@ let input_of pkt =
       else input_data
   | Packet.Udp _ | Packet.No_l4 -> input_non_tcp
 
-let program ?(slots = 1024) ?timeout ?sweep_period ~out_port () =
+let program ?(slots = 1024) ?timeout ~out_port () =
   let timeout = Option.value timeout ~default:(Eventsim.Sim_time.us 500) in
-  let sweep_period = Option.value sweep_period ~default:timeout in
   let t = { efsm = None; allowed = 0; blocked = 0 } in
   let spec ctx =
     let fw =
@@ -108,7 +107,7 @@ let program ?(slots = 1024) ?timeout ?sweep_period ~out_port () =
         ~transitions ()
     in
     t.efsm <- Some fw;
-    let sweep_timer = ctx.Program.add_timer ~period:sweep_period in
+    let sweep_timer = ctx.Program.add_timer ~period:timeout in
     let ingress ctx pkt =
       ctx.Program.consume_budget 1;
       let o =

@@ -49,10 +49,9 @@ val input_of : Netcore.Packet.t -> int
 val program :
   ?slots:int ->
   ?timeout:Eventsim.Sim_time.t ->
-  ?sweep_period:Eventsim.Sim_time.t ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
   Evcore.Program.spec * t
 (** [slots] bounds tracked sessions (LRU eviction beyond it; default
     1024). [timeout] (default 500 µs) is the idle eviction threshold
-    and must be positive; [sweep_period] defaults to [timeout]. *)
+    and must be positive; idle sessions are swept every [timeout]. *)

@@ -4,8 +4,6 @@ module Sim_time = Eventsim.Sim_time
 module Program = Evcore.Program
 module P = Cep.Pattern
 
-type t = { det : Cep.Detector.t }
-
 let attr_other = 0
 let attr_syn = 1
 
@@ -38,12 +36,6 @@ let program ?slots ?timeout ?(syns = 16) ?(window = Sim_time.us 100)
     ignore (ctx : Program.ctx);
     Program.Forward (out_port pkt)
   in
-  let spec, det =
-    Cep.Detector.program ?slots ?timeout ~pkt_attr ~pkt_key ~forward ?on_match
-      ~name:"syn-signature" ~compiled:c ()
-  in
-  (spec, { det })
-
-let detector t = t.det
-let alarms t = Cep.Detector.matches t.det
-let victims t = List.map fst (Cep.Detector.match_log t.det)
+  fst
+    (Cep.Detector.program ?slots ?timeout ~pkt_attr ~pkt_key ~forward ?on_match
+       ~name:"syn-signature" ~compiled:c ())

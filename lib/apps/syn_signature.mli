@@ -6,8 +6,6 @@
     automata that stall below the threshold, so slow organic connection
     setup does not accumulate into a false alarm. *)
 
-type t
-
 val program :
   ?slots:int ->
   ?timeout:Eventsim.Sim_time.t ->
@@ -17,21 +15,9 @@ val program :
   ?on_match:(key:int -> time:int -> unit) ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
-  Evcore.Program.spec * t
+  Evcore.Program.spec
 (** Defaults: 16 SYNs inside 100 µs, 10 µs detector tick. [timeout]
     arms idle instance GC (off by default); [on_match] fires per alarm
     with the victim address as [key]. *)
 
 val pattern : syns:int -> window:Eventsim.Sim_time.t -> Cep.Pattern.t
-
-val pkt_attr : Netcore.Packet.t -> int
-(** 1 for a connection-opening SYN, 0 otherwise. *)
-
-val pkt_key : Netcore.Packet.t -> int
-(** Victim (destination address) correlation key. *)
-
-val detector : t -> Cep.Detector.t
-val alarms : t -> int
-val victims : t -> int list
-(** Destination addresses with alarms, oldest first (duplicates kept —
-    one entry per alarm). *)

@@ -3,12 +3,10 @@ module Flow = Netcore.Flow
 module Program = Evcore.Program
 module Event = Devents.Event
 
-type t = { mutable bits : int; mutable vt : int }
-
-let state_bits t = t.bits
+type t = { mutable vt : int }
 
 let program ?(slots = 64) ~weight_of ~out_port () =
-  let t = { bits = 0; vt = 0 } in
+  let t = { vt = 0 } in
   let spec ctx =
     let finish =
       Pisa.Register_alloc.array ctx.Program.alloc ~name:"wfq_finish" ~entries:slots ~width:62
@@ -16,7 +14,6 @@ let program ?(slots = 64) ~weight_of ~out_port () =
     let vtime =
       Pisa.Register_alloc.array ctx.Program.alloc ~name:"wfq_vtime" ~entries:1 ~width:62
     in
-    t.bits <- Pisa.Register_array.bits finish + Pisa.Register_array.bits vtime;
     let ingress _ctx pkt =
       let slot =
         match Packet.flow pkt with

@@ -23,8 +23,6 @@
 
 type t
 
-val state_bits : t -> int
-
 val program :
   ?slots:int ->
   weight_of:(flow_slot:int -> int) ->

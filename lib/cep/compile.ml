@@ -314,8 +314,8 @@ let compile ?(tick_period = Eventsim.Sim_time.us 1) pat =
     transitions;
   }
 
-let efsm ?alloc ?clock ?timeout ?(entries = 1024) ~name t () =
-  Efsm.create ?alloc ?clock ?timeout ~state_bits:t.state_bits ~name ~entries ~nregs:t.nregs
+let efsm ?alloc ?timeout ?(entries = 1024) ~name t () =
+  Efsm.create ?alloc ?timeout ~state_bits:t.state_bits ~name ~entries ~nregs:t.nregs
     ~transitions:t.transitions ()
 
 let is_match t (o : Efsm.outcome) = o.Efsm.fired && o.Efsm.state = t.accept

@@ -44,7 +44,6 @@ val compile : ?tick_period:Eventsim.Sim_time.t -> Pattern.t -> t
 
 val efsm :
   ?alloc:Pisa.Register_alloc.t ->
-  ?clock:(unit -> int) ->
   ?timeout:Eventsim.Sim_time.t ->
   ?entries:int ->
   name:string ->

@@ -4,14 +4,10 @@ module Program = Evcore.Program
 module Efsm = Pisa.Efsm
 
 type t = {
-  c : Compile.t;
-  mutable efsm : Efsm.t option;
   mutable matches : int;
   mutable log : (int * int) list;  (* (key, time), newest first *)
 }
 
-let efsm t = Option.get t.efsm
-let compiled t = t.c
 let matches t = t.matches
 let match_log t = List.rev t.log
 
@@ -33,22 +29,17 @@ let meta_key = function
   | Event.Control ev -> ev.Event.opcode
   | Event.User ev -> ev.Event.tag
 
-let program ?(slots = 1024) ?timeout ?sweep_period ?pkt_attr ?pkt_key ?forward ?on_match ~name
-    ~compiled:c () =
+let program ?(slots = 1024) ?timeout ?pkt_attr ?pkt_key ?forward ?on_match ~name ~compiled:c () =
   let pkt_attr = Option.value pkt_attr ~default:Packet.len in
   let forward =
     Option.value forward
       ~default:(fun _ctx (pkt : Packet.t) -> Program.Forward pkt.Packet.meta.Packet.ingress_port)
   in
-  let sweep_period = match sweep_period with Some p -> Some p | None -> timeout in
-  let t = { c; efsm = None; matches = 0; log = [] } in
+  let t = { matches = 0; log = [] } in
   let used = Pattern.classes c.Compile.pattern in
   let uses cls = List.exists (Event.cls_equal cls) used in
   let spec ctx =
-    let det =
-      Compile.efsm ~alloc:ctx.Program.alloc ?timeout ~entries:slots ~name c ()
-    in
-    t.efsm <- Some det;
+    let det = Compile.efsm ~alloc:ctx.Program.alloc ?timeout ~entries:slots ~name c () in
     let feed ctx ~key ~cls ~attr =
       ctx.Program.consume_budget 1;
       let key = key land max_int in
@@ -72,11 +63,7 @@ let program ?(slots = 1024) ?timeout ?sweep_period ?pkt_attr ?pkt_key ?forward ?
       forward ctx pkt
     in
     let tick_timer = ctx.Program.add_timer ~period:c.Compile.tick_period in
-    let sweep_timer =
-      match sweep_period with
-      | Some p when timeout <> None -> Some (ctx.Program.add_timer ~period:p)
-      | _ -> None
-    in
+    let sweep_timer = Option.map (fun p -> ctx.Program.add_timer ~period:p) timeout in
     let timer ctx (ev : Event.timer_event) =
       if ev.Event.id = tick_timer then begin
         ctx.Program.consume_budget 1;

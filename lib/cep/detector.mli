@@ -26,7 +26,6 @@ type t
 val program :
   ?slots:int ->
   ?timeout:Eventsim.Sim_time.t ->
-  ?sweep_period:Eventsim.Sim_time.t ->
   ?pkt_attr:(Netcore.Packet.t -> int) ->
   ?pkt_key:(Netcore.Packet.t -> int) ->
   ?forward:(Evcore.Program.ctx -> Netcore.Packet.t -> Evcore.Program.decision) ->
@@ -37,17 +36,11 @@ val program :
   Evcore.Program.spec * t
 (** [slots] bounds concurrent instances (LRU beyond; default 1024).
     [timeout] (off by default) evicts instances idle that long —
-    partial-match GC via the EFSM sweep; [sweep_period] defaults to
-    [timeout]. [forward] decides packets (default: forward on the
-    ingress port, i.e. reflect — detectors are usually installed as
-    taps next to a routing [forward]). [on_match] fires at every
-    pattern completion. *)
+    partial-match GC via an EFSM sweep every [timeout]. [forward]
+    decides packets (default: forward on the ingress port, i.e. reflect
+    — detectors are usually installed as taps next to a routing
+    [forward]). [on_match] fires at every pattern completion. *)
 
-val efsm : t -> Pisa.Efsm.t
-(** The flow table (state lookups, [pisa.efsm.*] counters). Only valid
-    after install. *)
-
-val compiled : t -> Compile.t
 val matches : t -> int
 
 val match_log : t -> (int * int) list

@@ -13,7 +13,6 @@ type t = {
   pattern : Pattern.t;
   tick_period : Eventsim.Sim_time.t;
   mutable prog : iprog;
-  mutable matches : int;
 }
 
 let rec init (p : Pattern.t) =
@@ -26,10 +25,7 @@ let rec init (p : Pattern.t) =
   | Pattern.Within (_, p) -> IWithin (None, init p)
 
 let create ?(tick_period = Eventsim.Sim_time.us 1) pattern =
-  { pattern; tick_period; prog = init pattern; matches = 0 }
-
-let reset t = t.prog <- init t.pattern
-let matches t = t.matches
+  { pattern; tick_period; prog = init pattern }
 
 let with_arr arr i v =
   let a = Array.copy arr in
@@ -106,7 +102,6 @@ let feed t v =
       t.prog <- p';
       false
   | Some None ->
-      t.matches <- t.matches + 1;
       t.prog <- init t.pattern;
       true
 

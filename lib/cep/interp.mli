@@ -19,8 +19,3 @@ val feed : t -> Pattern.view -> bool
 val tick : t -> unit
 (** One detector tick: decrement armed windows; the first expired
     window in pre-order resets its region (exactly one per tick). *)
-
-val matches : t -> int
-(** Total completions so far. *)
-
-val reset : t -> unit

@@ -55,11 +55,6 @@ let classes p =
     (fun a b -> compare (Event.cls_index a) (Event.cls_index b))
     (List.map (fun a -> a.cls) (atoms p))
 
-let rec size = function
-  | Atom _ -> 1
-  | Seq l | Conj l | Disj l -> 1 + List.fold_left (fun acc p -> acc + size p) 0 l
-  | Count (_, p) | Within (_, p) -> 1 + size p
-
 let rec pp fmt p =
   let list sep l = Fmt.list ~sep:(fun fmt () -> Fmt.string fmt sep) pp fmt l in
   match p with

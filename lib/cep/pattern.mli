@@ -82,11 +82,4 @@ val classes : t -> Devents.Event.cls list
 (** Event classes the pattern's atoms mention, deduplicated, in
     class-index order — what a detector must subscribe to. *)
 
-val atoms : t -> atom list
-(** All atoms, left to right. *)
-
-val size : t -> int
-(** Node count. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -60,7 +60,3 @@ let tofino_like =
   }
 
 let supports t cls = List.exists (Event.cls_equal cls) t.events
-
-let pp ppf t =
-  Format.fprintf ppf "%s [%s]" t.name
-    (String.concat ", " (List.map Event.cls_name t.events))

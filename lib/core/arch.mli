@@ -34,4 +34,3 @@ val tofino_like : t
     recirculation (emulates dequeue events); no native events. *)
 
 val supports : t -> Devents.Event.cls -> bool
-val pp : Format.formatter -> t -> unit

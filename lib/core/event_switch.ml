@@ -1,5 +1,4 @@
 module Scheduler = Eventsim.Scheduler
-module Sim_time = Eventsim.Sim_time
 module Packet = Netcore.Packet
 module Event = Devents.Event
 module Event_merger = Devents.Event_merger
@@ -12,10 +11,8 @@ type config = {
   num_ports : int;
   state_mode : Devents.Shared_register.mode;
   clock_period : Eventsim.Sim_time.t;
-  pipeline_depth : int;
   merger_config : Devents.Event_merger.config;
   tm_config : Tmgr.Traffic_manager.config;
-  timer_resolution : Eventsim.Sim_time.t;
   seed : int;
   resil : Resil.Supervisor.config;
   shed_watermark : int option;
@@ -27,10 +24,8 @@ let default_config arch =
     num_ports = 4;
     state_mode = Devents.Shared_register.Aggregated;
     clock_period = Pisa.Pipeline.default_clock_period;
-    pipeline_depth = Pisa.Pipeline.default_depth;
     merger_config = Event_merger.default_config;
     tm_config = Traffic_manager.default_config;
-    timer_resolution = Sim_time.ns 100;
     seed = 42;
     resil = Resil.Supervisor.default_config ();
     shed_watermark = !Resil.Shedder.default_watermark;
@@ -45,7 +40,6 @@ type t = {
   mutable merger : Event_merger.t option; (* set during wiring *)
   mutable tm : Traffic_manager.t option;
   mutable timer_unit : Timer_unit.t option;
-  mutable pktgen : Packet_gen.t;
   mutable program : Program.t option;
   mutable prog_ctx : Program.ctx option;
   mutable subscriptions : bool array; (* by cls index: supported && handler present *)
@@ -287,9 +281,7 @@ let process_carrier t (carrier : Event_merger.carrier) ~exit_time =
 
 let create ~sched ?(id = 0) ~config ~program () =
   if config.num_ports <= 0 then invalid_arg "Event_switch.create: num_ports";
-  let pipeline =
-    Pisa.Pipeline.create ~sched ~clock_period:config.clock_period ~depth:config.pipeline_depth ()
-  in
+  let pipeline = Pisa.Pipeline.create ~sched ~clock_period:config.clock_period () in
   let alloc = Pisa.Register_alloc.create ~clock:(Pisa.Pipeline.clock pipeline) () in
   (* The supervisor's master RNG seed is derived from the switch seed so
      backoff jitter is reproducible but independent of the program's
@@ -306,7 +298,6 @@ let create ~sched ?(id = 0) ~config ~program () =
       merger = None;
       tm = None;
       timer_unit = None;
-      pktgen = Packet_gen.create ~sched ~sink:(fun _ -> ()) ();
       program = None;
       prog_ctx = None;
       subscriptions = Array.make Event.num_classes false;
@@ -367,9 +358,7 @@ let create ~sched ?(id = 0) ~config ~program () =
         (Resil.Shedder.create ~config:(Event_merger.shed_config ~watermark:w) ())
   | None -> ());
   t.merger <- Some merger;
-  let timer_unit =
-    Timer_unit.create ~sched ~resolution:config.timer_resolution ~sink:(fun ev -> fire t ev) ()
-  in
+  let timer_unit = Timer_unit.create ~sched ~sink:(fun ev -> fire t ev) () in
   t.timer_unit <- Some timer_unit;
   (* Packet generator feeds the generated-packet input of the merger. *)
   let pktgen =
@@ -379,7 +368,6 @@ let create ~sched ?(id = 0) ~config ~program () =
         ignore (Event_merger.offer_packet merger Event_merger.Generated pkt))
       ()
   in
-  t.pktgen <- pktgen;
   let ctx =
     {
       Program.switch_id = id;
@@ -540,13 +528,10 @@ let link_status t ~port ~up =
 let control_event t ~opcode ~arg =
   fire t (Event.Control { opcode; arg; time = Scheduler.now t.sched })
 
-let subscribed t cls = t.subscriptions.(Event.cls_index cls)
 let subscription_toggles t = t.subscription_toggles
 
 let on_notification t cb = t.notify_cb <- Some cb
 let on_link_change t cb = t.link_change_cb <- Some cb
-let id t = t.id
-let arch t = t.config.arch
 let program_name t = (get_program t).Program.name
 let ctx t = get_ctx t
 let alloc t = t.alloc

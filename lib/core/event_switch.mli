@@ -21,18 +21,18 @@ type config = {
   num_ports : int;
   state_mode : Devents.Shared_register.mode;
   clock_period : Eventsim.Sim_time.t;
-  pipeline_depth : int;
   merger_config : Devents.Event_merger.config;
   tm_config : Tmgr.Traffic_manager.config;  (** [num_ports] is overridden *)
-  timer_resolution : Eventsim.Sim_time.t;
   seed : int;
   resil : Resil.Supervisor.config;  (** supervision of every handler *)
   shed_watermark : int option;  (** merger shedding base watermark; [None] = off *)
 }
 
 val default_config : Arch.t -> config
-(** 4 ports at 10 Gb/s (NetFPGA SUME), 200 MHz 16-deep pipeline,
-    aggregated state mode, 512 KiB buffer. Supervision follows
+(** 4 ports at 10 Gb/s (NetFPGA SUME), 200 MHz pipeline, aggregated
+    state mode, 512 KiB buffer. The pipeline is always
+    {!Pisa.Pipeline.default_depth} (16) cycles deep and timers fire on
+    the timer unit's 100 ns grid. Supervision follows
     [Resil.Policy.default] (read at call time); shedding follows
     [Resil.Shedder.default_watermark] (off unless set). *)
 
@@ -65,7 +65,6 @@ val set_subscribed : t -> Devents.Event.cls -> bool -> unit
     bounded by the install-time mask: a class the architecture does not
     support or the program never defined a handler for stays off. *)
 
-val subscribed : t -> Devents.Event.cls -> bool
 val subscription_toggles : t -> int
 (** Effective [set_subscribed] transitions performed. *)
 
@@ -81,8 +80,6 @@ val on_link_change : t -> (port:int -> up:bool -> unit) -> unit
 
 (** {1 Introspection} *)
 
-val id : t -> int
-val arch : t -> Arch.t
 val program_name : t -> string
 val ctx : t -> Program.ctx
 val alloc : t -> Pisa.Register_alloc.t

@@ -7,20 +7,17 @@ type t = {
   mutable receiver : (t -> Packet.t -> unit) option;
   mutable sent : int;
   mutable received : int;
-  mutable sent_bytes : int;
   mutable received_bytes : int;
 }
 
 let create ~sched ~id () =
-  { sched; id; tx = None; receiver = None; sent = 0; received = 0; sent_bytes = 0; received_bytes = 0 }
+  { sched; id; tx = None; receiver = None; sent = 0; received = 0; received_bytes = 0 }
 
-let id t = t.id
 let set_receiver t f = t.receiver <- Some f
 let set_tx t f = t.tx <- Some f
 
 let send t pkt =
   t.sent <- t.sent + 1;
-  t.sent_bytes <- t.sent_bytes + Packet.len pkt;
   match t.tx with
   | Some tx -> tx pkt
   | None -> failwith (Printf.sprintf "Host %d: not connected" t.id)
@@ -33,4 +30,3 @@ let deliver t pkt =
 let sent t = t.sent
 let received t = t.received
 let received_bytes t = t.received_bytes
-let sent_bytes t = t.sent_bytes

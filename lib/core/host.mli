@@ -5,7 +5,6 @@
 type t
 
 val create : sched:Eventsim.Scheduler.t -> id:int -> unit -> t
-val id : t -> int
 val set_receiver : t -> (t -> Netcore.Packet.t -> unit) -> unit
 val set_tx : t -> (Netcore.Packet.t -> unit) -> unit
 (** Wired by [Parsim.run] to the host's {!Topology} link. *)
@@ -17,4 +16,3 @@ val deliver : t -> Netcore.Packet.t -> unit
 val sent : t -> int
 val received : t -> int
 val received_bytes : t -> int
-val sent_bytes : t -> int

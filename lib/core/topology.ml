@@ -111,7 +111,9 @@ let leaf_spine ~leaves ~spines ~hosts_per_leaf =
    different paths then land on distinct timestamps, which pins the
    event order regardless of how a partitioned run interleaves shards. *)
 
-let ring ?(delay = Sim_time.us 1) ?(skew = Sim_time.ps 1) ~switches () =
+let default_skew = Sim_time.ps 1
+
+let ring ?(delay = Sim_time.us 1) ?(skew = default_skew) ~switches () =
   if switches < 2 then invalid_arg "Topology.ring: need at least 2 switches";
   let links =
     List.init switches (fun i ->
@@ -150,7 +152,7 @@ let ft_host_loc ~k h =
   let m = h mod half in
   (pod, e, m)
 
-let fat_tree ?(skew = Sim_time.ps 1) ~k () =
+let fat_tree ~k () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even and >= 2";
   let half = ft_half k in
   let switches = ft_cores k + (k * k) in
@@ -161,7 +163,7 @@ let fat_tree ?(skew = Sim_time.ps 1) ~k () =
     let id = !n_links in
     incr n_links;
     links :=
-      { link_id = id; a; b; delay = base + (id * skew); detection_delay = None } :: !links
+      { link_id = id; a; b; delay = base + (id * default_skew); detection_delay = None } :: !links
   in
   (* Aggregation i of pod p, up-port [half + j], reaches core [i*half + j]
      whose port p faces pod p. *)

@@ -8,11 +8,12 @@
     build the common shapes.
 
     Every link carries its own propagation delay. {!ring} and
-    {!fat_tree} give link [i] a delay of [base + i * skew] (default
-    skew 1 ps): distinct per-link delays keep independently-routed
-    packets from colliding on the same picosecond at a switch, which
-    makes event timestamps — and therefore merged traces — insensitive
-    to how a partitioned run interleaves shards. The minimum link delay
+    {!fat_tree} give link [i] a delay of [base + i * skew] (skew 1 ps,
+    which only {!ring} lets a caller change): distinct per-link delays
+    keep independently-routed packets from colliding on the same
+    picosecond at a switch, which makes event timestamps — and
+    therefore merged traces — insensitive to how a partitioned run
+    interleaves shards. The minimum link delay
     is also the conservative lookahead a partitioned execution may run
     ahead by. *)
 
@@ -75,14 +76,14 @@ val ring_route : switches:int -> sw:int -> dst_host:int -> int
 (** Egress port on [sw] toward [dst_host] under clockwise routing:
     port 0 when the host is local, else port 1. *)
 
-val fat_tree : ?skew:Eventsim.Sim_time.t -> k:int -> unit -> t
+val fat_tree : k:int -> unit -> t
 (** A k-ary fat tree (k even, >= 2): [(k/2)^2] core switches, [k] pods
     of [k/2] aggregation plus [k/2] edge switches, [k^3/4] hosts.
     Switch ids: cores first, then pod [p]'s aggregations
     [(k/2)^2 + p*k ..] followed by its edges. Host
     [p*(k/2)^2 + e*(k/2) + m] sits on port [m] of edge [e] in pod [p].
     Edge/aggregation uplinks use ports [k/2 ..]. Core links take 2 us,
-    edge links and host links 1 us; [skew] defaults to 1 ps. *)
+    edge links and host links 1 us, plus the 1 ps skew. *)
 
 val fat_tree_route : k:int -> sw:int -> dst_host:int -> int
 (** Egress port on [sw] toward [dst_host]: standard two-level fat-tree

@@ -141,19 +141,3 @@ let time_of = function
   | Link_change l -> l.time
   | Control c -> c.time
   | User u -> u.time
-
-let pp ppf t =
-  match t with
-  | Enqueue b ->
-      Format.fprintf ppf "enqueue port=%d qid=%d len=%d occ=%dB" b.port b.qid b.pkt_len
-        b.occupancy_bytes
-  | Dequeue b ->
-      Format.fprintf ppf "dequeue port=%d qid=%d len=%d occ=%dB" b.port b.qid b.pkt_len
-        b.occupancy_bytes
-  | Overflow b -> Format.fprintf ppf "overflow port=%d qid=%d len=%d" b.port b.qid b.pkt_len
-  | Underflow u -> Format.fprintf ppf "underflow port=%d qid=%d" u.port u.qid
-  | Transmitted x -> Format.fprintf ppf "transmitted port=%d len=%d" x.port x.pkt_len
-  | Timer x -> Format.fprintf ppf "timer id=%d count=%d" x.id x.count
-  | Link_change l -> Format.fprintf ppf "link port=%d %s" l.port (if l.up then "up" else "down")
-  | Control c -> Format.fprintf ppf "control op=%d arg=%d" c.opcode c.arg
-  | User u -> Format.fprintf ppf "user tag=%d data=%d" u.tag u.data

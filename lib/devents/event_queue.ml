@@ -14,7 +14,6 @@ type 'a t = {
   capacity : int;
   mutable head : int; (* index of the oldest element *)
   mutable count : int;
-  mutable pushed : int;
   mutable dropped : int;
   mutable high_watermark : int;
 }
@@ -28,7 +27,6 @@ let create ~capacity =
     capacity;
     head = 0;
     count = 0;
-    pushed = 0;
     dropped = 0;
     high_watermark = 0;
   }
@@ -43,7 +41,6 @@ let push t x =
     let i = if i >= t.capacity then i - t.capacity else i in
     t.slots.(i) <- x;
     t.count <- t.count + 1;
-    t.pushed <- t.pushed + 1;
     if t.count > t.high_watermark then t.high_watermark <- t.count;
     true
   end
@@ -58,10 +55,6 @@ let take t =
 
 let pop t = if t.count = 0 then None else Some (take t)
 let pop_or t ~default = if t.count = 0 then default else take t
-let peek t = if t.count = 0 then None else Some t.slots.(t.head)
 let length t = t.count
-let is_empty t = t.count = 0
-let capacity t = t.capacity
-let pushed t = t.pushed
 let dropped t = t.dropped
 let high_watermark t = t.high_watermark

@@ -16,12 +16,7 @@ val pop : 'a t -> 'a option
 val pop_or : 'a t -> default:'a -> 'a
 (** Allocation-free pop: the head element, or [default] when empty. *)
 
-val peek : 'a t -> 'a option
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-val capacity : 'a t -> int
-val pushed : 'a t -> int
-(** Accepted element count. *)
 
 val dropped : 'a t -> int
 val high_watermark : 'a t -> int

@@ -13,17 +13,19 @@
    produces — is stored inline in the row. Rare other lengths (programs
    constructing their own events) fall back to a boxed side table: the
    row stores a slot index and the copied array parks in [boxed] until
-   decoded. *)
+   decoded.
+
+   A class's ring is built at its first accepted push, so a switch whose
+   program handles no metadata events allocates none. *)
 
 module BA1 = Bigarray.Array1
 
 type ring = {
-  buf : (int, Bigarray.int_elt, Bigarray.c_layout) BA1.t;
+  mutable buf : (int, Bigarray.int_elt, Bigarray.c_layout) BA1.t; (* [unbuilt] until a push *)
   width : int; (* ints per row; 0 for packet classes, never queued here *)
   cap : int; (* rows *)
   mutable head : int; (* row index of the oldest queued event *)
   mutable count : int;
-  mutable pushed : int;
   mutable dropped : int;
   mutable hwm : int;
 }
@@ -119,18 +121,18 @@ let make_scratch () =
     wrappers;
   }
 
+let unbuilt = BA1.create Bigarray.int Bigarray.c_layout 0
+
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Event_store.create: capacity must be positive";
   let rings =
     Array.init Event.num_classes (fun ix ->
-        let width = widths.(ix) in
         {
-          buf = BA1.create Bigarray.int Bigarray.c_layout (max 1 (capacity * width));
-          width;
+          buf = unbuilt;
+          width = widths.(ix);
           cap = capacity;
           head = 0;
           count = 0;
-          pushed = 0;
           dropped = 0;
           hwm = 0;
         })
@@ -146,7 +148,6 @@ let create ~capacity () =
 
 let length t ~cls_ix = t.rings.(cls_ix).count
 let total t = t.total
-let pushed t ~cls_ix = t.rings.(cls_ix).pushed
 let dropped t ~cls_ix = t.rings.(cls_ix).dropped
 let high_watermark t ~cls_ix = t.rings.(cls_ix).hwm
 
@@ -158,10 +159,10 @@ let claim t r =
     -1
   end
   else begin
+    if r.buf == unbuilt then r.buf <- BA1.create Bigarray.int Bigarray.c_layout (r.cap * r.width);
     let row = r.head + r.count in
     let row = if row >= r.cap then row - r.cap else row in
     r.count <- r.count + 1;
-    r.pushed <- r.pushed + 1;
     if r.count > r.hwm then r.hwm <- r.count;
     t.total <- t.total + 1;
     row * r.width

@@ -26,7 +26,6 @@ val create : capacity:int -> unit -> t
 val length : t -> cls_ix:int -> int
 val total : t -> int
 
-val pushed : t -> cls_ix:int -> int
 val dropped : t -> cls_ix:int -> int
 val high_watermark : t -> cls_ix:int -> int
 

@@ -4,7 +4,6 @@ type t = {
   sched : Scheduler.t;
   sink : Netcore.Packet.t -> unit;
   mutable handle : Scheduler.handle option;
-  mutable generated : int;
   mutable emitted_this_config : int;
   mutable limit : int option;
   mutable template : (int -> Netcore.Packet.t) option;
@@ -15,7 +14,6 @@ let create ~sched ~sink () =
     sched;
     sink;
     handle = None;
-    generated = 0;
     emitted_this_config = 0;
     limit = None;
     template = None;
@@ -41,12 +39,10 @@ let configure t ~period ?count ~template () =
             let continue = match t.limit with None -> true | Some n -> i < n in
             if continue then begin
               t.emitted_this_config <- i + 1;
-              t.generated <- t.generated + 1;
               t.sink (template i)
             end
             else stop t)
   in
   t.handle <- Some handle
 
-let generated t = t.generated
 let running t = t.handle <> None

@@ -19,5 +19,4 @@ val configure :
     when given. *)
 
 val stop : t -> unit
-val generated : t -> int
 val running : t -> bool

@@ -227,7 +227,6 @@ let side_staleness t side =
 let max_staleness_cycles t = Stats.Histogram.max_seen t.staleness
 let applied_ops t = t.applied
 let total_bits t = Register_array.bits t.main + t.agg_bits
-let name t = t.name
 
 let export_metrics ?(labels = []) t reg =
   if Obs.Metrics.is_enabled reg then begin

@@ -87,7 +87,6 @@ val side_staleness : t -> side -> Stats.Histogram.t
 val max_staleness_cycles : t -> float
 val applied_ops : t -> int
 val total_bits : t -> int
-val name : t -> string
 
 val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit
 (** Publish applied/pending aggregation-op counts, the register's bit

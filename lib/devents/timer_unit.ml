@@ -17,13 +17,12 @@ type t = {
   sink : Event.t -> unit;
   timers : (timer_id, timer) Hashtbl.t;
   mutable next_id : int;
-  mutable fired : int;
   mutable last_fire : int;
 }
 
 let create ~sched ?(resolution = Eventsim.Sim_time.ns 100) ~sink () =
   if resolution <= 0 then invalid_arg "Timer_unit.create: resolution must be positive";
-  { sched; resolution; sink; timers = Hashtbl.create 16; next_id = 0; fired = 0; last_fire = 0 }
+  { sched; resolution; sink; timers = Hashtbl.create 16; next_id = 0; last_fire = 0 }
 
 (* Round an instant up to the next tick boundary. *)
 let quantise t at = (at + t.resolution - 1) / t.resolution * t.resolution
@@ -31,7 +30,6 @@ let quantise t at = (at + t.resolution - 1) / t.resolution * t.resolution
 let fire t timer ~scheduled =
   if not timer.cancelled then begin
     timer.count <- timer.count + 1;
-    t.fired <- t.fired + 1;
     t.last_fire <- Scheduler.now t.sched;
     t.sink
       (Event.Timer
@@ -86,5 +84,4 @@ let cancel t id =
       Hashtbl.remove t.timers id
 
 let active t = Hashtbl.length t.timers
-let fired t = t.fired
 let last_fire_time t = t.last_fire

@@ -21,8 +21,6 @@ val add_periodic : t -> period:Eventsim.Sim_time.t -> timer_id
 val add_oneshot : t -> delay:Eventsim.Sim_time.t -> timer_id
 val cancel : t -> timer_id -> unit
 val active : t -> int
-val fired : t -> int
-(** Total Timer events emitted. *)
 
 val last_fire_time : t -> Eventsim.Sim_time.t
 (** Instant of the most recent firing (0 before any) — must be

@@ -8,9 +8,6 @@ type result = {
   increases : (string * float) list;
 }
 
-val paper : (string * float) list
-(** The paper's Table 3 values. *)
-
 val run : unit -> result
 val print : result -> unit
 val name : string

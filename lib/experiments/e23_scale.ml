@@ -182,7 +182,8 @@ type chaos_result = {
    cannot honour the lookahead contract), so chaos is confined to the
    intra-shard links each shard's engine owns — exactly the
    "injection targets owning shard" routing the partition dictates. *)
-let chaos ?(shards = 2) ?(seed = 7) ?(until = Sim_time.ms 1) () =
+let chaos ?(shards = 2) ?(seed = 7) () =
+  let until = Sim_time.ms 1 in
   let topo = topo () in
   let fault_stop = until - Sim_time.us 100 in
   let engines = ref [] in

@@ -133,10 +133,9 @@ let program app sw : Evcore.Program.spec =
            ~out_port:(fun pkt -> route ~sw pkt)
            ())
   | Rate ->
-      fst
-        (Apps.Flow_enforcer.program ~slots:256 ~window:(Sim_time.us 50) ~limit_bytes:2000
-           ~out_port:(fun pkt -> route ~sw pkt)
-           ())
+      Apps.Flow_enforcer.program ~slots:256 ~window:(Sim_time.us 50) ~limit_bytes:2000
+        ~out_port:(fun pkt -> route ~sw pkt)
+        ()
 
 let switch_config ~seed sw =
   let cfg = Event_switch.default_config Arch.event_pisa_full in
@@ -246,15 +245,15 @@ type result = {
 
 let efsm_series = [ "pisa.efsm.steps"; "pisa.efsm.state_hash" ]
 
-let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
+let run ?metrics ?(seed = 42) () =
+  let until = golden_until in
   let skew = contention ?metrics ~seed () in
   let topo = topo () in
   let runs =
     List.map
       (fun app ->
         let runs =
-          Conformance.sweep ?shard_counts topo (fun ~shards ->
-              (scenario app ~shards ~seed ~until (), ()))
+          Conformance.sweep topo (fun ~shards -> (scenario app ~shards ~seed ~until (), ()))
         in
         (match metrics with
         | None -> ()

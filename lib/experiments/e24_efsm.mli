@@ -34,20 +34,14 @@ type result = {
   zipf_stalls : int;
 }
 
-val golden_until : Eventsim.Sim_time.t
-
 val golden : Conformance.golden
 (** Seeds 42 and 7; one trace and one metrics digest per app
     (["fw.trace"], ["fw.metrics"], ["rate.trace"], ["rate.metrics"]).
     The canon is the sequential run; every shard count must reproduce
     it byte-for-byte. *)
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?seed:int ->
-  ?shard_counts:int list ->
-  ?until:Eventsim.Sim_time.t ->
-  unit ->
-  result
+val run : ?metrics:Obs.Metrics.t -> ?seed:int -> unit -> result
+(** Runs the golden scenario's 400 µs over the shard counts of
+    {!Conformance.sweep}. *)
 
 val print : result -> unit

@@ -59,7 +59,7 @@ let ack_pkt ~src ~dst ~sport =
 let flood_quality ?metrics ~seed () =
   let sched = Scheduler.create () in
   let alarm_log = ref [] in
-  let spec, _det =
+  let spec =
     Apps.Syn_signature.program ~slots:256 ~syns:flood_syns ~window:flood_window
       ~tick_period:flood_tick
       ~on_match:(fun ~key ~time -> alarm_log := (key, time) :: !alarm_log)
@@ -224,11 +224,10 @@ let program ?alarms app sw : Evcore.Program.spec =
   let on_match ~key:_ ~time:_ = match alarms with None -> () | Some r -> incr r in
   match app with
   | Syn ->
-      fst
-        (Apps.Syn_signature.program ~slots:256 ~timeout:(Sim_time.us 200) ~syns:8
-           ~window:(Sim_time.us 60) ~tick_period:(Sim_time.us 10) ~on_match
-           ~out_port:(fun pkt -> route ~sw pkt)
-           ())
+      Apps.Syn_signature.program ~slots:256 ~timeout:(Sim_time.us 200) ~syns:8
+        ~window:(Sim_time.us 60) ~tick_period:(Sim_time.us 10) ~on_match
+        ~out_port:(fun pkt -> route ~sw pkt)
+        ()
   | Burst ->
       fst
         (Apps.Burst_forensics.program ~slots:64 ~ramp:3 ~depth:3 ~window:(Sim_time.us 40)
@@ -400,7 +399,8 @@ type result = {
 
 let efsm_series = [ "pisa.efsm.steps"; "pisa.efsm.state_hash" ]
 
-let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
+let run ?metrics ?(seed = 42) () =
+  let until = golden_until in
   let flood = flood_quality ?metrics ~seed () in
   let burst = burst_quality ?metrics ~seed () in
   let topo = topo () in
@@ -408,8 +408,7 @@ let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
     List.map
       (fun app ->
         ( app_label app,
-          Conformance.sweep ?shard_counts topo (fun ~shards ->
-              (scenario app ~shards ~seed ~until (), ())) ))
+          Conformance.sweep topo (fun ~shards -> (scenario app ~shards ~seed ~until (), ())) ))
       apps
   in
   (* Chaos leg: the sequential run observes detector liveness through
@@ -417,7 +416,7 @@ let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.us 400) () =
      crash/quarantine/shed recovery path. *)
   let alarms = ref 0 in
   let chaos =
-    Conformance.sweep ?shard_counts topo (fun ~shards ->
+    Conformance.sweep topo (fun ~shards ->
         let alarms = if shards = 1 then Some alarms else None in
         (scenario ?alarms ~chaos:true Syn ~shards ~seed ~until (), ()))
   in

@@ -52,8 +52,6 @@ val scenario :
     it from 1-shard runs only); [chaos] arms one crash per switch and
     enables quarantine + shedding. *)
 
-val golden_until : Eventsim.Sim_time.t
-
 val golden : Conformance.golden
 (** Seeds 42 and 7; one trace and one metrics digest per leg
     (["syn.*"], ["burst.*"], plus the chaos leg ["chaos.*"]). The canon
@@ -71,12 +69,8 @@ type result = {
   chaos_conformant : bool;
 }
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?seed:int ->
-  ?shard_counts:int list ->
-  ?until:Eventsim.Sim_time.t ->
-  unit ->
-  result
+val run : ?metrics:Obs.Metrics.t -> ?seed:int -> unit -> result
+(** Runs the golden scenario's 400 µs over the shard counts of
+    {!Conformance.sweep}. *)
 
 val print : result -> unit

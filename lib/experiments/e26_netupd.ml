@@ -279,8 +279,7 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
 
 let scenario ?(leg = Clean) ?(shards = 1) ?(record_trace = true) ~seed ~until () =
   let agents =
-    Array.init switches (fun sw ->
-        Agent.create ~switch:sw ~keys:switches ~edge_port:(fun p -> p = 0) ())
+    Array.init switches (fun _ -> Agent.create ~keys:switches ~edge_port:(fun p -> p = 0) ())
   in
   let h =
     {

@@ -368,9 +368,10 @@ let run_ring ~seed =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?metrics ?(seed = 42) ?shard_counts ?(knobs = full_knobs) () =
+let run ?metrics ?(seed = 42) () =
+  let knobs = full_knobs in
   let runs =
-    Conformance.sweep ?shard_counts (topo ()) (fun ~shards ->
+    Conformance.sweep (topo ()) (fun ~shards ->
         let p = { samples = Array.make_matrix num_hosts num_samples 0; sources = ref [] } in
         (scenario ~shards ~samples:p.samples ~sources:p.sources ~seed ~knobs (), p))
   in

@@ -11,15 +11,7 @@
 
 val name : string
 
-val k : int
-val num_hosts : int
-val hosts_per_pod : int
-
 val topo : unit -> Evcore.Topology.t
-val addr_of_host : int -> Netcore.Ipv4_addr.t
-
-val routing_program : Evcore.Program.spec
-val switch_config : seed:int -> int -> Evcore.Event_switch.config
 
 (** Workload sizing (simulated time + rates). [until] leaves room for
     every flow started before [arrival_stop] to finish and drain. *)
@@ -101,15 +93,9 @@ type result = {
 val run_sparse : seed:int -> shards:int -> sparse
 (** The sparse leg alone (k=8 fat tree; cheap, used by tests). *)
 
-val run_ring : seed:int -> ring_leg
-(** The 1024-switch ring leg alone. *)
-
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?seed:int ->
-  ?shard_counts:int list ->
-  ?knobs:knobs ->
-  unit ->
-  result
+val run : ?metrics:Obs.Metrics.t -> ?seed:int -> unit -> result
+(** The full-size run (22.4 ms horizon, flow arrivals until 9.6 ms,
+    a 100,000-live-flow concurrency target) over the shard counts of
+    {!Conformance.sweep}, plus the sparse and ring legs. *)
 
 val print : result -> unit

@@ -11,7 +11,6 @@ type cell = {
 type t = {
   sched : Eventsim.Scheduler.t;
   rng : Stats.Rng.t;
-  seed : int;
   stop : Eventsim.Sim_time.t;
   classes : (string, cell) Hashtbl.t;
   mutable link_list : (string * Link.t) list; (* registration order, newest first *)
@@ -21,14 +20,10 @@ let create ~sched ~seed ~stop () =
   {
     sched;
     rng = Stats.Rng.create ~seed;
-    seed;
     stop;
     classes = Hashtbl.create 8;
     link_list = [];
   }
-
-let seed t = t.seed
-let stop t = t.stop
 
 let cell t name =
   match Hashtbl.find_opt t.classes name with

@@ -23,9 +23,6 @@ type counts = { injected : int; absorbed : int; dropped : int }
 val create :
   sched:Eventsim.Scheduler.t -> seed:int -> stop:Eventsim.Sim_time.t -> unit -> t
 
-val seed : t -> int
-val stop : t -> Eventsim.Sim_time.t
-
 val add_link_flaps :
   t ->
   name:string ->
@@ -71,8 +68,6 @@ val stats : t -> (string * counts) list
 (** Per-fault-class counters, sorted by class name (deterministic). *)
 
 val total_injected : t -> int
-val links : t -> (string * Tmgr.Link.t) list
-(** Links under perturbation or flapping, by fault-class name. *)
 
 val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit
 (** Publish [faults.injected] / [faults.absorbed] / [faults.dropped]

@@ -3,8 +3,6 @@ type t = {
   drop_p : float;
   start : int;
   stop : int;
-  mutable drawn : int;
-  mutable dropped : int;
 }
 
 let create ~seed ~targets ~drop_p ?(start = 0) ?(stop = max_int) () =
@@ -18,18 +16,10 @@ let create ~seed ~targets ~drop_p ?(start = 0) ?(stop = max_int) () =
     drop_p;
     start;
     stop;
-    drawn = 0;
-    dropped = 0;
   }
 
 let lost t ~target ~now =
   if target < 0 || target >= Array.length t.streams then invalid_arg "Op_loss.lost: bad target";
   (* Draw unconditionally so a window change never shifts the stream. *)
   let u = Stats.Rng.float t.streams.(target) in
-  t.drawn <- t.drawn + 1;
-  let hit = now >= t.start && now < t.stop && u < t.drop_p in
-  if hit then t.dropped <- t.dropped + 1;
-  hit
-
-let drawn t = t.drawn
-let dropped t = t.dropped
+  now >= t.start && now < t.stop && u < t.drop_p

@@ -23,9 +23,3 @@ val create :
 val lost : t -> target:int -> now:Eventsim.Sim_time.t -> bool
 (** Verdict for the next submission to [target] at time [now]; consumes
     one draw from the target's stream. *)
-
-val drawn : t -> int
-(** Total queries. *)
-
-val dropped : t -> int
-(** Queries answered [true]. *)

@@ -16,20 +16,11 @@ val none : config
 
 val lossy : ?drop_p:float -> ?dup_p:float -> ?delay_p:float -> ?max_extra_delay:Eventsim.Sim_time.t -> unit -> config
 
-val fate :
-  rng:Stats.Rng.t ->
-  ?on_decision:(Tmgr.Link.fate -> unit) ->
-  config ->
-  from_a:bool ->
-  Netcore.Packet.t ->
-  Tmgr.Link.fate
-(** One uniform draw per packet partitions [\[0,1)] into
-    drop | duplicate | delay | deliver bands; [on_decision] observes
-    every verdict (for injected/absorbed accounting). An all-zero
-    config short-circuits to [Deliver] without touching the RNG, so a
-    "faults disabled" hook costs no draw. The config is validated by
-    {!attach}, not per packet. *)
-
 val attach :
   rng:Stats.Rng.t -> ?on_decision:(Tmgr.Link.fate -> unit) -> config -> Tmgr.Link.t -> unit
-(** Install [fate] on the link. *)
+(** Install the seeded fate on the link. One uniform draw per packet
+    partitions [\[0,1)] into drop | duplicate | delay | deliver bands;
+    [on_decision] observes every verdict (for injected/absorbed
+    accounting). An all-zero config short-circuits to [Deliver] without
+    touching the RNG, so a "faults disabled" hook costs no draw. The
+    config is validated here, not per packet. *)

@@ -9,9 +9,7 @@ type plan =
   | Poisson of { start : Eventsim.Sim_time.t; rate_per_sec : float }
   | Trace of Eventsim.Sim_time.t list
 
-let periodic ?start ?(jitter = 0) period =
-  let start = match start with Some s -> s | None -> period in
-  Periodic { start; period; jitter }
+let periodic period = Periodic { start = period; period; jitter = 0 }
 
 let ps_of_sec s = max 1 (int_of_float (s *. 1e12))
 

@@ -17,9 +17,8 @@ type plan =
   | Trace of Eventsim.Sim_time.t list
       (** explicit deterministic occurrence times *)
 
-val periodic : ?start:Eventsim.Sim_time.t -> ?jitter:Eventsim.Sim_time.t -> Eventsim.Sim_time.t -> plan
-(** [periodic ~start ~jitter period]; [start] defaults to one period,
-    [jitter] to 0. *)
+val periodic : Eventsim.Sim_time.t -> plan
+(** [periodic period]: first occurrence one period from 0, no jitter. *)
 
 val drive :
   sched:Eventsim.Scheduler.t ->

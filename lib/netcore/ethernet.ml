@@ -10,6 +10,3 @@ let set t ~dst ~src ~ethertype =
   t.dst <- dst;
   t.src <- src;
   t.ethertype <- ethertype land 0xffff
-
-let pp ppf t =
-  Format.fprintf ppf "eth %a -> %a type=0x%04x" Mac_addr.pp t.src Mac_addr.pp t.dst t.ethertype

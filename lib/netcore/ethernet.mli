@@ -17,5 +17,3 @@ val make : dst:Mac_addr.t -> src:Mac_addr.t -> ethertype:int -> t
 
 val set : t -> dst:Mac_addr.t -> src:Mac_addr.t -> ethertype:int -> unit
 (** Refill every field in place, as {!make} would — allocation-free. *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,8 +13,6 @@ let equal a b =
   Ipv4_addr.equal a.src b.src && Ipv4_addr.equal a.dst b.dst && a.proto = b.proto
   && a.src_port = b.src_port && a.dst_port = b.dst_port
 
-let compare = Stdlib.compare
-
 let pack t =
   let h = Ipv4_addr.to_int t.src in
   let h = Hashes.mix64 ((h lsl 7) lxor Ipv4_addr.to_int t.dst) in

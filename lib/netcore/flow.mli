@@ -12,7 +12,6 @@ val make :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> ?proto:int -> ?src_port:int -> ?dst_port:int -> unit -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pack : t -> int
 (** Injective packing of the tuple into an int is impossible (104 bits),

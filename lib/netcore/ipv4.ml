@@ -29,7 +29,3 @@ let set t ~proto ~src ~dst ~payload_len =
   t.dst <- dst
 
 let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
-
-let pp ppf t =
-  Format.fprintf ppf "ipv4 %a -> %a proto=%d len=%d ttl=%d" Ipv4_addr.pp t.src Ipv4_addr.pp
-    t.dst t.proto t.total_len t.ttl

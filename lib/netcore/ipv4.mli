@@ -26,5 +26,3 @@ val set : t -> proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:in
 
 val decrement_ttl : t -> t option
 (** [None] when the TTL would reach zero (packet must be dropped). *)
-
-val pp : Format.formatter -> t -> unit

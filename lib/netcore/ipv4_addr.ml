@@ -34,6 +34,4 @@ let in_prefix t ~prefix ~len =
     t lsr shift = (prefix : t :> int) lsr shift
 
 let equal = Int.equal
-let compare = Int.compare
-let hash t = t
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -15,6 +15,4 @@ val in_prefix : t -> prefix:t -> len:int -> bool
 (** Longest-prefix-match test: do the top [len] bits agree? *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

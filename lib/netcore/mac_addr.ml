@@ -3,7 +3,6 @@ type t = int
 let mask = (1 lsl 48) - 1
 let of_int v = v land mask
 let broadcast = mask
-let zero = 0
 
 let of_string s =
   let parts = String.split_on_char ':' s in
@@ -22,6 +21,3 @@ let to_string t =
 
 let host n = of_int ((0x02 lsl 40) lor (n land 0xffffffff))
 let switch_port ~switch ~port = of_int ((0x06 lsl 40) lor ((switch land 0xffff) lsl 16) lor (port land 0xffff))
-let equal = Int.equal
-let compare = Int.compare
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -3,7 +3,6 @@
 type t = private int
 
 val broadcast : t
-val zero : t
 
 val of_string : string -> t
 (** Parses ["aa:bb:cc:dd:ee:ff"]; raises [Invalid_argument] on bad
@@ -16,7 +15,3 @@ val host : int -> t
 
 val switch_port : switch:int -> port:int -> t
 (** Conventional address for a switch-port interface. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

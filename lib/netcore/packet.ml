@@ -66,7 +66,7 @@ let nil =
 
 let is_nil t = t == nil
 
-let udp_packet ?(created_at = 0) ?(payload = Opaque) ~src ~dst ~src_port ~dst_port ~payload_len () =
+let udp_packet ?(created_at = 0) ~src ~dst ~src_port ~dst_port ~payload_len () =
   let udp = Udp.make ~src_port ~dst_port ~payload_len in
   let ip =
     Ipv4.make ~proto:Ipv4.proto_udp ~src ~dst ~payload_len:(Udp.size + payload_len) ()
@@ -77,11 +77,10 @@ let udp_packet ?(created_at = 0) ?(payload = Opaque) ~src ~dst ~src_port ~dst_po
       ~src:(Mac_addr.host (Ipv4_addr.to_int src land 0xffff))
       ~ethertype:Ethernet.ethertype_ipv4
   in
-  create ~ip ~l4:(Udp udp) ~payload ~payload_len ~created_at ~eth ()
+  create ~ip ~l4:(Udp udp) ~payload_len ~created_at ~eth ()
 
-let tcp_packet ?(created_at = 0) ?(payload = Opaque) ?(flags = 0) ?(seq = 0) ~src ~dst ~src_port
-    ~dst_port ~payload_len () =
-  let tcp = Tcp.make ~src_port ~dst_port ~seq ~flags () in
+let tcp_packet ?(flags = 0) ~src ~dst ~src_port ~dst_port ~payload_len () =
+  let tcp = Tcp.make ~src_port ~dst_port ~seq:0 ~flags () in
   let ip =
     Ipv4.make ~proto:Ipv4.proto_tcp ~src ~dst ~payload_len:(Tcp.size + payload_len) ()
   in
@@ -91,7 +90,7 @@ let tcp_packet ?(created_at = 0) ?(payload = Opaque) ?(flags = 0) ?(seq = 0) ~sr
       ~src:(Mac_addr.host (Ipv4_addr.to_int src land 0xffff))
       ~ethertype:Ethernet.ethertype_ipv4
   in
-  create ~ip ~l4:(Tcp tcp) ~payload ~payload_len ~created_at ~eth ()
+  create ~ip ~l4:(Tcp tcp) ~payload_len ~eth ()
 
 let l4_size = function Udp _ -> Udp.size | Tcp _ -> Tcp.size | No_l4 -> 0
 
@@ -132,21 +131,7 @@ let with_meta_of dst src =
   Array.blit src.meta.enq_meta 0 dst.meta.enq_meta 0 meta_slots;
   Array.blit src.meta.deq_meta 0 dst.meta.deq_meta 0 meta_slots
 
-let clone_for_forward ?eth ?ip t =
-  let uid = fresh_uid () in
-  let copy =
-    {
-      t with
-      uid;
-      eth = (match eth with Some e -> e | None -> t.eth);
-      ip = (match ip with Some i -> Some i | None -> t.ip);
-      meta = fresh_meta ();
-    }
-  in
+let clone_for_forward t =
+  let copy = { t with uid = fresh_uid (); meta = fresh_meta () } in
   with_meta_of copy t;
   copy
-
-let pp ppf t =
-  match t.ip with
-  | Some ip -> Format.fprintf ppf "pkt#%d %a len=%d" t.uid Ipv4.pp ip (len t)
-  | None -> Format.fprintf ppf "pkt#%d %a len=%d" t.uid Ethernet.pp t.eth (len t)

@@ -65,18 +65,17 @@ val nil : t
 val is_nil : t -> bool
 
 val udp_packet :
-  ?created_at:int -> ?payload:payload -> src:Ipv4_addr.t -> dst:Ipv4_addr.t ->
+  ?created_at:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t ->
   src_port:int -> dst_port:int -> payload_len:int -> unit -> t
 (** Convenience constructor for the common workload packet, with MACs
-    derived from the addresses. *)
+    derived from the addresses and an {!Opaque} payload. *)
 
 val tcp_packet :
-  ?created_at:int -> ?payload:payload -> ?flags:int -> ?seq:int ->
-  src:Ipv4_addr.t -> dst:Ipv4_addr.t -> src_port:int -> dst_port:int ->
+  ?flags:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> src_port:int -> dst_port:int ->
   payload_len:int -> unit -> t
 (** Like {!udp_packet} but with a TCP header carrying real [flags]
     (see {!Tcp.flag_syn} etc.) — what flag-driven stateful programs
-    parse. *)
+    parse. [seq] and [created_at] are 0. *)
 
 val len : t -> int
 (** Wire length in bytes (headers + payload). *)
@@ -92,7 +91,6 @@ val flow_key : t -> int
     packet's flow [f] — computed without allocating the flow record.
     [-1] when the packet has no IP header. *)
 
-val clone_for_forward : ?eth:Ethernet.t -> ?ip:Ipv4.t -> t -> t
-(** A copy with a fresh uid sharing payload, for multicast fan-out. *)
-
-val pp : Format.formatter -> t -> unit
+val clone_for_forward : t -> t
+(** A copy with a fresh uid and a copied metadata bus, sharing headers
+    and payload, for multicast fan-out. *)

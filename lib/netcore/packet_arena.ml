@@ -34,13 +34,13 @@ let pooled t = t.top
 
 (* Reset the recycled packet's identity and metadata bus; headers are
    refilled by the typed acquire below. *)
-let recycle t ~created_at =
+let recycle t =
   t.top <- t.top - 1;
   let p = t.free.(t.top) in
   t.free.(t.top) <- Packet.nil;
   t.reused <- t.reused + 1;
   p.Packet.uid <- Packet.fresh_uid ();
-  p.Packet.created_at <- created_at;
+  p.Packet.created_at <- 0;
   p.Packet.payload <- Packet.Opaque;
   let m = p.Packet.meta in
   m.Packet.ingress_port <- -1;
@@ -53,14 +53,14 @@ let recycle t ~created_at =
   Array.fill m.Packet.deq_meta 0 Packet.meta_slots 0;
   p
 
-let acquire_udp t ?(created_at = 0) ~src ~dst ~src_port ~dst_port ~payload_len () =
+let acquire_udp t ~src ~dst ~src_port ~dst_port ~payload_len () =
   t.live <- t.live + 1;
   if t.top = 0 then begin
     t.created <- t.created + 1;
-    Packet.udp_packet ~created_at ~src ~dst ~src_port ~dst_port ~payload_len ()
+    Packet.udp_packet ~src ~dst ~src_port ~dst_port ~payload_len ()
   end
   else begin
-    let p = recycle t ~created_at in
+    let p = recycle t in
     p.Packet.payload_len <- payload_len;
     (* Refill the header records in place when the recycled packet has
        the right shape (it does whenever the arena is used uniformly);

@@ -18,11 +18,12 @@ val create : ?initial:int -> unit -> t
     stack grows by doubling. *)
 
 val acquire_udp :
-  t -> ?created_at:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t ->
+  t -> src:Ipv4_addr.t -> dst:Ipv4_addr.t ->
   src_port:int -> dst_port:int -> payload_len:int -> unit -> Packet.t
 (** A UDP workload packet as {!Packet.udp_packet} would build, with
-    MACs derived from the addresses and a fresh uid — recycled from the
-    pool when possible, freshly allocated when the pool is empty. *)
+    MACs derived from the addresses, a fresh uid and [created_at] 0 —
+    recycled from the pool when possible, freshly allocated when the
+    pool is empty. *)
 
 val release : t -> Packet.t -> unit
 (** Return a packet to the pool. Raises [Invalid_argument] on

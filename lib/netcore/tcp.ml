@@ -18,6 +18,3 @@ let make ~src_port ~dst_port ?(seq = 0) ?(flags = 0) () =
     seq = seq land 0xffffffff;
     flags = flags land 0x1ff;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "tcp %d -> %d seq=%d flags=0x%x" t.src_port t.dst_port t.seq t.flags

@@ -16,5 +16,3 @@ val flag_fin : int
 val flag_rst : int
 
 val make : src_port:int -> dst_port:int -> ?seq:int -> ?flags:int -> unit -> t
-
-val pp : Format.formatter -> t -> unit

@@ -11,5 +11,3 @@ let set t ~src_port ~dst_port ~payload_len =
   t.src_port <- src_port land 0xffff;
   t.dst_port <- dst_port land 0xffff;
   t.length <- size + payload_len
-
-let pp ppf t = Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port t.length

@@ -10,5 +10,3 @@ val make : src_port:int -> dst_port:int -> payload_len:int -> t
 
 val set : t -> src_port:int -> dst_port:int -> payload_len:int -> unit
 (** Refill every field in place, as {!make} would — allocation-free. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Packet = Netcore.Packet
 
 type t = {
-  switch : int;
   table : Table.t;
   edge_port : int -> bool;
   mutable ingress_version : int;
@@ -11,11 +10,10 @@ type t = {
   mutable unroutable : int;
 }
 
-let create ~switch ~keys ~edge_port () =
-  { switch; table = Table.create ~keys (); edge_port; ingress_version = 0;
-    stamped = 0; forwarded = 0; mixed = 0; unroutable = 0 }
+let create ~keys ~edge_port () =
+  { table = Table.create ~keys (); edge_port; ingress_version = 0; stamped = 0; forwarded = 0;
+    mixed = 0; unroutable = 0 }
 
-let switch t = t.switch
 let table t = t.table
 let ingress_version t = t.ingress_version
 let set_ingress_version t v = t.ingress_version <- v

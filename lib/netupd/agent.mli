@@ -9,13 +9,12 @@
 
 type t
 
-val create : switch:int -> keys:int -> edge_port:(int -> bool) -> unit -> t
+val create : keys:int -> edge_port:(int -> bool) -> unit -> t
 (** [edge_port p] says whether ingress port [p] is a network edge
     (host-facing) — packets arriving there get stamped with the
     current ingress version; packets on fabric ports keep the version
     they already carry. *)
 
-val switch : t -> int
 val table : t -> Table.t
 val ingress_version : t -> int
 val set_ingress_version : t -> int -> unit

@@ -289,6 +289,4 @@ let start env cfg ~version ~targets ~on_done =
   start_phase t Installing;
   t
 
-let outcome t = t.outcome
 let phase t = t.phase
-let version t = t.version

@@ -93,8 +93,4 @@ val start :
   env -> config -> version:int -> targets:int array -> on_done:(outcome -> unit) -> t
 (** Begin the transaction (submits the install ops immediately). *)
 
-val outcome : t -> outcome option
-(** [None] while in flight. *)
-
 val phase : t -> phase
-val version : t -> int

@@ -173,9 +173,9 @@ let register_invariants ?(wedge_bound = Sim_time.ms 1) t inv =
                  (Commit.phase_name (Commit.phase txn)) age)
           else None)
 
-let export_metrics ?(labels = []) t reg =
+let export_metrics t reg =
   let open Obs.Metrics in
-  let c name v = Counter.set (counter reg ~labels name) v in
+  let c name v = Counter.set (counter reg name) v in
   c "netupd.proposals" t.proposals;
   c "netupd.committed" t.committed;
   c "netupd.rolled_back" t.rolled_back;
@@ -191,5 +191,5 @@ let export_metrics ?(labels = []) t reg =
   c "netupd.op.applied" t.stats.Commit.applied;
   c "netupd.op.deduped" t.stats.Commit.deduped;
   c "netupd.gc_skipped" t.stats.Commit.gc_skipped;
-  Gauge.set (gauge reg ~labels "netupd.version") (version t);
-  Gauge.set (gauge reg ~labels "netupd.in_flight") (match t.in_flight with None -> 0 | Some _ -> 1)
+  Gauge.set (gauge reg "netupd.version") (version t);
+  Gauge.set (gauge reg "netupd.in_flight") (match t.in_flight with None -> 0 | Some _ -> 1)

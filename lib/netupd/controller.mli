@@ -67,7 +67,7 @@ val register_invariants : ?wedge_bound:Eventsim.Sim_time.t -> t -> Resil.Invaria
     [netupd.wedged] (no update stays in flight longer than
     [wedge_bound], default 1 ms). *)
 
-val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit
+val export_metrics : t -> Obs.Metrics.t -> unit
 (** Set-style [netupd.*] series: proposal / outcome counts, the op
     ledger (attempts, losses, acks, retries, abandons, dedups) and the
-    committed-version / in-flight gauges. *)
+    committed-version / in-flight gauges, with no labels. *)

@@ -1,7 +1,7 @@
 type rule = { key : int; port : int }
 type t = { name : string; version : int; tables : rule list array }
 
-let make ~name ?(version = 0) tables = { name; version; tables }
+let make ~name tables = { name; version = 0; tables }
 let with_version t version = { t with version }
 let name t = t.name
 let version t = t.version

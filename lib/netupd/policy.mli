@@ -12,9 +12,9 @@
 type rule = { key : int; port : int }
 type t
 
-val make : name:string -> ?version:int -> rule list array -> t
-(** One rule list per switch, indexed by switch id. The version
-    defaults to 0 — {!Controller.propose} re-stamps it anyway. *)
+val make : name:string -> rule list array -> t
+(** One rule list per switch, indexed by switch id, at version 0 —
+    {!Controller.propose} re-stamps it anyway. *)
 
 val with_version : t -> int -> t
 val name : t -> string

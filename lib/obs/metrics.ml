@@ -26,7 +26,6 @@ module Gauge = struct
       g.seen <- true
     end
 
-  let add g n = set g (g.v + n)
   let value g = g.v
   let max_seen g = if g.seen then g.mx else 0
   let min_seen g = if g.seen then g.mn else 0
@@ -36,14 +35,12 @@ module Histo = struct
   type t = { h : Stats.Histogram.t; on : bool ref }
 
   let observe t x = if !(t.on) then Stats.Histogram.add t.h x
-  let stats t = t.h
 end
 
 module Summary = struct
   type t = { w : Stats.Welford.t; on : bool ref }
 
   let observe t x = if !(t.on) then Stats.Welford.add t.w x
-  let stats t = t.w
 end
 
 type instrument =
@@ -131,10 +128,10 @@ let gauge t ?(labels = []) name =
   | I_gauge g -> g
   | other -> collision name other "gauge"
 
-let histogram t ?(labels = []) ?(max_exponent = 40) name =
+let histogram t ?(labels = []) name =
   match
     register t ~name ~labels ~make:(fun () ->
-        I_histo { Histo.h = Stats.Histogram.log2 ~max_exponent; on = t.on })
+        I_histo { Histo.h = Stats.Histogram.log2 ~max_exponent:40; on = t.on })
   with
   | I_histo h -> h
   | other -> collision name other "histogram"
@@ -468,23 +465,3 @@ let write_string ~path s =
 
 let write_json t ~path = write_string ~path (to_json t)
 let write_csv t ~path = write_string ~path (to_csv t)
-
-let pp ppf t =
-  List.iter
-    (fun { name; labels; value } ->
-      let labels_s =
-        if labels = [] then ""
-        else
-          "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) ^ "}"
-      in
-      match value with
-      | Counter_v v -> Format.fprintf ppf "%s%s = %d@." name labels_s v
-      | Gauge_v { last; max; min } ->
-          Format.fprintf ppf "%s%s = %d (min %d, max %d)@." name labels_s last min max
-      | Histo_v { count; mean; p50; p99; max } ->
-          Format.fprintf ppf "%s%s: n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g@." name labels_s
-            count mean p50 p99 max
-      | Summary_v { count; mean; std; min; max } ->
-          Format.fprintf ppf "%s%s: n=%d mean=%.4g std=%.4g min=%.4g max=%.4g@." name labels_s
-            count mean std min max)
-    (snapshot t)

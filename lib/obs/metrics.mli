@@ -7,9 +7,10 @@
     Experiments and the CLI take a {!snapshot} and export it as JSON or
     CSV.
 
-    Recording is a no-op while the registry is {!disable}d: every
-    instrument shares the registry's enabled flag and checks it with a
-    single load-and-branch, so an instrumented hot path costs nothing
+    Recording is a no-op in a registry made with
+    [create ~enabled:false] until {!enable} is called: every instrument
+    shares the registry's enabled flag and checks it with a single
+    load-and-branch, so an instrumented hot path costs nothing
     measurable when observability is off (the bench harness proves it
     on the event-dispatch kernel).
 
@@ -35,7 +36,8 @@ val on_ref : t -> bool ref
     whole block of instrument updates (rather than one instrument) can
     cache this ref once and test it with a single load — cheaper than
     calling {!is_enabled} through a module boundary per event. The ref
-    tracks {!enable}/{!disable} live; never write to it directly. *)
+    starts at [create]'s [enabled] and turns true at {!enable}; never
+    write to it directly. *)
 
 (** {1 Instruments} *)
 
@@ -58,7 +60,6 @@ module Gauge : sig
   val set : t -> int -> unit
   (** Record the current level; min/max watermarks update alongside. *)
 
-  val add : t -> int -> unit
   val value : t -> int
 
   val max_seen : t -> int
@@ -71,22 +72,20 @@ module Histo : sig
   type t
 
   val observe : t -> float -> unit
-  val stats : t -> Stats.Histogram.t
 end
 
 module Summary : sig
   type t
 
   val observe : t -> float -> unit
-  val stats : t -> Stats.Welford.t
 end
 
 val counter : t -> ?labels:labels -> string -> Counter.t
 val gauge : t -> ?labels:labels -> string -> Gauge.t
 
-val histogram : t -> ?labels:labels -> ?max_exponent:int -> string -> Histo.t
-(** Log2-bucketed (default [max_exponent] 40), suiting long-tailed
-    quantities (cycles, nanoseconds, bytes). *)
+val histogram : t -> ?labels:labels -> string -> Histo.t
+(** Log2-bucketed up to 2^40, suiting long-tailed quantities (cycles,
+    nanoseconds, bytes). *)
 
 val summary : t -> ?labels:labels -> string -> Summary.t
 
@@ -154,4 +153,3 @@ val to_csv : t -> string
 
 val write_json : t -> path:string -> unit
 val write_csv : t -> path:string -> unit
-val pp : Format.formatter -> t -> unit

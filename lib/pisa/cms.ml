@@ -1,8 +1,4 @@
-type t = {
-  rows : Register_array.t array;
-  width : int;
-  mutable updates : int;
-}
+type t = { rows : Register_array.t array; width : int }
 
 let create ~alloc ?(name = "cms") ~width ~depth ~counter_bits () =
   if width <= 0 || depth <= 0 then invalid_arg "Cms.create";
@@ -12,12 +8,11 @@ let create ~alloc ?(name = "cms") ~width ~depth ~counter_bits () =
           ~name:(Printf.sprintf "%s_row%d" name i)
           ~entries:width ~width:counter_bits)
   in
-  { rows; width; updates = 0 }
+  { rows; width }
 
 let slot t row key = Netcore.Hashes.fold_range (Netcore.Hashes.salted ~salt:row key) t.width
 
 let update t ~key ~delta =
-  t.updates <- t.updates + 1;
   Array.iteri (fun row reg -> ignore (Register_array.add reg (slot t row key) delta)) t.rows
 
 let query t ~key =
@@ -26,7 +21,4 @@ let query t ~key =
   |> Seq.fold_left min max_int
 
 let reset t = Array.iter Register_array.reset t.rows
-let width t = t.width
-let depth t = Array.length t.rows
 let bits t = Array.fold_left (fun acc r -> acc + Register_array.bits r) 0 t.rows
-let updates t = t.updates

@@ -13,7 +13,4 @@ val create :
 val update : t -> key:int -> delta:int -> unit
 val query : t -> key:int -> int
 val reset : t -> unit
-val width : t -> int
-val depth : t -> int
 val bits : t -> int
-val updates : t -> int

@@ -16,5 +16,3 @@ let total_bytes t = Array.fold_left ( + ) 0 t.byts
 let reset t =
   Array.fill t.pkts 0 (Array.length t.pkts) 0;
   Array.fill t.byts 0 (Array.length t.byts) 0
-
-let entries t = Array.length t.pkts

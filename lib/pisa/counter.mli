@@ -9,4 +9,3 @@ val bytes : t -> int -> int
 val total_packets : t -> int
 val total_bytes : t -> int
 val reset : t -> unit
-val entries : t -> int

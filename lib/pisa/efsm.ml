@@ -26,11 +26,9 @@ type transition = {
 }
 
 type t = {
-  name : string;
   entries : int;
   nregs : int;
   mask : int;
-  state_mask : int;
   rmw_latency : int;
   timeout : Eventsim.Sim_time.t option;
   transitions : transition list;
@@ -85,13 +83,8 @@ let validate_transition ~nregs ~state_mask tr =
       validate_update ~nregs a.update)
     tr.actions
 
-let name t = t.name
-let capacity t = t.entries
 let occupancy t = Hashtbl.length t.slot_of_key
-let bits t = Register_array.bits t.state + Register_array.bits t.regs
 let steps t = t.steps
-let hits t = t.hits
-let inserts t = t.inserts
 let fired t = t.fired
 let guard_misses t = t.guard_misses
 let stalls t = t.stalls
@@ -161,11 +154,9 @@ let create ?alloc ?clock ?(rmw_latency = Pipeline.default_depth) ?timeout ?(widt
   in
   let t =
     {
-      name;
       entries;
       nregs;
       mask = (if width = 62 then max_int else (1 lsl width) - 1);
-      state_mask;
       rmw_latency;
       timeout;
       transitions;

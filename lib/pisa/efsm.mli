@@ -130,15 +130,8 @@ val attach_sweeper : t -> sched:Eventsim.Scheduler.t -> period:Eventsim.Sim_time
 val state_of : t -> key:int -> int option
 val regs_of : t -> key:int -> int array option
 val occupancy : t -> int
-val capacity : t -> int
-val name : t -> string
-val bits : t -> int
-(** State footprint: state labels plus register banks (key tags are
-    CAM, metered separately by real hardware, and excluded). *)
 
 val steps : t -> int
-val hits : t -> int
-val inserts : t -> int
 val fired : t -> int
 val guard_misses : t -> int
 val stalls : t -> int
@@ -150,6 +143,3 @@ val state_hash : t -> int
 (** Order-independent-of-nothing, deterministic digest of the occupied
     (key, state, registers) contexts in slot order — pins the whole
     flow-state evolution in conformance tests and merged metrics. *)
-
-val stats : t -> (string * int) list
-(** The [pisa.efsm.*] metric series the switch exporter publishes. *)

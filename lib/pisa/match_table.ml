@@ -1,5 +1,3 @@
-type kind = Exact | Lpm | Ternary
-
 type 'a entries =
   | Exact_entries of (int, 'a) Hashtbl.t
   | Lpm_entries of { key_bits : int; mutable rules : (int * int * 'a) list }
@@ -26,19 +24,6 @@ let lpm ~name ~key_bits =
   make name (Lpm_entries { key_bits; rules = [] })
 
 let ternary ~name = make name (Ternary_entries { rules = [] })
-let name t = t.name
-
-let kind t =
-  match t.entries with
-  | Exact_entries _ -> Exact
-  | Lpm_entries _ -> Lpm
-  | Ternary_entries _ -> Ternary
-
-let size t =
-  match t.entries with
-  | Exact_entries h -> Hashtbl.length h
-  | Lpm_entries l -> List.length l.rules
-  | Ternary_entries l -> List.length l.rules
 
 let set_default t a = t.default <- Some a
 
@@ -103,9 +88,3 @@ let lookup t key =
 
 let lookups t = t.lookups
 let hits t = t.hits
-
-let clear t =
-  match t.entries with
-  | Exact_entries h -> Hashtbl.reset h
-  | Lpm_entries l -> l.rules <- []
-  | Ternary_entries l -> l.rules <- []

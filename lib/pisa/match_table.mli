@@ -8,16 +8,11 @@
 
 type 'a t
 
-type kind = Exact | Lpm | Ternary
-
 val exact : name:string -> 'a t
 val lpm : name:string -> key_bits:int -> 'a t
 (** [key_bits] is the width of lookup keys (32 for IPv4 prefixes). *)
 
 val ternary : name:string -> 'a t
-val name : 'a t -> string
-val kind : 'a t -> kind
-val size : 'a t -> int
 
 val set_default : 'a t -> 'a -> unit
 (** Action when no entry matches. *)
@@ -34,5 +29,3 @@ val lookup : 'a t -> int -> 'a option
 
 val lookups : 'a t -> int
 val hits : 'a t -> int
-val clear : 'a t -> unit
-(** Remove all entries (keeps the default). *)

@@ -48,8 +48,4 @@ let mark t ~now_ps ~bytes =
   end
   else Red
 
-let tokens t ~now_ps =
-  refill t ~now_ps;
-  (t.tc, t.te)
-
 let color_to_string = function Green -> "green" | Yellow -> "yellow" | Red -> "red"

@@ -17,7 +17,4 @@ val mark : t -> now_ps:int -> bytes:int -> color
 (** Color a packet of [bytes] arriving at [now_ps] (picoseconds), in
     color-blind mode, consuming tokens accordingly. *)
 
-val tokens : t -> now_ps:int -> float * float
-(** Current (committed, excess) token levels after lazy refill. *)
-
 val color_to_string : color -> string

@@ -1,7 +1,6 @@
 type t = {
   sched : Eventsim.Scheduler.t;
   clock_period : Eventsim.Sim_time.t;
-  depth : int;
   mutable last_admit_cycle : int;
   mutable admissions : int;
   mutable packet_carriers : int;
@@ -11,13 +10,11 @@ type t = {
 let default_clock_period = Eventsim.Sim_time.ns 5 (* 200 MHz *)
 let default_depth = 16
 
-let create ~sched ?(clock_period = default_clock_period) ?(depth = default_depth) () =
+let create ~sched ?(clock_period = default_clock_period) () =
   if clock_period <= 0 then invalid_arg "Pipeline.create: clock_period must be positive";
-  if depth <= 0 then invalid_arg "Pipeline.create: depth must be positive";
   {
     sched;
     clock_period;
-    depth;
     last_admit_cycle = -1;
     admissions = 0;
     packet_carriers = 0;
@@ -25,8 +22,7 @@ let create ~sched ?(clock_period = default_clock_period) ?(depth = default_depth
   }
 
 let clock_period t = t.clock_period
-let depth t = t.depth
-let latency t = t.depth * t.clock_period
+let latency t = default_depth * t.clock_period
 let current_cycle t = Eventsim.Scheduler.now t.sched / t.clock_period
 let clock t = fun () -> current_cycle t
 

@@ -21,11 +21,10 @@ type t
 val default_clock_period : Eventsim.Sim_time.t
 val default_depth : int
 
-val create : sched:Eventsim.Scheduler.t -> ?clock_period:Eventsim.Sim_time.t -> ?depth:int -> unit -> t
+val create : sched:Eventsim.Scheduler.t -> ?clock_period:Eventsim.Sim_time.t -> unit -> t
+(** A pipeline {!default_depth} cycles deep. *)
+
 val clock_period : t -> Eventsim.Sim_time.t
-val depth : t -> int
-val latency : t -> Eventsim.Sim_time.t
-(** [depth * clock_period]. *)
 
 val current_cycle : t -> int
 val clock : t -> unit -> int

@@ -21,8 +21,3 @@ let total_bits t = List.fold_left (fun acc r -> acc + Register_array.bits r) 0 t
 let clock t = t.clock
 let register_stats t ~name fn = t.stats <- (name, fn) :: t.stats
 let stats_exporters t = List.rev t.stats
-
-let report t =
-  List.map
-    (fun r -> (Register_array.name r, Register_array.entries r, Register_array.bits r))
-    (registers t)

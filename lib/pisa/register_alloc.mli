@@ -12,8 +12,6 @@ val registers : t -> Register_array.t list
 (** In allocation order. *)
 
 val total_bits : t -> int
-val report : t -> (string * int * int) list
-(** [(name, entries, bits)] per register. *)
 
 val clock : t -> (unit -> int) option
 (** The cycle clock arrays are created against, if any. *)

@@ -5,8 +5,6 @@ type t = {
   data : int array;
   clock : (unit -> int) option;
   mutable last_access_cycle : int;
-  mutable reads : int;
-  mutable writes : int;
   mutable conflicts : int;
 }
 
@@ -20,14 +18,11 @@ let create ?clock ~name ~entries ~width () =
     data = Array.make entries 0;
     clock;
     last_access_cycle = min_int;
-    reads = 0;
-    writes = 0;
     conflicts = 0;
   }
 
 let name t = t.name
 let entries t = Array.length t.data
-let width t = t.width
 let bits t = Array.length t.data * t.width
 
 let touch t =
@@ -45,20 +40,16 @@ let check_index t i =
 let read t i =
   check_index t i;
   touch t;
-  t.reads <- t.reads + 1;
   t.data.(i)
 
 let write t i v =
   check_index t i;
   touch t;
-  t.writes <- t.writes + 1;
   t.data.(i) <- v land t.mask
 
 let add t i delta =
   check_index t i;
   touch t;
-  t.reads <- t.reads + 1;
-  t.writes <- t.writes + 1;
   let v = (t.data.(i) + delta) land t.mask in
   t.data.(i) <- v;
   v
@@ -69,7 +60,5 @@ let reset t = fill t 0
 let clear_entry t i =
   check_index t i;
   t.data.(i) <- 0
-let reads t = t.reads
-let writes t = t.writes
 let conflicts t = t.conflicts
 let to_array t = Array.copy t.data

@@ -26,7 +26,6 @@ let default_config () =
 
 type key = {
   k_name : string;
-  k_policy : Policy.t;
   on_disable : unit -> unit;
   on_enable : unit -> unit;
   k_rng : Stats.Rng.t; (* backoff jitter stream, split at registration *)
@@ -51,7 +50,6 @@ let noop () = ()
 let no_key =
   {
     k_name = "<none>";
-    k_policy = Policy.Fail_fast;
     on_disable = noop;
     on_enable = noop;
     k_rng = Stats.Rng.create ~seed:0;
@@ -95,11 +93,10 @@ let create ~sched ?config ~seed () =
     permanent_ = 0;
   }
 
-let register t ~name ?policy ?(on_disable = noop) ?(on_enable = noop) () =
+let register t ~name ?(on_disable = noop) ?(on_enable = noop) () =
   let key =
     {
       k_name = name;
-      k_policy = (match policy with Some p -> p | None -> t.config.policy);
       on_disable;
       on_enable;
       k_rng = Stats.Rng.split t.rng;
@@ -157,11 +154,11 @@ let quarantine t key =
         end)
 
 (* A failure has been caught (or, under [Fail_fast], is about to
-   abort): account it, then apply the key's policy. *)
+   abort): account it, then apply the supervisor's policy. *)
 let trap t key exn =
   key.crashes <- key.crashes + 1;
   (match exn with Budget_exhausted -> key.watchdog <- key.watchdog + 1 | _ -> ());
-  match key.k_policy with
+  match t.config.policy with
   | Policy.Fail_fast -> raise (Failed (key.k_name, exn))
   | Policy.Drop_event -> key.dropped <- key.dropped + 1
   | Policy.Quarantine ->
@@ -190,31 +187,11 @@ let enter t key =
     consume t key.slow_steps
   end
 
-(* Guards may nest (a handler's [notify_monitor] callback is itself
-   guarded), so the previously-running key is restored, not cleared. *)
-let call t key f a b =
-  if key.permanent || not key.active_ then begin
-    key.dropped <- key.dropped + 1;
-    None
-  end
-  else begin
-    let prev = t.current in
-    match
-      enter t key;
-      f a b
-    with
-    | r ->
-        t.current <- prev;
-        Some r
-    | exception exn ->
-        t.current <- prev;
-        trap t key exn;
-        None
-  end
-
-(* Like [call], but delivers the result through a (persistent) sink
-   instead of wrapping it in an option — no [Some] allocation per
-   guarded invocation on the packet hot path. *)
+(* Delivers the result through a (persistent) sink instead of wrapping
+   it in an option — no [Some] allocation per guarded invocation on the
+   packet hot path. Guards may nest (a handler's [notify_monitor]
+   callback is itself guarded), so the previously-running key is
+   restored, not cleared. *)
 let call_sink t key f a b ~sink =
   if key.permanent || not key.active_ then begin
     key.dropped <- key.dropped + 1;

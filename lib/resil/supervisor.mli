@@ -34,7 +34,7 @@ exception Injected_crash of string
 (** The synthetic failure armed by {!inject_crash}. *)
 
 type config = {
-  policy : Policy.t;  (** default policy for keys registered without one *)
+  policy : Policy.t;  (** what every key does on a failure *)
   max_trips : int;  (** quarantine trips before a permanent failure *)
   base_backoff : Eventsim.Sim_time.t;  (** first quarantine duration *)
   max_backoff : Eventsim.Sim_time.t;  (** backoff growth cap *)
@@ -53,29 +53,26 @@ val create : sched:Eventsim.Scheduler.t -> ?config:config -> seed:int -> unit ->
 val register :
   t ->
   name:string ->
-  ?policy:Policy.t ->
   ?on_disable:(unit -> unit) ->
   ?on_enable:(unit -> unit) ->
   unit ->
   key
 (** Registration order is significant: each key splits its jitter RNG
-    off the supervisor's master stream. *)
+    off the supervisor's master stream. Every key follows the
+    supervisor's [config.policy]. *)
 
 (** {1 Guarded invocation} *)
 
-val call : t -> key -> ('a -> 'b -> 'r) -> 'a -> 'b -> 'r option
-(** Run [f a b] under the guard. [None] if the key is quarantined /
+val call_sink : t -> key -> ('a -> 'b -> 'r) -> 'a -> 'b -> sink:('r -> unit) -> bool
+(** Run [f a b] under the guard and pass the result to [sink] (called
+    only on success, before returning [true]) — allocation-free when
+    [sink] is a persistent closure. [false] if the key is quarantined /
     permanently failed (the event is counted dropped) or the invocation
     failed and the policy absorbed it. Under [Fail_fast] a failure
     raises {!Failed} instead. *)
 
-val call_sink : t -> key -> ('a -> 'b -> 'r) -> 'a -> 'b -> sink:('r -> unit) -> bool
-(** Like {!call}, but the result is passed to [sink] (called only on
-    success, before returning [true]) instead of being wrapped in an
-    option — allocation-free when [sink] is a persistent closure. *)
-
 val call_unit : t -> key -> ('a -> 'b -> unit) -> 'a -> 'b -> bool
-(** Allocation-free variant of {!call} for [unit] handlers; [true] iff
+(** Variant of {!call_sink} for [unit] handlers; [true] iff
     the handler ran to completion. *)
 
 val protect : t -> key -> (unit -> unit) -> bool
@@ -114,8 +111,6 @@ val quarantined : t -> int
 
 val policy : t -> Policy.t
 val config : t -> config
-val keys : t -> key list
-(** In registration order. *)
 
 val find_key : t -> name:string -> key option
 

@@ -15,7 +15,3 @@ let update t x =
 let value t = t.value
 
 let decay t = t.value <- t.value *. (1. -. t.alpha)
-
-let reset t =
-  t.value <- 0.;
-  t.primed <- false

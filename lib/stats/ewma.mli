@@ -15,5 +15,3 @@ val value : t -> float
 val decay : t -> unit
 (** Multiply the current value by [1 - alpha]; used by timer-driven decay
     of rate estimates when no traffic is observed. *)
-
-val reset : t -> unit

@@ -120,7 +120,3 @@ let clear t =
   t.total <- 0;
   t.acc.(0) <- 0.;
   t.acc.(1) <- neg_infinity
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g" t.total (mean t)
-    (percentile t 0.5) (percentile t 0.99) t.acc.(1)

@@ -32,4 +32,3 @@ val buckets : t -> (float * float * int) list
 (** [(lo, hi, count)] for each non-empty bucket, in order. *)
 
 val clear : t -> unit
-val pp : Format.formatter -> t -> unit

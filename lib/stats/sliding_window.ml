@@ -32,7 +32,3 @@ let completed_rate t =
 let slots t =
   let n = Array.length t.data in
   Array.init n (fun i -> t.data.((t.head - i + (2 * n)) mod n))
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) 0.;
-  t.sum <- 0.

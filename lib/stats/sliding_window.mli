@@ -27,10 +27,5 @@ val completed_rate : t -> float
     after a rotation. Falls back to {!rate} for a single-slot
     window. *)
 
-val window : t -> float
-(** Window length in time units. *)
-
 val slots : t -> float array
 (** Newest-first snapshot of the slot contents. *)
-
-val clear : t -> unit

@@ -28,7 +28,6 @@ let nth t i =
   if i < 0 || i >= t.len then invalid_arg "Time_series.nth";
   (t.times.(i), t.values.(i))
 
-let values t = Array.sub t.values 0 t.len
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
 let fold t ~init ~f =

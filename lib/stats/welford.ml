@@ -22,7 +22,6 @@ let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
 let std t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
-let sum t = t.mean *. float_of_int t.n
 
 let merge a b =
   if a.n = 0 then { b with n = b.n }
@@ -42,6 +41,3 @@ let merge a b =
       min = Float.min a.min b.min;
       max = Float.max a.max b.max;
     }
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g std=%.4g min=%.4g max=%.4g" t.n (mean t) (std t) t.min t.max

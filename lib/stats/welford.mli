@@ -18,8 +18,5 @@ val min : t -> float
 val max : t -> float
 (** [neg_infinity] when empty. *)
 
-val sum : t -> float
 val merge : t -> t -> t
 (** Combine two summaries as if all samples were added to one. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,7 +24,6 @@ let free t n =
   if n > t.used then invalid_arg "Buffer_pool.free: more than allocated";
   t.used <- t.used - n
 
-let capacity t = t.capacity
 let occupancy t = t.used
 let high_watermark t = t.high_watermark
 let failed_allocs t = t.failed

@@ -10,7 +10,6 @@ val try_alloc : t -> int -> bool
     overflow. *)
 
 val free : t -> int -> unit
-val capacity : t -> int
 val occupancy : t -> int
 val high_watermark : t -> int
 val failed_allocs : t -> int

@@ -55,8 +55,6 @@ let pop t =
     Some pkt
   end
 
-let peek t = if t.count = 0 then None else Some t.data.(t.head)
-let occupancy_pkts t = t.count
 let occupancy_bytes t = t.bytes
 let high_watermark_bytes t = t.high_watermark
 let is_empty t = t.count = 0

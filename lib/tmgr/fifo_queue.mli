@@ -8,8 +8,6 @@ val can_accept : t -> int -> bool
 
 val push : t -> Netcore.Packet.t -> unit
 val pop : t -> Netcore.Packet.t option
-val peek : t -> Netcore.Packet.t option
-val occupancy_pkts : t -> int
 val occupancy_bytes : t -> int
 val high_watermark_bytes : t -> int
 val is_empty : t -> bool

@@ -122,7 +122,6 @@ let pop t =
     Some top.value
   end
 
-let peek t = if t.len = 0 then None else Some t.data.(0).value
 let length t = t.len
 let is_empty t = t.len = 0
 let evictions t = t.evictions

@@ -20,7 +20,6 @@ val push_evict : 'a t -> rank:int -> 'a -> [ `Accepted | `Rejected | `Evicted of
     release its resources. *)
 
 val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val evictions : 'a t -> int

@@ -64,9 +64,9 @@ let make_draw ~rng ?(flow_of_rank = flow_of_rank) spec =
       rank;
     }
 
-let stream ~rng ?flow_of_rank spec ~f =
+let stream ~rng spec ~f =
   if spec.num_flows <= 0 then invalid_arg "Flowgen.stream";
-  let draw = make_draw ~rng ?flow_of_rank spec in
+  let draw = make_draw ~rng spec in
   for _ = 1 to spec.num_flows do
     f (draw ())
   done
@@ -96,7 +96,7 @@ type source_stats = {
   mutable bytes_sent : int;
 }
 
-let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival_stop
+let install ~sched ~rng ?flow_of_rank ?arrival_stop
     ~rate_pps_per_flow ?(on_flow = fun _ -> ()) ?(on_flow_end = fun _ -> ()) spec ~send
     () =
   if rate_pps_per_flow <= 0. then
@@ -155,11 +155,10 @@ let install ~sched ~rng ?flow_of_rank ?(start = Eventsim.Sim_time.zero) ?arrival
   let rec next_arrival remaining =
     if remaining > 0 then begin
       let fd = draw () in
-      let at = start + fd.start in
       match arrival_stop with
-      | Some s when at >= s -> ()
+      | Some s when fd.start >= s -> ()
       | _ ->
-          Scheduler.post ~cls:"workload" sched ~at (fun () ->
+          Scheduler.post ~cls:"workload" sched ~at:fd.start (fun () ->
               begin_flow fd;
               next_arrival (remaining - 1))
     end

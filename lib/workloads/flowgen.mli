@@ -35,24 +35,15 @@ type spec = {
 
 val default_spec : spec
 
-val flow_of_rank : int -> Netcore.Flow.t
-(** The default rank -> five-tuple mapping (subnet 1 -> subnet 2,
-    distinct ports per rank). Override it in {!stream}/{!install} to
-    embed topology-aware sources and destinations. *)
-
 val generate : rng:Stats.Rng.t -> spec -> flow_desc list
 (** Flows ordered by start time. Materializes the whole population —
     implemented as {!stream} collected into a list, so the draws are
     bit-identical to the streaming forms for the same seed. *)
 
-val stream :
-  rng:Stats.Rng.t ->
-  ?flow_of_rank:(int -> Netcore.Flow.t) ->
-  spec ->
-  f:(flow_desc -> unit) ->
-  unit
+val stream : rng:Stats.Rng.t -> spec -> f:(flow_desc -> unit) -> unit
 (** Visit the population in start-time order without retaining it:
-    [f] sees each descriptor exactly once, then it is garbage. *)
+    [f] sees each descriptor exactly once, then it is garbage. Flows
+    take {!install}'s default rank -> five-tuple mapping. *)
 
 val true_packet_counts : flow_desc list -> (int, int) Hashtbl.t
 (** Key (packed flow hash) -> total packets; ground truth for sketch
@@ -73,7 +64,6 @@ val install :
   sched:Eventsim.Scheduler.t ->
   rng:Stats.Rng.t ->
   ?flow_of_rank:(int -> Netcore.Flow.t) ->
-  ?start:Eventsim.Sim_time.t ->
   ?arrival_stop:Eventsim.Sim_time.t ->
   rate_pps_per_flow:float ->
   ?on_flow:(flow_desc -> unit) ->
@@ -85,7 +75,11 @@ val install :
 (** Run the population live against a scheduler, streaming: flow [i+1]
     is drawn only when flow [i] arrives, and each live flow is one
     pending emission event emitting its packets [rate_pps_per_flow]
-    apart. Memory is O(live flows), never O([spec.num_flows]).
+    apart. Memory is O(live flows), never O([spec.num_flows]). Flow
+    arrivals are the drawn start times, counted from time 0.
+    [flow_of_rank] maps a popularity rank to its five-tuple; the
+    default sends rank [r] from subnet 1 to subnet 2 with source port
+    [1024 + r land 0xfff], so five-tuples stay distinct per rank.
 
     Each emission gap carries a deterministic picosecond-scale offset
     derived from the flow's drawn arrival time and the packet index,

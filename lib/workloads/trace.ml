@@ -26,8 +26,6 @@ let record t ~sched ~port pkt =
   | Some flow ->
       add t { at = Eventsim.Scheduler.now sched; port; flow; pkt_bytes = Packet.len pkt }
 
-let duration t = t.last
-
 let packet_of entry =
   let payload_len =
     max 0 (entry.pkt_bytes - Netcore.Ethernet.size - Netcore.Ipv4.size - Netcore.Udp.size)

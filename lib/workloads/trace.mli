@@ -30,8 +30,6 @@ val record : t -> sched:Eventsim.Scheduler.t -> port:int -> Netcore.Packet.t -> 
 val add : t -> entry -> unit
 (** Append an explicit entry (must not go back in time). *)
 
-val duration : t -> Eventsim.Sim_time.t
-
 val replay :
   t ->
   sched:Eventsim.Scheduler.t ->

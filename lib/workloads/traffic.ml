@@ -43,7 +43,7 @@ let cbr ~sched ~flow ~pkt_bytes ~rate_gbps ?(start = Sim_time.zero) ?stop ?jitte
   Scheduler.post ~cls:"workload" sched ~at:(max start (Scheduler.now sched)) step;
   t
 
-let poisson ~sched ~rng ~flow ~pkt_bytes ~rate_pps ?(start = Sim_time.zero) ?stop ~send () =
+let poisson ~sched ~rng ~flow ~pkt_bytes ~rate_pps ?stop ~send () =
   if rate_pps <= 0. then invalid_arg "Traffic.poisson: rate must be positive";
   let t = { sent = 0; sent_bytes = 0; stopped = false } in
   let rec step () =
@@ -54,7 +54,7 @@ let poisson ~sched ~rng ~flow ~pkt_bytes ~rate_pps ?(start = Sim_time.zero) ?sto
       Scheduler.post_after ~cls:"workload" sched ~delay:gap step
     end
   in
-  Scheduler.post ~cls:"workload" sched ~at:(max start (Scheduler.now sched)) step;
+  Scheduler.post ~cls:"workload" sched ~at:(Scheduler.now sched) step;
   t
 
 let on_off ~sched ~rng ~flow ~pkt_bytes ~burst_rate_gbps ~on_time ~off_time

@@ -38,11 +38,11 @@ val poisson :
   flow:Netcore.Flow.t ->
   pkt_bytes:int ->
   rate_pps:float ->
-  ?start:Eventsim.Sim_time.t ->
   ?stop:Eventsim.Sim_time.t ->
   send:(Netcore.Packet.t -> unit) ->
   unit ->
   t
+(** Poisson arrivals at [rate_pps], the first at the current time. *)
 
 val on_off :
   sched:Eventsim.Scheduler.t ->

@@ -215,6 +215,91 @@ let test_merger_event_drop_accounting () =
       Alcotest.(check int) "dropped" 6 n
   | other -> Alcotest.failf "unexpected drop list of length %d" (List.length other)
 
+(* Every field of a delivered event, so a decode that mixes up columns
+   or classes shows in the string. *)
+let describe ev =
+  let name = Event.cls_name (Event.cls_of ev) in
+  match ev with
+  | Event.Enqueue b | Event.Dequeue b | Event.Overflow b ->
+      Printf.sprintf "%s port=%d qid=%d len=%d flow=%d meta=%s occ=%d/%d t=%d" name
+        b.Event.port b.Event.qid b.Event.pkt_len b.Event.flow_id
+        (String.concat "," (List.map string_of_int (Array.to_list b.Event.meta)))
+        b.Event.occupancy_pkts b.Event.occupancy_bytes b.Event.time
+  | Event.Underflow u -> Printf.sprintf "%s port=%d qid=%d t=%d" name u.Event.port u.Event.qid u.Event.time
+  | Event.Transmitted x ->
+      Printf.sprintf "%s port=%d len=%d flow=%d t=%d" name x.Event.port x.Event.pkt_len
+        x.Event.flow_id x.Event.time
+  | Event.Timer x ->
+      Printf.sprintf "%s id=%d period=%d sched=%d fired=%d count=%d" name x.Event.id x.Event.period
+        x.Event.scheduled x.Event.fired x.Event.count
+  | Event.Link_change l -> Printf.sprintf "%s port=%d up=%b t=%d" name l.Event.port l.Event.up l.Event.time
+  | Event.Control c -> Printf.sprintf "%s op=%d arg=%d t=%d" name c.Event.opcode c.Event.arg c.Event.time
+  | Event.User u -> Printf.sprintf "%s tag=%d data=%d t=%d" name u.Event.tag u.Event.data u.Event.time
+
+let test_merger_first_push_every_class () =
+  (* The event store builds a class's ring at its first accepted push.
+     One event of each of the nine metadata classes, offered to a fresh
+     merger through every entry point, must be admitted in priority
+     order with its fields intact. *)
+  let sched = Scheduler.create () in
+  let pipeline = Pipeline.create ~sched () in
+  let seen = ref [] in
+  let merger =
+    Event_merger.create ~sched ~pipeline
+      ~process:(fun c ~exit_time:_ ->
+        for i = 0 to c.Event_merger.n_events - 1 do
+          seen := describe c.Event_merger.events.(i) :: !seen
+        done)
+      ()
+  in
+  let buffer cls =
+    let i = Event.cls_index cls in
+    { Event.port = i; qid = i + 1; pkt_len = 64 + i; flow_id = 100 + i;
+      meta = [| i; i + 2; i + 3; i + 4 |]; occupancy_pkts = 10 + i; occupancy_bytes = 640 + i;
+      time = 1000 + i }
+  in
+  let events =
+    [
+      Event.Transmitted { Event.port = 4; pkt_len = 1500; flow_id = 44; time = 1004 };
+      Event.Enqueue (buffer Event.Buffer_enqueue);
+      Event.Dequeue (buffer Event.Buffer_dequeue);
+      Event.Overflow (buffer Event.Buffer_overflow);
+      Event.Underflow { Event.port = 8; qid = 3; time = 1008 };
+      Event.Timer { Event.id = 9; period = 90; scheduled = 900; fired = 901; count = 2 };
+      Event.Control { Event.opcode = 10; arg = 100; time = 1010 };
+      Event.Link_change { Event.port = 11; up = true; time = 1011 };
+      Event.User { Event.tag = 12; data = 120; time = 1012 };
+    ]
+  in
+  let expected =
+    List.map
+      (fun cls -> describe (List.find (fun ev -> Event.cls_equal (Event.cls_of ev) cls) events))
+      Event_merger.default_config.Event_merger.priority
+  in
+  Alcotest.(check int) "nine metadata classes" 9 (List.length expected);
+  List.iter
+    (fun ev ->
+      let accepted =
+        match ev with
+        | Event.Enqueue b | Event.Dequeue b | Event.Overflow b ->
+            Event_merger.offer_buffer merger ~cls_ix:(Event.cls_ix_of ev) ~port:b.Event.port
+              ~qid:b.Event.qid ~pkt_len:b.Event.pkt_len ~flow_id:b.Event.flow_id
+              ~meta:b.Event.meta ~occupancy_pkts:b.Event.occupancy_pkts
+              ~occupancy_bytes:b.Event.occupancy_bytes ~time:b.Event.time
+        | Event.Underflow u ->
+            Event_merger.offer_underflow merger ~port:u.Event.port ~qid:u.Event.qid
+              ~time:u.Event.time
+        | Event.Transmitted x ->
+            Event_merger.offer_transmitted merger ~port:x.Event.port ~pkt_len:x.Event.pkt_len
+              ~flow_id:x.Event.flow_id ~time:x.Event.time
+        | Event.Timer _ | Event.Link_change _ | Event.Control _ | Event.User _ ->
+            Event_merger.offer_event merger ev
+      in
+      Alcotest.(check bool) ("accepted " ^ describe ev) true accepted)
+    events;
+  Scheduler.run sched;
+  Alcotest.(check (list string)) "admitted in priority order, intact" expected (List.rev !seen)
+
 (* --- Shared registers --- *)
 
 let shared_fixture mode =
@@ -342,6 +427,8 @@ let suite =
     Alcotest.test_case "merger one event/class/carrier" `Quick
       test_merger_one_event_per_class_per_carrier;
     Alcotest.test_case "merger drop accounting" `Quick test_merger_event_drop_accounting;
+    Alcotest.test_case "merger first push of every class" `Quick
+      test_merger_first_push_every_class;
     Alcotest.test_case "multiport immediate" `Quick test_multiport_immediate;
     Alcotest.test_case "aggregated coalesce+drain" `Quick test_aggregated_coalesce_and_drain;
     Alcotest.test_case "aggregated conservation" `Quick test_aggregated_conservation;

@@ -149,7 +149,7 @@ let mk_packet ~ingress_port ~version =
   pkt
 
 let test_agent_stamping () =
-  let a = Agent.create ~switch:0 ~keys:4 ~edge_port:(fun p -> p = 0) () in
+  let a = Agent.create ~keys:4 ~edge_port:(fun p -> p = 0) () in
   Table.install (Agent.table a) ~version:5 [ { Policy.key = 3; port = 1 } ];
   Table.install (Agent.table a) ~version:6 [ { Policy.key = 3; port = 2 } ];
   Agent.set_ingress_version a 5;
@@ -169,7 +169,7 @@ let test_agent_stamping () =
   check int "forwarded" 2 (Agent.forwarded a)
 
 let test_agent_mixed_and_unroutable () =
-  let a = Agent.create ~switch:0 ~keys:4 ~edge_port:(fun p -> p = 0) () in
+  let a = Agent.create ~keys:4 ~edge_port:(fun p -> p = 0) () in
   Table.install (Agent.table a) ~version:6 [ { Policy.key = 3; port = 2 } ];
   Agent.set_ingress_version a 6;
   (* A packet stamped v5 arrives but v5 was already GC'd here: the
@@ -367,8 +367,7 @@ let test_commit_books_balance_under_noise () =
 (* --- Controller ----------------------------------------------------- *)
 
 let ring_agents () =
-  Array.init n (fun sw ->
-      Some (Agent.create ~switch:sw ~keys:n ~edge_port:(fun p -> p = 0) ()))
+  Array.init n (fun _ -> Some (Agent.create ~keys:n ~edge_port:(fun p -> p = 0) ()))
 
 let mk_controller ?lost ~sched () =
   let agents = ring_agents () in

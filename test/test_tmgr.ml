@@ -97,7 +97,10 @@ let test_pifo_releases_payloads () =
     ignore (Pifo.pop p)
   done;
   Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0)
+  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0);
+  (* Using the PIFO after the collection keeps it reachable through it;
+     a dead PIFO would be collected with its slots and hide a pin. *)
+  Alcotest.(check int) "pifo empty" 0 (Pifo.length p)
 
 let test_pifo_grow_no_pin () =
   (* The single-element case: push one entry (grow fills 16 slots), pop
@@ -109,7 +112,8 @@ let test_pifo_grow_no_pin () =
   ignore (Pifo.push p ~rank:1 payload);
   ignore (Pifo.pop p);
   Gc.full_major ();
-  Alcotest.(check bool) "grow spare slots hold no payload" false (Weak.check weak 0)
+  Alcotest.(check bool) "grow spare slots hold no payload" false (Weak.check weak 0);
+  Alcotest.(check bool) "pifo empty" true (Pifo.is_empty p)
 
 let tm_fixture ?(config = Traffic_manager.default_config) () =
   let sched = Scheduler.create () in
