@@ -44,7 +44,7 @@ let submit t f =
   t.next_free <- exec_at + t.min_gap;
   t.pending <- t.pending + 1;
   if t.pending > t.queue_depth_hwm then t.queue_depth_hwm <- t.pending;
-  Scheduler.post ~cls:"control" t.sched ~at:exec_at (fun () ->
+  Scheduler.post ~cls:Scheduler.Control t.sched ~at:exec_at (fun () ->
       t.pending <- t.pending - 1;
       match t.guard with
       | None ->
@@ -58,11 +58,12 @@ let submit t f =
           if Resil.Supervisor.protect s key f then t.ops <- t.ops + 1
           else t.dropped_ops <- t.dropped_ops + 1)
 
-let periodic t ~period f = Scheduler.every ~cls:"control" t.sched ~period (fun () -> submit t f)
+let periodic t ~period f =
+  Scheduler.every ~cls:Scheduler.Control t.sched ~period (fun () -> submit t f)
 
 let notify t f =
   t.notifications <- t.notifications + 1;
-  Scheduler.post_after ~cls:"control" t.sched ~delay:t.latency f
+  Scheduler.post_after ~cls:Scheduler.Control t.sched ~delay:t.latency f
 
 let ops t = t.ops
 let dropped_ops t = t.dropped_ops

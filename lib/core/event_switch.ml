@@ -266,7 +266,7 @@ let process_carrier t (carrier : Event_merger.carrier) ~exit_time =
          Decisions are applied FIFO: exit times are monotone, and the
          scheduler fires same-time posts in seq order. *)
       push_decision t pkt t.pending_decision;
-      Scheduler.post ~cls:"switch.decision" t.sched ~at:exit_time t.decision_cb
+      Scheduler.post ~cls:Scheduler.Switch_decision t.sched ~at:exit_time t.decision_cb
     end
     else
       (* Handler quarantined or crashed: the packet has no decision

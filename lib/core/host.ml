@@ -1,7 +1,6 @@
 module Packet = Netcore.Packet
 
 type t = {
-  sched : Eventsim.Scheduler.t;
   id : int;
   mutable tx : (Packet.t -> unit) option;
   mutable receiver : (t -> Packet.t -> unit) option;
@@ -10,8 +9,8 @@ type t = {
   mutable received_bytes : int;
 }
 
-let create ~sched ~id () =
-  { sched; id; tx = None; receiver = None; sent = 0; received = 0; received_bytes = 0 }
+let create ~id () =
+  { id; tx = None; receiver = None; sent = 0; received = 0; received_bytes = 0 }
 
 let set_receiver t f = t.receiver <- Some f
 let set_tx t f = t.tx <- Some f

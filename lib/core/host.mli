@@ -4,7 +4,7 @@
 
 type t
 
-val create : sched:Eventsim.Scheduler.t -> id:int -> unit -> t
+val create : id:int -> unit -> t
 val set_receiver : t -> (t -> Netcore.Packet.t -> unit) -> unit
 val set_tx : t -> (Netcore.Packet.t -> unit) -> unit
 (** Wired by [Parsim.run] to the host's {!Topology} link. *)

@@ -192,7 +192,11 @@ let fat_tree ~k () =
 let fat_tree_route ~k ~sw ~dst_host =
   let half = ft_half k in
   let cores = ft_cores k in
-  let dpod, de, dm = ft_host_loc ~k dst_host in
+  (* [ft_host_loc] spelled out: its tuple would be one allocation per
+     routed packet. *)
+  let per_pod = half * half in
+  let dpod = dst_host / per_pod in
+  let de = dst_host mod per_pod / half and dm = dst_host mod half in
   if dst_host < 0 || dpod >= k then
     invalid_arg (Printf.sprintf "Topology.fat_tree_route: host %d" dst_host);
   if sw < cores then

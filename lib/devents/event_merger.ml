@@ -116,7 +116,7 @@ let rec arm t =
   if (not t.admission_armed) && has_work t then begin
     t.admission_armed <- true;
     let at = Pipeline.earliest_admission t.pipeline in
-    Scheduler.post ~cls:"merger.admit" t.sched ~at t.admit_cb
+    Scheduler.post ~cls:Scheduler.Merger_admit t.sched ~at t.admit_cb
   end
 
 and admit t =

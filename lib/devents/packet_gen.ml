@@ -31,7 +31,7 @@ let configure t ~period ?count ~template () =
   t.template <- Some template;
   t.emitted_this_config <- 0;
   let handle =
-    Scheduler.every ~cls:"pktgen" t.sched ~period (fun () ->
+    Scheduler.every ~cls:Scheduler.Pktgen t.sched ~period (fun () ->
         match t.template with
         | None -> ()
         | Some template ->

@@ -55,23 +55,23 @@ let add_periodic t ~period =
   timer.scheduled <- Scheduler.now t.sched + period;
   (* One closure for the timer's whole life: it re-posts itself with the
      advanced nominal instant instead of allocating a fresh closure per
-     firing. Posts are fire-and-forget, so the scheduler recycles the
-     cell too — a steady periodic timer allocates nothing per tick. *)
+     firing. A post queues the closure itself in a recycled ladder
+     node, so a steady periodic timer allocates nothing per tick. *)
   timer.cb <-
     (fun () ->
       if not timer.cancelled then begin
         fire t timer ~scheduled:timer.scheduled;
         timer.scheduled <- timer.scheduled + timer.period;
-        Scheduler.post ~cls:"timer" t.sched ~at:(quantise t timer.scheduled) timer.cb
+        Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t timer.scheduled) timer.cb
       end);
-  Scheduler.post ~cls:"timer" t.sched ~at:(quantise t timer.scheduled) timer.cb;
+  Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t timer.scheduled) timer.cb;
   timer.id
 
 let add_oneshot t ~delay =
   if delay < 0 then invalid_arg "Timer_unit.add_oneshot: negative delay";
   let timer = fresh t ~period:0 in
   let scheduled = Scheduler.now t.sched + delay in
-  Scheduler.post ~cls:"timer" t.sched ~at:(quantise t scheduled) (fun () ->
+  Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t scheduled) (fun () ->
       fire t timer ~scheduled;
       Hashtbl.remove t.timers timer.id);
   timer.id

@@ -30,6 +30,7 @@
 type 'a node = {
   mutable time : int;
   mutable seq : int;
+  mutable tag : int; (* caller's small int, returned with the payload *)
   mutable payload : 'a;
   mutable next : 'a node;
 }
@@ -39,7 +40,7 @@ type 'a node = {
    every ['a] and the cast is safe. Its fields are never mutated: append/release always check
    for it first. *)
 let nil_node : Obj.t node =
-  let rec n = { time = min_int; seq = 0; payload = Obj.repr (); next = n } in
+  let rec n = { time = min_int; seq = 0; tag = 0; payload = Obj.repr (); next = n } in
   n
 
 let nil () : 'a node = Obj.magic nil_node
@@ -100,16 +101,17 @@ let position t = t.pos
 
 (* {2 Node pool} *)
 
-let alloc_node t ~time payload =
+let alloc_node t ~time ~tag payload =
   let s = t.seq in
   t.seq <- s + 1;
   let n = t.free in
-  if is_nil n then { time; seq = s; payload; next = nil () }
+  if is_nil n then { time; seq = s; tag; payload; next = nil () }
   else begin
     t.free <- n.next;
     n.next <- nil ();
     n.time <- time;
     n.seq <- s;
+    n.tag <- tag;
     n.payload <- payload;
     n
   end
@@ -290,12 +292,12 @@ let spawn_rung_from_bottom t =
 
 (* {2 Insertion} *)
 
-let push t ~time payload =
+let push t ~time ~tag payload =
   if time < t.pos then
     invalid_arg
       (Printf.sprintf "Ladder_queue.push: time=%d is before ladder position %d"
          time t.pos);
-  let n = alloc_node t ~time payload in
+  let n = alloc_node t ~time ~tag payload in
   t.len <- t.len + 1;
   if t.len = 1 then begin
     (* Structure was empty: drop any exhausted rung frames (moving
@@ -398,6 +400,11 @@ let next_time t =
   ensure_bottom t;
   if t.bot_count = 0 then -1 else t.bottom.time
 
+let next_tag t =
+  ensure_bottom t;
+  if t.bot_count = 0 then invalid_arg "Ladder_queue.next_tag: empty queue";
+  t.bottom.tag
+
 let take t =
   ensure_bottom t;
   if t.bot_count = 0 then invalid_arg "Ladder_queue.take: empty queue";
@@ -439,9 +446,9 @@ let drain_upto t ~limit f =
         t.bot_count <- t.bot_count - 1;
         t.len <- t.len - 1;
         t.pos <- time;
-        let payload = n.payload in
+        let tag = n.tag and payload = n.payload in
         release_node t n;
-        f ~time payload
+        f ~time ~tag payload
       end
     end
   done

@@ -21,8 +21,11 @@ type 'a t
 
 val create : unit -> 'a t
 
-val push : 'a t -> time:int -> 'a -> unit
-(** Queue [payload] at [time].
+val push : 'a t -> time:int -> tag:int -> 'a -> unit
+(** Queue [payload] at [time]. The node keeps [tag] beside it and hands
+    it back with the payload ({!drain_upto}, {!next_tag}), so a caller
+    can attach a small int (the scheduler's event class) without a
+    record of its own.
 
     @raise Invalid_argument if [time] is before {!position} (the ladder
     cannot travel backwards). *)
@@ -39,11 +42,15 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event as [(time, payload)],
     advancing the ladder position to [time]. *)
 
+val next_tag : 'a t -> int
+(** The earliest event's tag. Raises [Invalid_argument] when empty;
+    read it between {!next_time} and {!take}. *)
+
 val take : 'a t -> 'a
 (** Remove and return the earliest payload alone — allocation-free.
     Raises [Invalid_argument] when empty; pair with {!next_time}. *)
 
-val drain_upto : 'a t -> limit:int -> (time:int -> 'a -> unit) -> unit
+val drain_upto : 'a t -> limit:int -> (time:int -> tag:int -> 'a -> unit) -> unit
 (** Fire every event with [time <= limit] through [f], in order,
     including events that [f] itself pushes at already-reached times
     (they sort into the bottom list behind their same-time

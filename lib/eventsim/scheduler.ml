@@ -1,30 +1,65 @@
-type cell = {
-  mutable cancelled : bool;
-  mutable callback : unit -> unit;
-  mutable queued : bool;
-  mutable cls : string;
-  live : int ref; (* the owning scheduler's live-event count *)
-  pooled : bool; (* fire-and-forget cell, recycled after firing *)
-  mutable free_next : cell; (* free-list link, meaningful while recycled *)
-}
+type cls =
+  | Callback
+  | Periodic
+  | Workload
+  | Link
+  | Xlink
+  | Merger_admit
+  | Switch_decision
+  | Tm_tx
+  | Timer
+  | Pktgen
+  | Control
+  | Fault
+  | Netupd
+  | Efsm_sweep
+  | Resil_backoff
+  | Resil_invariant
 
-type handle = cell
+(* The ladder tag of a [post]ed event. Each constructor maps to its
+   declaration rank, so the match compiles to the identity. *)
+let cls_index = function
+  | Callback -> 0
+  | Periodic -> 1
+  | Workload -> 2
+  | Link -> 3
+  | Xlink -> 4
+  | Merger_admit -> 5
+  | Switch_decision -> 6
+  | Tm_tx -> 7
+  | Timer -> 8
+  | Pktgen -> 9
+  | Control -> 10
+  | Fault -> 11
+  | Netupd -> 12
+  | Efsm_sweep -> 13
+  | Resil_backoff -> 14
+  | Resil_invariant -> 15
 
-let noop () = ()
+(* The [class] label of each index's [scheduler.callbacks] series. *)
+let cls_names =
+  [|
+    "callback";
+    "periodic";
+    "workload";
+    "link";
+    "xlink";
+    "merger.admit";
+    "switch.decision";
+    "tm.tx";
+    "timer";
+    "pktgen";
+    "control";
+    "fault";
+    "netupd";
+    "pisa.efsm.sweep";
+    "resil.backoff";
+    "resil.invariant";
+  |]
 
-(* Free-list terminator. [cell] is monomorphic, so a plain shared record
-   works; its fields are never mutated (alloc/release test identity
-   first). *)
-let rec nil_cell =
-  {
-    cancelled = true;
-    callback = noop;
-    queued = false;
-    cls = "";
-    live = ref 0;
-    pooled = false;
-    free_next = nil_cell;
-  }
+(* Tag of a [schedule]/[every] wrapper: it counts itself, and only
+   when it finds its handle live. *)
+let self_counted = -1
 
 type prof = {
   reg : Obs.Metrics.t;
@@ -34,166 +69,118 @@ type prof = {
   wall : bool;
   depth : Obs.Metrics.Gauge.t;
   wall_per_sim : Obs.Metrics.Summary.t;
-  by_cls : (string, Obs.Metrics.Counter.t) Hashtbl.t;
+  by_cls : Obs.Metrics.Counter.t option array;
+      (* by [cls_index]; a class's series is registered at its first
+         executed event *)
 }
 
 type t = {
-  queue : cell Ladder_queue.t;
+  queue : (unit -> unit) Ladder_queue.t;
   mutable clock : Sim_time.t;
   mutable executed : int;
-  live : int ref;
+  mutable live : int;
   mutable depth_hwm : int;
-  mutable free : cell; (* pool of recycled fire-and-forget cells *)
   mutable prof : prof option;
-  mutable dispatch_cb : time:int -> cell -> unit;
-      (* persistent drain callback (advance clock, fire): [run] and
-         [drain_until_horizon] would otherwise rebuild this closure on
-         every call *)
+  mutable dispatch_cb : time:int -> tag:int -> (unit -> unit) -> unit;
+      (* persistent drain callback (advance clock, count, fire): [run]
+         and [drain_until_horizon] would otherwise rebuild this closure
+         on every call *)
+}
+
+type handle = {
+  owner : t;
+  mutable queued : bool; (* its wrapper sits in the queue *)
+  mutable cancelled : bool;
 }
 
 let now t = t.clock
 
-(* {2 Cell pool}
-
-   Only [post]/[post_after] cells are pooled: they expose no handle, so
-   no stale [cancel] can reach a recycled cell. [schedule]/[every] cells
-   escape to the caller and are left to the GC. Recycled cells drop
-   their callback and class so a parked cell never pins a closure (and
-   transitively a packet) across the pool. *)
-
-let alloc_cell t ~cls f =
-  let c = t.free in
-  if c == nil_cell then
-    {
-      cancelled = false;
-      callback = f;
-      queued = false;
-      cls;
-      live = t.live;
-      pooled = true;
-      free_next = nil_cell;
-    }
-  else begin
-    t.free <- c.free_next;
-    c.free_next <- nil_cell;
-    c.cancelled <- false;
-    c.callback <- f;
-    c.cls <- cls;
-    c
-  end
-
-let release_cell t c =
-  c.callback <- noop;
-  c.cls <- "";
-  c.free_next <- t.free;
-  t.free <- c
-
-let enqueue_cell t ~time cell =
-  cell.queued <- true;
-  incr t.live;
-  if !(t.live) > t.depth_hwm then t.depth_hwm <- !(t.live);
-  Ladder_queue.push t.queue ~time cell;
+let enqueue t ~time ~tag f =
+  t.live <- t.live + 1;
+  if t.live > t.depth_hwm then t.depth_hwm <- t.live;
+  Ladder_queue.push t.queue ~time ~tag f;
   match t.prof with
-  | Some p when !(p.enabled) -> Obs.Metrics.Gauge.set p.depth !(t.live)
+  | Some p when !(p.enabled) -> Obs.Metrics.Gauge.set p.depth t.live
   | Some _ | None -> ()
 
-let schedule ?(cls = "callback") t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Scheduler.schedule: at=%d is before now=%d" at t.clock);
-  let cell =
-    {
-      cancelled = false;
-      callback = f;
-      queued = false;
-      cls;
-      live = t.live;
-      pooled = false;
-      free_next = nil_cell;
-    }
-  in
-  enqueue_cell t ~time:at cell;
-  cell
+(* One executed event of class index [ix]. *)
+let count t ix =
+  t.live <- t.live - 1;
+  t.executed <- t.executed + 1;
+  match t.prof with
+  | Some p when !(p.enabled) -> (
+      match Array.unsafe_get p.by_cls ix with
+      | Some c -> Obs.Metrics.Counter.incr c
+      | None ->
+          let c =
+            Obs.Metrics.counter p.reg
+              ~labels:(("class", cls_names.(ix)) :: p.labels)
+              "scheduler.callbacks"
+          in
+          p.by_cls.(ix) <- Some c;
+          Obs.Metrics.Counter.incr c)
+  | Some _ | None -> ()
 
-let schedule_after ?cls t ~delay f =
-  if delay < 0 then invalid_arg "Scheduler.schedule_after: negative delay";
-  schedule ?cls t ~at:(t.clock + delay) f
-
-let post ?(cls = "callback") t ~at f =
+let post ?(cls = Callback) t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Scheduler.post: at=%d is before now=%d" at t.clock);
-  enqueue_cell t ~time:at (alloc_cell t ~cls f)
+  enqueue t ~time:at ~tag:(cls_index cls) f
 
 let post_after ?cls t ~delay f =
   if delay < 0 then invalid_arg "Scheduler.post_after: negative delay";
   post ?cls t ~at:(t.clock + delay) f
 
-let cancel cell =
-  if not cell.cancelled then begin
-    cell.cancelled <- true;
-    if cell.queued then decr cell.live
+let schedule ?(cls = Callback) t ~at f =
+  if at < t.clock then
+    invalid_arg
+      (Printf.sprintf "Scheduler.schedule: at=%d is before now=%d" at t.clock);
+  let h = { owner = t; queued = true; cancelled = false } in
+  let ix = cls_index cls in
+  enqueue t ~time:at ~tag:self_counted (fun () ->
+      if not h.cancelled then begin
+        h.queued <- false;
+        count t ix;
+        f ()
+      end);
+  h
+
+let schedule_after ?cls t ~delay f =
+  if delay < 0 then invalid_arg "Scheduler.schedule_after: negative delay";
+  schedule ?cls t ~at:(t.clock + delay) f
+
+let cancel h =
+  if not h.cancelled then begin
+    h.cancelled <- true;
+    if h.queued then h.owner.live <- h.owner.live - 1
   end
 
-let every ?(cls = "periodic") t ?start ~period f =
+let every ?(cls = Periodic) t ?start ~period f =
   if period <= 0 then invalid_arg "Scheduler.every: period must be positive";
   let first = match start with Some s -> s | None -> t.clock + period in
   if first < t.clock then
     invalid_arg
       (Printf.sprintf "Scheduler.every: start=%d is before now=%d" first t.clock);
-  let cell =
-    {
-      cancelled = false;
-      callback = noop;
-      queued = false;
-      cls;
-      live = t.live;
-      pooled = false;
-      free_next = nil_cell;
-    }
-  in
+  let h = { owner = t; queued = true; cancelled = false } in
+  let ix = cls_index cls in
   let rec fire () =
-    if not cell.cancelled then begin
+    if not h.cancelled then begin
+      h.queued <- false;
+      count t ix;
       f ();
-      if not cell.cancelled then begin
-        cell.callback <- fire;
-        enqueue_cell t ~time:(t.clock + period) cell
+      if not h.cancelled then begin
+        h.queued <- true;
+        enqueue t ~time:(t.clock + period) ~tag:self_counted fire
       end
     end
   in
-  cell.callback <- fire;
-  enqueue_cell t ~time:first cell;
-  cell
+  enqueue t ~time:first ~tag:self_counted fire;
+  h
 
-let cls_counter p cls =
-  match Hashtbl.find_opt p.by_cls cls with
-  | Some c -> c
-  | None ->
-      let c =
-        Obs.Metrics.counter p.reg ~labels:(("class", cls) :: p.labels) "scheduler.callbacks"
-      in
-      Hashtbl.add p.by_cls cls c;
-      c
-
-(* Execute one popped cell. Pooled cells are released back to the pool
-   before their callback runs, so a [post] made inside the callback can
-   reuse the very same cell. *)
-let fire t cell =
-  cell.queued <- false;
-  if not cell.cancelled then begin
-    decr t.live;
-    t.executed <- t.executed + 1;
-    (match t.prof with
-    | Some p when !(p.enabled) -> Obs.Metrics.Counter.incr (cls_counter p cell.cls)
-    | Some _ | None -> ());
-    if cell.pooled then begin
-      let f = cell.callback in
-      release_cell t cell;
-      f ()
-    end
-    else cell.callback ()
-  end
-  else if cell.pooled then release_cell t cell
+let dispatch t ~time ~tag f =
+  if time > t.clock then t.clock <- time;
+  if tag <> self_counted then count t tag;
+  f ()
 
 let create () =
   let t =
@@ -201,35 +188,32 @@ let create () =
       queue = Ladder_queue.create ();
       clock = 0;
       executed = 0;
-      live = ref 0;
+      live = 0;
       depth_hwm = 0;
-      free = nil_cell;
       prof = None;
-      dispatch_cb = (fun ~time:_ _ -> ());
+      dispatch_cb = (fun ~time:_ ~tag:_ _ -> ());
     }
   in
-  t.dispatch_cb <-
-    (fun ~time cell ->
-      if time > t.clock then t.clock <- time;
-      fire t cell);
+  t.dispatch_cb <- dispatch t;
   t
 
-(* Allocation-free single step: peek the next time as a bare int, then
-   take the payload alone — no [Some (time, cell)] tuple per event. *)
+(* Allocation-free single step: peek the next time and tag as bare
+   ints, then take the closure alone — no [Some (time, f)] tuple per
+   event. *)
 let step t =
   let time = Ladder_queue.next_time t.queue in
   if time < 0 then false
   else begin
-    let cell = Ladder_queue.take t.queue in
-    if time > t.clock then t.clock <- time;
-    fire t cell;
+    let tag = Ladder_queue.next_tag t.queue in
+    dispatch t ~time ~tag (Ladder_queue.take t.queue);
     true
   end
 
 (* Earliest queued timestamp as a bare int, negative when the queue is
-   empty. A cancelled cell still parks at its timestamp until popped, so
-   the value is a conservative lower bound on the next live event — safe
-   for horizon computations, which only ever need "no event before t". *)
+   empty. A cancelled event still parks at its timestamp until popped,
+   so the value is a conservative lower bound on the next live event —
+   safe for horizon computations, which only ever need "no event before
+   t". *)
 let next_time t = Ladder_queue.next_time t.queue
 
 let run ?until t =
@@ -261,7 +245,7 @@ let drain_until_horizon t ~horizon =
   Ladder_queue.drain_upto t.queue ~limit t.dispatch_cb;
   if horizon > t.clock then t.clock <- horizon
 
-let pending t = !(t.live)
+let pending t = t.live
 let executed t = t.executed
 let queue_depth_hwm t = t.depth_hwm
 
@@ -276,13 +260,13 @@ let set_metrics ?(labels = []) ?(wall = true) t reg =
         wall;
         depth = Obs.Metrics.gauge reg ~labels "scheduler.queue_depth";
         wall_per_sim = Obs.Metrics.summary reg ~labels "scheduler.wall_s_per_sim_s";
-        by_cls = Hashtbl.create 16;
+        by_cls = Array.make (Array.length cls_names) None;
       }
 
 let export_metrics ?(labels = []) t reg =
   if Obs.Metrics.is_enabled reg then begin
     Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "scheduler.executed") t.executed;
-    Obs.Metrics.Gauge.set (Obs.Metrics.gauge reg ~labels "scheduler.pending") !(t.live);
+    Obs.Metrics.Gauge.set (Obs.Metrics.gauge reg ~labels "scheduler.pending") t.live;
     Obs.Metrics.Gauge.set
       (Obs.Metrics.gauge reg ~labels "scheduler.queue_depth_hwm")
       t.depth_hwm

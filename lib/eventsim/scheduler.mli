@@ -4,12 +4,41 @@
     schedule order. A callback may schedule further work, including at
     the current instant.
 
-    Scheduling calls accept an optional callback class [?cls] (e.g.
-    ["tm.tx"], ["timer"], ["workload"]), used only by the profiling
-    hooks: with {!set_metrics} installed, per-class execution counts,
+    A queued event is one {!Ladder_queue} node and nothing else: the
+    node holds the callback and the event's class as an int tag, in the
+    way the paper's Event Switch (§5) moves an event as one fixed
+    metadata record with an integer class. {!post} queues the caller's
+    closure itself, so a warm post/step cycle allocates nothing.
+    {!schedule} and {!every} also return a small {!handle} and queue a
+    wrapper that fires and counts only while its handle is live.
+
+    Every scheduling call takes a class [?cls] from the closed {!cls}
+    type, used only by the profiling hooks: with {!set_metrics}
+    installed, per-class execution counts (an array index per event),
     the queue-depth high-water mark and wall-time per simulated second
     are recorded into an {!Obs.Metrics} registry. Without it (or with
     the registry disabled) the hooks cost one branch per event. *)
+
+(** Event classes. Each is counted as the [class] label shown beside
+    it, on the [scheduler.callbacks] series that appears at the class's
+    first executed event. *)
+type cls =
+  | Callback  (** ["callback"]: the default of {!post} and {!schedule} *)
+  | Periodic  (** ["periodic"]: the default of {!every} *)
+  | Workload  (** ["workload"]: traffic sources *)
+  | Link  (** ["link"]: link arrivals and status notifications *)
+  | Xlink  (** ["xlink"]: cross-shard arrivals *)
+  | Merger_admit  (** ["merger.admit"] *)
+  | Switch_decision  (** ["switch.decision"] *)
+  | Tm_tx  (** ["tm.tx"]: transmission completions *)
+  | Timer  (** ["timer"] *)
+  | Pktgen  (** ["pktgen"] *)
+  | Control  (** ["control"] *)
+  | Fault  (** ["fault"] *)
+  | Netupd  (** ["netupd"] *)
+  | Efsm_sweep  (** ["pisa.efsm.sweep"] *)
+  | Resil_backoff  (** ["resil.backoff"] *)
+  | Resil_invariant  (** ["resil.invariant"] *)
 
 type t
 type handle
@@ -19,20 +48,19 @@ val create : unit -> t
 
 val now : t -> Sim_time.t
 
-val schedule : ?cls:string -> t -> at:Sim_time.t -> (unit -> unit) -> handle
+val schedule : ?cls:cls -> t -> at:Sim_time.t -> (unit -> unit) -> handle
 (** Scheduling in the past raises [Invalid_argument]. [cls] defaults to
-    ["callback"]. *)
+    {!Callback}. *)
 
-val schedule_after : ?cls:string -> t -> delay:Sim_time.t -> (unit -> unit) -> handle
+val schedule_after : ?cls:cls -> t -> delay:Sim_time.t -> (unit -> unit) -> handle
 
-val post : ?cls:string -> t -> at:Sim_time.t -> (unit -> unit) -> unit
+val post : ?cls:cls -> t -> at:Sim_time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no handle, so the event cannot be
-    cancelled — which lets the scheduler recycle its internal cell
-    through a free list instead of allocating one per event. Use it on
-    hot paths that never cancel. Past times raise [Invalid_argument]
+    cancelled, and the queue holds [f] itself with no wrapper. Use it
+    on hot paths that never cancel. Past times raise [Invalid_argument]
     like {!schedule}. *)
 
-val post_after : ?cls:string -> t -> delay:Sim_time.t -> (unit -> unit) -> unit
+val post_after : ?cls:cls -> t -> delay:Sim_time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_after}; see {!post}. *)
 
 val cancel : handle -> unit
@@ -41,9 +69,9 @@ val cancel : handle -> unit
     events leave {!pending} immediately (they still occupy a queue slot
     until their time comes, but are never executed). *)
 
-val every : ?cls:string -> t -> ?start:Sim_time.t -> period:Sim_time.t -> (unit -> unit) -> handle
+val every : ?cls:cls -> t -> ?start:Sim_time.t -> period:Sim_time.t -> (unit -> unit) -> handle
 (** Fire at [start] (default: now + period) and then every [period]
-    until cancelled. [cls] defaults to ["periodic"]. A [start] in the
+    until cancelled. [cls] defaults to {!Periodic}. A [start] in the
     past raises [Invalid_argument], exactly like {!schedule}. *)
 
 val run : ?until:Sim_time.t -> t -> unit
@@ -64,8 +92,8 @@ val drain_until_horizon : t -> horizon:Sim_time.t -> unit
     [Invalid_argument]. *)
 
 val next_time : t -> Sim_time.t
-(** Timestamp of the earliest queued cell, or a negative value when the
-    queue is empty. The earliest cell may be a cancelled event (it parks
+(** Timestamp of the earliest queued event, or a negative value when
+    the queue is empty. The earliest event may be a cancelled one (it parks
     at its slot until popped), so treat the result as a {e conservative
     lower bound} on the next live event — exactly what adaptive-horizon
     computations need. After {!drain_until_horizon} the result is never

@@ -206,7 +206,8 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
   (* The storm. *)
   List.iteri
     (fun i at ->
-      Scheduler.post ~cls:"netupd" sched ~at (fun () -> Controller.propose ctrl (storm_policy i)))
+      Scheduler.post ~cls:Scheduler.Netupd sched ~at (fun () ->
+          Controller.propose ctrl (storm_policy i)))
     storm_times;
   (match leg with
   | Clean -> ()
@@ -232,11 +233,11 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
          jitter mean every replica knows the event times exactly. *)
       List.iter
         (fun fl ->
-          Scheduler.post ~cls:"netupd" sched ~at:(fl.fl_at + detect_delay) (fun () ->
+          Scheduler.post ~cls:Scheduler.Netupd sched ~at:(fl.fl_at + detect_delay) (fun () ->
               Controller.propose ctrl
                 (Policy.ring_avoiding ~switches ~link:fl.fl_link
                    ~name:(Printf.sprintf "avoid-l%d" fl.fl_link) ()));
-          Scheduler.post ~cls:"netupd" sched
+          Scheduler.post ~cls:Scheduler.Netupd sched
             ~at:(fl.fl_at + fl.fl_down + detect_delay)
             (fun () -> Controller.propose ctrl (Policy.ring_uniform ~switches ~name:"cw" ())))
         flaps;
@@ -267,7 +268,7 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
   (* Final-state metrics export, scheduled at the horizon (the last
      event of the run): controller books from shard 0's replica (all
      replicas agree), per-switch agent + CP series from the owner. *)
-  Scheduler.post ~cls:"netupd" sched ~at:until (fun () ->
+  Scheduler.post ~cls:Scheduler.Netupd sched ~at:until (fun () ->
       if ctx.Parsim.shard = 0 then Controller.export_metrics ctrl ctx.Parsim.metrics;
       List.iter
         (fun (swid, _) ->

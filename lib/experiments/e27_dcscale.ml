@@ -157,7 +157,7 @@ let install_traffic ~knobs ~seed ~samples ~sources (ctx : Parsim.shard_ctx) =
   sources := shard_sources @ !sources;
   List.iteri
     (fun i t ->
-      Scheduler.post ~cls:"workload" ctx.Parsim.sched ~at:t (fun () ->
+      Scheduler.post ~cls:Scheduler.Workload ctx.Parsim.sched ~at:t (fun () ->
           samples.(ctx.Parsim.shard).(i) <-
             List.fold_left (fun acc s -> acc + s.Flowgen.live_flows) 0 shard_sources))
     (sample_times knobs)

@@ -11,7 +11,7 @@ let attach ~sched ~rng ~stop ~plan ~pkts_per_burst ~pkt_bytes ~rate_gbps ~templa
         let i = !idx in
         incr idx;
         ignore
-          (Scheduler.schedule_after ~cls:"fault" sched ~delay:(k * gap) (fun () ->
+          (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:(k * gap) (fun () ->
                inject (template i);
                on_packet ()))
       done)

@@ -19,14 +19,14 @@ let drive ~sched ~rng ~stop plan f =
       List.iter
         (fun at ->
           if at < stop && at >= Scheduler.now sched then
-            ignore (Scheduler.schedule ~cls:"fault" sched ~at f))
+            ignore (Scheduler.schedule ~cls:Scheduler.Fault sched ~at f))
         (List.sort_uniq compare times)
   | Periodic { start; period; jitter } ->
       if period <= 0 then invalid_arg "Faults.Schedule: period must be positive";
       let rec arm at =
         if at < stop then
           ignore
-            (Scheduler.schedule ~cls:"fault" sched ~at (fun () ->
+            (Scheduler.schedule ~cls:Scheduler.Fault sched ~at (fun () ->
                  f ();
                  let j = if jitter > 0 then Stats.Rng.int rng (jitter + 1) else 0 in
                  arm (at + period + j)))
@@ -37,7 +37,7 @@ let drive ~sched ~rng ~stop plan f =
       let rec arm at =
         if at < stop then
           ignore
-            (Scheduler.schedule ~cls:"fault" sched ~at (fun () ->
+            (Scheduler.schedule ~cls:Scheduler.Fault sched ~at (fun () ->
                  f ();
                  arm (at + ps_of_sec (Stats.Dist.exponential rng ~rate:rate_per_sec))))
       in

@@ -5,8 +5,8 @@
    + header records + two meta arrays ≈ 30 words). The arena keeps
    retired packets on a free stack and refills them in place: a
    steady-state acquire/traverse/release cycle allocates zero minor
-   words, extending the pooled-cell discipline of the scheduler and
-   timing wheel to packets.
+   words, extending the free-listed nodes of the scheduler's ladder
+   queue to packets.
 
    Ownership discipline: release a packet only when no other reference
    to it remains. In particular [Packet.clone_for_forward] shares

@@ -140,7 +140,7 @@ let rec attempt t op =
           t.env.ack ~switch:op.op_sw (fun () -> on_ack t op));
     op.op_timer <-
       Some
-        (Scheduler.schedule ~cls:"netupd" t.env.sched ~at:(now + t.cfg.ack_timeout)
+        (Scheduler.schedule ~cls:Scheduler.Netupd t.env.sched ~at:(now + t.cfg.ack_timeout)
            (fun () -> on_timeout t op))
   end
 
@@ -183,7 +183,7 @@ and on_timeout t op =
         else t.cfg.backoff_base
       in
       let now = Scheduler.now t.env.sched in
-      Scheduler.post ~cls:"netupd" t.env.sched ~at:(now + backoff) (fun () -> attempt t op)
+      Scheduler.post ~cls:Scheduler.Netupd t.env.sched ~at:(now + backoff) (fun () -> attempt t op)
     end
   end
 
@@ -231,7 +231,7 @@ and start_drain t phase ~next =
   let id = t.phase_id in
   let now = Scheduler.now t.env.sched in
   t.env.log (Printf.sprintf "t=%d v=%d phase=%s" now t.version (phase_name phase));
-  Scheduler.post ~cls:"netupd" t.env.sched ~at:(now + t.cfg.drain) (fun () ->
+  Scheduler.post ~cls:Scheduler.Netupd t.env.sched ~at:(now + t.cfg.drain) (fun () ->
       if t.outcome = None && t.phase_id = id then start_phase t next)
 
 and start_phase t phase =

@@ -335,7 +335,7 @@ let release eng shard k =
   List.iter
     (fun m ->
       if m.mtime <= eng.until then
-        Scheduler.post ~cls:"xlink" st.ctx.sched ~at:m.mtime (fun () ->
+        Scheduler.post ~cls:Scheduler.Xlink st.ctx.sched ~at:m.mtime (fun () ->
             st.cross_delivered <- st.cross_delivered + 1;
             eng.xdeliver.(m.mkey) m.mpkt))
     (List.sort compare_message !due)
@@ -490,10 +490,7 @@ let run (cfg : config) (topo : Topology.t) =
         Event_switch.create ~sched:(sched_of_sw sw) ~id:sw ~config:cfg_sw
           ~program:(cfg.program sw) ())
   in
-  let hosts =
-    Array.init topo.hosts (fun h ->
-        Host.create ~sched:scheds.(pl.part.shard_of_host.(h)) ~id:h ())
-  in
+  let hosts = Array.init topo.hosts (fun h -> Host.create ~id:h ()) in
   (* Mutable wiring state, then frozen into shard contexts. *)
   let shard_switches = Array.make n [] and shard_hosts = Array.make n [] in
   Array.iteri

@@ -1,8 +1,8 @@
-type t = { name : string; pkts : int array; byts : int array }
+type t = { pkts : int array; byts : int array }
 
-let create ~name ~entries =
+let create ~entries =
   if entries <= 0 then invalid_arg "Counter.create";
-  { name; pkts = Array.make entries 0; byts = Array.make entries 0 }
+  { pkts = Array.make entries 0; byts = Array.make entries 0 }
 
 let count t ~index ~bytes =
   t.pkts.(index) <- t.pkts.(index) + 1;

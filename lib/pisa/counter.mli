@@ -2,7 +2,7 @@
 
 type t
 
-val create : name:string -> entries:int -> t
+val create : entries:int -> t
 val count : t -> index:int -> bytes:int -> unit
 val packets : t -> int -> int
 val bytes : t -> int -> int

@@ -354,7 +354,7 @@ let sweep t ~now =
 
 let attach_sweeper t ~sched ~period =
   ignore
-    (Eventsim.Scheduler.every ~cls:"pisa.efsm.sweep" sched ~period (fun () ->
+    (Eventsim.Scheduler.every ~cls:Eventsim.Scheduler.Efsm_sweep sched ~period (fun () ->
          ignore (sweep t ~now:(Eventsim.Scheduler.now sched))))
 
 let unported_read arr i = (Register_array.to_array arr).(i)

@@ -77,11 +77,13 @@ let start t ~stop =
     let rec tick () =
       ignore (run_once t : int);
       let next = Scheduler.now t.sched + t.period in
-      if next <= stop then Scheduler.post_after ~cls:"resil.invariant" t.sched ~delay:t.period tick
+      if next <= stop then
+        Scheduler.post_after ~cls:Scheduler.Resil_invariant t.sched ~delay:t.period tick
       else t.running <- false
     in
     let first = Scheduler.now t.sched + t.period in
-    if first <= stop then Scheduler.post_after ~cls:"resil.invariant" t.sched ~delay:t.period tick
+    if first <= stop then
+      Scheduler.post_after ~cls:Scheduler.Resil_invariant t.sched ~delay:t.period tick
     else t.running <- false
   end
 

@@ -145,7 +145,7 @@ let quarantine t key =
   end
   else
     let delay = backoff_delay t key in
-    Scheduler.post_after ~cls:"resil.backoff" t.sched ~delay (fun () ->
+    Scheduler.post_after ~cls:Scheduler.Resil_backoff t.sched ~delay (fun () ->
         if not key.permanent then begin
           key.active_ <- true;
           key.recovered <- key.recovered + 1;

@@ -19,8 +19,7 @@ let geometric rng ~p =
 
 type zipf = { cdf : float array }
 
-let zipf ~n ~alpha =
-  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
+let build_zipf ~n ~alpha =
   let cdf = Array.make n 0. in
   let acc = ref 0. in
   for i = 0 to n - 1 do
@@ -32,6 +31,21 @@ let zipf ~n ~alpha =
     cdf.(i) <- cdf.(i) /. total
   done;
   { cdf }
+
+(* Built samplers by (n, alpha). A CDF is never written after it is
+   built, so every domain may share it; the mutex guards the table. *)
+let zipf_cache : (int * float, zipf) Hashtbl.t = Hashtbl.create 8
+let zipf_lock = Mutex.create ()
+
+let zipf ~n ~alpha =
+  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
+  Mutex.protect zipf_lock (fun () ->
+      match Hashtbl.find_opt zipf_cache (n, alpha) with
+      | Some z -> z
+      | None ->
+          let z = build_zipf ~n ~alpha in
+          Hashtbl.add zipf_cache (n, alpha) z;
+          z)
 
 let zipf_draw rng z =
   let u = Rng.float rng in

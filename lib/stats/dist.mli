@@ -19,6 +19,9 @@ type zipf
 (** Precomputed Zipf sampler over [1..n]. *)
 
 val zipf : n:int -> alpha:float -> zipf
+(** Built once per [(n, alpha)] and shared by every later call, from
+    any domain: a sampler is read-only. *)
+
 val zipf_draw : Rng.t -> zipf -> int
 (** [zipf_draw rng z] draws a rank in [\[1, n\]]; rank 1 is the most
     popular. *)

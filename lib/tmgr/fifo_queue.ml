@@ -45,14 +45,14 @@ let push t pkt =
   if t.bytes > t.high_watermark then t.high_watermark <- t.bytes
 
 let pop t =
-  if t.count = 0 then None
+  if t.count = 0 then Netcore.Packet.nil
   else begin
     let pkt = t.data.(t.head) in
     t.data.(t.head) <- Netcore.Packet.nil;
     t.head <- (t.head + 1) land (Array.length t.data - 1);
     t.count <- t.count - 1;
     t.bytes <- t.bytes - Netcore.Packet.len pkt;
-    Some pkt
+    pkt
   end
 
 let occupancy_bytes t = t.bytes

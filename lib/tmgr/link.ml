@@ -15,9 +15,10 @@ type fate =
    fast path (no perturb extra delay) travels exactly [t.delay], so
    arrival order equals departure order and a FIFO ring plus ONE
    persistent arrival closure replaces a fresh closure per packet.
-   Slots are cleared on arrival so the ring never pins dead packets. *)
+   Slots hold the packet itself and are reset to [Packet.nil] on
+   arrival, so the ring boxes nothing and never pins dead packets. *)
 type flight = {
-  mutable pkts : Netcore.Packet.t option array; (* capacity: power of two *)
+  mutable pkts : Netcore.Packet.t array; (* capacity: power of two *)
   mutable epochs : int array; (* epoch at departure, same indices *)
   mutable head : int;
   mutable len : int;
@@ -44,12 +45,18 @@ type t = {
 }
 
 let new_flight () =
-  { pkts = Array.make 16 None; epochs = Array.make 16 0; head = 0; len = 0; cb = (fun () -> ()) }
+  {
+    pkts = Array.make 16 Netcore.Packet.nil;
+    epochs = Array.make 16 0;
+    head = 0;
+    len = 0;
+    cb = (fun () -> ());
+  }
 
 let fly_grow fl =
   let cap = Array.length fl.pkts in
   let cap' = cap * 2 in
-  let pkts = Array.make cap' None in
+  let pkts = Array.make cap' Netcore.Packet.nil in
   let epochs = Array.make cap' 0 in
   for k = 0 to fl.len - 1 do
     let src = (fl.head + k) land (cap - 1) in
@@ -63,16 +70,16 @@ let fly_grow fl =
 let fly_push t fl ~epoch pkt =
   if fl.len = Array.length fl.pkts then fly_grow fl;
   let i = (fl.head + fl.len) land (Array.length fl.pkts - 1) in
-  fl.pkts.(i) <- Some pkt;
+  fl.pkts.(i) <- pkt;
   fl.epochs.(i) <- epoch;
   fl.len <- fl.len + 1;
-  Scheduler.post_after ~cls:"link" t.sched ~delay:t.delay fl.cb
+  Scheduler.post_after ~cls:Scheduler.Link t.sched ~delay:t.delay fl.cb
 
 let arrive t fl dst =
   let i = fl.head in
-  let pkt = match fl.pkts.(i) with Some p -> p | None -> assert false in
+  let pkt = fl.pkts.(i) in
   let epoch = fl.epochs.(i) in
-  fl.pkts.(i) <- None;
+  fl.pkts.(i) <- Netcore.Packet.nil;
   fl.head <- (i + 1) land (Array.length fl.pkts - 1);
   fl.len <- fl.len - 1;
   if t.up && t.epoch = epoch then begin
@@ -114,7 +121,7 @@ let clear_perturb t = t.perturb <- None
    differs, so arrival order no longer matches departure order) and pay
    for a dedicated closure instead. *)
 let deliver_after t dst ~epoch ~extra pkt =
-  Scheduler.post_after ~cls:"link" t.sched ~delay:(t.delay + extra) (fun () ->
+  Scheduler.post_after ~cls:Scheduler.Link t.sched ~delay:(t.delay + extra) (fun () ->
       if t.up && t.epoch = epoch then begin
         t.delivered <- t.delivered + 1;
         dst.deliver pkt
@@ -156,7 +163,7 @@ let change_status t up =
        stale ones are dropped so an endpoint never observes a status
        that disagrees with [is_up] at delivery time. *)
     let epoch = t.epoch in
-    Scheduler.post_after ~cls:"link" t.sched ~delay:t.detection_delay (fun () ->
+    Scheduler.post_after ~cls:Scheduler.Link t.sched ~delay:t.detection_delay (fun () ->
         if t.epoch = epoch then begin
           t.a.notify_status ~up;
           t.b.notify_status ~up

@@ -87,73 +87,78 @@ let make_port config index =
     tx_done = (fun () -> ());
   }
 
+(* First non-empty FIFO from [q] up, or [-1]. Top-level, not a local
+   closure of [select_queue]: capturing [queues] would allocate once
+   per dequeue. *)
+let rec first_nonempty queues q =
+  if q >= Array.length queues then -1
+  else if not (Fifo_queue.is_empty (Array.unsafe_get queues q)) then q
+  else first_nonempty queues (q + 1)
+
+(* The queue to serve next: a FIFO's qid, [0] for the PIFO, [-1] when
+   the port holds nothing. *)
 let select_queue t port =
   match port.queues with
-  | Pifo_q pifo -> if Pifo.is_empty pifo then None else Some (-1)
+  | Pifo_q pifo -> if Pifo.is_empty pifo then -1 else 0
   | Fifos queues -> (
       match t.config.policy with
       | Fifo | Strict_priority ->
           (* Strict priority = scan from qid 0 (highest); plain FIFO has a
              single queue so the scan is equivalent. *)
-          let rec go q =
-            if q >= Array.length queues then None
-            else if not (Fifo_queue.is_empty queues.(q)) then Some q
-            else go (q + 1)
-          in
-          go 0
-      | Pifo_sched -> None)
+          first_nonempty queues 0
+      | Pifo_sched -> -1)
 
-let pop_from _t port qid =
+(* The selected queue's head, [Packet.nil] when it is empty. *)
+let pop_from port qid =
   match port.queues with
-  | Pifo_q pifo -> Pifo.pop pifo
+  | Pifo_q pifo -> ( match Pifo.pop pifo with Some pkt -> pkt | None -> Packet.nil)
   | Fifos queues -> Fifo_queue.pop queues.(qid)
 
+let start_tx t port pkt =
+  port.busy <- true;
+  port.tx_pkt <- pkt;
+  t.in_flight <- t.in_flight + 1;
+  let bytes = Packet.len pkt in
+  let tx =
+    if bytes = t.tx_memo_bytes then t.tx_memo_time
+    else begin
+      let tx = Sim_time.tx_time ~bytes ~gbps:t.config.port_rate_gbps in
+      t.tx_memo_bytes <- bytes;
+      t.tx_memo_time <- tx;
+      tx
+    end
+  in
+  Scheduler.post_after ~cls:Scheduler.Tm_tx t.sched ~delay:tx port.tx_done
+
 let rec try_dequeue t port =
-  if not port.busy then
-    match select_queue t port with
-    | None -> ()
-    | Some qid -> (
-        match pop_from t port qid with
-        | None -> ()
-        | Some pkt ->
-            let len = Packet.len pkt in
-            let meta = pkt.Packet.meta in
-            port.occupancy_bytes <- port.occupancy_bytes - len;
-            port.occupancy_pkts <- port.occupancy_pkts - 1;
-            Buffer_pool.free t.pool len;
-            t.dequeues <- t.dequeues + 1;
-            t.events.Devents.Event_sink.dequeue ~port:port.index ~qid:meta.Packet.qid
-              ~pkt_len:len ~flow_id:meta.Packet.flow_id ~meta:meta.Packet.deq_meta
-              ~occupancy_pkts:port.occupancy_pkts ~occupancy_bytes:port.occupancy_bytes
-              ~time:(Scheduler.now t.sched);
-            if port.occupancy_pkts = 0 then
-              t.events.Devents.Event_sink.underflow ~port:port.index ~qid:meta.Packet.qid
-                ~time:(Scheduler.now t.sched);
-            let outgoing =
-              match t.egress with
-              | None -> Some pkt
-              | Some egress -> egress ~port:port.index pkt
-            in
-            (match outgoing with
-            | None ->
-                t.egress_drops <- t.egress_drops + 1;
-                (* Port is free immediately; look for more work. *)
-                try_dequeue t port
-            | Some pkt ->
-                port.busy <- true;
-                port.tx_pkt <- pkt;
-                t.in_flight <- t.in_flight + 1;
-                let bytes = Packet.len pkt in
-                let tx =
-                  if bytes = t.tx_memo_bytes then t.tx_memo_time
-                  else begin
-                    let tx = Sim_time.tx_time ~bytes ~gbps:t.config.port_rate_gbps in
-                    t.tx_memo_bytes <- bytes;
-                    t.tx_memo_time <- tx;
-                    tx
-                  end
-                in
-                Scheduler.post_after ~cls:"tm.tx" t.sched ~delay:tx port.tx_done))
+  if not port.busy then begin
+    let qid = select_queue t port in
+    let pkt = if qid < 0 then Packet.nil else pop_from port qid in
+    if not (Packet.is_nil pkt) then begin
+      let len = Packet.len pkt in
+      let meta = pkt.Packet.meta in
+      port.occupancy_bytes <- port.occupancy_bytes - len;
+      port.occupancy_pkts <- port.occupancy_pkts - 1;
+      Buffer_pool.free t.pool len;
+      t.dequeues <- t.dequeues + 1;
+      t.events.Devents.Event_sink.dequeue ~port:port.index ~qid:meta.Packet.qid
+        ~pkt_len:len ~flow_id:meta.Packet.flow_id ~meta:meta.Packet.deq_meta
+        ~occupancy_pkts:port.occupancy_pkts ~occupancy_bytes:port.occupancy_bytes
+        ~time:(Scheduler.now t.sched);
+      if port.occupancy_pkts = 0 then
+        t.events.Devents.Event_sink.underflow ~port:port.index ~qid:meta.Packet.qid
+          ~time:(Scheduler.now t.sched);
+      match t.egress with
+      | None -> start_tx t port pkt
+      | Some egress -> (
+          match egress ~port:port.index pkt with
+          | None ->
+              t.egress_drops <- t.egress_drops + 1;
+              (* Port is free immediately; look for more work. *)
+              try_dequeue t port
+          | Some pkt -> start_tx t port pkt)
+    end
+  end
 
 and finish_tx t port =
   let pkt = port.tx_pkt in

@@ -40,6 +40,11 @@ let flow_of_rank rank =
     ~src_port:(1024 + (rank land 0xfff))
     ~dst_port:80 ()
 
+(* The arrival clock, in seconds. A one-field float record is stored
+   flat; a [float ref] captured by the draw closure would box a fresh
+   float at every flow. *)
+type clock = { mutable now_s : float }
+
 (* One-flow-at-a-time draw closure: all of [generate], [stream] and
    [install] pull from this, so the draw order (gap, rank, size — in
    that sequence per flow) is identical however the population is
@@ -49,10 +54,10 @@ let make_draw ~rng ?(flow_of_rank = flow_of_rank) spec =
   (* Pareto with shape 1.4 and mean m has scale m * (shape-1)/shape. *)
   let shape = 1.4 in
   let scale = spec.mean_packets *. (shape -. 1.) /. shape in
-  let time = ref 0. in
+  let clock = { now_s = 0. } in
   fun () ->
     let gap = Stats.Dist.exponential rng ~rate:spec.arrival_rate_per_sec in
-    time := !time +. gap;
+    clock.now_s <- clock.now_s +. gap;
     let rank = Stats.Dist.zipf_draw rng zipf in
     let packets = max 1 (int_of_float (Stats.Dist.pareto rng ~shape ~scale)) in
     let packets = min packets spec.max_packets in
@@ -60,7 +65,7 @@ let make_draw ~rng ?(flow_of_rank = flow_of_rank) spec =
       flow = flow_of_rank rank;
       packets;
       pkt_bytes = spec.pkt_bytes;
-      start = int_of_float (!time *. 1e12);
+      start = int_of_float (clock.now_s *. 1e12);
       rank;
     }
 
@@ -140,7 +145,7 @@ let install ~sched ~rng ?flow_of_rank ?arrival_stop
       st.bytes_sent <- st.bytes_sent + Netcore.Packet.len pkt;
       send pkt;
       if i + 1 < fd.packets then
-        Scheduler.post_after ~cls:"workload" sched
+        Scheduler.post_after ~cls:Scheduler.Workload sched
           ~delay:(emission_gap + gap_jitter fd i)
           (fun () -> emit_one (i + 1))
       else finish fd
@@ -158,7 +163,7 @@ let install ~sched ~rng ?flow_of_rank ?arrival_stop
       match arrival_stop with
       | Some s when fd.start >= s -> ()
       | _ ->
-          Scheduler.post ~cls:"workload" sched ~at:fd.start (fun () ->
+          Scheduler.post ~cls:Scheduler.Workload sched ~at:fd.start (fun () ->
               begin_flow fd;
               next_arrival (remaining - 1))
     end

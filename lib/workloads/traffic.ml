@@ -34,13 +34,13 @@ let cbr ~sched ~flow ~pkt_bytes ~rate_gbps ?(start = Sim_time.zero) ?stop ?jitte
         | None -> 0
         | Some (rng, j) -> if j > 0 then Stats.Rng.int rng j else 0
       in
-      Scheduler.post_after ~cls:"workload" sched ~delay (fun () ->
+      Scheduler.post_after ~cls:Scheduler.Workload sched ~delay (fun () ->
           if (not t.stopped) && within stop ~sched then
             emit t ~sched ~flow ~pkt_bytes send);
-      Scheduler.post_after ~cls:"workload" sched ~delay:gap step
+      Scheduler.post_after ~cls:Scheduler.Workload sched ~delay:gap step
     end
   in
-  Scheduler.post ~cls:"workload" sched ~at:(max start (Scheduler.now sched)) step;
+  Scheduler.post ~cls:Scheduler.Workload sched ~at:(max start (Scheduler.now sched)) step;
   t
 
 let poisson ~sched ~rng ~flow ~pkt_bytes ~rate_pps ?stop ~send () =
@@ -51,10 +51,10 @@ let poisson ~sched ~rng ~flow ~pkt_bytes ~rate_pps ?stop ~send () =
       emit t ~sched ~flow ~pkt_bytes send;
       let gap_sec = Stats.Dist.exponential rng ~rate:rate_pps in
       let gap = max 1 (int_of_float (gap_sec *. 1e12)) in
-      Scheduler.post_after ~cls:"workload" sched ~delay:gap step
+      Scheduler.post_after ~cls:Scheduler.Workload sched ~delay:gap step
     end
   in
-  Scheduler.post ~cls:"workload" sched ~at:(Scheduler.now sched) step;
+  Scheduler.post ~cls:Scheduler.Workload sched ~at:(Scheduler.now sched) step;
   t
 
 let on_off ~sched ~rng ~flow ~pkt_bytes ~burst_rate_gbps ~on_time ~off_time
@@ -71,16 +71,16 @@ let on_off ~sched ~rng ~flow ~pkt_bytes ~burst_rate_gbps ~on_time ~off_time
     if (not t.stopped) && within stop ~sched then
       if Scheduler.now sched < until then begin
         emit t ~sched ~flow ~pkt_bytes send;
-        Scheduler.post_after ~cls:"workload" sched ~delay:gap (fun () -> on_phase until)
+        Scheduler.post_after ~cls:Scheduler.Workload sched ~delay:gap (fun () -> on_phase until)
       end
       else
-        Scheduler.post_after ~cls:"workload" sched ~delay:(duration off_time) (fun () ->
+        Scheduler.post_after ~cls:Scheduler.Workload sched ~delay:(duration off_time) (fun () ->
             start_burst ())
   and start_burst () =
     if (not t.stopped) && within stop ~sched then
       on_phase (Scheduler.now sched + duration on_time)
   in
-  Scheduler.post ~cls:"workload" sched ~at:(max start (Scheduler.now sched)) start_burst;
+  Scheduler.post ~cls:Scheduler.Workload sched ~at:(max start (Scheduler.now sched)) start_burst;
   t
 
 let burst_once ~sched ~flow ~pkt_bytes ~count ~rate_gbps ~at ~send () =
@@ -89,8 +89,8 @@ let burst_once ~sched ~flow ~pkt_bytes ~count ~rate_gbps ~at ~send () =
   let rec step remaining =
     if (not t.stopped) && remaining > 0 then begin
       emit t ~sched ~flow ~pkt_bytes send;
-      Scheduler.post_after ~cls:"workload" sched ~delay:gap (fun () -> step (remaining - 1))
+      Scheduler.post_after ~cls:Scheduler.Workload sched ~delay:gap (fun () -> step (remaining - 1))
     end
   in
-  Scheduler.post ~cls:"workload" sched ~at (fun () -> step count);
+  Scheduler.post ~cls:Scheduler.Workload sched ~at (fun () -> step count);
   t

@@ -22,9 +22,9 @@ let test_cycles () =
 
 let test_ladder_ordering () =
   let l = Ladder_queue.create () in
-  Ladder_queue.push l ~time:30 "c";
-  Ladder_queue.push l ~time:10 "a";
-  Ladder_queue.push l ~time:20 "b";
+  Ladder_queue.push l ~time:30 ~tag:0 "c";
+  Ladder_queue.push l ~time:10 ~tag:0 "a";
+  Ladder_queue.push l ~time:20 ~tag:0 "b";
   Alcotest.(check (option int)) "peek" (Some 10) (Ladder_queue.peek_time l);
   let order =
     List.init 3 (fun _ -> match Ladder_queue.pop l with Some (_, x) -> x | None -> "?")
@@ -34,7 +34,7 @@ let test_ladder_ordering () =
 
 let test_ladder_fifo_ties () =
   let l = Ladder_queue.create () in
-  List.iter (fun x -> Ladder_queue.push l ~time:5 x) [ 1; 2; 3; 4; 5 ];
+  List.iter (fun x -> Ladder_queue.push l ~time:5 ~tag:0 x) [ 1; 2; 3; 4; 5 ];
   let order =
     List.init 5 (fun _ -> match Ladder_queue.pop l with Some (_, x) -> x | None -> -1)
   in
@@ -46,7 +46,7 @@ let test_ladder_spans_rungs () =
      still be exact. *)
   let times = [ 3; 300; 30_000; 3_000_000; 300_000_000; 1 lsl 35; (1 lsl 35) + 1 ] in
   let l = Ladder_queue.create () in
-  List.iteri (fun i time -> Ladder_queue.push l ~time i) (List.rev times);
+  List.iteri (fun i time -> Ladder_queue.push l ~time ~tag:0 i) (List.rev times);
   Alcotest.(check int) "length" (List.length times) (Ladder_queue.length l);
   List.iteri
     (fun expect_i expect_t ->
@@ -59,12 +59,12 @@ let test_ladder_spans_rungs () =
 
 let test_ladder_past_push_raises () =
   let l = Ladder_queue.create () in
-  Ladder_queue.push l ~time:100 ();
+  Ladder_queue.push l ~time:100 ~tag:0 ();
   ignore (Ladder_queue.pop l);
   Alcotest.(check int) "position advanced" 100 (Ladder_queue.position l);
   Alcotest.check_raises "past push"
     (Invalid_argument "Ladder_queue.push: time=50 is before ladder position 100")
-    (fun () -> Ladder_queue.push l ~time:50 ())
+    (fun () -> Ladder_queue.push l ~time:50 ~tag:0 ())
 
 let test_ladder_releases_payloads () =
   (* Free-listed nodes must not pin their old payload after the pop. *)
@@ -72,8 +72,8 @@ let test_ladder_releases_payloads () =
   let weak = Weak.create 1 in
   let tracked = Bytes.create 64 in
   Weak.set weak 0 (Some tracked);
-  Ladder_queue.push l ~time:7 tracked;
-  Ladder_queue.push l ~time:(1 lsl 40) (Bytes.create 64);
+  Ladder_queue.push l ~time:7 ~tag:0 tracked;
+  Ladder_queue.push l ~time:(1 lsl 40) ~tag:0 (Bytes.create 64);
   ignore (Ladder_queue.pop l);
   ignore (Ladder_queue.pop l);
   Gc.full_major ();
@@ -92,7 +92,7 @@ let check_drained_payloads_collected name drain =
   for i = 0 to 299 do
     let payload = Bytes.create 64 in
     Weak.set weak i (Some payload);
-    Ladder_queue.push l ~time:(if i = 0 then 1 lsl 40 else i mod 7) payload
+    Ladder_queue.push l ~time:(if i = 0 then 1 lsl 40 else i mod 7) ~tag:0 payload
   done;
   drain l;
   Gc.full_major ();
@@ -108,20 +108,20 @@ let test_ladder_take_releases_payloads () =
 
 let test_ladder_drain_releases_payloads () =
   check_drained_payloads_collected "drain_upto" (fun l ->
-      Ladder_queue.drain_upto l ~limit:max_int (fun ~time:_ _ -> ()))
+      Ladder_queue.drain_upto l ~limit:max_int (fun ~time:_ ~tag:_ _ -> ()))
 
 let test_ladder_drain_reentry () =
   (* Same-instant events pushed from inside the drain callback fire in
      the same drain, after their same-time predecessors. *)
   let log = ref [] in
   let l = Ladder_queue.create () in
-  Ladder_queue.push l ~time:10 `First;
-  Ladder_queue.push l ~time:10 `Second;
-  Ladder_queue.drain_upto l ~limit:50 (fun ~time x ->
+  Ladder_queue.push l ~time:10 ~tag:0 `First;
+  Ladder_queue.push l ~time:10 ~tag:0 `Second;
+  Ladder_queue.drain_upto l ~limit:50 (fun ~time ~tag:_ x ->
       log := (time, x) :: !log;
       if x = `First then begin
-        Ladder_queue.push l ~time `Nested;
-        Ladder_queue.push l ~time:200 `Late
+        Ladder_queue.push l ~time ~tag:0 `Nested;
+        Ladder_queue.push l ~time:200 ~tag:0 `Late
       end);
   Alcotest.(check int) "drained three" 3 (List.length !log);
   Alcotest.(check bool) "order"
@@ -180,7 +180,7 @@ let check_ladder_against_reference name ops =
       (match op with
       | Push time ->
           Reference.push r ~time i;
-          Ladder_queue.push l ~time i
+          Ladder_queue.push l ~time ~tag:0 i
       | Pop -> pop_both i);
       Alcotest.(check int) (name ^ ": length") (Reference.length r) (Ladder_queue.length l))
     ops;
@@ -257,15 +257,17 @@ let test_ladder_spawned_rung_covers_gap () =
    limit fires on the next drain. *)
 let test_ladder_drain_upto_limit () =
   let l = Ladder_queue.create () in
-  List.iter (fun time -> Ladder_queue.push l ~time ()) [ 30; 10; 5; 20; 10 ];
+  List.iter (fun time -> Ladder_queue.push l ~time ~tag:0 ()) [ 30; 10; 5; 20; 10 ];
   let fired = ref [] in
-  let drain limit = Ladder_queue.drain_upto l ~limit (fun ~time () -> fired := time :: !fired) in
+  let drain limit =
+    Ladder_queue.drain_upto l ~limit (fun ~time ~tag:_ () -> fired := time :: !fired)
+  in
   drain 4;
   Alcotest.(check (list int)) "nothing before the first event" [] !fired;
   drain 15;
   Alcotest.(check (list int)) "events up to the limit" [ 10; 10; 5 ] !fired;
   Alcotest.(check int) "position at the last fired" 10 (Ladder_queue.position l);
-  Ladder_queue.push l ~time:12 ();
+  Ladder_queue.push l ~time:12 ~tag:0 ();
   drain 25;
   Alcotest.(check (list int)) "late push in order" [ 20; 12; 10; 10; 5 ] !fired;
   Alcotest.(check (option int)) "beyond the limit stays" (Some 30) (Ladder_queue.peek_time l)
@@ -280,8 +282,9 @@ let test_next_time_take_agree () =
   List.iter
     (fun (time, x) ->
       Reference.push r ~time x;
-      Ladder_queue.push l ~time x)
+      Ladder_queue.push l ~time ~tag:(String.length x) x)
     [ (20, "b"); (10, "a"); (10, "a2"); (30, "c") ];
+  Alcotest.(check int) "next_tag is the earliest event's" 1 (Ladder_queue.next_tag l);
   let drain name next take =
     let order =
       List.init 4 (fun _ ->
@@ -295,7 +298,10 @@ let test_next_time_take_agree () =
   drain "reference" (fun () -> Reference.next_time r) (fun _ -> Reference.take r);
   drain "ladder" (fun () -> Ladder_queue.next_time l) (fun _ -> Ladder_queue.take l);
   Alcotest.check_raises "ladder empty take"
-    (Invalid_argument "Ladder_queue.take: empty queue") (fun () -> ignore (Ladder_queue.take l))
+    (Invalid_argument "Ladder_queue.take: empty queue") (fun () -> ignore (Ladder_queue.take l));
+  Alcotest.check_raises "ladder empty next_tag"
+    (Invalid_argument "Ladder_queue.next_tag: empty queue") (fun () ->
+      ignore (Ladder_queue.next_tag l))
 
 (* Property: the ladder agrees with the reference on every pop under
    random interleavings of pushes and pops: its adaptive rung spreading
@@ -323,7 +329,7 @@ let qcheck_ladder_matches_reference =
           in
           let time = !floor + delta in
           Reference.push r ~time !seq;
-          Ladder_queue.push l ~time !seq;
+          Ladder_queue.push l ~time ~tag:0 !seq;
           incr seq
         end
         else begin
@@ -365,9 +371,11 @@ let qcheck_ladder_hold_model =
       in
       let r = Reference.create () and l = Ladder_queue.create () in
       let id = ref 0 in
+      (* Each node's tag is a function of its payload, so a tag that
+         parted from its payload in a rung or the sort shows. *)
       let push time =
         Reference.push r ~time !id;
-        Ladder_queue.push l ~time !id;
+        Ladder_queue.push l ~time ~tag:(!id * 7) !id;
         incr id
       in
       for _ = 1 to population do
@@ -378,7 +386,8 @@ let qcheck_ladder_hold_model =
         ||
         let lt = Ladder_queue.next_time l in
         match Reference.pop r with
-        | Some (rt, rx) when lt = rt && Ladder_queue.take l = rx ->
+        | Some (rt, rx)
+          when lt = rt && Ladder_queue.next_tag l = rx * 7 && Ladder_queue.take l = rx ->
             push (rt + increment ());
             hold (n - 1)
         | _ -> false
@@ -430,8 +439,17 @@ let qcheck_ladder_drain_matches_reference =
           reference_drain limit f
         end
       in
-      let ladder = replay (Ladder_queue.push l) (fun limit f -> Ladder_queue.drain_upto l ~limit f) in
+      let tags_ok = ref true in
+      let ladder =
+        replay
+          (fun ~time id -> Ladder_queue.push l ~time ~tag:(id * 3) id)
+          (fun limit f ->
+            Ladder_queue.drain_upto l ~limit (fun ~time ~tag id ->
+                if tag <> id * 3 then tags_ok := false;
+                f ~time id))
+      in
       ladder = replay (Reference.push r) reference_drain
+      && !tags_ok
       && Ladder_queue.length l = Reference.length r)
 
 (* The scheduler-level firing contract, checked against a model that
@@ -518,10 +536,9 @@ let qcheck_scheduler_matches_model =
       in
       replay_scheduler () = replay_model ())
 
-let test_post_pool_reuse () =
-  (* post/post_after recycle their cells; a post made from inside a
-     posted callback (the self-rescheduling pattern) must be safe and
-     keep counters exact. *)
+let test_post_from_posted_callback () =
+  (* A post made from inside a posted callback (the self-rescheduling
+     pattern) must be safe and keep counters exact. *)
   let sched = Scheduler.create () in
   let count = ref 0 in
   let rec tick () =
@@ -541,9 +558,10 @@ let test_post_pool_reuse () =
       Scheduler.post sched ~at:1 (fun () -> ()))
 
 (* The event hot path — post into a warm scheduler, step it — must be
-   allocation-free. Cells come from the scheduler pool, ladder nodes
-   from its free list, and step peeks/takes without building options or
-   tuples, so a steady-state cycle touches the minor heap not at all.
+   allocation-free. The ladder node that carries the closure and its
+   class tag comes from the ladder's free list, and step peeks/takes
+   without building options or tuples, so a steady-state cycle touches
+   the minor heap not at all.
    With [queued] events standing (the hold model), steady state also
    consumes buckets, spawns rungs and sorts them into bottom, all on
    recycled rung frames and sort scratch. *)
@@ -554,25 +572,11 @@ let test_scheduler_zero_alloc ~queued () =
   let gaps = Array.init 4096 (fun _ -> if queued = 0 then 1 else 1 + Stats.Rng.int rng 5_000) in
   Array.iteri (fun i gap -> if i < queued then Scheduler.post sched ~at:gap cb) gaps;
   let k = ref 0 in
-  let cycle n =
-    for _ = 1 to n do
+  Zero_alloc.check "post/step" ~iters:20_000 (fun () ->
       Scheduler.post sched ~at:(Scheduler.now sched + Array.unsafe_get gaps (!k land 4095)) cb;
       incr k;
-      ignore (Scheduler.step sched : bool)
-    done
-  in
-  (* Warm the cell pool, the ladder's node free list and rung frames. *)
-  cycle 20_000;
-  let iters = 20_000 in
-  let w0 = Gc.minor_words () in
-  cycle iters;
-  let delta = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "population steady" queued (Scheduler.pending sched);
-  (* The [Gc.minor_words] floats themselves cost a few boxed words;
-     anything beyond that means a per-event allocation crept in. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%d post/step cycles allocated %.0f minor words" iters delta)
-    true (delta < 64.)
+      ignore (Scheduler.step sched : bool));
+  Alcotest.(check int) "population steady" queued (Scheduler.pending sched)
 
 let test_run_until_then_schedule () =
   (* Regression for the queue-position/clock invariant: [run ~until]
@@ -610,7 +614,7 @@ let test_step_runs_one_event () =
   Alcotest.(check int) "clock kept" 30 (Scheduler.now sched)
 
 (* next_time feeds the adaptive horizon: the earliest queued timestamp,
-   a cancelled cell included (a conservative lower bound on the next
+   a cancelled event included (a conservative lower bound on the next
    live event), and -1 when empty. *)
 let test_next_time_lower_bound () =
   let sched = Scheduler.create () in
@@ -618,7 +622,7 @@ let test_next_time_lower_bound () =
   let h = Scheduler.schedule sched ~at:40 (fun () -> ()) in
   Scheduler.post sched ~at:70 (fun () -> ());
   Scheduler.cancel h;
-  Alcotest.(check int) "cancelled cell still bounds" 40 (Scheduler.next_time sched);
+  Alcotest.(check int) "cancelled event still bounds" 40 (Scheduler.next_time sched);
   Scheduler.drain_until_horizon sched ~horizon:50;
   Alcotest.(check int) "next live event" 70 (Scheduler.next_time sched);
   Alcotest.(check int) "nothing ran" 0 (Scheduler.executed sched);
@@ -658,7 +662,8 @@ let qcheck_sliced_run =
 (* Profiling counts executed callbacks per class (cancelled ones never
    count) and gauges the live queue depth; the gauge's max and the
    lifetime high-water mark both see the peak, which firing and
-   cancelling never lower. *)
+   cancelling never lower. A class none of whose events fired has no
+   series at all. *)
 let test_set_metrics_counts_classes () =
   let module M = Obs.Metrics in
   let sched = Scheduler.create () in
@@ -666,25 +671,80 @@ let test_set_metrics_counts_classes () =
   let labels = [ ("shard", "0") ] in
   Scheduler.set_metrics ~wall:false ~labels sched reg;
   for i = 1 to 3 do
-    Scheduler.post ~cls:"tm.tx" sched ~at:i (fun () -> ())
+    Scheduler.post ~cls:Scheduler.Tm_tx sched ~at:i (fun () -> ())
   done;
-  let h = Scheduler.schedule ~cls:"timer" sched ~at:5 (fun () -> ()) in
-  ignore (Scheduler.schedule ~cls:"timer" sched ~at:6 (fun () -> ()));
+  let h = Scheduler.schedule ~cls:Scheduler.Timer sched ~at:5 (fun () -> ()) in
+  ignore (Scheduler.schedule ~cls:Scheduler.Timer sched ~at:6 (fun () -> ()));
   Scheduler.cancel h;
   let p = Scheduler.every sched ~period:4 (fun () -> ()) in
   Scheduler.post sched ~at:10 (fun () -> Scheduler.cancel p);
+  (* Cancelled before they fire. *)
+  Scheduler.cancel (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:7 (fun () -> ()));
+  Scheduler.cancel (Scheduler.every ~cls:Scheduler.Control sched ~period:2 (fun () -> ()));
+  (* Cancels itself from its own callback: fires once. *)
+  let self = ref None in
+  self :=
+    Some
+      (Scheduler.every ~cls:Scheduler.Pktgen sched ~start:9 ~period:3 (fun () ->
+           Option.iter Scheduler.cancel !self));
   Scheduler.run sched;
-  let count cls =
-    match M.find_value reg ~labels:(("class", cls) :: labels) "scheduler.callbacks" with
-    | Some (M.Counter_v n) -> n
-    | _ -> -1
+  let series reg =
+    List.filter_map
+      (fun (s : M.sample) ->
+        match s.M.value with
+        | M.Counter_v n when s.M.name = "scheduler.callbacks" ->
+            Some (List.assoc "class" s.M.labels, n)
+        | _ -> None)
+      (M.snapshot reg)
   in
-  Alcotest.(check (list int)) "tm.tx, timer, periodic (t=4, 8), default class" [ 3; 1; 2; 1 ]
-    (List.map count [ "tm.tx"; "timer"; "periodic"; "callback" ]);
-  Alcotest.(check int) "high-water mark" 6 (Scheduler.queue_depth_hwm sched);
-  match M.find_value reg ~labels "scheduler.queue_depth" with
-  | Some (M.Gauge_v { max; _ }) -> Alcotest.(check int) "gauge max" 6 max
-  | _ -> Alcotest.fail "queue depth gauge not registered"
+  Alcotest.(check (list (pair string int)))
+    "callback, periodic (t=4, 8), pktgen, timer, tm.tx; no fault or control series"
+    [ ("callback", 1); ("periodic", 2); ("pktgen", 1); ("timer", 1); ("tm.tx", 3) ]
+    (series reg);
+  Alcotest.(check int) "nothing pending" 0 (Scheduler.pending sched);
+  Alcotest.(check int) "high-water mark" 7 (Scheduler.queue_depth_hwm sched);
+  (match M.find_value reg ~labels "scheduler.queue_depth" with
+  | Some (M.Gauge_v { max; _ }) -> Alcotest.(check int) "gauge max" 7 max
+  | _ -> Alcotest.fail "queue depth gauge not registered");
+  (* Every class counts under the label string its series has always
+     carried. The match is exhaustive, so a new class cannot go
+     unpinned. *)
+  let label : Scheduler.cls -> string = function
+    | Callback -> "callback"
+    | Periodic -> "periodic"
+    | Workload -> "workload"
+    | Link -> "link"
+    | Xlink -> "xlink"
+    | Merger_admit -> "merger.admit"
+    | Switch_decision -> "switch.decision"
+    | Tm_tx -> "tm.tx"
+    | Timer -> "timer"
+    | Pktgen -> "pktgen"
+    | Control -> "control"
+    | Fault -> "fault"
+    | Netupd -> "netupd"
+    | Efsm_sweep -> "pisa.efsm.sweep"
+    | Resil_backoff -> "resil.backoff"
+    | Resil_invariant -> "resil.invariant"
+  in
+  let all =
+    Scheduler.
+      [
+        Callback; Periodic; Workload; Link; Xlink; Merger_admit; Switch_decision; Tm_tx; Timer;
+        Pktgen; Control; Fault; Netupd; Efsm_sweep; Resil_backoff; Resil_invariant;
+      ]
+  in
+  let sched = Scheduler.create () in
+  let reg = M.create () in
+  Scheduler.set_metrics ~wall:false sched reg;
+  List.iteri (fun i cls -> Scheduler.post ~cls sched ~at:i (fun () -> ())) all;
+  Scheduler.run sched;
+  Alcotest.(check (list (pair string int)))
+    "one series per class, under its label"
+    (List.sort compare (List.map (fun cls -> (label cls, 1)) all))
+    (series reg);
+  Alcotest.(check int) "16 distinct labels" 16
+    (List.length (List.sort_uniq compare (List.map label all)))
 
 let test_zero_event_run_records_no_wall () =
   (* Satellite: a [run ~until] that dispatches nothing must not observe
@@ -741,7 +801,7 @@ let qcheck_ladder_interleaved =
           (* Few distinct times ahead of the position so ties are
              common. *)
           let time = Ladder_queue.position l + Stats.Rng.int rng 8 in
-          Ladder_queue.push l ~time !seq;
+          Ladder_queue.push l ~time ~tag:0 !seq;
           model := (time, !seq) :: !model;
           incr seq
         end
@@ -931,7 +991,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ladder_drain_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_scheduler_matches_model;
     QCheck_alcotest.to_alcotest qcheck_sliced_run;
-    Alcotest.test_case "post pool reuse" `Quick test_post_pool_reuse;
+    Alcotest.test_case "post from a posted callback" `Quick test_post_from_posted_callback;
     Alcotest.test_case "zero-alloc post/step" `Quick (test_scheduler_zero_alloc ~queued:0);
     Alcotest.test_case "zero-alloc post/step (1000 queued)" `Quick
       (test_scheduler_zero_alloc ~queued:1000);

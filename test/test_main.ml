@@ -21,6 +21,7 @@ let () =
       ("experiments", Test_experiments.suite);
       ("p4dsl", Test_p4dsl.suite);
       ("parsim", Test_parsim.suite);
+      ("work", Test_work.suite);
       ("netupd", Test_netupd.suite);
       ("golden", Test_golden.suite);
     ]

@@ -454,6 +454,15 @@ let test_fat_tree_route_reaches () =
   check_routing_reaches (Topology.fat_tree ~k:4 ()) ~route:(Topology.fat_tree_route ~k:4)
     ~max_hops:5
 
+(* Routing a packet builds nothing, not even the destination's
+   (pod, edge, member) tuple. *)
+let test_fat_tree_route_zero_alloc () =
+  let i = ref 0 and sum = ref 0 in
+  Zero_alloc.check "Topology.fat_tree_route" ~iters:10_000 (fun () ->
+      sum := !sum + Topology.fat_tree_route ~k:4 ~sw:(!i mod 20) ~dst_host:(!i mod 16);
+      incr i);
+  Alcotest.(check bool) "routes to real ports" true (!sum > 0)
+
 let test_ring_route_reaches () =
   check_routing_reaches
     (Topology.ring ~switches:5 ())
@@ -771,6 +780,7 @@ let suite =
     Alcotest.test_case "topology: validate at scale (k=16/k=32/ring-1024)" `Quick
       test_topology_validate_at_scale;
     Alcotest.test_case "fat-tree routing reaches destination" `Quick test_fat_tree_route_reaches;
+    Alcotest.test_case "zero-alloc fat-tree routing" `Quick test_fat_tree_route_zero_alloc;
     Alcotest.test_case "ring routing reaches destination" `Quick test_ring_route_reaches;
     Alcotest.test_case "ring: sharded = sequential" `Quick test_ring_conformance;
     Alcotest.test_case "ring: wide windows = sequential" `Quick test_ring_wide_windows;

@@ -76,7 +76,7 @@ let test_table_kind_mismatch () =
       Match_table.add_lpm t ~prefix:0 ~len:0 "x")
 
 let test_counter () =
-  let c = Counter.create ~name:"c" ~entries:4 in
+  let c = Counter.create ~entries:4 in
   Counter.count c ~index:1 ~bytes:100;
   Counter.count c ~index:1 ~bytes:200;
   Alcotest.(check int) "pkts" 2 (Counter.packets c 1);

@@ -227,11 +227,36 @@ let test_time_series () =
   Alcotest.(check (option (pair (float 0.) (float 0.)))) "last" (Some (10., 100.))
     (Time_series.last ts)
 
+(* The generator is splitmix64: the first draws of seed 7, computed
+   independently of this code, pin the stream bit for bit. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create ~seed:7 in
+  Alcotest.(check (list int))
+    "bits" [ 2418118848055258963; 1393370355107282181; 4339579163232964052 ]
+    (List.init 3 (fun _ -> Rng.bits r));
+  Alcotest.(check (float 0.)) "float" 0.8832292678334052 (Rng.float r)
+
+(* Draws keep the 64-bit state unboxed and build no closure, so
+   [Rng.int] allocates nothing. A float returned across a module
+   boundary is boxed unless the caller inlines the draw, as optimised
+   builds do; the tests' dev profile compiles with [-opaque], so
+   [Rng.float] is allowed its result's own 2-word box and nothing
+   more. *)
+let test_rng_draws_zero_alloc () =
+  let r = Rng.create ~seed:5 in
+  let sum = ref 0 and low = ref 0 in
+  Zero_alloc.check "Rng.int" ~iters:10_000 (fun () -> sum := !sum + Rng.int r 1_000);
+  Zero_alloc.check ~words_per_cycle:2 "Rng.float" ~iters:10_000 (fun () ->
+      if Rng.float r < 0.5 then incr low);
+  Alcotest.(check bool) "draws land on both sides" true (!low > 0 && !low < 20_000 && !sum > 0)
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_different_seeds;
     Alcotest.test_case "rng copy/split" `Quick test_rng_copy_and_split;
+    Alcotest.test_case "rng stream is splitmix64" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "zero-alloc rng draws" `Quick test_rng_draws_zero_alloc;
     QCheck_alcotest.to_alcotest qcheck_rng_int_range;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;

@@ -40,10 +40,10 @@ let test_fifo_queue () =
   Fifo_queue.push q b;
   Alcotest.(check bool) "limit enforced" false (Fifo_queue.can_accept q 100);
   Alcotest.(check int) "bytes" 200 (Fifo_queue.occupancy_bytes q);
-  (match Fifo_queue.pop q with
-  | Some p -> Alcotest.(check int) "fifo order" a.Packet.uid p.Packet.uid
-  | None -> Alcotest.fail "pop");
-  Alcotest.(check int) "bytes after pop" 100 (Fifo_queue.occupancy_bytes q)
+  Alcotest.(check int) "fifo order" a.Packet.uid (Fifo_queue.pop q).Packet.uid;
+  Alcotest.(check int) "bytes after pop" 100 (Fifo_queue.occupancy_bytes q);
+  Alcotest.(check int) "second" b.Packet.uid (Fifo_queue.pop q).Packet.uid;
+  Alcotest.(check bool) "empty pop is nil" true (Packet.is_nil (Fifo_queue.pop q))
 
 let test_pifo_ordering () =
   let p = Pifo.create () in
@@ -379,6 +379,51 @@ let qcheck_tm_conservation =
       && Traffic_manager.quiescent tm
       && Traffic_manager.enqueues tm = Traffic_manager.dequeues tm)
 
+(* A packet's hops through a link and a traffic manager allocate
+   nothing once warm: the link's in-flight ring holds the packet itself,
+   and the dequeue path passes an int queue index and a packet
+   ([Packet.nil] for none), never an option. *)
+let test_link_send_zero_alloc () =
+  let sched = Scheduler.create () in
+  let arrived = ref 0 in
+  let ep = { Link.deliver = (fun _ -> incr arrived); notify_status = (fun ~up:_ -> ()) } in
+  let link = Link.create ~sched ~a:ep ~b:ep () in
+  let pkt = mk_pkt () in
+  Zero_alloc.check "Link.send + arrival" ~iters:10_000 (fun () ->
+      Link.send link ~from_a:true pkt;
+      ignore (Scheduler.step sched : bool));
+  Alcotest.(check int) "every packet arrived" 20_000 !arrived
+
+let quiet_sink =
+  {
+    Devents.Event_sink.enqueue =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    dequeue =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    overflow =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    underflow = (fun ~port:_ ~qid:_ ~time:_ -> ());
+    transmitted = (fun ~port:_ ~pkt_len:_ ~flow_id:_ ~time:_ -> ());
+  }
+
+let test_tm_cycle_zero_alloc () =
+  let sched = Scheduler.create () in
+  let sent = ref 0 in
+  let tm =
+    Traffic_manager.create ~sched ~config:Traffic_manager.default_config
+      ~emit:(fun ~port:_ _ -> incr sent)
+      ~events:quiet_sink ()
+  in
+  let pkt = mk_pkt () in
+  Zero_alloc.check "TM enqueue + transmit completion on an idle port" ~iters:10_000 (fun () ->
+      ignore (Traffic_manager.enqueue tm ~port:0 pkt : bool);
+      ignore (Scheduler.step sched : bool));
+  Alcotest.(check int) "every packet transmitted" 20_000 !sent;
+  Alcotest.(check bool) "port idle again" true (Traffic_manager.quiescent tm)
+
 let suite =
   [
     Alcotest.test_case "buffer pool" `Quick test_buffer_pool;
@@ -400,5 +445,7 @@ let suite =
     Alcotest.test_case "link stale notification dropped" `Quick
       test_link_stale_notification_dropped;
     Alcotest.test_case "link perturbations" `Quick test_link_perturbations;
+    Alcotest.test_case "zero-alloc link send + arrival" `Quick test_link_send_zero_alloc;
+    Alcotest.test_case "zero-alloc tm enqueue + transmit" `Quick test_tm_cycle_zero_alloc;
     QCheck_alcotest.to_alcotest qcheck_tm_conservation;
   ]
