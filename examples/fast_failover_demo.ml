@@ -37,7 +37,7 @@ let () =
          ());
     (* Fail the primary link at 1 ms. *)
     let primary = List.assoc 0 ctx.links in
-    ignore (Scheduler.schedule ctx.sched ~at:(Sim_time.ms 1) (fun () -> Tmgr.Link.fail primary))
+    Scheduler.post ctx.sched ~at:(Sim_time.ms 1) (fun () -> Tmgr.Link.fail primary)
   in
   let r =
     Parsim.run

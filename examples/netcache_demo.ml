@@ -39,11 +39,10 @@ let () =
     let zipf = Stats.Dist.zipf ~n:200 ~alpha:1.2 in
     for i = 0 to 3999 do
       let at = i * Sim_time.us 2 in
-      ignore
-        (Scheduler.schedule ctx.sched ~at (fun () ->
-             let rank = Stats.Dist.zipf_draw rng zipf in
-             let key = if at < Sim_time.ms 4 then rank else 1000 + rank in
-             Event_switch.inject sw ~port:0 (Apps.Netcache.get_packet ~client:0 ~key)))
+      Scheduler.post ctx.sched ~at (fun () ->
+          let rank = Stats.Dist.zipf_draw rng zipf in
+          let key = if at < Sim_time.ms 4 then rank else 1000 + rank in
+          Event_switch.inject sw ~port:0 (Apps.Netcache.get_packet ~client:0 ~key))
     done
   in
   ignore

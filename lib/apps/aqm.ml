@@ -17,7 +17,6 @@ type policy =
 
 type t = {
   mutable early_drops : int;
-  mutable ecn_marks : int;
   avg : Stats.Ewma.t;
   mutable active : int;
   mutable drop_p : float; (* PIE *)
@@ -26,25 +25,27 @@ type t = {
 }
 
 let early_drops t = t.early_drops
-let ecn_marks t = t.ecn_marks
 let active_flows t = t.active
 
 let drop_probability t = t.drop_p
 
 let slots = 256
 
-let program ?(mark_instead_of_drop = false) ~policy ~buffer_bytes ~out_port () =
+let program ~policy ~buffer_bytes ~out_port () =
   let weight = match policy with Red r -> r.weight | Taildrop | Fred _ | Pie _ -> 0.2 in
   let t =
     {
       early_drops = 0;
-      ecn_marks = 0;
       avg = Stats.Ewma.create ~alpha:weight;
       active = 0;
       drop_p = 0.;
       old_delay_sec = 0.;
       deq_bytes_window = 0;
     }
+  in
+  let drop () =
+    t.early_drops <- t.early_drops + 1;
+    Program.Drop
   in
   let spec ctx =
     (* Per-flow occupancy + per-flow packet counts (to track active
@@ -65,19 +66,6 @@ let program ?(mark_instead_of_drop = false) ~policy ~buffer_bytes ~out_port () =
       pkt.Packet.meta.Packet.enq_meta.(1) <- Packet.len pkt;
       pkt.Packet.meta.Packet.deq_meta.(0) <- fid;
       pkt.Packet.meta.Packet.deq_meta.(1) <- Packet.len pkt;
-      let drop_or_mark () =
-        if mark_instead_of_drop then begin
-          t.ecn_marks <- t.ecn_marks + 1;
-          (* Multi-bit congestion mark: quantised queue occupancy. *)
-          pkt.Packet.meta.Packet.mark <-
-            min 15 (Shared_register.read total_occ 0 * 16 / max 1 buffer_bytes);
-          Program.Forward (out_port pkt)
-        end
-        else begin
-          t.early_drops <- t.early_drops + 1;
-          Program.Drop
-        end
-      in
       match policy with
       | Taildrop -> Program.Forward (out_port pkt)
       | Red { min_th; max_th; max_p; weight = _ } ->
@@ -86,21 +74,21 @@ let program ?(mark_instead_of_drop = false) ~policy ~buffer_bytes ~out_port () =
              even while early drops suppress enqueue events. *)
           let avg = Stats.Ewma.update t.avg (float_of_int (Shared_register.read total_occ 0)) in
           if avg <= float_of_int min_th then Program.Forward (out_port pkt)
-          else if avg >= float_of_int max_th then drop_or_mark ()
+          else if avg >= float_of_int max_th then drop ()
           else
             let p =
               max_p *. (avg -. float_of_int min_th) /. float_of_int (max_th - min_th)
             in
-            if Stats.Rng.float ctx.Program.rng < p then drop_or_mark ()
+            if Stats.Rng.float ctx.Program.rng < p then drop ()
             else Program.Forward (out_port pkt)
       | Fred { multiplier } ->
           let occ = Shared_register.read flow_occ fid in
           let fair =
             float_of_int buffer_bytes /. float_of_int (max 1 t.active) *. multiplier
           in
-          if float_of_int occ > fair then drop_or_mark () else Program.Forward (out_port pkt)
+          if float_of_int occ > fair then drop () else Program.Forward (out_port pkt)
       | Pie _ ->
-          if t.drop_p > 0. && Stats.Rng.float ctx.Program.rng < t.drop_p then drop_or_mark ()
+          if t.drop_p > 0. && Stats.Rng.float ctx.Program.rng < t.drop_p then drop ()
           else Program.Forward (out_port pkt)
     in
     (match policy with

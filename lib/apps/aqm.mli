@@ -34,20 +34,15 @@ type policy =
 type t
 
 val early_drops : t -> int
-val ecn_marks : t -> int
 val drop_probability : t -> float
 (** PIE's current drop probability (0 for other policies). *)
 
 val active_flows : t -> int
 
 val program :
-  ?mark_instead_of_drop:bool ->
   policy:policy ->
   buffer_bytes:int ->
   out_port:(Netcore.Packet.t -> int) ->
   unit ->
   Evcore.Program.spec * t
-(** Flows hash into 256 slots of per-flow state. [mark_instead_of_drop]
-    turns RED drops into multi-bit ECN marks in [pkt.meta.mark] (the
-    paper's "variants of ECN marking, with packets carrying multiple
-    bits"). *)
+(** Flows hash into 256 slots of per-flow state. *)

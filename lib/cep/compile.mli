@@ -24,8 +24,9 @@
       when a step fires into [accept].
 
     Rows for one configuration are emitted in frontier order (the
-    interpreter's scan order), so the EFSM's first-match-wins rule
-    implements the same deterministic choice as {!Interp}. *)
+    scan order of a direct interpretation of {!Pattern}), so the EFSM's
+    first-match-wins rule implements the same deterministic choice as
+    the reference interpreter the tests check it against. *)
 
 type t = {
   pattern : Pattern.t;

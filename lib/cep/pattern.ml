@@ -16,10 +16,6 @@ let clamp_attr a = if a < 0 then 0 else if a >= attr_base then attr_base - 1 els
 let encode (v : view) = (Event.cls_index v.cls * attr_base) + clamp_attr v.attr
 let tick_input = Event.num_classes * attr_base
 
-let atom_matches (a : atom) (v : view) =
-  Event.cls_equal a.cls v.cls && clamp_attr v.attr >= clamp_attr a.lo
-  && clamp_attr v.attr <= clamp_attr a.hi
-
 let atom ?(lo = 0) ?(hi = attr_base - 1) ~label cls =
   if clamp_attr lo > clamp_attr hi then
     invalid_arg (Printf.sprintf "Cep.Pattern.atom %s: empty attribute interval" label);

@@ -21,8 +21,8 @@
     decrement once per tick, and on expiry reset the sub-pattern's
     progress (the first expired window per tick wins, scanning
     outermost-first — exactly one region resets per tick). The same
-    tick stream drives both the reference interpreter ({!Interp}) and
-    the compiled automaton, so their verdicts agree event-for-event. *)
+    tick stream drives both the tests' reference interpreter and the
+    compiled automaton, so their verdicts agree event-for-event. *)
 
 type view = { cls : Devents.Event.cls; attr : int }
 (** An event as the pattern sees it: its Table 1 class and one
@@ -70,8 +70,6 @@ val encode : view -> int
 val tick_input : int
 (** The reserved input word carrying the detector tick (broadcast to
     every flow context via {!Pisa.Efsm.step_all}). *)
-
-val atom_matches : atom -> view -> bool
 
 val ticks_of_window : tick_period:Eventsim.Sim_time.t -> Eventsim.Sim_time.t -> int
 (** Window length in whole ticks, rounded up, at least 1. *)

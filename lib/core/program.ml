@@ -83,5 +83,3 @@ let subscriptions t =
       (Event.User_event, t.user <> None);
     ]
 
-let forward_all ~name ~out_port : spec =
- fun _ctx -> make ~name ~ingress:(fun _ctx _pkt -> Forward out_port) ()

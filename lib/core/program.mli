@@ -111,7 +111,3 @@ val make :
 
 val subscriptions : t -> Devents.Event.cls list
 (** The metadata-event classes this program defined handlers for. *)
-
-val forward_all : name:string -> out_port:int -> spec
-(** A trivial program forwarding every packet to [out_port] — useful in
-    tests and as a quickstart. *)

@@ -57,16 +57,9 @@ let validate t =
       if not attached then invalid_arg (Printf.sprintf "Topology.validate: host %d unattached" h))
     host_seen
 
-let max_port t sw =
-  let fold_ep acc (s, p) = if s = sw then max acc p else acc in
-  let acc =
-    List.fold_left (fun acc l -> fold_ep (fold_ep acc l.a) l.b) (-1) t.links
-  in
-  List.fold_left (fun acc at -> fold_ep acc (at.switch, at.port)) acc t.attachments
-
 (* Port counts for every switch in one pass over the link/attachment
-   lists. [max_port] per switch is O(switches * links) across a whole
-   topology — quadratic, and it shows at 1000+ switches. *)
+   lists: a scan of the lists per switch would be quadratic, and it
+   shows at 1000+ switches. *)
 let ports t =
   let n = Array.make t.switches 0 in
   let claim (sw, p) = if p + 1 > n.(sw) then n.(sw) <- p + 1 in
@@ -113,7 +106,7 @@ let leaf_spine ~leaves ~spines ~hosts_per_leaf =
 
 let default_skew = Sim_time.ps 1
 
-let ring ?(delay = Sim_time.us 1) ?(skew = default_skew) ~switches () =
+let ring ~switches () =
   if switches < 2 then invalid_arg "Topology.ring: need at least 2 switches";
   let links =
     List.init switches (fun i ->
@@ -121,7 +114,7 @@ let ring ?(delay = Sim_time.us 1) ?(skew = default_skew) ~switches () =
           link_id = i;
           a = (i, 1);
           b = ((i + 1) mod switches, 2);
-          delay = delay + (i * skew);
+          delay = Sim_time.us 1 + (i * default_skew);
           detection_delay = None;
         })
   in

@@ -43,14 +43,10 @@ val validate : t -> unit
 (** Raises [Invalid_argument] if a (switch, port) pair is wired twice,
     an id is out of range, or host ids are not exactly [0..hosts-1]. *)
 
-val max_port : t -> int -> int
-(** Highest port used on a switch ([-1] if none). *)
-
 val ports : t -> int array
-(** Port count ([max_port + 1]) for every switch, computed in one pass
-    over the links and attachments. Prefer this to calling {!max_port}
-    per switch when building a whole topology — the per-switch form is
-    quadratic and shows at 1000+ switches. *)
+(** Port count (highest port used + 1) for every switch, computed in
+    one pass over the links and attachments, so it stays linear at
+    1000+ switches. *)
 
 (** {1 Builders} *)
 
@@ -66,11 +62,11 @@ val leaf_spine : leaves:int -> spines:int -> hosts_per_leaf:int -> t
     [l * hosts_per_leaf + i] and port [hosts_per_leaf + s] is the
     uplink to spine [s]; a spine's port [l] faces leaf [l]. *)
 
-val ring : ?delay:Eventsim.Sim_time.t -> ?skew:Eventsim.Sim_time.t -> switches:int -> unit -> t
+val ring : switches:int -> unit -> t
 (** [switches >= 2] switches in a cycle, one host each. Port 0 of each
     switch faces its host; port 1 is the clockwise uplink to the next
-    switch's port 2. Host links take 1 us. Defaults: 1 us link delay,
-    1 ps skew. *)
+    switch's port 2. Host links take 1 us; ring link [i] takes
+    1 us + [i] ps. *)
 
 val ring_route : switches:int -> sw:int -> dst_host:int -> int
 (** Egress port on [sw] toward [dst_host] under clockwise routing:

@@ -132,12 +132,3 @@ let cls_ix_of = function
   | Link_change _ -> 11
   | Control _ -> 10
   | User _ -> 12
-
-let time_of = function
-  | Enqueue b | Dequeue b | Overflow b -> b.time
-  | Underflow u -> u.time
-  | Transmitted t -> t.time
-  | Timer t -> t.fired
-  | Link_change l -> l.time
-  | Control c -> c.time
-  | User u -> u.time

@@ -89,5 +89,3 @@ val cls_of : t -> cls
 
 val cls_ix_of : t -> int
 (** [cls_ix_of ev = cls_index (cls_of ev)], in one match. *)
-
-val time_of : t -> int

@@ -14,31 +14,27 @@ type carrier = {
   mutable n_events : int;
 }
 
-type config = {
-  event_queue_capacity : int;
-  packet_queue_capacity : int;
-  max_events_per_carrier : int;
-  priority : Event.cls list;
-}
+type config = { event_queue_capacity : int; max_events_per_carrier : int }
 
-let default_config =
-  {
-    event_queue_capacity = 64;
-    packet_queue_capacity = 256;
-    max_events_per_carrier = 4;
-    priority =
-      [
-        Event.Link_status_change;
-        Event.Timer_expiration;
-        Event.Control_plane;
-        Event.Buffer_overflow;
-        Event.Buffer_underflow;
-        Event.Buffer_dequeue;
-        Event.Buffer_enqueue;
-        Event.Packet_transmitted;
-        Event.User_event;
-      ];
-  }
+let default_config = { event_queue_capacity = 64; max_events_per_carrier = 4 }
+
+let packet_queue_capacity = 256
+
+(* The drain order for metadata events, as class indices. *)
+let priority_ix =
+  Array.of_list
+    (List.map Event.cls_index
+       [
+         Event.Link_status_change;
+         Event.Timer_expiration;
+         Event.Control_plane;
+         Event.Buffer_overflow;
+         Event.Buffer_underflow;
+         Event.Buffer_dequeue;
+         Event.Buffer_enqueue;
+         Event.Packet_transmitted;
+         Event.User_event;
+       ])
 
 type t = {
   sched : Scheduler.t;
@@ -49,7 +45,6 @@ type t = {
      generated. *)
   pkt_queues : Packet.t Event_queue.t array;
   store : Event_store.t; (* queued metadata events, off-heap SoA rings *)
-  priority_ix : int array; (* config.priority as class indices *)
   carrier : carrier;
   mutable admission_armed : bool;
   mutable admit_cb : unit -> unit; (* persistent; posted once per carrier *)
@@ -101,10 +96,10 @@ let collect_events t =
   let c = t.carrier in
   c.n_events <- 0;
   let limit = t.config.max_events_per_carrier in
-  let n = Array.length t.priority_ix in
+  let n = Array.length priority_ix in
   let i = ref 0 in
   while c.n_events < limit && !i < n do
-    let ix = Array.unsafe_get t.priority_ix !i in
+    let ix = Array.unsafe_get priority_ix !i in
     if Event_store.length t.store ~cls_ix:ix > 0 then begin
       c.events.(c.n_events) <- Event_store.take t.store ~cls_ix:ix;
       c.n_events <- c.n_events + 1
@@ -149,9 +144,8 @@ let create ~sched ~pipeline ?(config = default_config) ~process () =
       config;
       process;
       pkt_queues =
-        Array.init 3 (fun _ -> Event_queue.create ~capacity:config.packet_queue_capacity);
+        Array.init 3 (fun _ -> Event_queue.create ~capacity:packet_queue_capacity);
       store = Event_store.create ~capacity:config.event_queue_capacity ();
-      priority_ix = Array.of_list (List.map Event.cls_index config.priority);
       carrier =
         {
           kind = Ingress;

@@ -10,9 +10,11 @@
     paper's "empty packet"), which consumes a pipeline slot; E4
     measures when that starts to eat into line rate.
 
-    Event classes drain highest-priority-first; the default order puts
-    rare control-ish events (link change, timer, control) first and
-    high-volume buffer events after, matching the prototype.
+    Event classes drain highest-priority-first, in one fixed order
+    that puts rare control-ish events first and high-volume buffer
+    events after, matching the prototype: link change, timer, control
+    plane, overflow, underflow, dequeue, enqueue, transmitted, user.
+    Each packet kind's input queue holds 256 packets.
 
     Queued metadata events live off-heap in an {!Event_store} (flat
     struct-of-arrays rings), and the carrier handed to [process] is a
@@ -34,9 +36,7 @@ type carrier = {
 
 type config = {
   event_queue_capacity : int;  (** per class (default 64) *)
-  packet_queue_capacity : int;  (** per packet kind (default 256) *)
   max_events_per_carrier : int;  (** metadata bus width (default 4) *)
-  priority : Event.cls list;  (** drain order for metadata events *)
 }
 
 val default_config : config

@@ -15,7 +15,6 @@ type 'a t = {
   mutable head : int; (* index of the oldest element *)
   mutable count : int;
   mutable dropped : int;
-  mutable high_watermark : int;
 }
 
 let hole () : 'a = Obj.magic 0
@@ -28,7 +27,6 @@ let create ~capacity =
     head = 0;
     count = 0;
     dropped = 0;
-    high_watermark = 0;
   }
 
 let push t x =
@@ -41,7 +39,6 @@ let push t x =
     let i = if i >= t.capacity then i - t.capacity else i in
     t.slots.(i) <- x;
     t.count <- t.count + 1;
-    if t.count > t.high_watermark then t.high_watermark <- t.count;
     true
   end
 
@@ -53,8 +50,6 @@ let take t =
   t.count <- t.count - 1;
   x
 
-let pop t = if t.count = 0 then None else Some (take t)
 let pop_or t ~default = if t.count = 0 then default else take t
 let length t = t.count
 let dropped t = t.dropped
-let high_watermark t = t.high_watermark

@@ -11,12 +11,10 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> bool
 (** [false] if the queue was full (the element is dropped). *)
 
-val pop : 'a t -> 'a option
-
 val pop_or : 'a t -> default:'a -> 'a
-(** Allocation-free pop: the head element, or [default] when empty. *)
+(** Remove and return the head element, or [default] when empty;
+    allocation-free. *)
 
 val length : 'a t -> int
 
 val dropped : 'a t -> int
-val high_watermark : 'a t -> int

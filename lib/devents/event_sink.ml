@@ -16,41 +16,3 @@ type t = {
   underflow : port:int -> qid:int -> time:int -> unit;
   transmitted : port:int -> pkt_len:int -> flow_id:int -> time:int -> unit;
 }
-
-(* Boxed compatibility wrapper. The [meta] array is snapshotted
-   ([Array.copy]) because the produced events outlive the call, while
-   the caller keeps mutating the packet's metadata bus. *)
-let of_fn f =
-  let buffer ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time =
-    {
-      Event.port;
-      qid;
-      pkt_len;
-      flow_id;
-      meta = Array.copy meta;
-      occupancy_pkts;
-      occupancy_bytes;
-      time;
-    }
-  in
-  {
-    enqueue =
-      (fun ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time ->
-        f
-          (Event.Enqueue
-             (buffer ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time)));
-    dequeue =
-      (fun ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time ->
-        f
-          (Event.Dequeue
-             (buffer ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time)));
-    overflow =
-      (fun ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time ->
-        f
-          (Event.Overflow
-             (buffer ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes ~time)));
-    underflow = (fun ~port ~qid ~time -> f (Event.Underflow { Event.port; qid; time }));
-    transmitted =
-      (fun ~port ~pkt_len ~flow_id ~time ->
-        f (Event.Transmitted { Event.port; pkt_len; flow_id; time }));
-  }

@@ -25,9 +25,3 @@ type t = {
   underflow : port:int -> qid:int -> time:int -> unit;
   transmitted : port:int -> pkt_len:int -> flow_id:int -> time:int -> unit;
 }
-
-val of_fn : (Event.t -> unit) -> t
-(** Boxed compatibility wrapper: each entry point builds the
-    corresponding {!Event.t} (snapshotting [meta]) and hands it to
-    [f]. Convenient for tests and tools; allocates per event, so not
-    for the hot path. *)

@@ -7,13 +7,9 @@
    allocates zero minor words, and the queued backlog is invisible to
    the OCaml GC (no scanning, no promotion).
 
-   The only variable-size payload an event can carry is a buffer
-   event's [meta] array. The common case — exactly
-   [inline_meta_slots] slots, which is what the traffic manager always
-   produces — is stored inline in the row. Rare other lengths (programs
-   constructing their own events) fall back to a boxed side table: the
-   row stores a slot index and the copied array parks in [boxed] until
-   decoded.
+   A buffer event's [meta] array is stored inline in its row: it has
+   exactly [Packet.meta_slots] slots, the length of every metadata
+   array a packet carries ([Packet.fresh_meta] builds them all).
 
    A class's ring is built at its first accepted push, so a switch whose
    program handles no metadata events allocates none. *)
@@ -30,13 +26,13 @@ type ring = {
   mutable hwm : int;
 }
 
-let inline_meta_slots = 4
+let meta_slots = Netcore.Packet.meta_slots
 
 (* Row widths by class index. Buffer events (ix 5-7) carry
-   port, qid, pkt_len, flow_id, occ_pkts, occ_bytes, time, meta_tag and
-   four inline meta slots. Packet classes (ix 0-3) ride the merger's
-   packet queues, never the event store. *)
-let widths = [| 0; 0; 0; 0; 4; 12; 12; 12; 3; 5; 3; 3; 3 |]
+   port, qid, pkt_len, flow_id, occ_pkts, occ_bytes, time and the
+   [meta_slots] (4) meta slots. Packet classes (ix 0-3) ride the
+   merger's packet queues, never the event store. *)
+let widths = [| 0; 0; 0; 0; 4; 11; 11; 11; 3; 5; 3; 3; 3 |]
 
 (* Shared scratch records, one per class, that [take] decodes into.
    The [Event.t] wrappers are preallocated too, so decoding allocates
@@ -61,13 +57,7 @@ type t = {
   rings : ring array; (* by class index *)
   mutable total : int; (* queued events across all classes *)
   scratch : scratch;
-  (* Boxed side table for odd-length [meta] payloads. *)
-  mutable boxed : int array array;
-  mutable boxed_free : int array; (* stack of free slot indices *)
-  mutable boxed_free_top : int;
 }
-
-let no_meta : int array = [||]
 
 let make_scratch () =
   let buf meta =
@@ -82,9 +72,9 @@ let make_scratch () =
       time = 0;
     }
   in
-  let s_enq_meta = Array.make inline_meta_slots 0 in
-  let s_deq_meta = Array.make inline_meta_slots 0 in
-  let s_ovf_meta = Array.make inline_meta_slots 0 in
+  let s_enq_meta = Array.make meta_slots 0 in
+  let s_deq_meta = Array.make meta_slots 0 in
+  let s_ovf_meta = Array.make meta_slots 0 in
   let s_enq = buf s_enq_meta in
   let s_deq = buf s_deq_meta in
   let s_ovf = buf s_ovf_meta in
@@ -137,14 +127,7 @@ let create ~capacity () =
           hwm = 0;
         })
   in
-  {
-    rings;
-    total = 0;
-    scratch = make_scratch ();
-    boxed = [||];
-    boxed_free = [||];
-    boxed_free_top = 0;
-  }
+  { rings; total = 0; scratch = make_scratch () }
 
 let length t ~cls_ix = t.rings.(cls_ix).count
 let total t = t.total
@@ -177,39 +160,12 @@ let consume t r =
   t.total <- t.total - 1;
   off
 
-(* {2 Boxed side table (rare odd-length meta payloads)} *)
-
-let boxed_put t arr =
-  if t.boxed_free_top = 0 then begin
-    (* Grow the slab and the free stack together. *)
-    let old = Array.length t.boxed in
-    let cap = if old = 0 then 8 else old * 2 in
-    let boxed = Array.make cap no_meta in
-    Array.blit t.boxed 0 boxed 0 old;
-    t.boxed <- boxed;
-    let free = Array.make cap 0 in
-    for i = 0 to cap - old - 1 do
-      free.(i) <- cap - 1 - i
-    done;
-    t.boxed_free <- free;
-    t.boxed_free_top <- cap - old
-  end;
-  t.boxed_free_top <- t.boxed_free_top - 1;
-  let slot = t.boxed_free.(t.boxed_free_top) in
-  t.boxed.(slot) <- arr;
-  slot
-
-let boxed_get t slot =
-  let arr = t.boxed.(slot) in
-  t.boxed.(slot) <- no_meta;
-  t.boxed_free.(t.boxed_free_top) <- slot;
-  t.boxed_free_top <- t.boxed_free_top + 1;
-  arr
-
 (* {2 Unboxed pushes} *)
 
 let push_buffer t ~cls_ix ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes
     ~time =
+  if Array.length meta <> meta_slots then
+    invalid_arg "Event_store.push_buffer: meta is not Packet.meta_slots long";
   let r = t.rings.(cls_ix) in
   let off = claim t r in
   if off < 0 then false
@@ -222,14 +178,10 @@ let push_buffer t ~cls_ix ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~oc
     BA1.unsafe_set b (off + 4) occupancy_pkts;
     BA1.unsafe_set b (off + 5) occupancy_bytes;
     BA1.unsafe_set b (off + 6) time;
-    if Array.length meta = inline_meta_slots then begin
-      BA1.unsafe_set b (off + 7) 0;
-      BA1.unsafe_set b (off + 8) (Array.unsafe_get meta 0);
-      BA1.unsafe_set b (off + 9) (Array.unsafe_get meta 1);
-      BA1.unsafe_set b (off + 10) (Array.unsafe_get meta 2);
-      BA1.unsafe_set b (off + 11) (Array.unsafe_get meta 3)
-    end
-    else BA1.unsafe_set b (off + 7) (1 + boxed_put t (Array.copy meta));
+    BA1.unsafe_set b (off + 7) (Array.unsafe_get meta 0);
+    BA1.unsafe_set b (off + 8) (Array.unsafe_get meta 1);
+    BA1.unsafe_set b (off + 9) (Array.unsafe_get meta 2);
+    BA1.unsafe_set b (off + 10) (Array.unsafe_get meta 3);
     true
   end
 
@@ -324,7 +276,7 @@ let push t ev =
 
 (* {2 Decoding} *)
 
-let decode_buffer t r (s : Event.buffer_event) inline_meta =
+let decode_buffer t r (s : Event.buffer_event) meta =
   let off = consume t r in
   let b = r.buf in
   s.Event.port <- BA1.unsafe_get b off;
@@ -334,15 +286,11 @@ let decode_buffer t r (s : Event.buffer_event) inline_meta =
   s.Event.occupancy_pkts <- BA1.unsafe_get b (off + 4);
   s.Event.occupancy_bytes <- BA1.unsafe_get b (off + 5);
   s.Event.time <- BA1.unsafe_get b (off + 6);
-  let tag = BA1.unsafe_get b (off + 7) in
-  if tag = 0 then begin
-    Array.unsafe_set inline_meta 0 (BA1.unsafe_get b (off + 8));
-    Array.unsafe_set inline_meta 1 (BA1.unsafe_get b (off + 9));
-    Array.unsafe_set inline_meta 2 (BA1.unsafe_get b (off + 10));
-    Array.unsafe_set inline_meta 3 (BA1.unsafe_get b (off + 11));
-    s.Event.meta <- inline_meta
-  end
-  else s.Event.meta <- boxed_get t (tag - 1)
+  Array.unsafe_set meta 0 (BA1.unsafe_get b (off + 7));
+  Array.unsafe_set meta 1 (BA1.unsafe_get b (off + 8));
+  Array.unsafe_set meta 2 (BA1.unsafe_get b (off + 9));
+  Array.unsafe_set meta 3 (BA1.unsafe_get b (off + 10));
+  s.Event.meta <- meta
 
 let take t ~cls_ix =
   let r = t.rings.(cls_ix) in

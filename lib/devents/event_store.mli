@@ -8,11 +8,10 @@
     preallocated [Event.t] wrapper around it.
 
     The returned event is valid only until the next {!take} of the same
-    class — consumers copy out any field they retain. The only
-    variable-size payload, a buffer event's [meta] array, is stored
-    inline when it has exactly [Packet.meta_slots] entries (the traffic
-    manager's invariant) and falls back to a boxed side table
-    otherwise.
+    class — consumers copy out any field they retain. A buffer event's
+    [meta] array is stored inline: it must have exactly
+    [Packet.meta_slots] entries, the length of every metadata array a
+    packet carries.
 
     Class indices are {!Event.cls_index} values; packet classes
     (ingress/egress/recirculated/generated) are never queued here. *)
@@ -44,7 +43,9 @@ val push_buffer :
   time:int ->
   bool
 (** [cls_ix] selects enqueue, dequeue or overflow. [meta] is read (and
-    snapshotted) at push time; the caller may keep mutating it. *)
+    snapshotted) at push time; the caller may keep mutating it. A
+    [meta] that is not [Packet.meta_slots] long raises
+    [Invalid_argument]. *)
 
 val push_underflow : t -> port:int -> qid:int -> time:int -> bool
 val push_transmitted : t -> port:int -> pkt_len:int -> flow_id:int -> time:int -> bool

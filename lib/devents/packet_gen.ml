@@ -45,4 +45,3 @@ let configure t ~period ?count ~template () =
   in
   t.handle <- Some handle
 
-let running t = t.handle <> None

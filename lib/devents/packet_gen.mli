@@ -19,4 +19,3 @@ val configure :
     when given. *)
 
 val stop : t -> unit
-val running : t -> bool

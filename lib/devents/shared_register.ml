@@ -26,9 +26,8 @@ type t = {
   pipeline : Pipeline.t;
   main : Register_array.t;
   agg : agg_side array; (* [| enq; deq |], empty in Multiport mode *)
-  (* Drain mark, inlined as two plain ints: [Pipeline.mark] would
-     allocate a record (and [idle_cycles_since] a result tuple) on
-     every [drain] — i.e. on every read/write/add of the register. *)
+  (* Drain mark as two plain ints, so that [drain] (every
+     read/write/add of the register) allocates nothing. *)
   mutable mark_cycle : int;
   mutable mark_admissions : int;
   mutable next_side : int; (* round-robin pointer between sides *)

@@ -4,7 +4,7 @@ type timer_id = int
 
 type timer = {
   id : timer_id;
-  period : int; (* 0 for one-shot *)
+  period : int;
   mutable count : int;
   mutable cancelled : bool;
   mutable scheduled : int; (* nominal (unquantised) next firing instant *)
@@ -13,19 +13,18 @@ type timer = {
 
 type t = {
   sched : Scheduler.t;
-  resolution : int;
   sink : Event.t -> unit;
   timers : (timer_id, timer) Hashtbl.t;
   mutable next_id : int;
   mutable last_fire : int;
 }
 
-let create ~sched ?(resolution = Eventsim.Sim_time.ns 100) ~sink () =
-  if resolution <= 0 then invalid_arg "Timer_unit.create: resolution must be positive";
-  { sched; resolution; sink; timers = Hashtbl.create 16; next_id = 0; last_fire = 0 }
+let create ~sched ~sink () = { sched; sink; timers = Hashtbl.create 16; next_id = 0; last_fire = 0 }
+
+let resolution = Eventsim.Sim_time.ns 100
 
 (* Round an instant up to the next tick boundary. *)
-let quantise t at = (at + t.resolution - 1) / t.resolution * t.resolution
+let quantise at = (at + resolution - 1) / resolution * resolution
 
 let fire t timer ~scheduled =
   if not timer.cancelled then begin
@@ -62,18 +61,9 @@ let add_periodic t ~period =
       if not timer.cancelled then begin
         fire t timer ~scheduled:timer.scheduled;
         timer.scheduled <- timer.scheduled + timer.period;
-        Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t timer.scheduled) timer.cb
+        Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise timer.scheduled) timer.cb
       end);
-  Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t timer.scheduled) timer.cb;
-  timer.id
-
-let add_oneshot t ~delay =
-  if delay < 0 then invalid_arg "Timer_unit.add_oneshot: negative delay";
-  let timer = fresh t ~period:0 in
-  let scheduled = Scheduler.now t.sched + delay in
-  Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise t scheduled) (fun () ->
-      fire t timer ~scheduled;
-      Hashtbl.remove t.timers timer.id);
+  Scheduler.post ~cls:Scheduler.Timer t.sched ~at:(quantise timer.scheduled) timer.cb;
   timer.id
 
 let cancel t id =
@@ -83,5 +73,4 @@ let cancel t id =
       timer.cancelled <- true;
       Hashtbl.remove t.timers id
 
-let active t = Hashtbl.length t.timers
 let last_fire_time t = t.last_fire

@@ -10,17 +10,13 @@
 type t
 type timer_id = int
 
-val create : sched:Eventsim.Scheduler.t -> ?resolution:Eventsim.Sim_time.t ->
-  sink:(Event.t -> unit) -> unit -> t
-(** [resolution] is the tick quantum (default 100 ns, a typical FPGA
-    timer tick). *)
+val create : sched:Eventsim.Scheduler.t -> sink:(Event.t -> unit) -> unit -> t
+(** A unit whose tick quantum is 100 ns, a typical FPGA timer tick. *)
 
 val add_periodic : t -> period:Eventsim.Sim_time.t -> timer_id
 (** Register a periodic timer; first firing one period from now. *)
 
-val add_oneshot : t -> delay:Eventsim.Sim_time.t -> timer_id
 val cancel : t -> timer_id -> unit
-val active : t -> int
 
 val last_fire_time : t -> Eventsim.Sim_time.t
 (** Instant of the most recent firing (0 before any) — must be

@@ -96,8 +96,6 @@ let create () =
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
-let position t = t.pos
 
 (* {2 Node pool} *)
 
@@ -392,10 +390,6 @@ let rec ensure_bottom t =
 
 (* {2 Removal} *)
 
-let peek_time t =
-  ensure_bottom t;
-  if t.bot_count = 0 then None else Some t.bottom.time
-
 let next_time t =
   ensure_bottom t;
   if t.bot_count = 0 then -1 else t.bottom.time
@@ -416,21 +410,6 @@ let take t =
   let payload = n.payload in
   release_node t n;
   payload
-
-let pop t =
-  ensure_bottom t;
-  if t.bot_count = 0 then None
-  else begin
-    let n = t.bottom in
-    t.bottom <- n.next;
-    t.bot_count <- t.bot_count - 1;
-    t.len <- t.len - 1;
-    t.pos <- n.time;
-    let time = n.time in
-    let payload = n.payload in
-    release_node t n;
-    Some (time, payload)
-  end
 
 let drain_upto t ~limit f =
   let continue = ref true in

@@ -27,28 +27,21 @@ val push : 'a t -> time:int -> tag:int -> 'a -> unit
     can attach a small int (the scheduler's event class) without a
     record of its own.
 
-    @raise Invalid_argument if [time] is before {!position} (the ladder
-    cannot travel backwards). *)
-
-val peek_time : 'a t -> int option
-(** Earliest queued time, without removing anything (the refill this
-    may trigger is order-neutral). *)
+    @raise Invalid_argument if [time] is before the time of the last
+    event taken or drained (the ladder cannot travel backwards). *)
 
 val next_time : 'a t -> int
-(** Earliest queued time, or [-1] when empty — the allocation-free
-    {!peek_time} for the scheduler hot path. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event as [(time, payload)],
-    advancing the ladder position to [time]. *)
+(** Earliest queued time, or [-1] when empty, without removing
+    anything (the refill this may trigger is order-neutral). *)
 
 val next_tag : 'a t -> int
 (** The earliest event's tag. Raises [Invalid_argument] when empty;
     read it between {!next_time} and {!take}. *)
 
 val take : 'a t -> 'a
-(** Remove and return the earliest payload alone — allocation-free.
-    Raises [Invalid_argument] when empty; pair with {!next_time}. *)
+(** Remove and return the earliest payload — allocation-free —
+    advancing the ladder position to its time. Raises
+    [Invalid_argument] when empty; pair with {!next_time}. *)
 
 val drain_upto : 'a t -> limit:int -> (time:int -> tag:int -> 'a -> unit) -> unit
 (** Fire every event with [time <= limit] through [f], in order,
@@ -58,7 +51,4 @@ val drain_upto : 'a t -> limit:int -> (time:int -> tag:int -> 'a -> unit) -> uni
     remaining event, so it never exceeds [limit]. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-
-val position : 'a t -> int
-(** Latest popped time: pushes before this raise. *)
+(** Number of queued events. *)

@@ -145,22 +145,14 @@ let schedule ?(cls = Callback) t ~at f =
       end);
   h
 
-let schedule_after ?cls t ~delay f =
-  if delay < 0 then invalid_arg "Scheduler.schedule_after: negative delay";
-  schedule ?cls t ~at:(t.clock + delay) f
-
 let cancel h =
   if not h.cancelled then begin
     h.cancelled <- true;
     if h.queued then h.owner.live <- h.owner.live - 1
   end
 
-let every ?(cls = Periodic) t ?start ~period f =
+let every ?(cls = Periodic) t ~period f =
   if period <= 0 then invalid_arg "Scheduler.every: period must be positive";
-  let first = match start with Some s -> s | None -> t.clock + period in
-  if first < t.clock then
-    invalid_arg
-      (Printf.sprintf "Scheduler.every: start=%d is before now=%d" first t.clock);
   let h = { owner = t; queued = true; cancelled = false } in
   let ix = cls_index cls in
   let rec fire () =
@@ -174,7 +166,7 @@ let every ?(cls = Periodic) t ?start ~period f =
       end
     end
   in
-  enqueue t ~time:first ~tag:self_counted fire;
+  enqueue t ~time:(t.clock + period) ~tag:self_counted fire;
   h
 
 let dispatch t ~time ~tag f =

@@ -52,8 +52,6 @@ val schedule : ?cls:cls -> t -> at:Sim_time.t -> (unit -> unit) -> handle
 (** Scheduling in the past raises [Invalid_argument]. [cls] defaults to
     {!Callback}. *)
 
-val schedule_after : ?cls:cls -> t -> delay:Sim_time.t -> (unit -> unit) -> handle
-
 val post : ?cls:cls -> t -> at:Sim_time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no handle, so the event cannot be
     cancelled, and the queue holds [f] itself with no wrapper. Use it
@@ -61,7 +59,8 @@ val post : ?cls:cls -> t -> at:Sim_time.t -> (unit -> unit) -> unit
     like {!schedule}. *)
 
 val post_after : ?cls:cls -> t -> delay:Sim_time.t -> (unit -> unit) -> unit
-(** Fire-and-forget {!schedule_after}; see {!post}. *)
+(** {!post} at [now + delay]; a negative [delay] raises
+    [Invalid_argument]. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-run or cancelled handle is a no-op. For a
@@ -69,10 +68,9 @@ val cancel : handle -> unit
     events leave {!pending} immediately (they still occupy a queue slot
     until their time comes, but are never executed). *)
 
-val every : ?cls:cls -> t -> ?start:Sim_time.t -> period:Sim_time.t -> (unit -> unit) -> handle
-(** Fire at [start] (default: now + period) and then every [period]
-    until cancelled. [cls] defaults to {!Periodic}. A [start] in the
-    past raises [Invalid_argument], exactly like {!schedule}. *)
+val every : ?cls:cls -> t -> period:Sim_time.t -> (unit -> unit) -> handle
+(** Fire at now + [period] and then every [period] until cancelled.
+    [cls] defaults to {!Periodic}. *)
 
 val run : ?until:Sim_time.t -> t -> unit
 (** Execute events until the queue is empty or the next event is after
@@ -118,7 +116,10 @@ val set_metrics : ?labels:Obs.Metrics.labels -> ?wall:bool -> t -> Obs.Metrics.t
     a [scheduler.wall_s_per_sim_s] summary observed once per {!run}
     call. Wall-clock series are inherently nondeterministic; pass
     [~wall:false] when snapshots must be reproducible. [labels] are
-    added to every series. *)
+    added to every series; when several schedulers report into
+    registries that are merged later (the shards of a [Parsim] run),
+    give each its own label, such as [("shard", "0")], or the merge
+    raises [Invalid_argument] on the shared series names. *)
 
 val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit
 (** Publish current absolute values ([scheduler.executed],

@@ -12,22 +12,14 @@ val ps : int -> t
 val ns : int -> t
 val us : int -> t
 val ms : int -> t
-val sec : int -> t
 
 val to_ns : t -> float
 val to_us : t -> float
 val to_ms : t -> float
 val to_sec : t -> float
 
-val of_ns_float : float -> t
-(** Round a nanosecond quantity to picoseconds. *)
-
 val tx_time : bytes:int -> gbps:float -> t
 (** Serialization delay of [bytes] at [gbps] gigabits per second. *)
-
-val cycles : t -> cycle:t -> int
-(** [cycles t ~cycle] is the number of whole clock cycles of length
-    [cycle] elapsed at time [t]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable with an adaptive unit. *)

@@ -77,23 +77,19 @@ let run_arch ?metrics arch =
   Event_switch.set_port_tx sw ~port:0 (fun _ -> ());
   (* Traffic: a burst big enough to overflow the 4 KB buffer. *)
   for i = 0 to 39 do
-    ignore
-      (Scheduler.schedule sched ~at:(i * Sim_time.ns 100) (fun () ->
-           Event_switch.inject sw ~port:1
-             (Packet.udp_packet
-                ~src:(Netcore.Ipv4_addr.host ~subnet:2 i)
-                ~dst:(Netcore.Ipv4_addr.host ~subnet:1 0)
-                ~src_port:i ~dst_port:80 ~payload_len:958 ())))
+    Scheduler.post sched ~at:(i * Sim_time.ns 100) (fun () ->
+        Event_switch.inject sw ~port:1
+          (Packet.udp_packet
+             ~src:(Netcore.Ipv4_addr.host ~subnet:2 i)
+             ~dst:(Netcore.Ipv4_addr.host ~subnet:1 0)
+             ~src_port:i ~dst_port:80 ~payload_len:958 ()))
   done;
-  ignore
-    (Scheduler.schedule sched ~at:(Sim_time.us 30) (fun () ->
-         Event_switch.control_event sw ~opcode:1 ~arg:0));
-  ignore
-    (Scheduler.schedule sched ~at:(Sim_time.us 40) (fun () ->
-         Event_switch.link_status sw ~port:2 ~up:false));
-  ignore
-    (Scheduler.schedule sched ~at:(Sim_time.us 50) (fun () ->
-         Event_switch.link_status sw ~port:2 ~up:true));
+  Scheduler.post sched ~at:(Sim_time.us 30) (fun () ->
+      Event_switch.control_event sw ~opcode:1 ~arg:0);
+  Scheduler.post sched ~at:(Sim_time.us 40) (fun () ->
+      Event_switch.link_status sw ~port:2 ~up:false);
+  Scheduler.post sched ~at:(Sim_time.us 50) (fun () ->
+      Event_switch.link_status sw ~port:2 ~up:true);
   Scheduler.run ~until:(Sim_time.us 200) sched;
   (match metrics with
   | Some m ->

@@ -139,7 +139,7 @@ let network_management () =
            ()
           : Traffic.t);
       let link = List.assoc 0 ctx.links in
-      ignore (Scheduler.schedule ctx.sched ~at:(Sim_time.us 400) (fun () -> Tmgr.Link.fail link)))
+      Scheduler.post ctx.sched ~at:(Sim_time.us 400) (fun () -> Tmgr.Link.fail link))
     (Evcore.Topology.make ~switches:2 ~links:[ ((0, 1), (1, 1)) ] ~hosts:[])
 
 (* Network monitoring: microburst detection + CMS-with-reset +
@@ -243,12 +243,11 @@ let in_network_computing ~seed =
       let rng = Stats.Rng.create ~seed in
       let zipf = Stats.Dist.zipf ~n:100 ~alpha:1.2 in
       for i = 0 to 400 do
-        ignore
-          (Scheduler.schedule ctx.sched
-             ~at:(i * Sim_time.us 2)
-             (fun () ->
-               Event_switch.inject sw ~port:0
-                 (Apps.Netcache.get_packet ~client:0 ~key:(Stats.Dist.zipf_draw rng zipf))))
+        Scheduler.post ctx.sched
+          ~at:(i * Sim_time.us 2)
+          (fun () ->
+            Event_switch.inject sw ~port:0
+              (Apps.Netcache.get_packet ~client:0 ~key:(Stats.Dist.zipf_draw rng zipf)))
       done)
     (* The key-value server is host 0, behind port 3. *)
     (Evcore.Topology.make ~switches:1 ~links:[] ~hosts:[ (0, 3) ])

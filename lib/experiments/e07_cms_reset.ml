@@ -116,12 +116,11 @@ let run_variant ~arrivals ~truth mode arch =
   Event_switch.set_port_tx sw ~port:1 (fun _ -> ());
   List.iter
     (fun (time, rank) ->
-      ignore
-        (Scheduler.schedule sched ~at:time (fun () ->
-             let flow = flow_of_rank rank in
-             Event_switch.inject sw ~port:0
-               (Packet.udp_packet ~src:flow.Flow.src ~dst:flow.Flow.dst
-                  ~src_port:flow.Flow.src_port ~dst_port:flow.Flow.dst_port ~payload_len:100 ()))))
+      Scheduler.post sched ~at:time (fun () ->
+          let flow = flow_of_rank rank in
+          Event_switch.inject sw ~port:0
+            (Packet.udp_packet ~src:flow.Flow.src ~dst:flow.Flow.dst
+               ~src_port:flow.Flow.src_port ~dst_port:flow.Flow.dst_port ~payload_len:100 ())))
     arrivals;
   Scheduler.run ~until:(num_windows * window) sched;
   let reports = Apps.Cms_reset.reports app in

@@ -41,7 +41,7 @@ let run_variant ~seed ~timeout mode_of arch variant =
     List.iter (fun (sw, wire) -> wire (List.assoc sw ctx.switches)) !wires;
     List.iter (fun (_, sw) -> Event_switch.set_port_tx sw ~port:0 (fun _ -> ())) ctx.switches;
     let link = List.assoc 0 ctx.links in
-    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail link))
+    Scheduler.post ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail link)
   in
   let r =
     Parsim.run

@@ -58,7 +58,7 @@ let run_variant ~seed mode_a arch variant =
          ()
         : Traffic.t);
     let primary = List.assoc 0 ctx.links in
-    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary))
+    Scheduler.post ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary)
   in
   let r =
     Parsim.run

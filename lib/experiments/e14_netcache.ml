@@ -85,14 +85,12 @@ let run_variant ~seed ~with_timers variant =
     in
     List.iter
       (fun (time, client, key) ->
-        ignore
-          (Scheduler.schedule ctx.sched ~at:time (fun () ->
-               Event_switch.inject sw ~port:client (Apps.Netcache.get_packet ~client ~key))))
+        Scheduler.post ctx.sched ~at:time (fun () ->
+            Event_switch.inject sw ~port:client (Apps.Netcache.get_packet ~client ~key)))
       (arrivals 0 []);
     (* Sample counters at the phase boundary. *)
-    ignore
-      (Scheduler.schedule ctx.sched ~at:shift_at (fun () ->
-           p1 := (Apps.Netcache.cache_hits app, Apps.Netcache.cache_misses app, !server_requests)))
+    Scheduler.post ctx.sched ~at:shift_at (fun () ->
+        p1 := (Apps.Netcache.cache_hits app, Apps.Netcache.cache_misses app, !server_requests))
   in
   ignore
     (Parsim.run

@@ -72,7 +72,7 @@ let run_variant ~variant mk_mode =
       flows;
     (* Host links are numbered after the one switch link. *)
     let primary = List.assoc 2 ctx.links in
-    ignore (Scheduler.schedule ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary))
+    Scheduler.post ctx.sched ~at:fail_at (fun () -> Tmgr.Link.fail primary)
   in
   ignore
     (Parsim.run

@@ -195,9 +195,8 @@ let run ?metrics ?(seed = 42) ?(profile = Faults.Profile.Flaky_links) () =
                 (* De-register the detector's dequeue handler, re-register
                    shortly after: mid-flight handler churn. *)
                 Event_switch.set_subscribed sw_b Event.Buffer_dequeue false;
-                ignore
-                  (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:(Sim_time.us 20)
-                     (fun () -> Event_switch.set_subscribed sw_b Event.Buffer_dequeue true)) );
+                Scheduler.post_after ~cls:Scheduler.Fault sched ~delay:(Sim_time.us 20)
+                  (fun () -> Event_switch.set_subscribed sw_b Event.Buffer_dequeue true) );
             ( "cp-inject",
               fun () ->
                 incr cp_count;

@@ -35,7 +35,6 @@ type leg = {
 type result = { seed : int; legs : leg list }
 
 val run : ?metrics:Obs.Metrics.t -> ?seed:int -> unit -> result
-val find_leg : result -> string -> leg
 
 val passes : result -> bool
 (** Fail-fast aborted; quarantine completed with at least one trip and

@@ -113,9 +113,10 @@ type result = {
   all_conformant : bool;
 }
 
-let run ?metrics ?(seed = 42) ?shard_counts ?(until = Sim_time.ms 1) () =
+let run ?metrics ?(seed = 42) () =
+  let until = Sim_time.ms 1 in
   let runs =
-    Conformance.sweep ?shard_counts (topo ()) (fun ~shards ->
+    Conformance.sweep (topo ()) (fun ~shards ->
         (scenario ~shards ~seed ~until (), ()))
   in
   (match metrics with

@@ -33,12 +33,10 @@ val scenario :
 
 val golden_until : Eventsim.Sim_time.t
 
-val golden_scenario : ?shards:int -> seed:int -> unit -> Parsim.config
-(** {!scenario} pinned to {!golden_until} with the trace recorded. *)
-
 val golden : Conformance.golden
-(** Seeds 42 and 7 (the E6 and E21 seeds); digest lines ["trace"] and
-    ["metrics"] of {!golden_scenario}. *)
+(** Seeds 42 and 7 (the E6 and E21 seeds); one leg, {!scenario} pinned
+    to {!golden_until} with the trace recorded; digest lines ["trace"]
+    and ["metrics"]. *)
 
 type result = {
   seed : int;
@@ -47,13 +45,8 @@ type result = {
   all_conformant : bool;
 }
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?seed:int ->
-  ?shard_counts:int list ->
-  ?until:Eventsim.Sim_time.t ->
-  unit ->
-  result
+val run : ?metrics:Obs.Metrics.t -> ?seed:int -> unit -> result
+(** {!scenario} until 1 ms, swept over {!Conformance.shard_counts}. *)
 
 val print : result -> unit
 

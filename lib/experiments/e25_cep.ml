@@ -255,7 +255,6 @@ let switch_config ?(chaos = false) app ~seed sw =
       cfg with
       Event_switch.resil =
         {
-          cfg.Event_switch.resil with
           Resil.Supervisor.policy = Resil.Policy.Quarantine;
           base_backoff = Sim_time.us 20;
           max_backoff = Sim_time.us 80;
@@ -352,9 +351,8 @@ let arm_chaos (ctx : Parsim.shard_ctx) =
         ~n:1)
     ctx.Parsim.switches
 
-let scenario ?alarms ?(chaos = false) app ?(shards = 1) ?(record_trace = true) ~seed ~until
-    () =
-  Parsim.config ~shards ~record_trace ~until
+let scenario ?alarms ?(chaos = false) app ?(shards = 1) ~seed ~until () =
+  Parsim.config ~shards ~record_trace:true ~until
     ~switch_config:(switch_config ~chaos app ~seed)
     ~program:(program ?alarms app)
     ~on_shard:(fun ctx ->

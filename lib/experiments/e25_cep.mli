@@ -42,13 +42,12 @@ val scenario :
   ?chaos:bool ->
   app ->
   ?shards:int ->
-  ?record_trace:bool ->
   seed:int ->
   until:Eventsim.Sim_time.t ->
   unit ->
   Parsim.config
-(** The Part B ring scenario, shared with gen_golden.exe and the
-    conformance suite. [alarms] is bumped on every detector match (read
+(** The Part B ring scenario, trace recorded, shared with
+    gen_golden.exe and the conformance suite. [alarms] is bumped on every detector match (read
     it from 1-shard runs only); [chaos] arms one crash per switch and
     enables quarantine + shedding. *)
 

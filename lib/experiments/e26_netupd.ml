@@ -96,9 +96,8 @@ let churn_stop = Sim_time.us 400
 
 let commit_cfg () = Commit.default_config ()
 
-let sup_config () =
+let sup_config =
   {
-    (Resil.Supervisor.default_config ()) with
     Resil.Supervisor.policy = Resil.Policy.Quarantine;
     base_backoff = Sim_time.us 15;
     max_backoff = Sim_time.us 60;
@@ -181,7 +180,7 @@ let wire ~leg ~seed ~until h (ctx : Parsim.shard_ctx) =
     | Chaos ->
         Some
           (Array.init switches (fun sw ->
-               Resil.Supervisor.create ~sched ~config:(sup_config ()) ~seed:(seed + (977 * (sw + 1))) ()))
+               Resil.Supervisor.create ~sched ~config:sup_config ~seed:(seed + (977 * (sw + 1))) ()))
   in
   let lost =
     match leg with

@@ -66,9 +66,7 @@ type sparse = {
           [L]: the rounds fixed-width windows would take *)
   wall : float;
 }
-
-val sparse_passed : sparse -> bool
-(** [rounds < windows]. *)
+(** The sparse leg passes when [rounds < windows]. *)
 
 type ring_leg = {
   rg_switches : int;

@@ -10,8 +10,7 @@ let attach ~sched ~rng ~stop ~plan ~pkts_per_burst ~pkt_bytes ~rate_gbps ~templa
       for k = 0 to pkts_per_burst - 1 do
         let i = !idx in
         incr idx;
-        ignore
-          (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:(k * gap) (fun () ->
-               inject (template i);
-               on_packet ()))
+        Scheduler.post_after ~cls:Scheduler.Fault sched ~delay:(k * gap) (fun () ->
+            inject (template i);
+            on_packet ())
       done)

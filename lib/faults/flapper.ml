@@ -11,8 +11,7 @@ let attach ~sched ~rng ~stop ~plan ?(down_for = Eventsim.Sim_time.us 50) ?(down_
         let outage =
           down_for + if down_jitter > 0 then Stats.Rng.int rng (down_jitter + 1) else 0
         in
-        ignore
-          (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:outage (fun () ->
-               if not (Link.is_up link) then Link.restore link))
+        Scheduler.post_after ~cls:Scheduler.Fault sched ~delay:outage (fun () ->
+            if not (Link.is_up link) then Link.restore link)
       end
       else on_flap ~effective:false)

@@ -2,7 +2,6 @@
 
 type t = Flaky_links | Burst_storm | Churn | Handler_faults
 
-val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 val names : string list

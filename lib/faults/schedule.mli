@@ -17,9 +17,6 @@ type plan =
   | Trace of Eventsim.Sim_time.t list
       (** explicit deterministic occurrence times *)
 
-val periodic : Eventsim.Sim_time.t -> plan
-(** [periodic period]: first occurrence one period from 0, no jitter. *)
-
 val drive :
   sched:Eventsim.Scheduler.t ->
   rng:Stats.Rng.t ->

@@ -11,8 +11,6 @@ type t = {
 val make :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> ?proto:int -> ?src_port:int -> ?dst_port:int -> unit -> t
 
-val equal : t -> t -> bool
-
 val pack : t -> int
 (** Injective packing of the tuple into an int is impossible (104 bits),
     so [pack] returns a 62-bit mix suitable as a hash key; collision

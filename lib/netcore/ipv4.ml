@@ -10,10 +10,10 @@ let size = 20
 let proto_tcp = 6
 let proto_udp = 17
 
-let make ?(ttl = 64) ~proto ~src ~dst ~payload_len () =
+let make ~proto ~src ~dst ~payload_len () =
   {
     total_len = size + payload_len;
-    ttl = ttl land 0xff;
+    ttl = 64;
     proto = proto land 0xff;
     src;
     dst;
@@ -28,4 +28,3 @@ let set t ~proto ~src ~dst ~payload_len =
   t.src <- src;
   t.dst <- dst
 
-let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }

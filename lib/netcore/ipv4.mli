@@ -17,12 +17,8 @@ val size : int
 val proto_tcp : int
 val proto_udp : int
 
-val make :
-  ?ttl:int -> proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit -> t
+val make : proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit -> t
+(** A header with TTL 64. *)
 
 val set : t -> proto:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> payload_len:int -> unit
-(** Refill every field in place, as {!make} with its default [ttl]
-    would — allocation-free. *)
-
-val decrement_ttl : t -> t option
-(** [None] when the TTL would reach zero (packet must be dropped). *)
+(** Refill every field in place, as {!make} would — allocation-free. *)

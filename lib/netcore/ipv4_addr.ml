@@ -26,12 +26,5 @@ let to_string t =
 
 let host ~subnet n = of_octets 10 (subnet land 0xff) ((n lsr 8) land 0xff) (n land 0xff)
 
-let in_prefix t ~prefix ~len =
-  if len < 0 || len > 32 then invalid_arg "Ipv4_addr.in_prefix: bad length";
-  if len = 0 then true
-  else
-    let shift = 32 - len in
-    t lsr shift = (prefix : t :> int) lsr shift
-
 let equal = Int.equal
 let pp ppf t = Format.pp_print_string ppf (to_string t)

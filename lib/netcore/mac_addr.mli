@@ -4,11 +4,6 @@ type t = private int
 
 val broadcast : t
 
-val of_string : string -> t
-(** Parses ["aa:bb:cc:dd:ee:ff"]; raises [Invalid_argument] on bad
-    syntax. *)
-
-val to_string : t -> string
 val host : int -> t
 (** [host n] is a conventional locally-administered address for
     simulated host [n] ("02:00:00:.."). *)

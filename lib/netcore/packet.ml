@@ -109,9 +109,6 @@ let flow t =
       in
       Some (Flow.make ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ~proto:ip.Ipv4.proto ~src_port ~dst_port ())
 
-let flow_exn t =
-  match flow t with Some f -> f | None -> invalid_arg "Packet.flow_exn: no IP header"
-
 (* Same key {!Flow.hash_addresses} feeds to the mixer, without building
    the flow record, the port tuple, or the option on the way — the
    per-packet hashing hot path must not allocate. [-1] (impossible for

@@ -83,8 +83,6 @@ val len : t -> int
 val flow : t -> Flow.t option
 (** Five-tuple, when the packet has an IP header. *)
 
-val flow_exn : t -> Flow.t
-
 val flow_key : t -> int
 (** The address key {!Flow.hash_addresses} mixes — i.e.
     [Hashes.mix64 (flow_key t)] equals [Flow.hash_addresses f] for the

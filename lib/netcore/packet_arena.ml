@@ -23,9 +23,8 @@ type t = {
   mutable live : int;
 }
 
-let create ?(initial = 64) () =
-  if initial <= 0 then invalid_arg "Packet_arena.create: initial must be positive";
-  { free = Array.make initial Packet.nil; top = 0; created = 0; reused = 0; released = 0; live = 0 }
+let create () =
+  { free = Array.make 64 Packet.nil; top = 0; created = 0; reused = 0; released = 0; live = 0 }
 
 let live t = t.live
 let created t = t.created

@@ -13,9 +13,9 @@
 
 type t
 
-val create : ?initial:int -> unit -> t
-(** [initial] is the starting free-stack capacity (default 64); the
-    stack grows by doubling. *)
+val create : unit -> t
+(** The free stack starts with room for 64 packets and grows by
+    doubling. *)
 
 val acquire_udp :
   t -> src:Ipv4_addr.t -> dst:Ipv4_addr.t ->

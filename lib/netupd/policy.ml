@@ -8,13 +8,6 @@ let version t = t.version
 let switches t = Array.length t.tables
 let rules t sw = t.tables.(sw)
 
-let lookup t ~switch ~key =
-  let rec find = function
-    | [] -> None
-    | r :: rest -> if r.key = key then Some r.port else find rest
-  in
-  find t.tables.(switch)
-
 (* Ring port convention (Evcore.Topology.ring): port 0 = local host,
    port 1 = clockwise neighbour (sw+1), port 2 = counter-clockwise. *)
 let cw_port = 1
@@ -43,23 +36,3 @@ let ring_avoiding ~switches ~link ~name () =
   make ~name
     (ring_tables ~switches (fun ~sw ~dst ->
          if cw_crosses ~switches ~sw ~dst link then ccw_port else cw_port))
-
-let ring_delivers t =
-  let n = switches t in
-  let ok = ref true in
-  for sw = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      (* Walk the ring under this policy; must reach dst in < n hops. *)
-      let cur = ref sw and hops = ref 0 and alive = ref true in
-      while !alive && !cur <> dst do
-        (match lookup t ~switch:!cur ~key:dst with
-        | Some p when p = cw_port -> cur := (!cur + 1) mod n
-        | Some p when p = ccw_port -> cur := (!cur - 1 + n) mod n
-        | _ -> alive := false);
-        incr hops;
-        if !hops >= n then alive := false
-      done;
-      if !cur <> dst then ok := false
-    done
-  done;
-  !ok

@@ -12,19 +12,16 @@
 type rule = { key : int; port : int }
 type t
 
-val make : name:string -> rule list array -> t
-(** One rule list per switch, indexed by switch id, at version 0 —
-    {!Controller.propose} re-stamps it anyway. *)
-
 val with_version : t -> int -> t
 val name : t -> string
 val version : t -> int
 val switches : t -> int
 val rules : t -> int -> rule list
-val lookup : t -> switch:int -> key:int -> int option
+(** The rules of one switch, by switch id. *)
 
 (** {1 Ring policies} (port convention of [Evcore.Topology.ring]:
-    port 0 = host, 1 = clockwise, 2 = counter-clockwise) *)
+    port 0 = host, 1 = clockwise, 2 = counter-clockwise), all at
+    version 0 — {!Controller.propose} re-stamps them anyway. *)
 
 val ring_uniform : switches:int -> name:string -> unit -> t
 (** Always clockwise (the {!Evcore.Topology.ring_route} default). *)
@@ -40,12 +37,3 @@ val ring_avoiding : switches:int -> link:int -> name:string -> unit -> t
     switches [link] and [link+1]): any pair whose clockwise path would
     cross the dead link routes counter-clockwise instead. Loop-free by
     construction — each path is a single arc. *)
-
-val cw_crosses : switches:int -> sw:int -> dst:int -> int -> bool
-(** Does the clockwise path [sw -> dst] cross ring link [l]? (Exposed
-    for tests.) *)
-
-val ring_delivers : t -> bool
-(** Sanity check used by tests: under ring port semantics, every
-    (switch, destination) pair reaches its destination in fewer than
-    [switches] hops — no loops, no black holes. *)

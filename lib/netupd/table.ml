@@ -32,7 +32,6 @@ let uninstall t ~version =
     t.uninstalls <- t.uninstalls + 1
   end
 
-let has t version = Hashtbl.mem t.tbl version
 
 let lookup t ~version ~key =
   if key < 0 || key >= t.keys then -1

@@ -17,7 +17,6 @@ val install : t -> version:int -> Policy.rule list -> unit
 val uninstall : t -> version:int -> unit
 (** Remove a version's rules; no-op if absent (idempotent). *)
 
-val has : t -> int -> bool
 val lookup : t -> version:int -> key:int -> int
 (** Out-port, or [-1] when the version is absent or has no rule. *)
 

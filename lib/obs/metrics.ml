@@ -4,7 +4,6 @@ module Counter = struct
   type t = { mutable v : int; on : bool ref }
 
   let incr c = if !(c.on) then c.v <- c.v + 1
-  let add c n = if !(c.on) then c.v <- c.v + n
   let set c n = if !(c.on) then c.v <- n
   let value c = c.v
 end
@@ -26,15 +25,8 @@ module Gauge = struct
       g.seen <- true
     end
 
-  let value g = g.v
   let max_seen g = if g.seen then g.mx else 0
   let min_seen g = if g.seen then g.mn else 0
-end
-
-module Histo = struct
-  type t = { h : Stats.Histogram.t; on : bool ref }
-
-  let observe t x = if !(t.on) then Stats.Histogram.add t.h x
 end
 
 module Summary = struct
@@ -46,7 +38,7 @@ end
 type instrument =
   | I_counter of Counter.t
   | I_gauge of Gauge.t
-  | I_histo of Histo.t
+  | I_histo of Stats.Histogram.t
   | I_summary of Summary.t
 
 type metric = { m_key : string; m_name : string; m_labels : labels; instrument : instrument }
@@ -58,7 +50,6 @@ type t = {
 }
 
 let create ?(enabled = true) () = { on = ref enabled; tbl = Hashtbl.create 64; order = [] }
-let enable t = t.on := true
 let is_enabled t = !(t.on)
 let on_ref t = t.on
 
@@ -128,14 +119,6 @@ let gauge t ?(labels = []) name =
   | I_gauge g -> g
   | other -> collision name other "gauge"
 
-let histogram t ?(labels = []) name =
-  match
-    register t ~name ~labels ~make:(fun () ->
-        I_histo { Histo.h = Stats.Histogram.log2 ~max_exponent:40; on = t.on })
-  with
-  | I_histo h -> h
-  | other -> collision name other "histogram"
-
 let summary t ?(labels = []) name =
   match
     register t ~name ~labels ~make:(fun () ->
@@ -145,7 +128,7 @@ let summary t ?(labels = []) name =
   | other -> collision name other "summary"
 
 let attach_histogram t ?(labels = []) name h =
-  match register t ~name ~labels ~make:(fun () -> I_histo { Histo.h; on = t.on }) with
+  match register t ~name ~labels ~make:(fun () -> I_histo h) with
   | I_histo _ -> ()
   | other -> collision name other "histogram"
 
@@ -164,7 +147,7 @@ let finite x = if Float.is_nan x || x = infinity || x = neg_infinity then 0. els
 let value_of = function
   | I_counter c -> Counter_v c.Counter.v
   | I_gauge g -> Gauge_v { last = g.Gauge.v; max = Gauge.max_seen g; min = Gauge.min_seen g }
-  | I_histo { Histo.h; _ } ->
+  | I_histo h ->
       let count = Stats.Histogram.count h in
       if count = 0 then Histo_v { count = 0; mean = 0.; p50 = 0.; p99 = 0.; max = 0. }
       else
@@ -240,15 +223,6 @@ let merge keys series f =
     end
   in
   next ()
-
-let merged_snapshot regs =
-  let series = Array.of_list (List.map sorted regs) in
-  let samples = ref [] in
-  merge
-    (Array.map (Array.map (fun m -> m.m_key)) series)
-    series
-    (fun j i -> samples := sample_of series.(j).(i) :: !samples);
-  List.rev !samples
 
 (* --- export --- *)
 
@@ -407,56 +381,6 @@ let join rendered =
   Bytes.unsafe_to_string out
 
 let to_json t = join [ render t ]
-let merged_json regs = join (List.map render regs)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let samples = snapshot t in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "name,labels,kind,value,count,mean,p50,p99,min,max\n";
-  List.iter
-    (fun { name; labels; value } ->
-      let labels_s =
-        String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels)
-      in
-      let row =
-        match value with
-        | Counter_v v ->
-            [ "counter"; string_of_int v; ""; ""; ""; ""; ""; "" ]
-        | Gauge_v { last; max; min } ->
-            [ "gauge"; string_of_int last; ""; ""; ""; ""; string_of_int min; string_of_int max ]
-        | Histo_v { count; mean; p50; p99; max } ->
-            [
-              "histogram";
-              "";
-              string_of_int count;
-              json_float mean;
-              json_float p50;
-              json_float p99;
-              "";
-              json_float max;
-            ]
-        | Summary_v { count; mean; std; min; max } ->
-            [
-              "summary";
-              "";
-              string_of_int count;
-              json_float mean;
-              json_float std;
-              "";
-              json_float min;
-              json_float max;
-            ]
-      in
-      Buffer.add_string buf
-        (String.concat "," (csv_escape name :: csv_escape labels_s :: row));
-      Buffer.add_char buf '\n')
-    samples;
-  Buffer.contents buf
 
 let write_string ~path s =
   let oc = open_out path in
@@ -464,4 +388,3 @@ let write_string ~path s =
   close_out oc
 
 let write_json t ~path = write_string ~path (to_json t)
-let write_csv t ~path = write_string ~path (to_csv t)

@@ -1,18 +1,18 @@
 (** Simulator-wide metrics registry.
 
     Components register typed instruments — monotonic {!Counter}s,
-    {!Gauge}s, {!Histo}grams (backed by {!Stats.Histogram}) and
-    {!Summary} series (backed by {!Stats.Welford}) — identified by a
-    name plus a label set (component, switch, port, event class, ...).
-    Experiments and the CLI take a {!snapshot} and export it as JSON or
-    CSV.
+    {!Gauge}s, histograms a component keeps in a {!Stats.Histogram}
+    ({!attach_histogram}) and {!Summary} series (backed by
+    {!Stats.Welford}) — identified by a name plus a label set
+    (component, switch, port, event class, ...). Experiments and the
+    CLI take a {!snapshot} or export it as JSON.
 
     Recording is a no-op in a registry made with
-    [create ~enabled:false] until {!enable} is called: every instrument
-    shares the registry's enabled flag and checks it with a single
-    load-and-branch, so an instrumented hot path costs nothing
-    measurable when observability is off (the bench harness proves it
-    on the event-dispatch kernel).
+    [create ~enabled:false]: every instrument shares the registry's
+    enabled flag and checks it with a single load-and-branch, so an
+    instrumented hot path costs nothing measurable when observability
+    is off (the bench harness proves it on the event-dispatch
+    kernel).
 
     Registration is idempotent: asking twice for the same
     (name, labels) pair returns the same instrument, so two components
@@ -28,16 +28,14 @@ type labels = (string * string) list
 val create : ?enabled:bool -> unit -> t
 (** A fresh registry, enabled by default. *)
 
-val enable : t -> unit
 val is_enabled : t -> bool
 
 val on_ref : t -> bool ref
 (** The registry's shared enabled flag itself. Hot paths that guard a
     whole block of instrument updates (rather than one instrument) can
     cache this ref once and test it with a single load — cheaper than
-    calling {!is_enabled} through a module boundary per event. The ref
-    starts at [create]'s [enabled] and turns true at {!enable}; never
-    write to it directly. *)
+    calling {!is_enabled} through a module boundary per event. It holds
+    [create]'s [enabled]; never write to it. *)
 
 (** {1 Instruments} *)
 
@@ -45,11 +43,10 @@ module Counter : sig
   type t
 
   val incr : t -> unit
-  val add : t -> int -> unit
 
   val set : t -> int -> unit
   (** For components that keep their own native counters and export the
-      absolute value at snapshot time (idempotent, unlike {!add}). *)
+      absolute value at snapshot time (idempotent, unlike {!incr}). *)
 
   val value : t -> int
 end
@@ -58,20 +55,9 @@ module Gauge : sig
   type t
 
   val set : t -> int -> unit
-  (** Record the current level; min/max watermarks update alongside. *)
-
-  val value : t -> int
-
-  val max_seen : t -> int
-  (** High-water mark of all {!set} values (0 before any set). *)
-
-  val min_seen : t -> int
-end
-
-module Histo : sig
-  type t
-
-  val observe : t -> float -> unit
+  (** Record the current level; min/max watermarks update alongside
+      and show as the [max] and [min] of its {!value} (0 before any
+      set). *)
 end
 
 module Summary : sig
@@ -82,10 +68,6 @@ end
 
 val counter : t -> ?labels:labels -> string -> Counter.t
 val gauge : t -> ?labels:labels -> string -> Gauge.t
-
-val histogram : t -> ?labels:labels -> string -> Histo.t
-(** Log2-bucketed up to 2^40, suiting long-tailed quantities (cycles,
-    nanoseconds, bytes). *)
 
 val summary : t -> ?labels:labels -> string -> Summary.t
 
@@ -112,20 +94,6 @@ val snapshot : t -> sample list
 val cardinality : t -> int
 (** Number of registered series. *)
 
-val merged_snapshot : t list -> sample list
-(** Union of the registries' snapshots in (name, labels) order — the
-    deterministic merge of per-shard registries from a partitioned
-    simulation, each registry's sorted series merged with the others'.
-    The series sets must be disjoint (shards own disjoint switches); a
-    (name, labels) pair appearing in two registries raises
-    [Invalid_argument] naming both the name and the labels.
-    [merged_snapshot [r]] equals [snapshot r]. *)
-
-val merged_json : t list -> string
-(** {!merged_snapshot} rendered exactly as {!to_json} renders a single
-    registry, so a sequential run's snapshot and a sharded run's merged
-    snapshot are byte-comparable. Equals [join (List.map render regs)]. *)
-
 type rendered
 (** One registry's series, sorted and each rendered as its line of the
     JSON document: a shard's share of a merged document, assembled on
@@ -136,10 +104,16 @@ val render : t -> rendered
     now; later updates do not show. *)
 
 val join : rendered list -> string
-(** The JSON document of the rendered registries' union: merges the
+(** The JSON document of the rendered registries' union, in
+    (name, labels) order — the deterministic merge of per-shard
+    registries from a partitioned simulation, rendered exactly as
+    {!to_json} renders one registry, so a sequential run's snapshot
+    and a sharded run's merged one are byte-comparable. It merges the
     sorted series and concatenates their lines, rendering nothing
-    again. Raises [Invalid_argument] like {!merged_snapshot} on a
-    series present in two of them. [to_json t = join [ render t ]]. *)
+    again. The series sets must be disjoint (shards own disjoint
+    switches): a (name, labels) pair present in two of them raises
+    [Invalid_argument] naming both the name and the labels.
+    [to_json t = join [ render t ]]. *)
 
 val find_value : t -> ?labels:labels -> string -> value option
 
@@ -147,9 +121,4 @@ val to_json : t -> string
 (** The whole snapshot as a JSON document
     [{ "metrics": [ {name; labels; kind; ...fields}; ... ] }]. *)
 
-val to_csv : t -> string
-(** One row per series:
-    [name,labels,kind,value,count,mean,p50,p99,min,max]. *)
-
 val write_json : t -> path:string -> unit
-val write_csv : t -> path:string -> unit

@@ -74,8 +74,3 @@ type decl =
   | Control_decl of { name : string; body : stmt list; pos : position }
 
 type program = decl list
-
-let control_names program =
-  List.filter_map
-    (function Control_decl { name; _ } -> Some name | _ -> None)
-    program

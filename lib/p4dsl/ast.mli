@@ -113,5 +113,3 @@ type decl =
           environment) *)
 
 type program = decl list
-
-val control_names : program -> string list

@@ -35,21 +35,11 @@ let default_weights (topo : Topology.t) =
 
 let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
-let partition ?weights (topo : Topology.t) ~shards =
+let partition (topo : Topology.t) ~shards =
   if shards < 1 || shards > topo.switches then
     invalid_arg
       (Printf.sprintf "Parsim.partition: %d shards for %d switches" shards topo.switches);
-  let w =
-    match weights with
-    | None -> default_weights topo
-    | Some w ->
-        if Array.length w <> topo.switches then
-          invalid_arg "Parsim.partition: weights length <> switches";
-        Array.iter
-          (fun x -> if x < 0 then invalid_arg "Parsim.partition: negative weight")
-          w;
-        w
-  in
+  let w = default_weights topo in
   let nsw = topo.switches in
   let prefix = Array.make (nsw + 1) 0 in
   for i = 0 to nsw - 1 do
@@ -99,9 +89,9 @@ type plan = {
   pair_delays : (int * int * int) list;
 }
 
-let plan ?weights (topo : Topology.t) ~shards =
+let plan (topo : Topology.t) ~shards =
   Topology.validate topo;
-  let part = partition ?weights topo ~shards in
+  let part = partition topo ~shards in
   let local, cross =
     List.partition_map
       (fun (l : Topology.link) ->
@@ -679,6 +669,15 @@ let run (cfg : config) (topo : Topology.t) =
         { (st.ctx) with links = List.sort (fun (a, _) (b, _) -> compare a b) st.ctx.links })
     states;
   Array.iter (fun st -> cfg.on_shard st.ctx) states;
+  (* A series present in two shards' registries makes the final join
+     raise. Registries only grow, so joining what [on_shard] left raises
+     now, before the clock starts, whenever the final join would raise
+     over those series — [Scheduler.set_metrics] registers its
+     queue-depth gauge at once. *)
+  if n > 1 then
+    ignore
+      (Obs.Metrics.join (Array.to_list (Array.map (fun st -> Obs.Metrics.render st.ctx.metrics) states))
+        : string);
   (* A shard's whole part, on its own domain: its windows (the true
      sequential path at one shard: no windows, no mailboxes, no
      barriers), then its share of the result — every switch's series

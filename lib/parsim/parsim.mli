@@ -66,22 +66,19 @@ type partition = {
   shard_weight : int array;  (** summed switch weights per shard *)
 }
 
-val default_weights : Evcore.Topology.t -> int array
-(** Expected-event-rate weight per switch: [1 + wired ports + 4 per
-    attached host]. Edge switches (hosts, traffic generation, delivery)
-    weigh several times a same-degree core switch. *)
-
 val recommended_domains : unit -> int
 (** [max 1 (Domain.recommended_domain_count ())] — the shard count
     [shards = 0] resolves to (capped by the switch count). *)
 
-val partition : ?weights:int array -> Evcore.Topology.t -> shards:int -> partition
-(** Contiguous blocks of switch ids, balanced by weight ({!default_weights}
-    unless [weights] overrides; length must equal the switch count,
-    entries non-negative). Boundaries are the nearest-prefix-sum cuts,
-    clamped so that no shard is ever empty — arbitrarily skewed weights
-    degrade toward the equal-count split instead of producing an empty
-    shard. [shards] must be between 1 and the switch count. *)
+val partition : Evcore.Topology.t -> shards:int -> partition
+(** Contiguous blocks of switch ids, balanced by weight. A switch
+    weighs its expected event rate: [1 + wired ports + 4 per attached
+    host], so edge switches (hosts, traffic generation, delivery) weigh
+    several times a same-degree core switch. Boundaries are the
+    nearest-prefix-sum cuts, clamped so that no shard is ever empty —
+    arbitrarily skewed weights degrade toward the equal-count split
+    instead of producing an empty shard. [shards] must be between 1
+    and the switch count. *)
 
 type cross_link = {
   link : Evcore.Topology.link;
@@ -100,12 +97,16 @@ type plan = {
           per-pair reachability data; empty when nothing crosses *)
 }
 
-val plan : ?weights:int array -> Evcore.Topology.t -> shards:int -> plan
+val plan : Evcore.Topology.t -> shards:int -> plan
 
 type shard_ctx = {
   shard : int;
   sched : Eventsim.Scheduler.t;
   metrics : Obs.Metrics.t;
+      (** this shard's registry. Series that [on_shard] adds to it must
+          differ per shard — give them a label such as
+          [("shard", string_of_int shard)] — or the merge of the shards'
+          registries raises [Invalid_argument] (see {!run}). *)
   switches : (int * Evcore.Event_switch.t) list;  (** by global id *)
   hosts : (int * Evcore.Host.t) list;
   links : (int * Tmgr.Link.t) list;
@@ -182,7 +183,7 @@ type result = {
       (** per shard. After its last window each shard exports its own
           switches' series into its registry, on its own domain. *)
   metrics_json : string;
-      (** {!Obs.Metrics.merged_json} of the per-shard registries as they
+      (** The merged JSON document of the per-shard registries as they
           stood after that export: per-switch series only (plus whatever
           [on_shard] added), so a sequential and a sharded run are
           byte-comparable. Each shard sorts and renders its registry on
@@ -221,4 +222,10 @@ val run : config -> Evcore.Topology.t -> result
     {!Resil.Supervisor.Failed}, or by the shard's metrics export — ends
     the run: the first one is recorded, every other shard leaves the
     barrier and stops, every domain is joined, and [run] re-raises that
-    exception with its backtrace. *)
+    exception with its backtrace.
+
+    At 2 or more shards, a series present in two shards' registries
+    raises [Invalid_argument] from {!Obs.Metrics.join}. One that
+    [on_shard] registered (for instance through
+    {!Eventsim.Scheduler.set_metrics} without a per-shard label) raises
+    after [on_shard], before the clock starts. *)

@@ -29,7 +29,6 @@ type t = {
   entries : int;
   nregs : int;
   mask : int;
-  rmw_latency : int;
   timeout : Eventsim.Sim_time.t option;
   transitions : transition list;
   clock : (unit -> int) option;
@@ -127,37 +126,31 @@ let stats t =
     ("pisa.efsm.state_hash", state_hash t);
   ]
 
-let create ?alloc ?clock ?(rmw_latency = Pipeline.default_depth) ?timeout ?(width = 32)
-    ?(state_bits = 8) ~name ~entries ~nregs ~transitions () =
+let width = 32
+
+let create ?alloc ?timeout ?(state_bits = 8) ~name ~entries ~nregs ~transitions () =
   if entries <= 0 then invalid_arg "Efsm.create: entries must be positive";
   if nregs < 0 then invalid_arg "Efsm.create: nregs must be non-negative";
-  if rmw_latency < 0 then invalid_arg "Efsm.create: rmw_latency must be non-negative";
   (match timeout with
   | Some t when t <= 0 -> invalid_arg "Efsm.create: timeout must be positive"
   | _ -> ());
   if state_bits <= 0 || state_bits > 62 then invalid_arg "Efsm.create: state_bits must be in 1..62";
   let state_mask = if state_bits = 62 then max_int else (1 lsl state_bits) - 1 in
   List.iter (validate_transition ~nregs ~state_mask) transitions;
-  (* Contention needs a cycle clock; default to the allocator's (the
-     pipeline clock inside a switch) so programs get stall accounting
-     without extra wiring. *)
-  let clock =
-    match (clock, alloc) with
-    | (Some _ as c), _ -> c
-    | None, Some alloc -> Register_alloc.clock alloc
-    | None, None -> None
-  in
+  (* Contention needs a cycle clock: the allocator's (the pipeline
+     clock inside a switch), so programs get stall accounting without
+     extra wiring. *)
+  let clock = Option.bind alloc Register_alloc.clock in
   let mk_array ~name ~entries ~width =
     match alloc with
     | Some alloc -> Register_alloc.array alloc ~name ~entries ~width
-    | None -> Register_array.create ?clock ~name ~entries ~width ()
+    | None -> Register_array.create ~name ~entries ~width ()
   in
   let t =
     {
       entries;
       nregs;
-      mask = (if width = 62 then max_int else (1 lsl width) - 1);
-      rmw_latency;
+      mask = (1 lsl width) - 1;
       timeout;
       transitions;
       clock;
@@ -324,7 +317,7 @@ let step t ~now ~key ~input =
         let cycle = clock () in
         let prev = t.last_access_cycle.(slot) in
         t.last_access_cycle.(slot) <- cycle;
-        prev >= 0 && cycle - prev <= t.rmw_latency
+        prev >= 0 && cycle - prev <= Pipeline.default_depth
   in
   if stalled then t.stalls <- t.stalls + 1;
   let prev_state, state, fired = run_transitions t ~slot ~input in
@@ -351,11 +344,6 @@ let sweep t ~now =
         end
       done;
       !evicted
-
-let attach_sweeper t ~sched ~period =
-  ignore
-    (Eventsim.Scheduler.every ~cls:Eventsim.Scheduler.Efsm_sweep sched ~period (fun () ->
-         ignore (sweep t ~now:(Eventsim.Scheduler.now sched))))
 
 let unported_read arr i = (Register_array.to_array arr).(i)
 

@@ -17,7 +17,7 @@
     accesses of one transition land in the same pipeline cycle and are
     visible as {!Register_array.conflicts}; the flow-level contention
     OPP centres on is modelled separately: two hits on the {e same
-    flow} within [rmw_latency] cycles of each other cannot both be
+    flow} within {!Pipeline.default_depth} cycles of each other cannot both be
     served by the single-ported state memory's read-modify-write loop,
     so the second is counted in [stalls] (functional behaviour is
     unaffected — the simulator records the stall and proceeds, exactly
@@ -69,10 +69,7 @@ type t
 
 val create :
   ?alloc:Register_alloc.t ->
-  ?clock:(unit -> int) ->
-  ?rmw_latency:int ->
   ?timeout:Eventsim.Sim_time.t ->
-  ?width:int ->
   ?state_bits:int ->
   name:string ->
   entries:int ->
@@ -80,15 +77,14 @@ val create :
   transitions:transition list ->
   unit ->
   t
-(** [rmw_latency] is the contention window in cycles (default
-    {!Pipeline.default_depth}): a second hit on the same flow within
-    the window stalls. [clock] supplies the cycle counter and defaults
-    to the allocator's clock (the pipeline clock inside a switch); with
-    neither, no stalls are ever recorded. [timeout] is the idle interval after which
+(** Registers and inputs are 32 bits wide. A second hit on the same
+    flow within {!Pipeline.default_depth} cycles of the first stalls;
+    the cycle counter is the allocator's clock (the pipeline clock
+    inside a switch), and with no allocator or no clock no stalls are
+    ever recorded. [timeout] is the idle interval after which
     {!sweep} evicts (default: no timeout eviction); it must be
     strictly positive — a zero or negative timeout would arm a sweep
-    that spins at its own timestamp. [width] (default
-    32) bounds registers and inputs; [state_bits] (default 8) bounds
+    that spins at its own timestamp. [state_bits] (default 8) bounds
     state labels. When [alloc] is given, the backing arrays are
     allocated through it and a stats exporter is registered under
     [name], so the switch publishes [pisa.efsm.*] metrics
@@ -121,11 +117,6 @@ val sweep : t -> now:int -> int
     the number evicted; 0 when no timeout was configured. Evicted
     slots rejoin the free list (lowest-numbered slot reused first), so
     sweeping never forces capacity evictions of live flows. *)
-
-val attach_sweeper : t -> sched:Eventsim.Scheduler.t -> period:Eventsim.Sim_time.t -> unit
-(** Standalone periodic sweeping on a raw scheduler. Inside a switch
-    program prefer a timer event calling {!sweep} so eviction runs
-    supervised and shed-safe like any other handler work. *)
 
 val state_of : t -> key:int -> int option
 val regs_of : t -> key:int -> int array option

@@ -48,4 +48,3 @@ let mark t ~now_ps ~bytes =
   end
   else Red
 
-let color_to_string = function Green -> "green" | Yellow -> "yellow" | Red -> "red"

@@ -16,5 +16,3 @@ val create : cir_bytes_per_sec:float -> cbs:int -> ebs:int -> t
 val mark : t -> now_ps:int -> bytes:int -> color
 (** Color a packet of [bytes] arriving at [now_ps] (picoseconds), in
     color-blind mode, consuming tokens accordingly. *)
-
-val color_to_string : color -> string

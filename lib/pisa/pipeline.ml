@@ -21,7 +21,6 @@ let create ~sched ?(clock_period = default_clock_period) () =
     empty_carriers = 0;
   }
 
-let clock_period t = t.clock_period
 let latency t = default_depth * t.clock_period
 let current_cycle t = Eventsim.Scheduler.now t.sched / t.clock_period
 let clock t = fun () -> current_cycle t
@@ -42,15 +41,6 @@ let admit t ~has_packet =
   if has_packet then t.packet_carriers <- t.packet_carriers + 1
   else t.empty_carriers <- t.empty_carriers + 1;
   Eventsim.Scheduler.now t.sched + latency t
-
-type mark = { at_cycle : int; at_admissions : int }
-
-let mark t = { at_cycle = current_cycle t; at_admissions = t.admissions }
-
-let idle_cycles_since t m =
-  let m' = mark t in
-  let idle = m'.at_cycle - m.at_cycle - (m'.at_admissions - m.at_admissions) in
-  (max 0 idle, m')
 
 let admissions t = t.admissions
 let packet_carriers t = t.packet_carriers

@@ -7,9 +7,9 @@
 
     - when the next admission slot is,
     - the traversal latency,
-    - how many cycles were idle over any interval, which is precisely
-      the memory bandwidth available to drain aggregation registers
-      (paper §4, Figure 3).
+    - how many cycles carried a packet, an empty carrier or nothing;
+      idle cycles are the memory bandwidth available to drain
+      aggregation registers (paper §4, Figure 3).
 
     The defaults model the NetFPGA SUME P4 pipeline: 200 MHz clock
     (5 ns cycle) and a 16-cycle depth. A 4x10 Gb/s device at minimum
@@ -24,8 +24,6 @@ val default_depth : int
 val create : sched:Eventsim.Scheduler.t -> ?clock_period:Eventsim.Sim_time.t -> unit -> t
 (** A pipeline {!default_depth} cycles deep. *)
 
-val clock_period : t -> Eventsim.Sim_time.t
-
 val current_cycle : t -> int
 val clock : t -> unit -> int
 (** The cycle clock function, to plug into register arrays. *)
@@ -39,14 +37,6 @@ val admit : t -> has_packet:bool -> Eventsim.Sim_time.t
     scheduled itself no earlier than [earliest_admission]) and return
     the pipeline exit time. Raises [Invalid_argument] if the admission
     slot is already taken this cycle. *)
-
-type mark
-(** A ledger position used to measure idle cycles over an interval. *)
-
-val mark : t -> mark
-val idle_cycles_since : t -> mark -> int * mark
-(** Idle cycles (cycles with no admission) between the mark and now,
-    and a fresh mark. *)
 
 val admissions : t -> int
 val packet_carriers : t -> int

@@ -38,13 +38,11 @@ val add_zero : t -> name:string -> (unit -> int) -> unit
     [Netupd.Agent] mixed-version forwardings). The violation message
     reports the offending value. *)
 
-val run_once : t -> int
-(** Sweep every check now; returns the number of new violations. *)
-
 val start : t -> stop:Eventsim.Sim_time.t -> unit
-(** Begin periodic sweeps, self-rescheduling until simulated time
-    would pass [stop] (so the checker never keeps the scheduler run
-    alive on its own). *)
+(** Begin periodic sweeps, one period from now and every period after,
+    self-rescheduling until simulated time would pass [stop] (so the
+    checker never keeps the scheduler run alive on its own). Each
+    sweep runs every check once. *)
 
 val passes : t -> int
 val checks_run : t -> int

@@ -12,7 +12,6 @@
 
 type t = Fail_fast | Drop_event | Quarantine
 
-val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 val names : string list

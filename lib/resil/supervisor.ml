@@ -5,24 +5,14 @@ exception Failed of string * exn
 exception Budget_exhausted
 exception Injected_crash of string
 
-type config = {
-  policy : Policy.t;
-  max_trips : int;
-  base_backoff : Sim_time.t;
-  max_backoff : Sim_time.t;
-  backoff_jitter : Sim_time.t;
-  budget : int;
-}
+type config = { policy : Policy.t; base_backoff : Sim_time.t; max_backoff : Sim_time.t }
 
 let default_config () =
-  {
-    policy = !Policy.default;
-    max_trips = 8;
-    base_backoff = Sim_time.us 50;
-    max_backoff = Sim_time.ms 1;
-    backoff_jitter = Sim_time.us 20;
-    budget = 100_000;
-  }
+  { policy = !Policy.default; base_backoff = Sim_time.us 50; max_backoff = Sim_time.ms 1 }
+
+let max_trips = 8
+let backoff_jitter = Sim_time.us 20
+let budget = 100_000
 
 type key = {
   k_name : string;
@@ -79,7 +69,6 @@ type t = {
 
 let create ~sched ?config ~seed () =
   let config = match config with Some c -> c | None -> default_config () in
-  if config.max_trips <= 0 then invalid_arg "Supervisor.create: max_trips must be positive";
   if config.base_backoff <= 0 then
     invalid_arg "Supervisor.create: base_backoff must be positive";
   {
@@ -128,18 +117,14 @@ let backoff_delay t key =
   let exp = min (key.trip_count - 1) 30 in
   let nominal = min t.config.max_backoff (t.config.base_backoff * (1 lsl exp)) in
   let nominal = if nominal <= 0 then t.config.max_backoff else nominal in
-  let jitter =
-    if t.config.backoff_jitter > 0 then Stats.Rng.int key.k_rng (t.config.backoff_jitter + 1)
-    else 0
-  in
-  nominal + jitter
+  nominal + Stats.Rng.int key.k_rng (backoff_jitter + 1)
 
 let quarantine t key =
   key.trip_count <- key.trip_count + 1;
   t.trips_ <- t.trips_ + 1;
   key.active_ <- false;
   key.on_disable ();
-  if key.trip_count >= t.config.max_trips then begin
+  if key.trip_count >= max_trips then begin
     key.permanent <- true;
     t.permanent_ <- t.permanent_ + 1
   end
@@ -167,7 +152,7 @@ let trap t key exn =
 
 let consume t n =
   let key = t.current in
-  if key != no_key && t.config.budget > 0 then begin
+  if key != no_key then begin
     key.fuel <- key.fuel - n;
     if key.fuel < 0 then raise Budget_exhausted
   end
@@ -176,7 +161,7 @@ let consume t n =
    arms injected faults and resets the watchdog fuel. Raises (into the
    caller's [trap]) when an injected crash or slowdown fires. *)
 let enter t key =
-  key.fuel <- t.config.budget;
+  key.fuel <- budget;
   t.current <- key;
   if key.pending_crash > 0 then begin
     key.pending_crash <- key.pending_crash - 1;

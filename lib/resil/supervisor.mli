@@ -16,8 +16,12 @@
 
     The watchdog is metered, not preemptive: guarded code (or a fault
     injector) reports work via {!consume}; exceeding the per-invocation
-    [budget] raises {!Budget_exhausted}, which the guard traps like any
-    other handler failure. *)
+    budget of 100,000 steps raises {!Budget_exhausted}, which the guard
+    traps like any other handler failure.
+
+    A key's eighth quarantine trip fails it permanently. Each backoff
+    adds a jitter drawn uniformly from 0 to 20 us (inclusive, in
+    picoseconds) from the key's split RNG. *)
 
 type t
 type key
@@ -35,18 +39,13 @@ exception Injected_crash of string
 
 type config = {
   policy : Policy.t;  (** what every key does on a failure *)
-  max_trips : int;  (** quarantine trips before a permanent failure *)
   base_backoff : Eventsim.Sim_time.t;  (** first quarantine duration *)
   max_backoff : Eventsim.Sim_time.t;  (** backoff growth cap *)
-  backoff_jitter : Eventsim.Sim_time.t;
-      (** uniform jitter added to each backoff, drawn from the key's
-          split RNG *)
-  budget : int;  (** watchdog steps per invocation; 0 = unlimited *)
 }
 
 val default_config : unit -> config
-(** Reads {!Policy.default} at call time: 8 trips, 50 us base backoff
-    doubling to a 1 ms cap, 20 us jitter, 100k-step budget. *)
+(** Reads {!Policy.default} at call time: 50 us base backoff doubling
+    to a 1 ms cap. *)
 
 val create : sched:Eventsim.Scheduler.t -> ?config:config -> seed:int -> unit -> t
 
@@ -80,7 +79,7 @@ val protect : t -> key -> (unit -> unit) -> bool
 
 val consume : t -> int -> unit
 (** Report [n] steps of work against the currently-running guarded
-    invocation's budget (no-op outside a guard or with budget 0). *)
+    invocation's budget (no-op outside a guard). *)
 
 (** {1 Fault-injection hooks} (driven by [Faults.Handler_fault]) *)
 

@@ -53,7 +53,4 @@ let table3 () =
   let l, f, b = pct_increase virtex7_690t ~extra:(sum event_components) in
   [ ("Lookup Tables", round1 l); ("Flip Flops", round1 f); ("Block RAM", round1 b) ]
 
-let brams_for_bits bits =
-  if bits <= 0 then 0 else ((bits - 1) / 36_864) + 1
-
 let pp_cost ppf c = Format.fprintf ppf "LUT=%d FF=%d BRAM=%d" c.luts c.ffs c.brams

@@ -21,9 +21,8 @@ val virtex7_690t : device
 (** The NetFPGA SUME FPGA (XC7VX690T): 433,200 LUTs / 866,400 FFs /
     1,470 BRAM36. *)
 
-val zero : cost
-val add : cost -> cost -> cost
 val sum : component list -> cost
+(** The components' costs added field by field (all zero for [[]]). *)
 
 val baseline_components : component list
 (** MACs, DMA, parser, match-action stages, deparser, output queues —
@@ -40,8 +39,5 @@ val utilisation : device -> cost -> float * float * float
 val table3 : unit -> (string * float) list
 (** [("Lookup Tables", 0.5); ("Flip Flops", 0.4); ("Block RAM", 2.0)]
     computed from the model (values rounded to one decimal). *)
-
-val brams_for_bits : int -> int
-(** BRAM36 blocks needed for a register footprint of that many bits. *)
 
 val pp_cost : Format.formatter -> cost -> unit

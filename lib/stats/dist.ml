@@ -6,17 +6,6 @@ let pareto rng ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Dist.pareto: parameters must be positive";
   scale /. ((1. -. Rng.float rng) ** (1. /. shape))
 
-let normal rng ~mean ~std =
-  let u1 = 1. -. Rng.float rng and u2 = Rng.float rng in
-  mean +. (std *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
-let geometric rng ~p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p must be in (0,1]";
-  if p = 1. then 1
-  else
-    let u = 1. -. Rng.float rng in
-    1 + int_of_float (log u /. log (1. -. p))
-
 type zipf = { cdf : float array }
 
 let build_zipf ~n ~alpha =
@@ -56,7 +45,3 @@ let zipf_draw rng z =
     if z.cdf.(mid) < u then lo := mid + 1 else hi := mid
   done;
   !lo + 1
-
-let zipf_pmf z rank =
-  if rank < 1 || rank > Array.length z.cdf then invalid_arg "Dist.zipf_pmf: rank out of range";
-  if rank = 1 then z.cdf.(0) else z.cdf.(rank - 1) -. z.cdf.(rank - 2)

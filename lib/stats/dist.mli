@@ -8,13 +8,6 @@ val pareto : Rng.t -> shape:float -> scale:float -> float
 (** Pareto with minimum value [scale] and tail index [shape]. Heavy-tailed
     flow sizes use [shape] around 1.2-1.6. *)
 
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Gaussian via Box-Muller. *)
-
-val geometric : Rng.t -> p:float -> int
-(** Number of Bernoulli(p) trials up to and including the first success
-    (support 1, 2, ...). *)
-
 type zipf
 (** Precomputed Zipf sampler over [1..n]. *)
 
@@ -25,6 +18,3 @@ val zipf : n:int -> alpha:float -> zipf
 val zipf_draw : Rng.t -> zipf -> int
 (** [zipf_draw rng z] draws a rank in [\[1, n\]]; rank 1 is the most
     popular. *)
-
-val zipf_pmf : zipf -> int -> float
-(** Probability mass of a rank, for analytic comparisons in tests. *)

@@ -13,5 +13,3 @@ let update t x =
   t.value
 
 let value t = t.value
-
-let decay t = t.value <- t.value *. (1. -. t.alpha)

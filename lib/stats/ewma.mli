@@ -11,7 +11,3 @@ val update : t -> float -> float
 
 val value : t -> float
 (** Current average (0 before any sample unless initialised). *)
-
-val decay : t -> unit
-(** Multiply the current value by [1 - alpha]; used by timer-driven decay
-    of rate estimates when no traffic is observed. *)

@@ -1,13 +1,7 @@
-type layout =
-  | Linear of { lo : float; width : float }
-  | Log2
-
 type t = {
-  layout : layout;
   counts : int array;
-  bounds : (float * float) array;
+  upper : float array; (* bucket i holds [2^(i-1), 2^i), bucket 0 [0, 1) *)
   mutable underflow : int;
-  mutable overflow : int;
   mutable total : int;
   (* [sum; max_seen] in a flat float array: as mutable fields of this
      mixed record each store would box a fresh float, and [add] sits on
@@ -15,72 +9,43 @@ type t = {
   acc : float array;
 }
 
-let make layout bounds =
+let log2 ~max_exponent =
+  if max_exponent <= 0 then invalid_arg "Histogram.log2";
   {
-    layout;
-    counts = Array.make (Array.length bounds) 0;
-    bounds;
+    counts = Array.make (max_exponent + 1) 0;
+    upper = Array.init (max_exponent + 1) (fun i -> 2. ** float_of_int i);
     underflow = 0;
-    overflow = 0;
     total = 0;
     acc = [| 0.; neg_infinity |];
   }
 
-let linear ~lo ~hi ~buckets =
-  if buckets <= 0 || hi <= lo then invalid_arg "Histogram.linear";
-  let width = (hi -. lo) /. float_of_int buckets in
-  let bounds =
-    Array.init buckets (fun i ->
-        (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width)))
-  in
-  make (Linear { lo; width }) bounds
-
-let log2 ~max_exponent =
-  if max_exponent <= 0 then invalid_arg "Histogram.log2";
-  let bounds =
-    Array.init (max_exponent + 1) (fun i ->
-        if i = 0 then (0., 1.) else (2. ** float_of_int (i - 1), 2. ** float_of_int i))
-  in
-  make Log2 bounds
-
-let bucket_index t x =
-  match t.layout with
-  | Linear { lo; width } ->
-      if x < lo then -1
-      else
-        let i = int_of_float ((x -. lo) /. width) in
-        if i >= Array.length t.counts then Array.length t.counts else i
-  | Log2 ->
-      if x < 0. then -1
-      else if x < 1. then 0
-      else
-        (* floor(log2 x) = floor(log2 (floor x)) for x >= 1 (both lie in
-           the same [2^k, 2^(k+1)) octave), so the bucket falls out of a
-           few shift probes — no [Float.log2] C call per observation. *)
-        let n = int_of_float x in
-        let n = ref n and k = ref 0 in
-        if !n lsr 32 <> 0 then begin n := !n lsr 32; k := !k + 32 end;
-        if !n lsr 16 <> 0 then begin n := !n lsr 16; k := !k + 16 end;
-        if !n lsr 8 <> 0 then begin n := !n lsr 8; k := !k + 8 end;
-        if !n lsr 4 <> 0 then begin n := !n lsr 4; k := !k + 4 end;
-        if !n lsr 2 <> 0 then begin n := !n lsr 2; k := !k + 2 end;
-        if !n lsr 1 <> 0 then incr k;
-        let i = 1 + !k in
-        if i >= Array.length t.counts then Array.length t.counts else i
+let bucket_index x =
+  if x < 0. then -1
+  else if x < 1. then 0
+  else
+    (* floor(log2 x) = floor(log2 (floor x)) for x >= 1 (both lie in
+       the same [2^k, 2^(k+1)) octave), so the bucket falls out of a
+       few shift probes — no [Float.log2] C call per observation. *)
+    let n = int_of_float x in
+    let n = ref n and k = ref 0 in
+    if !n lsr 32 <> 0 then begin n := !n lsr 32; k := !k + 32 end;
+    if !n lsr 16 <> 0 then begin n := !n lsr 16; k := !k + 16 end;
+    if !n lsr 8 <> 0 then begin n := !n lsr 8; k := !k + 8 end;
+    if !n lsr 4 <> 0 then begin n := !n lsr 4; k := !k + 4 end;
+    if !n lsr 2 <> 0 then begin n := !n lsr 2; k := !k + 2 end;
+    if !n lsr 1 <> 0 then incr k;
+    1 + !k
 
 let add_n t x n =
   t.total <- t.total + n;
   t.acc.(0) <- t.acc.(0) +. (x *. float_of_int n);
   if x > t.acc.(1) then t.acc.(1) <- x;
-  let i = bucket_index t x in
+  let i = bucket_index x in
   if i < 0 then t.underflow <- t.underflow + n
-  else if i >= Array.length t.counts then t.overflow <- t.overflow + n
-  else t.counts.(i) <- t.counts.(i) + n
+  else if i < Array.length t.counts then t.counts.(i) <- t.counts.(i) + n
 
 let add t x = add_n t x 1
 let count t = t.total
-let underflow t = t.underflow
-let overflow t = t.overflow
 let mean t = if t.total = 0 then 0. else t.acc.(0) /. float_of_int t.total
 let max_seen t = t.acc.(1)
 
@@ -94,7 +59,7 @@ let percentile t q =
        for i = 0 to Array.length t.counts - 1 do
          acc := !acc +. float_of_int t.counts.(i);
          if !acc >= target then begin
-           result := snd t.bounds.(i);
+           result := t.upper.(i);
            raise Exit
          end
        done;
@@ -103,20 +68,3 @@ let percentile t q =
     (* Never report beyond the observed maximum. *)
     Float.min !result t.acc.(1)
   end
-
-let buckets t =
-  let out = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) > 0 then
-      let lo, hi = t.bounds.(i) in
-      out := (lo, hi, t.counts.(i)) :: !out
-  done;
-  !out
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.underflow <- 0;
-  t.overflow <- 0;
-  t.total <- 0;
-  t.acc.(0) <- 0.;
-  t.acc.(1) <- neg_infinity

@@ -1,23 +1,17 @@
-(** Fixed-bucket histograms with approximate percentiles.
-
-    Two bucket layouts are provided: linear buckets over a closed range,
-    and power-of-two (log2) buckets for long-tailed quantities such as
+(** Fixed-bucket histograms with approximate percentiles, in
+    power-of-two (log2) buckets for long-tailed quantities such as
     staleness in cycles or latency in nanoseconds. *)
 
 type t
 
-val linear : lo:float -> hi:float -> buckets:int -> t
-(** [linear ~lo ~hi ~buckets] divides [\[lo, hi)] into equal buckets.
-    Samples outside the range are counted in underflow/overflow bins. *)
-
 val log2 : max_exponent:int -> t
 (** Buckets [\[0,1), \[1,2), \[2,4), \[4,8), ... up to 2^max_exponent.
-    Negative samples land in the underflow bin. *)
+    Negative samples land in an underflow bin below the first bucket;
+    samples past the last bucket count only toward {!count}, {!mean}
+    and {!max_seen}. *)
 
 val add : t -> float -> unit
 val count : t -> int
-val underflow : t -> int
-val overflow : t -> int
 val mean : t -> float
 
 val percentile : t -> float -> float
@@ -27,8 +21,3 @@ val percentile : t -> float -> float
 
 val max_seen : t -> float
 (** Exact maximum of all added samples ([neg_infinity] when empty). *)
-
-val buckets : t -> (float * float * int) list
-(** [(lo, hi, count)] for each non-empty bucket, in order. *)
-
-val clear : t -> unit

@@ -26,7 +26,6 @@ let[@inline] int64 t =
   mix s
 
 let split t = of_state (int64 t)
-let copy t = Bytes.copy t
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
@@ -48,5 +47,3 @@ let int_in t lo hi =
 let[@inline] float t =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int r *. 0x1.0p-53
-
-let bool t = Int64.logand (int64 t) 1L = 1L

@@ -16,13 +16,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give each traffic source its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (the copies then evolve
-    independently but identically). *)
-
-val bits : t -> int
-(** 62 uniformly distributed non-negative bits (fits in an OCaml [int]). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
@@ -31,5 +24,3 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
-
-val bool : t -> bool

@@ -20,15 +20,7 @@ let rotate t =
   t.data.(next) <- 0.;
   t.head <- next
 
-let sum t = t.sum
-let window t = float_of_int (Array.length t.data) *. t.slot_width
-let rate t = t.sum /. window t
-
 let completed_rate t =
   let n = Array.length t.data in
-  if n <= 1 then rate t
+  if n <= 1 then t.sum /. t.slot_width
   else (t.sum -. t.data.(t.head)) /. (float_of_int (n - 1) *. t.slot_width)
-
-let slots t =
-  let n = Array.length t.data in
-  Array.init n (fun i -> t.data.((t.head - i + (2 * n)) mod n))

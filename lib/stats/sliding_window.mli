@@ -15,17 +15,8 @@ val rotate : t -> unit
 (** Advance the window by one slot, discarding the oldest. Driven by a
     periodic timer event. *)
 
-val sum : t -> float
-(** Sum over all live slots. *)
-
-val rate : t -> float
-(** [sum / window-length]: the windowed average rate. *)
-
 val completed_rate : t -> float
 (** Average rate over the completed slots only, excluding the
     in-progress newest slot — the unbiased estimator to read right
-    after a rotation. Falls back to {!rate} for a single-slot
-    window. *)
-
-val slots : t -> float array
-(** Newest-first snapshot of the slot contents. *)
+    after a rotation. A single-slot window has no completed slot and
+    gives the sum over the window divided by its length. *)

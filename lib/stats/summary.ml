@@ -10,16 +10,6 @@ let std xs =
     let acc = Array.fold_left (fun a x -> a +. ((x -. m) ** 2.)) 0. xs in
     sqrt (acc /. float_of_int n)
 
-let percentile xs q =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Summary.percentile: empty";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let pos = q *. float_of_int (n - 1) in
-  let i = int_of_float pos in
-  let frac = pos -. float_of_int i in
-  if i >= n - 1 then sorted.(n - 1) else sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
-
 let jain_fairness xs =
   let n = Array.length xs in
   if n = 0 then 1.

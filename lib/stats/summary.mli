@@ -2,10 +2,6 @@
 
 val mean : float array -> float
 val std : float array -> float
-val percentile : float array -> float -> float
-(** [percentile xs 0.5] sorts a copy and interpolates linearly. Raises
-    [Invalid_argument] on an empty array. *)
-
 val jain_fairness : float array -> float
 (** Jain's fairness index: [(sum x)^2 / (n * sum x^2)]; 1.0 means all
     equal. Returns 1.0 for an empty or all-zero input. *)

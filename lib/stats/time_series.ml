@@ -4,9 +4,7 @@ type t = {
   mutable len : int;
 }
 
-let create ?(capacity = 64) () =
-  let capacity = max capacity 1 in
-  { times = Array.make capacity 0.; values = Array.make capacity 0.; len = 0 }
+let create () = { times = Array.make 64 0.; values = Array.make 64 0.; len = 0 }
 
 let grow t =
   let cap = Array.length t.times * 2 in

@@ -4,7 +4,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
+(** Room for 64 points; the arrays double whenever they fill. *)
+
 val add : t -> time:float -> value:float -> unit
 val length : t -> int
 val nth : t -> int -> float * float

@@ -1,4 +1,4 @@
-(** Streaming mean / variance / extrema (Welford's algorithm). *)
+(** Streaming mean / standard deviation / extrema (Welford's algorithm). *)
 
 type t
 
@@ -8,15 +8,11 @@ val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 
-val variance : t -> float
-(** Population variance; 0 when fewer than two samples. *)
-
 val std : t -> float
+(** Population standard deviation; 0 when fewer than two samples. *)
+
 val min : t -> float
 (** [infinity] when empty. *)
 
 val max : t -> float
 (** [neg_infinity] when empty. *)
-
-val merge : t -> t -> t
-(** Combine two summaries as if all samples were added to one. *)

@@ -55,6 +55,4 @@ let pop t =
     pkt
   end
 
-let occupancy_bytes t = t.bytes
 let high_watermark_bytes t = t.high_watermark
-let is_empty t = t.count = 0

@@ -10,6 +10,4 @@ val push : t -> Netcore.Packet.t -> unit
 val pop : t -> Netcore.Packet.t
 (** The oldest packet, or {!Netcore.Packet.nil} when empty. *)
 
-val occupancy_bytes : t -> int
 val high_watermark_bytes : t -> int
-val is_empty : t -> bool

@@ -115,7 +115,6 @@ let create ~sched ?(delay = Eventsim.Sim_time.us 1) ?(detection_delay = Eventsim
   t
 
 let set_perturb t f = t.perturb <- Some f
-let clear_perturb t = t.perturb <- None
 
 (* Perturb-delayed packets leave the FIFO ring (their transit time
    differs, so arrival order no longer matches departure order) and pay

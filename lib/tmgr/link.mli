@@ -53,10 +53,8 @@ val delivered : t -> int
 val lost : t -> int
 
 val set_perturb : t -> (from_a:bool -> Netcore.Packet.t -> fate) -> unit
-(** Install a perturbation; it is consulted once per [send] while the
-    link is up. *)
-
-val clear_perturb : t -> unit
+(** Install a perturbation, replacing any earlier one; it is consulted
+    once per [send] while the link is up. *)
 
 val perturb_drops : t -> int
 (** Packets a perturbation dropped (also included in {!lost}). *)

@@ -5,14 +5,13 @@ type 'a t = {
   mutable len : int;
   mutable next_seq : int;
   capacity : int option;
-  mutable evictions : int;
 }
 
 let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Pifo.create: capacity must be positive"
   | Some _ | None -> ());
-  { data = [||]; len = 0; next_seq = 0; capacity; evictions = 0 }
+  { data = [||]; len = 0; next_seq = 0; capacity }
 
 let before a b = a.rank < b.rank || (a.rank = b.rank && a.seq < b.seq)
 
@@ -99,14 +98,10 @@ let push_evict t ~rank value =
         (* Evict the worst to admit the better-ranked newcomer. *)
         let evicted = t.data.(w).value in
         remove_at t w;
-        t.evictions <- t.evictions + 1;
         do_push t entry;
         `Evicted evicted
       end
-      else begin
-        t.evictions <- t.evictions + 1;
-        `Rejected
-      end
+      else `Rejected
   | Some _ | None ->
       do_push t entry;
       `Accepted
@@ -123,5 +118,3 @@ let pop t =
   end
 
 let length t = t.len
-let is_empty t = t.len = 0
-let evictions t = t.evictions

@@ -21,5 +21,3 @@ val push_evict : 'a t -> rank:int -> 'a -> [ `Accepted | `Rejected | `Evicted of
 
 val pop : 'a t -> 'a option
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-val evictions : 'a t -> int

@@ -3,11 +3,10 @@ module Sim_time = Eventsim.Sim_time
 module Packet = Netcore.Packet
 module Event = Devents.Event
 
-type policy = Fifo | Strict_priority | Pifo_sched
+type policy = Fifo | Pifo_sched
 
 type config = {
   num_ports : int;
-  queues_per_port : int;
   buffer_bytes : int;
   queue_limit_bytes : int option;
   pifo_capacity : int;
@@ -18,7 +17,6 @@ type config = {
 let default_config =
   {
     num_ports = 4;
-    queues_per_port = 1;
     buffer_bytes = 512 * 1024;
     queue_limit_bytes = None;
     pifo_capacity = 2048;
@@ -26,13 +24,13 @@ let default_config =
     port_rate_gbps = 10.;
   }
 
-type port_queues =
-  | Fifos of Fifo_queue.t array
+type port_queue =
+  | Fifo_q of Fifo_queue.t
   | Pifo_q of Netcore.Packet.t Pifo.t
 
 type port = {
   index : int;
-  queues : port_queues;
+  queue : port_queue;
   mutable busy : bool;
   mutable occupancy_bytes : int;
   mutable occupancy_pkts : int;
@@ -67,19 +65,17 @@ type t = {
 }
 
 let make_port config index =
-  let queues =
+  let queue =
     match config.policy with
-    | Fifo | Strict_priority ->
-        Fifos
-          (Array.init (max 1 config.queues_per_port) (fun _ ->
-               match config.queue_limit_bytes with
-               | Some limit_bytes -> Fifo_queue.create ~limit_bytes ()
-               | None -> Fifo_queue.create ()))
+    | Fifo -> (
+        match config.queue_limit_bytes with
+        | Some limit_bytes -> Fifo_q (Fifo_queue.create ~limit_bytes ())
+        | None -> Fifo_q (Fifo_queue.create ()))
     | Pifo_sched -> Pifo_q (Pifo.create ~capacity:config.pifo_capacity ())
   in
   {
     index;
-    queues;
+    queue;
     busy = false;
     occupancy_bytes = 0;
     occupancy_pkts = 0;
@@ -87,32 +83,11 @@ let make_port config index =
     tx_done = (fun () -> ());
   }
 
-(* First non-empty FIFO from [q] up, or [-1]. Top-level, not a local
-   closure of [select_queue]: capturing [queues] would allocate once
-   per dequeue. *)
-let rec first_nonempty queues q =
-  if q >= Array.length queues then -1
-  else if not (Fifo_queue.is_empty (Array.unsafe_get queues q)) then q
-  else first_nonempty queues (q + 1)
-
-(* The queue to serve next: a FIFO's qid, [0] for the PIFO, [-1] when
-   the port holds nothing. *)
-let select_queue t port =
-  match port.queues with
-  | Pifo_q pifo -> if Pifo.is_empty pifo then -1 else 0
-  | Fifos queues -> (
-      match t.config.policy with
-      | Fifo | Strict_priority ->
-          (* Strict priority = scan from qid 0 (highest); plain FIFO has a
-             single queue so the scan is equivalent. *)
-          first_nonempty queues 0
-      | Pifo_sched -> -1)
-
-(* The selected queue's head, [Packet.nil] when it is empty. *)
-let pop_from port qid =
-  match port.queues with
+(* The port's next packet, [Packet.nil] when it holds none. *)
+let pop_next port =
+  match port.queue with
+  | Fifo_q q -> Fifo_queue.pop q
   | Pifo_q pifo -> ( match Pifo.pop pifo with Some pkt -> pkt | None -> Packet.nil)
-  | Fifos queues -> Fifo_queue.pop queues.(qid)
 
 let start_tx t port pkt =
   port.busy <- true;
@@ -132,8 +107,7 @@ let start_tx t port pkt =
 
 let rec try_dequeue t port =
   if not port.busy then begin
-    let qid = select_queue t port in
-    let pkt = if qid < 0 then Packet.nil else pop_from port qid in
+    let pkt = pop_next port in
     if not (Packet.is_nil pkt) then begin
       let len = Packet.len pkt in
       let meta = pkt.Packet.meta in
@@ -224,15 +198,11 @@ let enqueue t ~port pkt =
     invalid_arg (Printf.sprintf "Traffic_manager.enqueue: bad port %d" port);
   let p = t.ports.(port) in
   let len = Packet.len pkt in
-  match p.queues with
-  | Fifos queues ->
-      let qid =
-        let q = pkt.Packet.meta.Packet.qid in
-        if q < 0 || q >= Array.length queues then 0 else q
-      in
-      pkt.Packet.meta.Packet.qid <- qid;
-      if Fifo_queue.can_accept queues.(qid) len && Buffer_pool.try_alloc t.pool len then begin
-        Fifo_queue.push queues.(qid) pkt;
+  match p.queue with
+  | Fifo_q q ->
+      pkt.Packet.meta.Packet.qid <- 0;
+      if Fifo_queue.can_accept q len && Buffer_pool.try_alloc t.pool len then begin
+        Fifo_queue.push q pkt;
         accept t p len pkt;
         true
       end
@@ -271,7 +241,6 @@ let total_occupancy_bytes t =
   Array.fold_left (fun acc p -> acc + p.occupancy_bytes) 0 t.ports
 
 let enqueues t = t.enqueues
-let dequeues t = t.dequeues
 let transmitted t = t.transmitted
 let drops t = t.drops
 let egress_drops t = t.egress_drops
@@ -300,15 +269,10 @@ let export_metrics ?(labels = []) t reg =
         let plabels = ("port", string_of_int p.index) :: labels in
         gauge ~labels:plabels "tm.port_occupancy_bytes" p.occupancy_bytes;
         gauge ~labels:plabels "tm.port_occupancy_pkts" p.occupancy_pkts;
-        match p.queues with
-        | Fifos queues ->
-            Array.iteri
-              (fun qid q ->
-                gauge
-                  ~labels:(("qid", string_of_int qid) :: plabels)
-                  "tm.queue_hwm_bytes"
-                  (Fifo_queue.high_watermark_bytes q))
-              queues
+        match p.queue with
+        | Fifo_q q ->
+            gauge ~labels:(("qid", "0") :: plabels) "tm.queue_hwm_bytes"
+              (Fifo_queue.high_watermark_bytes q)
         | Pifo_q pifo ->
             gauge ~labels:plabels "tm.pifo_occupancy_pkts" (Pifo.length pifo))
       t.ports

@@ -6,24 +6,24 @@
     the event metadata, as the paper's programming model specifies):
 
     - [Enqueue] when a packet is accepted into a queue;
-    - [Overflow] when a packet is rejected (shared pool or per-queue
-      limit exceeded) — the packet is dropped;
+    - [Overflow] when a packet is rejected (shared pool or the port
+      FIFO's limit exceeded; in a full PIFO, the worst-ranked packet) —
+      the packet is dropped;
     - [Dequeue] when a packet leaves its queue to start transmission;
     - [Underflow] when that departure leaves the queue empty;
     - [Transmitted] when serialization completes and the packet is
       handed to [emit].
 
-    Scheduling policies: FIFO across a single queue, strict priority
-    across the per-port queues (lower qid = higher priority), or a PIFO
-    ranked by [meta.priority]. *)
+    Each port holds one queue: a FIFO, or a PIFO ranked by
+    [meta.priority]. A packet queued in a FIFO gets [meta.qid = 0], and
+    every event and queue series of a FIFO names queue 0. *)
 
-type policy = Fifo | Strict_priority | Pifo_sched
+type policy = Fifo | Pifo_sched
 
 type config = {
   num_ports : int;
-  queues_per_port : int;  (** ignored by [Pifo_sched] *)
   buffer_bytes : int;  (** shared pool (default 512 KiB) *)
-  queue_limit_bytes : int option;  (** per-queue cap *)
+  queue_limit_bytes : int option;  (** per-port FIFO cap *)
   pifo_capacity : int;  (** entries per port PIFO *)
   policy : policy;
   port_rate_gbps : float;
@@ -43,18 +43,16 @@ val create :
   t
 (** [egress] runs at dequeue time (PSA egress processing); returning
     [None] drops the packet (counted, no Transmitted event). [events]
-    receives buffer/transmit notifications as plain fields — wrap a
-    boxed handler with {!Devents.Event_sink.of_fn} if needed. *)
+    receives buffer/transmit notifications as plain fields. *)
 
 val enqueue : t -> port:int -> Netcore.Packet.t -> bool
-(** Route a packet to [port], queue [pkt.meta.qid]. [false] if it was
-    dropped (Overflow fired). *)
+(** Queue a packet at [port]. [false] if it was dropped (Overflow
+    fired). *)
 
 val occupancy_bytes : t -> port:int -> int
 val occupancy_pkts : t -> port:int -> int
 val total_occupancy_bytes : t -> int
 val enqueues : t -> int
-val dequeues : t -> int
 val transmitted : t -> int
 val drops : t -> int
 (** Overflow drops. *)
@@ -66,6 +64,6 @@ val quiescent : t -> bool
 
 val export_metrics : ?labels:Obs.Metrics.labels -> t -> Obs.Metrics.t -> unit
 (** Publish enqueue/dequeue/transmit/drop counters, shared-buffer
-    occupancy and high-water marks, and per-port (and per-queue)
-    occupancy gauges into [reg]. Idempotent; a no-op when [reg] is
+    occupancy and high-water marks, and per-port occupancy gauges (with
+    a FIFO's byte high-water mark under [qid="0"]) into [reg]. Idempotent; a no-op when [reg] is
     disabled. *)

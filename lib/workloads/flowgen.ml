@@ -20,17 +20,6 @@ type spec = {
   arrival_rate_per_sec : float;
 }
 
-let default_spec =
-  {
-    num_flows = 500;
-    key_space = 200;
-    zipf_alpha = 1.1;
-    mean_packets = 20.;
-    max_packets = max_int;
-    pkt_bytes = 256;
-    arrival_rate_per_sec = 50_000.;
-  }
-
 let flow_of_rank rank =
   (* Deterministic (src, dst) per popularity rank; distinct ports per
      rank keep five-tuples unique. *)
@@ -45,10 +34,8 @@ let flow_of_rank rank =
    float at every flow. *)
 type clock = { mutable now_s : float }
 
-(* One-flow-at-a-time draw closure: all of [generate], [stream] and
-   [install] pull from this, so the draw order (gap, rank, size — in
-   that sequence per flow) is identical however the population is
-   consumed, and a million-flow mix is never materialized. *)
+(* One-flow-at-a-time draw closure, in the draw order (gap, rank,
+   size) per flow, so a million-flow mix is never materialized. *)
 let make_draw ~rng ?(flow_of_rank = flow_of_rank) spec =
   let zipf = Stats.Dist.zipf ~n:spec.key_space ~alpha:spec.zipf_alpha in
   (* Pareto with shape 1.4 and mean m has scale m * (shape-1)/shape. *)
@@ -68,29 +55,6 @@ let make_draw ~rng ?(flow_of_rank = flow_of_rank) spec =
       start = int_of_float (clock.now_s *. 1e12);
       rank;
     }
-
-let stream ~rng spec ~f =
-  if spec.num_flows <= 0 then invalid_arg "Flowgen.stream";
-  let draw = make_draw ~rng spec in
-  for _ = 1 to spec.num_flows do
-    f (draw ())
-  done
-
-let generate ~rng spec =
-  if spec.num_flows <= 0 then invalid_arg "Flowgen.generate";
-  let acc = ref [] in
-  stream ~rng spec ~f:(fun fd -> acc := fd :: !acc);
-  List.rev !acc
-
-let true_packet_counts flows =
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun fd ->
-      let key = Flow.hash_addresses fd.flow in
-      let prev = Option.value (Hashtbl.find_opt table key) ~default:0 in
-      Hashtbl.replace table key (prev + fd.packets))
-    flows;
-  table
 
 type source_stats = {
   mutable flows_started : int;
@@ -170,25 +134,3 @@ let install ~sched ~rng ?flow_of_rank ?arrival_stop
   in
   next_arrival spec.num_flows;
   st
-
-let replay ~sched ~flows ~rate_pps_per_flow ~send () =
-  List.map
-    (fun (fd : flow_desc) ->
-      let gap_gbps =
-        (* Convert a per-flow packet rate into the gbps knob cbr wants. *)
-        float_of_int (fd.pkt_bytes * 8) *. rate_pps_per_flow /. 1e9
-      in
-      let t =
-        Traffic.cbr ~sched ~flow:fd.flow ~pkt_bytes:fd.pkt_bytes ~rate_gbps:gap_gbps
-          ~start:fd.start ~send ()
-      in
-      (* Bound the flow's packet count by stopping it after its quota:
-         the simplest faithful cut-off is a scheduled stop. *)
-      let duration =
-        int_of_float (float_of_int fd.packets /. rate_pps_per_flow *. 1e12)
-      in
-      Eventsim.Scheduler.post sched
-        ~at:(fd.start + duration)
-        (fun () -> Traffic.stop_now t);
-      t)
-    flows

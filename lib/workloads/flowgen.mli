@@ -2,15 +2,11 @@
     popularity over keys, Pareto sizes, Poisson arrivals — the standard
     shape for heavy-hitter / sketch workloads.
 
-    Two consumption styles share one draw order ((gap, rank, size) per
-    flow, from the caller's seeded RNG):
-
-    - {!generate} materializes the population as a list — fine up to
-      thousands of flows;
-    - {!stream} / {!install} draw flows lazily, one at a time, so a
-      million-flow Zipf mix costs O(1) live words (plus O(live flows)
-      while running): nothing per-flow is retained after the flow
-      finishes. *)
+    {!install} draws flows lazily, one at a time, in one draw order
+    ((gap, rank, size) per flow, from the caller's seeded RNG), so a
+    million-flow Zipf mix costs O(1) live words (plus O(live flows)
+    while running): nothing per-flow is retained after the flow
+    finishes, and the population is never materialized. *)
 
 type flow_desc = {
   flow : Netcore.Flow.t;
@@ -32,22 +28,6 @@ type spec = {
   pkt_bytes : int;
   arrival_rate_per_sec : float;  (** Poisson flow arrivals *)
 }
-
-val default_spec : spec
-
-val generate : rng:Stats.Rng.t -> spec -> flow_desc list
-(** Flows ordered by start time. Materializes the whole population —
-    implemented as {!stream} collected into a list, so the draws are
-    bit-identical to the streaming forms for the same seed. *)
-
-val stream : rng:Stats.Rng.t -> spec -> f:(flow_desc -> unit) -> unit
-(** Visit the population in start-time order without retaining it:
-    [f] sees each descriptor exactly once, then it is garbage. Flows
-    take {!install}'s default rank -> five-tuple mapping. *)
-
-val true_packet_counts : flow_desc list -> (int, int) Hashtbl.t
-(** Key (packed flow hash) -> total packets; ground truth for sketch
-    accuracy experiments. *)
 
 (** Counters of one {!install}ed source; all monotone except
     [live_flows]. Read them during or after the run. *)
@@ -95,12 +75,3 @@ val install :
     lifetimes independent of the cutoff. [on_flow] / [on_flow_end]
     fire at flow start / completion — the hooks live-flow accounting
     and concurrency sampling plug into. *)
-
-val replay :
-  sched:Eventsim.Scheduler.t ->
-  flows:flow_desc list ->
-  rate_pps_per_flow:float ->
-  send:(Netcore.Packet.t -> unit) ->
-  unit ->
-  Traffic.t list
-(** Start a CBR-ish sub-source per flow emitting its packets. *)

@@ -12,7 +12,6 @@ type t = { mutable rev_entries : entry list; mutable len : int; mutable last : i
 
 let create () = { rev_entries = []; len = 0; last = 0 }
 let length t = t.len
-let entries t = List.rev t.rev_entries
 
 let add t entry =
   if entry.at < t.last then invalid_arg "Trace.add: entries must be time-ordered";
@@ -33,14 +32,11 @@ let packet_of entry =
   Packet.udp_packet ~src:entry.flow.Flow.src ~dst:entry.flow.Flow.dst
     ~src_port:entry.flow.Flow.src_port ~dst_port:entry.flow.Flow.dst_port ~payload_len ()
 
-let replay t ~sched ?(time_offset = 0) ~send () =
+let replay t ~sched ~send () =
   let scheduled = ref 0 in
   List.iter
     (fun entry ->
       incr scheduled;
-      Eventsim.Scheduler.post sched ~at:(entry.at + time_offset) (fun () ->
-          send ~port:entry.port (packet_of entry)))
-    (entries t);
+      Eventsim.Scheduler.post sched ~at:entry.at (fun () -> send ~port:entry.port (packet_of entry)))
+    (List.rev t.rev_entries);
   !scheduled
-
-let total_bytes t = List.fold_left (fun acc e -> acc + e.pkt_bytes) 0 t.rev_entries

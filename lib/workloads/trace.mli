@@ -9,34 +9,16 @@
     tuple and size rather than the packet object, so replay
     constructs fresh packets (fresh uids, clean metadata). *)
 
-type entry = {
-  at : Eventsim.Sim_time.t;
-  port : int;
-  flow : Netcore.Flow.t;
-  pkt_bytes : int;
-}
-
 type t
 
 val create : unit -> t
 val length : t -> int
-val entries : t -> entry list
-(** In arrival order. *)
 
 val record : t -> sched:Eventsim.Scheduler.t -> port:int -> Netcore.Packet.t -> unit
 (** Note an arrival now (use as/inside a [send] callback). Packets
-    without an IP header are skipped. *)
+    without an IP header are skipped. An arrival before the last one
+    recorded raises [Invalid_argument]. *)
 
-val add : t -> entry -> unit
-(** Append an explicit entry (must not go back in time). *)
-
-val replay :
-  t ->
-  sched:Eventsim.Scheduler.t ->
-  ?time_offset:Eventsim.Sim_time.t ->
-  send:(port:int -> Netcore.Packet.t -> unit) ->
-  unit ->
-  int
-(** Schedule every entry; returns the number scheduled. *)
-
-val total_bytes : t -> int
+val replay : t -> sched:Eventsim.Scheduler.t -> send:(port:int -> Netcore.Packet.t -> unit) -> unit -> int
+(** Schedule every entry at its recorded time; returns the number
+    scheduled. *)

@@ -9,7 +9,6 @@ type t
 
 val sent : t -> int
 val sent_bytes : t -> int
-val stop_now : t -> unit
 
 val make_packet :
   sched:Eventsim.Scheduler.t -> flow:Netcore.Flow.t -> pkt_bytes:int -> Netcore.Packet.t

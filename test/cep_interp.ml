@@ -1,3 +1,5 @@
+open Cep
+
 (* Progress with counters and countdowns stored inline — deliberately a
    different mechanism from the compiled automaton's register bank, so
    conformance between the two is a real check on the compiler. *)
@@ -38,9 +40,16 @@ let nth l i = List.nth l i
    order the compiler emits rows in. [None] = not consumed (no frontier
    atom matches); [Some None] = the node completed; [Some (Some p')] =
    progressed. *)
+(* An event matches an atom when its class is the atom's and its
+   attribute, clamped to [0, Pattern.attr_base), lies within the
+   atom's bounds (clamped when the atom was built). *)
+let atom_matches (a : Pattern.atom) (v : Pattern.view) =
+  let attr = max 0 (min (Pattern.attr_base - 1) v.attr) in
+  Devents.Event.cls_equal a.cls v.cls && attr >= a.lo && attr <= a.hi
+
 let rec consume (pat : Pattern.t) prog v ~tick_period : iprog option option =
   match (pat, prog) with
-  | Pattern.Atom a, IAtom -> if Pattern.atom_matches a v then Some None else None
+  | Pattern.Atom a, IAtom -> if atom_matches a v then Some None else None
   | Pattern.Seq l, ISeq (i, pi) -> (
       match consume (nth l i) pi v ~tick_period with
       | None -> None

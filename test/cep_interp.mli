@@ -1,10 +1,13 @@
 (** Reference interpreter for one detector instance (one correlation
-    key): a direct recursive execution of the pattern semantics
-    documented in {!Pattern}, sharing no mechanism with {!Compile} —
-    counters and countdowns live inline in the progress tree rather
-    than in EFSM registers. The QCheck conformance property drives
-    random event streams through both and requires identical verdicts
+    key), the oracle of the CEP compiler's conformance tests: a direct
+    recursive execution of the pattern semantics documented in
+    {!Cep.Pattern}, sharing no mechanism with {!Cep.Compile} — counters
+    and countdowns live inline in the progress tree rather than in EFSM
+    registers. The QCheck conformance property drives random event
+    streams through both and requires identical verdicts
     event-for-event. *)
+
+open Cep
 
 type t
 

@@ -1,9 +1,13 @@
 #!/bin/sh
 # Fails when a value exported by an interface under lib/ is called from no
-# .ml or .mli outside its own module (lib, bin, examples, perfbench,
-# bench, test). An exported value that nothing calls is dead code with
-# a public name: delete it, or drop it from the .mli so that warning 32
-# flags it once nothing inside the module uses it either.
+# .ml or .mli outside its own module in the code a run builds (lib, bin,
+# examples, perfbench, bench). An exported value that nothing calls is
+# dead code with a public name: delete it, or drop it from the .mli so
+# that warning 32 flags it once nothing inside the module uses it
+# either. A value only tests call (files under test/) passes only when
+# test/test_only.txt lists it, with its reason; a listed value also
+# fails when a run calls it, when no test calls it, or when it no longer
+# exists.
 #
 # Run from the repository root: sh test/exports_called.sh
 #
@@ -26,7 +30,8 @@ awk '
     return (path in alias) ? alias[path] : path
   }
   function use(key) {
-    if (!(key in first)) first[key] = stem
+    if (intest) tested[key] = 1
+    else if (!(key in first)) first[key] = stem
     else if (first[key] != stem) elsewhere[key] = 1
   }
   function flush(   o, w) {
@@ -42,8 +47,13 @@ awk '
       found[++nfound] = m
     }
   }
+  FILENAME == "test/test_only.txt" {
+    if ($0 !~ /^[ \t]*(#|$)/ && $2 !~ /^\?/) listed[$1] = FNR
+    next
+  }
   FNR == 1 {
     flush()
+    intest = FILENAME ~ /^test\//
     stem = FILENAME
     sub(/\.mli?$/, "", stem)
     file_mod = stem
@@ -106,13 +116,29 @@ awk '
     bad = 0
     for (i = 1; i <= nvals; i++) {
       key = val_key[i]
-      if (!(key in elsewhere) && (!(key in first) || first[key] == val_stem[i])) {
-        printf "%s: val %s is called from no other module\n", val_at[i], key
+      called = (key in elsewhere) || ((key in first) && first[key] != val_stem[i])
+      if (key in listed) {
+        seen[key] = 1
+        if (called) {
+          printf "%s: val %s is listed in test/test_only.txt but a run calls it\n", val_at[i], key
+          bad++
+        } else if (!(key in tested)) {
+          printf "%s: val %s is listed in test/test_only.txt but no test calls it\n", val_at[i], key
+          bad++
+        }
+      } else if (!called) {
+        printf "%s: val %s is called from no other module%s\n", val_at[i], key, \
+          (key in tested) ? " but tests (list it in test/test_only.txt, or delete it)" : ""
         bad++
       }
     }
+    for (key in listed)
+      if (!(key in seen)) {
+        printf "test/test_only.txt:%d: %s is no exported value\n", listed[key], key
+        bad++
+      }
     if (bad > 0) {
-      printf "%d exported values have no caller outside their module\n", bad
+      printf "%d exported values fail the guard\n", bad
       exit 1
     }
-  }' $files
+  }' test/test_only.txt $files

@@ -1,8 +1,12 @@
 #!/bin/sh
 # Fails when an optional argument of a value exported by an interface
-# under lib/ is passed by no call (lib, bin, examples, perfbench, bench,
-# test). An option that every call leaves at its default is a constant
-# with a knob: make it the constant and state the value in the doc.
+# under lib/ is passed by no call in the code a run builds (lib, bin,
+# examples, perfbench, bench). An option that every call leaves at its
+# default is a constant with a knob: make it the constant and state the
+# value in the doc. An option only tests pass (files under test/)
+# passes only when test/test_only.txt lists it as `M.f ?l`, with its
+# reason; a listed option also fails when a run passes it, when no test
+# passes it, or when it no longer exists.
 #
 # Run from the repository root: sh test/options_passed.sh
 #
@@ -44,10 +48,18 @@ awk '
   function check(s, text,   ks, nk, k) {
     nk = split(val_opts[span_val[s]], ks, " ")
     for (k = 1; k <= nk; k++)
-      if (text ~ ("[~?]" opt_label[ks[k]] "([^A-Za-z0-9_]|$)")) passed[ks[k]] = 1
+      if (text ~ ("[~?]" opt_label[ks[k]] "([^A-Za-z0-9_]|$)")) {
+        if (intest) tested[ks[k]] = 1
+        else passed[ks[k]] = 1
+      }
+  }
+  FILENAME == "test/test_only.txt" {
+    if ($0 !~ /^[ \t]*(#|$)/ && $2 ~ /^\?/) listed[$1 " " $2] = FNR
+    next
   }
   FNR == 1 {
     if (collecting) take_val()
+    intest = FILENAME ~ /^test\//
     collecting = 0
     nspans = 0
     split("", alias)
@@ -140,14 +152,31 @@ awk '
   }
   END {
     bad = 0
-    for (k = 1; k <= nopts; k++)
-      if (!(k in passed)) {
-        v = opt_val[k]
-        printf "%s: ?%s of %s.%s is passed by no call\n", opt_at[k], opt_label[k], val_sig[v], val_name[v]
+    for (k = 1; k <= nopts; k++) {
+      v = opt_val[k]
+      key = val_sig[v] "." val_name[v] " ?" opt_label[k]
+      if (key in listed) {
+        seen[key] = 1
+        if (k in passed) {
+          printf "%s: ?%s of %s.%s is listed in test/test_only.txt but a run passes it\n", opt_at[k], opt_label[k], val_sig[v], val_name[v]
+          bad++
+        } else if (!(k in tested)) {
+          printf "%s: ?%s of %s.%s is listed in test/test_only.txt but no test passes it\n", opt_at[k], opt_label[k], val_sig[v], val_name[v]
+          bad++
+        }
+      } else if (!(k in passed)) {
+        printf "%s: ?%s of %s.%s is passed by no call%s\n", opt_at[k], opt_label[k], val_sig[v], val_name[v], \
+          (k in tested) ? " but tests (list it in test/test_only.txt, or make it a constant)" : ""
+        bad++
+      }
+    }
+    for (key in listed)
+      if (!(key in seen)) {
+        printf "test/test_only.txt:%d: %s is no optional argument of an export\n", listed[key], key
         bad++
       }
     if (bad > 0) {
-      printf "%d optional arguments are passed by no call\n", bad
+      printf "%d optional arguments fail the guard\n", bad
       exit 1
     }
-  }' pass=1 $mlis pass=2 $files
+  }' pass=1 $mlis pass=2 test/test_only.txt $files

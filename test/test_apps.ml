@@ -245,19 +245,6 @@ let test_aqm_fred_limits_hog () =
   Alcotest.(check bool) "early drops happened" true (Apps.Aqm.early_drops app > 0);
   Alcotest.(check int) "no tail drops" 0 (Tmgr.Traffic_manager.drops (Event_switch.tm sw))
 
-let test_aqm_red_marks_instead_of_dropping () =
-  let sched = Scheduler.create () in
-  let spec, app =
-    Apps.Aqm.program ~mark_instead_of_drop:true
-      ~policy:(Apps.Aqm.Red { min_th = 5_000; max_th = 30_000; max_p = 0.5; weight = 0.1 })
-      ~buffer_bytes:100_000 ~out_port:(fun _ -> 3) ()
-  in
-  let sw = mk_switch ~sched spec in
-  congest sched sw;
-  Scheduler.run ~until:(Sim_time.ms 1) sched;
-  Alcotest.(check bool) "marks happened" true (Apps.Aqm.ecn_marks app > 0);
-  Alcotest.(check int) "no early drops in mark mode" 0 (Apps.Aqm.early_drops app)
-
 let test_aqm_active_flow_count () =
   let sched = Scheduler.create () in
   let spec, app =
@@ -790,7 +777,6 @@ let suite =
     Alcotest.test_case "flow rate estimate" `Quick test_flow_rate_estimate;
     Alcotest.test_case "aqm taildrop" `Quick test_aqm_taildrop_overflow_only;
     Alcotest.test_case "aqm fred limits hog" `Quick test_aqm_fred_limits_hog;
-    Alcotest.test_case "aqm red marking" `Quick test_aqm_red_marks_instead_of_dropping;
     Alcotest.test_case "aqm active flow count" `Quick test_aqm_active_flow_count;
     Alcotest.test_case "policer under rate" `Quick test_policer_under_rate_passes_everything;
     Alcotest.test_case "policer enforces cir" `Quick test_policer_enforces_cir;

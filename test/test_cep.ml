@@ -6,7 +6,7 @@
 open Alcotest
 module P = Cep.Pattern
 module C = Cep.Compile
-module I = Cep.Interp
+module I = Cep_interp
 module Efsm = Pisa.Efsm
 module Event = Devents.Event
 

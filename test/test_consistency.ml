@@ -97,13 +97,13 @@ let test_shared_register_execution_checks_out () =
   for k = 0 to 299 do
     ignore
       (Scheduler.schedule sched
-         ~at:(k * Pipeline.clock_period pipeline)
+         ~at:(k * Pipeline.default_clock_period)
          (fun () ->
            let cycle = Pipeline.current_cycle pipeline in
-           if Stats.Rng.bool rng then begin
+           if Stats.Rng.int rng 2 = 0 then begin
              let delta = Stats.Rng.int rng 100 in
              let side =
-               if Stats.Rng.bool rng then Shared_register.Enq_side else Shared_register.Deq_side
+               if Stats.Rng.int rng 2 = 0 then Shared_register.Enq_side else Shared_register.Deq_side
              in
              C.record_update rec_ ~issue:cycle ~delta;
              Shared_register.event_add reg side 0 delta

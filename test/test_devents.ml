@@ -9,6 +9,7 @@ module Event_queue = Devents.Event_queue
 module Timer_unit = Devents.Timer_unit
 module Packet_gen = Devents.Packet_gen
 module Event_merger = Devents.Event_merger
+module Event_store = Devents.Event_store
 module Shared_register = Devents.Shared_register
 module Pipeline = Pisa.Pipeline
 
@@ -26,14 +27,16 @@ let test_event_queue_bounds () =
   Alcotest.(check bool) "push 2" true (Event_queue.push q 2);
   Alcotest.(check bool) "push 3 drops" false (Event_queue.push q 3);
   Alcotest.(check int) "dropped" 1 (Event_queue.dropped q);
-  Alcotest.(check (option int)) "fifo" (Some 1) (Event_queue.pop q);
-  Alcotest.(check int) "watermark" 2 (Event_queue.high_watermark q)
+  Alcotest.(check int) "fifo" 1 (Event_queue.pop_or q ~default:0);
+  Alcotest.(check int) "one left" 1 (Event_queue.length q);
+  Alcotest.(check int) "then the second" 2 (Event_queue.pop_or q ~default:0);
+  Alcotest.(check int) "empty gives the default" 0 (Event_queue.pop_or q ~default:0)
 
 let test_timer_quantisation () =
   let sched = Scheduler.create () in
   let fired = ref [] in
   let tu =
-    Timer_unit.create ~sched ~resolution:(Sim_time.ns 100)
+    Timer_unit.create ~sched
       ~sink:(fun ev -> match ev with Event.Timer t -> fired := t :: !fired | _ -> ())
       ()
   in
@@ -60,18 +63,38 @@ let test_timer_cancel () =
   Scheduler.run ~until:(Sim_time.us 10) sched;
   Alcotest.(check int) "three firings then cancelled" 3 !count
 
-let test_oneshot_timer () =
+(* Timers are independent per id: each counts its own firings, and
+   cancelling one leaves the other running. *)
+let test_timers_per_id () =
   let sched = Scheduler.create () in
-  let times = ref [] in
+  let fired = ref [] in
   let tu =
     Timer_unit.create ~sched
-      ~sink:(fun ev -> times := Event.time_of ev :: !times)
+      ~sink:(fun ev ->
+        match ev with
+        | Event.Timer t -> fired := (t.Event.id, t.Event.count, t.Event.fired) :: !fired
+        | _ -> ())
       ()
   in
-  ignore (Timer_unit.add_oneshot tu ~delay:(Sim_time.us 5));
-  Scheduler.run sched;
-  Alcotest.(check (list int)) "fires once" [ Sim_time.us 5 ] !times;
-  Alcotest.(check int) "no active timers left" 0 (Timer_unit.active tu)
+  let a = Timer_unit.add_periodic tu ~period:(Sim_time.ns 300) in
+  let b = Timer_unit.add_periodic tu ~period:(Sim_time.ns 500) in
+  Alcotest.(check bool) "distinct ids" true (a <> b);
+  Scheduler.post sched ~at:(Sim_time.ns 700) (fun () -> Timer_unit.cancel tu a);
+  Scheduler.run ~until:(Sim_time.ns 1500) sched;
+  Alcotest.(check (list (triple int int int)))
+    "(id, count, fired)"
+    [
+      (a, 1, Sim_time.ns 300);
+      (b, 1, Sim_time.ns 500);
+      (a, 2, Sim_time.ns 600);
+      (b, 2, Sim_time.ns 1000);
+      (b, 3, Sim_time.ns 1500);
+    ]
+    (List.rev !fired);
+  Alcotest.(check int) "last firing" (Sim_time.ns 1500) (Timer_unit.last_fire_time tu);
+  Alcotest.check_raises "period must be positive"
+    (Invalid_argument "Timer_unit.add_periodic: period must be positive") (fun () ->
+      ignore (Timer_unit.add_periodic tu ~period:0 : Timer_unit.timer_id))
 
 let mk_pkt () =
   Netcore.Packet.udp_packet
@@ -86,7 +109,7 @@ let test_packet_gen_count () =
   Packet_gen.configure pg ~period:(Sim_time.us 1) ~count:5 ~template:(fun _ -> mk_pkt ()) ();
   Scheduler.run ~until:(Sim_time.ms 1) sched;
   Alcotest.(check int) "exactly count" 5 !got;
-  Alcotest.(check bool) "stopped" false (Packet_gen.running pg)
+  Alcotest.(check int) "stopped: nothing left queued" 0 (Scheduler.pending sched)
 
 let test_packet_gen_reconfigure () =
   let sched = Scheduler.create () in
@@ -155,7 +178,7 @@ let test_merger_one_admission_per_cycle () =
   Alcotest.(check int) "all admitted" 5 (List.length !carriers);
   (* 5 admissions at 1/cycle: the last admission is at cycle 4. *)
   Alcotest.(check int) "admissions" 5 (Pipeline.admissions pipeline);
-  Alcotest.(check int) "clock advanced 4 cycles" (4 * Pipeline.clock_period pipeline)
+  Alcotest.(check int) "clock advanced 4 cycles" (4 * Pipeline.default_clock_period)
     (Scheduler.now sched)
 
 let test_merger_priority_order () =
@@ -169,7 +192,7 @@ let test_merger_priority_order () =
         qid = 0;
         pkt_len = 100;
         flow_id = 1;
-        meta = [||];
+        meta = Array.make Netcore.Packet.meta_slots 0;
         occupancy_pkts = 1;
         occupancy_bytes = 100;
         time = 0;
@@ -185,6 +208,100 @@ let test_merger_priority_order () =
         [ "link-status-change"; "buffer-enqueue" ]
         (List.map Event.cls_name c.classes)
   | cs -> Alcotest.failf "expected one carrier, got %d" (List.length cs)
+
+(* The metadata bus carries at most four events (the default width):
+   the four highest-priority classes ride the packet, and the rest
+   follow in an empty carrier. *)
+let test_merger_bus_width () =
+  let sched, _p, merger, carriers = merger_fixture () in
+  List.iter
+    (fun ev -> Alcotest.(check bool) "accepted" true (Event_merger.offer_event merger ev))
+    [
+      Event.User { Event.tag = 1; data = 0; time = 0 };
+      Event.Transmitted { Event.port = 0; pkt_len = 100; flow_id = 1; time = 0 };
+      Event.Underflow { Event.port = 0; qid = 0; time = 0 };
+      Event.Control { Event.opcode = 1; arg = 0; time = 0 };
+      timer_ev 1;
+      Event.Link_change { Event.port = 1; up = false; time = 0 };
+    ];
+  ignore (Event_merger.offer_packet merger Event_merger.Ingress (mk_pkt ()) : bool);
+  Scheduler.run sched;
+  Alcotest.(check (list (pair bool (list string))))
+    "carriers"
+    [
+      ( true,
+        [ "link-status-change"; "timer-expiration"; "control-plane-triggered"; "buffer-underflow" ]
+      );
+      (false, [ "packet-transmitted"; "user-event" ]);
+    ]
+    (List.rev_map (fun c -> (c.has_pkt, List.map Event.cls_name c.classes)) !carriers);
+  Alcotest.(check int) "piggybacked" 4 (Event_merger.piggybacked_events merger);
+  Alcotest.(check int) "empty carriers" 1 (Event_merger.empty_carriers merger)
+
+let kind_name = function
+  | Event_merger.Ingress -> "ingress"
+  | Event_merger.Recirculated -> "recirculated"
+  | Event_merger.Generated -> "generated"
+
+(* Packets waiting together are admitted ingress first, then
+   recirculated, then generated; FIFO within a kind. *)
+let test_merger_packet_kind_order () =
+  let sched = Scheduler.create () in
+  let pipeline = Pipeline.create ~sched () in
+  let admitted = ref [] in
+  let merger =
+    Event_merger.create ~sched ~pipeline
+      ~process:(fun c ~exit_time:_ ->
+        admitted := (kind_name c.Event_merger.kind, c.Event_merger.pkt.Netcore.Packet.uid) :: !admitted)
+      ()
+  in
+  let offered =
+    List.map
+      (fun kind ->
+        let pkt = mk_pkt () in
+        ignore (Event_merger.offer_packet merger kind pkt : bool);
+        (kind_name kind, pkt.Netcore.Packet.uid))
+      Event_merger.[ Generated; Recirculated; Ingress; Generated; Ingress ]
+  in
+  Scheduler.run sched;
+  let nth i = List.nth offered i in
+  Alcotest.(check (list (pair string int)))
+    "admission order"
+    [ nth 2; nth 4; nth 1; nth 0; nth 3 ]
+    (List.rev !admitted)
+
+(* Each packet kind's input queue holds 256 packets, counted apart: the
+   257th ingress packet is refused while a recirculated one still fits. *)
+let test_merger_packet_queue_capacity () =
+  let sched, _p, merger, carriers = merger_fixture () in
+  let accepted =
+    List.init 257 (fun _ -> Event_merger.offer_packet merger Event_merger.Ingress (mk_pkt ()))
+  in
+  Alcotest.(check int) "256 accepted" 256 (List.length (List.filter Fun.id accepted));
+  Alcotest.(check bool) "the 257th refused" false (List.nth accepted 256);
+  Alcotest.(check int) "the refusal counted" 1 (Event_merger.packet_drops merger);
+  Alcotest.(check bool) "recirculated has its own queue" true
+    (Event_merger.offer_packet merger Event_merger.Recirculated (mk_pkt ()));
+  Alcotest.(check int) "waiting" 257 (Event_merger.packets_waiting merger);
+  Scheduler.run sched;
+  Alcotest.(check int) "every queued packet admitted" 257 (List.length !carriers);
+  Alcotest.(check int) "nothing left" 0 (Event_merger.packets_waiting merger)
+
+(* A buffer event's metadata rides inline in the event store's row, so
+   it must be [Packet.meta_slots] long; any other length is refused
+   before anything is queued. *)
+let test_merger_rejects_odd_meta () =
+  let _sched, _p, merger, _carriers = merger_fixture () in
+  let offer meta =
+    Event_merger.offer_buffer merger ~cls_ix:(Event.cls_index Event.Buffer_enqueue) ~port:0 ~qid:0
+      ~pkt_len:100 ~flow_id:1 ~meta ~occupancy_pkts:1 ~occupancy_bytes:100 ~time:0
+  in
+  Alcotest.check_raises "short meta"
+    (Invalid_argument "Event_store.push_buffer: meta is not Packet.meta_slots long") (fun () ->
+      ignore (offer [| 1; 2 |] : bool));
+  Alcotest.(check int) "nothing queued" 0 (Event_merger.events_waiting merger);
+  Alcotest.(check bool) "full-length meta accepted" true
+    (offer (Array.make Netcore.Packet.meta_slots 7))
 
 let test_merger_one_event_per_class_per_carrier () =
   let sched, _p, merger, carriers = merger_fixture () in
@@ -274,7 +391,17 @@ let test_merger_first_push_every_class () =
   let expected =
     List.map
       (fun cls -> describe (List.find (fun ev -> Event.cls_equal (Event.cls_of ev) cls) events))
-      Event_merger.default_config.Event_merger.priority
+      [
+        Event.Link_status_change;
+        Event.Timer_expiration;
+        Event.Control_plane;
+        Event.Buffer_overflow;
+        Event.Buffer_underflow;
+        Event.Buffer_dequeue;
+        Event.Buffer_enqueue;
+        Event.Packet_transmitted;
+        Event.User_event;
+      ]
   in
   Alcotest.(check int) "nine metadata classes" 9 (List.length expected);
   List.iter
@@ -300,6 +427,69 @@ let test_merger_first_push_every_class () =
   Scheduler.run sched;
   Alcotest.(check (list string)) "admitted in priority order, intact" expected (List.rev !seen)
 
+(* A buffer event's [meta] is copied into the ring at push time: the
+   caller may reuse its array, and [take] hands back the pushed values
+   with every other field. *)
+let test_store_snapshots_meta () =
+  let store = Event_store.create ~capacity:4 () in
+  let enq = Event.cls_index Event.Buffer_enqueue in
+  let pushed = Array.init Netcore.Packet.meta_slots (fun i -> 10 * (i + 1)) in
+  let meta = Array.copy pushed in
+  Alcotest.(check bool) "accepted" true
+    (Event_store.push_buffer store ~cls_ix:enq ~port:3 ~qid:0 ~pkt_len:1500 ~flow_id:77 ~meta
+       ~occupancy_pkts:2 ~occupancy_bytes:3000 ~time:42);
+  Array.fill meta 0 (Array.length meta) (-1);
+  match Event_store.take store ~cls_ix:enq with
+  | Event.Enqueue b ->
+      Alcotest.(check (array int)) "meta as pushed" pushed b.Event.meta;
+      Alcotest.(check (list int))
+        "port, qid, len, flow, occupancy, time" [ 3; 0; 1500; 77; 2; 3000; 42 ]
+        [
+          b.Event.port;
+          b.Event.qid;
+          b.Event.pkt_len;
+          b.Event.flow_id;
+          b.Event.occupancy_pkts;
+          b.Event.occupancy_bytes;
+          b.Event.time;
+        ]
+  | ev -> Alcotest.failf "decoded as %s" (Event.cls_name (Event.cls_of ev))
+
+(* One bounded FIFO ring per class: a full ring refuses and counts the
+   push without touching another class, and the high-water mark
+   outlives the drain. *)
+let test_store_rings_per_class () =
+  let store = Event_store.create ~capacity:2 () in
+  let timer = Event.cls_index Event.Timer_expiration in
+  let link = Event.cls_index Event.Link_status_change in
+  Alcotest.(check (list bool))
+    "third timer refused" [ true; true; false ]
+    (List.map (fun n -> Event_store.push store (timer_ev n)) [ 1; 2; 3 ]);
+  Alcotest.(check bool) "another class still fits" true
+    (Event_store.push store (Event.Link_change { Event.port = 2; up = true; time = 5 }));
+  Alcotest.(check (list int))
+    "timer length, dropped, hwm; link dropped; total" [ 2; 1; 2; 0; 3 ]
+    [
+      Event_store.length store ~cls_ix:timer;
+      Event_store.dropped store ~cls_ix:timer;
+      Event_store.high_watermark store ~cls_ix:timer;
+      Event_store.dropped store ~cls_ix:link;
+      Event_store.total store;
+    ];
+  let take_count () =
+    match Event_store.take store ~cls_ix:timer with
+    | Event.Timer t -> t.Event.count
+    | ev -> Alcotest.failf "decoded as %s" (Event.cls_name (Event.cls_of ev))
+  in
+  let first = take_count () in
+  let second = take_count () in
+  Alcotest.(check (list int)) "oldest first" [ 1; 2 ] [ first; second ];
+  Alcotest.(check (pair int int)) "drained, hwm kept" (0, 2)
+    (Event_store.length store ~cls_ix:timer, Event_store.high_watermark store ~cls_ix:timer);
+  Alcotest.check_raises "empty class"
+    (Invalid_argument "Event_store.take: class queue is empty") (fun () ->
+      ignore (Event_store.take store ~cls_ix:timer : Event.t))
+
 (* --- Shared registers --- *)
 
 let shared_fixture mode =
@@ -322,7 +512,7 @@ let test_multiport_immediate () =
     (Shared_register.max_staleness_cycles reg = neg_infinity)
 
 let test_aggregated_coalesce_and_drain () =
-  let sched, pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
+  let sched, _pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
   (* Two event-side adds at cycle 0 coalesce into one dirty entry. *)
   Shared_register.event_add reg Shared_register.Enq_side 2 100;
   Shared_register.event_add reg Shared_register.Enq_side 2 50;
@@ -330,26 +520,26 @@ let test_aggregated_coalesce_and_drain () =
   Alcotest.(check int) "main still stale" 0 (Shared_register.read reg 2);
   Alcotest.(check int) "true value" 150 (Shared_register.true_value reg 2);
   (* Let 10 idle cycles pass; the drain budget then covers the op. *)
-  Scheduler.run ~until:(10 * Pipeline.clock_period pipeline) sched;
+  Scheduler.run ~until:(10 * Pipeline.default_clock_period) sched;
   Alcotest.(check int) "applied after idle cycles" 150 (Shared_register.read reg 2);
   Alcotest.(check int) "none pending" 0 (Shared_register.pending_ops reg);
   Alcotest.(check int) "one applied op" 1 (Shared_register.applied_ops reg)
 
 let test_aggregated_conservation () =
-  let sched, pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
+  let sched, _pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
   let rng = Stats.Rng.create ~seed:5 in
   let truth = Array.make 8 0 in
   (* Random event-side traffic across 200 cycles. *)
   for c = 0 to 199 do
     ignore
       (Scheduler.schedule sched
-         ~at:(c * Pipeline.clock_period pipeline)
+         ~at:(c * Pipeline.default_clock_period)
          (fun () ->
            let i = Stats.Rng.int rng 8 in
            let delta = Stats.Rng.int rng 100 - 50 in
            truth.(i) <- truth.(i) + delta;
            let side =
-             if Stats.Rng.bool rng then Shared_register.Enq_side else Shared_register.Deq_side
+             if Stats.Rng.int rng 2 = 0 then Shared_register.Enq_side else Shared_register.Deq_side
            in
            Shared_register.event_add reg side i delta))
   done;
@@ -364,13 +554,13 @@ let test_aggregated_conservation () =
   done
 
 let test_aggregated_staleness_bounded_when_idle () =
-  let sched, pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
+  let sched, _pipeline, _alloc, reg = shared_fixture Shared_register.Aggregated in
   (* With an idle pipeline, staleness stays tiny: each op is applied at
      the next access. *)
   for k = 0 to 49 do
     ignore
       (Scheduler.schedule sched
-         ~at:(k * 10 * Pipeline.clock_period pipeline)
+         ~at:(k * 10 * Pipeline.default_clock_period)
          (fun () -> Shared_register.event_add reg Shared_register.Enq_side (k mod 8) 1))
   done;
   Scheduler.run sched;
@@ -417,18 +607,24 @@ let suite =
     Alcotest.test_case "event queue bounds" `Quick test_event_queue_bounds;
     Alcotest.test_case "timer quantisation" `Quick test_timer_quantisation;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
-    Alcotest.test_case "oneshot timer" `Quick test_oneshot_timer;
+    Alcotest.test_case "timers per id" `Quick test_timers_per_id;
     Alcotest.test_case "packet gen count" `Quick test_packet_gen_count;
     Alcotest.test_case "packet gen stop" `Quick test_packet_gen_reconfigure;
     Alcotest.test_case "merger piggyback" `Quick test_merger_piggyback;
     Alcotest.test_case "merger empty carrier" `Quick test_merger_empty_carrier;
     Alcotest.test_case "merger admission rate" `Quick test_merger_one_admission_per_cycle;
     Alcotest.test_case "merger priority order" `Quick test_merger_priority_order;
+    Alcotest.test_case "merger bus width" `Quick test_merger_bus_width;
+    Alcotest.test_case "merger packet kind order" `Quick test_merger_packet_kind_order;
+    Alcotest.test_case "merger packet queue holds 256" `Quick test_merger_packet_queue_capacity;
+    Alcotest.test_case "merger rejects odd-length meta" `Quick test_merger_rejects_odd_meta;
     Alcotest.test_case "merger one event/class/carrier" `Quick
       test_merger_one_event_per_class_per_carrier;
     Alcotest.test_case "merger drop accounting" `Quick test_merger_event_drop_accounting;
     Alcotest.test_case "merger first push of every class" `Quick
       test_merger_first_push_every_class;
+    Alcotest.test_case "event store snapshots meta" `Quick test_store_snapshots_meta;
+    Alcotest.test_case "event store rings per class" `Quick test_store_rings_per_class;
     Alcotest.test_case "multiport immediate" `Quick test_multiport_immediate;
     Alcotest.test_case "aggregated coalesce+drain" `Quick test_aggregated_coalesce_and_drain;
     Alcotest.test_case "aggregated conservation" `Quick test_aggregated_conservation;

@@ -71,15 +71,15 @@ let test_guard_never_fires () =
   Alcotest.(check int) "flow still tracked" 1 (Efsm.occupancy e)
 
 let test_self_loop_saturates () =
-  (* A saturating self-loop on an 8-bit register must clamp at 255 and
-     stay there no matter how many more steps arrive; Sat_sub floors
-     at 0 symmetrically. *)
+  (* A saturating self-loop on a 32-bit register must clamp at
+     2^32-1 and stay there no matter how many more steps arrive;
+     Sat_sub floors at 0 symmetrically. *)
   let e =
-    Efsm.create ~name:"sat" ~entries:2 ~nregs:2 ~width:8
+    Efsm.create ~name:"sat" ~entries:2 ~nregs:2
       ~transitions:
         [
           tr ~guard:(Efsm.Cmp (Efsm.Eq, Efsm.Input, Efsm.Const 1)) 0 0
-            ~actions:[ act 0 (Efsm.Sat_add (Efsm.Reg 0, Efsm.Const 10)) ];
+            ~actions:[ act 0 (Efsm.Sat_add (Efsm.Reg 0, Efsm.Const 0x4000_0000)) ];
           tr 0 0 ~actions:[ act 1 (Efsm.Sat_sub (Efsm.Reg 1, Efsm.Const 10)) ];
         ]
       ()
@@ -88,19 +88,20 @@ let test_self_loop_saturates () =
     ignore (Efsm.step e ~now:i ~key:1 ~input:1 : Efsm.outcome)
   done;
   ignore (Efsm.step e ~now:41 ~key:1 ~input:0 : Efsm.outcome);
-  Alcotest.(check (option (array int)) "clamped at 2^8-1, floored at 0")
-    (Some [| 255; 0 |])
+  Alcotest.(check (option (array int)) "clamped at 2^32-1, floored at 0")
+    (Some [| 0xffff_ffff; 0 |])
     (Efsm.regs_of e ~key:1)
 
 let test_wrapping_add () =
   let e =
-    Efsm.create ~name:"wrap" ~entries:2 ~nregs:1 ~width:8
-      ~transitions:[ tr 0 0 ~actions:[ act 0 (Efsm.Add (Efsm.Reg 0, Efsm.Const 200)) ] ]
+    Efsm.create ~name:"wrap" ~entries:2 ~nregs:1
+      ~transitions:[ tr 0 0 ~actions:[ act 0 (Efsm.Add (Efsm.Reg 0, Efsm.Const 0xc000_0000)) ] ]
       ()
   in
   ignore (Efsm.step e ~now:0 ~key:1 ~input:0 : Efsm.outcome);
   ignore (Efsm.step e ~now:1 ~key:1 ~input:0 : Efsm.outcome);
-  Alcotest.(check (option (array int)) "400 mod 256") (Some [| 144 |]) (Efsm.regs_of e ~key:1)
+  Alcotest.(check (option (array int)) "2 * 0xc0000000 mod 2^32") (Some [| 0x8000_0000 |])
+    (Efsm.regs_of e ~key:1)
 
 (* --- table management --- *)
 
@@ -158,14 +159,17 @@ let test_sweep_without_timeout_is_noop () =
   ignore (Efsm.step e ~now:0 ~key:1 ~input:0 : Efsm.outcome);
   Alcotest.(check int) "no timeout, no eviction" 0 (Efsm.sweep e ~now:(Sim_time.ms 1000))
 
-let test_attach_sweeper () =
+let test_periodic_sweep () =
   let sched = Scheduler.create () in
   let e =
     Efsm.create ~name:"sw" ~entries:4 ~nregs:1 ~timeout:(Sim_time.us 50)
       ~transitions:[ tr 0 0 ]
       ()
   in
-  Efsm.attach_sweeper e ~sched ~period:(Sim_time.us 50);
+  ignore
+    (Scheduler.every ~cls:Scheduler.Efsm_sweep sched ~period:(Sim_time.us 50) (fun () ->
+         ignore (Efsm.sweep e ~now:(Scheduler.now sched) : int))
+      : Scheduler.handle);
   Scheduler.post sched ~at:(Sim_time.us 1) (fun () ->
       ignore (Efsm.step e ~now:(Sim_time.us 1) ~key:7 ~input:0 : Efsm.outcome));
   Scheduler.run ~until:(Sim_time.us 200) sched;
@@ -201,8 +205,9 @@ let test_step_all_broadcast () =
 
 let test_stall_accounting () =
   let cycle = ref 0 in
+  let alloc = Pisa.Register_alloc.create ~clock:(fun () -> !cycle) () in
   let e =
-    Efsm.create ~clock:(fun () -> !cycle) ~rmw_latency:4 ~name:"st" ~entries:8 ~nregs:1
+    Efsm.create ~alloc ~name:"st" ~entries:8 ~nregs:1
       ~transitions:[ tr 0 0 ]
       ()
   in
@@ -216,8 +221,9 @@ let test_stall_accounting () =
   (* A different flow in the same window does not contend. *)
   let o = Efsm.step e ~now:1 ~key:2 ~input:0 in
   Alcotest.(check bool) "other flow unaffected" false o.Efsm.stalled;
-  (* Same flow after the window has passed: clean. *)
-  cycle := 8;
+  (* Same flow after the window (Pipeline.default_depth cycles) has
+     passed: clean. *)
+  cycle := 3 + Pisa.Pipeline.default_depth + 1;
   let o = Efsm.step e ~now:2 ~key:1 ~input:0 in
   Alcotest.(check bool) "hit outside window is clean" false o.Efsm.stalled;
   Alcotest.(check int) "one stall total" 1 (Efsm.stalls e)
@@ -227,7 +233,8 @@ let test_single_hit_never_stalls () =
      E24. The contention model must stay exactly silent even with all
      arrivals in the same cycle. *)
   let e =
-    Efsm.create ~clock:(fun () -> 0) ~rmw_latency:16 ~name:"u" ~entries:256 ~nregs:1
+    Efsm.create ~alloc:(Pisa.Register_alloc.create ~clock:(fun () -> 0) ())
+      ~name:"u" ~entries:256 ~nregs:1
       ~transitions:[ tr 0 0 ]
       ()
   in
@@ -357,7 +364,7 @@ let suite =
     Alcotest.test_case "capacity overflow LRU" `Quick test_capacity_overflow_lru;
     Alcotest.test_case "timeout eviction vs in-flight race" `Quick test_timeout_eviction_race;
     Alcotest.test_case "sweep without timeout" `Quick test_sweep_without_timeout_is_noop;
-    Alcotest.test_case "attached sweeper" `Quick test_attach_sweeper;
+    Alcotest.test_case "attached sweeper" `Quick test_periodic_sweep;
     Alcotest.test_case "step_all broadcast" `Quick test_step_all_broadcast;
     Alcotest.test_case "stall accounting" `Quick test_stall_accounting;
     Alcotest.test_case "single-hit never stalls" `Quick test_single_hit_never_stalls;

@@ -4,39 +4,47 @@ module Sim_time = Eventsim.Sim_time
 module Scheduler = Eventsim.Scheduler
 module Ladder_queue = Eventsim.Ladder_queue
 
+(* The ladder read as the scheduler reads it: the earliest time ([-1]
+   when empty), then the payload. *)
+let peek_time l =
+  let time = Ladder_queue.next_time l in
+  if time < 0 then None else Some time
+
+let pop l =
+  let time = Ladder_queue.next_time l in
+  if time < 0 then None else Some (time, Ladder_queue.take l)
+
+let is_empty l = Ladder_queue.next_time l < 0
+
 let test_time_units () =
   Alcotest.(check int) "ns" 1_000 (Sim_time.ns 1);
   Alcotest.(check int) "us" 1_000_000 (Sim_time.us 1);
   Alcotest.(check int) "ms" 1_000_000_000 (Sim_time.ms 1);
-  Alcotest.(check int) "sec" 1_000_000_000_000 (Sim_time.sec 1);
   Alcotest.(check (float 1e-9)) "to_ns" 1.5 (Sim_time.to_ns 1_500)
 
 let test_tx_time () =
   (* 64B at 10 Gb/s = 51.2 ns *)
-  Alcotest.(check int) "64B@10G" (Sim_time.of_ns_float 51.2) (Sim_time.tx_time ~bytes:64 ~gbps:10.);
+  Alcotest.(check int) "64B@10G" (Sim_time.ps 51_200) (Sim_time.tx_time ~bytes:64 ~gbps:10.);
   (* 1500B at 1 Gb/s = 12 us *)
   Alcotest.(check int) "1500B@1G" (Sim_time.us 12) (Sim_time.tx_time ~bytes:1500 ~gbps:1.)
-
-let test_cycles () =
-  Alcotest.(check int) "cycles" 3 (Sim_time.cycles (Sim_time.ns 16) ~cycle:(Sim_time.ns 5))
 
 let test_ladder_ordering () =
   let l = Ladder_queue.create () in
   Ladder_queue.push l ~time:30 ~tag:0 "c";
   Ladder_queue.push l ~time:10 ~tag:0 "a";
   Ladder_queue.push l ~time:20 ~tag:0 "b";
-  Alcotest.(check (option int)) "peek" (Some 10) (Ladder_queue.peek_time l);
+  Alcotest.(check (option int)) "peek" (Some 10) (peek_time l);
   let order =
-    List.init 3 (fun _ -> match Ladder_queue.pop l with Some (_, x) -> x | None -> "?")
+    List.init 3 (fun _ -> match pop l with Some (_, x) -> x | None -> "?")
   in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "empty" true (Ladder_queue.is_empty l)
+  Alcotest.(check bool) "empty" true (is_empty l)
 
 let test_ladder_fifo_ties () =
   let l = Ladder_queue.create () in
   List.iter (fun x -> Ladder_queue.push l ~time:5 ~tag:0 x) [ 1; 2; 3; 4; 5 ];
   let order =
-    List.init 5 (fun _ -> match Ladder_queue.pop l with Some (_, x) -> x | None -> -1)
+    List.init 5 (fun _ -> match pop l with Some (_, x) -> x | None -> -1)
   in
   Alcotest.(check (list int)) "fifo among equal times" [ 1; 2; 3; 4; 5 ] order
 
@@ -50,7 +58,7 @@ let test_ladder_spans_rungs () =
   Alcotest.(check int) "length" (List.length times) (Ladder_queue.length l);
   List.iteri
     (fun expect_i expect_t ->
-      match Ladder_queue.pop l with
+      match pop l with
       | Some (t, i) ->
           Alcotest.(check int) "time order" expect_t t;
           Alcotest.(check int) "payload" (List.length times - 1 - expect_i) i
@@ -60,8 +68,8 @@ let test_ladder_spans_rungs () =
 let test_ladder_past_push_raises () =
   let l = Ladder_queue.create () in
   Ladder_queue.push l ~time:100 ~tag:0 ();
-  ignore (Ladder_queue.pop l);
-  Alcotest.(check int) "position advanced" 100 (Ladder_queue.position l);
+  ignore (pop l);
+  Ladder_queue.push l ~time:100 ~tag:0 ();
   Alcotest.check_raises "past push"
     (Invalid_argument "Ladder_queue.push: time=50 is before ladder position 100")
     (fun () -> Ladder_queue.push l ~time:50 ~tag:0 ())
@@ -74,13 +82,13 @@ let test_ladder_releases_payloads () =
   Weak.set weak 0 (Some tracked);
   Ladder_queue.push l ~time:7 ~tag:0 tracked;
   Ladder_queue.push l ~time:(1 lsl 40) ~tag:0 (Bytes.create 64);
-  ignore (Ladder_queue.pop l);
-  ignore (Ladder_queue.pop l);
+  ignore (pop l);
+  ignore (pop l);
   Gc.full_major ();
   Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0);
   (* Using the ladder after the collection keeps it reachable through
      it; a dead ladder would free its free list and hide a pin. *)
-  Alcotest.(check bool) "ladder empty" true (Ladder_queue.is_empty l)
+  Alcotest.(check bool) "ladder empty" true (is_empty l)
 
 (* The scheduler's two exits, [take] and [drain_upto], must not pin
    payloads either, once events have passed through rungs, the sort
@@ -98,7 +106,7 @@ let check_drained_payloads_collected name drain =
   Gc.full_major ();
   Alcotest.(check (list int)) (name ^ ": payloads still pinned") []
     (List.filter (Weak.check weak) (List.init 300 Fun.id));
-  Alcotest.(check bool) (name ^ " drained") true (Ladder_queue.is_empty l)
+  Alcotest.(check bool) (name ^ " drained") true (is_empty l)
 
 let test_ladder_take_releases_payloads () =
   check_drained_payloads_collected "take" (fun l ->
@@ -127,7 +135,7 @@ let test_ladder_drain_reentry () =
   Alcotest.(check bool) "order"
     true
     (List.rev !log = [ (10, `First); (10, `Second); (10, `Nested) ]);
-  Alcotest.(check (option int)) "late event still queued" (Some 200) (Ladder_queue.peek_time l)
+  Alcotest.(check (option int)) "late event still queued" (Some 200) (peek_time l)
 
 (* The reference the ladder is checked against: a stdlib [Map] keyed by
    (time, push order), the order the ladder promises. It shares no code
@@ -173,7 +181,7 @@ let check_ladder_against_reference name ops =
   let pop_both i =
     Alcotest.(check (option (pair int int)))
       (Printf.sprintf "%s: pop at op %d" name i)
-      (Reference.pop r) (Ladder_queue.pop l)
+      (Reference.pop r) (pop l)
   in
   List.iteri
     (fun i op ->
@@ -187,7 +195,7 @@ let check_ladder_against_reference name ops =
   while not (Reference.is_empty r) do
     pop_both (-1)
   done;
-  Alcotest.(check bool) (name ^ ": ladder drained too") true (Ladder_queue.is_empty l)
+  Alcotest.(check bool) (name ^ ": ladder drained too") true (is_empty l)
 
 (* Same-time events parked far ahead keep push order behind a nearer
    event pushed after them. *)
@@ -266,11 +274,13 @@ let test_ladder_drain_upto_limit () =
   Alcotest.(check (list int)) "nothing before the first event" [] !fired;
   drain 15;
   Alcotest.(check (list int)) "events up to the limit" [ 10; 10; 5 ] !fired;
-  Alcotest.(check int) "position at the last fired" 10 (Ladder_queue.position l);
+  Alcotest.check_raises "position at the last fired"
+    (Invalid_argument "Ladder_queue.push: time=9 is before ladder position 10") (fun () ->
+      Ladder_queue.push l ~time:9 ~tag:0 ());
   Ladder_queue.push l ~time:12 ~tag:0 ();
   drain 25;
   Alcotest.(check (list int)) "late push in order" [ 20; 12; 10; 10; 5 ] !fired;
-  Alcotest.(check (option int)) "beyond the limit stays" (Some 30) (Ladder_queue.peek_time l)
+  Alcotest.(check (option int)) "beyond the limit stays" (Some 30) (peek_time l)
 
 let test_next_time_take_agree () =
   (* next_time/take is the allocation-free peek/pop pair the scheduler
@@ -333,7 +343,7 @@ let qcheck_ladder_matches_reference =
           incr seq
         end
         else begin
-          (match (Reference.pop r, Ladder_queue.pop l) with
+          (match (Reference.pop r, pop l) with
           | Some (rt, rx), Some (lt, lx) ->
               if rt <> lt || rx <> lx then ok := false;
               floor := max !floor rt
@@ -344,7 +354,7 @@ let qcheck_ladder_matches_reference =
       done;
       let continue = ref true in
       while !ok && !continue do
-        match (Reference.pop r, Ladder_queue.pop l) with
+        match (Reference.pop r, pop l) with
         | Some (rt, rx), Some (lt, lx) -> if rt <> lt || rx <> lx then ok := false
         | None, None -> continue := false
         | _ -> ok := false
@@ -557,6 +567,27 @@ let test_post_from_posted_callback () =
     (Invalid_argument "Scheduler.post: at=1 is before now=30") (fun () ->
       Scheduler.post sched ~at:1 (fun () -> ()))
 
+(* [post] and [schedule] share one queue: events at one instant fire in
+   the order they were queued, whichever of the two queued them, and
+   [post_after] lands where [schedule] at [now + delay] would. *)
+let test_post_and_schedule_tie_order () =
+  let sched = Scheduler.create () in
+  let log = ref [] in
+  let note name () = log := name :: !log in
+  ignore (Scheduler.schedule sched ~at:10 (note "schedule a") : Scheduler.handle);
+  Scheduler.post sched ~at:10 (note "post b");
+  Scheduler.post_after sched ~delay:10 (note "post_after c");
+  ignore (Scheduler.schedule sched ~at:10 (note "schedule d") : Scheduler.handle);
+  Scheduler.post sched ~at:5 (fun () ->
+      Scheduler.post_after sched ~delay:5 (note "post_after e");
+      ignore (Scheduler.schedule sched ~at:10 (note "schedule f") : Scheduler.handle));
+  Scheduler.run sched;
+  Alcotest.(check (list string))
+    "queue order at t=10"
+    [ "schedule a"; "post b"; "post_after c"; "schedule d"; "post_after e"; "schedule f" ]
+    (List.rev !log);
+  Alcotest.(check int) "executed" 7 (Scheduler.executed sched)
+
 (* The event hot path — post into a warm scheduler, step it — must be
    allocation-free. The ladder node that carries the closure and its
    class tag comes from the ladder's free list, and step peeks/takes
@@ -679,13 +710,13 @@ let test_set_metrics_counts_classes () =
   let p = Scheduler.every sched ~period:4 (fun () -> ()) in
   Scheduler.post sched ~at:10 (fun () -> Scheduler.cancel p);
   (* Cancelled before they fire. *)
-  Scheduler.cancel (Scheduler.schedule_after ~cls:Scheduler.Fault sched ~delay:7 (fun () -> ()));
+  Scheduler.cancel (Scheduler.schedule ~cls:Scheduler.Fault sched ~at:7 (fun () -> ()));
   Scheduler.cancel (Scheduler.every ~cls:Scheduler.Control sched ~period:2 (fun () -> ()));
   (* Cancels itself from its own callback: fires once. *)
   let self = ref None in
   self :=
     Some
-      (Scheduler.every ~cls:Scheduler.Pktgen sched ~start:9 ~period:3 (fun () ->
+      (Scheduler.every ~cls:Scheduler.Pktgen sched ~period:3 (fun () ->
            Option.iter Scheduler.cancel !self));
   Scheduler.run sched;
   let series reg =
@@ -778,7 +809,7 @@ let qcheck_ladder_interleaved =
     (fun (seed, nops) ->
       let rng = Stats.Rng.create ~seed in
       let l = Ladder_queue.create () in
-      let seq = ref 0 in
+      let seq = ref 0 and pos = ref 0 in
       (* Reference model: the multiset of live (time, seq) pairs. *)
       let model = ref [] in
       let ok = ref true in
@@ -786,13 +817,14 @@ let qcheck_ladder_interleaved =
         let expected =
           match List.sort compare !model with [] -> None | min :: _ -> Some min
         in
-        let got = Ladder_queue.pop l in
+        let got = pop l in
         (match (got, expected) with
         | Some (t, s), Some (et, es) when t = et && s = es ->
+            pos := t;
             model := List.filter (( <> ) (et, es)) !model
         | None, None -> ()
         | _ -> ok := false);
-        match (got, Ladder_queue.peek_time l) with
+        match (got, peek_time l) with
         | Some (t, _), Some next when next < t -> ok := false
         | _ -> ()
       in
@@ -800,7 +832,7 @@ let qcheck_ladder_interleaved =
         if Stats.Rng.int rng 3 < 2 then begin
           (* Few distinct times ahead of the position so ties are
              common. *)
-          let time = Ladder_queue.position l + Stats.Rng.int rng 8 in
+          let time = !pos + Stats.Rng.int rng 8 in
           Ladder_queue.push l ~time ~tag:0 !seq;
           model := (time, !seq) :: !model;
           incr seq
@@ -808,7 +840,7 @@ let qcheck_ladder_interleaved =
         else check_pop ()
       done;
       (* Drain the rest: the model must agree to the end. *)
-      while !ok && (not (Ladder_queue.is_empty l) || !model <> []) do
+      while !ok && (not (is_empty l) || !model <> []) do
         check_pop ()
       done;
       !ok)
@@ -897,21 +929,6 @@ let test_scheduler_past_raises () =
   Alcotest.check_raises "past" (Invalid_argument "Scheduler.schedule: at=50 is before now=100")
     (fun () -> ignore (Scheduler.schedule sched ~at:50 (fun () -> ())))
 
-let test_every_past_start_raises () =
-  (* Regression: [every ?start] used to bypass the past-guard that
-     [schedule] enforces, silently corrupting the clock. *)
-  let sched = Scheduler.create () in
-  ignore (Scheduler.schedule sched ~at:100 (fun () -> ()));
-  Scheduler.run sched;
-  Alcotest.check_raises "stale start"
-    (Invalid_argument "Scheduler.every: start=50 is before now=100") (fun () ->
-      ignore (Scheduler.every sched ~start:50 ~period:10 (fun () -> ())));
-  (* start = now is fine, like schedule at now. *)
-  let fired = ref 0 in
-  ignore (Scheduler.every sched ~start:100 ~period:10 (fun () -> incr fired));
-  Scheduler.run ~until:130 sched;
-  Alcotest.(check int) "start=now fires" 4 !fired
-
 let test_scheduler_same_instant_reentry () =
   (* A callback scheduling at the current instant runs in the same
      drain, after currently queued same-time events. *)
@@ -945,11 +962,13 @@ let test_periodic_cancel_stops () =
 let test_periodic_start () =
   let sched = Scheduler.create () in
   let times = ref [] in
-  ignore
-    (Scheduler.every sched ~start:5 ~period:10 (fun () ->
-         times := Scheduler.now sched :: !times));
+  Scheduler.post sched ~at:5 (fun () ->
+      ignore
+        (Scheduler.every sched ~period:10 (fun () -> times := Scheduler.now sched :: !times)
+          : Scheduler.handle));
   Scheduler.run ~until:40 sched;
-  Alcotest.(check (list int)) "start offset" [ 5; 15; 25; 35 ] (List.rev !times)
+  Alcotest.(check (list int)) "first firing one period after the call" [ 15; 25; 35 ]
+    (List.rev !times)
 
 let test_executed_counter () =
   let sched = Scheduler.create () in
@@ -963,7 +982,6 @@ let suite =
   [
     Alcotest.test_case "time units" `Quick test_time_units;
     Alcotest.test_case "tx_time" `Quick test_tx_time;
-    Alcotest.test_case "cycles" `Quick test_cycles;
     Alcotest.test_case "ladder ordering" `Quick test_ladder_ordering;
     Alcotest.test_case "ladder FIFO ties" `Quick test_ladder_fifo_ties;
     Alcotest.test_case "ladder spans rungs" `Quick test_ladder_spans_rungs;
@@ -992,6 +1010,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_scheduler_matches_model;
     QCheck_alcotest.to_alcotest qcheck_sliced_run;
     Alcotest.test_case "post from a posted callback" `Quick test_post_from_posted_callback;
+    Alcotest.test_case "post and schedule share one order at a tie" `Quick
+      test_post_and_schedule_tie_order;
     Alcotest.test_case "zero-alloc post/step" `Quick (test_scheduler_zero_alloc ~queued:0);
     Alcotest.test_case "zero-alloc post/step (1000 queued)" `Quick
       (test_scheduler_zero_alloc ~queued:1000);
@@ -1007,7 +1027,6 @@ let suite =
     Alcotest.test_case "scheduler order" `Quick test_scheduler_order;
     Alcotest.test_case "scheduler cancel" `Quick test_scheduler_cancel;
     Alcotest.test_case "scheduling in the past raises" `Quick test_scheduler_past_raises;
-    Alcotest.test_case "every with stale start raises" `Quick test_every_past_start_raises;
     Alcotest.test_case "same-instant reentry" `Quick test_scheduler_same_instant_reentry;
     Alcotest.test_case "run until" `Quick test_scheduler_until;
     Alcotest.test_case "periodic cancel" `Quick test_periodic_cancel_stops;

@@ -69,40 +69,48 @@ let test_e13_shape () =
 let test_e22_shape () =
   let r = Experiments.E22_resilience.run () in
   Alcotest.(check bool) "E22 acceptance claims hold" true (Experiments.E22_resilience.passes r);
-  let q = Experiments.E22_resilience.find_leg r "quarantine" in
+  let find_leg label =
+    List.find (fun l -> l.Experiments.E22_resilience.label = label) r.Experiments.E22_resilience.legs
+  in
+  let q = find_leg "quarantine" in
   Alcotest.(check bool) "invariant checker actually swept" true
     (q.Experiments.E22_resilience.invariant_passes > 0);
-  let d = Experiments.E22_resilience.find_leg r "drop-event" in
+  let d = find_leg "drop-event" in
   Alcotest.(check bool) "drop-event completes without trips" true
     (d.Experiments.E22_resilience.completed && d.Experiments.E22_resilience.trips = 0)
-
-(* The shared sweep: one run per requested count, shard counts
-   resolved, digest lines compared against the first run's. *)
-let test_conformance_sweep () =
-  let module E23 = Experiments.E23_scale in
-  let r = E23.run ~shard_counts:[ 1; 2 ] ~until:E23.golden_until () in
-  Alcotest.(check (list int)) "one run per count" [ 1; 2 ]
-    (List.map (fun (v : unit Experiments.Conformance.run) -> v.shards) r.runs);
-  List.iter
-    (fun (v : unit Experiments.Conformance.run) ->
-      Alcotest.(check (list string)) "digest labels" [ "trace"; "metrics" ] (List.map fst v.lines))
-    r.runs;
-  Alcotest.(check bool) "all conformant" true r.all_conformant
 
 module Conformance = Experiments.Conformance
 module E23 = Experiments.E23_scale
 
-let md5 s = Digest.to_hex (Digest.string s)
+(* E23's one golden run. *)
+let golden_scenario ?(shards = 1) ~seed () =
+  match E23.golden.Conformance.legs ~shards ~seed with
+  | [ (_, cfg) ] -> cfg
+  | _ -> Alcotest.fail "E23's golden has one leg"
 
 let e23_sweep ?(seed = fun _ -> 42) shard_counts =
   Conformance.sweep ~shard_counts (E23.topo ()) (fun ~shards ->
-      (E23.golden_scenario ~shards ~seed:(seed shards) (), shards))
+      (golden_scenario ~shards ~seed:(seed shards) (), shards))
+
+(* The shared sweep: one run per requested count, shard counts
+   resolved, digest lines compared against the first run's. *)
+let test_conformance_sweep () =
+  let runs = e23_sweep [ 1; 2 ] in
+  Alcotest.(check (list int)) "one run per count" [ 1; 2 ]
+    (List.map (fun (v : int Conformance.run) -> v.shards) runs);
+  List.iter
+    (fun (v : int Conformance.run) ->
+      Alcotest.(check (list string)) "digest labels" [ "trace"; "metrics" ] (List.map fst v.lines))
+    runs;
+  Alcotest.(check bool) "all conformant" true (Conformance.all_conformant runs)
+
+let md5 s = Digest.to_hex (Digest.string s)
 
 (* A run's digest lines, the format the golden files pin: one per
    recording mode in a fixed order, each exactly the run's artefact,
    every label prefixed by the leg. *)
 let test_conformance_digest_lines () =
-  let cfg = { (E23.golden_scenario ~seed:42 ()) with Parsim.record_digest = true } in
+  let cfg = { (golden_scenario ~seed:42 ()) with Parsim.record_digest = true } in
   let r = Parsim.run cfg (E23.topo ()) in
   Alcotest.(check (list (pair string string)))
     "trace, arrivals, metrics"
@@ -207,7 +215,7 @@ let test_e27_sparse_leg () =
   Alcotest.(check bool)
     (Printf.sprintf "%d rounds < %d fixed windows" s.rounds s.windows)
     true
-    (Experiments.E27_dcscale.sparse_passed s)
+    (s.rounds < s.windows)
 
 let suite =
   [

@@ -43,12 +43,7 @@ let test_schedule_periodic () =
   Alcotest.(check (list int))
     "exact arithmetic times"
     [ Sim_time.us 10; Sim_time.us 40; Sim_time.us 70 ]
-    times;
-  let p = Schedule.periodic (Sim_time.us 25) in
-  Alcotest.(check (list int))
-    "periodic helper starts after one period"
-    [ Sim_time.us 25; Sim_time.us 50; Sim_time.us 75 ]
-    (occurrences ~stop:(Sim_time.us 100) p)
+    times
 
 let test_schedule_jitter_deterministic () =
   let plan =
@@ -275,7 +270,6 @@ let test_engine_handler_fault_absorbed_when_quarantined () =
           (Resil.Supervisor.default_config ()) with
           Resil.Supervisor.policy = Resil.Policy.Quarantine;
           base_backoff = Sim_time.us 200;
-          backoff_jitter = 0;
         }
       ~seed:7 ()
   in

@@ -52,7 +52,11 @@ let test_variant (g : Conformance.golden) ~seed ~shards () =
 (* The sharded runs must also agree on the merged metrics snapshot —
    the trace digest pins arrivals, this pins the counters. *)
 let test_metrics_conformance ~seed () =
-  let run ~shards = Parsim.run (E23.golden_scenario ~shards ~seed ()) (E23.topo ()) in
+  let run ~shards =
+    match E23.golden.Conformance.legs ~shards ~seed with
+    | [ (_, cfg) ] -> Parsim.run cfg (E23.topo ())
+    | _ -> Alcotest.fail "E23's golden has one leg"
+  in
   let seq = run ~shards:1 in
   List.iter
     (fun shards ->

@@ -11,38 +11,15 @@ module Packet_arena = Netcore.Packet_arena
 module Flow = Netcore.Flow
 module Hashes = Netcore.Hashes
 
-let test_mac_roundtrip () =
-  let s = "02:00:00:00:12:34" in
-  Alcotest.(check string) "roundtrip" s (Mac_addr.to_string (Mac_addr.of_string s));
-  Alcotest.(check string) "broadcast" "ff:ff:ff:ff:ff:ff" (Mac_addr.to_string Mac_addr.broadcast)
-
-let test_mac_invalid () =
-  Alcotest.check_raises "bad syntax" (Invalid_argument "Mac_addr.of_string: nonsense")
-    (fun () -> ignore (Mac_addr.of_string "nonsense"))
+let test_mac_broadcast () =
+  Alcotest.(check int) "broadcast" 0xffff_ffff_ffff (Mac_addr.broadcast :> int)
 
 let test_ipv4_addr () =
   let a = Ipv4_addr.of_string "10.1.2.3" in
-  Alcotest.(check string) "roundtrip" "10.1.2.3" (Ipv4_addr.to_string a);
-  Alcotest.(check bool) "prefix match" true
-    (Ipv4_addr.in_prefix a ~prefix:(Ipv4_addr.of_string "10.1.0.0") ~len:16);
-  Alcotest.(check bool) "prefix mismatch" false
-    (Ipv4_addr.in_prefix a ~prefix:(Ipv4_addr.of_string "10.2.0.0") ~len:16);
-  Alcotest.(check bool) "len 0 matches all" true
-    (Ipv4_addr.in_prefix a ~prefix:(Ipv4_addr.of_string "0.0.0.0") ~len:0)
-
-let test_ttl () =
-  let ip =
-    Ipv4.make ~ttl:2 ~proto:6 ~src:(Ipv4_addr.of_string "1.1.1.1")
-      ~dst:(Ipv4_addr.of_string "2.2.2.2") ~payload_len:0 ()
-  in
-  (match Ipv4.decrement_ttl ip with
-  | Some ip' -> Alcotest.(check int) "ttl decremented" 1 ip'.Ipv4.ttl
-  | None -> Alcotest.fail "should survive");
-  let ip1 =
-    Ipv4.make ~ttl:1 ~proto:6 ~src:(Ipv4_addr.of_string "1.1.1.1")
-      ~dst:(Ipv4_addr.of_string "2.2.2.2") ~payload_len:0 ()
-  in
-  Alcotest.(check bool) "ttl 1 dies" true (Ipv4.decrement_ttl ip1 = None)
+  Alcotest.(check string) "roundtrip" "10.1.2.3" (Format.asprintf "%a" Ipv4_addr.pp a);
+  Alcotest.(check int) "octets" 0x0a010203 (Ipv4_addr.to_int a);
+  Alcotest.check_raises "bad octet" (Invalid_argument "Ipv4_addr.of_string: 10.1.2.256")
+    (fun () -> ignore (Ipv4_addr.of_string "10.1.2.256"))
 
 let test_flow_of_packet () =
   let pkt =
@@ -133,9 +110,7 @@ let test_packet_without_ip () =
   let pkt = Packet.create ~payload_len:30 ~eth () in
   Alcotest.(check int) "wire length" 44 (Packet.len pkt);
   Alcotest.(check bool) "no flow" true (Packet.flow pkt = None);
-  Alcotest.(check int) "no flow key" (-1) (Packet.flow_key pkt);
-  Alcotest.check_raises "flow_exn" (Invalid_argument "Packet.flow_exn: no IP header") (fun () ->
-      ignore (Packet.flow_exn pkt))
+  Alcotest.(check int) "no flow key" (-1) (Packet.flow_key pkt)
 
 (* Arena recycling refills headers with [set]; a refilled header must
    equal a freshly made one, whatever it held before. *)
@@ -145,7 +120,8 @@ let test_header_set_refills () =
   Ethernet.set eth ~dst:(Mac_addr.host 1) ~src:(Mac_addr.host 2) ~ethertype:0x0800;
   Alcotest.(check bool) "ethernet" true
     (eth = Ethernet.make ~dst:(Mac_addr.host 1) ~src:(Mac_addr.host 2) ~ethertype:0x0800);
-  let ip = Ipv4.make ~ttl:3 ~proto:Ipv4.proto_tcp ~src:b ~dst:a ~payload_len:9 () in
+  let ip = Ipv4.make ~proto:Ipv4.proto_tcp ~src:b ~dst:a ~payload_len:9 () in
+  ip.Ipv4.ttl <- 3;
   Ipv4.set ip ~proto:Ipv4.proto_udp ~src:a ~dst:b ~payload_len:58;
   Alcotest.(check (pair int int)) "ipv4 length, ttl" (78, 64) (ip.Ipv4.total_len, ip.Ipv4.ttl);
   Alcotest.(check bool) "ipv4" true
@@ -162,11 +138,11 @@ let qcheck_header_widths =
       let t = Tcp.make ~src_port:port ~dst_port:(lnot port) ~seq ~flags () in
       let u = Udp.make ~src_port:port ~dst_port:(lnot port) ~payload_len:0 in
       let addr = Ipv4_addr.of_string "1.1.1.1" in
-      let ip = Ipv4.make ~ttl:byte ~proto:(lnot byte) ~src:addr ~dst:addr ~payload_len:0 () in
+      let ip = Ipv4.make ~proto:(lnot byte) ~src:addr ~dst:addr ~payload_len:0 () in
       (t.Tcp.src_port, t.Tcp.dst_port, t.Tcp.seq, t.Tcp.flags)
       = (port land 0xffff, lnot port land 0xffff, seq land 0xffffffff, flags land 0x1ff)
       && (u.Udp.src_port, u.Udp.dst_port) = (t.Tcp.src_port, t.Tcp.dst_port)
-      && (ip.Ipv4.ttl, ip.Ipv4.proto) = (byte land 0xff, lnot byte land 0xff))
+      && (ip.Ipv4.ttl, ip.Ipv4.proto) = (64, lnot byte land 0xff))
 
 (* The allocation-free key the hashing hot path mixes must give the
    same hash as the flow record it stands in for. *)
@@ -179,7 +155,7 @@ let qcheck_flow_key =
         Packet.udp_packet ~src:(addr 10 s) ~dst:(addr 11 d) ~src_port:1 ~dst_port:2
           ~payload_len:0 ()
       in
-      Hashes.mix64 (Packet.flow_key pkt) = Flow.hash_addresses (Packet.flow_exn pkt))
+      Hashes.mix64 (Packet.flow_key pkt) = Flow.hash_addresses (Option.get (Packet.flow pkt)))
 
 let arena_src = Ipv4_addr.of_string "10.0.0.1"
 let arena_dst = Ipv4_addr.of_string "10.0.0.2"
@@ -189,7 +165,7 @@ let arena_acquire arena =
     ~dst_port:80 ~payload_len:58 ()
 
 let test_arena_recycles () =
-  let arena = Packet_arena.create ~initial:2 () in
+  let arena = Packet_arena.create () in
   let p1 = arena_acquire arena in
   let uid1 = p1.Packet.uid in
   p1.Packet.meta.Packet.flow_id <- 99;
@@ -240,10 +216,8 @@ let test_arena_zero_alloc () =
 
 let suite =
   [
-    Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;
-    Alcotest.test_case "mac invalid" `Quick test_mac_invalid;
+    Alcotest.test_case "mac broadcast" `Quick test_mac_broadcast;
     Alcotest.test_case "ipv4 addr" `Quick test_ipv4_addr;
-    Alcotest.test_case "ttl" `Quick test_ttl;
     Alcotest.test_case "flow of packet" `Quick test_flow_of_packet;
     Alcotest.test_case "flow hash stability" `Quick test_flow_hash_stability;
     Alcotest.test_case "salted hashes" `Quick test_salted_hashes_differ;

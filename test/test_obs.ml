@@ -10,8 +10,9 @@ let contains ~affix s =
 let test_counter () =
   let reg = M.create () in
   let c = M.counter reg "requests" in
-  M.Counter.incr c;
-  M.Counter.add c 4;
+  for _ = 1 to 5 do
+    M.Counter.incr c
+  done;
   Alcotest.(check int) "value" 5 (M.Counter.value c);
   M.Counter.set c 42;
   Alcotest.(check int) "set is absolute" 42 (M.Counter.value c)
@@ -22,16 +23,20 @@ let test_gauge () =
   M.Gauge.set g 3;
   M.Gauge.set g 9;
   M.Gauge.set g 5;
-  Alcotest.(check int) "last" 5 (M.Gauge.value g);
-  Alcotest.(check int) "hwm" 9 (M.Gauge.max_seen g);
-  Alcotest.(check int) "lwm" 3 (M.Gauge.min_seen g)
+  match M.find_value reg "depth" with
+  | Some (M.Gauge_v { last; max; min }) ->
+      Alcotest.(check int) "last" 5 last;
+      Alcotest.(check int) "hwm" 9 max;
+      Alcotest.(check int) "lwm" 3 min
+  | _ -> Alcotest.fail "expected Gauge_v"
 
 let test_histogram_summary () =
   let reg = M.create () in
-  let h = M.histogram reg "latency" in
+  let h = Stats.Histogram.log2 ~max_exponent:40 in
+  M.attach_histogram reg "latency" h;
   let s = M.summary reg "load" in
   for i = 1 to 100 do
-    M.Histo.observe h (float_of_int i);
+    Stats.Histogram.add h (float_of_int i);
     M.Summary.observe s (float_of_int i)
   done;
   (match M.find_value reg "latency" with
@@ -71,20 +76,20 @@ let test_disabled_noop () =
   let reg = M.create ~enabled:false () in
   let c = M.counter reg "c" in
   let g = M.gauge reg "g" in
-  let h = M.histogram reg "h" in
+  let s = M.summary reg "s" in
   M.Counter.incr c;
-  M.Counter.add c 10;
+  M.Counter.set c 10;
   M.Gauge.set g 7;
-  M.Histo.observe h 1.0;
+  M.Summary.observe s 1.0;
   Alcotest.(check int) "counter untouched" 0 (M.Counter.value c);
-  Alcotest.(check int) "gauge untouched" 0 (M.Gauge.value g);
-  (match M.find_value reg "h" with
-  | Some (M.Histo_v { count; _ }) -> Alcotest.(check int) "histo untouched" 0 count
-  | _ -> Alcotest.fail "expected Histo_v");
-  (* Re-enabling makes the same instruments live again. *)
-  M.enable reg;
-  M.Counter.incr c;
-  Alcotest.(check int) "live after enable" 1 (M.Counter.value c)
+  (match M.find_value reg "g" with
+  | Some (M.Gauge_v { last; max; _ }) ->
+      Alcotest.(check int) "gauge untouched" 0 last;
+      Alcotest.(check int) "gauge hwm untouched" 0 max
+  | _ -> Alcotest.fail "expected Gauge_v");
+  match M.find_value reg "s" with
+  | Some (M.Summary_v { count; _ }) -> Alcotest.(check int) "summary untouched" 0 count
+  | _ -> Alcotest.fail "expected Summary_v"
 
 let test_snapshot_sorted () =
   let reg = M.create () in
@@ -102,7 +107,7 @@ let test_snapshot_sorted () =
 let test_json_export () =
   let reg = M.create () in
   let c = M.counter reg ~labels:[ ("sw", "0") ] "pkts" in
-  M.Counter.add c 7;
+  M.Counter.set c 7;
   let s = M.summary reg "lat" in
   M.Summary.observe s 1.5;
   let json = M.to_json reg in
@@ -118,35 +123,16 @@ let test_json_export () =
   Alcotest.(check bool) "no nan" false (contains ~affix:"nan" json);
   Alcotest.(check bool) "no inf" false (contains ~affix:"inf" json)
 
-let test_csv_export () =
-  let reg = M.create () in
-  let c = M.counter reg ~labels:[ ("port", "3") ] "drops" in
-  M.Counter.add c 2;
-  let csv = M.to_csv reg in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + one row" 2 (List.length lines);
-  Alcotest.(check string) "header"
-    "name,labels,kind,value,count,mean,p50,p99,min,max" (List.hd lines);
-  Alcotest.(check bool) "row has series" true
-    (contains ~affix:"drops" (List.nth lines 1))
-
 let test_write_files () =
   let reg = M.create () in
-  M.Counter.add (M.counter reg "n") 5;
+  M.Counter.set (M.counter reg "n") 5;
   let jpath = Filename.temp_file "obs_test" ".json" in
-  let cpath = Filename.temp_file "obs_test" ".csv" in
   M.write_json reg ~path:jpath;
-  M.write_csv reg ~path:cpath;
-  let read p =
-    let ic = open_in p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  Alcotest.(check string) "json file matches to_json" (M.to_json reg) (read jpath);
-  Alcotest.(check string) "csv file matches to_csv" (M.to_csv reg) (read cpath);
-  Sys.remove jpath;
-  Sys.remove cpath
+  let ic = open_in jpath in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "json file matches to_json" (M.to_json reg) text;
+  Sys.remove jpath
 
 let test_attach_histogram () =
   let reg = M.create () in
@@ -232,6 +218,10 @@ module Oracle = struct
            match String.compare a.M.name b.M.name with 0 -> compare a.M.labels b.M.labels | c -> c)
 end
 
+(* The merged document of several registries, as [Parsim.run] builds
+   it from its shards. *)
+let merged_json regs = M.join (List.map M.render regs)
+
 type kind = Count of int | Level of int list | Histo of float list | Summ of float list
 type spec = { s_name : string; s_labels : M.labels; kind : kind }
 
@@ -239,7 +229,10 @@ let register reg { s_name = name; s_labels = labels; kind } =
   match kind with
   | Count v -> M.Counter.set (M.counter reg ~labels name) v
   | Level vs -> List.iter (M.Gauge.set (M.gauge reg ~labels name)) vs
-  | Histo xs -> List.iter (M.Histo.observe (M.histogram reg ~labels name)) xs
+  | Histo xs ->
+      let h = Stats.Histogram.log2 ~max_exponent:40 in
+      M.attach_histogram reg ~labels name h;
+      List.iter (Stats.Histogram.add h) xs
   | Summ xs -> List.iter (M.Summary.observe (M.summary reg ~labels name)) xs
 
 (* Registers each new series of [specs] in the union registry and in the
@@ -289,7 +282,7 @@ let test_merged_json_is_union () =
       let union, regs = populate ~parts specs in
       let name = Printf.sprintf "%d registries" parts in
       Alcotest.(check int) (name ^ ": every series kept") (List.length specs) (M.cardinality union);
-      Alcotest.(check string) name (M.to_json union) (M.merged_json regs);
+      Alcotest.(check string) name (M.to_json union) (merged_json regs);
       Alcotest.(check string) (name ^ ": oracle")
         (Oracle.to_json (Oracle.merged_snapshot [ union ]))
         (M.to_json union);
@@ -345,8 +338,7 @@ let qcheck_renderer_matches_oracle =
       let union, regs = populate ~parts:3 specs in
       let merged = Oracle.merged_snapshot regs in
       M.to_json union = Oracle.to_json (Oracle.merged_snapshot [ union ])
-      && M.merged_json regs = Oracle.to_json merged
-      && M.merged_snapshot regs = merged)
+      && merged_json regs = Oracle.to_json merged)
 
 let test_merge_rejects_duplicates () =
   let a = M.create () and b = M.create () and c = M.create () in
@@ -355,15 +347,13 @@ let test_merge_rejects_duplicates () =
   ignore (M.counter b ~labels:[ ("port", "1"); ("switch", "3") ] "tm.drops");
   ignore (M.gauge b ~labels:[ ("switch", "4") ] "tm.drops");
   ignore (M.counter c ~labels:[ ("switch", "3") ] "tm.drops");
-  Alcotest.(check int) "disjoint registries merge" 4
-    (List.length (M.merged_snapshot [ a; b ]));
+  Alcotest.(check string) "disjoint registries merge"
+    (Oracle.to_json (Oracle.merged_snapshot [ a; b ]))
+    (merged_json [ a; b ]);
   let msg = "Metrics: series \"tm.drops\" {switch=\"3\"} registered by several registries" in
   List.iter
     (fun regs ->
-      Alcotest.check_raises "merged_json" (Invalid_argument msg) (fun () ->
-          ignore (M.merged_json regs));
-      Alcotest.check_raises "merged_snapshot" (Invalid_argument msg) (fun () ->
-          ignore (M.merged_snapshot regs)))
+      Alcotest.check_raises "join" (Invalid_argument msg) (fun () -> ignore (merged_json regs)))
     [ [ a; c ]; [ c; b; a ]; [ a; b; c ] ]
 
 let suite =
@@ -376,10 +366,9 @@ let suite =
     Alcotest.test_case "disabled recording is a no-op" `Quick test_disabled_noop;
     Alcotest.test_case "snapshot deterministically sorted" `Quick test_snapshot_sorted;
     Alcotest.test_case "json export" `Quick test_json_export;
-    Alcotest.test_case "csv export" `Quick test_csv_export;
-    Alcotest.test_case "write_json/write_csv" `Quick test_write_files;
+    Alcotest.test_case "write_json" `Quick test_write_files;
     Alcotest.test_case "attach_histogram reads live" `Quick test_attach_histogram;
-    Alcotest.test_case "merged_json of 0/1/3 registries = to_json of their union" `Quick
+    Alcotest.test_case "join of 0/1/3 registries = to_json of their union" `Quick
       test_merged_json_is_union;
     QCheck_alcotest.to_alcotest qcheck_renderer_matches_oracle;
     Alcotest.test_case "a series in two registries raises, naming its labels" `Quick

@@ -55,7 +55,7 @@ let test_parse_concat_and_paths () =
 let test_parse_program_shape () =
   let program = Parser.parse Loader.microburst_p4 in
   Alcotest.(check (list string)) "controls" [ "Ingress"; "Enqueue"; "Dequeue" ]
-    (Ast.control_names program);
+    (List.filter_map (function Ast.Control_decl { name; _ } -> Some name | _ -> None) program);
   let regs =
     List.filter_map
       (function Ast.Shared_register_decl { name; entries; _ } -> Some (name, entries) | _ -> None)

@@ -16,6 +16,20 @@ module Horizon = Parsim.Horizon
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                        *)
 
+(* The documented switch weight: 1 + wired ports + 4 per attached
+   host. *)
+let weights (topo : Topology.t) =
+  let w = Array.make topo.Topology.switches 1 in
+  List.iter
+    (fun (l : Topology.link) ->
+      w.(fst l.a) <- w.(fst l.a) + 1;
+      w.(fst l.b) <- w.(fst l.b) + 1)
+    topo.Topology.links;
+  List.iter
+    (fun (at : Topology.attachment) -> w.(at.switch) <- w.(at.switch) + 4)
+    topo.Topology.attachments;
+  w
+
 let test_partition_exactly_once () =
   let topo = Topology.fat_tree ~k:4 () in
   List.iter
@@ -35,7 +49,7 @@ let test_partition_exactly_once () =
          cannot improve the heaviest shard. *)
       let mn = Array.fold_left min max_int counts in
       Alcotest.(check bool) "no empty shard" true (mn >= 1);
-      let weights = Parsim.default_weights topo in
+      let weights = weights topo in
       let wmax = Array.fold_left max 0 weights in
       let wmn = Array.fold_left min max_int p.Parsim.shard_weight
       and wmx = Array.fold_left max 0 p.Parsim.shard_weight in
@@ -73,7 +87,7 @@ let test_partition_bad_counts () =
       let cfg =
         Parsim.config ~shards ~until
           ~switch_config:(fun _ -> Event_switch.default_config Arch.sume_event_switch)
-          ~program:(fun _ -> Program.forward_all ~name:"fwd" ~out_port:1)
+          ~program:(fun _ -> Fixtures.forward_all ~out_port:1)
           ()
       in
       match Parsim.run cfg topo with
@@ -152,7 +166,8 @@ let test_plan_pair_delays () =
       attachments = [];
     }
   in
-  let pl = Parsim.plan ~weights:(Array.make 6 1) topo ~shards:3 in
+  (* Switch weights 3 3 4 3 3 2. *)
+  let pl = Parsim.plan topo ~shards:3 in
   Alcotest.(check (array int)) "shards" [| 0; 0; 1; 1; 2; 2 |] pl.Parsim.part.shard_of_switch;
   Alcotest.(check (list (triple int int int)))
     "fastest cross link per direction"
@@ -242,52 +257,52 @@ let qcheck_adaptive_safety =
 (* ------------------------------------------------------------------ *)
 (* Weighted partitioning                                               *)
 
+(* A ring of [Array.length hosts] switches, [hosts.(i)] of them on
+   switch [i]: each host adds 4 to its switch's weight. *)
+let ring_with_hosts hosts =
+  let n = Array.length hosts in
+  Topology.make ~switches:n
+    ~links:(List.init n (fun i -> ((i, 1), ((i + 1) mod n, 2))))
+    ~hosts:(List.concat (List.init n (fun sw -> List.init hosts.(sw) (fun j -> (sw, 3 + j)))))
+
+let shard_counts p ~shards =
+  let counts = Array.make shards 0 in
+  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) p.Parsim.shard_of_switch;
+  counts
+
 (* Regression: skewed weights must never produce an empty shard — the
    boundary clamp degrades toward the equal-count split instead. *)
 let test_partition_skewed_weights () =
-  let topo = Topology.ring ~switches:8 () in
   let cases =
     [
-      ([| 1000; 1; 1; 1; 1; 1; 1; 1 |], 3);
-      ([| 1; 1; 1; 1; 1; 1; 1; 1000 |], 4);
+      ([| 250; 0; 0; 0; 0; 0; 0; 0 |], 3);
+      ([| 0; 0; 0; 0; 0; 0; 0; 250 |], 4);
       ([| 0; 0; 0; 0; 0; 0; 0; 0 |], 5);
-      ([| 1000; 1000; 0; 0; 0; 0; 1000; 1000 |], 8);
+      ([| 250; 250; 0; 0; 0; 0; 250; 250 |], 8);
     ]
   in
   List.iter
-    (fun (weights, shards) ->
-      let p = Parsim.partition ~weights topo ~shards in
-      let counts = Array.make shards 0 in
-      Array.iter (fun s -> counts.(s) <- counts.(s) + 1) p.Parsim.shard_of_switch;
+    (fun (hosts, shards) ->
+      let p = Parsim.partition (ring_with_hosts hosts) ~shards in
       Array.iteri
         (fun s c ->
           if c = 0 then
-            Alcotest.failf "shard %d empty for weights=%s shards=%d" s
-              (String.concat ";" (Array.to_list (Array.map string_of_int weights)))
+            Alcotest.failf "shard %d empty for hosts=%s shards=%d" s
+              (String.concat ";" (Array.to_list (Array.map string_of_int hosts)))
               shards)
-        counts)
-    cases;
-  (match Parsim.partition ~weights:[| 1; 2 |] topo ~shards:2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "short weight vector accepted");
-  match Parsim.partition ~weights:(Array.make 8 (-1)) topo ~shards:2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative weights accepted"
+        (shard_counts p ~shards))
+    cases
 
 let qcheck_partition_never_empty =
   QCheck.Test.make ~count:200 ~name:"weighted partition never yields an empty shard"
     QCheck.(
       pair
-        (list_of_size Gen.(int_range 2 24) (int_range 0 1000))
+        (list_of_size Gen.(int_range 2 24) (int_range 0 250))
         (int_range 1 24))
-    (fun (weights, shards) ->
-      let switches = List.length weights in
-      QCheck.assume (shards <= switches);
-      let topo = Topology.ring ~switches () in
-      let p = Parsim.partition ~weights:(Array.of_list weights) topo ~shards in
-      let counts = Array.make shards 0 in
-      Array.iter (fun s -> counts.(s) <- counts.(s) + 1) p.Parsim.shard_of_switch;
-      Array.for_all (fun c -> c >= 1) counts
+    (fun (hosts, shards) ->
+      QCheck.assume (shards <= List.length hosts);
+      let p = Parsim.partition (ring_with_hosts (Array.of_list hosts)) ~shards in
+      Array.for_all (fun c -> c >= 1) (shard_counts p ~shards)
       && Array.for_all (fun w -> w >= 0) p.Parsim.shard_weight)
 
 (* ------------------------------------------------------------------ *)
@@ -363,7 +378,16 @@ let test_topology_validate () =
    stresses the skewed-delay accumulation. The validator hashes every
    (switch, port) claim, so a builder bug anywhere in the lattice
    raises. Also pins sizes so a builder regression is loud, and checks
-   [Topology.ports] agrees with the quadratic [max_port]. *)
+   [Topology.ports] agrees with [max_port], a per-switch scan. *)
+
+(* Highest port a switch uses ([-1] if none), one scan per switch. *)
+let max_port (topo : Topology.t) sw =
+  let fold_ep acc (s, p) = if s = sw then max acc p else acc in
+  let acc =
+    List.fold_left (fun acc (l : Topology.link) -> fold_ep (fold_ep acc l.a) l.b) (-1) topo.links
+  in
+  List.fold_left (fun acc (at : Topology.attachment) -> fold_ep acc (at.switch, at.port)) acc
+    topo.attachments
 let test_topology_make () =
   (* Link i joins the ith endpoint pair and host h sits on the hth
      endpoint; every link, host links included, is 1 us with the link
@@ -402,7 +426,7 @@ let test_topology_validate_at_scale () =
     List.iter
       (fun sw ->
         Alcotest.(check int) "ports agrees with max_port"
-          (Topology.max_port topo sw + 1)
+          (max_port topo sw + 1)
           ports.(sw))
       [ 0; switches / 2; switches - 1 ]
   in
@@ -509,9 +533,20 @@ let ring_config ~shards ~switches ~until () =
         ctx.Parsim.hosts)
     ()
 
-let run_ring ?skew ?delay ~shards () =
+(* A 4-switch [Topology.ring] whose link [i] takes [delay + i * skew]
+   (by default 1 us and 1 ps, the ring's own delays). *)
+let run_ring ?(skew = Sim_time.ps 1) ?(delay = Sim_time.us 1) ~shards () =
   let switches = 4 and until = Sim_time.us 250 in
-  let topo = Topology.ring ?skew ?delay ~switches () in
+  let ring = Topology.ring ~switches () in
+  let topo =
+    {
+      ring with
+      Topology.links =
+        List.map
+          (fun (l : Topology.link) -> { l with delay = delay + (l.link_id * skew) })
+          ring.Topology.links;
+    }
+  in
   Parsim.run (ring_config ~shards ~switches ~until ()) topo
 
 let check_same_run (seq : Parsim.result) (par : Parsim.result) =
@@ -678,7 +713,7 @@ let test_run_leaves_events_past_until () =
         Parsim.run
           (Parsim.config ~shards ~until
              ~switch_config:(fun _ -> Event_switch.default_config Arch.sume_event_switch)
-             ~program:(fun _ -> Program.forward_all ~name:"fwd" ~out_port:1)
+             ~program:(fun _ -> Fixtures.forward_all ~out_port:1)
              ~on_shard:(fun ctx ->
                let s = ctx.Parsim.shard and sched = ctx.Parsim.sched in
                ignore (Scheduler.schedule sched ~at:until (fun () -> at_until.(s) <- 1));
@@ -762,6 +797,33 @@ let test_failing_shard_raises () =
         [ (0, 0); (switches - 1, shards - 1) ])
     [ 2; 4 ]
 
+(* Profiling every shard's scheduler into its registry under the same
+   series names cannot be merged. At 2 shards that raises after
+   [on_shard], before any event runs; at 1 shard there is nothing to
+   merge and the run completes. *)
+let test_shard_series_collide_before_start () =
+  let topo = Topology.ring ~switches:4 () in
+  let ran = ref false in
+  let run ~shards =
+    Parsim.run
+      (Parsim.config ~shards ~until:(Sim_time.us 10)
+         ~switch_config:(fun _ -> Event_switch.default_config Arch.event_pisa_full)
+         ~program:(fun _ -> Fixtures.forward_all ~out_port:1)
+         ~on_shard:(fun ctx ->
+           Scheduler.set_metrics ~wall:false ctx.Parsim.sched ctx.Parsim.metrics;
+           Scheduler.post ctx.Parsim.sched ~at:(Sim_time.us 1) (fun () -> ran := true))
+         ())
+      topo
+  in
+  Alcotest.check_raises "2 shards: one series in both registries"
+    (Invalid_argument
+       "Metrics: series \"scheduler.queue_depth\" {} registered by several registries")
+    (fun () -> ignore (run ~shards:2 : Parsim.result));
+  Alcotest.(check bool) "2 shards: no event ran" false !ran;
+  let r = run ~shards:1 in
+  Alcotest.(check bool) "1 shard: the run completes" true !ran;
+  Alcotest.(check int) "1 shard: its events ran" 1 r.Parsim.events
+
 let suite =
   [
     Alcotest.test_case "partition: every switch exactly once" `Quick test_partition_exactly_once;
@@ -792,4 +854,6 @@ let suite =
     Alcotest.test_case "run: largest until runs to quiescence" `Quick test_run_largest_until;
     Alcotest.test_case "run: events past until stay queued" `Quick test_run_leaves_events_past_until;
     Alcotest.test_case "run: a failing shard's exception surfaces" `Quick test_failing_shard_raises;
+    Alcotest.test_case "run: shard series collide before the clock starts" `Quick
+      test_shard_series_collide_before_start;
   ]

@@ -15,9 +15,24 @@ module Supervisor = Resil.Supervisor
 module Shedder = Resil.Shedder
 module Invariants = Resil.Invariants
 
-let config ?(policy = Policy.Quarantine) ?(max_trips = 8) ?(base_backoff = Sim_time.us 50)
-    ?(max_backoff = Sim_time.ms 1) ?(backoff_jitter = 0) ?(budget = 0) () =
-  { Supervisor.policy; max_trips; base_backoff; max_backoff; backoff_jitter; budget }
+let config ?(policy = Policy.Quarantine) ?(base_backoff = Sim_time.us 50)
+    ?(max_backoff = Sim_time.ms 1) () =
+  { Supervisor.policy; base_backoff; max_backoff }
+
+(* Every backoff adds a jitter of 0-20 us drawn from the key's RNG. *)
+let jitter = Sim_time.us 20
+
+(* The gaps between successive instants of [times], from 0. *)
+let gaps times = List.mapi (fun i t -> t - if i = 0 then 0 else List.nth times (i - 1)) times
+
+let check_jittered name nominals times =
+  List.iter2
+    (fun nominal gap ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: gap %d within [%d, %d + jitter]" name gap nominal nominal)
+        true
+        (gap >= nominal && gap <= nominal + jitter))
+    nominals (gaps times)
 
 let crash () = failwith "boom"
 
@@ -36,7 +51,7 @@ let test_policy_round_trip () =
         (Policy.to_string p ^ " round-trips")
         true
         (Policy.of_string (Policy.to_string p) = Some p))
-    Policy.all;
+    (List.filter_map Policy.of_string Policy.names);
   Alcotest.(check bool) "off aliases fail-fast" true (Policy.of_string "off" = Some Policy.Fail_fast);
   Alcotest.(check bool) "drop aliases drop-event" true
     (Policy.of_string "drop" = Some Policy.Drop_event);
@@ -89,14 +104,15 @@ let test_quarantine_lifecycle () =
   Scheduler.run sched;
   Alcotest.(check bool) "re-enabled after backoff" true (Supervisor.active key);
   Alcotest.(check (list int)) "on_disable at trip time" [ 0 ] !disabled;
-  Alcotest.(check (list int)) "on_enable at backoff expiry" [ Sim_time.us 20 ] !enabled;
+  check_jittered "on_enable" [ Sim_time.us 20 ] !enabled;
+  Alcotest.(check (list int)) "on_enable at backoff expiry, seed 1" [ 25_128_936 ] !enabled;
   Alcotest.(check int) "one trip" 1 (Supervisor.trips sup);
   Alcotest.(check int) "one recovery" 1 (Supervisor.recoveries sup);
   Alcotest.(check int) "dropped: the crash plus the refused call" 2 (Supervisor.dropped sup)
 
 let test_backoff_growth_and_cap () =
   let sched = Scheduler.create () in
-  let cfg = config ~base_backoff:(Sim_time.us 10) ~max_backoff:(Sim_time.us 40) ~max_trips:20 () in
+  let cfg = config ~base_backoff:(Sim_time.us 10) ~max_backoff:(Sim_time.us 40) () in
   let sup = Supervisor.create ~sched ~config:cfg ~seed:1 () in
   let enables = ref [] in
   let key_ref = ref None in
@@ -112,20 +128,22 @@ let test_backoff_growth_and_cap () =
   key_ref := Some key;
   ignore (Supervisor.protect sup key crash);
   Scheduler.run sched;
-  (* Delays 10, 20, 40, then capped at 40. *)
+  (* Delays 10, 20, 40, then capped at 40, each plus its jitter. *)
+  let enables = List.rev !enables in
+  check_jittered "growth"
+    [ Sim_time.us 10; Sim_time.us 20; Sim_time.us 40; Sim_time.us 40; Sim_time.us 40 ]
+    enables;
   Alcotest.(check (list int))
-    "exponential growth up to the cap"
-    [ Sim_time.us 10; Sim_time.us 30; Sim_time.us 70; Sim_time.us 110; Sim_time.us 150 ]
-    (List.rev !enables);
+    "exponential growth up to the cap, seed 1"
+    [ 15_128_936; 45_111_692; 98_276_883; 155_546_526; 197_567_729 ]
+    enables;
   Alcotest.(check int) "five trips" 5 (Supervisor.trips sup);
   Alcotest.(check int) "five recoveries" 5 (Supervisor.recoveries sup)
 
 let test_backoff_jitter_deterministic () =
   let timeline seed =
     let sched = Scheduler.create () in
-    let cfg =
-      config ~base_backoff:(Sim_time.us 10) ~backoff_jitter:(Sim_time.us 30) ~max_trips:20 ()
-    in
+    let cfg = config ~base_backoff:(Sim_time.us 10) () in
     let sup = Supervisor.create ~sched ~config:cfg ~seed () in
     let enables = ref [] in
     let key_ref = ref None in
@@ -146,18 +164,11 @@ let test_backoff_jitter_deterministic () =
   let a = timeline 7 and b = timeline 7 and c = timeline 8 in
   Alcotest.(check (list int)) "same seed, same jittered backoffs" a b;
   Alcotest.(check bool) "different seed diverges" true (a <> c);
-  List.iteri
-    (fun i t ->
-      let prev = if i = 0 then 0 else List.nth a (i - 1) in
-      let gap = t - prev in
-      let nominal = Sim_time.us 10 * (1 lsl i) in
-      Alcotest.(check bool) "gap within [backoff, backoff + jitter]" true
-        (gap >= nominal && gap <= nominal + Sim_time.us 30))
-    a
+  check_jittered "seed 7" (List.init 4 (fun i -> Sim_time.us 10 * (1 lsl i))) a
 
 let test_max_trips_permanent () =
   let sched = Scheduler.create () in
-  let cfg = config ~base_backoff:(Sim_time.us 10) ~max_trips:2 () in
+  let cfg = config ~base_backoff:(Sim_time.us 10) () in
   let sup = Supervisor.create ~sched ~config:cfg ~seed:1 () in
   let key_ref = ref None in
   let on_enable () = ignore (Supervisor.protect sup (Option.get !key_ref) crash) in
@@ -167,22 +178,23 @@ let test_max_trips_permanent () =
   Scheduler.run sched;
   Alcotest.(check bool) "permanently failed" true (Supervisor.permanently_failed key);
   Alcotest.(check bool) "inactive" false (Supervisor.active key);
-  Alcotest.(check int) "two trips" 2 (Supervisor.trips sup);
-  Alcotest.(check int) "one recovery (before the final trip)" 1 (Supervisor.recoveries sup);
+  Alcotest.(check int) "eight trips" 8 (Supervisor.trips sup);
+  Alcotest.(check int) "seven recoveries (before the final trip)" 7 (Supervisor.recoveries sup);
   Alcotest.(check int) "one permanent failure" 1 (Supervisor.permanent_failures sup)
 
 (* --- supervisor: watchdog + injection hooks --- *)
 
 let test_watchdog_budget () =
   let sched = Scheduler.create () in
-  let cfg = config ~budget:100 ~base_backoff:(Sim_time.us 10) () in
+  let cfg = config ~base_backoff:(Sim_time.us 10) () in
   let sup = Supervisor.create ~sched ~config:cfg ~seed:1 () in
   let key = Supervisor.register sup ~name:"w" () in
   let finished = ref false in
+  (* The budget is 100,000 steps per invocation. *)
   let ok =
     Supervisor.protect sup key (fun () ->
-        Supervisor.consume sup 60;
-        Supervisor.consume sup 60;
+        Supervisor.consume sup 60_000;
+        Supervisor.consume sup 60_000;
         finished := true)
   in
   Alcotest.(check bool) "over-budget invocation trapped" false ok;
@@ -191,11 +203,32 @@ let test_watchdog_budget () =
   Alcotest.(check bool) "quarantined by the watchdog" false (Supervisor.active key);
   Scheduler.run sched;
   Alcotest.(check bool) "within-budget invocation fine" true
-    (Supervisor.protect sup key (fun () -> Supervisor.consume sup 100))
+    (Supervisor.protect sup key (fun () -> Supervisor.consume sup 100_000))
+
+(* The budget is exactly 100,000 steps: the step past it trips the
+   watchdog, and the next invocation starts with a full budget. *)
+let test_watchdog_budget_boundary () =
+  let sched = Scheduler.create () in
+  let sup = Supervisor.create ~sched ~config:(config ~policy:Policy.Drop_event ()) ~seed:1 () in
+  let key = Supervisor.register sup ~name:"w" () in
+  let steps = ref 0 in
+  let run n =
+    Supervisor.protect sup key (fun () ->
+        for _ = 1 to n do
+          Supervisor.consume sup 1;
+          incr steps
+        done)
+  in
+  Alcotest.(check bool) "100,000 steps fit" true (run 100_000);
+  steps := 0;
+  Alcotest.(check bool) "100,001 steps trip" false (run 100_001);
+  Alcotest.(check int) "stopped at the step past the budget" 100_000 !steps;
+  Alcotest.(check int) "one watchdog trip" 1 (Supervisor.watchdog_trips sup);
+  Alcotest.(check bool) "the budget refills" true (run 100_000)
 
 let test_injection_hooks () =
   let sched = Scheduler.create () in
-  let sup = Supervisor.create ~sched ~config:(config ~policy:Policy.Drop_event ~budget:100 ()) ~seed:1 () in
+  let sup = Supervisor.create ~sched ~config:(config ~policy:Policy.Drop_event ()) ~seed:1 () in
   let key = Supervisor.register sup ~name:"h" () in
   Supervisor.inject_crash key ~n:2;
   let ran = ref 0 in
@@ -205,7 +238,7 @@ let test_injection_hooks () =
   Alcotest.(check bool) "disarmed" true (call ());
   Alcotest.(check int) "body ran only once" 1 !ran;
   Alcotest.(check int) "two injected crashes" 2 (Supervisor.key_crashes key);
-  Supervisor.inject_slowdown key ~steps:1_000 ~n:1;
+  Supervisor.inject_slowdown key ~steps:100_001 ~n:1;
   Alcotest.(check bool) "slowdown busts the budget" false (call ());
   Alcotest.(check int) "slowdown trips the watchdog" 1 (Supervisor.watchdog_trips sup);
   Alcotest.(check bool) "next invocation clean" true (call ());
@@ -213,16 +246,16 @@ let test_injection_hooks () =
 
 let test_nested_guards () =
   let sched = Scheduler.create () in
-  let sup = Supervisor.create ~sched ~config:(config ~budget:100 ()) ~seed:1 () in
+  let sup = Supervisor.create ~sched ~config:(config ()) ~seed:1 () in
   let outer = Supervisor.register sup ~name:"outer" () in
   let inner = Supervisor.register sup ~name:"inner" () in
   let ok =
     Supervisor.protect sup outer (fun () ->
-        Supervisor.consume sup 50;
+        Supervisor.consume sup 50_000;
         (* The inner guard crashes; the outer one must keep its own
            identity and remaining budget. *)
         Alcotest.(check bool) "inner crash trapped" false (Supervisor.protect sup inner crash);
-        Supervisor.consume sup 50)
+        Supervisor.consume sup 50_000)
   in
   Alcotest.(check bool) "outer invocation survives" true ok;
   Alcotest.(check bool) "outer key untouched" true (Supervisor.active outer);
@@ -330,15 +363,20 @@ let test_invariants_abort_and_crashing_check () =
   let sched = Scheduler.create () in
   let inv = Invariants.create ~sched ~policy:Invariants.Abort () in
   Invariants.add inv ~name:"always-bad" (fun () -> Some "nope");
-  (match Invariants.run_once inv with
-  | _ -> Alcotest.fail "expected Violation"
+  (* One sweep, at the 100 us period. *)
+  Invariants.start inv ~stop:(Sim_time.us 100);
+  (match Scheduler.run sched with
+  | () -> Alcotest.fail "expected Violation"
   | exception Invariants.Violation ("always-bad", "nope") -> ());
   (* A crashing check is a violation of its own contract, recorded under
      [Record] rather than killing the checker. *)
+  let sched = Scheduler.create () in
   let inv = Invariants.create ~sched () in
   Invariants.add inv ~name:"crashy" (fun () -> failwith "kaboom");
-  Alcotest.(check int) "crash recorded as violation" 1 (Invariants.run_once inv);
-  Alcotest.(check int) "checker survives" 1 (Invariants.violations inv)
+  Invariants.start inv ~stop:(Sim_time.us 100);
+  Scheduler.run sched;
+  Alcotest.(check int) "crash recorded as violation" 1 (Invariants.violations inv);
+  Alcotest.(check int) "checker survives" 1 (Invariants.passes inv)
 
 (* --- event-switch integration --- *)
 
@@ -355,7 +393,7 @@ let test_switch_quarantine_and_recovery () =
     let base = Event_switch.default_config Arch.event_pisa_full in
     {
       base with
-      Event_switch.resil = config ~base_backoff:(Sim_time.us 20) ~budget:100_000 ();
+      Event_switch.resil = config ~base_backoff:(Sim_time.us 20) ();
     }
   in
   let sw = Event_switch.create ~sched ~config:sw_config ~program () in
@@ -430,12 +468,12 @@ let test_switch_shed_watermark_installs_shedder () =
   let sw =
     Event_switch.create ~sched
       ~config:{ base with Event_switch.shed_watermark = Some 4 }
-      ~program:(Program.forward_all ~name:"fwd" ~out_port:1)
+      ~program:(Fixtures.forward_all ~out_port:1)
       ()
   in
   Alcotest.(check bool) "shedder installed" true
     (Devents.Event_merger.shedder (Event_switch.merger sw) <> None);
-  let sw2 = Event_switch.create ~sched ~config:base ~program:(Program.forward_all ~name:"fwd" ~out_port:1) () in
+  let sw2 = Event_switch.create ~sched ~config:base ~program:(Fixtures.forward_all ~out_port:1) () in
   Alcotest.(check bool) "no shedder by default" true
     (Devents.Event_merger.shedder (Event_switch.merger sw2) = None)
 
@@ -449,6 +487,7 @@ let suite =
     Alcotest.test_case "backoff jitter deterministic" `Quick test_backoff_jitter_deterministic;
     Alcotest.test_case "max trips -> permanent" `Quick test_max_trips_permanent;
     Alcotest.test_case "watchdog budget" `Quick test_watchdog_budget;
+    Alcotest.test_case "watchdog budget boundary" `Quick test_watchdog_budget_boundary;
     Alcotest.test_case "injection hooks" `Quick test_injection_hooks;
     Alcotest.test_case "nested guards" `Quick test_nested_guards;
     Alcotest.test_case "shedder tiers + hysteresis" `Quick test_shedder_tiers_and_hysteresis;

@@ -21,23 +21,23 @@ let test_baseline_plausible () =
   Alcotest.(check bool) "baseline in 20-70% LUT band" true (l > 0.2 && l < 0.7)
 
 let test_cost_arithmetic () =
-  let a = { Rm.luts = 1; ffs = 2; brams = 3 } in
-  let b = { Rm.luts = 10; ffs = 20; brams = 30 } in
-  let s = Rm.add a b in
+  let component name luts ffs brams = { Rm.name; cost = { Rm.luts; ffs; brams } } in
+  let s = Rm.sum [ component "a" 1 2 3; component "b" 10 20 30 ] in
   Alcotest.(check int) "luts" 11 s.Rm.luts;
   Alcotest.(check int) "ffs" 22 s.Rm.ffs;
   Alcotest.(check int) "brams" 33 s.Rm.brams;
-  Alcotest.(check int) "zero is neutral" s.Rm.luts (Rm.add Rm.zero s).Rm.luts
+  Alcotest.(check bool) "empty sum is zero" true (Rm.sum [] = { Rm.luts = 0; ffs = 0; brams = 0 })
 
-let test_brams_for_bits () =
-  Alcotest.(check int) "0 bits" 0 (Rm.brams_for_bits 0);
-  Alcotest.(check int) "1 bit" 1 (Rm.brams_for_bits 1);
-  Alcotest.(check int) "exactly one block" 1 (Rm.brams_for_bits 36_864);
-  Alcotest.(check int) "one over" 2 (Rm.brams_for_bits 36_865);
-  (* The microburst detector's multiport state (32 Kb) fits in one
-     BRAM; Snappy's 262 Kb needs 8. *)
-  Alcotest.(check int) "microburst" 1 (Rm.brams_for_bits (1024 * 32));
-  Alcotest.(check int) "snappy" 8 (Rm.brams_for_bits 262_400)
+(* Utilisation is each field's share of the device's capacity. *)
+let test_utilisation_fractions () =
+  let d = Rm.virtex7_690t in
+  Alcotest.(check (list int))
+    "XC7VX690T capacity" [ 433_200; 866_400; 1_470 ]
+    [ d.Rm.capacity.Rm.luts; d.Rm.capacity.Rm.ffs; d.Rm.capacity.Rm.brams ];
+  let l, f, b = Rm.utilisation d { Rm.luts = 43_320; ffs = 216_600; brams = 735 } in
+  Alcotest.(check (list (float 1e-12))) "fractions" [ 0.1; 0.25; 0.5 ] [ l; f; b ];
+  let l, f, b = Rm.utilisation d d.Rm.capacity in
+  Alcotest.(check (list (float 0.))) "the whole device" [ 1.; 1.; 1. ] [ l; f; b ]
 
 let suite =
   [
@@ -45,5 +45,5 @@ let suite =
     Alcotest.test_case "event logic marginal" `Quick test_event_logic_is_marginal;
     Alcotest.test_case "baseline plausible" `Quick test_baseline_plausible;
     Alcotest.test_case "cost arithmetic" `Quick test_cost_arithmetic;
-    Alcotest.test_case "brams for bits" `Quick test_brams_for_bits;
+    Alcotest.test_case "utilisation fractions" `Quick test_utilisation_fractions;
   ]

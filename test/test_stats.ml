@@ -12,23 +12,48 @@ module Time_series = Stats.Time_series
 let test_rng_determinism () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
   for _ = 1 to 100 do
-    Alcotest.(check int) "same stream" (Rng.bits a) (Rng.bits b)
+    Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_different_seeds () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let same = ref 0 in
   for _ = 1 to 50 do
-    if Rng.bits a = Rng.bits b then incr same
+    if Rng.int a max_int = Rng.int b max_int then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 5)
 
-let test_rng_copy_and_split () =
+let test_rng_split () =
   let a = Rng.create ~seed:3 in
-  let c = Rng.copy a in
-  Alcotest.(check int) "copy same" (Rng.bits a) (Rng.bits c);
   let s = Rng.split a in
-  Alcotest.(check bool) "split differs" true (Rng.bits s <> Rng.bits a)
+  Alcotest.(check bool) "split differs" true (Rng.int s max_int <> Rng.int a max_int)
+
+(* [split] hands the child the parent's next draw as its state: equal
+   parents give equal children, and the split costs the parent exactly
+   one draw. *)
+let test_rng_split_repeats () =
+  let a = Rng.create ~seed:9 and b = Rng.create ~seed:9 and fresh = Rng.create ~seed:9 in
+  let ca = Rng.split a and cb = Rng.split b in
+  Alcotest.(check (list (float 0.)))
+    "equal parents, equal children"
+    (List.init 5 (fun _ -> Rng.float ca))
+    (List.init 5 (fun _ -> Rng.float cb));
+  ignore (Rng.float fresh : float);
+  Alcotest.(check (float 0.)) "the parent moved one draw" (Rng.float fresh) (Rng.float a)
+
+let test_rng_int_in () =
+  let r = Rng.create ~seed:13 in
+  let seen = Array.make 5 0 in
+  for _ = 1 to 2_000 do
+    let x = Rng.int_in r (-2) 2 in
+    if x < -2 || x > 2 then Alcotest.failf "int_in out of range: %d" x;
+    seen.(x + 2) <- seen.(x + 2) + 1
+  done;
+  (* 400 expected per value. *)
+  Alcotest.(check bool) "both ends and the middle drawn" true (Array.for_all (fun c -> c > 300) seen);
+  Alcotest.(check int) "one-point range" 7 (Rng.int_in r 7 7);
+  Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range") (fun () ->
+      ignore (Rng.int_in r 3 2 : int))
 
 let qcheck_rng_int_range =
   QCheck.Test.make ~name:"Rng.int stays in range" ~count:500
@@ -78,15 +103,6 @@ let test_pareto_minimum () =
     if x < 100. then Alcotest.failf "pareto below scale: %f" x
   done
 
-let test_normal_moments () =
-  let rng = Rng.create ~seed:19 in
-  let w = Welford.create () in
-  for _ = 1 to 50_000 do
-    Welford.add w (Dist.normal rng ~mean:10. ~std:2.)
-  done;
-  Alcotest.(check (float 0.05)) "mean" 10. (Welford.mean w);
-  Alcotest.(check (float 0.05)) "std" 2. (Welford.std w)
-
 let test_zipf_skew () =
   let rng = Rng.create ~seed:23 in
   let z = Dist.zipf ~n:100 ~alpha:1.1 in
@@ -98,111 +114,133 @@ let test_zipf_skew () =
   done;
   Alcotest.(check bool) "rank1 most popular" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "rank1 heavier than rank50" true (counts.(1) > 10 * max 1 counts.(50));
-  (* Empirical frequency of rank 1 close to pmf. *)
+  (* Empirical frequency of rank 1 close to its mass 1 / H(100, 1.1). *)
   let freq1 = float_of_int counts.(1) /. float_of_int n in
-  let pmf1 = Dist.zipf_pmf z 1 in
-  Alcotest.(check (float 0.03)) "pmf matches" pmf1 freq1
-
-let test_zipf_pmf_sums_to_one () =
-  let z = Dist.zipf ~n:50 ~alpha:0.9 in
-  let total = ref 0. in
-  for r = 1 to 50 do
-    total := !total +. Dist.zipf_pmf z r
+  let h = ref 0. in
+  for k = 1 to 100 do
+    h := !h +. (1. /. (float_of_int k ** 1.1))
   done;
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 !total
+  Alcotest.(check (float 0.03)) "pmf matches" (1. /. !h) freq1
 
-let test_geometric () =
-  let rng = Rng.create ~seed:29 in
-  let w = Welford.create () in
-  for _ = 1 to 20_000 do
-    Welford.add w (float_of_int (Dist.geometric rng ~p:0.25))
+(* A Zipf sampler is built once per (n, alpha) and shared, from any
+   domain; its draws stay in [1, n]. *)
+let test_zipf_shared () =
+  let z = Dist.zipf ~n:64 ~alpha:0.9 in
+  Alcotest.(check bool) "same (n, alpha), same sampler" true (z == Dist.zipf ~n:64 ~alpha:0.9);
+  Alcotest.(check bool) "another domain gets the same sampler" true
+    (Domain.join (Domain.spawn (fun () -> Dist.zipf ~n:64 ~alpha:0.9)) == z);
+  Alcotest.(check bool) "another alpha, another sampler" false (z == Dist.zipf ~n:64 ~alpha:1.2);
+  let rng = Rng.create ~seed:41 in
+  for _ = 1 to 1_000 do
+    let r = Dist.zipf_draw rng z in
+    if r < 1 || r > 64 then Alcotest.failf "zipf rank out of range: %d" r
   done;
-  Alcotest.(check (float 0.15)) "mean 1/p" 4.0 (Welford.mean w)
-
-let test_histogram_linear () =
-  let h = Histogram.linear ~lo:0. ~hi:10. ~buckets:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.; 12. ];
-  Alcotest.(check int) "count" 6 (Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Histogram.overflow h);
-  Alcotest.(check (float 1e-9)) "max" 12. (Histogram.max_seen h)
+  Alcotest.check_raises "n must be positive" (Invalid_argument "Dist.zipf: n must be positive")
+    (fun () -> ignore (Dist.zipf ~n:0 ~alpha:1.))
 
 let test_histogram_percentile () =
-  let h = Histogram.linear ~lo:0. ~hi:100. ~buckets:100 in
+  (* 0.5, 1.5, ..., 99.5: the 50th sample lies in [32, 64), which holds
+     samples 33..64, so the estimate is that bucket's upper bound; the
+     99th lies in [64, 128) and is capped at the largest sample. *)
+  let h = Histogram.log2 ~max_exponent:10 in
   for i = 1 to 100 do
     Histogram.add h (float_of_int i -. 0.5)
   done;
-  let p50 = Histogram.percentile h 0.5 in
-  Alcotest.(check bool) "p50 near 50" true (p50 >= 49. && p50 <= 51.);
-  let p99 = Histogram.percentile h 0.99 in
-  Alcotest.(check bool) "p99 near 99" true (p99 >= 98. && p99 <= 99.5)
+  Alcotest.(check (float 0.)) "p50" 64. (Histogram.percentile h 0.5);
+  Alcotest.(check (float 0.)) "p99" 99.5 (Histogram.percentile h 0.99)
 
 let test_histogram_log2 () =
   let h = Histogram.log2 ~max_exponent:10 in
   List.iter (Histogram.add h) [ 0.; 0.5; 1.; 3.; 1000. ];
   Alcotest.(check int) "count" 5 (Histogram.count h);
-  let buckets = Histogram.buckets h in
-  Alcotest.(check int) "four non-empty buckets" 4 (List.length buckets)
+  (* Buckets [0,1): 2, [1,2): 1, [2,4): 1, [512,1024): 1. *)
+  Alcotest.(check (list (float 0.)))
+    "bucket upper bounds" [ 1.; 2.; 4.; 1000. ]
+    (List.map (Histogram.percentile h) [ 0.4; 0.6; 0.8; 1.0 ]);
+  Histogram.add h (-1.);
+  Alcotest.(check (float 0.)) "underflow counts below the first bucket" 1.
+    (Histogram.percentile h (3. /. 6.))
 
-let test_histogram_clear () =
-  let h = Histogram.log2 ~max_exponent:5 in
-  Histogram.add h 3.;
-  Histogram.clear h;
-  Alcotest.(check int) "cleared" 0 (Histogram.count h)
+(* Samples past the last bucket count toward [count], [mean] and
+   [max_seen] but land in no bucket; a quantile that reaches them
+   reports the exact maximum. *)
+let test_histogram_past_last_bucket () =
+  (* Buckets [0,1), [1,2), [2,4), [4,8). *)
+  let h = Histogram.log2 ~max_exponent:3 in
+  List.iter (Histogram.add h) [ 1.; 3.; 100.; 500. ];
+  Alcotest.(check int) "count" 4 (Histogram.count h);
+  Alcotest.(check (float 1e-9)) "mean" 151. (Histogram.mean h);
+  Alcotest.(check (float 0.)) "max" 500. (Histogram.max_seen h);
+  Alcotest.(check (float 0.)) "p50 in [2, 4)" 4. (Histogram.percentile h 0.5);
+  Alcotest.(check (float 0.)) "p100 past the buckets" 500. (Histogram.percentile h 1.)
+
+let test_histogram_empty () =
+  let h = Histogram.log2 ~max_exponent:4 in
+  Alcotest.(check int) "count" 0 (Histogram.count h);
+  Alcotest.(check bool) "percentile is nan" true (Float.is_nan (Histogram.percentile h 0.5));
+  Alcotest.(check bool) "max_seen is neg_infinity" true (Histogram.max_seen h = neg_infinity);
+  Alcotest.check_raises "exponent must be positive" (Invalid_argument "Histogram.log2") (fun () ->
+      ignore (Histogram.log2 ~max_exponent:0))
 
 let test_ewma () =
   let e = Ewma.create ~alpha:0.5 in
   Alcotest.(check (float 1e-9)) "first sample primes" 10. (Ewma.update e 10.);
   Alcotest.(check (float 1e-9)) "second" 15. (Ewma.update e 20.);
-  Ewma.decay e;
-  Alcotest.(check (float 1e-9)) "decay" 7.5 (Ewma.value e)
+  Alcotest.(check (float 1e-9)) "value" 15. (Ewma.value e)
 
-let test_welford_merge () =
-  let rng = Rng.create ~seed:31 in
-  let all = Welford.create () and a = Welford.create () and b = Welford.create () in
-  for i = 1 to 1000 do
-    let x = Rng.float rng in
-    Welford.add all x;
-    if i mod 2 = 0 then Welford.add a x else Welford.add b x
-  done;
-  let merged = Welford.merge a b in
-  Alcotest.(check (float 1e-9)) "mean" (Welford.mean all) (Welford.mean merged);
-  Alcotest.(check (float 1e-9)) "var" (Welford.variance all) (Welford.variance merged);
-  Alcotest.(check int) "count" (Welford.count all) (Welford.count merged)
+let test_welford_moments () =
+  (* Population mean 5 and standard deviation 2. *)
+  let w = Welford.create () in
+  List.iter (Welford.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
+  Alcotest.(check int) "count" 8 (Welford.count w);
+  Alcotest.(check (float 1e-9)) "mean" 5. (Welford.mean w);
+  Alcotest.(check (float 1e-9)) "std" 2. (Welford.std w);
+  Alcotest.(check (pair (float 0.) (float 0.))) "extrema" (2., 9.) (Welford.min w, Welford.max w)
 
 let test_sliding_window () =
   let w = Sliding_window.create ~slots:4 ~slot_width:10. in
   Sliding_window.add w 100.;
   Sliding_window.rotate w;
   Sliding_window.add w 200.;
-  Alcotest.(check (float 1e-9)) "sum" 300. (Sliding_window.sum w);
-  Alcotest.(check (float 1e-9)) "rate over window 40" 7.5 (Sliding_window.rate w);
+  Alcotest.(check (float 1e-9)) "completed slots over 30" (100. /. 30.)
+    (Sliding_window.completed_rate w);
   (* Rotate enough to expire the first slot. *)
   Sliding_window.rotate w;
   Sliding_window.rotate w;
   Sliding_window.rotate w;
-  Alcotest.(check (float 1e-9)) "oldest expired" 200. (Sliding_window.sum w);
+  Alcotest.(check (float 1e-9)) "oldest expired" (200. /. 30.) (Sliding_window.completed_rate w);
   Sliding_window.rotate w;
-  Alcotest.(check (float 1e-9)) "all expired" 0. (Sliding_window.sum w)
+  Alcotest.(check (float 1e-9)) "all expired" 0. (Sliding_window.completed_rate w)
 
 let qcheck_sliding_window_sum =
   QCheck.Test.make ~name:"sliding window sum equals sum of live slots" ~count:200
     QCheck.(list (pair (int_bound 100) bool))
     (fun ops ->
       let w = Sliding_window.create ~slots:8 ~slot_width:1. in
+      (* Model: the eight slots, newest first. *)
+      let model = ref (List.init 8 (fun _ -> 0.)) in
       List.iter
         (fun (v, rot) ->
-          if rot then Sliding_window.rotate w else Sliding_window.add w (float_of_int v))
+          if rot then begin
+            Sliding_window.rotate w;
+            model := 0. :: List.filteri (fun i _ -> i < 7) !model
+          end
+          else begin
+            Sliding_window.add w (float_of_int v);
+            model := (List.hd !model +. float_of_int v) :: List.tl !model
+          end)
         ops;
-      let slots = Sliding_window.slots w in
-      let expect = Array.fold_left ( +. ) 0. slots in
-      abs_float (expect -. Sliding_window.sum w) < 1e-9)
+      let expect = List.fold_left ( +. ) 0. (List.tl !model) /. 7. in
+      abs_float (expect -. Sliding_window.completed_rate w) < 1e-9)
 
-let test_summary_percentile () =
-  let xs = Array.init 101 float_of_int in
-  Alcotest.(check (float 1e-9)) "p50" 50. (Summary.percentile xs 0.5);
-  Alcotest.(check (float 1e-9)) "p0" 0. (Summary.percentile xs 0.);
-  Alcotest.(check (float 1e-9)) "p100" 100. (Summary.percentile xs 1.)
+(* Population moments over a batch; fewer than two samples have no
+   spread, and an empty batch has mean 0. *)
+let test_summary_moments () =
+  let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
+  Alcotest.(check (float 1e-9)) "mean" 5. (Summary.mean xs);
+  Alcotest.(check (float 1e-9)) "std" 2. (Summary.std xs);
+  Alcotest.(check (float 0.)) "one sample has no spread" 0. (Summary.std [| 3. |]);
+  Alcotest.(check (float 0.)) "empty mean" 0. (Summary.mean [||])
 
 let test_jain () =
   Alcotest.(check (float 1e-9)) "equal is 1" 1. (Summary.jain_fairness [| 5.; 5.; 5. |]);
@@ -217,44 +255,52 @@ let test_nrmse () =
   Alcotest.(check (float 1e-9)) "10%% off" 0.1 off
 
 let test_time_series () =
-  let ts = Time_series.create ~capacity:2 () in
-  for i = 1 to 10 do
+  (* 200 points: the arrays grow twice past their first 64. *)
+  let ts = Time_series.create () in
+  for i = 1 to 200 do
     Time_series.add ts ~time:(float_of_int i) ~value:(float_of_int (i * i))
   done;
-  Alcotest.(check int) "length" 10 (Time_series.length ts);
+  Alcotest.(check int) "length" 200 (Time_series.length ts);
   Alcotest.(check (pair (float 0.) (float 0.))) "nth" (3., 9.) (Time_series.nth ts 2);
-  Alcotest.(check (float 1e-9)) "max" 100. (Time_series.max_value ts);
-  Alcotest.(check (option (pair (float 0.) (float 0.)))) "last" (Some (10., 100.))
+  Alcotest.(check (float 1e-9)) "max" 40000. (Time_series.max_value ts);
+  Alcotest.(check (option (pair (float 0.) (float 0.)))) "last" (Some (200., 40000.))
     (Time_series.last ts)
 
 (* The generator is splitmix64: the first draws of seed 7, computed
-   independently of this code, pin the stream bit for bit. *)
+   independently of this code, pin the stream bit for bit. Each is the
+   draw's top 62 bits, which [Rng.int r max_int] returns unchanged
+   whenever they are below [max_int]. *)
 let test_rng_stream_pinned () =
   let r = Rng.create ~seed:7 in
   Alcotest.(check (list int))
     "bits" [ 2418118848055258963; 1393370355107282181; 4339579163232964052 ]
-    (List.init 3 (fun _ -> Rng.bits r));
+    (List.init 3 (fun _ -> Rng.int r max_int));
   Alcotest.(check (float 0.)) "float" 0.8832292678334052 (Rng.float r)
 
 (* Draws keep the 64-bit state unboxed and build no closure, so
    [Rng.int] allocates nothing. A float returned across a module
-   boundary is boxed unless the caller inlines the draw, as optimised
-   builds do; the tests' dev profile compiles with [-opaque], so
+   boundary is boxed unless the caller inlines the draw, as the release
+   profile does; the dev profile compiles with [-opaque], so there
    [Rng.float] is allowed its result's own 2-word box and nothing
    more. *)
 let test_rng_draws_zero_alloc () =
   let r = Rng.create ~seed:5 in
   let sum = ref 0 and low = ref 0 in
   Zero_alloc.check "Rng.int" ~iters:10_000 (fun () -> sum := !sum + Rng.int r 1_000);
-  Zero_alloc.check ~words_per_cycle:2 "Rng.float" ~iters:10_000 (fun () ->
-      if Rng.float r < 0.5 then incr low);
+  Zero_alloc.check
+    ~words_per_cycle:(if Build_profile.name = "dev" then 2 else 0)
+    (Printf.sprintf "Rng.float (%s profile)" Build_profile.name)
+    ~iters:10_000
+    (fun () -> if Rng.float r < 0.5 then incr low);
   Alcotest.(check bool) "draws land on both sides" true (!low > 0 && !low < 20_000 && !sum > 0)
 
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_different_seeds;
-    Alcotest.test_case "rng copy/split" `Quick test_rng_copy_and_split;
+    Alcotest.test_case "rng split" `Quick test_rng_split;
+    Alcotest.test_case "rng split repeats per seed" `Quick test_rng_split_repeats;
+    Alcotest.test_case "rng int_in inclusive range" `Quick test_rng_int_in;
     Alcotest.test_case "rng stream is splitmix64" `Quick test_rng_stream_pinned;
     Alcotest.test_case "zero-alloc rng draws" `Quick test_rng_draws_zero_alloc;
     QCheck_alcotest.to_alcotest qcheck_rng_int_range;
@@ -262,19 +308,17 @@ let suite =
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "pareto minimum" `Quick test_pareto_minimum;
-    Alcotest.test_case "normal moments" `Quick test_normal_moments;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
-    Alcotest.test_case "zipf pmf normalised" `Quick test_zipf_pmf_sums_to_one;
-    Alcotest.test_case "geometric mean" `Quick test_geometric;
-    Alcotest.test_case "histogram linear" `Quick test_histogram_linear;
+    Alcotest.test_case "zipf sampler shared per (n, alpha)" `Quick test_zipf_shared;
     Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
     Alcotest.test_case "histogram log2" `Quick test_histogram_log2;
-    Alcotest.test_case "histogram clear" `Quick test_histogram_clear;
+    Alcotest.test_case "histogram past the last bucket" `Quick test_histogram_past_last_bucket;
+    Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
     Alcotest.test_case "ewma" `Quick test_ewma;
-    Alcotest.test_case "welford merge" `Quick test_welford_merge;
+    Alcotest.test_case "welford moments" `Quick test_welford_moments;
     Alcotest.test_case "sliding window" `Quick test_sliding_window;
     QCheck_alcotest.to_alcotest qcheck_sliding_window_sum;
-    Alcotest.test_case "summary percentile" `Quick test_summary_percentile;
+    Alcotest.test_case "summary moments" `Quick test_summary_moments;
     Alcotest.test_case "jain fairness" `Quick test_jain;
     Alcotest.test_case "normalized rmse" `Quick test_nrmse;
     Alcotest.test_case "time series" `Quick test_time_series;

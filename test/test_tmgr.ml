@@ -38,10 +38,13 @@ let test_fifo_queue () =
   Alcotest.(check bool) "accepts" true (Fifo_queue.can_accept q 100);
   Fifo_queue.push q a;
   Fifo_queue.push q b;
+  (* 200 bytes queued under a 250-byte limit. *)
   Alcotest.(check bool) "limit enforced" false (Fifo_queue.can_accept q 100);
-  Alcotest.(check int) "bytes" 200 (Fifo_queue.occupancy_bytes q);
+  Alcotest.(check bool) "bytes" true (Fifo_queue.can_accept q 50);
   Alcotest.(check int) "fifo order" a.Packet.uid (Fifo_queue.pop q).Packet.uid;
-  Alcotest.(check int) "bytes after pop" 100 (Fifo_queue.occupancy_bytes q);
+  Alcotest.(check bool) "bytes after pop" true
+    (Fifo_queue.can_accept q 150 && not (Fifo_queue.can_accept q 151));
+  Alcotest.(check int) "byte watermark" 200 (Fifo_queue.high_watermark_bytes q);
   Alcotest.(check int) "second" b.Packet.uid (Fifo_queue.pop q).Packet.uid;
   Alcotest.(check bool) "empty pop is nil" true (Packet.is_nil (Fifo_queue.pop q))
 
@@ -75,7 +78,6 @@ let test_pifo_bounded_eviction () =
   (match Pifo.push_evict p ~rank:30 "z" with
   | `Rejected -> ()
   | `Evicted _ | `Accepted -> Alcotest.fail "expected rejection");
-  Alcotest.(check int) "evictions counted" 2 (Pifo.evictions p);
   Alcotest.(check (list string)) "contents" [ "e"; "j" ]
     (List.init 2 (fun _ -> Option.get (Pifo.pop p)))
 
@@ -93,7 +95,7 @@ let test_pifo_releases_payloads () =
   let tracked = Bytes.create 64 in
   Weak.set weak 0 (Some tracked);
   ignore (Pifo.push p ~rank:1000 tracked);
-  while not (Pifo.is_empty p) do
+  while not (Pifo.length p = 0) do
     ignore (Pifo.pop p)
   done;
   Gc.full_major ();
@@ -113,7 +115,37 @@ let test_pifo_grow_no_pin () =
   ignore (Pifo.pop p);
   Gc.full_major ();
   Alcotest.(check bool) "grow spare slots hold no payload" false (Weak.check weak 0);
-  Alcotest.(check bool) "pifo empty" true (Pifo.is_empty p)
+  Alcotest.(check bool) "pifo empty" true (Pifo.length p = 0)
+
+let quiet_sink =
+  {
+    Devents.Event_sink.enqueue =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    dequeue =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    overflow =
+      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+           ~time:_ -> ());
+    underflow = (fun ~port:_ ~qid:_ ~time:_ -> ());
+    transmitted = (fun ~port:_ ~pkt_len:_ ~flow_id:_ ~time:_ -> ());
+  }
+
+(* A sink that logs the class of every event it receives. *)
+let class_sink log =
+  let buffer cls ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_
+      ~occupancy_bytes:_ ~time:_ =
+    log := cls :: !log
+  in
+  {
+    Devents.Event_sink.enqueue = buffer Event.Buffer_enqueue;
+    dequeue = buffer Event.Buffer_dequeue;
+    overflow = buffer Event.Buffer_overflow;
+    underflow = (fun ~port:_ ~qid:_ ~time:_ -> log := Event.Buffer_underflow :: !log);
+    transmitted =
+      (fun ~port:_ ~pkt_len:_ ~flow_id:_ ~time:_ -> log := Event.Packet_transmitted :: !log);
+  }
 
 let tm_fixture ?(config = Traffic_manager.default_config) () =
   let sched = Scheduler.create () in
@@ -122,14 +154,11 @@ let tm_fixture ?(config = Traffic_manager.default_config) () =
   let tm =
     Traffic_manager.create ~sched ~config
       ~emit:(fun ~port pkt -> emitted := (port, pkt) :: !emitted)
-      ~events:(Devents.Event_sink.of_fn (fun ev -> events := ev :: !events))
-      ()
+      ~events:(class_sink events) ()
   in
   (sched, tm, emitted, events)
 
-let count_events events cls =
-  List.length
-    (List.filter (fun ev -> Event.cls_equal (Event.cls_of ev) cls) !events)
+let count_events events cls = List.length (List.filter (Event.cls_equal cls) !events)
 
 let test_tm_basic_flow () =
   let sched, tm, emitted, events = tm_fixture () in
@@ -168,28 +197,69 @@ let test_tm_overflow () =
   Alcotest.(check int) "overflow event" 1 (count_events events Event.Buffer_overflow);
   Alcotest.(check int) "drop counted" 1 (Traffic_manager.drops tm)
 
-let test_tm_strict_priority () =
-  let config =
+(* A port holds one FIFO: whatever qid a packet arrives with, it is
+   queued, reported and exported as queue 0, in arrival order. *)
+let test_tm_one_fifo_per_port () =
+  let sched, tm, emitted, _events = tm_fixture () in
+  let first = mk_pkt ~bytes:1000 ~qid:1 () in
+  let second = mk_pkt ~bytes:100 ~qid:3 () in
+  let third = mk_pkt ~bytes:100 ~qid:0 () in
+  List.iter (fun pkt -> ignore (Traffic_manager.enqueue tm ~port:0 pkt : bool)) [ first; second; third ];
+  Alcotest.(check (list int)) "qid rewritten to 0" [ 0; 0; 0 ]
+    (List.map (fun pkt -> pkt.Packet.meta.Packet.qid) [ first; second; third ]);
+  Scheduler.run sched;
+  Alcotest.(check (list int)) "arrival order"
+    (List.map (fun pkt -> pkt.Packet.uid) [ first; second; third ])
+    (List.rev_map (fun (_, pkt) -> pkt.Packet.uid) !emitted);
+  let reg = Obs.Metrics.create () in
+  Traffic_manager.export_metrics tm reg;
+  match Obs.Metrics.find_value reg ~labels:[ ("port", "0"); ("qid", "0") ] "tm.queue_hwm_bytes" with
+  | Some (Obs.Metrics.Gauge_v { last; _ }) ->
+      (* The first packet is queued alone before it starts. *)
+      Alcotest.(check int) "queue 0's hwm" 1000 last
+  | _ -> Alcotest.fail "tm.queue_hwm_bytes {qid=\"0\"} not exported"
+
+(* A FIFO port names queue 0 in every event it fires, whatever qid the
+   packet arrived with: enqueue, dequeue, underflow and overflow alike. *)
+let test_tm_fifo_events_name_queue_0 () =
+  let log = ref [] in
+  let buffer cls ~port:_ ~qid ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
+      ~time:_ =
+    log := (Event.cls_name cls, qid) :: !log
+  in
+  let sink =
     {
-      Traffic_manager.default_config with
-      Traffic_manager.queues_per_port = 2;
-      policy = Traffic_manager.Strict_priority;
+      Devents.Event_sink.enqueue = buffer Event.Buffer_enqueue;
+      dequeue = buffer Event.Buffer_dequeue;
+      overflow = buffer Event.Buffer_overflow;
+      underflow = (fun ~port:_ ~qid ~time:_ -> log := ("buffer-underflow", qid) :: !log);
+      transmitted = (fun ~port:_ ~pkt_len:_ ~flow_id:_ ~time:_ -> ());
     }
   in
-  let sched, tm, emitted, _events = tm_fixture ~config () in
-  (* While a low-priority packet serialises, queue one low and one high:
-     high (qid 0) must leave before the earlier-queued low (qid 1). *)
-  ignore (Traffic_manager.enqueue tm ~port:0 (mk_pkt ~bytes:1000 ~qid:1 ()));
-  let low = mk_pkt ~bytes:100 ~qid:1 () in
-  let high = mk_pkt ~bytes:100 ~qid:0 () in
-  ignore (Traffic_manager.enqueue tm ~port:0 low);
-  ignore (Traffic_manager.enqueue tm ~port:0 high);
+  let sched = Scheduler.create () in
+  let config =
+    { Traffic_manager.default_config with Traffic_manager.queue_limit_bytes = Some 150 }
+  in
+  let tm = Traffic_manager.create ~sched ~config ~emit:(fun ~port:_ _ -> ()) ~events:sink () in
+  (* The first packet starts at once; the second waits; the third finds
+     100 of the 150 bytes taken. *)
+  let accepted =
+    List.map (fun qid -> Traffic_manager.enqueue tm ~port:2 (mk_pkt ~bytes:100 ~qid ())) [ 5; 7; 3 ]
+  in
+  Alcotest.(check (list bool)) "third overflows" [ true; true; false ] accepted;
   Scheduler.run sched;
-  match List.rev_map snd !emitted with
-  | [ _first; second; third ] ->
-      Alcotest.(check int) "high before low" high.Packet.uid second.Packet.uid;
-      Alcotest.(check int) "low last" low.Packet.uid third.Packet.uid
-  | l -> Alcotest.failf "expected 3 packets, got %d" (List.length l)
+  Alcotest.(check (list (pair string int)))
+    "events"
+    [
+      ("buffer-enqueue", 0);
+      ("buffer-dequeue", 0);
+      ("buffer-underflow", 0);
+      ("buffer-enqueue", 0);
+      ("buffer-overflow", 0);
+      ("buffer-dequeue", 0);
+      ("buffer-underflow", 0);
+    ]
+    (List.rev !log)
 
 let test_tm_pifo_policy () =
   let config =
@@ -214,7 +284,7 @@ let test_tm_egress_drop () =
   let tm =
     Traffic_manager.create ~sched ~config:Traffic_manager.default_config
       ~emit:(fun ~port:_ _ -> incr emitted)
-      ~events:(Devents.Event_sink.of_fn (fun _ -> ()))
+      ~events:quiet_sink
       ~egress:(fun ~port:_ pkt -> if Packet.len pkt > 500 then None else Some pkt)
       ()
   in
@@ -328,10 +398,11 @@ let test_link_perturbations () =
   Alcotest.(check int) "dup copies" 2 (Link.perturb_dups link);
   Alcotest.(check int) "delays" 1 (Link.perturb_delays link);
   Alcotest.(check int) "delayed past the base latency" (Sim_time.us 11) (Scheduler.now sched);
-  Link.clear_perturb link;
+  Link.set_perturb link (fun ~from_a:_ _ -> Link.Deliver);
   Link.send link ~from_a:true (mk_pkt ());
   Scheduler.run sched;
-  Alcotest.(check int) "perturbation removed" 6 !got
+  Alcotest.(check int) "perturbation replaced" 6 !got;
+  Alcotest.(check int) "replaced hook drops nothing" 1 (Link.perturb_drops link)
 
 (* --- conservation properties --- *)
 
@@ -353,7 +424,7 @@ let qcheck_tm_conservation =
       let tm =
         Traffic_manager.create ~sched ~config
           ~emit:(fun ~port:_ _ -> incr emitted)
-          ~events:(Devents.Event_sink.of_fn (fun _ -> ()))
+          ~events:quiet_sink
           ~egress:(fun ~port:_ pkt ->
             (* Randomly-ish drop some at egress (deterministic in size). *)
             if Netcore.Packet.len pkt mod 7 = 0 then None else Some pkt)
@@ -377,7 +448,8 @@ let qcheck_tm_conservation =
         + Traffic_manager.egress_drops tm
       && !emitted = Traffic_manager.transmitted tm
       && Traffic_manager.quiescent tm
-      && Traffic_manager.enqueues tm = Traffic_manager.dequeues tm)
+      && Traffic_manager.enqueues tm
+         = Traffic_manager.transmitted tm + Traffic_manager.egress_drops tm)
 
 (* A packet's hops through a link and a traffic manager allocate
    nothing once warm: the link's in-flight ring holds the packet itself,
@@ -393,21 +465,6 @@ let test_link_send_zero_alloc () =
       Link.send link ~from_a:true pkt;
       ignore (Scheduler.step sched : bool));
   Alcotest.(check int) "every packet arrived" 20_000 !arrived
-
-let quiet_sink =
-  {
-    Devents.Event_sink.enqueue =
-      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
-           ~time:_ -> ());
-    dequeue =
-      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
-           ~time:_ -> ());
-    overflow =
-      (fun ~port:_ ~qid:_ ~pkt_len:_ ~flow_id:_ ~meta:_ ~occupancy_pkts:_ ~occupancy_bytes:_
-           ~time:_ -> ());
-    underflow = (fun ~port:_ ~qid:_ ~time:_ -> ());
-    transmitted = (fun ~port:_ ~pkt_len:_ ~flow_id:_ ~time:_ -> ());
-  }
 
 let test_tm_cycle_zero_alloc () =
   let sched = Scheduler.create () in
@@ -436,7 +493,8 @@ let suite =
     Alcotest.test_case "tm basic flow" `Quick test_tm_basic_flow;
     Alcotest.test_case "tm serialization backlog" `Quick test_tm_serialisation_backlog;
     Alcotest.test_case "tm overflow" `Quick test_tm_overflow;
-    Alcotest.test_case "tm strict priority" `Quick test_tm_strict_priority;
+    Alcotest.test_case "tm one fifo per port" `Quick test_tm_one_fifo_per_port;
+    Alcotest.test_case "tm fifo events name queue 0" `Quick test_tm_fifo_events_name_queue_0;
     Alcotest.test_case "tm pifo policy" `Quick test_tm_pifo_policy;
     Alcotest.test_case "tm egress drop" `Quick test_tm_egress_drop;
     Alcotest.test_case "tm occupancy conservation" `Quick test_tm_occupancy_conservation;

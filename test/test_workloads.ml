@@ -67,21 +67,51 @@ let test_on_off_duty_cycle () =
     true
     (sent > 1000 && sent < 1500)
 
-let test_stop_now () =
+(* [count] packets [pkt_bytes * 8 / rate] apart, the first at [at]. *)
+let test_burst_once () =
   let sched = Scheduler.create () in
+  let times = ref [] in
   let src =
-    Traffic.cbr ~sched ~flow ~pkt_bytes:1000 ~rate_gbps:1. ~stop:(Sim_time.ms 10)
+    Traffic.burst_once ~sched ~flow ~pkt_bytes:1000 ~count:4 ~rate_gbps:10. ~at:(Sim_time.us 3)
+      ~send:(fun _ -> times := Scheduler.now sched :: !times)
+      ()
+  in
+  Scheduler.run sched;
+  let gap = Sim_time.tx_time ~bytes:1000 ~gbps:10. in
+  Alcotest.(check (list int)) "back to back from at"
+    (List.init 4 (fun i -> Sim_time.us 3 + (i * gap)))
+    (List.rev !times);
+  Alcotest.(check (pair int int)) "sent, bytes" (4, 4000) (Traffic.sent src, Traffic.sent_bytes src)
+
+(* The population the distribution tests draw. *)
+let spec =
+  {
+    Flowgen.num_flows = 500;
+    key_space = 200;
+    zipf_alpha = 1.1;
+    mean_packets = 20.;
+    max_packets = max_int;
+    pkt_bytes = 256;
+    arrival_rate_per_sec = 50_000.;
+  }
+
+(* Runs [spec] through [install] to completion; the flows in arrival
+   order, and the source's counters. *)
+let install_flows ~seed spec =
+  let sched = Scheduler.create () in
+  let flows = ref [] in
+  let st =
+    Flowgen.install ~sched ~rng:(Stats.Rng.create ~seed) ~rate_pps_per_flow:1e6
+      ~on_flow:(fun fd -> flows := fd :: !flows)
+      spec
       ~send:(fun _ -> ())
       ()
   in
-  ignore (Scheduler.schedule sched ~at:(Sim_time.ms 1) (fun () -> Traffic.stop_now src));
   Scheduler.run sched;
-  Alcotest.(check bool) "stopped early" true (Traffic.sent src <= 126)
+  (List.rev !flows, st)
 
 let test_flowgen_population () =
-  let rng = Stats.Rng.create ~seed:21 in
-  let spec = { Flowgen.default_spec with Flowgen.num_flows = 300 } in
-  let flows = Flowgen.generate ~rng spec in
+  let flows, st = install_flows ~seed:21 { spec with Flowgen.num_flows = 300 } in
   Alcotest.(check int) "count" 300 (List.length flows);
   (* Start times are sorted. *)
   let sorted =
@@ -96,35 +126,72 @@ let test_flowgen_population () =
   (* Zipf: rank 1 appears far more often than rank 50. *)
   let count r = List.length (List.filter (fun f -> f.Flowgen.rank = r) flows) in
   Alcotest.(check bool) "rank 1 popular" true (count 1 > 3 * max 1 (count 50));
-  (* Ground-truth counts sum to total packets. *)
-  let truth = Flowgen.true_packet_counts flows in
-  let total_truth = Hashtbl.fold (fun _ c acc -> acc + c) truth 0 in
+  (* Every drawn packet is sent. *)
   let total = List.fold_left (fun acc f -> acc + f.Flowgen.packets) 0 flows in
-  Alcotest.(check int) "truth conserves packets" total total_truth
+  Alcotest.(check int) "drawn packets all sent" total st.Flowgen.packets_sent
 
-let test_flowgen_stream_matches_generate () =
-  (* The streaming and materialized forms share one draw order: for
-     the same seed, collecting the stream must reproduce [generate]
-     structurally — same flows, same starts, same lengths, same
-     ranks. This is the contract that lets E27 pin digest goldens with
-     the streaming source while small tests reason over lists. *)
-  let spec =
-    { Flowgen.default_spec with Flowgen.num_flows = 200; arrival_rate_per_sec = 2e6 }
+(* One seed, one population: every descriptor repeats, in order. *)
+let test_flowgen_repeats_per_seed () =
+  let key (f : Flowgen.flow_desc) = (f.Flowgen.start, f.Flowgen.rank, f.Flowgen.packets) in
+  let a, sa = install_flows ~seed:33 spec and b, sb = install_flows ~seed:33 spec in
+  Alcotest.(check (list (triple int int int))) "same starts, ranks, lengths" (List.map key a)
+    (List.map key b);
+  Alcotest.(check bool) "same five-tuples" true
+    (List.map (fun f -> f.Flowgen.flow) a = List.map (fun f -> f.Flowgen.flow) b);
+  Alcotest.(check int) "same packets sent" sa.Flowgen.packets_sent sb.Flowgen.packets_sent;
+  let c, _ = install_flows ~seed:34 spec in
+  Alcotest.(check bool) "another seed, another population" true
+    (List.map key a <> List.map key c)
+
+(* [arrival_stop] ends the arrival chain, not the flows already
+   started: every flow starts before it, and each one sends all its
+   packets, some of them after the stop. *)
+let test_flowgen_arrival_stop () =
+  let sched = Scheduler.create () in
+  let stop = Sim_time.ms 2 in
+  let flows = ref [] and ended = ref 0 in
+  let st =
+    Flowgen.install ~sched ~rng:(Stats.Rng.create ~seed:37) ~arrival_stop:stop
+      ~rate_pps_per_flow:1e5
+      ~on_flow:(fun fd -> flows := fd :: !flows)
+      ~on_flow_end:(fun _ -> incr ended)
+      spec
+      ~send:(fun _ -> ())
+      ()
   in
-  let materialized = Flowgen.generate ~rng:(Stats.Rng.create ~seed:33) spec in
-  let streamed = ref [] in
-  Flowgen.stream ~rng:(Stats.Rng.create ~seed:33) spec ~f:(fun fd ->
-      streamed := fd :: !streamed);
-  let streamed = List.rev !streamed in
-  Alcotest.(check int) "same count" (List.length materialized) (List.length streamed);
-  List.iter2
-    (fun (a : Flowgen.flow_desc) (b : Flowgen.flow_desc) ->
-      Alcotest.(check bool) "identical descriptor" true
-        (a.Flowgen.start = b.Flowgen.start && a.Flowgen.rank = b.Flowgen.rank
-        && a.Flowgen.packets = b.Flowgen.packets
-        && a.Flowgen.pkt_bytes = b.Flowgen.pkt_bytes
-        && Netcore.Flow.equal a.Flowgen.flow b.Flowgen.flow))
-    materialized streamed
+  Scheduler.run sched;
+  let n = List.length !flows in
+  (* 500 arrivals at 50,000 a second would take 10 ms. *)
+  Alcotest.(check bool) (Printf.sprintf "the chain stopped early (%d flows)" n) true
+    (n > 0 && n < spec.Flowgen.num_flows);
+  Alcotest.(check bool) "every start before the stop" true
+    (List.for_all (fun f -> f.Flowgen.start < stop) !flows);
+  Alcotest.(check (list int)) "started = finished = ended, none live" [ n; n; n; 0 ]
+    [ st.Flowgen.flows_started; st.Flowgen.flows_finished; !ended; st.Flowgen.live_flows ];
+  Alcotest.(check int) "every drawn packet sent"
+    (List.fold_left (fun acc f -> acc + f.Flowgen.packets) 0 !flows)
+    st.Flowgen.packets_sent;
+  Alcotest.(check bool) "the last packets leave after the stop" true (Scheduler.now sched > stop)
+
+(* The default five-tuple of rank [r]: host [r] of subnet 1 to host [r]
+   of subnet 2, from port [1024 + r]; one five-tuple per rank. *)
+let test_flowgen_default_flows () =
+  let flows, _ = install_flows ~seed:39 spec in
+  List.iter
+    (fun (f : Flowgen.flow_desc) ->
+      let r = f.Flowgen.rank in
+      let fl = f.Flowgen.flow in
+      Alcotest.(check bool)
+        (Printf.sprintf "rank %d's five-tuple" r)
+        true
+        (Ipv4_addr.equal fl.Flow.src (Ipv4_addr.host ~subnet:1 r)
+        && Ipv4_addr.equal fl.Flow.dst (Ipv4_addr.host ~subnet:2 r)
+        && fl.Flow.src_port = 1024 + r))
+    flows;
+  let distinct xs = List.length (List.sort_uniq compare xs) in
+  Alcotest.(check int) "as many five-tuples as ranks"
+    (distinct (List.map (fun f -> f.Flowgen.rank) flows))
+    (distinct (List.map (fun f -> f.Flowgen.flow) flows))
 
 let test_flowgen_streaming_memory () =
   (* The reason E27 can run 1M-flow mixes at all: [install] keeps
@@ -137,7 +204,7 @@ let test_flowgen_streaming_memory () =
   let rng = Stats.Rng.create ~seed:35 in
   let spec =
     {
-      Flowgen.default_spec with
+      spec with
       Flowgen.num_flows = 1_000_000;
       key_space = 10_000;
       mean_packets = 2.;
@@ -175,27 +242,17 @@ let test_flowgen_streaming_memory () =
     true
     (growth < 2_000_000)
 
-let test_flowgen_replay () =
-  let sched = Scheduler.create () in
-  let rng = Stats.Rng.create ~seed:23 in
-  let spec =
-    { Flowgen.default_spec with Flowgen.num_flows = 20; arrival_rate_per_sec = 1e6 }
-  in
-  let flows = Flowgen.generate ~rng spec in
-  let got = ref 0 in
-  ignore
-    (Flowgen.replay ~sched ~flows ~rate_pps_per_flow:100_000. ~send:(fun _ -> incr got) ());
-  Scheduler.run ~until:(Sim_time.ms 50) sched;
-  Alcotest.(check bool) "packets flowed" true (!got > 50)
-
 (* --- Trace record/replay --- *)
 
 let test_trace_roundtrip () =
   let sched = Scheduler.create () in
   let trace = Workloads.Trace.create () in
+  let sent = ref [] in
   ignore
     (Traffic.cbr ~sched ~flow ~pkt_bytes:500 ~rate_gbps:1. ~stop:(Sim_time.us 100)
-       ~send:(fun pkt -> Workloads.Trace.record trace ~sched ~port:2 pkt)
+       ~send:(fun pkt ->
+         sent := (Scheduler.now sched, 2, Netcore.Packet.len pkt) :: !sent;
+         Workloads.Trace.record trace ~sched ~port:2 pkt)
        ());
   Scheduler.run sched;
   let n = Workloads.Trace.length trace in
@@ -212,32 +269,18 @@ let test_trace_roundtrip () =
   Scheduler.run sched2;
   Alcotest.(check int) "all scheduled" n scheduled;
   Alcotest.(check int) "all delivered" n (List.length !got);
-  let expected =
-    List.map
-      (fun (e : Workloads.Trace.entry) -> (e.Workloads.Trace.at, e.Workloads.Trace.port, e.Workloads.Trace.pkt_bytes))
-      (Workloads.Trace.entries trace)
-  in
-  Alcotest.(check (list (triple int int int))) "same arrivals" expected (List.rev !got)
-
-let test_trace_time_offset () =
-  let trace = Workloads.Trace.create () in
-  Workloads.Trace.add trace
-    { Workloads.Trace.at = Sim_time.us 5; port = 0; flow; pkt_bytes = 100 };
-  let sched = Scheduler.create () in
-  let at = ref 0 in
-  ignore
-    (Workloads.Trace.replay trace ~sched ~time_offset:(Sim_time.us 10)
-       ~send:(fun ~port:_ _ -> at := Scheduler.now sched)
-       ());
-  Scheduler.run sched;
-  Alcotest.(check int) "offset applied" (Sim_time.us 15) !at;
-  Alcotest.(check int) "bytes accounted" 100 (Workloads.Trace.total_bytes trace)
+  Alcotest.(check (list (triple int int int))) "same arrivals" (List.rev !sent) (List.rev !got)
 
 let test_trace_ordering_enforced () =
   let trace = Workloads.Trace.create () in
-  Workloads.Trace.add trace { Workloads.Trace.at = 100; port = 0; flow; pkt_bytes = 64 };
+  let late = Scheduler.create () in
+  Scheduler.run ~until:100 late;
+  Workloads.Trace.record trace ~sched:late ~port:0 (Traffic.make_packet ~sched:late ~flow ~pkt_bytes:64);
+  let early = Scheduler.create () in
   Alcotest.check_raises "backwards time" (Invalid_argument "Trace.add: entries must be time-ordered")
-    (fun () -> Workloads.Trace.add trace { Workloads.Trace.at = 50; port = 0; flow; pkt_bytes = 64 })
+    (fun () ->
+      Workloads.Trace.record trace ~sched:early ~port:0
+        (Traffic.make_packet ~sched:early ~flow ~pkt_bytes:64))
 
 let suite =
   [
@@ -245,12 +288,13 @@ let suite =
     Alcotest.test_case "cbr start/stop" `Quick test_cbr_start_stop;
     Alcotest.test_case "poisson mean rate" `Quick test_poisson_mean_rate;
     Alcotest.test_case "on/off duty cycle" `Quick test_on_off_duty_cycle;
-    Alcotest.test_case "stop_now" `Quick test_stop_now;
+    Alcotest.test_case "burst_once back to back" `Quick test_burst_once;
     Alcotest.test_case "flowgen population" `Quick test_flowgen_population;
-    Alcotest.test_case "flowgen stream = generate" `Quick test_flowgen_stream_matches_generate;
+    Alcotest.test_case "flowgen repeats per seed" `Quick test_flowgen_repeats_per_seed;
+    Alcotest.test_case "flowgen arrival_stop ends arrivals, not flows" `Quick
+      test_flowgen_arrival_stop;
+    Alcotest.test_case "flowgen default five-tuple per rank" `Quick test_flowgen_default_flows;
     Alcotest.test_case "flowgen 1M flows, O(live) memory" `Quick test_flowgen_streaming_memory;
-    Alcotest.test_case "flowgen replay" `Quick test_flowgen_replay;
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "trace time offset" `Quick test_trace_time_offset;
     Alcotest.test_case "trace ordering" `Quick test_trace_ordering_enforced;
   ]
