@@ -2,7 +2,6 @@ module Packet = Netcore.Packet
 module Flow = Netcore.Flow
 module Program = Evcore.Program
 module Cms = Pisa.Cms
-module Scheduler = Eventsim.Scheduler
 
 type mode = Timer_reset | Control_plane_reset of Evcore.Control_plane.t
 
@@ -17,7 +16,7 @@ type t = {
   mutable resets : int;
   mutable bits : int;
   reset_lag : Stats.Welford.t;
-  mutable touched : (int, unit) Hashtbl.t;
+  touched : (int, unit) Hashtbl.t;
       (* keys seen this window, to enumerate candidates *)
 }
 

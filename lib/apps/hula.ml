@@ -46,7 +46,7 @@ type leaf_state = {
 type t = {
   params : params;
   mode : mode;
-  mutable leaves : (int, leaf_state) Hashtbl.t;
+  leaves : (int, leaf_state) Hashtbl.t;
   origin_times : (int, int list ref) Hashtbl.t; (* leaf -> origination instants *)
   mutable hop_changes : int;
   mutable probes_delivered : int;

@@ -1,5 +1,4 @@
 module Packet = Netcore.Packet
-module Flow = Netcore.Flow
 module Event = Devents.Event
 module Program = Evcore.Program
 module Shared_register = Devents.Shared_register

@@ -9,7 +9,7 @@ type t = {
   mutable detections : detection list;
   mutable count : int;
   mutable bits : int;
-  mutable over : bool array;
+  over : bool array;
 }
 
 let detections t = List.rev t.detections

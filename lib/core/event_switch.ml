@@ -42,14 +42,9 @@ type t = {
   mutable timer_unit : Timer_unit.t option;
   mutable program : Program.t option;
   mutable prog_ctx : Program.ctx option;
-  mutable subscriptions : bool array; (* by cls index: supported && handler present *)
+  subscriptions : bool array; (* by cls index: supported && handler present *)
   mutable base_subscriptions : bool array; (* install-time mask, for re-registration *)
   mutable subscription_toggles : int;
-  (* Epoch-cached metadata dispatch: one persistent closure per class,
-     rebuilt only when the subscription epoch changes (set_subscribed /
-     quarantine), so per-event dispatch is a single array load. *)
-  mutable dispatch : (Event.t -> unit) array; (* by cls index *)
-  mutable dispatch_epoch : int; (* subscription_toggles when built; -1 = stale *)
   (* Pending packet decisions, FIFO. Admission exit times are monotone
      and same-time scheduler posts fire in seq order, so a ring plus
      one persistent callback replaces a closure allocation per packet. *)
@@ -93,85 +88,6 @@ let fire t ev =
   let cls = Event.cls_of ev in
   count_fired t cls;
   if t.subscriptions.(Event.cls_index cls) then ignore (Event_merger.offer_event (get_merger t) ev)
-
-(* Run one metadata handler under its supervision key. [false] when
-   the handler is absent, quarantined, or failed this invocation (the
-   event is then not counted as handled). *)
-let run_handler t cls f ctx arg =
-  Resil.Supervisor.call_unit t.sup t.sup_keys.(Event.cls_index cls) f ctx arg
-
-let dispatch_noop (_ : Event.t) = ()
-
-(* Rebuild the per-class dispatch table for the current subscription
-   epoch. Handler-absent classes get a no-op (the event was queued but
-   has nothing to run — not counted as handled, as before);
-   handler-present classes always route through the supervisor guard so
-   quarantine drop accounting stays exact even while unsubscribed. *)
-let rebuild_dispatch t =
-  t.dispatch_epoch <- t.subscription_toggles;
-  let program = get_program t in
-  let ctx = get_ctx t in
-  let d = t.dispatch in
-  Array.fill d 0 (Array.length d) dispatch_noop;
-  let ix = Event.cls_index in
-  let install cls run =
-    d.(ix cls) <- (fun ev -> if run ev then count_handled t cls)
-  in
-  (match program.Program.enqueue with
-  | None -> ()
-  | Some f ->
-      install Event.Buffer_enqueue (function
-        | Event.Enqueue b -> run_handler t Event.Buffer_enqueue f ctx b
-        | _ -> false));
-  (match program.Program.dequeue with
-  | None -> ()
-  | Some f ->
-      install Event.Buffer_dequeue (function
-        | Event.Dequeue b -> run_handler t Event.Buffer_dequeue f ctx b
-        | _ -> false));
-  (match program.Program.overflow with
-  | None -> ()
-  | Some f ->
-      install Event.Buffer_overflow (function
-        | Event.Overflow b -> run_handler t Event.Buffer_overflow f ctx b
-        | _ -> false));
-  (match program.Program.underflow with
-  | None -> ()
-  | Some f ->
-      install Event.Buffer_underflow (function
-        | Event.Underflow u -> run_handler t Event.Buffer_underflow f ctx u
-        | _ -> false));
-  (match program.Program.transmitted with
-  | None -> ()
-  | Some f ->
-      install Event.Packet_transmitted (function
-        | Event.Transmitted x -> run_handler t Event.Packet_transmitted f ctx x
-        | _ -> false));
-  (match program.Program.timer with
-  | None -> ()
-  | Some f ->
-      install Event.Timer_expiration (function
-        | Event.Timer x -> run_handler t Event.Timer_expiration f ctx x
-        | _ -> false));
-  (match program.Program.link_change with
-  | None -> ()
-  | Some f ->
-      install Event.Link_status_change (function
-        | Event.Link_change l -> run_handler t Event.Link_status_change f ctx l
-        | _ -> false));
-  (match program.Program.control with
-  | None -> ()
-  | Some f ->
-      install Event.Control_plane (function
-        | Event.Control c -> run_handler t Event.Control_plane f ctx c
-        | _ -> false));
-  match program.Program.user with
-  | None -> ()
-  | Some f ->
-      install Event.User_event (function
-        | Event.User u -> run_handler t Event.User_event f ctx u
-        | _ -> false)
-
 
 let set_subscribed t cls on =
   let i = Event.cls_index cls in
@@ -245,6 +161,32 @@ let pop_decision t =
   t.dq_count <- t.dq_count - 1;
   apply_decision t pkt decision
 
+(* Run the program's handler for class [cls], if it has one, under the
+   class's supervision key; count the event handled unless the handler
+   is quarantined or failed this invocation. Handlers run whether or not
+   the class is subscribed right now, so quarantine drop accounting
+   stays exact. *)
+let run_handler t cls handler arg =
+  match handler with
+  | None -> ()
+  | Some f ->
+      let i = Event.cls_index cls in
+      if Resil.Supervisor.call_unit t.sup t.sup_keys.(i) f (get_ctx t) arg then
+        t.handled.(i) <- t.handled.(i) + 1
+
+let handle_event t ev =
+  let p = get_program t in
+  match ev with
+  | Event.Enqueue b -> run_handler t Event.Buffer_enqueue p.Program.enqueue b
+  | Event.Dequeue b -> run_handler t Event.Buffer_dequeue p.Program.dequeue b
+  | Event.Overflow b -> run_handler t Event.Buffer_overflow p.Program.overflow b
+  | Event.Underflow u -> run_handler t Event.Buffer_underflow p.Program.underflow u
+  | Event.Transmitted x -> run_handler t Event.Packet_transmitted p.Program.transmitted x
+  | Event.Timer x -> run_handler t Event.Timer_expiration p.Program.timer x
+  | Event.Link_change l -> run_handler t Event.Link_status_change p.Program.link_change l
+  | Event.Control c -> run_handler t Event.Control_plane p.Program.control c
+  | Event.User u -> run_handler t Event.User_event p.Program.user u
+
 let process_carrier t (carrier : Event_merger.carrier) ~exit_time =
   let pkt = carrier.Event_merger.pkt in
   if not (Packet.is_nil pkt) then begin
@@ -273,10 +215,8 @@ let process_carrier t (carrier : Event_merger.carrier) ~exit_time =
          and is lost — accounted so conservation still balances. *)
       t.supervised_drops <- t.supervised_drops + 1
   end;
-  if t.dispatch_epoch <> t.subscription_toggles then rebuild_dispatch t;
   for i = 0 to carrier.Event_merger.n_events - 1 do
-    let ev = carrier.Event_merger.events.(i) in
-    t.dispatch.(Event.cls_ix_of ev) ev
+    handle_event t carrier.Event_merger.events.(i)
   done
 
 let create ~sched ?(id = 0) ~config ~program () =
@@ -303,8 +243,6 @@ let create ~sched ?(id = 0) ~config ~program () =
       subscriptions = Array.make Event.num_classes false;
       base_subscriptions = Array.make Event.num_classes false;
       subscription_toggles = 0;
-      dispatch = Array.make Event.num_classes dispatch_noop;
-      dispatch_epoch = -1;
       dq_pkt = Array.make 64 Packet.nil;
       dq_dec = Array.make 64 Program.Drop;
       dq_head = 0;
@@ -459,9 +397,9 @@ let create ~sched ?(id = 0) ~config ~program () =
     { config.tm_config with Traffic_manager.num_ports = config.num_ports }
   in
   (* The TM's unboxed event sink: count the fire, gate on the current
-     subscription mask, and write straight into the merger's store —
-     the boxed [fire] path is kept only for the rare timer / link /
-     control / user classes. *)
+     subscription mask, and write straight into the merger's ring — the
+     boxed [fire] path is kept only for the rare timer / link / control
+     / user classes. *)
   let events =
     let ix_tx = Event.cls_index Event.Packet_transmitted in
     let ix_enq = Event.cls_index Event.Buffer_enqueue in

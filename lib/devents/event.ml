@@ -63,15 +63,15 @@ let cls_index = function
 let num_classes = 13
 let cls_equal a b = cls_index a = cls_index b
 
-(* Fields are mutable so the off-heap event store can decode queued
-   events into reused per-class scratch records instead of allocating a
-   fresh record per event. Consumers treat events as read-only. *)
+(* Fields are mutable so the event merger can write queued events into
+   the preallocated slots of its rings instead of allocating a fresh
+   record per event. Consumers treat events as read-only. *)
 type buffer_event = {
   mutable port : int;
   mutable qid : int;
   mutable pkt_len : int;
   mutable flow_id : int;
-  mutable meta : int array;
+  meta : int array;
   mutable occupancy_pkts : int;
   mutable occupancy_bytes : int;
   mutable time : int;
@@ -120,15 +120,3 @@ let cls_of = function
   | Control _ -> Control_plane
   | User _ -> User_event
 
-(* Direct class index, skipping the intermediate [cls] constructor on
-   the dispatch hot path. *)
-let cls_ix_of = function
-  | Enqueue _ -> 5
-  | Dequeue _ -> 6
-  | Overflow _ -> 7
-  | Underflow _ -> 8
-  | Transmitted _ -> 4
-  | Timer _ -> 9
-  | Link_change _ -> 11
-  | Control _ -> 10
-  | User _ -> 12

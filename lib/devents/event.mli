@@ -32,18 +32,19 @@ val cls_equal : cls -> cls -> bool
     (the paper's [enq_meta]/[deq_meta] mechanism). Occupancy fields are
     the port's queue state immediately after the event.
 
-    Fields of every event record are mutable only so that
-    {!Event_store} can decode queued events into reused per-class
-    scratch records without allocating. Handlers must treat delivered
-    events as {b read-only} and copy any field they want to retain past
-    the handler's return — the record (and its [meta] array) is
-    overwritten by the next event of the same class. *)
+    Fields of every event record are mutable only so that the
+    {!Event_merger} can write each queued event into a preallocated
+    slot of its class's ring without allocating. Handlers must treat
+    delivered events as {b read-only} and copy any field they want to
+    retain past the handler's return — after the next admission of the
+    same class, the record (and its [meta] array) may hold a later
+    event. *)
 type buffer_event = {
   mutable port : int;
   mutable qid : int;
   mutable pkt_len : int;
   mutable flow_id : int;
-  mutable meta : int array;
+  meta : int array;
   mutable occupancy_pkts : int;
   mutable occupancy_bytes : int;
   mutable time : int;
@@ -86,6 +87,3 @@ type t =
   | User of user_event
 
 val cls_of : t -> cls
-
-val cls_ix_of : t -> int
-(** [cls_ix_of ev = cls_index (cls_of ev)], in one match. *)

@@ -36,6 +36,83 @@ let priority_ix =
          Event.User_event;
        ])
 
+(* A bounded FIFO: each packet kind's input queue and each event
+   class's queue. Its [capacity + 1] slots are built at the first
+   accepted push, so a switch that never queues an event of a class
+   builds nothing for it. An event ring's slots are the events handlers
+   read: an offer writes its fields into a free slot, and admission
+   hands the slot over as is. While [count <= capacity], the one slot
+   no push can reach is the one taken last, so an admitted event stays
+   intact until the next admission of its class. *)
+type 'a ring = {
+  mutable slots : 'a array; (* [||] until the first accepted push *)
+  blank : unit -> 'a; (* builds one slot *)
+  capacity : int;
+  mutable head : int; (* slot of the oldest element *)
+  mutable count : int;
+  mutable drops : int;
+  mutable hwm : int;
+}
+
+let ring ~capacity blank = { slots = [||]; blank; capacity; head = 0; count = 0; drops = 0; hwm = 0 }
+
+(* Indices that name no slot: [push] returns [full] when the ring is
+   full (the drop counted), and an offer the shedder takes gets
+   [absorbed]. *)
+let full = -1
+let absorbed = -2
+
+(* Count one more element and return the slot it goes in. *)
+let push r =
+  if r.count = r.capacity then begin
+    r.drops <- r.drops + 1;
+    full
+  end
+  else begin
+    if Array.length r.slots = 0 then r.slots <- Array.init (r.capacity + 1) (fun _ -> r.blank ());
+    let i = r.head + r.count in
+    r.count <- r.count + 1;
+    if r.count > r.hwm then r.hwm <- r.count;
+    if i > r.capacity then i - r.capacity - 1 else i
+  end
+
+(* Uncount the oldest element and return its slot; the caller has
+   checked [count > 0]. *)
+let take r =
+  let i = r.head in
+  r.head <- (if i = r.capacity then 0 else i + 1);
+  r.count <- r.count - 1;
+  i
+
+let blank_buffer () =
+  {
+    Event.port = 0;
+    qid = 0;
+    pkt_len = 0;
+    flow_id = 0;
+    meta = Array.make Packet.meta_slots 0;
+    occupancy_pkts = 0;
+    occupancy_bytes = 0;
+    time = 0;
+  }
+
+(* A zeroed event of class [cls]: what its ring's slots start as. *)
+let blank_event cls () =
+  match cls with
+  | Event.Buffer_enqueue -> Event.Enqueue (blank_buffer ())
+  | Event.Buffer_dequeue -> Event.Dequeue (blank_buffer ())
+  | Event.Buffer_overflow -> Event.Overflow (blank_buffer ())
+  | Event.Buffer_underflow -> Event.Underflow { Event.port = 0; qid = 0; time = 0 }
+  | Event.Packet_transmitted -> Event.Transmitted { Event.port = 0; pkt_len = 0; flow_id = 0; time = 0 }
+  | Event.Timer_expiration ->
+      Event.Timer { Event.id = 0; period = 0; scheduled = 0; fired = 0; count = 0 }
+  | Event.Link_status_change -> Event.Link_change { Event.port = 0; up = false; time = 0 }
+  | Event.Control_plane -> Event.Control { Event.opcode = 0; arg = 0; time = 0 }
+  | Event.User_event -> Event.User { Event.tag = 0; data = 0; time = 0 }
+  | Event.Ingress_packet | Event.Egress_packet | Event.Recirculated_packet | Event.Generated_packet
+    ->
+      invalid_arg "Event_merger: packets queue apart from events"
+
 type t = {
   sched : Scheduler.t;
   pipeline : Pipeline.t;
@@ -43,8 +120,10 @@ type t = {
   process : carrier -> exit_time:Eventsim.Sim_time.t -> unit;
   (* Packet input queues by kind priority: ingress, recirculated,
      generated. *)
-  pkt_queues : Packet.t Event_queue.t array;
-  store : Event_store.t; (* queued metadata events, off-heap SoA rings *)
+  packets : Packet.t ring array;
+  events : Event.t ring array; (* by class index; packet classes stay empty *)
+  mutable packets_waiting : int;
+  mutable events_waiting : int;
   carrier : carrier;
   mutable admission_armed : bool;
   mutable admit_cb : unit -> unit; (* persistent; posted once per carrier *)
@@ -58,40 +137,28 @@ type t = {
 let kind_index = function Ingress -> 0 | Recirculated -> 1 | Generated -> 2
 let kind_of_index = function 0 -> Ingress | 1 -> Recirculated | _ -> Generated
 
-(* Manual loop: [Array.fold_left] makes an indirect call per queue, and
-   this runs two or three times per admitted carrier ([has_work] from
-   both [admit] and [arm], plus shedder depth probes). *)
-let packets_waiting t =
-  let qs = t.pkt_queues in
-  let acc = ref 0 in
-  for i = 0 to Array.length qs - 1 do
-    acc := !acc + Event_queue.length (Array.unsafe_get qs i)
-  done;
-  !acc
-let events_waiting t = Event_store.total t.store
-let has_work t = packets_waiting t > 0 || events_waiting t > 0
+let packets_waiting t = t.packets_waiting
+let events_waiting t = t.events_waiting
+let has_work t = t.packets_waiting > 0 || t.events_waiting > 0
 
-(* Refill the scratch carrier's packet slot from the highest-priority
-   non-empty kind queue ([Packet.nil] when all are empty). *)
-let fill_packet t =
-  let c = t.carrier in
-  let rec go k =
-    if k >= Array.length t.pkt_queues then c.pkt <- Packet.nil
+(* Move the oldest packet of the highest-priority non-empty kind from
+   [k] on onto the carrier ([Packet.nil] when all are empty). *)
+let rec fill_packet t k =
+  if k = Array.length t.packets then t.carrier.pkt <- Packet.nil
+  else begin
+    let r = t.packets.(k) in
+    if r.count = 0 then fill_packet t (k + 1)
     else begin
-      let pkt = Event_queue.pop_or t.pkt_queues.(k) ~default:Packet.nil in
-      if Packet.is_nil pkt then go (k + 1)
-      else begin
-        c.kind <- kind_of_index k;
-        c.pkt <- pkt
-      end
+      let i = take r in
+      t.carrier.kind <- kind_of_index k;
+      t.carrier.pkt <- r.slots.(i);
+      r.slots.(i) <- Packet.nil;
+      t.packets_waiting <- t.packets_waiting - 1
     end
-  in
-  go 0
+  end
 
 (* Collect up to the metadata-bus limit of events, one per class, in
-   priority order. Each collected event decodes into its class's
-   scratch record, and a carrier holds at most one event per class, so
-   the slots never alias. *)
+   priority order. *)
 let collect_events t =
   let c = t.carrier in
   c.n_events <- 0;
@@ -99,10 +166,11 @@ let collect_events t =
   let n = Array.length priority_ix in
   let i = ref 0 in
   while c.n_events < limit && !i < n do
-    let ix = Array.unsafe_get priority_ix !i in
-    if Event_store.length t.store ~cls_ix:ix > 0 then begin
-      c.events.(c.n_events) <- Event_store.take t.store ~cls_ix:ix;
-      c.n_events <- c.n_events + 1
+    let r = t.events.(Array.unsafe_get priority_ix !i) in
+    if r.count > 0 then begin
+      c.events.(c.n_events) <- r.slots.(take r);
+      c.n_events <- c.n_events + 1;
+      t.events_waiting <- t.events_waiting - 1
     end;
     incr i
   done
@@ -118,7 +186,7 @@ and admit t =
   t.admission_armed <- false;
   if has_work t then begin
     let c = t.carrier in
-    fill_packet t;
+    fill_packet t 0;
     collect_events t;
     let has_packet = not (Packet.is_nil c.pkt) in
     if has_packet then t.piggybacked <- t.piggybacked + c.n_events
@@ -134,23 +202,27 @@ and admit t =
 let create ~sched ~pipeline ?(config = default_config) ~process () =
   if config.max_events_per_carrier <= 0 then
     invalid_arg "Event_merger: max_events_per_carrier must be positive";
-  (* Inert filler for the carrier's event slots; process only reads
-     slots below [n_events]. *)
-  let filler = Event.Underflow { Event.port = 0; qid = 0; time = 0 } in
+  if config.event_queue_capacity <= 0 then
+    invalid_arg "Event_merger: event_queue_capacity must be positive";
   let t =
     {
       sched;
       pipeline;
       config;
       process;
-      pkt_queues =
-        Array.init 3 (fun _ -> Event_queue.create ~capacity:packet_queue_capacity);
-      store = Event_store.create ~capacity:config.event_queue_capacity ();
+      packets =
+        Array.init 3 (fun _ -> ring ~capacity:packet_queue_capacity (fun () -> Packet.nil));
+      events =
+        Array.of_list
+          (List.map (fun cls -> ring ~capacity:config.event_queue_capacity (blank_event cls))
+             Event.all_classes);
+      packets_waiting = 0;
+      events_waiting = 0;
       carrier =
         {
           kind = Ingress;
           pkt = Packet.nil;
-          events = Array.make config.max_events_per_carrier filler;
+          events = Array.make config.max_events_per_carrier (blank_event Event.Buffer_underflow ());
           n_events = 0;
         };
       admission_armed = false;
@@ -175,7 +247,7 @@ let kind_cls_index = function
 let shed t ~cls =
   match t.shedder with
   | None -> false
-  | Some s -> Resil.Shedder.offer s ~depth:(packets_waiting t + events_waiting t) ~cls
+  | Some s -> Resil.Shedder.offer s ~depth:(t.packets_waiting + t.events_waiting) ~cls
 
 let offer_packet t kind pkt =
   if shed t ~cls:(kind_cls_index kind) then begin
@@ -183,60 +255,124 @@ let offer_packet t kind pkt =
     false
   end
   else begin
-    let ok = Event_queue.push t.pkt_queues.(kind_index kind) pkt in
-    if ok then arm t;
-    ok
+    let r = t.packets.(kind_index kind) in
+    let i = push r in
+    if i <> full then begin
+      r.slots.(i) <- pkt;
+      t.packets_waiting <- t.packets_waiting + 1;
+      arm t
+    end;
+    i <> full
   end
 
-(* {2 Unboxed event offers (the traffic-manager hot path)} *)
+(* {2 Event offers}
+
+   [claim] picks the slot an offer of class [cls_ix] writes its fields
+   into; [queued] then counts it and returns the offer's result, which
+   is [false] only when the class ring was full. *)
+
+let claim t cls_ix =
+  if shed t ~cls:cls_ix then begin
+    t.shed_events <- t.shed_events + 1;
+    absorbed
+  end
+  else push t.events.(cls_ix)
+
+let queued t i =
+  if i >= 0 then begin
+    t.events_waiting <- t.events_waiting + 1;
+    arm t
+  end;
+  i <> full
+
+let ix_enqueue = Event.cls_index Event.Buffer_enqueue
+let ix_dequeue = Event.cls_index Event.Buffer_dequeue
+let ix_overflow = Event.cls_index Event.Buffer_overflow
+let ix_underflow = Event.cls_index Event.Buffer_underflow
+let ix_transmitted = Event.cls_index Event.Packet_transmitted
 
 let offer_buffer t ~cls_ix ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts ~occupancy_bytes
     ~time =
-  if shed t ~cls:cls_ix then begin
-    t.shed_events <- t.shed_events + 1;
-    true
-  end
-  else begin
-    let ok =
-      Event_store.push_buffer t.store ~cls_ix ~port ~qid ~pkt_len ~flow_id ~meta ~occupancy_pkts
-        ~occupancy_bytes ~time
-    in
-    if ok then arm t;
-    ok
-  end
+  if cls_ix <> ix_enqueue && cls_ix <> ix_dequeue && cls_ix <> ix_overflow then
+    invalid_arg "Event_merger.offer_buffer: cls_ix is not a buffer class";
+  if Array.length meta <> Packet.meta_slots then
+    invalid_arg "Event_merger.offer_buffer: meta is not Packet.meta_slots long";
+  let i = claim t cls_ix in
+  (if i >= 0 then
+     match t.events.(cls_ix).slots.(i) with
+     | Event.Enqueue b | Event.Dequeue b | Event.Overflow b ->
+         b.Event.port <- port;
+         b.Event.qid <- qid;
+         b.Event.pkt_len <- pkt_len;
+         b.Event.flow_id <- flow_id;
+         b.Event.occupancy_pkts <- occupancy_pkts;
+         b.Event.occupancy_bytes <- occupancy_bytes;
+         b.Event.time <- time;
+         for k = 0 to Packet.meta_slots - 1 do
+           Array.unsafe_set b.Event.meta k (Array.unsafe_get meta k)
+         done
+     | _ -> assert false);
+  queued t i
 
 let offer_underflow t ~port ~qid ~time =
-  if shed t ~cls:(Event.cls_index Event.Buffer_underflow) then begin
-    t.shed_events <- t.shed_events + 1;
-    true
-  end
-  else begin
-    let ok = Event_store.push_underflow t.store ~port ~qid ~time in
-    if ok then arm t;
-    ok
-  end
+  let i = claim t ix_underflow in
+  (if i >= 0 then
+     match t.events.(ix_underflow).slots.(i) with
+     | Event.Underflow u ->
+         u.Event.port <- port;
+         u.Event.qid <- qid;
+         u.Event.time <- time
+     | _ -> assert false);
+  queued t i
 
 let offer_transmitted t ~port ~pkt_len ~flow_id ~time =
-  if shed t ~cls:(Event.cls_index Event.Packet_transmitted) then begin
-    t.shed_events <- t.shed_events + 1;
-    true
-  end
-  else begin
-    let ok = Event_store.push_transmitted t.store ~port ~pkt_len ~flow_id ~time in
-    if ok then arm t;
-    ok
-  end
+  let i = claim t ix_transmitted in
+  (if i >= 0 then
+     match t.events.(ix_transmitted).slots.(i) with
+     | Event.Transmitted x ->
+         x.Event.port <- port;
+         x.Event.pkt_len <- pkt_len;
+         x.Event.flow_id <- flow_id;
+         x.Event.time <- time
+     | _ -> assert false);
+  queued t i
 
 let offer_event t ev =
-  if shed t ~cls:(Event.cls_ix_of ev) then begin
-    t.shed_events <- t.shed_events + 1;
-    true
-  end
-  else begin
-    let ok = Event_store.push t.store ev in
-    if ok then arm t;
-    ok
-  end
+  match ev with
+  | Event.Enqueue b | Event.Dequeue b | Event.Overflow b ->
+      offer_buffer t ~cls_ix:(Event.cls_index (Event.cls_of ev)) ~port:b.Event.port
+        ~qid:b.Event.qid ~pkt_len:b.Event.pkt_len ~flow_id:b.Event.flow_id ~meta:b.Event.meta
+        ~occupancy_pkts:b.Event.occupancy_pkts ~occupancy_bytes:b.Event.occupancy_bytes
+        ~time:b.Event.time
+  | Event.Underflow u -> offer_underflow t ~port:u.Event.port ~qid:u.Event.qid ~time:u.Event.time
+  | Event.Transmitted x ->
+      offer_transmitted t ~port:x.Event.port ~pkt_len:x.Event.pkt_len ~flow_id:x.Event.flow_id
+        ~time:x.Event.time
+  | Event.Timer _ | Event.Link_change _ | Event.Control _ | Event.User _ ->
+      let cls_ix = Event.cls_index (Event.cls_of ev) in
+      let i = claim t cls_ix in
+      (if i >= 0 then
+         match (ev, t.events.(cls_ix).slots.(i)) with
+         | Event.Timer e, Event.Timer s ->
+             s.Event.id <- e.Event.id;
+             s.Event.period <- e.Event.period;
+             s.Event.scheduled <- e.Event.scheduled;
+             s.Event.fired <- e.Event.fired;
+             s.Event.count <- e.Event.count
+         | Event.Link_change e, Event.Link_change s ->
+             s.Event.port <- e.Event.port;
+             s.Event.up <- e.Event.up;
+             s.Event.time <- e.Event.time
+         | Event.Control e, Event.Control s ->
+             s.Event.opcode <- e.Event.opcode;
+             s.Event.arg <- e.Event.arg;
+             s.Event.time <- e.Event.time
+         | Event.User e, Event.User s ->
+             s.Event.tag <- e.Event.tag;
+             s.Event.data <- e.Event.data;
+             s.Event.time <- e.Event.time
+         | _ -> assert false);
+      queued t i
 
 let set_shedder t s = t.shedder <- Some s
 let shedder t = t.shedder
@@ -288,9 +424,9 @@ let piggybacked_events t = t.piggybacked
 let event_drops t =
   List.filter_map
     (fun cls ->
-      let d = Event_store.dropped t.store ~cls_ix:(Event.cls_index cls) in
+      let d = t.events.(Event.cls_index cls).drops in
       if d > 0 then Some (cls, d) else None)
     Event.all_classes
 
-let packet_drops t = Array.fold_left (fun acc q -> acc + Event_queue.dropped q) 0 t.pkt_queues
-let queue_high_watermark t cls = Event_store.high_watermark t.store ~cls_ix:(Event.cls_index cls)
+let packet_drops t = Array.fold_left (fun acc r -> acc + r.drops) 0 t.packets
+let queue_high_watermark t cls = t.events.(Event.cls_index cls).hwm

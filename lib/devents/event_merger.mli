@@ -16,17 +16,22 @@
     plane, overflow, underflow, dequeue, enqueue, transmitted, user.
     Each packet kind's input queue holds 256 packets.
 
-    Queued metadata events live off-heap in an {!Event_store} (flat
-    struct-of-arrays rings), and the carrier handed to [process] is a
-    single reused scratch record — steady-state admission allocates
-    zero minor words. *)
+    Every queue is one bounded ring. An event class's ring holds
+    [event_queue_capacity + 1] preallocated {!Event.t} values, built at
+    the class's first accepted offer: an offer writes its fields into a
+    free slot, and admission puts that slot's event on the carrier as
+    is. The spare slot keeps an admitted event intact until the next
+    admission of its class, even while its handler offers more events
+    of that class. The carrier handed to [process] is a single reused
+    record. Once a class's ring is built, neither an offer nor an
+    admission allocates. *)
 
 type packet_kind = Ingress | Recirculated | Generated
 
 (** The merger's reused scratch carrier: valid only for the duration of
-    the [process] callback, after which both the packet slot and the
-    event slots (per-class scratch records of the event store) are
-    recycled. Copy anything you retain. *)
+    the [process] callback, after which its packet slot is recycled.
+    Each event on it stays intact until the next admission of its
+    class. Copy anything you retain. *)
 type carrier = {
   mutable kind : packet_kind;  (** meaningful only when [pkt] is not nil *)
   mutable pkt : Netcore.Packet.t;  (** {!Netcore.Packet.nil} for an empty carrier *)
@@ -61,15 +66,15 @@ val offer_event : t -> Event.t -> bool
 (** [false] when that class's event queue overflowed (event lost,
     counted). A shed event returns [true] — it was deliberately
     absorbed, not lost to overflow — and is counted in
-    {!events_shed}. Field values are snapshotted into the store; the
-    event itself is not retained. *)
+    {!events_shed}. Field values are copied into a slot of the class's
+    ring; the event itself is not retained. *)
 
 (** {1 Unboxed offers}
 
     Same semantics as {!offer_event} for the high-volume buffer and
     transmit classes, taking plain fields instead of a boxed event —
-    these write straight into the store's rings and allocate nothing.
-    [meta] is snapshotted at offer time. *)
+    these write straight into a ring slot and allocate nothing. [meta]
+    is copied at offer time. *)
 
 val offer_buffer :
   t ->
@@ -84,7 +89,11 @@ val offer_buffer :
   time:int ->
   bool
 (** [cls_ix] is the {!Event.cls_index} of [Buffer_enqueue],
-    [Buffer_dequeue] or [Buffer_overflow]. *)
+    [Buffer_dequeue] or [Buffer_overflow], and [meta] is
+    [Netcore.Packet.meta_slots] long.
+
+    @raise Invalid_argument otherwise, before any queue or counter
+    changes. *)
 
 val offer_underflow : t -> port:int -> qid:int -> time:int -> bool
 val offer_transmitted : t -> port:int -> pkt_len:int -> flow_id:int -> time:int -> bool

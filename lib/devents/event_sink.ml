@@ -1,7 +1,7 @@
 (* Unboxed event sink: the traffic manager reports buffer/transmit
    activity by calling these labelled entry points with plain int
-   fields, so the hot TM -> switch -> merger -> event-store path never
-   materialises a boxed [Event.t]. *)
+   fields, so the hot TM -> switch -> merger path never materialises a
+   boxed [Event.t]. *)
 
 type t = {
   enqueue :

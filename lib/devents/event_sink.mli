@@ -5,8 +5,8 @@
     copied meta array) per enqueue/dequeue/transmit. A sink instead
     carries one labelled entry point per event shape, so producers pass
     plain int fields and the consumer decides — usually by writing them
-    straight into an {!Event_store} ring — without any intermediate
-    boxing.
+    straight into a slot of the {!Event_merger}'s ring for that class —
+    without any intermediate boxing.
 
     The [meta] array argument is only borrowed for the duration of the
     call: implementations must snapshot it if they retain it, and

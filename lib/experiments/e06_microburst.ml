@@ -10,7 +10,6 @@
 
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
-module Packet = Netcore.Packet
 module Flow = Netcore.Flow
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch

@@ -10,7 +10,6 @@
    All variants run on the same event architecture so only the probe
    mechanism differs. *)
 
-module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Arch = Evcore.Arch
 module Event_switch = Evcore.Event_switch

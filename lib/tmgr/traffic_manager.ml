@@ -1,7 +1,6 @@
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Packet = Netcore.Packet
-module Event = Devents.Event
 
 type policy = Fifo | Pifo_sched
 

@@ -1,15 +1,13 @@
-(* Tests for the event substrate: event queues, timer unit, packet
-   generator, event merger, shared registers (incl. Figure 3
+(* Tests for the event substrate: timer unit, packet generator, event
+   merger and its queues, shared registers (incl. Figure 3
    aggregation). *)
 
 module Scheduler = Eventsim.Scheduler
 module Sim_time = Eventsim.Sim_time
 module Event = Devents.Event
-module Event_queue = Devents.Event_queue
 module Timer_unit = Devents.Timer_unit
 module Packet_gen = Devents.Packet_gen
 module Event_merger = Devents.Event_merger
-module Event_store = Devents.Event_store
 module Shared_register = Devents.Shared_register
 module Pipeline = Pisa.Pipeline
 
@@ -20,17 +18,6 @@ let test_event_classes () =
   let seen = Array.make Event.num_classes false in
   List.iter (fun c -> seen.(Event.cls_index c) <- true) Event.all_classes;
   Alcotest.(check bool) "bijection" true (Array.for_all Fun.id seen)
-
-let test_event_queue_bounds () =
-  let q = Event_queue.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Event_queue.push q 1);
-  Alcotest.(check bool) "push 2" true (Event_queue.push q 2);
-  Alcotest.(check bool) "push 3 drops" false (Event_queue.push q 3);
-  Alcotest.(check int) "dropped" 1 (Event_queue.dropped q);
-  Alcotest.(check int) "fifo" 1 (Event_queue.pop_or q ~default:0);
-  Alcotest.(check int) "one left" 1 (Event_queue.length q);
-  Alcotest.(check int) "then the second" 2 (Event_queue.pop_or q ~default:0);
-  Alcotest.(check int) "empty gives the default" 0 (Event_queue.pop_or q ~default:0)
 
 let test_timer_quantisation () =
   let sched = Scheduler.create () in
@@ -287,7 +274,7 @@ let test_merger_packet_queue_capacity () =
   Alcotest.(check int) "every queued packet admitted" 257 (List.length !carriers);
   Alcotest.(check int) "nothing left" 0 (Event_merger.packets_waiting merger)
 
-(* A buffer event's metadata rides inline in the event store's row, so
+(* A buffer event's metadata is copied into its ring slot's array, so
    it must be [Packet.meta_slots] long; any other length is refused
    before anything is queued. *)
 let test_merger_rejects_odd_meta () =
@@ -297,7 +284,7 @@ let test_merger_rejects_odd_meta () =
       ~pkt_len:100 ~flow_id:1 ~meta ~occupancy_pkts:1 ~occupancy_bytes:100 ~time:0
   in
   Alcotest.check_raises "short meta"
-    (Invalid_argument "Event_store.push_buffer: meta is not Packet.meta_slots long") (fun () ->
+    (Invalid_argument "Event_merger.offer_buffer: meta is not Packet.meta_slots long") (fun () ->
       ignore (offer [| 1; 2 |] : bool));
   Alcotest.(check int) "nothing queued" 0 (Event_merger.events_waiting merger);
   Alcotest.(check bool) "full-length meta accepted" true
@@ -353,11 +340,9 @@ let describe ev =
   | Event.Control c -> Printf.sprintf "%s op=%d arg=%d t=%d" name c.Event.opcode c.Event.arg c.Event.time
   | Event.User u -> Printf.sprintf "%s tag=%d data=%d t=%d" name u.Event.tag u.Event.data u.Event.time
 
-let test_merger_first_push_every_class () =
-  (* The event store builds a class's ring at its first accepted push.
-     One event of each of the nine metadata classes, offered to a fresh
-     merger through every entry point, must be admitted in priority
-     order with its fields intact. *)
+(* A merger that records [describe] of every admitted event, oldest
+   first. *)
+let describing_merger () =
   let sched = Scheduler.create () in
   let pipeline = Pipeline.create ~sched () in
   let seen = ref [] in
@@ -369,6 +354,32 @@ let test_merger_first_push_every_class () =
         done)
       ()
   in
+  (sched, merger, fun () -> List.rev !seen)
+
+let buffer_event ~meta =
+  {
+    Event.port = 3;
+    qid = 0;
+    pkt_len = 1500;
+    flow_id = 77;
+    meta;
+    occupancy_pkts = 2;
+    occupancy_bytes = 3000;
+    time = 42;
+  }
+
+let offer_buffer_event merger ~cls_ix (b : Event.buffer_event) =
+  Event_merger.offer_buffer merger ~cls_ix ~port:b.Event.port ~qid:b.Event.qid
+    ~pkt_len:b.Event.pkt_len ~flow_id:b.Event.flow_id ~meta:b.Event.meta
+    ~occupancy_pkts:b.Event.occupancy_pkts ~occupancy_bytes:b.Event.occupancy_bytes
+    ~time:b.Event.time
+
+let test_merger_first_push_every_class () =
+  (* The merger builds a class's ring at its first accepted offer.
+     One event of each of the nine metadata classes, offered to a fresh
+     merger through every entry point, must be admitted in priority
+     order with its fields intact. *)
+  let sched, merger, seen = describing_merger () in
   let buffer cls =
     let i = Event.cls_index cls in
     { Event.port = i; qid = i + 1; pkt_len = 64 + i; flow_id = 100 + i;
@@ -409,10 +420,7 @@ let test_merger_first_push_every_class () =
       let accepted =
         match ev with
         | Event.Enqueue b | Event.Dequeue b | Event.Overflow b ->
-            Event_merger.offer_buffer merger ~cls_ix:(Event.cls_ix_of ev) ~port:b.Event.port
-              ~qid:b.Event.qid ~pkt_len:b.Event.pkt_len ~flow_id:b.Event.flow_id
-              ~meta:b.Event.meta ~occupancy_pkts:b.Event.occupancy_pkts
-              ~occupancy_bytes:b.Event.occupancy_bytes ~time:b.Event.time
+            offer_buffer_event merger ~cls_ix:(Event.cls_index (Event.cls_of ev)) b
         | Event.Underflow u ->
             Event_merger.offer_underflow merger ~port:u.Event.port ~qid:u.Event.qid
               ~time:u.Event.time
@@ -425,70 +433,111 @@ let test_merger_first_push_every_class () =
       Alcotest.(check bool) ("accepted " ^ describe ev) true accepted)
     events;
   Scheduler.run sched;
-  Alcotest.(check (list string)) "admitted in priority order, intact" expected (List.rev !seen)
+  Alcotest.(check (list string)) "admitted in priority order, intact" expected (seen ())
 
-(* A buffer event's [meta] is copied into the ring at push time: the
-   caller may reuse its array, and [take] hands back the pushed values
-   with every other field. *)
-let test_store_snapshots_meta () =
-  let store = Event_store.create ~capacity:4 () in
-  let enq = Event.cls_index Event.Buffer_enqueue in
-  let pushed = Array.init Netcore.Packet.meta_slots (fun i -> 10 * (i + 1)) in
-  let meta = Array.copy pushed in
+(* A buffer event's [meta] is copied into its ring slot at offer time:
+   the caller may reuse its array, and admission hands over the offered
+   values with every other field. *)
+let test_merger_copies_meta () =
+  let sched, merger, seen = describing_merger () in
+  let offered = Array.init Netcore.Packet.meta_slots (fun i -> 10 * (i + 1)) in
+  let b = buffer_event ~meta:(Array.copy offered) in
   Alcotest.(check bool) "accepted" true
-    (Event_store.push_buffer store ~cls_ix:enq ~port:3 ~qid:0 ~pkt_len:1500 ~flow_id:77 ~meta
-       ~occupancy_pkts:2 ~occupancy_bytes:3000 ~time:42);
-  Array.fill meta 0 (Array.length meta) (-1);
-  match Event_store.take store ~cls_ix:enq with
-  | Event.Enqueue b ->
-      Alcotest.(check (array int)) "meta as pushed" pushed b.Event.meta;
-      Alcotest.(check (list int))
-        "port, qid, len, flow, occupancy, time" [ 3; 0; 1500; 77; 2; 3000; 42 ]
-        [
-          b.Event.port;
-          b.Event.qid;
-          b.Event.pkt_len;
-          b.Event.flow_id;
-          b.Event.occupancy_pkts;
-          b.Event.occupancy_bytes;
-          b.Event.time;
-        ]
-  | ev -> Alcotest.failf "decoded as %s" (Event.cls_name (Event.cls_of ev))
+    (offer_buffer_event merger ~cls_ix:(Event.cls_index Event.Buffer_enqueue) b);
+  Array.fill b.Event.meta 0 (Array.length b.Event.meta) (-1);
+  Scheduler.run sched;
+  Alcotest.(check (list string))
+    "fields and meta as offered"
+    [ describe (Event.Enqueue (buffer_event ~meta:offered)) ]
+    (seen ())
 
-(* One bounded FIFO ring per class: a full ring refuses and counts the
-   push without touching another class, and the high-water mark
-   outlives the drain. *)
-let test_store_rings_per_class () =
-  let store = Event_store.create ~capacity:2 () in
-  let timer = Event.cls_index Event.Timer_expiration in
-  let link = Event.cls_index Event.Link_status_change in
+(* [offer_buffer] takes only the three buffer classes: any other class
+   index raises before anything is queued or counted, and a valid offer
+   after it is admitted intact. *)
+let test_merger_offer_buffer_checks_class () =
+  let sched, merger, seen = describing_merger () in
+  let b = buffer_event ~meta:(Array.make Netcore.Packet.meta_slots 7) in
+  List.iter
+    (fun cls ->
+      Alcotest.check_raises (Event.cls_name cls)
+        (Invalid_argument "Event_merger.offer_buffer: cls_ix is not a buffer class") (fun () ->
+          ignore (offer_buffer_event merger ~cls_ix:(Event.cls_index cls) b : bool));
+      Alcotest.(check int) "nothing queued" 0 (Event_merger.events_waiting merger))
+    [ Event.Ingress_packet; Event.Packet_transmitted ];
+  Alcotest.(check bool) "a dequeue event accepted" true
+    (offer_buffer_event merger ~cls_ix:(Event.cls_index Event.Buffer_dequeue) b);
+  Scheduler.run sched;
+  Alcotest.(check (list string)) "admitted intact" [ describe (Event.Dequeue b) ] (seen ());
+  Alcotest.(check (list (pair string int)))
+    "no drops" []
+    (List.map (fun (c, n) -> (Event.cls_name c, n)) (Event_merger.event_drops merger))
+
+(* Every merger queue is a bounded FIFO: a packet kind holds 256 and an
+   event class [event_queue_capacity]. A full queue refuses and counts
+   the offer, and what it holds is admitted oldest first. *)
+let test_merger_queue_bounds () =
+  let config = { Event_merger.default_config with Event_merger.event_queue_capacity = 2 } in
+  let sched = Scheduler.create () in
+  let pipeline = Pipeline.create ~sched () in
+  let uids = ref [] and timers = ref [] in
+  let merger =
+    Event_merger.create ~sched ~pipeline ~config
+      ~process:(fun c ~exit_time:_ ->
+        let pkt = c.Event_merger.pkt in
+        if not (Netcore.Packet.is_nil pkt) then uids := pkt.Netcore.Packet.uid :: !uids;
+        for i = 0 to c.Event_merger.n_events - 1 do
+          match c.Event_merger.events.(i) with
+          | Event.Timer x -> timers := x.Event.count :: !timers
+          | _ -> ()
+        done)
+      ()
+  in
+  let pkts = List.init 257 (fun _ -> mk_pkt ()) in
+  let accepted = List.map (Event_merger.offer_packet merger Event_merger.Ingress) pkts in
+  Alcotest.(check int) "256 packets accepted" 256 (List.length (List.filter Fun.id accepted));
   Alcotest.(check (list bool))
     "third timer refused" [ true; true; false ]
-    (List.map (fun n -> Event_store.push store (timer_ev n)) [ 1; 2; 3 ]);
-  Alcotest.(check bool) "another class still fits" true
-    (Event_store.push store (Event.Link_change { Event.port = 2; up = true; time = 5 }));
+    (List.map (fun n -> Event_merger.offer_event merger (timer_ev n)) [ 1; 2; 3 ]);
+  Alcotest.(check int) "packet drop counted" 1 (Event_merger.packet_drops merger);
+  Alcotest.(check (list (pair string int)))
+    "timer drop counted" [ ("timer-expiration", 1) ]
+    (List.map (fun (c, n) -> (Event.cls_name c, n)) (Event_merger.event_drops merger));
+  Scheduler.run sched;
   Alcotest.(check (list int))
-    "timer length, dropped, hwm; link dropped; total" [ 2; 1; 2; 0; 3 ]
+    "packets oldest first"
+    (List.filteri (fun i _ -> i < 256) (List.map (fun p -> p.Netcore.Packet.uid) pkts))
+    (List.rev !uids);
+  Alcotest.(check (list int)) "timers oldest first" [ 1; 2 ] (List.rev !timers)
+
+(* One bounded ring per class: a full ring refuses the offer without
+   touching another class, and the high-water mark outlives the drain.
+   Packet classes queue apart and read 0. *)
+let test_merger_rings_per_class () =
+  let config = { Event_merger.default_config with Event_merger.event_queue_capacity = 2 } in
+  let sched, _p, merger, _carriers = merger_fixture ~config () in
+  let hwm cls = Event_merger.queue_high_watermark merger cls in
+  List.iter (fun n -> ignore (Event_merger.offer_event merger (timer_ev n) : bool)) [ 1; 2; 3 ];
+  Alcotest.(check bool) "another class still fits" true
+    (Event_merger.offer_event merger (Event.Link_change { Event.port = 2; up = true; time = 5 }));
+  ignore (Event_merger.offer_packet merger Event_merger.Ingress (mk_pkt ()) : bool);
+  Alcotest.(check (list int))
+    "timer hwm, link hwm, ingress hwm; events and packets waiting" [ 2; 1; 0; 3; 1 ]
     [
-      Event_store.length store ~cls_ix:timer;
-      Event_store.dropped store ~cls_ix:timer;
-      Event_store.high_watermark store ~cls_ix:timer;
-      Event_store.dropped store ~cls_ix:link;
-      Event_store.total store;
+      hwm Event.Timer_expiration;
+      hwm Event.Link_status_change;
+      hwm Event.Ingress_packet;
+      Event_merger.events_waiting merger;
+      Event_merger.packets_waiting merger;
     ];
-  let take_count () =
-    match Event_store.take store ~cls_ix:timer with
-    | Event.Timer t -> t.Event.count
-    | ev -> Alcotest.failf "decoded as %s" (Event.cls_name (Event.cls_of ev))
-  in
-  let first = take_count () in
-  let second = take_count () in
-  Alcotest.(check (list int)) "oldest first" [ 1; 2 ] [ first; second ];
-  Alcotest.(check (pair int int)) "drained, hwm kept" (0, 2)
-    (Event_store.length store ~cls_ix:timer, Event_store.high_watermark store ~cls_ix:timer);
-  Alcotest.check_raises "empty class"
-    (Invalid_argument "Event_store.take: class queue is empty") (fun () ->
-      ignore (Event_store.take store ~cls_ix:timer : Event.t))
+  Scheduler.run sched;
+  Alcotest.(check (list int))
+    "drained, hwm kept" [ 0; 0; 2; 1 ]
+    [
+      Event_merger.events_waiting merger;
+      Event_merger.packets_waiting merger;
+      hwm Event.Timer_expiration;
+      hwm Event.Link_status_change;
+    ]
 
 (* --- Shared registers --- *)
 
@@ -604,7 +653,6 @@ let qcheck_aggregated_matches_multiport =
 let suite =
   [
     Alcotest.test_case "event classes (Table 1)" `Quick test_event_classes;
-    Alcotest.test_case "event queue bounds" `Quick test_event_queue_bounds;
     Alcotest.test_case "timer quantisation" `Quick test_timer_quantisation;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
     Alcotest.test_case "timers per id" `Quick test_timers_per_id;
@@ -623,8 +671,11 @@ let suite =
     Alcotest.test_case "merger drop accounting" `Quick test_merger_event_drop_accounting;
     Alcotest.test_case "merger first push of every class" `Quick
       test_merger_first_push_every_class;
-    Alcotest.test_case "event store snapshots meta" `Quick test_store_snapshots_meta;
-    Alcotest.test_case "event store rings per class" `Quick test_store_rings_per_class;
+    Alcotest.test_case "merger queue bounds" `Quick test_merger_queue_bounds;
+    Alcotest.test_case "merger copies meta at offer" `Quick test_merger_copies_meta;
+    Alcotest.test_case "merger rings per class" `Quick test_merger_rings_per_class;
+    Alcotest.test_case "merger offer_buffer checks its class" `Quick
+      test_merger_offer_buffer_checks_class;
     Alcotest.test_case "multiport immediate" `Quick test_multiport_immediate;
     Alcotest.test_case "aggregated coalesce+drain" `Quick test_aggregated_coalesce_and_drain;
     Alcotest.test_case "aggregated conservation" `Quick test_aggregated_conservation;

@@ -619,6 +619,54 @@ let test_user_events_masked_on_sume () =
   Alcotest.(check int) "fired" 1 (Event_switch.fired sw Event.User_event);
   Alcotest.(check int) "masked" 0 !got
 
+(* A handler reads its event where the merger queued it, so the event
+   must stay intact while the handler queues one more of its class into
+   a ring that was full at admission. *)
+let test_user_event_survives_own_emit () =
+  let sched = Scheduler.create () in
+  let read = ref [] in
+  let program _ctx =
+    Program.make ~name:"echo"
+      ~ingress:(fun _ctx _pkt -> Program.Drop)
+      ~user:(fun ctx (ev : Event.user_event) ->
+        if ev.Event.tag = 0 then ctx.Program.emit_user_event ~tag:1000 ~data:(-1);
+        read := (ev.Event.tag, ev.Event.data) :: !read)
+      ()
+  in
+  let sw = make_switch ~sched program in
+  let capacity = Devents.Event_merger.default_config.Devents.Event_merger.event_queue_capacity in
+  let ctx = Event_switch.ctx sw in
+  for tag = 0 to capacity - 1 do
+    ctx.Program.emit_user_event ~tag ~data:(10 * tag)
+  done;
+  Scheduler.run sched;
+  Alcotest.(check (list (pair int int)))
+    "each handler read its own event"
+    (List.init capacity (fun tag -> (tag, 10 * tag)) @ [ (1000, -1) ])
+    (List.rev !read)
+
+(* Once warm, a packet's trip through one switch allocates nothing:
+   admission, the forward decision, the traffic manager, and the
+   enqueue, dequeue and transmitted events its handlers run on. *)
+let test_switch_cycle_zero_alloc () =
+  let sched = Scheduler.create () in
+  let forward = Program.Forward 1 in
+  let handled = ref 0 in
+  let count _ctx _ev = incr handled in
+  let program _ctx =
+    Program.make ~name:"fwd"
+      ~ingress:(fun _ctx _pkt -> forward)
+      ~enqueue:count ~dequeue:count ~transmitted:count ()
+  in
+  let sw = make_switch ~sched program in
+  let sent = ref 0 in
+  Event_switch.set_port_tx sw ~port:1 (fun _ -> incr sent);
+  let pkt = mk_packet ~bytes:64 () in
+  Zero_alloc.check "Event_switch.inject + Scheduler.run" ~iters:10_000 (fun () ->
+      Event_switch.inject sw ~port:0 pkt;
+      Scheduler.run sched);
+  Alcotest.(check (pair int int)) "packets sent, events handled" (20_000, 60_000) (!sent, !handled)
+
 let test_pifo_switch_end_to_end () =
   (* A PIFO-scheduled switch: while a long packet serialises, a later
      high-priority (low rank) packet overtakes an earlier low-priority
@@ -791,6 +839,10 @@ let qcheck_switch_conservation =
 let suite =
   [
     Alcotest.test_case "forward path" `Quick test_forward_path;
+    Alcotest.test_case "zero-alloc switch forward + buffer events" `Quick
+      test_switch_cycle_zero_alloc;
+    Alcotest.test_case "user handler reads its event after emitting one" `Quick
+      test_user_event_survives_own_emit;
     Alcotest.test_case "pipeline latency" `Quick test_pipeline_latency;
     Alcotest.test_case "enqueue/dequeue shared state" `Quick test_enqueue_dequeue_state;
     Alcotest.test_case "overflow events" `Quick test_overflow_event;
